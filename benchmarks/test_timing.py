@@ -13,7 +13,7 @@ from repro.experiments import timing
 def test_timing(benchmark):
     payload = benchmark.pedantic(
         timing.run_timing,
-        kwargs={"workers": 4, "rounds": 2, "warmup": 1},
+        kwargs={"rounds": 2, "warmup": 1},
         rounds=1,
         iterations=1,
         warmup_rounds=0,

@@ -7,10 +7,7 @@
 - :mod:`repro.core.feedback` -- the previous-global-update estimator and
   the delta-update diagnostic of Eq. (8);
 - :mod:`repro.core.policy` -- the client-side upload filter that puts
-  them together;
-- :mod:`repro.core.triggers` -- pure event-triggered upload rules for
-  the asynchronous engine (and, via ``TriggerPolicy``, the synchronous
-  trainer).
+  them together.
 """
 
 from repro.core.relevance import relevance, sign_agreement_counts
@@ -22,13 +19,6 @@ from repro.core.thresholds import (
 )
 from repro.core.feedback import GlobalUpdateEstimator, normalized_update_difference
 from repro.core.policy import CMFLPolicy, PolicyContext, UploadDecision, UploadPolicy
-from repro.core.triggers import (
-    AlwaysUpload,
-    NormTrigger,
-    RelevanceTrigger,
-    TriggerPolicy,
-    UploadTrigger,
-)
 
 __all__ = [
     "relevance",
@@ -43,9 +33,4 @@ __all__ = [
     "UploadDecision",
     "PolicyContext",
     "CMFLPolicy",
-    "UploadTrigger",
-    "AlwaysUpload",
-    "RelevanceTrigger",
-    "NormTrigger",
-    "TriggerPolicy",
 ]

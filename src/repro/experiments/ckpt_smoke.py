@@ -34,7 +34,7 @@ from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.fl.client import FLClient
-from repro.fl.config import FLConfig
+from repro.fl.config import EXECUTOR_BACKENDS, FLConfig
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
@@ -54,7 +54,6 @@ _SAMPLES_PER_CLIENT = 24
 def federation_parts(
     rounds: int = 6,
     backend: str = "serial",
-    workers: int = 2,
     ckpt_dir: Optional[str] = None,
     ckpt_every: int = 1,
     ckpt_keep: int = 0,
@@ -100,7 +99,6 @@ def federation_parts(
         lr=ConstantLR(0.2),
         eval_every=1,
         executor=backend,
-        executor_workers=workers,
         trace_path=trace_path,
         checkpoint_dir=ckpt_dir,
         checkpoint_every=ckpt_every,
@@ -145,8 +143,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"))
-    parser.add_argument("--workers", type=int, default=2)
+                        choices=EXECUTOR_BACKENDS)
     parser.add_argument("--ckpt-dir", required=True)
     parser.add_argument("--trace", default=None,
                         help="stream the trace to this .jsonl file")
@@ -164,7 +161,6 @@ def main(argv=None) -> int:
     parts = federation_parts(
         rounds=args.rounds,
         backend=args.backend,
-        workers=args.workers,
         ckpt_dir=args.ckpt_dir,
         ckpt_every=args.every,
         ckpt_keep=args.keep,

@@ -43,9 +43,9 @@ def measure_divergence(trainer: FederatedTrainer, warmup_rounds: int) -> np.ndar
     global_params = trainer.server.global_params.copy()
     lr = trainer.config.lr(max(len(trainer.history), 1))
     # The paper measures fully locally-trained client models, so the
-    # probe runs several times the per-round local epochs.  It fans out
+    # probe runs several times the per-round local epochs.  It goes
     # through the trainer's executor like a regular round, so the probe
-    # parallelises under the thread/process backends too.
+    # vectorizes under the batched backend too.
     plan = RoundPlan(
         iteration=max(len(trainer.history), 1),
         lr=lr,

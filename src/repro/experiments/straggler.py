@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import RelevanceTrigger, TriggerPolicy
+from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
 from repro.fl.client import FLClient
@@ -114,7 +114,7 @@ def make_straggler_engine(
     trainer = FederatedTrainer(
         workspace,
         clients,
-        TriggerPolicy(RelevanceTrigger(InverseSqrtThreshold(0.8))),
+        CMFLPolicy(InverseSqrtThreshold(0.8)),
         config,
         sampler=AvailabilitySampler(
             count=_COHORT,

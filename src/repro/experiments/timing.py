@@ -5,7 +5,7 @@ ordered decide/aggregate reduction) under each execution backend of
 :mod:`repro.fl.executor` on two workloads:
 
 * ``digits_cnn`` — the paper's digit-CNN federation at bench scale
-  (compute-heavy clients; where the process backend pays off), and
+  (compute-heavy clients), and
 * ``linear`` — a logistic-regression federation (tiny per-client
   steps; an upper bound on per-task engine overhead).
 
@@ -85,22 +85,17 @@ _NO_EVAL = 10**9
 _TIMING_SEED = 23
 
 
-def make_digits_timing_trainer(
-    backend: str = "serial", workers: int = 0
-) -> FederatedTrainer:
+def make_digits_timing_trainer(backend: str = "serial") -> FederatedTrainer:
     """The digit-CNN federation at bench scale (30 clients), CMFL policy."""
     workload = DigitsWorkload(scale="bench")
     return workload.make_trainer(
         CMFLPolicy(InverseSqrtThreshold(0.8)),
         executor=backend,
-        executor_workers=workers,
         eval_every=_NO_EVAL,
     )
 
 
-def make_linear_timing_trainer(
-    backend: str = "serial", workers: int = 0
-) -> FederatedTrainer:
+def make_linear_timing_trainer(backend: str = "serial") -> FederatedTrainer:
     """A 30-client logistic-regression federation with tiny local steps."""
     n_clients, n_features, per_client = 30, 64, 80
     rngs = child_rngs(_TIMING_SEED, n_clients + 3)
@@ -124,14 +119,13 @@ def make_linear_timing_trainer(
         lr=ConstantLR(0.3),
         eval_every=_NO_EVAL,
         executor=backend,
-        executor_workers=workers,
     )
     return FederatedTrainer(
         workspace, clients, CMFLPolicy(InverseSqrtThreshold(0.8)), config
     )
 
 
-TIMING_WORKLOADS: Dict[str, Callable[[str, int], FederatedTrainer]] = {
+TIMING_WORKLOADS: Dict[str, Callable[[str], FederatedTrainer]] = {
     "digits_cnn": make_digits_timing_trainer,
     "linear": make_linear_timing_trainer,
 }
@@ -155,14 +149,13 @@ def history_digest(trainer: FederatedTrainer) -> str:
 def time_backend(
     workload: str,
     backend: str,
-    workers: int = 0,
     rounds: int = 3,
     warmup: int = 1,
 ) -> Dict[str, object]:
     """Time ``rounds`` rounds of ``workload`` under ``backend``.
 
-    ``warmup`` untimed rounds absorb one-time costs (worker-pool
-    startup, replica builds) so sec/round reflects the steady state.
+    ``warmup`` untimed rounds absorb one-time costs (cohort-engine
+    builds, allocator warm-up) so sec/round reflects the steady state.
     Rounds are timed individually; ``sec_per_round`` is the median of
     the per-round samples (all recorded in the payload), so a single
     noisy round cannot flip the throughput regression gate.
@@ -174,7 +167,7 @@ def time_backend(
         )
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    trainer = TIMING_WORKLOADS[workload](backend, workers)
+    trainer = TIMING_WORKLOADS[workload](backend)
     try:
         if warmup > 0:
             trainer.run(warmup)
@@ -193,7 +186,6 @@ def time_backend(
     n_clients = len(trainer.clients)
     return {
         "backend": backend,
-        "workers_requested": workers,
         "rounds_timed": rounds,
         "n_clients": n_clients,
         "n_params": trainer.workspace.n_params,
@@ -561,7 +553,6 @@ def time_async_vs_sync(rounds: int = 8) -> Dict[str, object]:
 
 def run_timing(
     backends: Sequence[str] = DEFAULT_BACKENDS,
-    workers: int = 4,
     rounds: int = 3,
     warmup: int = 1,
     workloads: Sequence[str] = ("digits_cnn", "linear"),
@@ -575,7 +566,6 @@ def run_timing(
             "numpy": np.__version__,
         },
         "config": {
-            "workers": workers,
             "rounds_timed": rounds,
             "warmup_rounds": warmup,
             "backends": list(backends),
@@ -594,7 +584,7 @@ def run_timing(
         per_backend: Dict[str, object] = {}
         for backend in backends:
             per_backend[backend] = time_backend(
-                workload, backend, workers=workers, rounds=rounds, warmup=warmup
+                workload, backend, rounds=rounds, warmup=warmup
             )
         serial = per_backend.get("serial")
         for entry in per_backend.values():
@@ -619,8 +609,7 @@ def write_baseline(payload: Dict[str, object], path: Path) -> None:
 def format_report(payload: Dict[str, object]) -> str:
     """Human-readable table of a timing payload (for the bench report)."""
     lines = [
-        f"round-throughput timing (workers={payload['config']['workers']}, "
-        f"cpus={payload['host']['cpu_count']})",
+        f"round-throughput timing (cpus={payload['host']['cpu_count']})",
         "",
         f"{'workload':<12} {'backend':<8} {'sec/round':>10} "
         f"{'clients/s':>10} {'speedup':>8}  identical",

@@ -6,7 +6,7 @@ then renders the per-phase breakdown and reconciles the trace's
 same cross-check the tier-1 gate test performs.  Useful as a manual
 sanity check of the :mod:`repro.obs` pipeline::
 
-    python -m repro.experiments.trace_smoke [--backend thread] \
+    python -m repro.experiments.trace_smoke [--backend batched] \
         [--trace-path /tmp/trace.jsonl]
 """
 
@@ -18,6 +18,7 @@ from typing import Optional
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.experiments.workloads import DigitsWorkload
+from repro.fl.config import EXECUTOR_BACKENDS
 from repro.fl.trainer import FederatedTrainer
 
 __all__ = ["main", "run_traced_smoke"]
@@ -27,7 +28,6 @@ def run_traced_smoke(
     rounds: int = 2,
     trace_path: Optional[str] = None,
     backend: str = "serial",
-    workers: int = 2,
     threshold: float = 0.8,
 ) -> FederatedTrainer:
     """Run a short traced federation; returns the closed trainer.
@@ -41,7 +41,6 @@ def run_traced_smoke(
     trainer = workload.make_trainer(
         CMFLPolicy(InverseSqrtThreshold(threshold)),
         executor=backend,
-        executor_workers=workers,
         rounds=rounds,
         trace=True,
         trace_path=trace_path,
@@ -57,8 +56,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=2)
     parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"))
-    parser.add_argument("--workers", type=int, default=2)
+                        choices=EXECUTOR_BACKENDS)
     parser.add_argument("--trace-path", default=None,
                         help="write the trace to this .jsonl file")
     args = parser.parse_args(argv)
@@ -67,7 +65,6 @@ def main(argv=None) -> int:
         rounds=args.rounds,
         trace_path=args.trace_path,
         backend=args.backend,
-        workers=args.workers,
     )
     if args.trace_path:
         events = load_trace(args.trace_path)

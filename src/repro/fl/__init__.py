@@ -16,11 +16,8 @@ from repro.fl.executor import (
     BatchedExecutor,
     ClientExecutionError,
     ClientExecutor,
-    ProcessExecutor,
     RoundPlan,
     SerialExecutor,
-    ThreadExecutor,
-    WorkspaceSpec,
     make_executor,
 )
 from repro.fl.server import FLServer
@@ -52,11 +49,8 @@ __all__ = [
     "ClientExecutionError",
     "ClientExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "BatchedExecutor",
     "RoundPlan",
-    "WorkspaceSpec",
     "make_executor",
     "FLClient",
     "ClientUpdate",

@@ -33,8 +33,7 @@ across its members when the executor replays ``client_compute`` spans
 and feeds the round rollup, so per-client compute quantiles are flat
 within a cohort and ``runtime.health.straggler`` findings can only
 surface *between* cohorts (or from fallback singletons) on this
-backend — real per-client timing variance needs the thread/process
-backends.
+backend — real per-client timing variance needs the serial backend.
 """
 
 from __future__ import annotations

@@ -52,10 +52,9 @@ class FLClient:
     def rng_state(self) -> Dict[str, Any]:
         """Picklable snapshot of the client's RNG stream position.
 
-        The process executor ships this to the worker that runs the
-        client and ships the advanced state back, so the parent's
-        client objects stay the single source of RNG truth and every
-        backend consumes each client stream identically.
+        Checkpoints and the population store persist this, so a resumed
+        or re-materialized client continues its stream exactly where
+        the original left off.
         """
         return self._rng.bit_generator.state
 
@@ -75,8 +74,7 @@ class FLClient:
         training consumes no other client randomness, so drawing all E
         epoch permutations up front leaves the stream in the same state
         as E serial epoch iterations — the client object stays the
-        single source of RNG truth, the same invariant the process
-        executor maintains by round-tripping :meth:`rng_state`.
+        single source of RNG truth.
         """
         order = np.arange(self.n_samples)
         self._rng.shuffle(order)

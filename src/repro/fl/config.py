@@ -7,46 +7,15 @@ from typing import Optional
 
 from repro.nn.schedules import ConstantLR, LRSchedule
 
-__all__ = ["ConfigError", "EMPTY_ROUND_MODES", "EXECUTOR_BACKENDS", "FLConfig"]
-
-
-class ConfigError(ValueError):
-    """A structured configuration rejection.
-
-    Raised when two individually valid knobs are incompatible (e.g. a
-    :class:`~repro.fl.store.ClientStateStore` with the process
-    executor).  Beyond the message, carries machine-readable fields so
-    tooling and tests can assert on the *constraint* instead of
-    string-matching prose:
-
-    - ``constraint``: short kebab-case name of the violated rule;
-    - ``supported``: the values that would have been accepted.
-
-    Subclasses :class:`ValueError` so existing ``except ValueError``
-    call sites keep working.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        constraint: Optional[str] = None,
-        supported: tuple = (),
-    ) -> None:
-        super().__init__(message)
-        self.constraint = constraint
-        self.supported = tuple(supported)
+__all__ = ["EMPTY_ROUND_MODES", "EXECUTOR_BACKENDS", "FLConfig"]
 
 #: Client-execution backends (see :mod:`repro.fl.executor`):
 #: "serial"  -- one shared workspace, clients run back to back;
-#: "thread"  -- a thread pool over replica workspaces;
-#: "process" -- a persistent worker-process pool with the broadcast
-#:              parameters in shared memory;
 #: "batched" -- same-schedule clients stacked into one leading client
 #:              axis, each round step one set of large numpy kernels
 #:              (see :mod:`repro.fl.batched`).
-#: All four produce bitwise-identical run histories.
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "batched")
+#: Both produce bitwise-identical run histories.
+EXECUTOR_BACKENDS = ("serial", "batched")
 
 #: What to do in a round where every update was filtered out.
 #: "keep"  -- leave the model unchanged and reuse the previous feedback
@@ -83,8 +52,6 @@ class FLConfig:
     check_finite: bool = False
     #: Client-execution backend for the compute half of each round.
     executor: str = "serial"
-    #: Worker count for the thread/process backends; 0 = os.cpu_count().
-    executor_workers: int = 0
     #: Structured tracing (see :mod:`repro.obs`).  Off by default: the
     #: trainer then runs on the allocation-free NullTracer.
     trace: bool = False
@@ -127,8 +94,6 @@ class FLConfig:
                 f"executor must be one of {EXECUTOR_BACKENDS}, "
                 f"got {self.executor!r}"
             )
-        if self.executor_workers < 0:
-            raise ValueError("executor_workers must be >= 0 (0 = cpu count)")
         if self.trace_path is not None and not str(self.trace_path):
             raise ValueError("trace_path must be a non-empty path or None")
         if not 0.0 <= self.trace_sample <= 1.0:

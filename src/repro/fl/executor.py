@@ -1,46 +1,29 @@
-"""The pluggable client-execution engine (serial / thread / process / batched).
+"""The pluggable client-execution engine (serial / batched).
 
-The paper ran CMFL on a 30-node EC2 cluster where every client trains
-concurrently; this module recovers that concurrency in-process.  The
-trainer splits each round into a *compute* half (fan out
-``FLClient.compute_update`` over the participants) and a
+The trainer splits each round into a *compute* half (run
+``FLClient.compute_update`` for every participant) and a
 *decide/aggregate* half (a strictly ordered reduction back in the
 trainer).  Executors own only the compute half, which is what makes
-every backend bitwise-identical:
+both backends bitwise-identical:
 
 * each client draws minibatches from its **own** RNG stream, so the
   order in which clients physically run cannot change any draw;
 * results are always returned **aligned with the participant list**
-  (the deterministic reduction order), never in completion order;
-* the process backend ships each client's RNG state to the worker and
-  ships the advanced state back, so the parent's client objects remain
-  the single source of randomness truth across rounds and backends.
+  (the deterministic reduction order).
 
-The process backend keeps a persistent worker pool; each worker builds
-a replica :class:`~repro.fl.workspace.ModelWorkspace` once from a
-picklable :class:`WorkspaceSpec` and reads the per-round broadcast
-parameter vector from POSIX shared memory, so the steady-state
-per-round IPC is one shared-memory write plus ``n_clients`` small task
-tuples and update vectors.
-
-The batched backend trades concurrency for vectorization: same-schedule
-clients are stacked into one leading client axis and the round's
-compute half runs as a handful of large numpy kernels through a
+The serial backend is the reference every equivalence contract is tied
+to.  The batched backend vectorizes: same-schedule clients are stacked
+into one leading client axis and the round's compute half runs as a
+handful of large numpy kernels through a
 :class:`~repro.fl.batched.BatchedWorkspace`, with a per-client fallback
 loop for stragglers and unsupported models.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from multiprocessing import get_context, shared_memory
-from queue import SimpleQueue
+from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,14 +38,13 @@ __all__ = [
     "BatchedExecutor",
     "ClientExecutionError",
     "ClientExecutor",
-    "ProcessExecutor",
     "RoundPlan",
     "SerialExecutor",
-    "ThreadExecutor",
-    "WorkspaceSpec",
     "make_executor",
-    "resolve_worker_count",
 ]
+
+#: One client task's runtime data: ``(queue_wait, dur, worker)``.
+TaskTiming = Tuple[float, float, str]
 
 
 @dataclass(frozen=True)
@@ -115,60 +97,6 @@ class ClientExecutionError(RuntimeError):
         }
 
 
-def resolve_worker_count(n_workers: int) -> int:
-    """``0`` means "one worker per CPU"; negative counts are invalid."""
-    if n_workers < 0:
-        raise ValueError(f"n_workers must be >= 0, got {n_workers}")
-    if n_workers:
-        return n_workers
-    return max(1, os.cpu_count() or 1)
-
-
-def _rebuild_pickled_workspace(payload: bytes) -> ModelWorkspace:
-    """Builder used by :meth:`WorkspaceSpec.from_workspace`."""
-    return pickle.loads(payload)
-
-
-@dataclass(frozen=True)
-class WorkspaceSpec:
-    """A picklable recipe for building replica workspaces.
-
-    Workers cannot share the trainer's workspace (its parameter buffers
-    are mutated by every ``train_step``), so the thread and process
-    backends build one replica per worker from this spec.  ``builder``
-    must be a module-level callable (picklable by reference) returning
-    a fresh :class:`~repro.fl.workspace.ModelWorkspace` when called
-    with ``kwargs``.  Replica initial parameters are irrelevant — every
-    ``compute_update`` starts by loading the broadcast vector.
-    """
-
-    builder: Callable[..., ModelWorkspace]
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def build(self) -> ModelWorkspace:
-        workspace = self.builder(**self.kwargs)
-        if not isinstance(workspace, ModelWorkspace):
-            raise TypeError(
-                f"spec builder {self.builder!r} returned "
-                f"{type(workspace).__name__}, expected ModelWorkspace"
-            )
-        return workspace
-
-    @classmethod
-    def from_workspace(cls, workspace: ModelWorkspace) -> "WorkspaceSpec":
-        """Snapshot an existing workspace into a picklable spec.
-
-        The workspace (model, loss, optimizer, metric) is serialised
-        eagerly, so later mutation of the original — including the
-        transient forward-pass caches layers keep — does not leak into
-        replicas built from the spec.
-        """
-        return cls(
-            builder=_rebuild_pickled_workspace,
-            kwargs={"payload": pickle.dumps(workspace)},
-        )
-
-
 class ClientExecutor:
     """Interface: run the compute half of one synchronous round."""
 
@@ -181,7 +109,6 @@ class ClientExecutor:
         self,
         workspace: ModelWorkspace,
         clients: Sequence[FLClient],
-        spec: Optional[WorkspaceSpec] = None,
         tracer=None,
     ) -> None:
         """Called once by the trainer before the first round."""
@@ -193,14 +120,14 @@ class ClientExecutor:
         """Compute one update per participant.
 
         The returned list is aligned with ``participants`` regardless
-        of the order in which backends finish individual clients; the
+        of the order in which a backend runs individual clients; the
         trainer's decide/aggregate reduction therefore sees the same
         sequence under every backend.
         """
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release pools/shared memory; idempotent."""
+        """Release backend resources; idempotent."""
 
     def __enter__(self) -> "ClientExecutor":
         return self
@@ -221,8 +148,8 @@ class SerialExecutor(ClientExecutor):
         self._workspace: Optional[ModelWorkspace] = None
         self.tracer = NULL_TRACER
 
-    def bind(self, workspace, clients, spec=None, tracer=None) -> None:
-        del clients, spec
+    def bind(self, workspace, clients, tracer=None) -> None:
+        del clients
         self._workspace = workspace
         self.tracer = tracer or NULL_TRACER
 
@@ -230,27 +157,13 @@ class SerialExecutor(ClientExecutor):
         if self._workspace is None:
             raise RuntimeError("executor not bound to a trainer")
         tracer = self.tracer
-        _emit_broadcast_span(tracer, plan, rt={"shm": False})
+        _emit_broadcast_span(tracer, plan)
+        outcomes = _run_on_workspace(
+            self._workspace, plan, participants, self.name, monotonic(), tracer
+        )
         results: List[ClientUpdate] = []
-        round_start = monotonic()
-        for client in participants:
-            start = monotonic()
-            try:
-                update = client.compute_update(
-                    self._workspace,
-                    plan.global_params,
-                    lr=plan.lr,
-                    local_epochs=plan.local_epochs,
-                    batch_size=plan.batch_size,
-                )
-            except Exception as exc:
-                raise _client_failure(
-                    exc, client, plan, self.name,
-                    monotonic() - round_start, tracer,
-                ) from exc
-            _emit_task_span(
-                tracer, plan, client, (0.0, monotonic() - start, "main")
-            )
+        for client, (update, timing) in zip(participants, outcomes):
+            _emit_task_span(tracer, plan, client, timing)
             results.append(update)
         return results
 
@@ -270,16 +183,15 @@ class BatchedExecutor(ClientExecutor):
     heterogeneous stragglers never break a round.
 
     Per-client minibatch order comes from each client's own RNG stream
-    via :meth:`~repro.fl.client.FLClient.epoch_order` — the in-process
-    equivalent of the process backend's RNG state round-trip: the
-    parent's client objects remain the single source of randomness
-    truth, and every backend consumes each stream identically.
+    via :meth:`~repro.fl.client.FLClient.epoch_order`: the client
+    objects remain the single source of randomness truth, and both
+    backends consume each stream identically.
 
     Observability: ``client_compute`` spans are replayed in participant
     order with ``rt`` timings from the batched kernel — a cohort's wall
     time is attributed evenly across its members and the worker label
     names the cohort (``batched-<size>``), while the deterministic
-    attrs stay identical to every other backend.
+    attrs stay identical to the serial backend's.
     """
 
     name = "batched"
@@ -292,8 +204,8 @@ class BatchedExecutor(ClientExecutor):
         self._unsupported: Optional[str] = None
         self.tracer = NULL_TRACER
 
-    def bind(self, workspace, clients, spec=None, tracer=None) -> None:
-        del clients, spec
+    def bind(self, workspace, clients, tracer=None) -> None:
+        del clients
         self._workspace = workspace
         self._engines = {}  # stale stacks would read the old model's shapes
         self._unsupported = None
@@ -321,7 +233,7 @@ class BatchedExecutor(ClientExecutor):
         if self._workspace is None:
             raise RuntimeError("executor not bound to a trainer")
         tracer = self.tracer
-        _emit_broadcast_span(tracer, plan, rt={"shm": False})
+        _emit_broadcast_span(tracer, plan)
         round_start = monotonic()
         # Cohorts keyed by shard size; indices keep participant order
         # both within each cohort and for the final result alignment.
@@ -329,71 +241,45 @@ class BatchedExecutor(ClientExecutor):
         for idx, client in enumerate(participants):
             cohorts.setdefault(client.n_samples, []).append(idx)
         results: List[Optional[ClientUpdate]] = [None] * len(participants)
-        timings: List[Optional[Tuple[float, float, str]]] = [None] * len(
-            participants
-        )
+        timings: List[Optional[TaskTiming]] = [None] * len(participants)
         # Probe batched support once with the largest multi-client
         # cohort; on BatchedUnsupported every cohort must fall back.
         multi_sizes = [len(ix) for ix in cohorts.values() if len(ix) > 1]
         batchable = bool(multi_sizes) and (
             self._engine_for(max(multi_sizes)) is not None
         )
-        if not batchable:
+        if batchable:
+            groups = [cohorts[n_samples] for n_samples in sorted(cohorts)]
+        else:
             # Full per-client fallback, in **participant order**: with
             # a stateful optimizer the shared workspace's slot state
             # makes client order observable, and participant order is
-            # the serial reference.  (The mixed path below never hits
-            # this: batched support implies a stateless plain SGD, so
+            # the serial reference.  (The mixed path never hits this:
+            # batched support implies a stateless plain SGD, so
             # singleton stragglers can run interleaved with cohorts.)
-            for idx, client in enumerate(participants):
-                start = monotonic()
-                try:
-                    update = client.compute_update(
-                        self._workspace,
-                        plan.global_params,
-                        lr=plan.lr,
-                        local_epochs=plan.local_epochs,
-                        batch_size=plan.batch_size,
-                    )
-                except Exception as exc:
-                    raise _client_failure(
-                        exc, client, plan, self.name,
-                        monotonic() - round_start, tracer,
-                    ) from exc
-                results[idx] = update
-                timings[idx] = (0.0, monotonic() - start, "main")
-            for client, timing in zip(participants, timings):
-                _emit_task_span(tracer, plan, client, timing)
-            return results
-        for n_samples in sorted(cohorts):
-            indices = cohorts[n_samples]
-            engine = self._engine_for(len(indices)) if len(indices) > 1 else None
-            if engine is None:
-                # Straggler path: a singleton cohort running the
-                # serial reference on the bound workspace.
-                for idx in indices:
-                    client = participants[idx]
-                    start = monotonic()
-                    try:
-                        update = client.compute_update(
-                            self._workspace,
-                            plan.global_params,
-                            lr=plan.lr,
-                            local_epochs=plan.local_epochs,
-                            batch_size=plan.batch_size,
-                        )
-                    except Exception as exc:
-                        raise _client_failure(
-                            exc, client, plan, self.name,
-                            monotonic() - round_start, tracer,
-                        ) from exc
-                    results[idx] = update
-                    timings[idx] = (0.0, monotonic() - start, "main")
-                continue
+            groups = [list(range(len(participants)))]
+        for indices in groups:
             cohort = [participants[idx] for idx in indices]
+            engine = (
+                self._engine_for(len(cohort))
+                if batchable and len(cohort) > 1
+                else None
+            )
+            if engine is None:
+                # The serial reference on the bound workspace: the
+                # whole round when nothing batches, else a straggler.
+                outcomes = _run_on_workspace(
+                    self._workspace, plan, cohort, self.name, round_start, tracer
+                )
+                for idx, (update, timing) in zip(indices, outcomes):
+                    results[idx] = update
+                    timings[idx] = timing
+                continue
             start = monotonic()
             try:
-                updates = self._run_cohort(engine, plan, cohort, n_samples)
+                updates = self._run_cohort(
+                    engine, plan, cohort, cohort[0].n_samples
+                )
             except Exception as exc:
                 raise _client_failure(
                     exc, cohort[0], plan, self.name,
@@ -466,297 +352,44 @@ class BatchedExecutor(ClientExecutor):
         ]
 
 
-class ThreadExecutor(ClientExecutor):
-    """A thread pool over a checkout-queue of replica workspaces.
+def _run_on_workspace(
+    workspace: ModelWorkspace,
+    plan: RoundPlan,
+    clients: Sequence[FLClient],
+    backend: str,
+    round_start: float,
+    tracer,
+) -> Iterator[Tuple[ClientUpdate, TaskTiming]]:
+    """Run ``clients`` back to back on ``workspace``, timing each.
 
-    Each submitted client checks a replica out of the queue, trains on
-    it and returns it, so at most ``n_workers`` replicas exist and no
-    two threads ever share parameter buffers.  Client objects (and
-    their RNGs) are the parent's own — each stream is touched only by
-    its client's task, so concurrency cannot reorder draws.
+    The one per-client loop both backends share: yields each client's
+    ``(update, timing)`` as it finishes, and re-raises a failure as
+    :class:`ClientExecutionError` naming the client (plus the
+    ``client_error`` trace event).
     """
-
-    name = "thread"
-
-    def __init__(self, n_workers: int = 0) -> None:
-        self.n_workers = resolve_worker_count(n_workers)
-        self._spec: Optional[WorkspaceSpec] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._replicas: Optional[SimpleQueue] = None
-        self.tracer = NULL_TRACER
-
-    def bind(self, workspace, clients, spec=None, tracer=None) -> None:
-        del clients
-        # Snapshot now: the trainer has not run yet, so the pickled
-        # model carries no bulky forward-pass caches.
-        self._spec = spec or WorkspaceSpec.from_workspace(workspace)
-        self.tracer = tracer or NULL_TRACER
-
-    def _ensure_started(self) -> None:
-        if self._pool is not None:
-            return
-        if self._spec is None:
-            raise RuntimeError("executor not bound to a trainer")
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="repro-client"
-        )
-        self._replicas = SimpleQueue()
-        for _ in range(self.n_workers):
-            self._replicas.put(self._spec.build())
-        self.tracer.metrics.counter("runtime.executor.pool_starts").inc()
-
-    def _run_one(
-        self, client: FLClient, plan: RoundPlan, submit_ts: float
-    ) -> Tuple[ClientUpdate, Tuple[float, float, str]]:
+    for client in clients:
         start = monotonic()
-        replica = self._replicas.get()
         try:
             update = client.compute_update(
-                replica,
+                workspace,
                 plan.global_params,
                 lr=plan.lr,
                 local_epochs=plan.local_epochs,
                 batch_size=plan.batch_size,
             )
-        finally:
-            self._replicas.put(replica)
-        end = monotonic()
-        timing = (start - submit_ts, end - start, threading.current_thread().name)
-        return update, timing
-
-    def run_round(self, plan, participants):
-        self._ensure_started()
-        tracer = self.tracer
-        _emit_broadcast_span(tracer, plan, rt={"shm": False})
-        round_start = monotonic()
-        futures = [
-            self._pool.submit(self._run_one, client, plan, monotonic())
-            for client in participants
-        ]
-        payloads = _collect_in_order(
-            futures, participants,
-            plan=plan, backend=self.name, tracer=tracer, started=round_start,
-        )
-        results: List[ClientUpdate] = []
-        for client, (update, timing) in zip(participants, payloads):
-            _emit_task_span(tracer, plan, client, timing)
-            results.append(update)
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._replicas = None
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(n_workers={self.n_workers})"
+        except Exception as exc:
+            raise _client_failure(
+                exc, client, plan, backend, monotonic() - round_start, tracer
+            ) from exc
+        yield update, (0.0, monotonic() - start, "main")
 
 
-# ---------------------------------------------------------------------------
-# Process backend worker side.  Module-level state + functions so everything
-# the pool touches is picklable by reference under any start method.
-
-_WORKER_STATE: Optional["_WorkerState"] = None
-
-
-class _WorkerState:
-    """Per-worker-process state: replica workspace, clients, broadcast."""
-
-    __slots__ = ("workspace", "clients", "shm", "global_view")
-
-    def __init__(self, workspace, clients, shm, global_view) -> None:
-        self.workspace = workspace
-        self.clients = clients
-        self.shm = shm
-        self.global_view = global_view
-
-
-def _init_worker(
-    spec: WorkspaceSpec,
-    clients: Sequence[FLClient],
-    shm_name: str,
-    n_params: int,
-) -> None:
-    global _WORKER_STATE
-    shm = shared_memory.SharedMemory(name=shm_name)
-    view = np.ndarray((n_params,), dtype=np.float64, buffer=shm.buf)
-    _WORKER_STATE = _WorkerState(
-        workspace=spec.build(),
-        clients={c.client_id: c for c in clients},
-        shm=shm,
-        global_view=view,
-    )
-
-
-def _run_client_task(
-    client_id: int,
-    rng_state: Dict[str, Any],
-    lr: float,
-    local_epochs: int,
-    batch_size: int,
-    submit_ts: float,
-):
-    """Run one client in the worker.
-
-    Returns ``(update, advanced rng state, timing)`` where timing is
-    ``(queue_wait, dur, worker)``.  Queue wait is ``start - submit_ts``;
-    both ends are ``time.monotonic`` readings, which on Linux share
-    CLOCK_MONOTONIC across the parent and its worker processes.
-    """
-    start = monotonic()
-    state = _WORKER_STATE
-    if state is None:
-        raise RuntimeError("worker pool was not initialised")
-    client = state.clients[client_id]
-    client.set_rng_state(rng_state)
-    # The parent only writes the shared broadcast between rounds, while
-    # no task is in flight, so reading the view directly is safe and
-    # saves a copy; compute_update never mutates its global_params.
-    result = client.compute_update(
-        state.workspace,
-        state.global_view,
-        lr=lr,
-        local_epochs=local_epochs,
-        batch_size=batch_size,
-    )
-    timing = (start - submit_ts, monotonic() - start, f"pid-{os.getpid()}")
-    return result, client.rng_state(), timing
-
-
-class ProcessExecutor(ClientExecutor):
-    """A persistent ``multiprocessing`` pool of replica workspaces.
-
-    Startup (lazy, on the first round): a shared-memory block sized
-    ``n_params`` float64s is created and every worker builds a replica
-    workspace from the picklable spec plus its own copy of the client
-    shards.  Steady state, per round: the parent writes the broadcast
-    vector into shared memory once, submits ``(client_id, rng_state,
-    hyperparams)`` tuples, and workers stream ``ClientUpdate``s back as
-    they finish; the parent restores each returned RNG state into its
-    own client object and re-aligns results with the participant order.
-
-    Clients are snapshotted into the workers when the pool starts;
-    swapping ``trainer.clients`` entries afterwards cannot reach the
-    workers, so ``run_round`` refuses participants that are not the
-    exact objects it was bound to (re-``bind`` to pick up a changed
-    federation — binding tears any running pool down first).
-    """
-
-    name = "process"
-
-    def __init__(
-        self, n_workers: int = 0, mp_method: Optional[str] = None
-    ) -> None:
-        self.n_workers = resolve_worker_count(n_workers)
-        self.mp_method = mp_method
-        self._spec: Optional[WorkspaceSpec] = None
-        self._clients: Optional[List[FLClient]] = None
-        self._by_id: Dict[int, FLClient] = {}
-        self._n_params: Optional[int] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        self.tracer = NULL_TRACER
-
-    def bind(self, workspace, clients, spec=None, tracer=None) -> None:
-        self.close()
-        self._spec = spec or WorkspaceSpec.from_workspace(workspace)
-        self._clients = list(clients)
-        self._by_id = {c.client_id: c for c in self._clients}
-        self._n_params = workspace.n_params
-        self.tracer = tracer or NULL_TRACER
-
-    def _ensure_started(self) -> None:
-        if self._pool is not None:
-            return
-        if self._spec is None or self._n_params is None:
-            raise RuntimeError("executor not bound to a trainer")
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=self._n_params * np.dtype(np.float64).itemsize
-        )
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            mp_context=get_context(self.mp_method),
-            initializer=_init_worker,
-            initargs=(self._spec, self._clients, self._shm.name, self._n_params),
-        )
-        self.tracer.metrics.counter("runtime.executor.pool_starts").inc()
-
-    def run_round(self, plan, participants):
-        self._ensure_started()
-        tracer = self.tracer
-        # The workers hold a snapshot of the bound client objects, so a
-        # participant that is not that exact object (new id, or an entry
-        # swapped in after binding) would silently run stale code/data.
-        for client in participants:
-            if self._by_id.get(client.client_id) is not client:
-                error = ClientExecutionError(
-                    client.client_id,
-                    f"client {client.client_id} is not among the objects "
-                    "this process pool was started with; re-bind() the "
-                    "executor to pick up the changed federation",
-                    iteration=plan.iteration,
-                    backend=self.name,
-                    cause_type="IdentityMismatch",
-                )
-                _trace_client_error(tracer, error)
-                raise error
-        shm_start = monotonic()
-        broadcast = np.ndarray(
-            (self._n_params,), dtype=np.float64, buffer=self._shm.buf
-        )
-        np.copyto(broadcast, np.asarray(plan.global_params, dtype=np.float64))
-        del broadcast  # release the exported shm buffer view immediately
-        _emit_broadcast_span(
-            tracer, plan, rt={"shm": True, "dur": monotonic() - shm_start}
-        )
-        round_start = monotonic()
-        futures = [
-            self._pool.submit(
-                _run_client_task,
-                client.client_id,
-                client.rng_state(),
-                plan.lr,
-                plan.local_epochs,
-                plan.batch_size,
-                monotonic(),
-            )
-            for client in participants
-        ]
-        payloads = _collect_in_order(
-            futures, participants,
-            plan=plan, backend=self.name, tracer=tracer, started=round_start,
-        )
-        results: List[ClientUpdate] = []
-        for client, (result, rng_state, timing) in zip(participants, payloads):
-            client.set_rng_state(rng_state)
-            _emit_task_span(tracer, plan, client, timing)
-            results.append(result)
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self._shm = None
-
-    def __repr__(self) -> str:
-        return f"ProcessExecutor(n_workers={self.n_workers})"
-
-
-def _emit_broadcast_span(tracer, plan: RoundPlan, rt: Dict[str, Any]) -> None:
+def _emit_broadcast_span(tracer, plan: RoundPlan) -> None:
     """The per-round parameter broadcast as an already-timed span.
 
-    For serial/thread backends the broadcast is a shared read-only
-    array (``dur`` 0); the process backend measures its shared-memory
-    copy.  ``shm``/``dur`` are runtime data — the deterministic attrs
-    are the same on every backend.
+    In-process, the broadcast is a shared read-only array, so the span
+    carries no duration; its deterministic attrs are the same on both
+    backends.
     """
     if not tracer.enabled:
         return
@@ -766,19 +399,18 @@ def _emit_broadcast_span(tracer, plan: RoundPlan, rt: Dict[str, Any]) -> None:
             "iteration": plan.iteration,
             "n_params": int(np.asarray(plan.global_params).size),
         },
-        rt=rt,
+        rt={"shm": False},
     )
 
 
 def _emit_task_span(
-    tracer, plan: RoundPlan, client: FLClient, timing: Tuple[float, float, str]
+    tracer, plan: RoundPlan, client: FLClient, timing: TaskTiming
 ) -> None:
     """Replay one client task as a ``client_compute`` span.
 
-    Executors time tasks wherever the work physically ran, then call
-    this on the coordinating thread in participant order, so the span
-    sequence is deterministic while ``rt`` keeps the real queue wait,
-    duration and worker identity.
+    Executors time tasks as they run, then call this in participant
+    order, so the span sequence is deterministic while ``rt`` keeps the
+    real duration and worker label.
 
     Per-client spans are head-sampled (``FLConfig.trace_sample``):
     every task still feeds the runtime histogram and the round rollup,
@@ -800,27 +432,12 @@ def _emit_task_span(
     )
 
 
-def _trace_client_error(tracer, error: ClientExecutionError) -> None:
-    """Emit a failure as a ``client_error`` point event."""
-    if not tracer.enabled:
-        return
-    tracer.event(
-        "client_error",
-        attrs={
-            "client_id": error.client_id,
-            "iteration": error.iteration,
-            "error": error.cause_type or type(error).__name__,
-        },
-        rt={"elapsed": error.elapsed_s, "backend": error.backend},
-    )
-
-
 def _client_failure(
     exc: BaseException,
     client: FLClient,
-    plan: Optional[RoundPlan],
+    plan: RoundPlan,
     backend: str,
-    elapsed: Optional[float],
+    elapsed: float,
     tracer,
 ) -> ClientExecutionError:
     """Wrap a client failure with its structured context + trace event."""
@@ -828,62 +445,31 @@ def _client_failure(
         client.client_id,
         f"client {client.client_id} failed during local "
         f"computation: {type(exc).__name__}: {exc}",
-        iteration=plan.iteration if plan is not None else None,
+        iteration=plan.iteration,
         backend=backend,
         elapsed_s=elapsed,
         cause_type=type(exc).__name__,
     )
-    _trace_client_error(tracer, error)
+    if tracer.enabled:
+        tracer.event(
+            "client_error",
+            attrs={
+                "client_id": error.client_id,
+                "iteration": error.iteration,
+                "error": error.cause_type,
+            },
+            rt={"elapsed": error.elapsed_s, "backend": error.backend},
+        )
     return error
 
 
-def _collect_in_order(
-    futures: Sequence[Future],
-    participants: Sequence[FLClient],
-    plan: Optional[RoundPlan] = None,
-    backend: str = "?",
-    tracer=NULL_TRACER,
-    started: Optional[float] = None,
-) -> List[Any]:
-    """Resolve futures in participant order, naming the failing client.
-
-    Any failure — an exception raised inside a client's local training
-    or a worker process dying outright (``BrokenProcessPool``) — is
-    re-raised as :class:`ClientExecutionError` carrying the client id
-    plus round/backend/elapsed context, so a crashed worker surfaces
-    immediately instead of hanging the round.  Remaining futures are
-    cancelled best-effort.
-    """
-    results: List[Any] = []
-    for client, future in zip(participants, futures):
-        try:
-            results.append(future.result())
-        except Exception as exc:
-            for pending in futures:
-                pending.cancel()
-            elapsed = monotonic() - started if started is not None else None
-            raise _client_failure(
-                exc, client, plan, backend, elapsed, tracer
-            ) from exc
-    return results
-
-
-def make_executor(
-    backend: Union[str, ClientExecutor],
-    n_workers: int = 0,
-    mp_method: Optional[str] = None,
-) -> ClientExecutor:
+def make_executor(backend: Union[str, ClientExecutor]) -> ClientExecutor:
     """Build an executor from a backend name (or pass one through)."""
     if isinstance(backend, ClientExecutor):
         return backend
     if backend == "serial":
         return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(n_workers)
-    if backend == "process":
-        return ProcessExecutor(n_workers, mp_method=mp_method)
     if backend == "batched":
-        # In-process and cohort-stacked: worker knobs do not apply.
         return BatchedExecutor()
     raise ValueError(
         f"unknown executor backend {backend!r}; choices: {EXECUTOR_BACKENDS}"

@@ -31,8 +31,8 @@ that touch different shards in different orders still agree on every
 stream.
 
 Laziness contract.  :meth:`ClientStateStore.checkout` materializes
-:class:`StoreClient` views (real ``FLClient`` subclasses — every
-executor backend accepts them unchanged) for exactly the requested
+:class:`StoreClient` views (real ``FLClient`` subclasses — both
+executor backends accept them unchanged) for exactly the requested
 indices; :meth:`ClientStateStore.writeback` captures the advanced RNG
 streams into the shard rows and releases the views.  Between a
 checkout and its writeback the store refuses to snapshot
@@ -257,10 +257,10 @@ class CyclicPartition(DataPartition):
 class StoreClient(FLClient):
     """A lazily materialized view of one store row.
 
-    A real :class:`~repro.fl.client.FLClient` — every executor backend
-    (serial/thread/batched) runs it unchanged; its dataset aliases the
-    partition's shared arrays and its RNG stream was restored from (or
-    freshly derived for) its shard row.  Views live for one round:
+    A real :class:`~repro.fl.client.FLClient` — both executor backends
+    run it unchanged; its dataset aliases the partition's shared arrays
+    and its RNG stream was restored from (or freshly derived for) its
+    shard row.  Views live for one round:
     the store's :meth:`~ClientStateStore.writeback` captures the
     advanced stream back into the shard and retires the view.
     """

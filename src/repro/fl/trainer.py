@@ -6,9 +6,9 @@ server averages the uploaded updates into the new global model.  All
 communication and measurement bookkeeping is recorded per round.
 
 The round is split into a *compute* half — fanned out through a
-pluggable :mod:`repro.fl.executor` backend (serial, thread or process)
-— and a *decide/aggregate* half that always runs here, in participant
-order, so run histories are bitwise-identical across backends.
+pluggable :mod:`repro.fl.executor` backend (serial or batched) — and a
+*decide/aggregate* half that always runs here, in participant order, so
+run histories are bitwise-identical across backends.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ from repro.core.policy import PolicyContext, UploadPolicy
 from repro.core.relevance import relevance_per_segment
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.client import ClientUpdate, FLClient
-from repro.fl.config import ConfigError, FLConfig
-from repro.fl.executor import (
-    ClientExecutor,
-    RoundPlan,
-    WorkspaceSpec,
-    make_executor,
-)
+from repro.fl.config import FLConfig
+from repro.fl.executor import ClientExecutor, RoundPlan, make_executor
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.sampling import ClientSampler, FullParticipation
 from repro.fl.server import FLServer
@@ -111,7 +106,6 @@ class FederatedTrainer:
         feedback_staleness: int = 1,
         sampler: Optional[ClientSampler] = None,
         executor: Union[None, str, ClientExecutor] = None,
-        workspace_spec: Optional[WorkspaceSpec] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if isinstance(clients, ClientStateStore):
@@ -174,23 +168,11 @@ class FederatedTrainer:
         # Client-execution engine: ``executor`` overrides the config's
         # backend name; a ready-made ClientExecutor is used as-is.
         self.executor = make_executor(
-            config.executor if executor is None else executor,
-            n_workers=config.executor_workers,
+            config.executor if executor is None else executor
         )
         if self.store is not None:
-            if self.executor.name == "process":
-                raise ConfigError(
-                    "the process backend pins client objects into worker "
-                    "processes at bind time; store-backed views are "
-                    "materialized per round — use the serial, thread or "
-                    "batched backend with a ClientStateStore",
-                    constraint="store-process-backend",
-                    supported=("serial", "thread", "batched"),
-                )
             self.store.metrics = self.tracer.metrics
-        self.executor.bind(
-            workspace, self.clients, spec=workspace_spec, tracer=self.tracer
-        )
+        self.executor.bind(workspace, self.clients, tracer=self.tracer)
         # Run-state persistence (see repro.ckpt), driven by the
         # checkpoint_* config knobs.  Imported lazily: repro.ckpt
         # imports fl modules, so a module-level import would cycle.
@@ -493,7 +475,7 @@ class FederatedTrainer:
             )
             run_span.__enter__()
         run_span.set_rt("backend", self.executor.name)
-        run_span.set_rt("workers", getattr(self.executor, "n_workers", 1))
+        run_span.set_rt("workers", 1)
         try:
             for t in range(start, start + total):
                 self.run_round(t)
@@ -525,7 +507,6 @@ class FederatedTrainer:
         feedback_staleness: int = 1,
         sampler: Optional[ClientSampler] = None,
         executor: Union[None, str, ClientExecutor] = None,
-        workspace_spec: Optional[WorkspaceSpec] = None,
     ) -> "FederatedTrainer":
         """Rebuild a trainer from a checkpoint and the federation parts.
 
@@ -551,7 +532,6 @@ class FederatedTrainer:
             feedback_staleness=feedback_staleness,
             sampler=sampler,
             executor=executor,
-            workspace_spec=workspace_spec,
             tracer=tracer,
         )
         if tracer is not None:
@@ -559,27 +539,16 @@ class FederatedTrainer:
             # as __init__ would have; close() owns it.
             trainer._owns_tracer = True
         apply_run_state(trainer, ckpt)
-        # The executor snapshotted the workspace at bind time; re-bind
-        # so replicas/workers start from the restored parameters.
-        trainer.executor.bind(
-            workspace,
-            trainer.clients,
-            spec=workspace_spec,
-            tracer=trainer.tracer,
-        )
         if trainer.tracer.enabled:
             trainer._resume_span = trainer.tracer.current_span()
         return trainer
 
     def close(self) -> None:
-        """Release executor resources (worker pools, shared memory).
+        """Close the executor and any tracer the trainer built itself.
 
-        A no-op for the serial backend; idempotent everywhere — except
-        that a tracer the trainer built from the config knobs is closed
-        too (final metrics snapshot + sink flush), so a traced trainer
-        should not run further rounds after ``close``.  The executor
-        itself remains usable — thread/process backends lazily restart
-        their pools on the next round.
+        Idempotent — except that a tracer built from the config knobs
+        is closed too (final metrics snapshot + sink flush), so a
+        traced trainer should not run further rounds after ``close``.
         """
         self.executor.close()
         if self._owns_tracer:

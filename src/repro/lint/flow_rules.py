@@ -98,9 +98,9 @@ class RngTaintRule(ProjectRule):
     (2) RNG-tainted default arguments — defaults evaluate once, so every
     call shares one stream; (3) RNG-tainted values crossing an executor
     boundary (``submit`` / ``apply_async`` / ``pickle.dumps``) outside
-    the sanctioned round-trip (``allow_boundary_in``, default
-    ``fl/executor.py``), which ships Generator objects rather than the
-    serialised bit-generator state the contract requires.
+    a sanctioned round-trip module (``allow_boundary_in``, default
+    none), which ships Generator objects rather than the serialised
+    bit-generator state the contract requires.
     """
 
     name = "rng-taint"
@@ -108,9 +108,7 @@ class RngTaintRule(ProjectRule):
     default_severity = "error"
 
     def check(self, ctx: FlowContext) -> List[Violation]:
-        allow_boundary = self.path_option(
-            "allow_boundary_in", ["fl/executor.py"]
-        )
+        allow_boundary = self.path_option("allow_boundary_in", [])
         out: List[Violation] = []
         for summary in self.scoped_modules(ctx):
             for assign in summary.data["module_assigns"]:
@@ -162,8 +160,7 @@ class RngTaintRule(ProjectRule):
                                     f"RNG-tainted argument #{i} crosses "
                                     f"the executor boundary via "
                                     f"{boundary['callee']}(); round-trip "
-                                    "serialised RNG state instead "
-                                    "(see fl/executor.py)",
+                                    "serialised RNG state instead",
                                 )
                             )
                             break
@@ -198,8 +195,7 @@ class SharedStateRaceRule(ProjectRule):
     worker-reachable write to a store-named parameter is a determinism
     race even if today's backends never interleave it.  Worker-side
     module rebinds are allowed only in ``allow_global_rebind_in``
-    (default ``fl/executor.py``, which owns the per-process
-    ``_WORKER_STATE`` hand-off).
+    (default none).
     """
 
     name = "shared-state-race"
@@ -218,9 +214,7 @@ class SharedStateRaceRule(ProjectRule):
                 r"^(store|client_store|shards?|shard_.*)$",
             )
         )
-        allow_rebind = self.path_option(
-            "allow_global_rebind_in", ["fl/executor.py"]
-        )
+        allow_rebind = self.path_option("allow_global_rebind_in", [])
         out: List[Violation] = []
         for fid in sorted(ctx.worker_reachable | ctx.handler_reachable):
             pp, _, facts = ctx.project.functions[fid]

@@ -18,8 +18,8 @@ or JSONL snapshots (:mod:`repro.obs.export`); metric names are declared
 centrally in :mod:`repro.obs.names`.
 
 The central invariant is the *determinism contract*: event ordering and
-payloads are a pure function of the run, identical across the
-serial/thread/process execution backends; every wall-clock or
+payloads are a pure function of the run, identical across the serial
+and batched execution backends; every wall-clock or
 scheduling-dependent value is confined to the ``rt`` event attribute
 and the ``runtime.*`` metric namespace, which
 :func:`~repro.obs.report.deterministic_view` masks.  See

@@ -33,9 +33,9 @@ Event schema (one JSON object per line in a ``.jsonl`` trace)::
 **Determinism contract.**  Everything outside the ``rt`` attribute —
 event ordering, span nesting, names, ids and ``attrs`` payloads — is a
 pure function of the run's decisions and therefore identical across the
-serial/thread/process execution backends.  All wall-clock and
+serial and batched execution backends.  All wall-clock and
 scheduling-dependent data (timestamps, durations, queue waits, worker
-identities, backend names, host info) lives in ``rt``, and metrics in
+labels, backend names, host info) lives in ``rt``, and metrics in
 the ``runtime.*`` namespace keep their values there too.
 :func:`repro.obs.report.deterministic_view` strips ``rt``/``seq`` and
 drops ``runtime.*`` events; two traces of the same run must be equal
@@ -110,11 +110,10 @@ class Span:
 class Tracer:
     """Emits spans, point events and metric updates to its sinks.
 
-    Not thread-safe by design: all emission happens on the coordinating
-    thread (the trainer's), which is exactly what the deterministic-
-    ordering contract requires.  Executor backends gather per-task
-    timings wherever the work ran and hand them back for ordered
-    emission here.
+    Not thread-safe by design: all emission happens on the trainer's
+    thread, which is exactly what the deterministic-ordering contract
+    requires.  Executor backends time each task as it runs and replay
+    the timings here in participant order.
     """
 
     enabled = True
@@ -195,10 +194,9 @@ class Tracer:
     ) -> None:
         """Emit an already-timed span as a child of the current span.
 
-        The executor backends time client tasks wherever they physically
-        ran (worker thread/process) and replay them here in participant
-        order; ``rt`` carries the measured ``dur`` (default 0.0) plus
-        any other runtime fields.
+        The executor backends time client tasks as they run and
+        replay them here in participant order; ``rt`` carries the
+        measured ``dur`` (default 0.0) plus any other runtime fields.
         """
         span_id = self._next_id
         self._next_id += 1

@@ -2,11 +2,6 @@
 resumed from its last checkpoint is bitwise-identical to an
 uninterrupted run — history, parameters and trace digest — on every
 executor backend.
-
-Momentum is only exercised on the serial backend: thread/process
-replicas each hold their own velocity slots, whose assignment is
-scheduling-dependent, so optimizer state is only well-defined
-cross-process for stateless SGD there.
 """
 
 import os
@@ -32,8 +27,6 @@ CRASH_ROUND = 5
 MATRIX = [
     ("serial", "momentum"),
     ("serial", "sgd"),
-    ("thread", "sgd"),
-    ("process", "sgd"),
     ("batched", "sgd"),
 ]
 

@@ -4,11 +4,12 @@ staleness, determinism, churn, and the virtual-timeline primitives."""
 import numpy as np
 import pytest
 
-from repro.core import AlwaysUpload, CMFLPolicy, TriggerPolicy
+from repro.baselines import VanillaPolicy
+from repro.core import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
 from repro.fl.client import FLClient
-from repro.fl.config import ConfigError, FLConfig
+from repro.fl.config import FLConfig
 from repro.fl.events import (
     ARRIVAL,
     DISPATCH,
@@ -55,7 +56,7 @@ def _workspace(seed=3):
 
 def _policy(kind="always"):
     if kind == "always":
-        return TriggerPolicy(AlwaysUpload())
+        return VanillaPolicy()
     return CMFLPolicy(InverseSqrtThreshold(0.8))
 
 
@@ -256,27 +257,3 @@ class TestBoundedStaleness:
         }
         assert {"dispatch", "round_close"} <= span_names
         assert "round" not in span_names
-
-
-# -- configuration errors ----------------------------------------------------
-
-
-class TestConfigError:
-    def test_store_process_backend_is_structured(self):
-        from repro.fl.store import ClientStateStore
-
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
-        config = FLConfig(
-            rounds=2,
-            local_epochs=1,
-            batch_size=8,
-            lr=ConstantLR(0.3),
-            executor="process",
-        )
-        with pytest.raises(ConfigError) as excinfo:
-            FederatedTrainer(_workspace(), store, _policy(), config)
-        assert excinfo.value.constraint == "store-process-backend"
-        assert "process" not in excinfo.value.supported
-        assert "serial" in excinfo.value.supported
-        # Still a ValueError: pre-existing call sites keep working.
-        assert isinstance(excinfo.value, ValueError)

@@ -1,5 +1,7 @@
-"""The client-execution engine: backend equivalence, crash handling,
-workspace specs and the round-level hot-path fast paths."""
+"""The client-execution engine: backend equivalence, crash handling
+and the round-level hot-path fast paths."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,13 +16,9 @@ from repro.fl.config import EXECUTOR_BACKENDS, FLConfig
 from repro.fl.executor import (
     BatchedExecutor,
     ClientExecutionError,
-    ProcessExecutor,
     RoundPlan,
     SerialExecutor,
-    ThreadExecutor,
-    WorkspaceSpec,
     make_executor,
-    resolve_worker_count,
 )
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
@@ -34,7 +32,7 @@ from repro.utils.rng import child_rngs
 
 
 class _ExplodingClient(FLClient):
-    """Raises inside local training (module-level: picklable for workers)."""
+    """Raises inside local training."""
 
     def compute_update(self, *args, **kwargs):
         raise RuntimeError("local optimiser exploded")
@@ -70,7 +68,7 @@ def _federation(policy, backend="serial", n_clients=4, rounds=5, seed=0,
                for i, p in enumerate(parts)]
     config = FLConfig(rounds=rounds, local_epochs=1, batch_size=10,
                       lr=ConstantLR(0.5), eval_every=1,
-                      executor=backend, executor_workers=2, **cfg_kw)
+                      executor=backend, **cfg_kw)
     return FederatedTrainer(
         workspace, clients, policy, config,
         eval_fn=lambda w: w.evaluate(data.x, data.y),
@@ -104,23 +102,6 @@ class TestBackendEquivalence:
             assert uploaded == serial[2], backend
             assert evals == serial[3], backend
             assert params == serial[4], backend
-
-    def test_rng_streams_survive_process_round_trip(self):
-        """Parent clients stay the source of randomness truth: a process
-        round followed by a serial round matches an all-serial run."""
-        mixed, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                               backend="process", rounds=2)
-        mixed.run(1)
-        mixed.executor.close()
-        mixed.executor = SerialExecutor()
-        mixed.executor.bind(mixed.workspace, mixed.clients)
-        mixed.run(1)
-
-        pure, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                              backend="serial", rounds=2)
-        pure.run(2)
-        assert (mixed.server.global_params.tobytes()
-                == pure.server.global_params.tobytes())
 
 
 def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD):
@@ -222,77 +203,30 @@ class TestBatchedBackend:
 
 
 class TestCrashHandling:
-    def test_thread_backend_names_failing_client(self):
+    def test_serial_backend_names_failing_client(self):
         trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                 backend="thread")
+                                 backend="serial")
         with trainer:
             trainer.clients[2] = _ExplodingClient(
                 2, trainer.clients[2].train_data
             )
-            with pytest.raises(ClientExecutionError, match="client 2"):
+            with pytest.raises(ClientExecutionError, match="client 2") as exc:
                 trainer.run(1)
-
-    def test_process_backend_names_failing_client(self):
-        """A worker-side exception surfaces the client id, no hang."""
-        trainer, data = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                    backend="process", n_clients=3)
-        parts = iid_partition(len(data), 3, rng=0)
-        clients = [
-            FLClient(0, data.subset(parts[0])),
-            _ExplodingClient(1, data.subset(parts[1])),
-            FLClient(2, data.subset(parts[2])),
-        ]
-        trainer.clients = clients
-        trainer.executor.bind(trainer.workspace, clients)
-        with trainer:
-            with pytest.raises(ClientExecutionError, match="client 1") as exc:
-                trainer.run(1)
-            assert exc.value.client_id == 1
+            assert exc.value.client_id == 2
             assert "RuntimeError" in str(exc.value)
 
-    def test_process_backend_rejects_swapped_client_objects(self):
-        """Workers snapshot client objects at pool start; a swapped-in
-        object (same id, different behaviour) must not run silently."""
-        trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                 backend="process")
-        with trainer:
-            trainer.run(1)
-            trainer.clients[2] = _ExplodingClient(
-                2, trainer.clients[2].train_data
-            )
-            with pytest.raises(ClientExecutionError, match="re-bind"):
-                trainer.run(1)
-
     def test_rebind_picks_up_changed_federation(self):
-        trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                 backend="process")
-        with trainer:
-            trainer.run(1)
-            trainer.clients[2] = FLClient(
-                2, trainer.clients[2].train_data, rng=123
-            )
-            trainer.executor.bind(trainer.workspace, trainer.clients)
-            trainer.run(1)
-            assert len(trainer.history) == 2
-
-
-class TestWorkspaceSpec:
-    def test_from_workspace_builds_equal_replicas(self):
-        workspace = _make_workspace(np.random.default_rng(0))
-        spec = WorkspaceSpec.from_workspace(workspace)
-        replica = spec.build()
-        assert replica is not workspace
-        np.testing.assert_array_equal(replica.get_flat(), workspace.get_flat())
-        # The snapshot is eager: later mutation of the original does not
-        # leak into new replicas.
-        workspace.load_flat(np.zeros(workspace.n_params, dtype=float))
-        replica2 = spec.build()
-        assert np.any(replica2.get_flat() != 0.0)
-
-    def test_builder_type_checked(self):
-        spec = WorkspaceSpec(builder=dict)
-        with pytest.raises(TypeError, match="expected ModelWorkspace"):
-            spec.build()
+        for backend in EXECUTOR_BACKENDS:
+            trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
+                                     backend=backend)
+            with trainer:
+                trainer.run(1)
+                trainer.clients[2] = FLClient(
+                    2, trainer.clients[2].train_data, rng=123
+                )
+                trainer.executor.bind(trainer.workspace, trainer.clients)
+                trainer.run(1)
+                assert len(trainer.history) == 2, backend
 
 
 class TestFactoryAndConfig:
@@ -301,26 +235,25 @@ class TestFactoryAndConfig:
             make_executor("gpu")
 
     def test_instances_pass_through(self):
-        ex = ThreadExecutor(2)
+        ex = BatchedExecutor()
         assert make_executor(ex) is ex
 
     def test_make_executor_maps_names(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
-        assert isinstance(make_executor("process"), ProcessExecutor)
         assert isinstance(make_executor("batched"), BatchedExecutor)
 
-    def test_resolve_worker_count(self):
-        assert resolve_worker_count(3) == 3
-        assert resolve_worker_count(0) >= 1
-        with pytest.raises(ValueError):
-            resolve_worker_count(-1)
-
     def test_config_validates_executor_fields(self):
-        with pytest.raises(ValueError, match="executor"):
-            FLConfig(executor="bogus")
-        with pytest.raises(ValueError, match="executor_workers"):
-            FLConfig(executor_workers=-1)
+        # The deleted thread/process backends fail like any unknown name,
+        # with a message listing exactly the two that ship.
+        for backend in ("bogus", "thread", "process"):
+            with pytest.raises(ValueError, match="executor") as exc:
+                FLConfig(executor=backend)
+            assert "('serial', 'batched')" in str(exc.value)
+        # ... and the backend name is the only executor knob left.
+        assert [
+            f.name for f in dataclasses.fields(FLConfig)
+            if f.name.startswith("executor")
+        ] == ["executor"]
 
 
 class TestHotPathFastPaths:

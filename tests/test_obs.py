@@ -28,7 +28,16 @@ from repro.obs import (
     trace_digest,
     validate_trace,
 )
-from tests.test_executor import _ExplodingClient, _federation
+from tests.test_executor import (
+    _ExplodingClient,
+    _ExplodingOrderClient,
+    _federation,
+)
+
+#: A client class whose local computation fails, per backend: the
+#: batched cohort kernel never calls ``compute_update``, so there the
+#: failure has to come from the epoch permutation.
+_EXPLODING = {"serial": _ExplodingClient, "batched": _ExplodingOrderClient}
 
 
 def _memory_tracer():
@@ -95,7 +104,7 @@ class TestSpans:
     def test_close_is_idempotent_and_snapshots_metrics(self):
         tracer, sink = _memory_tracer()
         tracer.metrics.counter("comm.uploads").inc(4)
-        tracer.metrics.counter("runtime.executor.pool_starts").inc()
+        tracer.metrics.counter("runtime.executor.batched_fallbacks").inc()
         tracer.close()
         tracer.close()
         snapshots = [
@@ -103,7 +112,10 @@ class TestSpans:
         ]
         assert len(snapshots) == 1
         assert snapshots[0]["attrs"]["metrics"]["comm.uploads"]["value"] == 4
-        assert "runtime.executor.pool_starts" in snapshots[0]["rt"]["metrics"]
+        assert (
+            "runtime.executor.batched_fallbacks"
+            in snapshots[0]["rt"]["metrics"]
+        )
 
 
 class TestSinks:
@@ -169,10 +181,10 @@ class TestMetrics:
     def test_runtime_namespace_split(self):
         registry = MetricsRegistry()
         registry.counter("comm.uploads").inc()
-        registry.counter("runtime.executor.pool_starts").inc()
+        registry.counter("runtime.executor.batched_fallbacks").inc()
         assert set(registry.snapshot(runtime=False)) == {"comm.uploads"}
         assert set(registry.snapshot(runtime=True)) == {
-            "runtime.executor.pool_starts"
+            "runtime.executor.batched_fallbacks"
         }
 
     def test_null_registry_is_inert(self):
@@ -230,17 +242,27 @@ class TestDeterminismContract:
             assert views[backend] == views["serial"], backend
         assert len(set(digests.values())) == 1
         assert diff_traces(
-            views["serial"], views["thread"]
+            views["serial"], views["batched"]
         ) == []
 
     def test_deterministic_view_masks_rt_and_runtime_metrics(self):
-        _, events = _traced_events("thread")
+        trainer, _ = _federation(
+            CMFLPolicy(InverseSqrtThreshold(0.8)), backend="batched",
+            rounds=3, trace=True,
+        )
+        with trainer:
+            trainer.run()
+            # What a fallback to the per-client loop emits.
+            trainer.tracer.metrics.counter(
+                "runtime.executor.batched_fallbacks"
+            ).inc()
+        events = list(trainer.tracer.memory_events())
         view = deterministic_view(events)
         assert all("rt" not in e and "seq" not in e for e in view)
         assert all(
             not e["name"].startswith("runtime.") for e in view
         )
-        # The raw trace does carry runtime metrics (queue waits).
+        # The raw trace does carry the runtime metric.
         assert any(
             e["name"].startswith("runtime.") for e in events
         )
@@ -327,7 +349,7 @@ class TestSampledTracing:
         from repro.experiments.scale import make_scale_trainer
 
         digests = set()
-        for backend in ("serial", "thread", "batched"):
+        for backend in EXECUTOR_BACKENDS:
             trainer = make_scale_trainer(
                 500, 20, backend=backend, trace=True, trace_sample=0.5
             )
@@ -361,37 +383,37 @@ class TestSampledTracing:
 
 
 class TestClientExecutionError:
-    def test_structured_context_attributes(self):
+    @staticmethod
+    def _failed_run(backend):
         trainer, _ = _federation(
-            CMFLPolicy(InverseSqrtThreshold(0.8)), backend="thread",
-            client_cls=_ExplodingClient, trace=True,
+            CMFLPolicy(InverseSqrtThreshold(0.8)), backend=backend,
+            client_cls=_EXPLODING[backend], trace=True,
         )
         with trainer:
             with pytest.raises(ClientExecutionError) as exc:
                 trainer.run(1)
-        error = exc.value
-        assert error.client_id == 0
-        assert error.iteration == 1
-        assert error.backend == "thread"
-        assert error.cause_type == "RuntimeError"
-        assert error.elapsed_s is not None and error.elapsed_s >= 0
-        assert error.context()["client_id"] == 0
+        return trainer, exc.value
+
+    def test_structured_context_attributes(self):
+        for backend in EXECUTOR_BACKENDS:
+            _, error = self._failed_run(backend)
+            assert error.client_id == 0
+            assert error.iteration == 1
+            assert error.backend == backend
+            assert error.cause_type == "RuntimeError"
+            assert error.elapsed_s is not None and error.elapsed_s >= 0
+            assert error.context()["client_id"] == 0
 
     def test_failure_emits_client_error_trace_event(self):
-        trainer, _ = _federation(
-            CMFLPolicy(InverseSqrtThreshold(0.8)), backend="serial",
-            client_cls=_ExplodingClient, trace=True,
-        )
-        with trainer:
-            with pytest.raises(ClientExecutionError):
-                trainer.run(1)
-        events = trainer.tracer.memory_events()
-        failures = [e for e in events if e["name"] == "client_error"]
-        assert len(failures) == 1
-        assert failures[0]["attrs"] == {
-            "client_id": 0, "iteration": 1, "error": "RuntimeError",
-        }
-        assert failures[0]["rt"]["backend"] == "serial"
+        for backend in EXECUTOR_BACKENDS:
+            trainer, _ = self._failed_run(backend)
+            events = trainer.tracer.memory_events()
+            failures = [e for e in events if e["name"] == "client_error"]
+            assert len(failures) == 1
+            assert failures[0]["attrs"] == {
+                "client_id": 0, "iteration": 1, "error": "RuntimeError",
+            }
+            assert failures[0]["rt"]["backend"] == backend
 
 
 class TestRunHistoryJsonl:

@@ -380,16 +380,6 @@ class TestTrainerParity:
         eager.run(4)
         assert _history_digest(trainer) == _history_digest(eager)
 
-    def test_process_backend_rejected(self):
-        store = ClientStateStore.from_clients(_clients())
-        with pytest.raises(ValueError):
-            FederatedTrainer(
-                _workspace(),
-                store,
-                CMFLPolicy(InverseSqrtThreshold(0.8)),
-                _config(backend="process"),
-            )
-
     def test_store_counters_account_cohorts(self):
         from repro.obs import MemorySink, Tracer
 

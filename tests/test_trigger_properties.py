@@ -1,11 +1,12 @@
-"""Property-based contracts of the client-side upload triggers.
+"""Property-based contracts of the client-side upload rules.
 
-The async engine's determinism leans on :class:`UploadTrigger.check`
+The async engine's determinism leans on :meth:`UploadPolicy.decide`
 being a **pure** function of ``(update, ctx)`` — same decision on any
 backend, across resumes, under any event ordering.  These tests hold
-every shipped trigger to that, plus each rule's defining identity
-(relevance == Eq. 9, norm == l2).  Degrades to a clean skip when
-``hypothesis`` is not installed, like ``test_relevance_properties.py``.
+every stateless shipped policy to that, plus each rule's defining
+identity (relevance == Eq. 9, norm == l2).  Degrades to a clean skip
+when ``hypothesis`` is not installed, like
+``test_relevance_properties.py``.
 """
 
 import numpy as np
@@ -20,14 +21,8 @@ except ImportError:
 else:
     hypothesis_installed = True
 
-from repro.core import (
-    AlwaysUpload,
-    CMFLPolicy,
-    NormTrigger,
-    RelevanceTrigger,
-    TriggerPolicy,
-)
-from repro.core.policy import PolicyContext
+from repro.baselines import GaiaPolicy, NormPolicy, VanillaPolicy
+from repro.core.policy import CMFLPolicy, PolicyContext
 from repro.core.relevance import relevance
 from repro.core.thresholds import InverseSqrtThreshold
 
@@ -53,10 +48,11 @@ if hypothesis_installed:
             staleness=staleness,
         )
 
-    TRIGGERS = [
-        AlwaysUpload(),
-        RelevanceTrigger(InverseSqrtThreshold(0.8)),
-        NormTrigger(scale=2.0, decay=0.5),
+    POLICIES = [
+        VanillaPolicy(),
+        CMFLPolicy(InverseSqrtThreshold(0.8)),
+        NormPolicy(scale=2.0, decay=0.5),
+        GaiaPolicy(InverseSqrtThreshold(0.8)),
     ]
 
     @settings(max_examples=50)
@@ -68,9 +64,9 @@ if hypothesis_installed:
         not change the outcome either — the engine rebuilds contexts
         per round and per resume.
         """
-        for trigger in TRIGGERS:
-            first = trigger.check(u, _ctx(u, iteration, seed, staleness))
-            again = trigger.check(u, _ctx(u, iteration, seed, staleness))
+        for policy in POLICIES:
+            first = policy.decide(u, _ctx(u, iteration, seed, staleness))
+            again = policy.decide(u, _ctx(u, iteration, seed, staleness))
             assert first == again
 
     @settings(max_examples=50)
@@ -79,40 +75,28 @@ if hypothesis_installed:
         ctx = _ctx(u, iteration, seed)
         u_before = u.copy()
         feedback_before = ctx.global_update_estimate.copy()
-        for trigger in TRIGGERS:
-            trigger.check(u, ctx)
+        params_before = ctx.global_params.copy()
+        for policy in POLICIES:
+            policy.decide(u, ctx)
         np.testing.assert_array_equal(u, u_before)
         np.testing.assert_array_equal(
             ctx.global_update_estimate, feedback_before
         )
+        np.testing.assert_array_equal(ctx.global_params, params_before)
 
     @settings(max_examples=100)
     @given(finite_vectors, iterations, seeds)
     def test_relevance_trigger_scores_exactly_eq9(u, iteration, seed):
         ctx = _ctx(u, iteration, seed)
-        decision = RelevanceTrigger(InverseSqrtThreshold(0.8)).check(u, ctx)
+        decision = CMFLPolicy(InverseSqrtThreshold(0.8)).decide(u, ctx)
         assert decision.score == relevance(u, ctx.global_update_estimate)
         assert decision.upload == (decision.score >= decision.threshold)
 
     @settings(max_examples=100)
     @given(finite_vectors, iterations, seeds)
-    def test_relevance_trigger_agrees_with_cmfl_policy(u, iteration, seed):
-        """The trigger and CMFLPolicy are the same rule, decision for
-        decision — the S=0 bitwise equivalence rests on this."""
-        schedule = InverseSqrtThreshold(0.8)
-        from_trigger = TriggerPolicy(RelevanceTrigger(schedule)).decide(
-            u, _ctx(u, iteration, seed)
-        )
-        from_policy = CMFLPolicy(schedule).decide(
-            u, _ctx(u, iteration, seed)
-        )
-        assert from_trigger == from_policy
-
-    @settings(max_examples=100)
-    @given(finite_vectors, iterations, seeds)
     def test_norm_trigger_scores_the_l2_norm(u, iteration, seed):
-        trigger = NormTrigger(scale=2.0, decay=0.5)
-        decision = trigger.check(u, _ctx(u, iteration, seed))
+        policy = NormPolicy(scale=2.0, decay=0.5)
+        decision = policy.decide(u, _ctx(u, iteration, seed))
         assert decision.score == float(np.linalg.norm(u))
         assert decision.threshold == 2.0 / (1.0 + iteration) ** 0.5
         assert decision.upload == (decision.score >= decision.threshold)
@@ -120,20 +104,19 @@ if hypothesis_installed:
     @settings(max_examples=50)
     @given(finite_vectors, iterations, seeds)
     def test_always_upload_always_uploads(u, iteration, seed):
-        decision = AlwaysUpload().check(u, _ctx(u, iteration, seed))
+        decision = VanillaPolicy().decide(u, _ctx(u, iteration, seed))
         assert decision.upload
-        assert decision == AlwaysUpload().check(u, _ctx(u, iteration, seed))
 
     @settings(max_examples=50)
     @given(iterations)
     def test_norm_band_shrinks_monotonically(iteration):
         """The band is decreasing in t: late small deltas are suppressed
         harder, never softer."""
-        trigger = NormTrigger(scale=1.0, decay=0.5)
+        policy = NormPolicy(scale=1.0, decay=0.5)
         u = np.ones(4)
         ctx_now = _ctx(u, iteration, 0)
         ctx_later = _ctx(u, iteration + 1, 0)
         assert (
-            trigger.check(u, ctx_later).threshold
-            <= trigger.check(u, ctx_now).threshold
+            policy.decide(u, ctx_later).threshold
+            <= policy.decide(u, ctx_now).threshold
         )

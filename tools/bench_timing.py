@@ -9,8 +9,8 @@ with ``tools/bench_compare.py``.
 
 Usage::
 
-    python tools/bench_timing.py                     # full sweep, workers=4
-    python tools/bench_timing.py --backends serial thread
+    python tools/bench_timing.py                     # full sweep
+    python tools/bench_timing.py --backends serial
     python tools/bench_timing.py --rounds 5 --out /tmp/after.json
 """
 
@@ -41,12 +41,6 @@ def main(argv=None) -> int:
         help="execution backends to time (default: all)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker count for thread/process backends (default: 4)",
-    )
-    parser.add_argument(
         "--rounds", type=int, default=3, help="timed rounds per backend"
     )
     parser.add_argument(
@@ -69,7 +63,6 @@ def main(argv=None) -> int:
 
     payload = run_timing(
         backends=args.backends,
-        workers=args.workers,
         rounds=args.rounds,
         warmup=args.warmup,
         workloads=args.workloads,
