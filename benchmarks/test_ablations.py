@@ -1,9 +1,8 @@
 """Bench: design-choice ablations (threshold schedule, staleness,
 Gaia granularity, per-layer relevance)."""
 
-from conftest import emit_report
-
 from repro.experiments import ablations
+from repro.experiments.reports import emit_report
 
 
 def test_ablations(benchmark):

@@ -1,8 +1,7 @@
 """Bench: Theorem 1 -- empirical convergence of CMFL on a convex problem."""
 
-from conftest import emit_report
-
 from repro.experiments import convergence_check
+from repro.experiments.reports import emit_report
 
 
 def test_convergence_guarantee(benchmark):

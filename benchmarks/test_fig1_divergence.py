@@ -1,8 +1,7 @@
 """Bench: Fig. 1 -- Normalized Model Divergence CDFs."""
 
-from conftest import emit_report
-
 from repro.experiments import fig1_divergence
+from repro.experiments.reports import emit_report
 
 
 def test_fig1_divergence(benchmark):

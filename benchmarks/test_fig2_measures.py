@@ -1,8 +1,7 @@
 """Bench: Fig. 2 -- Gaia significance decays, CMFL relevance is stable."""
 
-from conftest import emit_report
-
 from repro.experiments import fig2_measures
+from repro.experiments.reports import emit_report
 
 
 def test_fig2_measures(benchmark):

@@ -1,8 +1,7 @@
 """Bench: Fig. 3 -- sequential global updates change slowly (Eq. 8)."""
 
-from conftest import emit_report
-
 from repro.experiments import fig3_delta_update
+from repro.experiments.reports import emit_report
 
 
 def test_fig3_delta_update(benchmark):

@@ -6,9 +6,8 @@ and Gaia's best configuration is close to vanilla at the high-accuracy
 target (its magnitude threshold either stalls or filters nothing).
 """
 
-from conftest import emit_report
-
 from repro.experiments import fig4_table1
+from repro.experiments.reports import emit_report
 
 
 def test_fig4_digits(benchmark):

@@ -1,8 +1,7 @@
 """Bench: Fig. 5 + Table II -- CMFL applied to federated MTL (MOCHA)."""
 
-from conftest import emit_report
-
 from repro.experiments import fig5_table2
+from repro.experiments.reports import emit_report
 
 
 def test_fig5_har(benchmark):

@@ -1,8 +1,7 @@
 """Bench: Fig. 6 -- eliminations concentrate on divergent outlier clients."""
 
-from conftest import emit_report
-
 from repro.experiments import fig6_outliers
+from repro.experiments.reports import emit_report
 
 
 def test_fig6_outliers(benchmark):

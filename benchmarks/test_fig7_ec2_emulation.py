@@ -1,8 +1,7 @@
 """Bench: Fig. 7 -- cluster emulation and uploaded-byte accounting."""
 
-from conftest import emit_report
-
 from repro.experiments import fig7_ec2
+from repro.experiments.reports import emit_report
 
 
 def test_fig7_ec2(benchmark):

@@ -1,8 +1,7 @@
 """Bench: Sec. V-C -- relevance-check computational overhead."""
 
-from conftest import emit_report
-
 from repro.experiments import micro_overhead
+from repro.experiments.reports import emit_report
 
 
 def test_micro_overhead(benchmark):

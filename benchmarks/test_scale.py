@@ -14,8 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import emit_report
-
+from repro.experiments.reports import emit_report
 from repro.experiments.scale import format_point
 
 POPULATIONS = (1_000, 10_000, 100_000)

@@ -5,9 +5,8 @@ asserts the engine's core contract: every backend produces a
 bitwise-identical run history.
 """
 
-from conftest import emit_report
-
 from repro.experiments import timing
+from repro.experiments.reports import emit_report
 
 
 def test_timing(benchmark):

@@ -68,7 +68,6 @@ __all__ = [
     "time_batched_kernels",
     "time_checkpoint",
     "time_im2col",
-    "time_lint",
     "time_obs_overhead",
     "write_baseline",
 ]
@@ -355,40 +354,6 @@ def time_checkpoint(reps: int = 5, rounds: int = 2) -> Dict[str, object]:
     }
 
 
-def time_lint() -> Dict[str, object]:
-    """Whole-program lint over ``src/repro``, cold vs warm cache.
-
-    The warm figure is the second run against the cache the cold run
-    just wrote: every file re-hashes but nothing re-parses, and the
-    flow phase reuses its per-module findings.  ``speedup`` (cold over
-    warm) is the number gated by ``tools/bench_compare.py``.
-    """
-    from repro.lint import ProjectAnalyzer, load_config
-
-    target = Path(__file__).resolve().parents[1]  # .../src/repro
-    config = load_config(target)
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = Path(tmp) / "lint_cache.json"
-        start = perf_counter()
-        cold = ProjectAnalyzer(
-            config=config, cache_path=cache, jobs=2
-        ).analyze([str(target)])
-        cold_s = perf_counter() - start
-        start = perf_counter()
-        warm = ProjectAnalyzer(
-            config=config, cache_path=cache, jobs=2
-        ).analyze([str(target)])
-        warm_s = perf_counter() - start
-    return {
-        "files": cold.stats["files"],
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-        "warm_cache_hits": warm.stats["cache_hits"],
-        "findings": len(warm.violations),
-    }
-
-
 def time_obs_overhead(
     population: int = 100_000,
     cohort: int = 100,
@@ -575,7 +540,6 @@ def run_timing(
             "im2col": time_im2col(),
             "batched_kernels": time_batched_kernels(),
             "checkpoint": time_checkpoint(),
-            "lint": time_lint(),
             "obs_overhead": time_obs_overhead(),
             "async_vs_sync": time_async_vs_sync(),
         },
@@ -650,13 +614,6 @@ def format_report(payload: Dict[str, object]) -> str:
             f"save {ckpt['sec_per_save'] * 1e3:.2f} ms, "
             f"load+verify {ckpt['sec_per_load_verify'] * 1e3:.2f} ms, "
             f"{ckpt['bytes_on_disk']} bytes on disk"
-        )
-    lint = payload["micro"].get("lint")
-    if lint:
-        lines.append(
-            f"whole-program lint ({lint['files']} files): "
-            f"cold {lint['cold_s']:.2f} s, warm {lint['warm_s']:.2f} s "
-            f"-> {lint['speedup']:.1f}x"
         )
     avs = payload["micro"].get("async_vs_sync")
     if avs:

@@ -133,9 +133,9 @@ class AsyncFederatedTrainer:
     def register_handler(self, kind: int, handler) -> None:
         """Bind ``handler`` to event ``kind``.
 
-        Registered handlers are concurrent entry points of the event
-        loop; the ``shared-state-race`` lint rule analyzes everything
-        reachable from them exactly like worker-pool entry points.
+        Handlers run one at a time on the event loop's single thread,
+        in queue order; the S=0 and kill/resume digest tests pin that
+        they leave the run deterministic.
         """
         self._handlers[int(kind)] = handler
 

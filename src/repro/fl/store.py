@@ -38,9 +38,8 @@ streams into the shard rows and releases the views.  Between a
 checkout and its writeback the store refuses to snapshot
 (:meth:`state_arrays` raises): shard arrays are only consistent at
 round boundaries, the same place checkpoints are legal.  Shard arrays
-are **coordinator-owned** state — worker-reachable code must never
-write them (enforced by the ``shared-state-race`` flow rule's store
-boundary; see DESIGN.md §6f).
+are **coordinator-owned** state — only ``checkout`` / ``writeback`` /
+``record_round`` write them, at round boundaries (see DESIGN.md §6f).
 
 Data stays shared: a :class:`DataPartition` maps a client index to its
 shard of a common dataset.  :class:`CyclicPartition` is O(1) state per

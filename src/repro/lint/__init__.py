@@ -17,6 +17,10 @@ or programmatically::
     from repro.lint import run_lint
     violations = run_lint(["src/repro"])
 
+Both run every rule — the per-file visitors of :mod:`repro.lint.rules`
+and the whole-program rules of :mod:`repro.lint.flow_rules` — through
+:class:`~repro.lint.project.ProjectAnalyzer`; there is no other mode.
+
 Per-line suppression uses ``# repro-lint: disable=<rule>[,<rule>...]``
 (a bare ``disable`` silences every rule on that line); a
 ``# repro-lint: disable-file=<rule>`` comment in the first ten lines
@@ -25,11 +29,15 @@ silences the rule for the whole file.  Rules are configured in
 """
 
 from repro.lint.config import LintConfig, RuleSettings, load_config
-from repro.lint.engine import FileContext, LintRule, Linter, Violation, run_lint
-from repro.lint.project import AnalysisResult, ProjectAnalyzer, ProjectModel
-from repro.lint.reporting import format_json, format_sarif, format_text
+from repro.lint.engine import FileContext, LintRule, Linter, Violation
+from repro.lint.project import (
+    AnalysisResult,
+    ProjectAnalyzer,
+    ProjectModel,
+    run_lint,
+)
+from repro.lint.reporting import format_json, format_text
 from repro.lint.rules import (
-    AllExportsRule,
     DEFAULT_RULES,
     ExplicitDtypeRule,
     NoGlobalRngRule,
@@ -39,7 +47,6 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "AllExportsRule",
     "AnalysisResult",
     "DEFAULT_RULES",
     "ExplicitDtypeRule",
@@ -56,7 +63,6 @@ __all__ = [
     "UnusedPureResultRule",
     "Violation",
     "format_json",
-    "format_sarif",
     "format_text",
     "load_config",
     "run_lint",

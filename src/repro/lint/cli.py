@@ -1,4 +1,8 @@
-"""Command-line front end: ``python -m repro.lint src/ [--project]``.
+"""Command-line front end: ``python -m repro.lint src/repro``.
+
+Every run is the full pass: the per-file rules plus the whole-program
+flow rules (``rng-taint``, ``ckpt-state-coverage``,
+``trace-discipline``), through :class:`~repro.lint.project.ProjectAnalyzer`.
 
 Exit status (stable contract, asserted by ``tests/test_cli.py``):
 
@@ -6,31 +10,23 @@ Exit status (stable contract, asserted by ``tests/test_cli.py``):
   unless ``--strict``).
 * **1** — analysis ran; at least one error-severity finding (or any
   finding under ``--strict``, or a syntax error in an analyzed file).
-* **2** — the engine itself failed: unknown path, invalid
-  configuration, unreadable baseline.  Findings were *not* produced,
-  so 2 must never be conflated with "code has issues".
-
-``--project`` enables the whole-program pass (RNG taint, shared-state
-races, checkpoint state coverage, trace discipline) on top of the
-per-file rules; ``--cache`` makes it incremental and ``--jobs``
-parallelises the per-file phase.  ``--baseline`` filters out
-grandfathered findings recorded with ``--write-baseline``.
+* **2** — the engine itself failed: unknown path or invalid
+  configuration.  Findings were *not* produced, so 2 must never be
+  conflated with "code has issues".
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.lint.config import load_config
-from repro.lint.engine import Linter, Violation, package_relative_path
-from repro.lint.reporting import format_json, format_sarif, format_text
+from repro.lint.flow_rules import PROJECT_RULES
+from repro.lint.project import ProjectAnalyzer
+from repro.lint.reporting import format_json, format_text
 from repro.lint.rules import DEFAULT_RULES
-
-BASELINE_SCHEMA = "repro-lint-baseline/v1"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -71,41 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero on warnings as well as errors",
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help="run the whole-program flow analysis (rng-taint, "
-        "shared-state-race, ckpt-state-coverage, trace-discipline)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel workers for the per-file phase (default: 1)",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="incremental analysis cache file (--project only); a "
-        "missing or stale cache is treated as cold, never an error",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
@@ -113,52 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _baseline_key(violation: Violation) -> List[str]:
-    # Keyed on (rule, package-relative path, message) rather than line
-    # numbers, so unrelated edits shifting lines do not un-grandfather
-    # old findings.
-    return [
-        violation.rule,
-        package_relative_path(Path(violation.path)),
-        violation.message,
-    ]
-
-
-def _load_baseline(path: Path) -> List[List[str]]:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path}: not a {BASELINE_SCHEMA} baseline "
-            f"(schema={payload.get('schema')!r})"
-        )
-    return [
-        [f["rule"], f["path"], f["message"]] for f in payload["findings"]
-    ]
-
-
-def _write_baseline(path: Path, violations: Sequence[Violation]) -> None:
-    payload = {
-        "schema": BASELINE_SCHEMA,
-        "findings": [
-            {
-                "rule": key[0],
-                "path": key[1],
-                "message": key[2],
-            }
-            for key in sorted(
-                {tuple(_baseline_key(v)) for v in violations}
-            )
-        ],
-    }
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def _list_rules() -> None:
-    from repro.lint.flow_rules import PROJECT_RULES
-
     for rule in DEFAULT_RULES:
         scope = ", ".join(rule.default_paths) or "everywhere"
         print(f"{rule.name:20s} [{scope}] {rule.description}")
@@ -174,34 +90,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     paths: List[str] = list(args.paths) or ["src/repro"]
     config_start = args.config if args.config is not None else Path(paths[0])
-    stats = None
     try:
         config = load_config(config_start)
-        if args.project:
-            from repro.lint.project import ProjectAnalyzer
-
-            analyzer = ProjectAnalyzer(
-                config=config, cache_path=args.cache, jobs=args.jobs
-            )
-            result = analyzer.analyze(paths)
-            violations = result.violations
-            stats = result.stats
-        else:
-            violations = Linter(config=config).lint_paths(paths)
-        if args.write_baseline is not None:
-            _write_baseline(args.write_baseline, violations)
-            print(
-                f"wrote {len(violations)} finding(s) to "
-                f"{args.write_baseline}"
-            )
-            return 0
-        if args.baseline is not None:
-            grandfathered = {tuple(k) for k in _load_baseline(args.baseline)}
-            violations = [
-                v
-                for v in violations
-                if tuple(_baseline_key(v)) not in grandfathered
-            ]
+        result = ProjectAnalyzer(config=config).analyze(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -209,17 +100,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(format_json(violations, stats=stats))
-    elif args.format == "sarif":
-        print(format_sarif(violations))
+        print(format_json(result.violations, stats=result.stats))
     else:
-        print(format_text(violations))
+        print(format_text(result.violations))
     failing = [
         v
-        for v in violations
+        for v in result.violations
         if v.severity == "error" or args.strict or v.rule == "syntax-error"
     ]
     return 1 if failing else 0
 
 
-__all__ = ["BASELINE_SCHEMA", "build_parser", "main"]
+__all__ = ["build_parser", "main"]

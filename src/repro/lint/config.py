@@ -88,6 +88,8 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     Walks up from ``start`` (default: cwd) looking for a
     ``pyproject.toml``; returns defaults when none is found, the file has
     no ``[tool.repro-lint]`` table, or ``tomllib`` is unavailable.
+    A ``[tool.repro-lint.<name>]`` table whose name is not a registered
+    rule raises ``ValueError`` (a typo would otherwise be ignored).
     """
     pyproject = _find_pyproject(start or Path.cwd())
     if pyproject is None or tomllib is None:
@@ -103,6 +105,17 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
         for key, value in table.items()
         if isinstance(value, dict)
     }
+    # Imported here: both rule modules import this one.
+    from repro.lint.flow_rules import PROJECT_RULES
+    from repro.lint.rules import DEFAULT_RULES
+
+    registered = sorted(r.name for r in (*DEFAULT_RULES, *PROJECT_RULES))
+    for name in rules:
+        if name not in registered:
+            raise ValueError(
+                f"{pyproject}: [tool.repro-lint.{name}] names no "
+                f"registered rule (registered: {', '.join(registered)})"
+            )
     return LintConfig(exclude=exclude, rules=rules)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "Violation",
     "package_relative_path",
     "parse_suppressions",
-    "run_lint",
 ]
 
 #: ``# repro-lint: disable=a,b`` / ``disable`` / ``disable-file=a``.
@@ -74,10 +73,6 @@ class FileContext:
             source=source,
             lines=source.splitlines(),
         )
-
-    @property
-    def module_name(self) -> str:
-        return self.path.stem
 
 
 def package_relative_path(path: Path) -> str:
@@ -220,9 +215,9 @@ class Linter:
     def lint_tree(self, ctx: FileContext, tree: ast.Module) -> List[Violation]:
         """Run the per-file rules over an already-parsed tree.
 
-        Split out of :meth:`lint_source` so the whole-program analyzer
+        Split out of :meth:`lint_source` so the driver
         (:mod:`repro.lint.project`) can parse each file exactly once and
-        feed the same tree to both the v1 rules and its own extractor.
+        feed the same tree to both these rules and its own extractor.
         """
         per_line, per_file = parse_suppressions(ctx.lines)
         violations: List[Violation] = []
@@ -275,11 +270,3 @@ def _suppressed(
     rules = per_line[violation.line]
     return rules is None or violation.rule in rules or "all" in rules
 
-
-def run_lint(
-    paths: Sequence[str],
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Type[LintRule]]] = None,
-) -> List[Violation]:
-    """Convenience wrapper: lint ``paths`` and return the violations."""
-    return Linter(config=config, rules=rules).lint_paths(paths)

@@ -1,15 +1,20 @@
 """Phase-2 rules: pure functions over the :class:`ProjectModel`.
 
-Unlike v1 :class:`~repro.lint.engine.LintRule` visitors, a
-:class:`ProjectRule` never touches an AST — it reads the summaries,
-call graph and taint fixpoint, and emits :class:`Violation` objects.
-The analyzer applies path scoping, suppression comments and the
-baseline afterwards, exactly as the per-file engine does.
+Unlike the per-file :class:`~repro.lint.engine.LintRule` visitors, a
+:class:`ProjectRule` never touches an AST — it reads the summaries and
+the RNG-taint fixpoint, and emits :class:`Violation` objects.  The
+analyzer applies path scoping and suppression comments afterwards,
+exactly as the per-file engine does.
+
+There is no concurrency rule: the tree has no worker pool (PR 14
+deleted the thread and process backends), and
+``tests/test_lint_clean.py::test_no_worker_pool_imports`` fails the day
+one is imported — the rule that checks worker-reachable writes must
+come back with it.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -24,7 +29,6 @@ __all__ = [
     "ProjectRule",
     "CkptStateCoverageRule",
     "RngTaintRule",
-    "SharedStateRaceRule",
     "TraceDisciplineRule",
 ]
 
@@ -34,17 +38,10 @@ class FlowContext:
     """Everything phase 2 computed once, shared by every rule."""
 
     project: ProjectModel
-    call_graph: Dict[str, Set[str]]
-    worker_entries: Set[str]
-    worker_reachable: Set[str]
     rng_tainted: Set[str]
     #: package_path -> whether the rule applies there (set per rule by
     #: the analyzer before ``check`` runs).
     in_scope: Dict[str, bool] = field(default_factory=dict)
-    #: Event-loop callbacks (``register_handler``) and their closure —
-    #: held to the same shared-state discipline as worker code.
-    handler_entries: Set[str] = field(default_factory=set)
-    handler_reachable: Set[str] = field(default_factory=set)
 
 
 class ProjectRule:
@@ -96,11 +93,7 @@ class RngTaintRule(ProjectRule):
     Flags (1) module-level names bound to RNG-tainted values — module
     state seeded at import time breaks per-client stream isolation;
     (2) RNG-tainted default arguments — defaults evaluate once, so every
-    call shares one stream; (3) RNG-tainted values crossing an executor
-    boundary (``submit`` / ``apply_async`` / ``pickle.dumps``) outside
-    a sanctioned round-trip module (``allow_boundary_in``, default
-    none), which ships Generator objects rather than the serialised
-    bit-generator state the contract requires.
+    call shares one stream.
     """
 
     name = "rng-taint"
@@ -108,7 +101,6 @@ class RngTaintRule(ProjectRule):
     default_severity = "error"
 
     def check(self, ctx: FlowContext) -> List[Violation]:
-        allow_boundary = self.path_option("allow_boundary_in", [])
         out: List[Violation] = []
         for summary in self.scoped_modules(ctx):
             for assign in summary.data["module_assigns"]:
@@ -145,25 +137,6 @@ class RngTaintRule(ProjectRule):
                                 "stream across calls",
                             )
                         )
-                if summary.package_path in allow_boundary:
-                    continue
-                for boundary in facts["boundary_calls"]:
-                    for i, arg in enumerate(boundary["args"]):
-                        taint = {"d": arg["d"], "c": arg["c"], "wc": False}
-                        if is_rng_tainted(
-                            taint, ctx.project, ctx.rng_tainted
-                        ):
-                            out.append(
-                                self.violation(
-                                    summary,
-                                    boundary["line"],
-                                    f"RNG-tainted argument #{i} crosses "
-                                    f"the executor boundary via "
-                                    f"{boundary['callee']}(); round-trip "
-                                    "serialised RNG state instead",
-                                )
-                            )
-                            break
         return out
 
     @staticmethod
@@ -173,109 +146,6 @@ class RngTaintRule(ProjectRule):
         for cname, cfacts in summary.classes.items():
             for mname, mfacts in cfacts["methods"].items():
                 yield f"{summary.module}.{cname}.{mname}", mfacts
-
-
-class SharedStateRaceRule(ProjectRule):
-    """No worker- or handler-reachable function may write shared state.
-
-    Worker entry points are the callables handed to ``submit`` /
-    ``apply_async`` / ``initializer=`` / ``target=``; everything
-    reachable from them through the call graph runs (potentially)
-    concurrently.  Event-handler entry points — callbacks registered
-    via ``register_handler`` (the async engine's event loop) — run
-    while dispatched rounds are still in flight, so their closure is
-    held to the same discipline and checked here too.  In that set, flag stores whose root is module-level
-    state, an imported module, or a parameter whose name matches the
-    broadcast-parameter pattern (``shared_param_names``) or the
-    client-state-store pattern (``store_param_names``).  The store
-    boundary (DESIGN.md §6f): shard arrays of a
-    :class:`~repro.fl.store.ClientStateStore` are **coordinator-owned**
-    — only the store's own ``checkout``/``writeback``/``record_round``
-    mutate them, at round boundaries, on the coordinator thread; a
-    worker-reachable write to a store-named parameter is a determinism
-    race even if today's backends never interleave it.  Worker-side
-    module rebinds are allowed only in ``allow_global_rebind_in``
-    (default none).
-    """
-
-    name = "shared-state-race"
-    description = "worker-reachable code must not write shared state"
-    default_severity = "error"
-
-    def check(self, ctx: FlowContext) -> List[Violation]:
-        pattern = re.compile(
-            self.settings.option(
-                "shared_param_names", r"^(global_params|global_view|broadcast.*)$"
-            )
-        )
-        store_pattern = re.compile(
-            self.settings.option(
-                "store_param_names",
-                r"^(store|client_store|shards?|shard_.*)$",
-            )
-        )
-        allow_rebind = self.path_option("allow_global_rebind_in", [])
-        out: List[Violation] = []
-        for fid in sorted(ctx.worker_reachable | ctx.handler_reachable):
-            pp, _, facts = ctx.project.functions[fid]
-            if not ctx.in_scope.get(pp, True):
-                continue
-            how = (
-                "worker-reachable"
-                if fid in ctx.worker_reachable
-                else "event-handler-reachable"
-            )
-            summary = ctx.project.modules[pp]
-            for store in facts["stores"]:
-                root = store["root"]
-                kind = store["kind"]
-                if root.startswith("mod:") or root.startswith("import:"):
-                    if kind == "rebind" and pp in allow_rebind:
-                        continue
-                    what = root.split(":", 1)[1]
-                    out.append(
-                        self.violation(
-                            summary,
-                            store["line"],
-                            f"{how} function {fid!r} writes "
-                            f"module-level state {what!r} "
-                            f"({kind} of {store['name']!r}); shared "
-                            "writes race across thread/process workers "
-                            "and in-flight event-loop rounds",
-                        )
-                    )
-                elif root.startswith("param:"):
-                    param = root.split(":", 1)[1]
-                    if kind == "rebind":
-                        continue
-                    if pattern.match(param):
-                        out.append(
-                            self.violation(
-                                summary,
-                                store["line"],
-                                f"{how} function {fid!r} "
-                                f"mutates broadcast parameter "
-                                f"{param!r} ({kind} of "
-                                f"{store['name']!r}); concurrent code "
-                                "must treat broadcast state as "
-                                "read-only",
-                            )
-                        )
-                    elif store_pattern.match(param):
-                        out.append(
-                            self.violation(
-                                summary,
-                                store["line"],
-                                f"{how} function {fid!r} "
-                                f"writes client-state store parameter "
-                                f"{param!r} ({kind} of "
-                                f"{store['name']!r}); shard arrays are "
-                                "coordinator-owned — only the store's "
-                                "checkout/writeback/record_round may "
-                                "touch them, at round boundaries",
-                            )
-                        )
-        return out
 
 
 class CkptStateCoverageRule(ProjectRule):
@@ -447,7 +317,6 @@ class TraceDisciplineRule(ProjectRule):
 
 PROJECT_RULES: Tuple[type, ...] = (
     RngTaintRule,
-    SharedStateRaceRule,
     CkptStateCoverageRule,
     TraceDisciplineRule,
 )

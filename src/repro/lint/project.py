@@ -1,17 +1,15 @@
-"""Phase 1 of the whole-program analyzer: per-module summaries.
+"""The one lint driver, and phase 1 of its whole-program pass.
 
-The project pass runs in two phases.  Phase 1 (this module) reduces
-every file to a :class:`ModuleSummary` — a JSON-serialisable digest of
-the facts the flow rules need: the import table, top-level bindings,
-per-function call sites, RNG/wall-clock taint expressions, shared-state
-stores, class attribute maps and capture-method references.  Phase 2
-(:mod:`repro.lint.flow_rules`) runs pure-data rules over the
-:class:`ProjectModel` built from those summaries.
-
-Because summaries are plain dicts, the incremental cache
-(:mod:`repro.lint.cache`) can persist them keyed by file-content
-SHA-256: a warm run re-reads and re-hashes sources but never re-parses
-an unchanged file, which is where the cold/warm speedup comes from.
+:class:`ProjectAnalyzer` reads and parses every file once, runs the
+per-file rules (:mod:`repro.lint.rules`) on the tree, and reduces the
+file to a :class:`ModuleSummary` — a plain-dict digest of the facts
+the flow rules need, with names already resolved through the module's
+import table: RNG and wall-clock taint expressions, class attribute
+maps, capture-method references and trace-call findings.  Phase 2
+(:mod:`repro.lint.flow_rules`) then runs pure-data rules over the
+:class:`ProjectModel` built from those summaries.  ``run_lint`` and
+``python -m repro.lint`` both go through this driver, so there is no
+per-file-only mode to forget the flow rules in.
 
 Taint expressions are symbolic: ``{"d": bool, "c": [refs], "wc": bool}``
 means *tainted directly* (``d``: the value came straight out of an RNG
@@ -25,10 +23,6 @@ cross-module component because every clock source is a direct call).
 from __future__ import annotations
 
 import ast
-import hashlib
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -46,31 +40,13 @@ from repro.lint.rules import dotted_parts
 __all__ = [
     "AnalysisResult",
     "CAPTURE_METHODS",
-    "EXTRACTOR_VERSION",
     "ModuleSummary",
     "ProjectAnalyzer",
     "ProjectModel",
     "extract_summary",
     "module_name_for",
+    "run_lint",
 ]
-
-#: Bump when the summary layout or extraction semantics change; the
-#: cache treats entries written by a different version as misses.
-EXTRACTOR_VERSION = 3
-
-#: CPython 3.11 tracks AST-object construction depth in per-interpreter
-#: (not per-thread) state, so concurrent ``ast.parse`` calls can corrupt
-#: the counter and raise ``SystemError: AST constructor recursion depth
-#: mismatch`` — reliably so once anything (e.g. hypothesis) registers a
-#: ``gc.callbacks`` hook that yields the GIL mid-conversion.  All parses
-#: reachable from the thread pool take this lock; extraction and the
-#: per-file rule walk (pure Python) still run in parallel.
-_PARSE_LOCK = threading.Lock()
-
-
-def _parse(source: str, filename: str) -> ast.Module:
-    with _PARSE_LOCK:
-        return ast.parse(source, filename=filename)
 
 #: Method names that serialise/deserialise persistent state.  A class
 #: defining (or inheriting) one is "stateful" for ckpt-state-coverage,
@@ -106,19 +82,6 @@ WALLCLOCK_SOURCES = frozenset(
     }
 )
 
-#: Attribute-call names that hand a callable to a worker pool.
-BOUNDARY_METHODS = frozenset({"submit", "apply_async"})
-
-#: Keyword arguments that register a worker-side entry point.
-ENTRY_KWARGS = ("initializer", "target")
-
-#: Attribute-call names that register an event-handler callback.  The
-#: async engine (repro.fl.events) invokes handlers from its event loop
-#: interleaved with in-flight executor rounds, so handler-reachable
-#: code is held to the same shared-state discipline as worker-reachable
-#: code.
-HANDLER_METHODS = frozenset({"register_handler"})
-
 #: Tracer methods that emit events with an ``attrs`` payload.
 TRACE_EMIT_METHODS = frozenset({"span", "record_span", "event"})
 
@@ -129,10 +92,6 @@ def module_name_for(package_path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(["repro", *parts]) if parts else "repro"
-
-
-def _sha256(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 # -- taint expressions -------------------------------------------------------
@@ -161,7 +120,7 @@ def _is_tainted_shape(t: Optional[Dict]) -> bool:
 
 @dataclass
 class ModuleSummary:
-    """One module's phase-1 digest; ``data`` is pure JSON."""
+    """One module's phase-1 digest; ``data`` is a plain dict."""
 
     package_path: str
     data: Dict[str, Any]
@@ -171,16 +130,8 @@ class ModuleSummary:
         return self.data["module"]
 
     @property
-    def sha(self) -> str:
-        return self.data["sha"]
-
-    @property
     def path(self) -> str:
         return self.data["path"]
-
-    @property
-    def imports(self) -> Dict[str, str]:
-        return self.data["imports"]
 
     @property
     def functions(self) -> Dict[str, Dict]:
@@ -190,24 +141,12 @@ class ModuleSummary:
     def classes(self) -> Dict[str, Dict]:
         return self.data["classes"]
 
-    def to_json(self) -> Dict[str, Any]:
-        return {"package_path": self.package_path, "data": self.data}
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            package_path=payload["package_path"], data=payload["data"]
-        )
-
 
 class _FunctionExtractor:
     """Single forward walk over one function body.
 
     Merge-only taint semantics: a name once tainted stays tainted for
-    the rest of the function (conservative across branches).  Aliases
-    track which local names are views of module-level state or of
-    parameters, so ``state = _WORKER_STATE; state.x[...] = v`` is still
-    a store through module state.
+    the rest of the function (conservative across branches).
     """
 
     def __init__(
@@ -219,24 +158,13 @@ class _FunctionExtractor:
         self.node = node
         self.module = module
         self.cls_name = cls_name
-        self.params = [a.arg for a in self._all_args(node.args)]
         self.env: Dict[str, Dict] = {}
-        #: local name -> root tag ("mod:NAME" | "param:NAME" | "import:X")
-        self.alias: Dict[str, str] = {}
-        self.globals_decl: Set[str] = set()
         self.facts: Dict[str, Any] = {
             "name": node.name,
             "cls": cls_name,
             "line": node.lineno,
-            "params": self.params,
-            "calls": [],
             "returns": [],
             "tainted_defaults": [],
-            "boundary_calls": [],
-            "entry_targets": [],
-            "handler_targets": [],
-            "stores": [],
-            "global_rebinds": [],
             "self_refs": [],
             "self_calls": [],
             "strings": [],
@@ -248,16 +176,6 @@ class _FunctionExtractor:
         self._strings: Set[str] = set()
         self._span_vars: Dict[str, int] = {}
         self._span_entered: Set[str] = set()
-
-    @staticmethod
-    def _all_args(args: ast.arguments) -> List[ast.arg]:
-        out = list(args.posonlyargs) + list(args.args)
-        if args.vararg:
-            out.append(args.vararg)
-        out.extend(args.kwonlyargs)
-        if args.kwarg:
-            out.append(args.kwarg)
-        return out
 
     # -- name resolution ----------------------------------------------------
 
@@ -284,29 +202,6 @@ class _FunctionExtractor:
         if len(parts) > 1:
             return ("method", parts[-1])
         return ("ref", root)
-
-    def _root_tag(self, node: ast.AST) -> Optional[str]:
-        """Root of an attribute/subscript chain as a store/alias tag."""
-        while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        name = node.id
-        if name == "self":
-            return "self"
-        if name in self.alias:
-            return self.alias[name]
-        if name in self.globals_decl:
-            return f"mod:{name}"
-        if name in self.params:
-            return f"param:{name}"
-        if name in self.env:
-            return None  # plain local
-        if name in self.module.toplevel:
-            return f"mod:{name}"
-        if name in self.module.imports:
-            return f"import:{self.module.imports[name]}"
-        return None
 
     # -- taint evaluation ---------------------------------------------------
 
@@ -389,9 +284,9 @@ class _FunctionExtractor:
         for kw in node.keywords:
             if kw.arg is None:
                 self._eval(kw.value)
-        self._record_call(node, ref)
-        self._record_boundary(node, ref, arg_taints, kw_taints)
-        self._record_trace(node, ref, arg_taints, kw_taints)
+        if ref is not None and ref[0] == "self":
+            self._self_calls.add(ref[1])
+        self._record_trace(node, arg_taints, kw_taints)
         if ref is None:
             return _taint()
         kind, target = ref
@@ -408,93 +303,7 @@ class _FunctionExtractor:
 
     # -- recorders ----------------------------------------------------------
 
-    def _record_call(self, node: ast.Call, ref) -> None:
-        if ref is None:
-            return
-        kind, target = ref
-        if kind == "self":
-            self._self_calls.add(target)
-        self.facts["calls"].append(
-            {"k": kind, "v": target, "line": node.lineno}
-        )
-
-    def _record_boundary(self, node, ref, arg_taints, kw_taints) -> None:
-        callee_name = None
-        if isinstance(node.func, ast.Attribute):
-            callee_name = node.func.attr
-        if callee_name in BOUNDARY_METHODS:
-            if node.args:
-                target_ref = self._ref(node.args[0])
-                if target_ref is not None:
-                    self.facts["entry_targets"].append(
-                        {
-                            "k": target_ref[0],
-                            "v": target_ref[1],
-                            "line": node.lineno,
-                        }
-                    )
-            tainted = [
-                i
-                for i, t in enumerate(arg_taints)
-                if t["d"] or t["c"]
-            ]
-            dep_calls = sorted(
-                {c for t in arg_taints for c in t["c"]}
-            )
-            if tainted or dep_calls:
-                self.facts["boundary_calls"].append(
-                    {
-                        "callee": callee_name,
-                        "line": node.lineno,
-                        "args": [
-                            {"d": t["d"], "c": t["c"]}
-                            for t in arg_taints
-                        ],
-                    }
-                )
-        pickle_ref = ref is not None and ref[0] == "ref" and ref[1] in (
-            "pickle.dumps",
-        )
-        if pickle_ref and any(t["d"] or t["c"] for t in arg_taints):
-            self.facts["boundary_calls"].append(
-                {
-                    "callee": "pickle.dumps",
-                    "line": node.lineno,
-                    "args": [{"d": t["d"], "c": t["c"]} for t in arg_taints],
-                }
-            )
-        for kw_name in ENTRY_KWARGS:
-            for kw in node.keywords:
-                if kw.arg == kw_name:
-                    target_ref = self._ref(kw.value)
-                    if target_ref is not None:
-                        self.facts["entry_targets"].append(
-                            {
-                                "k": target_ref[0],
-                                "v": target_ref[1],
-                                "line": node.lineno,
-                            }
-                        )
-        if callee_name in HANDLER_METHODS:
-            # ``register_handler(kind, handler)`` or ``handler=`` kwarg:
-            # the callback runs from the event loop, concurrently with
-            # in-flight rounds, so it is an entry point of its own set.
-            candidates = list(node.args[1:])
-            candidates.extend(
-                kw.value for kw in node.keywords if kw.arg == "handler"
-            )
-            for candidate in candidates:
-                target_ref = self._ref(candidate)
-                if target_ref is not None:
-                    self.facts["handler_targets"].append(
-                        {
-                            "k": target_ref[0],
-                            "v": target_ref[1],
-                            "line": node.lineno,
-                        }
-                    )
-
-    def _record_trace(self, node, ref, arg_taints, kw_taints) -> None:
+    def _record_trace(self, node, arg_taints, kw_taints) -> None:
         if not isinstance(node.func, ast.Attribute):
             return
         method = node.func.attr
@@ -553,60 +362,25 @@ class _FunctionExtractor:
         elif isinstance(target, ast.Starred):
             self._bind_target(target.value, taint)
 
-    def _track_alias(self, target: ast.AST, value: ast.AST) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        root = self._root_tag(value)
-        if root is not None and root != "self" and isinstance(
-            value, (ast.Name, ast.Attribute, ast.Subscript)
-        ):
-            self.alias[target.id] = root
-        else:
-            self.alias.pop(target.id, None)
-
-    def _record_store(self, target: ast.AST, kind: str, line: int) -> None:
-        """A write through ``target``; only non-local roots matter."""
-        if isinstance(target, ast.Name):
-            if target.id in self.globals_decl:
-                self.facts["global_rebinds"].append(
-                    {"name": target.id, "line": line}
-                )
-                self.facts["stores"].append(
-                    {
-                        "root": f"mod:{target.id}",
-                        "kind": "rebind",
-                        "name": target.id,
-                        "line": line,
-                    }
-                )
-            return
+    def _note_self_store(self, target: ast.AST) -> None:
+        """Record the attr nearest to ``self`` in a store target, so
+        ``self._metrics[k] = v`` and ``self.n += 1`` count as
+        self-references."""
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._record_store(elt, kind, line)
+                self._note_self_store(elt)
             return
-        if not isinstance(target, (ast.Attribute, ast.Subscript, ast.Starred)):
-            return
-        root = self._root_tag(target)
-        if root is None or root == "self":
-            if root == "self":
-                # Record the attr nearest to ``self`` so stores like
-                # ``self._metrics[k] = v`` count as self-references.
-                inner = target
-                while isinstance(
-                    inner, (ast.Attribute, ast.Subscript, ast.Starred)
-                ) and not (
-                    isinstance(inner, ast.Attribute)
-                    and isinstance(inner.value, ast.Name)
-                    and inner.value.id == "self"
-                ):
-                    inner = inner.value
-                if isinstance(inner, ast.Attribute):
-                    self._self_refs.add(inner.attr)
-            return
-        display = ast.unparse(target) if hasattr(ast, "unparse") else "?"
-        self.facts["stores"].append(
-            {"root": root, "kind": kind, "name": display, "line": line}
-        )
+        inner = target
+        while isinstance(
+            inner, (ast.Attribute, ast.Subscript, ast.Starred)
+        ) and not (
+            isinstance(inner, ast.Attribute)
+            and isinstance(inner.value, ast.Name)
+            and inner.value.id == "self"
+        ):
+            inner = inner.value
+        if isinstance(inner, ast.Attribute):
+            self._self_refs.add(inner.attr)
 
     def _record_attr_assign(self, target: ast.AST, line: int) -> None:
         if (
@@ -628,46 +402,23 @@ class _FunctionExtractor:
             self._walk_stmt(stmt)
 
     def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Global):
-            self.globals_decl.update(stmt.names)
-        elif isinstance(stmt, ast.Assign):
+        if isinstance(stmt, ast.Assign):
             taint = self._eval(stmt.value)
             for target in stmt.targets:
                 self._record_attr_assign(target, stmt.lineno)
-                self._record_store(target, "assign", stmt.lineno)
+                self._note_self_store(target)
                 self._bind_target(target, taint)
-                self._track_alias(target, stmt.value)
                 self._track_span_assign(target, stmt.value)
         elif isinstance(stmt, ast.AnnAssign):
             taint = self._eval(stmt.value)
             self._record_attr_assign(stmt.target, stmt.lineno)
-            self._record_store(stmt.target, "assign", stmt.lineno)
+            self._note_self_store(stmt.target)
             self._bind_target(stmt.target, taint)
             if stmt.value is not None:
-                self._track_alias(stmt.target, stmt.value)
                 self._track_span_assign(stmt.target, stmt.value)
         elif isinstance(stmt, ast.AugAssign):
             taint = self._eval(stmt.value)
-            target_root = self._root_tag(stmt.target)
-            if isinstance(stmt.target, ast.Name) and target_root in (
-                None,
-                f"param:{stmt.target.id}",
-                f"mod:{stmt.target.id}",
-            ):
-                # ``x -= y`` on an array mutates in place: treat a bare
-                # name AugAssign on a param/module root as a store.
-                if target_root is not None:
-                    self.facts["stores"].append(
-                        {
-                            "root": target_root,
-                            "kind": "augassign",
-                            "name": stmt.target.id,
-                            "line": stmt.lineno,
-                        }
-                    )
-            else:
-                self._record_store(stmt.target, "augassign", stmt.lineno)
-            self._record_attr_assign_aug(stmt.target)
+            self._note_self_store(stmt.target)
             self._bind_target(stmt.target, taint)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
@@ -713,14 +464,6 @@ class _FunctionExtractor:
             self._eval(stmt.test)
         elif isinstance(stmt, ast.Delete):
             pass
-
-    def _record_attr_assign_aug(self, target: ast.AST) -> None:
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            self._self_refs.add(target.attr)
 
     # -- span pairing -------------------------------------------------------
 
@@ -931,7 +674,7 @@ class _ModuleExtractor:
                 if value is None:
                     continue
                 scratch = _FunctionExtractor(
-                    _parse("def _m(): pass", "<scratch>").body[0], self, None
+                    ast.parse("def _m(): pass").body[0], self, None
                 )
                 taint = scratch._eval(value)
                 if taint["d"] or taint["c"]:
@@ -960,9 +703,6 @@ class _ModuleExtractor:
         return {
             "module": self.module_name,
             "path": self.path,
-            "sha": _sha256(self.source),
-            "imports": self.imports,
-            "toplevel": sorted(self.toplevel),
             "module_assigns": module_assigns,
             "functions": functions,
             "classes": classes,
@@ -980,13 +720,11 @@ def extract_summary(
     source: str, path: Any, tree: Optional[ast.Module] = None
 ) -> Optional[ModuleSummary]:
     """Extract a :class:`ModuleSummary`; ``None`` on a syntax error."""
-    from pathlib import Path
-
     path = Path(path)
     package_path = package_relative_path(path)
     if tree is None:
         try:
-            tree = _parse(source, str(path))
+            tree = ast.parse(source, filename=str(path))
         except SyntaxError:
             return None
     extractor = _ModuleExtractor(source, str(path), package_path)
@@ -1000,24 +738,17 @@ class ProjectModel:
 
     Functions and methods are indexed by *canonical id* — the dotted
     path ``repro.<pkg>.<name>`` or ``repro.<pkg>.<Class>.<name>`` — so
-    call sites canonicalised at extraction time resolve in O(1).
+    taint refs canonicalised at extraction time resolve in O(1).
     """
 
     def __init__(self, summaries: Sequence[ModuleSummary]) -> None:
         self.modules: Dict[str, ModuleSummary] = {
             s.package_path: s for s in summaries
         }
-        self.by_module: Dict[str, str] = {
-            s.module: s.package_path for s in summaries
-        }
         #: canonical function id -> (package_path, cls_name|None, facts)
         self.functions: Dict[str, Tuple[str, Optional[str], Dict]] = {}
         #: canonical class id -> (package_path, facts)
         self.classes: Dict[str, Tuple[str, Dict]] = {}
-        #: bare class name -> [canonical class ids]
-        self.class_by_name: Dict[str, List[str]] = {}
-        #: method name -> [canonical function ids] (for CHA resolution)
-        self.methods_by_name: Dict[str, List[str]] = {}
         for summary in summaries:
             mod = summary.module
             for fname, facts in summary.functions.items():
@@ -1029,20 +760,12 @@ class ProjectModel:
             for cname, cfacts in summary.classes.items():
                 cid = f"{mod}.{cname}"
                 self.classes[cid] = (summary.package_path, cfacts)
-                self.class_by_name.setdefault(cname, []).append(cid)
                 for mname, mfacts in cfacts["methods"].items():
-                    fid = f"{cid}.{mname}"
-                    self.functions[fid] = (
+                    self.functions[f"{cid}.{mname}"] = (
                         summary.package_path,
                         cname,
                         mfacts,
                     )
-                    self.methods_by_name.setdefault(mname, []).append(fid)
-        self._deps = self._import_graph()
-        self._rdeps: Dict[str, Set[str]] = {}
-        for pp, deps in self._deps.items():
-            for dep in deps:
-                self._rdeps.setdefault(dep, set()).add(pp)
 
     # -- resolution ---------------------------------------------------------
 
@@ -1077,58 +800,10 @@ class ProjectModel:
                 return fid
         return None
 
-    # -- import graph -------------------------------------------------------
-
-    def _import_graph(self) -> Dict[str, Set[str]]:
-        graph: Dict[str, Set[str]] = {}
-        for pp, summary in self.modules.items():
-            deps: Set[str] = set()
-            for canonical in summary.imports.values():
-                probe = canonical
-                while probe:
-                    if probe in self.by_module and self.by_module[probe] != pp:
-                        deps.add(self.by_module[probe])
-                        break
-                    if "." not in probe:
-                        break
-                    probe = probe.rsplit(".", 1)[0]
-            graph[pp] = deps
-        return graph
-
-    def forward_closure(self, package_path: str) -> Set[str]:
-        """``package_path`` plus everything it transitively imports."""
-        out: Set[str] = set()
-        queue = [package_path]
-        while queue:
-            current = queue.pop()
-            if current in out:
-                continue
-            out.add(current)
-            queue.extend(self._deps.get(current, ()))
-        return out
-
-    def reverse_import_closure(self, changed: Sequence[str]) -> Set[str]:
-        """Changed modules plus everything that transitively imports them.
-
-        This bounds which modules' flow findings can be affected by an
-        edit, so the incremental cache re-runs phase 2 only for this
-        set (cross-module effects that bypass imports — e.g. duck-typed
-        method resolution — are a documented approximation).
-        """
-        out: Set[str] = set()
-        queue = [pp for pp in changed]
-        while queue:
-            current = queue.pop()
-            if current in out:
-                continue
-            out.add(current)
-            queue.extend(self._rdeps.get(current, ()))
-        return out
-
 
 @dataclass
 class AnalysisResult:
-    """Outcome of one whole-program pass."""
+    """Outcome of one lint pass; ``stats`` holds the file count."""
 
     violations: List[Violation]
     stats: Dict[str, Any] = field(default_factory=dict)
@@ -1148,10 +823,10 @@ def _flow_suppressed(
 
 
 class ProjectAnalyzer:
-    """Two-phase driver: per-file summaries, then whole-program rules.
+    """Two-phase driver: per-file rules and summaries, then flow rules.
 
-    ``jobs`` parallelises the per-file read/parse/lint/extract work on a
-    thread pool; phase 2 is pure dict traversal and stays serial.
+    ``rules`` overrides the per-file rule set (default
+    :data:`~repro.lint.rules.DEFAULT_RULES`); the flow rules always run.
     ``file_sources`` lets tests inject edited sources without touching
     disk (keyed by absolute path string).
     """
@@ -1160,36 +835,24 @@ class ProjectAnalyzer:
         self,
         config: Optional[LintConfig] = None,
         rules: Optional[Sequence[type]] = None,
-        cache_path: Optional[Path] = None,
-        jobs: int = 1,
         file_sources: Optional[Dict[str, str]] = None,
     ) -> None:
         self.linter = Linter(config=config, rules=rules)
         self.config = self.linter.config
-        self.cache_path = cache_path
-        self.jobs = max(1, int(jobs))
         self.file_sources = dict(file_sources or {})
 
     # -- phase 1 ------------------------------------------------------------
 
-    def _analyze_file(self, path: Path, cache) -> Dict[str, Any]:
+    def _analyze_file(
+        self, path: Path
+    ) -> Tuple[List[Violation], Optional[ModuleSummary]]:
         source = self.file_sources.get(str(path))
         if source is None:
             source = path.read_text(encoding="utf-8")
-        sha = _sha256(source)
-        package_path = package_relative_path(path)
-        hit = cache.lookup_module(package_path, sha)
-        if hit is not None:
-            return {
-                "package_path": package_path,
-                "sha": sha,
-                "summary": hit["summary"],
-                "violations": hit["violations"],
-            }
         try:
-            tree = _parse(source, str(path))
+            tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            violations = [
+            return [
                 Violation(
                     rule="syntax-error",
                     path=str(path),
@@ -1197,53 +860,23 @@ class ProjectAnalyzer:
                     col=(exc.offset or 0) + 1 if exc.offset else 1,
                     message=f"cannot parse file: {exc.msg}",
                 )
-            ]
-            cache.store_module(package_path, sha, None, violations)
-            return {
-                "package_path": package_path,
-                "sha": sha,
-                "summary": None,
-                "violations": violations,
-            }
+            ], None
         ctx = FileContext.from_source(path, source)
-        violations = self.linter.lint_tree(ctx, tree)
-        summary = extract_summary(source, path, tree=tree)
-        summary_json = summary.to_json() if summary is not None else None
-        cache.store_module(package_path, sha, summary_json, violations)
-        return {
-            "package_path": package_path,
-            "sha": sha,
-            "summary": summary_json,
-            "violations": violations,
-        }
+        return (
+            self.linter.lint_tree(ctx, tree),
+            extract_summary(source, path, tree=tree),
+        )
 
     # -- phase 2 ------------------------------------------------------------
 
     def _run_flow_rules(
         self, model: ProjectModel
     ) -> List[Violation]:
-        from repro.lint.callgraph import (
-            build_call_graph,
-            handler_entry_points,
-            reachable_from,
-            worker_entry_points,
-        )
         from repro.lint.dataflow import compute_tainted_functions
         from repro.lint.flow_rules import PROJECT_RULES, FlowContext
 
-        call_graph = build_call_graph(model)
-        entries = worker_entry_points(model)
-        handler_entries = handler_entry_points(model)
         ctx = FlowContext(
-            project=model,
-            call_graph=call_graph,
-            worker_entries=entries,
-            worker_reachable=reachable_from(call_graph, sorted(entries)),
-            rng_tainted=compute_tainted_functions(model),
-            handler_entries=handler_entries,
-            handler_reachable=reachable_from(
-                call_graph, sorted(handler_entries)
-            ),
+            project=model, rng_tainted=compute_tainted_functions(model)
         )
         findings: List[Violation] = []
         for rule_cls in PROJECT_RULES:
@@ -1275,80 +908,25 @@ class ProjectAnalyzer:
     # -- driver -------------------------------------------------------------
 
     def analyze(self, paths: Sequence[str]) -> AnalysisResult:
-        from repro.lint.cache import AnalysisCache, config_key
-
-        start = time.perf_counter()
-        key = config_key(
-            {
-                "exclude": list(self.config.exclude),
-                "rules": self.config.rules,
-                "rule_names": [r.name for r in self.linter.rule_classes],
-            }
-        )
-        cache = AnalysisCache(self.cache_path, key)
         files = sorted(self.linter.iter_files(paths))
-        if self.jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(
-                    pool.map(lambda p: self._analyze_file(p, cache), files)
-                )
-        else:
-            results = [self._analyze_file(p, cache) for p in files]
-
         violations: List[Violation] = []
         summaries: List[ModuleSummary] = []
-        for result in results:
-            violations.extend(result["violations"])
-            if result["summary"] is not None:
-                summaries.append(ModuleSummary.from_json(result["summary"]))
-        model = ProjectModel(summaries)
-
-        # Per-module flow keys: own sha + every transitively imported
-        # module's sha.  An edit therefore invalidates exactly the
-        # edited module and its reverse-import closure.
-        flow_keys: Dict[str, str] = {}
-        shas = {r["package_path"]: r["sha"] for r in results}
-        for pp in model.modules:
-            closure = sorted(model.forward_closure(pp))
-            blob = ";".join(f"{c}={shas.get(c, '?')}" for c in closure)
-            flow_keys[pp] = _sha256(blob)
-        cached_flow = {
-            pp: cache.lookup_flow(pp, flow_key)
-            for pp, flow_key in flow_keys.items()
-        }
-        flow_reused = sum(1 for v in cached_flow.values() if v is not None)
-        if all(v is not None for v in cached_flow.values()) and cached_flow:
-            flow_findings: List[Violation] = [
-                v for found in cached_flow.values() for v in found
-            ]
-            phase2_ran = False
-        else:
-            flow_findings = self._run_flow_rules(model)
-            by_module: Dict[str, List[Violation]] = {
-                pp: [] for pp in model.modules
-            }
-            path_to_pp = {
-                s.data["path"]: pp for pp, s in model.modules.items()
-            }
-            for violation in flow_findings:
-                pp = path_to_pp.get(violation.path)
-                if pp is not None:
-                    by_module[pp].append(violation)
-            for pp, found in by_module.items():
-                cache.store_flow(pp, flow_keys[pp], found)
-            phase2_ran = True
-        violations.extend(flow_findings)
+        for path in files:
+            found, summary = self._analyze_file(path)
+            violations.extend(found)
+            if summary is not None:
+                summaries.append(summary)
+        violations.extend(self._run_flow_rules(ProjectModel(summaries)))
         violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+        return AnalysisResult(
+            violations=violations, stats={"files": len(files)}
+        )
 
-        cache.prune(r["package_path"] for r in results)
-        cache.save()
-        stats = {
-            "files": len(files),
-            "cache_hits": cache.hits,
-            "cache_misses": cache.misses,
-            "flow_reused": flow_reused,
-            "phase2_ran": phase2_ran,
-            "jobs": self.jobs,
-            "wall_time_s": time.perf_counter() - start,
-        }
-        return AnalysisResult(violations=violations, stats=stats)
+
+def run_lint(
+    paths: Sequence[str],
+    config: Optional[LintConfig] = None,
+    rules: Optional[Sequence[type]] = None,
+) -> List[Violation]:
+    """Convenience wrapper: lint ``paths`` and return the violations."""
+    return ProjectAnalyzer(config=config, rules=rules).analyze(paths).violations

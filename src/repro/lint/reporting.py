@@ -1,4 +1,4 @@
-"""Output formatters for lint results (text, JSON, SARIF)."""
+"""Output formatters for lint results (text, JSON)."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ def format_text(violations: Sequence[Violation]) -> str:
 
 
 def summarize(violations: Sequence[Violation]) -> Dict[str, object]:
-    """Machine-readable summary used by both JSON output and BENCH."""
+    """Machine-readable summary for the JSON output."""
     by_rule = Counter(v.rule for v in violations)
     return {
         "total": len(violations),
@@ -36,8 +36,7 @@ def format_json(
     violations: Sequence[Violation],
     stats: Optional[Dict[str, object]] = None,
 ) -> str:
-    """JSON payload; ``stats`` (whole-program runs) adds an ``analysis``
-    block with file counts, cache hit rates and wall time."""
+    """JSON payload; ``stats`` adds an ``analysis`` block (file count)."""
     payload = {
         "violations": [
             {
@@ -57,47 +56,4 @@ def format_json(
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def format_sarif(violations: Sequence[Violation]) -> str:
-    """Minimal SARIF 2.1.0 — one run, one result per violation."""
-    rules = sorted({v.rule for v in violations})
-    results = [
-        {
-            "ruleId": v.rule,
-            "level": "error" if v.severity == "error" else "warning",
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": v.path},
-                        "region": {
-                            "startLine": v.line,
-                            "startColumn": v.col,
-                        },
-                    }
-                }
-            ],
-        }
-        for v in violations
-    ]
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": [{"id": rule} for rule in rules],
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-__all__ = ["format_json", "format_sarif", "format_text", "summarize"]
+__all__ = ["format_json", "format_text", "summarize"]

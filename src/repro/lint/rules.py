@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import LintRule
 
 __all__ = [
-    "AllExportsRule",
     "ExplicitDtypeRule",
     "MetricNameRegistryRule",
     "NoBareArtifactWriteRule",
@@ -725,147 +724,6 @@ class NoBareArtifactWriteRule(_AliasTrackingRule):
         self.generic_visit(node)
 
 
-class AllExportsRule(LintRule):
-    """Every public module must define an accurate ``__all__``.
-
-    The export list is what the API-surface tests and downstream
-    ``import *`` consumers see; a missing or stale ``__all__`` silently
-    widens or narrows the public API.
-    """
-
-    name = "all-exports"
-    description = (
-        "public modules must define __all__ listing every public "
-        "def/class, with no undefined or duplicate entries"
-    )
-
-    def finish(self, tree: ast.Module) -> None:
-        module = self.ctx.module_name
-        if module.startswith("_") and module != "__init__":
-            return
-        statements = list(_iter_module_statements(tree.body))
-        all_node, all_names, dynamic = _find_all(statements)
-        if all_node is None:
-            self.report(
-                tree.body[0] if tree.body else tree,
-                "public module does not define __all__",
-            )
-            return
-        if all_names is None:
-            self.report(
-                all_node, "__all__ must be a literal list/tuple of strings"
-            )
-            return
-        seen: Set[str] = set()
-        for entry in all_names:
-            if entry in seen:
-                self.report(all_node, f"duplicate __all__ entry '{entry}'")
-            seen.add(entry)
-        bound = _module_bindings(statements)
-        for entry in seen:
-            if entry not in bound:
-                self.report(
-                    all_node,
-                    f"__all__ exports '{entry}' which is not defined in "
-                    "the module",
-                )
-        if dynamic:
-            return  # extended at runtime; completeness is unknowable
-        for stmt in statements:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) and not stmt.name.startswith("_"):
-                if stmt.name not in seen:
-                    self.report(
-                        stmt,
-                        f"public name '{stmt.name}' is missing from "
-                        "__all__",
-                    )
-
-
-def _iter_module_statements(body: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
-    """Module-level statements, descending into If/Try guards only."""
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, ast.If):
-            yield from _iter_module_statements(stmt.body)
-            yield from _iter_module_statements(stmt.orelse)
-        elif isinstance(stmt, ast.Try):
-            for block in (stmt.body, stmt.orelse, stmt.finalbody):
-                yield from _iter_module_statements(block)
-            for handler in stmt.handlers:
-                yield from _iter_module_statements(handler.body)
-
-
-def _find_all(
-    statements: Sequence[ast.stmt],
-) -> Tuple[Optional[ast.stmt], Optional[List[str]], bool]:
-    """Locate ``__all__``: (node, literal names or None, extended?)."""
-    node: Optional[ast.stmt] = None
-    names: Optional[List[str]] = None
-    dynamic = False
-    for stmt in statements:
-        if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-        ):
-            node = stmt
-            names = _literal_strings(stmt.value)
-        elif (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id == "__all__"
-            and stmt.value is not None
-        ):
-            node = stmt
-            names = _literal_strings(stmt.value)
-        elif (
-            isinstance(stmt, ast.AugAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id == "__all__"
-        ):
-            dynamic = True
-            if node is None:
-                node = stmt
-    return node, names, dynamic
-
-
-def _literal_strings(node: ast.AST) -> Optional[List[str]]:
-    if not isinstance(node, (ast.List, ast.Tuple)):
-        return None
-    out: List[str] = []
-    for element in node.elts:
-        if not (
-            isinstance(element, ast.Constant) and isinstance(element.value, str)
-        ):
-            return None
-        out.append(element.value)
-    return out
-
-
-def _module_bindings(statements: Sequence[ast.stmt]) -> Set[str]:
-    bound: Set[str] = set()
-    for stmt in statements:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name):
-                        bound.add(sub.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            bound.add(stmt.target.id)
-        elif isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(stmt, ast.ImportFrom):
-            for alias in stmt.names:
-                if alias.name != "*":
-                    bound.add(alias.asname or alias.name)
-    return bound
-
-
 class MetricNameRegistryRule(LintRule):
     """Metric names must be literals declared in ``repro.obs.names``.
 
@@ -964,6 +822,5 @@ DEFAULT_RULES: Tuple[type, ...] = (
     NoSequentialClientLoopRule,
     NoWallclockSeedRule,
     UnusedPureResultRule,
-    AllExportsRule,
     MetricNameRegistryRule,
 )

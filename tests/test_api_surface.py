@@ -22,9 +22,10 @@ def _public_modules():
 
 @pytest.mark.parametrize("module_name", _public_modules())
 def test_module_exposes_correct_all(module_name):
-    """Runtime mirror of the ``all-exports`` lint rule: every public
-    module defines ``__all__``, every entry resolves, and every public
-    function/class defined in the module is listed."""
+    """The ``__all__`` contract (checked here at runtime; there is no
+    lint rule for it): every public module defines ``__all__``, every
+    entry resolves, and every public function/class defined in the
+    module is listed."""
     module = importlib.import_module(module_name)
     assert hasattr(module, "__all__"), f"{module_name} has no __all__"
     exported = module.__all__

@@ -58,14 +58,14 @@ def test_lint_exit_0_on_clean_file(tmp_path, capsys):
 
 
 def test_lint_exit_0_on_warnings_only(tmp_path, capsys):
-    path = _write(tmp_path, "w.py", "import numpy as np\n")
+    path = _write(tmp_path, "w.py", "import random\n")
     (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro-lint.all-exports]\nseverity = \"warning\"\n"
+        "[tool.repro-lint.no-global-rng]\nseverity = \"warning\"\n"
     )
     args = [str(path), "--config", str(tmp_path)]
     assert lint_main(args) == 0
     out = capsys.readouterr().out
-    assert "warning[all-exports]" in out
+    assert "warning[no-global-rng]" in out
     # --strict promotes the same warning to a failure.
     assert lint_main(args + ["--strict"]) == 1
     capsys.readouterr()
@@ -97,73 +97,29 @@ def test_lint_exit_2_on_missing_path(tmp_path, capsys):
 
 def test_lint_exit_2_on_bad_config(tmp_path, capsys):
     _write(tmp_path, "ok.py", CLEAN)
-    (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro-lint.all-exports]\nseverity = \"fatal\"\n"
-    )
-    code = lint_main(
-        [str(tmp_path / "repro"), "--config", str(tmp_path)]
-    )
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-
-
-def test_lint_exit_2_on_bad_baseline(tmp_path, capsys):
-    path = _write(tmp_path, "ok.py", CLEAN)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text('{"schema": "something-else"}')
-    assert lint_main([str(path), "--baseline", str(baseline)]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
-def test_lint_baseline_round_trip(tmp_path, capsys):
-    path = _write(
-        tmp_path,
-        "bad.py",
-        '__all__ = ["f"]\n'
-        "import numpy as np\n\n\n"
-        "def f():\n"
-        "    return np.random.normal(size=3)\n",
-    )
-    baseline = tmp_path / "baseline.json"
-    assert lint_main([str(path), "--write-baseline", str(baseline)]) == 0
-    payload = json.loads(baseline.read_text())
-    assert payload["schema"] == "repro-lint-baseline/v1"
-    assert payload["findings"]
-    capsys.readouterr()
-    # Grandfathered finding no longer fails the run...
-    assert lint_main([str(path), "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    # ...but without the baseline it still does.
-    assert lint_main([str(path)]) == 1
-    capsys.readouterr()
-
-
-def test_lint_sarif_output(tmp_path, capsys):
-    path = _write(tmp_path, "ok.py", CLEAN)
-    assert lint_main([str(path), "--format", "sarif"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "2.1.0"
-    assert payload["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
+    for table in (
+        "[tool.repro-lint.no-global-rng]\nseverity = \"fatal\"\n",
+        "[tool.repro-lint.explict-dtype]\nenabled = false\n",
+    ):
+        (tmp_path / "pyproject.toml").write_text(table)
+        code = lint_main(
+            [str(tmp_path / "repro"), "--config", str(tmp_path)]
+        )
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_lint_project_json_reports_analysis_stats(tmp_path, capsys):
     path = _write(tmp_path, "ok.py", CLEAN)
-    code = lint_main(
-        [str(path), "--project", "--jobs", "2", "--format", "json"]
-    )
-    assert code == 0
+    assert lint_main([str(path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["analysis"]["files"] == 1
-    assert payload["analysis"]["jobs"] == 2
+    assert payload["analysis"] == {"files": 1}
 
 
 def test_lint_list_rules_includes_project_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in (
-        "rng-taint",
-        "shared-state-race",
-        "ckpt-state-coverage",
-        "trace-discipline",
-    ):
+    for rule in ("rng-taint", "ckpt-state-coverage", "trace-discipline"):
         assert rule in out
+    for gone in ("shared-state-race", "all-exports"):
+        assert gone not in out

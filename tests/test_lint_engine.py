@@ -177,6 +177,11 @@ class TestConfig:
         settings = config.rule_settings("no-global-rng")
         assert settings.severity == "warning"
         assert config.is_excluded(Path("pkg/testdata/x.py"))
+        # A typo'd rule table must fail loudly, not be silently ignored.
+        with open(tmp_path / "pyproject.toml", "a") as fh:
+            fh.write("\n[tool.repro-lint.explict-dtype]\nenabled = false\n")
+        with pytest.raises(ValueError, match="explict-dtype.*explicit-dtype"):
+            load_config(tmp_path)
 
     def test_load_config_defaults_when_missing(self, tmp_path):
         config = load_config(tmp_path)
@@ -234,7 +239,7 @@ class TestTreeWalkAndCli:
             "no-param-mutation",
             "no-wallclock-seed",
             "unused-pure-result",
-            "all-exports",
+            "metric-name-registry",
         ):
             assert name in out
 

@@ -5,17 +5,10 @@ Synthetic modules are written under ``<tmp>/repro/`` so that
 extractor derives proper ``repro.*`` dotted module names.
 """
 
-import json
 from pathlib import Path
 
-from repro.lint.callgraph import (
-    build_call_graph,
-    reachable_from,
-    worker_entry_points,
-)
 from repro.lint.dataflow import compute_tainted_functions
 from repro.lint.project import (
-    ModuleSummary,
     ProjectAnalyzer,
     ProjectModel,
     extract_summary,
@@ -64,109 +57,6 @@ def test_module_name_for():
     assert module_name_for("__init__.py") == "repro"
 
 
-def test_summary_json_round_trip():
-    summary = extract_summary(RNG_UTIL, Path("/x/repro/util.py"))
-    payload = json.loads(json.dumps(summary.to_json()))
-    again = ModuleSummary.from_json(payload)
-    assert again.module == "repro.util"
-    assert again.data == summary.data
-
-
-def test_call_graph_direct_and_aliased_imports():
-    model = _model(
-        {
-            "util.py": RNG_UTIL,
-            "app.py": (
-                "from repro.util import make_rng as mk\n"
-                "import repro.util as u\n"
-                "\n"
-                "def direct(seed):\n"
-                "    return mk(seed)\n"
-                "\n"
-                "def dotted(seed):\n"
-                "    return u.relabel(seed)\n"
-            ),
-        }
-    )
-    graph = build_call_graph(model)
-    assert graph["repro.app.direct"] == {"repro.util.make_rng"}
-    assert graph["repro.app.dotted"] == {"repro.util.relabel"}
-    # relabel's own edge resolves within its module.
-    assert graph["repro.util.relabel"] == {"repro.util.make_rng"}
-
-
-def test_call_graph_self_methods_and_cha():
-    model = _model(
-        {
-            "eng.py": (
-                "class Base:\n"
-                "    def helper(self):\n"
-                "        return 1\n"
-                "\n"
-                "class Engine(Base):\n"
-                "    def run(self):\n"
-                "        return self.helper()\n"
-                "\n"
-                "def drive(engine):\n"
-                "    return engine.run()\n"
-            ),
-        }
-    )
-    graph = build_call_graph(model)
-    # self.helper() resolves through the base class.
-    assert graph["repro.eng.Engine.run"] == {"repro.eng.Base.helper"}
-    # engine.run() on an unknown receiver resolves by method name (CHA).
-    assert graph["repro.eng.drive"] == {"repro.eng.Engine.run"}
-
-
-def test_call_graph_stoplist_blocks_generic_names():
-    model = _model(
-        {
-            "m.py": (
-                "class Box:\n"
-                "    def append(self, x):\n"
-                "        return x\n"
-                "\n"
-                "def f(items):\n"
-                "    items.append(1)\n"
-            ),
-        }
-    )
-    graph = build_call_graph(model)
-    assert graph["repro.m.f"] == set()
-
-
-def test_worker_entry_points_submit_and_initializer():
-    model = _model(
-        {
-            "w.py": (
-                "def task(x):\n"
-                "    return x\n"
-                "\n"
-                "def init():\n"
-                "    pass\n"
-                "\n"
-                "class Runner:\n"
-                "    def go(self, pool, cls):\n"
-                "        pool.submit(task, 1)\n"
-                "        cls(initializer=init)\n"
-                "        pool.submit(self.step)\n"
-                "\n"
-                "    def step(self):\n"
-                "        return 0\n"
-            ),
-        }
-    )
-    entries = worker_entry_points(model)
-    assert entries == {
-        "repro.w.task",
-        "repro.w.init",
-        "repro.w.Runner.step",
-    }
-    graph = build_call_graph(model)
-    assert "repro.w.task" in reachable_from(graph, sorted(entries))
-
-
 def test_rng_taint_fixpoint_through_returns():
     model = _model({"util.py": RNG_UTIL})
     tainted = compute_tainted_functions(model)
@@ -175,20 +65,6 @@ def test_rng_taint_fixpoint_through_returns():
     assert "repro.util.make_rng" in tainted
     assert "repro.util.relabel" in tainted
     assert "repro.util.spawn_seed" not in tainted
-
-
-def test_reverse_import_closure():
-    model = _model(
-        {
-            "a.py": "X = 1\n",
-            "b.py": "from repro.a import X\nY = X\n",
-            "c.py": "from repro.b import Y\nZ = Y\n",
-            "d.py": "W = 2\n",
-        }
-    )
-    closure = model.reverse_import_closure(["a.py"])
-    assert closure == {"a.py", "b.py", "c.py"}
-    assert model.forward_closure("c.py") == {"a.py", "b.py", "c.py"}
 
 
 TREE = {
@@ -201,51 +77,6 @@ TREE = {
     ),
     "other.py": "def standalone():\n    return 7\n",
 }
-
-
-def test_cache_cold_then_warm(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    cache_path = tmp_path / "cache.json"
-    analyzer = ProjectAnalyzer(cache_path=cache_path)
-    cold = analyzer.analyze([str(root)])
-    assert cold.stats["cache_misses"] == len(TREE)
-    assert cold.stats["cache_hits"] == 0
-    assert cold.stats["phase2_ran"] is True
-    assert cache_path.exists()
-
-    warm = ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-    assert warm.stats["cache_hits"] == len(TREE)
-    assert warm.stats["cache_misses"] == 0
-    assert warm.stats["flow_reused"] == len(TREE)
-    assert warm.stats["phase2_ran"] is False
-    assert warm.violations == cold.violations
-
-
-def test_cache_invalidates_edited_file_and_importers(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    cache_path = tmp_path / "cache.json"
-    ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-
-    # Edit util.py: its summary and the flow findings of its importer
-    # (app.py) must be recomputed; other.py stays fully cached.
-    (root / "util.py").write_text(RNG_UTIL + "\nEXTRA = 1\n")
-    after = ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-    assert after.stats["cache_misses"] == 1
-    assert after.stats["cache_hits"] == len(TREE) - 1
-    # util.py's flow key changed, and app.py imports util.py, so both
-    # dropped out of the flow cache; only other.py was reusable.
-    assert after.stats["flow_reused"] == 1
-    assert after.stats["phase2_ran"] is True
-
-
-def test_cache_ignores_corruption(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text("{not json")
-    result = ProjectAnalyzer(cache_path=cache_path).analyze([str(root)])
-    assert result.stats["cache_misses"] == len(TREE)
-    # ...and the corrupt file is replaced by a valid one.
-    json.loads(cache_path.read_text())
 
 
 def test_file_sources_override_injects_without_disk(tmp_path):
@@ -271,10 +102,3 @@ def test_syntax_error_file_is_reported_not_fatal(tmp_path):
     assert [v.rule for v in result.violations] == ["syntax-error"]
     assert result.violations[0].path.endswith("broken.py")
 
-
-def test_jobs_parallel_matches_serial(tmp_path):
-    root = _write_tree(tmp_path, TREE)
-    serial = ProjectAnalyzer(jobs=1).analyze([str(root)])
-    parallel = ProjectAnalyzer(jobs=4).analyze([str(root)])
-    assert parallel.violations == serial.violations
-    assert parallel.stats["jobs"] == 4

@@ -7,7 +7,6 @@ import pytest
 
 from repro.lint import LintConfig, Linter
 from repro.lint.rules import (
-    AllExportsRule,
     ExplicitDtypeRule,
     MetricNameRegistryRule,
     NoGlobalRngRule,
@@ -322,110 +321,6 @@ class TestUnusedPureResult:
         assert rules_fired(source, UnusedPureResultRule) == []
 
 
-class TestAllExports:
-    def test_missing_all_fires(self):
-        source = """\
-            def public():
-                return 1
-        """
-        assert rules_fired(source, AllExportsRule) == ["all-exports"]
-
-    def test_complete_all_passes(self):
-        source = """\
-            __all__ = ["CONST", "Public", "public"]
-
-            CONST = 3
-
-            def public():
-                return 1
-
-            class Public:
-                pass
-
-            def _private():
-                return 2
-        """
-        assert rules_fired(source, AllExportsRule) == []
-
-    def test_public_def_missing_from_all_fires(self):
-        source = """\
-            __all__ = ["a"]
-
-            def a():
-                pass
-
-            def b():
-                pass
-        """
-        (v,) = lint(source, AllExportsRule)
-        assert "'b'" in v.message
-
-    def test_undefined_export_fires(self):
-        source = """\
-            __all__ = ["ghost"]
-        """
-        (v,) = lint(source, AllExportsRule)
-        assert "ghost" in v.message
-
-    def test_duplicate_entry_fires(self):
-        source = """\
-            __all__ = ["a", "a"]
-
-            def a():
-                pass
-        """
-        (v,) = lint(source, AllExportsRule)
-        assert "duplicate" in v.message
-
-    def test_non_literal_all_fires(self):
-        source = """\
-            names = ["a"]
-            __all__ = names
-        """
-        (v,) = lint(source, AllExportsRule)
-        assert "literal" in v.message
-
-    def test_dynamic_extension_skips_completeness(self):
-        source = """\
-            __all__ = ["a"]
-            __all__ += extra_names
-
-            def a():
-                pass
-
-            def b():
-                pass
-        """
-        assert rules_fired(source, AllExportsRule) == []
-
-    def test_private_module_skipped(self):
-        assert (
-            rules_fired("def f():\n    pass\n", AllExportsRule,
-                        relpath="core/_private.py")
-            == []
-        )
-
-    def test_conditional_bindings_count(self):
-        source = """\
-            __all__ = ["tomllib"]
-
-            try:
-                import tomllib
-            except ImportError:
-                tomllib = None
-        """
-        assert rules_fired(source, AllExportsRule) == []
-
-    def test_file_level_suppression(self):
-        source = """\
-            # repro-lint: disable-file=all-exports
-            def public():
-                pass
-        """
-        assert rules_fired(source, AllExportsRule) == []
-
-
-
 class TestNoSequentialClientLoop:
     def test_for_loop_fires(self):
         source = """\
@@ -677,8 +572,7 @@ class TestMetricNameRegistry:
         assert rules_fired(source, MetricNameRegistryRule) == []
 
     def test_sweep_clean_on_whole_tree(self):
-        # The empty-baseline satellite: every instrument call in the
-        # shipped tree uses a registered name.
+        # Every instrument call in the shipped tree uses a registered name.
         root = Path(__file__).resolve().parent.parent / "src" / "repro"
         linter = Linter(rules=[MetricNameRegistryRule])
         assert linter.lint_paths([str(root)]) == []
@@ -698,7 +592,6 @@ class TestAgainstRealTree:
             NoSequentialClientLoopRule,
             NoWallclockSeedRule,
             UnusedPureResultRule,
-            AllExportsRule,
         ],
     )
     def test_rule_clean_on_core(self, rule):

@@ -8,9 +8,9 @@ exits non-zero when any pair regressed by more than the threshold
 sample (see :mod:`repro.experiments.timing`), so one noisy round in
 either baseline cannot flip the gate.  Pairs present in only one file
 are reported but never fail the comparison.  Further one-sided gates
-run against the candidate: the lint warm-cache speedup, the batched
-backend's digits_cnn speedup + digest identity, and — when ``--scale``
-points at a ``BENCH_scale.json`` from ``tools/bench_scale.py`` — the
+run against the candidate: the batched backend's digits_cnn speedup +
+digest identity, and — when ``--scale`` points at a
+``BENCH_scale.json`` from ``tools/bench_scale.py`` — the
 population-scale peak-RSS growth gate (``--max-rss-growth``) plus the
 traced-vs-untraced peak-RSS ratio (``--max-traced-rss``).  The
 observability tax is gated one-sided as well: head-sampled tracing
@@ -133,23 +133,6 @@ def check_batched_speedup(before, after, min_speedup, workload="digits_cnn"):
         f"{float(batched['speedup_vs_serial']):.2f}x), {digest_note}"
     )
     failed = speedup < min_speedup or not identical
-    return [line + (" REGRESSION" if failed else " ok")], failed
-
-
-def check_lint_speedup(after, min_speedup):
-    """Gate the whole-program lint warm-cache speedup.
-
-    Returns (report_lines, failed).  A payload without a lint micro
-    entry (older baseline) passes — only the candidate is gated.
-    """
-    lint = after.get("micro", {}).get("lint")
-    if lint is None:
-        return ["  lint micro entry absent in AFTER (skipped)"], False
-    line = (
-        f"  lint cold {lint['cold_s']:.2f}s -> warm {lint['warm_s']:.2f}s "
-        f"({lint['speedup']:.1f}x, minimum {min_speedup:.1f}x)"
-    )
-    failed = float(lint["speedup"]) < min_speedup
     return [line + (" REGRESSION" if failed else " ok")], failed
 
 
@@ -318,13 +301,6 @@ def main(argv=None) -> int:
         help="max tolerated fractional throughput drop (default: 0.2)",
     )
     parser.add_argument(
-        "--min-lint-speedup",
-        type=float,
-        default=3.0,
-        help="minimum warm-cache speedup for the whole-program lint "
-        "micro-benchmark (default: 3.0)",
-    )
-    parser.add_argument(
         "--min-batched-speedup",
         type=float,
         default=3.0,
@@ -383,9 +359,6 @@ def main(argv=None) -> int:
     before = json.loads(args.before.read_text())
     after = json.loads(args.after.read_text())
     lines, regressions = compare(before, after, args.threshold)
-    lint_lines, lint_failed = check_lint_speedup(
-        after, args.min_lint_speedup
-    )
     batched_lines, batched_failed = check_batched_speedup(
         before, after, args.min_batched_speedup
     )
@@ -407,8 +380,6 @@ def main(argv=None) -> int:
 
     print(f"throughput comparison (threshold {args.threshold:.0%} drop):")
     print("\n".join(lines))
-    print("incremental lint cache:")
-    print("\n".join(lint_lines))
     print("batched backend:")
     print("\n".join(batched_lines))
     print("observability overhead:")
@@ -421,7 +392,6 @@ def main(argv=None) -> int:
     print("\n".join(traced_lines))
     if (
         regressions
-        or lint_failed
         or batched_failed
         or obs_failed
         or async_failed
@@ -430,7 +400,6 @@ def main(argv=None) -> int:
     ):
         failures = (
             len(regressions)
-            + (1 if lint_failed else 0)
             + (1 if batched_failed else 0)
             + (1 if obs_failed else 0)
             + (1 if async_failed else 0)
