@@ -3,7 +3,7 @@
 Checkpoints capture *everything* a federated run's next round depends
 on — global model, optimizer slots, CMFL feedback state, client and
 sampler RNG streams, communication ledger, run history and the trace
-continuation — in a single verifiable ``repro-ckpt/v1`` container.
+continuation — in a single verifiable ``repro-ckpt/v2`` container.
 
 The headline guarantee (enforced in ``tests/test_ckpt_resume.py``): a
 run killed at any point and resumed from its last checkpoint produces

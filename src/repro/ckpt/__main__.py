@@ -29,7 +29,7 @@ __all__ = ["build_parser", "main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ckpt",
-        description="inspect repro-ckpt/v1 checkpoint containers",
+        description="inspect repro-ckpt/v2 checkpoint containers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,10 @@ cover everything round ``t+1`` depends on:
   store-backed federation, the materialized shard arrays of the
   :class:`~repro.fl.store.ClientStateStore` instead (rows already hold
   the encoded stream positions);
-* the communication ledger and the full :class:`RunHistory`;
+* the communication ledger (its per-client tables and
+  ``rounds_per_iteration`` as ``ledger/<name>`` int64 array members —
+  the manifest keeps only their lengths) and the full
+  :class:`RunHistory`;
 * the tracer continuation snapshot (sequence/id counters, open spans,
   metric values), so a resumed trace extends the original stream.
 
@@ -70,6 +73,7 @@ def capture_run_state(
     for slot, slot_arrays in opt_state["slots"].items():
         for i, value in enumerate(slot_arrays):
             arrays[f"optimizer/{slot}/{i}"] = value
+    ledger_entry = _split_ledger(trainer.ledger.state_dict(), arrays)
 
     manifest: Dict[str, Any] = {
         "iteration": len(trainer.history),
@@ -98,7 +102,7 @@ def capture_run_state(
             },
             "sampler": trainer.sampler.state_dict(),
         },
-        "ledger": trainer.ledger.state_dict(),
+        "ledger": ledger_entry,
         "trace": (
             trainer.tracer.export_state() if trainer.tracer.enabled else None
         ),
@@ -112,7 +116,7 @@ def capture_run_state(
     }
     # Store-backed federations: the population lives in shard arrays,
     # not client objects, so ``rng.clients`` above is empty and the
-    # shard state rides along as ``store/shard/<id>/<field>`` arrays.
+    # shard state rides along as whole-store ``store/<column>`` arrays.
     # The store refuses to snapshot while round views are outstanding,
     # which re-asserts the round-boundary contract for this mode.
     if trainer.store is not None:
@@ -132,6 +136,34 @@ def capture_run_state(
 
     texts = {HISTORY_MEMBER: trainer.history.to_jsonl()}
     return manifest, arrays, texts
+
+
+def _split_ledger(
+    state: Dict[str, Any], arrays: Dict[str, np.ndarray]
+) -> Dict[str, Any]:
+    """Move the ledger's arrays into ``arrays`` as ``ledger/<name>``
+    members; the manifest entry returned keeps only their lengths, so
+    it is O(1) however many clients the run has touched."""
+    for name, array in state["arrays"].items():
+        arrays[f"ledger/{name}"] = array
+    state["arrays"] = {name: len(a) for name, a in state["arrays"].items()}
+    return state
+
+
+def _join_ledger(
+    entry: Dict[str, Any], arrays: Dict[str, np.ndarray]
+) -> Dict[str, Any]:
+    """Inverse of :func:`_split_ledger`, checking every length."""
+    state = dict(entry, arrays={})
+    for name, length in entry["arrays"].items():
+        array = arrays[f"ledger/{name}"]
+        if len(array) != int(length):
+            raise ValueError(
+                f"ledger member {name!r} has {len(array)} entries, "
+                f"manifest says {length}"
+            )
+        state["arrays"][name] = array
+    return state
 
 
 def apply_run_state(trainer: Any, ckpt: Checkpoint) -> None:
@@ -212,10 +244,8 @@ def _apply(trainer: Any, ckpt: Checkpoint, manifest: Dict[str, Any]) -> None:
     for client in trainer.clients:
         client.set_rng_state(manifest["rng"]["clients"][str(client.client_id)])
     trainer.sampler.load_state_dict(manifest["rng"]["sampler"])
-    trainer.ledger.load_state_dict(manifest["ledger"])
-    # Tolerant of pre-health checkpoints (manifest.get): the cursor
-    # then starts fresh, which only delays a stall verdict.
-    health_state = manifest.get("health")
+    trainer.ledger.load_state_dict(_join_ledger(manifest["ledger"], ckpt.arrays))
+    health_state = manifest["health"]
     if health_state is not None and trainer.health is not None:
         trainer.health.load_state_dict(health_state)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.nn.serialization import STATUS_MESSAGE_BYTES, update_nbytes
 from repro.obs.metrics import MetricsRegistry
 
@@ -91,22 +93,25 @@ class CommunicationLedger:
         return [self.skips_per_client.get(c, 0) for c in range(n_clients)]
 
     def state_dict(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of the running totals (keys stringified —
-        JSON objects cannot carry int keys)."""
+        """Snapshot of the running totals: plain ints, plus — under
+        ``"arrays"`` — the three tables as int64 arrays (the per-client
+        ones as ``<table>/ids`` + ``<table>/counts`` sorted by id), so a
+        checkpoint stores them as array members, not as one JSON key
+        per client ever touched."""
         return {
             "n_params": self.n_params,
             "accumulated_rounds": self.accumulated_rounds,
             "uploaded_bytes": self.uploaded_bytes,
             "status_bytes": self.status_bytes,
-            "skips_per_client": {
-                str(k): v for k, v in self.skips_per_client.items()
-            },
-            "uploads_per_client": {
-                str(k): v for k, v in self.uploads_per_client.items()
-            },
-            "rounds_per_iteration": list(self.rounds_per_iteration),
             "staleness_total": self.staleness_total,
             "staleness_max": self.staleness_max,
+            "arrays": {
+                **_table_arrays("skips_per_client", self.skips_per_client),
+                **_table_arrays("uploads_per_client", self.uploads_per_client),
+                "rounds_per_iteration": np.asarray(
+                    self.rounds_per_iteration, dtype=np.int64
+                ),
+            },
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -120,16 +125,29 @@ class CommunicationLedger:
         self.accumulated_rounds = int(state["accumulated_rounds"])
         self.uploaded_bytes = int(state["uploaded_bytes"])
         self.status_bytes = int(state["status_bytes"])
-        self.skips_per_client = {
-            int(k): int(v) for k, v in state["skips_per_client"].items()
-        }
-        self.uploads_per_client = {
-            int(k): int(v) for k, v in state["uploads_per_client"].items()
-        }
-        self.rounds_per_iteration = [
-            int(r) for r in state["rounds_per_iteration"]
-        ]
-        # .get: snapshots written before the async engine carry no
-        # staleness keys; those runs were synchronous, so zeros.
-        self.staleness_total = int(state.get("staleness_total", 0))
-        self.staleness_max = int(state.get("staleness_max", 0))
+        self.staleness_total = int(state["staleness_total"])
+        self.staleness_max = int(state["staleness_max"])
+        arrays = state["arrays"]
+        self.skips_per_client = _table_dict(arrays, "skips_per_client")
+        self.uploads_per_client = _table_dict(arrays, "uploads_per_client")
+        self.rounds_per_iteration = arrays["rounds_per_iteration"].tolist()
+
+
+def _table_arrays(name: str, table: Dict[int, int]) -> Dict[str, np.ndarray]:
+    """A per-client count table as ``<name>/ids`` + ``<name>/counts``,
+    sorted by id so equal tables give equal bytes whatever their
+    insertion order."""
+    ids = np.fromiter(table, dtype=np.int64, count=len(table))
+    counts = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    order = np.argsort(ids)
+    return {f"{name}/ids": ids[order], f"{name}/counts": counts[order]}
+
+
+def _table_dict(arrays: Dict[str, np.ndarray], name: str) -> Dict[int, int]:
+    """Inverse of :func:`_table_arrays`."""
+    ids, counts = arrays[f"{name}/ids"], arrays[f"{name}/counts"]
+    if len(ids) != len(counts):
+        raise ValueError(
+            f"ledger table {name!r} has {len(ids)} ids but {len(counts)} counts"
+        )
+    return dict(zip(ids.tolist(), counts.tolist()))

@@ -306,17 +306,19 @@ class AsyncFederatedTrainer:
         inflight = self._inflight[event.iteration]
         inflight.pending.remove(event.client_id)
         inflight.arrived.append(event.client_id)
-        if not self.sync_mode and self.tracer.enabled:
-            self.tracer.metrics.counter("async.arrivals").inc()
-            if self.tracer.span_sampled(event.iteration, event.client_id):
-                self.tracer.record_span(
-                    "admit",
-                    attrs={
-                        "iteration": event.iteration,
-                        "client_id": event.client_id,
-                        "virtual_time": self.clock.now,
-                    },
-                )
+        if (
+            not self.sync_mode
+            and self.tracer.enabled
+            and self.tracer.span_sampled(event.iteration, event.client_id)
+        ):
+            self.tracer.record_span(
+                "admit",
+                attrs={
+                    "iteration": event.iteration,
+                    "client_id": event.client_id,
+                    "virtual_time": self.clock.now,
+                },
+            )
         # Closes run strictly in round order: a fully arrived round
         # waits until every earlier round has closed, so the decide/
         # aggregate reduction order is a pure function of the schedule.
@@ -369,6 +371,9 @@ class AsyncFederatedTrainer:
             if self.tracer.enabled:
                 metrics = self.tracer.metrics
                 metrics.counter("async.closes").inc()
+                # Once per closed round, not once per arrival: every
+                # inc() streams a metric event into the trace.
+                metrics.counter("async.arrivals").inc(len(inflight.arrived))
                 metrics.histogram("async.staleness").observe(float(staleness))
                 metrics.gauge("async.virtual_time").set(self.clock.now)
                 self.tracer.record_span(

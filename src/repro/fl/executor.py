@@ -313,40 +313,45 @@ class BatchedExecutor(ClientExecutor):
             [client.epoch_order() for _ in range(plan.local_epochs)]
             for client in cohort
         ]
-        losses: List[List[float]] = [[] for _ in cohort]
+        # One gather buffer per cohort call, refilled in place every
+        # epoch: per-step minibatches are plain slices whose per-client
+        # slabs are contiguous — the same memory layout Dataset.batches
+        # hands the serial path.
+        first = cohort[0].train_data
+        x_epoch = np.empty(
+            (len(cohort), n_samples) + first.x.shape[1:], dtype=first.x.dtype
+        )
+        y_epoch = np.empty(
+            (len(cohort), n_samples) + first.y.shape[1:], dtype=first.y.dtype
+        )
+        steps_per_epoch = -(-n_samples // plan.batch_size)
+        losses = np.empty(
+            (len(cohort), plan.local_epochs * steps_per_epoch), dtype=np.float64
+        )
+        step = 0
         for epoch in range(plan.local_epochs):
-            # One stacked gather of the whole permuted epoch per
-            # client; per-step minibatches are then plain slices whose
-            # per-client slabs are contiguous — the same memory layout
-            # Dataset.batches hands the serial path.
-            x_epoch = np.stack(
-                [
-                    client.train_data.x[orders[ci][epoch]]
-                    for ci, client in enumerate(cohort)
-                ]
-            )
-            y_epoch = np.stack(
-                [
-                    client.train_data.y[orders[ci][epoch]]
-                    for ci, client in enumerate(cohort)
-                ]
-            )
+            for ci, client in enumerate(cohort):
+                order = orders[ci][epoch]
+                np.take(client.train_data.x, order, axis=0, out=x_epoch[ci])
+                np.take(client.train_data.y, order, axis=0, out=y_epoch[ci])
             for start in range(0, n_samples, plan.batch_size):
                 sl = slice(start, start + plan.batch_size)
-                batch_losses = engine.train_step_all(
+                losses[:, step] = engine.train_step_all(
                     x_epoch[:, sl], y_epoch[:, sl], plan.lr
                 )
-                for ci in range(len(cohort)):
-                    losses[ci].append(float(batch_losses[ci]))
+                step += 1
         stacked = engine.extract_updates(plan.global_params)
+        # The same flat mean over all E x B batch losses the serial
+        # client computes (see FLClient.compute_update): reducing the
+        # contiguous last axis runs numpy's pairwise sum over each
+        # client's row, exactly as np.mean does over the serial list.
+        train_losses = losses.mean(axis=1)
         return [
             ClientUpdate(
                 client_id=client.client_id,
                 update=stacked[ci].copy(),
                 n_samples=client.n_samples,
-                # The same flat mean over all E x B batch losses the
-                # serial client computes (see FLClient.compute_update).
-                train_loss=float(np.mean(losses[ci])),
+                train_loss=float(train_losses[ci]),
             )
             for ci, client in enumerate(cohort)
         ]

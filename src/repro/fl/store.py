@@ -562,20 +562,28 @@ class ClientStateStore:
         }
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Materialized shard arrays, keyed ``shard/<id>/<field>``."""
+        """Materialized shards as whole-store columns.
+
+        ``rng`` / ``live`` / ``stats`` hold the rows of every
+        materialized shard, concatenated in shard-id order (``feedback``
+        those of the shards that track it); :meth:`manifest` lists the
+        ids.  A checkpoint therefore carries at most four store members
+        however many shards are live.
+        """
         if self._outstanding:
             raise RuntimeError(
                 f"{len(self._outstanding)} views are checked out; the "
                 "store only snapshots at round boundaries"
             )
-        arrays: Dict[str, np.ndarray] = {}
-        for shard_id in sorted(self._shards):
-            shard = self._shards[shard_id]
-            arrays[f"shard/{shard_id}/rng"] = shard.rng
-            arrays[f"shard/{shard_id}/live"] = shard.live
-            arrays[f"shard/{shard_id}/stats"] = shard.stats
-            if shard.feedback is not None:
-                arrays[f"shard/{shard_id}/feedback"] = shard.feedback
+        # The leading zero-row shard gives an untouched store columns too.
+        shards = [_Shard(0)] + [self._shards[s] for s in sorted(self._shards)]
+        arrays = {
+            name: np.concatenate([getattr(shard, name) for shard in shards])
+            for name in ("rng", "live", "stats")
+        }
+        feedback = [s.feedback for s in shards if s.feedback is not None]
+        if feedback:
+            arrays["feedback"] = np.concatenate(feedback)
         return arrays
 
     def load_state(
@@ -593,31 +601,37 @@ class ClientStateStore:
                 f"store snapshot partition {manifest['partition']!r} does "
                 f"not match {self.partition.describe()!r}"
             )
-        self._shards = {}
-        feedback_shards = set(manifest.get("feedback_shards", ()))
-        for shard_id in manifest["shards"]:
-            shard_id = int(shard_id)
-            rows = self._shard_rows(shard_id)
-            shard = _Shard(rows)
-            rng = np.asarray(arrays[f"shard/{shard_id}/rng"], dtype=np.uint64)
-            live = np.asarray(arrays[f"shard/{shard_id}/live"], dtype=bool)
-            stats = np.asarray(
-                arrays[f"shard/{shard_id}/stats"], dtype=np.int64
+        rows = {int(s): self._shard_rows(int(s)) for s in manifest["shards"]}
+        total = sum(rows.values())
+        feedback_shards = {int(s) for s in manifest["feedback_shards"]}
+        n_feedback = sum(rows[s] for s in feedback_shards)
+        rng = np.asarray(arrays["rng"], dtype=np.uint64)
+        live = np.asarray(arrays["live"], dtype=bool)
+        stats = np.asarray(arrays["stats"], dtype=np.int64)
+        feedback = np.asarray(arrays.get("feedback", ()), dtype=np.uint8)
+        if (
+            rng.shape != (total, 6)
+            or live.shape != (total,)
+            or stats.shape != (total, 3)
+            or len(feedback) != n_feedback
+        ):
+            raise ValueError(
+                f"store columns have the wrong shape for the {total} rows "
+                f"({n_feedback} with feedback) of shards {list(rows)}"
             )
-            if rng.shape != (rows, 6) or live.shape != (rows,) or (
-                stats.shape != (rows, 3)
-            ):
-                raise ValueError(
-                    f"shard {shard_id} arrays have the wrong shape for "
-                    f"{rows} rows"
-                )
-            shard.rng[...] = rng
-            shard.live[...] = live
-            shard.stats[...] = stats
+        self._shards = {}
+        start = feedback_start = 0
+        for shard_id, n_rows in rows.items():
+            shard = _Shard(n_rows)
+            shard.rng[...] = rng[start : start + n_rows]
+            shard.live[...] = live[start : start + n_rows]
+            shard.stats[...] = stats[start : start + n_rows]
+            start += n_rows
             if shard_id in feedback_shards:
-                shard.feedback = np.asarray(
-                    arrays[f"shard/{shard_id}/feedback"], dtype=np.uint8
-                ).copy()
+                shard.feedback = feedback[
+                    feedback_start : feedback_start + n_rows
+                ].copy()
+                feedback_start += n_rows
             self._shards[shard_id] = shard
 
     def __repr__(self) -> str:

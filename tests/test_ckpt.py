@@ -164,6 +164,15 @@ class TestContainerFormat:
         with pytest.raises(CheckpointError, match="repro-ckpt/v999"):
             read_checkpoint(path)
 
+    def test_v1_container_rejected(self, tmp_path):
+        # One reader path: a pre-v2 file (ledger tables in the manifest)
+        # is refused by the schema check, not half-understood.
+        path = tmp_path / "a.ckpt"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("manifest.json", json.dumps({"schema": "repro-ckpt/v1"}))
+        with pytest.raises(CheckpointError, match="repro-ckpt/v1"):
+            read_checkpoint(path)
+
     def test_not_a_zip_rejected(self, tmp_path):
         path = tmp_path / "a.ckpt"
         path.write_text("this is not a checkpoint")
@@ -359,6 +368,30 @@ def _history(policy="cmfl", n=3):
 
 
 class TestHistoryContinuation:
+    def test_to_jsonl_is_the_asdict_encoding(self):
+        """to_jsonl skips dataclasses.asdict's deep copy; the text must
+        stay byte-identical to that reference encoding."""
+        from dataclasses import asdict
+
+        history = _history(n=2)
+        history.records[0].test_loss = 0.25
+        history.records[0].test_metric = 0.5
+        history.append(
+            RoundRecord(
+                iteration=3, n_clients=3, n_uploaded=0,
+                accumulated_rounds=4, total_bytes=312, lr=0.05,
+                mean_train_loss=1 / 3, mean_score=float("nan"), threshold=0.7,
+                uploaded_ids=[], staleness=2, virtual_time=17.25,
+            )
+        )
+        header = {"schema": "repro-run-history/v2", "policy_name": "cmfl"}
+        reference = "".join(
+            json.dumps(obj, sort_keys=True) + "\n"
+            for obj in [header] + [asdict(r) for r in history.records]
+        )
+        assert history.to_jsonl() == reference
+        assert history.records[1].test_metric is None
+
     def test_append_extends_existing_file(self, tmp_path):
         path = tmp_path / "run.jsonl"
         _history(n=2).to_jsonl(path)

@@ -257,3 +257,20 @@ class TestBoundedStaleness:
         }
         assert {"dispatch", "round_close"} <= span_names
         assert "round" not in span_names
+
+    def test_arrivals_are_counted_once_per_closed_round(self, tmp_path):
+        # Every Counter.inc() streams a metric event; one per arrival
+        # was 4/5 of a population run's trace.
+        path = tmp_path / "t.jsonl"
+        self._run(staleness_bound=2, trace_path=path, speed_sigma=1.0)
+        events = load_trace(path)
+        arrivals = [
+            e for e in events
+            if e.get("kind") == "metric" and e["name"] == "async.arrivals"
+        ]
+        closes = [
+            e for e in events
+            if e.get("kind") == "span" and e["name"] == "round_close"
+        ]
+        assert len(closes) == 4
+        assert 1 <= len(arrivals) <= len(closes)

@@ -166,6 +166,31 @@ class TestBatchedBackend:
         # Two 2-client cohorts share one engine; the singleton has none.
         assert set(executor._engines) == {2}
 
+    @pytest.mark.parametrize("steps", [7, 8, 9, 17, 129])
+    def test_train_loss_reduction_is_the_serial_one(self, steps):
+        """``train_loss`` is bitwise the serial ``np.mean`` over the
+        client's batch losses — at step counts on both sides of numpy's
+        pairwise-sum block boundaries (8 and 128), where reducing the
+        stacked losses along the wrong axis sums in another order."""
+
+        def losses(backend):
+            rngs = child_rngs(5, 3)
+            workspace = _make_workspace(rngs[0])
+            clients = []
+            for i in range(2):
+                x = rngs[1 + i].normal(size=(2 * steps, 5))
+                y = (x @ np.ones(5) > 0).astype(np.int64)
+                clients.append(
+                    FLClient(i, Dataset(x, y), rng=np.random.default_rng(40 + i))
+                )
+            plan = RoundPlan(iteration=1, lr=0.3, local_epochs=1, batch_size=2,
+                             global_params=workspace.get_flat())
+            with make_executor(backend) as executor:
+                executor.bind(workspace, clients)
+                return [u.train_loss for u in executor.run_round(plan, clients)]
+
+        assert losses("batched") == losses("serial")
+
     def test_stateful_optimizer_falls_back_per_client(self):
         """No batched path for Momentum: every client runs the serial
         reference, results still bitwise-identical."""

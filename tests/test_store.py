@@ -254,6 +254,40 @@ class TestStoreCore:
         store.writeback([a])
         other.writeback([b])
 
+    def test_state_columns_span_shards_and_partial_feedback(self):
+        """Shard rows travel as whole-store columns: ragged last shard,
+        feedback on only some shards, and an untouched store."""
+        def store():
+            return ClientStateStore(
+                100, CyclicPartition(_dataset(rows=60), 100, 10), seed=4,
+                shard_size=32, track_feedback=True, n_params=9,
+            )
+
+        source = store()
+        assert {k: len(v) for k, v in source.state_arrays().items()} == {
+            "rng": 0, "live": 0, "stats": 0,
+        }
+        store().load_state(source.manifest(), source.state_arrays())
+        source.writeback(source.checkout([1, 40, 99]))  # shards 0, 1, 3
+        u_bar = np.array([0.5, -1.0, 0.0, 2.0, -3.0, 0.0, 1.0, 1.0, -1.0])
+        source.record_round(1, [40], [99], feedback_sign=u_bar)
+        arrays = source.state_arrays()
+        assert set(arrays) == {"rng", "live", "stats", "feedback"}
+        assert len(arrays["rng"]) == 32 + 32 + 4
+        assert len(arrays["feedback"]) == 32 + 4
+        other = store()
+        other.load_state(source.manifest(), arrays)
+        assert other.materialized_shards == source.materialized_shards
+        assert other.feedback_signs(1) is None
+        for index in (40, 99):
+            assert np.array_equal(other.feedback_signs(index), np.sign(u_bar))
+            assert other.participation_stats(index) == (
+                source.participation_stats(index)
+            )
+        with pytest.raises(ValueError, match="wrong shape"):
+            arrays["feedback"] = arrays["feedback"][:-1]
+            store().load_state(source.manifest(), arrays)
+
     def test_load_state_validates_identity(self):
         store = self._store()
         views = store.checkout([0])
@@ -458,6 +492,100 @@ class TestStoreCheckpoint:
                 path,
                 _workspace(),
                 _clients(),  # eager federation, store-backed checkpoint
+                CMFLPolicy(InverseSqrtThreshold(0.8)),
+                _config(rounds=8),
+                sampler=UniformSampler(0.5, rng=5),
+            )
+
+    @pytest.mark.parametrize("store_backed", [False, True])
+    def test_ledger_tables_survive_restore(self, tmp_path, store_backed):
+        """The ledger's tables ride as array members; a restore gives
+        back the same int-keyed dicts and list, eager or store-backed."""
+
+        def clients():
+            eager = _clients()
+            if store_backed:
+                return ClientStateStore.from_clients(eager, shard_size=4)
+            return eager
+
+        def build():
+            return FederatedTrainer(
+                _workspace(), clients(), CMFLPolicy(InverseSqrtThreshold(0.8)),
+                _config(rounds=8), sampler=UniformSampler(0.5, rng=5),
+            )
+
+        crashed = build()
+        crashed.run(5)
+        path = crashed.save_checkpoint(tmp_path / "ledger.ckpt")
+        resumed = FederatedTrainer.restore(
+            path, _workspace(), clients(),
+            CMFLPolicy(InverseSqrtThreshold(0.8)), _config(rounds=8),
+            sampler=UniformSampler(0.5, rng=5),
+        )
+        ledger = resumed.ledger
+        assert ledger.uploads_per_client == crashed.ledger.uploads_per_client
+        assert ledger.skips_per_client == crashed.ledger.skips_per_client
+        assert ledger.uploads_per_client and ledger.skips_per_client
+        assert all(
+            type(k) is int and type(v) is int
+            for table in (ledger.uploads_per_client, ledger.skips_per_client)
+            for k, v in table.items()
+        )
+        assert ledger.rounds_per_iteration == crashed.ledger.rounds_per_iteration
+        assert ledger == crashed.ledger
+
+    def test_manifest_size_does_not_follow_clients_touched(self, tmp_path):
+        """A checkpoint's JSON manifest is O(1) in the clients and
+        shards touched: tables and shard rows are array members."""
+        import zipfile
+
+        population, cohort = 50_000, 1_000
+        data = _dataset(rows=200)
+        store = ClientStateStore(
+            population, CyclicPartition(data, population, 10), seed=2,
+            shard_size=64,
+        )
+        trainer = FederatedTrainer(
+            _workspace(), store, CMFLPolicy(InverseSqrtThreshold(0.8)),
+            _config(rounds=6, backend="batched"),
+            sampler=UniformSampler(count=cohort, rng=5),
+        )
+        for rounds, at_least in ((1, 1_000), (5, 5_000)):
+            trainer.run(rounds)
+            ledger = trainer.ledger
+            touched = set(ledger.uploads_per_client) | set(ledger.skips_per_client)
+            assert len(touched) >= at_least
+            path = trainer.save_checkpoint(tmp_path / f"{at_least}.ckpt")
+            with zipfile.ZipFile(path) as zf:
+                assert zf.getinfo("manifest.json").file_size < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "table, grown",
+        [
+            ("skips_per_client", ("ids",)),
+            ("uploads_per_client", ("ids", "counts")),
+        ],
+    )
+    def test_ledger_table_length_mismatch_names_the_table(
+        self, tmp_path, table, grown
+    ):
+        """ids vs counts, and both vs the manifest's length."""
+        from repro.ckpt.format import CheckpointError, write_checkpoint
+        from repro.ckpt.state import capture_run_state
+
+        trainer = self._build()
+        trainer.run(3)
+        manifest, arrays, texts = capture_run_state(trainer)
+        for column in grown:
+            key = f"ledger/{table}/{column}"
+            arrays[key] = np.append(arrays[key], 7)
+        path = tmp_path / "hostile.ckpt"
+        write_checkpoint(path, manifest, arrays, texts)
+        with pytest.raises(CheckpointError, match=table):
+            FederatedTrainer.restore(
+                path,
+                _workspace(),
+                ClientStateStore.from_clients(_clients(), shard_size=4),
                 CMFLPolicy(InverseSqrtThreshold(0.8)),
                 _config(rounds=8),
                 sampler=UniformSampler(0.5, rng=5),
