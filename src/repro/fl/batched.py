@@ -3,10 +3,12 @@
 A federated round's compute half is embarrassingly parallel across
 clients, but running it one client at a time spends most of each step
 in numpy dispatch on small operands.  :class:`BatchedWorkspace` stacks
-C same-schedule clients into one leading client axis — stacked flat
-parameters ``(C, n_params)``, one ``(C, batch, ...)`` minibatch tensor
-per step — so a cohort's round runs as a handful of large kernels
-(stacked GEMMs, batched im2col/einsum) instead of ``C`` small ones.
+C clients into one leading client axis — stacked flat parameters
+``(C, n_params)``, one ``(C, batch, ...)`` minibatch tensor per step —
+so a round runs as a handful of large kernels (stacked GEMMs, batched
+im2col/einsum) instead of ``C`` small ones.  Unequal shards share the
+stack: a step only rows ``a:b`` have runs on a *window* of it (the
+schedule is :class:`~repro.fl.executor.BatchedExecutor`'s).
 
 Determinism contract (what keeps history digests bitwise-identical to
 the serial backend):
@@ -18,7 +20,8 @@ the serial backend):
 * every stacked kernel is chosen so each per-client slice sees the
   serial operand shapes and strides, making numpy perform the same
   per-element floating-point operation sequence (see
-  :mod:`repro.nn.module` for the layer-level contract);
+  :mod:`repro.nn.module` for the layer-level contract) — which is why
+  unequal minibatches are never padded and masked;
 * per-client minibatch order is driven by each client's own RNG stream
   (:meth:`repro.fl.client.FLClient.epoch_order`), drawn exactly as
   ``Dataset.batches`` would draw it serially.
@@ -28,15 +31,17 @@ stateful optimizer — raises
 :class:`~repro.nn.module.BatchedUnsupported` at construction, which the
 executor treats as "use the per-client fallback".
 
-Observability caveat: a cohort's kernel time is attributed *evenly*
-across its members when the executor replays ``client_compute`` spans
-and feeds the round rollup, so per-client compute quantiles are flat
-within a cohort and ``runtime.health.straggler`` findings can only
-surface *between* cohorts (or from fallback singletons) on this
-backend — real per-client timing variance needs the serial backend.
+Observability caveat: clients on one stack run in lockstep, so the
+executor can only split the stack's wall over them — in proportion to
+their sample-steps (``E x n_k``).  Per-client compute quantiles
+therefore follow the shard sizes (flat when they are equal) and a
+``runtime.health.straggler`` finding on this backend means "more data",
+never "slow device" — real timing variance needs the serial backend.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +54,7 @@ __all__ = ["BatchedWorkspace"]
 
 
 class BatchedWorkspace:
-    """C same-schedule clients as one stack of large numpy ops.
+    """C clients as one stack of large numpy ops.
 
     Built from the trainer's (serial) workspace: the model's batched
     counterpart reads and writes strided views into one
@@ -60,6 +65,11 @@ class BatchedWorkspace:
     stateful optimizers (Momentum, Adam) raise
     :class:`~repro.nn.module.BatchedUnsupported` so cohorts fall back
     to the per-client path.
+
+    A step can also run on a *window*, a second twin model bound to
+    **views** of rows ``a:b`` of the same pair (no copy of anybody's
+    parameters); windows are built on first use and dropped by
+    :meth:`extract_updates`, when the round's ragged tail is over.
     """
 
     def __init__(self, workspace: ModelWorkspace, n_clients: int) -> None:
@@ -73,11 +83,21 @@ class BatchedWorkspace:
             )
         self.n_clients = n_clients
         self.n_params = workspace.n_params
-        self._binder = BatchedParamBinder(n_clients, workspace.n_params)
-        self._model: BatchedModule = workspace.model.batched(self._binder)
-        self._binder.finish()
-        self._loss: BatchedLoss = workspace.loss.batched()
+        self._workspace = workspace
         self._weight_decay = optimizer.weight_decay
+        self._binder = BatchedParamBinder(n_clients, workspace.n_params)
+        #: ``(binder, twin model, twin loss)`` by row window; ``None``
+        #: is the whole stack.
+        self._bound: Dict[Optional[Tuple[int, int]], tuple] = {
+            None: self._bind(self._binder)
+        }
+
+    def _bind(
+        self, binder: BatchedParamBinder
+    ) -> Tuple[BatchedParamBinder, BatchedModule, BatchedLoss]:
+        model = self._workspace.model.batched(binder)
+        binder.finish()
+        return binder, model, self._workspace.loss.batched()
 
     @property
     def params(self) -> np.ndarray:
@@ -99,24 +119,39 @@ class BatchedWorkspace:
         self._binder.data[...] = flat[None, :]
 
     def train_step_all(
-        self, x: np.ndarray, y: np.ndarray, lr: float
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        lr: float,
+        rows: Optional[Tuple[int, int]] = None,
     ) -> np.ndarray:
-        """One stacked SGD step; returns the ``(C,)`` per-client losses.
+        """One stacked SGD step; returns the per-client losses.
 
         Mirrors ``ModelWorkspace.train_step`` slice by slice: zero the
         gradients, forward, loss, backward, SGD update — with every
         reduction kept inside its client row.  The fused update
         ``params -= lr * grads`` is elementwise, hence bitwise equal to
-        the serial per-parameter loop.
+        the serial per-parameter loop.  ``rows=(a, b)`` steps only
+        rows ``a:b`` (``x`` and ``y`` carry ``b - a`` clients); no
+        other row is read or written.
         """
-        self._binder.grad[...] = 0.0
-        out = self._model.forward(x, training=True)
-        loss_values = self._loss.forward(out, y)
-        self._model.head_backward(self._loss.backward())
-        grads = self._binder.grad
+        if rows == (0, self.n_clients):
+            rows = None  # the whole stack is not a second twin
+        bound = self._bound.get(rows)
+        if bound is None:
+            bound = self._bound[rows] = self._bind(self._binder.window(*rows))
+        binder, model, loss = bound
+        binder.grad[...] = 0.0
+        out = model.forward(x, training=True)
+        loss_values = loss.forward(out, y)
+        model.head_backward(loss.backward())
+        # In place on the gradient rows (the next step zeroes them):
+        # no stack-sized temporary, same ``lr * (grad + wd * param)``.
+        grads = binder.grad
         if self._weight_decay:
-            grads = grads + self._weight_decay * self._binder.data
-        self._binder.data -= lr * grads
+            grads += self._weight_decay * binder.data
+        grads *= lr
+        binder.data -= grads
         return loss_values
 
     def extract_updates(self, global_params: np.ndarray) -> np.ndarray:
@@ -126,6 +161,7 @@ class BatchedWorkspace:
         and they leave one row at a time; nothing is ever summed across
         the client axis inside the engine.
         """
+        self._bound = {None: self._bound[None]}
         updates = self._binder.data.copy()
         flat = np.asarray(global_params, dtype=np.float64).reshape(-1)
         updates -= flat[None, :]

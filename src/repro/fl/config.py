@@ -11,9 +11,9 @@ __all__ = ["EMPTY_ROUND_MODES", "EXECUTOR_BACKENDS", "FLConfig"]
 
 #: Client-execution backends (see :mod:`repro.fl.executor`):
 #: "serial"  -- one shared workspace, clients run back to back;
-#: "batched" -- same-schedule clients stacked into one leading client
-#:              axis, each round step one set of large numpy kernels
-#:              (see :mod:`repro.fl.batched`).
+#: "batched" -- the round's clients stacked into one leading client
+#:              axis and stepped in lockstep, each step one set of
+#:              large numpy kernels (see :mod:`repro.fl.batched`).
 #: Both produce bitwise-identical run histories.
 EXECUTOR_BACKENDS = ("serial", "batched")
 

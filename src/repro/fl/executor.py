@@ -12,18 +12,18 @@ both backends bitwise-identical:
   (the deterministic reduction order).
 
 The serial backend is the reference every equivalence contract is tied
-to.  The batched backend vectorizes: same-schedule clients are stacked
-into one leading client axis and the round's compute half runs as a
-handful of large numpy kernels through a
-:class:`~repro.fl.batched.BatchedWorkspace`, with a per-client fallback
-loop for stragglers and unsupported models.
+to.  The batched backend vectorizes: the round's participants, sorted
+by shard size, are stacked into one leading client axis and run in
+lockstep as a handful of large numpy kernels through a
+:class:`~repro.fl.batched.BatchedWorkspace`, with the per-client loop
+left only for models that have no batched path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +45,12 @@ __all__ = [
 
 #: One client task's runtime data: ``(queue_wait, dur, worker)``.
 TaskTiming = Tuple[float, float, str]
+
+#: Ceiling on one stack's ``(rows, n_params)`` float64 parameter +
+#: gradient pair, 16 B per parameter per row.  Paper-scale NWP
+#: (1 469 940 parameters x 100 roles = 2.2 GiB) runs as five 20-row
+#: chunks of 449 MiB; every benchmark federation is one stack.
+MAX_STACK_BYTES = 512 * 2**20
 
 
 @dataclass(frozen=True)
@@ -156,31 +162,28 @@ class SerialExecutor(ClientExecutor):
     def run_round(self, plan, participants):
         if self._workspace is None:
             raise RuntimeError("executor not bound to a trainer")
-        tracer = self.tracer
-        _emit_broadcast_span(tracer, plan)
-        outcomes = _run_on_workspace(
-            self._workspace, plan, participants, self.name, monotonic(), tracer
+        _emit_broadcast_span(self.tracer, plan)
+        return _run_per_client(
+            self._workspace, plan, participants, self.name, self.tracer
         )
-        results: List[ClientUpdate] = []
-        for client, (update, timing) in zip(participants, outcomes):
-            _emit_task_span(tracer, plan, client, timing)
-            results.append(update)
-        return results
 
 
 class BatchedExecutor(ClientExecutor):
-    """Cross-client vectorized backend: cohorts run as stacked kernels.
+    """Cross-client vectorized backend: one stack per round, in lockstep.
 
-    Participants are grouped into *cohorts* by shard size — equal
-    ``n_samples`` means an identical epoch/batch schedule, so their
-    compute stacks into one leading client axis.  Each cohort of two or
-    more runs through a :class:`~repro.fl.batched.BatchedWorkspace`:
-    the round's compute half becomes a handful of large numpy ops
-    (stacked GEMMs, batched im2col/einsum) whose per-client slices are
-    bitwise equal to the serial path.  Singleton cohorts — and entire
-    federations whose model, loss or optimizer has no batched path —
-    fall back to the serial per-client loop on the bound workspace, so
-    heterogeneous stragglers never break a round.
+    The participants are sorted by shard size (stable, so participant
+    order inside equal sizes) into one ``(C, n_params)`` stack on a
+    :class:`~repro.fl.batched.BatchedWorkspace` — or the fewest equal
+    chunks of the sorted rows that stay under :data:`MAX_STACK_BYTES`.
+    Step ``s`` of client ``k`` is a minibatch of ``min(B, n_k - s*B)``
+    samples, so rows with equally long minibatches are adjacent: each
+    such *run* is one ``train_step_all`` — the whole stack for the steps
+    every client has in full, row *windows* (views of rows ``a:b``) for
+    the ragged tail.  Nothing is padded or masked, so every client's
+    slice of every kernel is bitwise the serial one (DESIGN 6b).  Only
+    a model without a batched path
+    (:class:`~repro.nn.module.BatchedUnsupported`) runs the serial
+    per-client loop — the whole round, in participant order.
 
     Per-client minibatch order comes from each client's own RNG stream
     via :meth:`~repro.fl.client.FLClient.epoch_order`: the client
@@ -188,18 +191,18 @@ class BatchedExecutor(ClientExecutor):
     backends consume each stream identically.
 
     Observability: ``client_compute`` spans are replayed in participant
-    order with ``rt`` timings from the batched kernel — a cohort's wall
-    time is attributed evenly across its members and the worker label
-    names the cohort (``batched-<size>``), while the deterministic
-    attrs stay identical to the serial backend's.
+    order; a stack's wall time is split over its members by their
+    sample-steps (``E x n_k``), the worker label names the stack
+    (``batched-<rows>``), and the deterministic attrs stay identical
+    to the serial backend's.
     """
 
     name = "batched"
 
     def __init__(self) -> None:
         self._workspace: Optional[ModelWorkspace] = None
-        #: One engine per cohort size, built lazily and kept across
-        #: rounds (cohort sizes repeat under full participation).
+        #: One engine per stack height, built lazily and kept across
+        #: rounds (heights repeat under a fixed cohort size).
         self._engines: Dict[int, BatchedWorkspace] = {}
         self._unsupported: Optional[str] = None
         self.tracer = NULL_TRACER
@@ -212,7 +215,7 @@ class BatchedExecutor(ClientExecutor):
         self.tracer = tracer or NULL_TRACER
 
     def _engine_for(self, size: int) -> Optional[BatchedWorkspace]:
-        """The cohort engine, or None when this model must fall back."""
+        """The ``size``-row engine, or None when this model must fall back."""
         if self._unsupported is not None:
             return None
         engine = self._engines.get(size)
@@ -220,7 +223,7 @@ class BatchedExecutor(ClientExecutor):
             try:
                 engine = BatchedWorkspace(self._workspace, size)
             except BatchedUnsupported as exc:
-                # Remember why so every later cohort skips the retry.
+                # Remember why so every later round skips the retry.
                 self._unsupported = str(exc)
                 self.tracer.metrics.counter(
                     "runtime.executor.batched_fallbacks"
@@ -235,144 +238,175 @@ class BatchedExecutor(ClientExecutor):
         tracer = self.tracer
         _emit_broadcast_span(tracer, plan)
         round_start = monotonic()
-        # Cohorts keyed by shard size; indices keep participant order
-        # both within each cohort and for the final result alignment.
-        cohorts: Dict[int, List[int]] = {}
-        for idx, client in enumerate(participants):
-            cohorts.setdefault(client.n_samples, []).append(idx)
-        results: List[Optional[ClientUpdate]] = [None] * len(participants)
-        timings: List[Optional[TaskTiming]] = [None] * len(participants)
-        # Probe batched support once with the largest multi-client
-        # cohort; on BatchedUnsupported every cohort must fall back.
-        multi_sizes = [len(ix) for ix in cohorts.values() if len(ix) > 1]
-        batchable = bool(multi_sizes) and (
-            self._engine_for(max(multi_sizes)) is not None
-        )
-        if batchable:
-            groups = [cohorts[n_samples] for n_samples in sorted(cohorts)]
-        else:
-            # Full per-client fallback, in **participant order**: with
-            # a stateful optimizer the shared workspace's slot state
-            # makes client order observable, and participant order is
-            # the serial reference.  (The mixed path never hits this:
-            # batched support implies a stateless plain SGD, so
-            # singleton stragglers can run interleaved with cohorts.)
-            groups = [list(range(len(participants)))]
-        for indices in groups:
-            cohort = [participants[idx] for idx in indices]
-            engine = (
-                self._engine_for(len(cohort))
-                if batchable and len(cohort) > 1
-                else None
+        # Stable sort by shard size; the indices keep participant order
+        # inside equal sizes and align the results at the end.  The
+        # sorted rows run as one stack, or as the fewest equal chunks
+        # that each stay under MAX_STACK_BYTES.
+        count = len(participants)
+        order = sorted(range(count), key=lambda i: participants[i].n_samples)
+        max_rows = max(1, MAX_STACK_BYTES // max(1, 16 * self._workspace.n_params))
+        rows = -(-count // max(1, -(-count // max_rows)))
+        chunks = [order[i : i + rows] for i in range(0, count, rows)]
+        if chunks and self._engine_for(len(chunks[0])) is None:
+            # No batched path for this model: the serial reference, in
+            # **participant order** — with a stateful optimizer the
+            # shared slot state makes client order observable.
+            return _run_per_client(
+                self._workspace, plan, participants, self.name, tracer
             )
-            if engine is None:
-                # The serial reference on the bound workspace: the
-                # whole round when nothing batches, else a straggler.
-                outcomes = _run_on_workspace(
-                    self._workspace, plan, cohort, self.name, round_start, tracer
-                )
-                for idx, (update, timing) in zip(indices, outcomes):
-                    results[idx] = update
-                    timings[idx] = timing
-                continue
+        results: List[Optional[ClientUpdate]] = [None] * count
+        timings: List[Optional[TaskTiming]] = [None] * count
+        for indices in chunks:
+            cohort = [participants[idx] for idx in indices]
             start = monotonic()
-            try:
-                updates = self._run_cohort(
-                    engine, plan, cohort, cohort[0].n_samples
-                )
-            except Exception as exc:
-                raise _client_failure(
-                    exc, cohort[0], plan, self.name,
-                    monotonic() - round_start, tracer,
-                ) from exc
-            per_client = (monotonic() - start) / len(cohort)
+            updates = self._run_cohort(
+                self._engine_for(len(cohort)), plan, cohort, round_start
+            )
+            # The stack's wall, split by sample-steps (E x n_k; E cancels).
+            per_sample = (monotonic() - start) / sum(
+                update.n_samples for update in updates
+            )
             worker = f"batched-{len(cohort)}"
             for idx, update in zip(indices, updates):
                 results[idx] = update
-                timings[idx] = (0.0, per_client, worker)
+                timings[idx] = (0.0, per_sample * update.n_samples, worker)
         for client, timing in zip(participants, timings):
             _emit_task_span(tracer, plan, client, timing)
         return results
 
-    @staticmethod
     def _run_cohort(
+        self,
         engine: BatchedWorkspace,
         plan: RoundPlan,
         cohort: Sequence[FLClient],
-        n_samples: int,
+        round_start: float,
     ) -> List[ClientUpdate]:
-        """One cohort's E local epochs as stacked kernels."""
-        if plan.lr <= 0:
-            raise ValueError("lr must be positive")
-        engine.load_global(plan.global_params)
-        # Each client draws its E epoch permutations from its own
-        # stream — exactly the draws Dataset.batches would make
-        # serially; training consumes no other client randomness, so
-        # the streams end the round in the identical state.
-        orders = [
-            [client.epoch_order() for _ in range(plan.local_epochs)]
-            for client in cohort
-        ]
-        # One gather buffer per cohort call, refilled in place every
-        # epoch: per-step minibatches are plain slices whose per-client
-        # slabs are contiguous — the same memory layout Dataset.batches
-        # hands the serial path.
-        first = cohort[0].train_data
-        x_epoch = np.empty(
-            (len(cohort), n_samples) + first.x.shape[1:], dtype=first.x.dtype
-        )
-        y_epoch = np.empty(
-            (len(cohort), n_samples) + first.y.shape[1:], dtype=first.y.dtype
-        )
-        steps_per_epoch = -(-n_samples // plan.batch_size)
-        losses = np.empty(
-            (len(cohort), plan.local_epochs * steps_per_epoch), dtype=np.float64
-        )
-        step = 0
-        for epoch in range(plan.local_epochs):
-            for ci, client in enumerate(cohort):
-                order = orders[ci][epoch]
-                np.take(client.train_data.x, order, axis=0, out=x_epoch[ci])
-                np.take(client.train_data.y, order, axis=0, out=y_epoch[ci])
-            for start in range(0, n_samples, plan.batch_size):
-                sl = slice(start, start + plan.batch_size)
-                losses[:, step] = engine.train_step_all(
-                    x_epoch[:, sl], y_epoch[:, sl], plan.lr
+        """E local epochs of ``cohort`` (ascending shard size) in lockstep.
+
+        A failure is re-raised as :class:`ClientExecutionError` for the
+        client it belongs to: the one whose permutation draw or gather
+        raised, or — inside a stacked step, which has no single owner —
+        the first client of the run, with the rows that ran.
+        """
+        epochs, batch, n_rows = plan.local_epochs, plan.batch_size, len(cohort)
+        sizes = [client.n_samples for client in cohort]
+        steps = [-(-n // batch) for n in sizes]
+        # ``blamed`` follows the work: whose phase it is, or — with the
+        # ``(epoch, step, a, b)`` of the call in ``run`` — whose run.
+        blamed, run = cohort[0], None
+        try:
+            if plan.lr <= 0:
+                raise ValueError("lr must be positive")
+            engine.load_global(plan.global_params)
+            # Each client draws its E epoch permutations from its own
+            # stream — exactly the draws Dataset.batches would make
+            # serially; training consumes no other client randomness,
+            # so the streams end the round in the identical state.
+            orders = []
+            for blamed in cohort:
+                orders.append([blamed.epoch_order() for _ in range(epochs)])
+            # One gather buffer per cohort call, refilled in place every
+            # epoch: per-step minibatches are plain slices whose
+            # per-client slabs are contiguous — the same memory layout
+            # Dataset.batches hands the serial path.  Rows are as long
+            # as the largest shard; a shorter client's tail is never read.
+            first = cohort[0].train_data
+            x_epoch = np.empty(
+                (n_rows, sizes[-1]) + first.x.shape[1:], dtype=first.x.dtype
+            )
+            y_epoch = np.empty(
+                (n_rows, sizes[-1]) + first.y.shape[1:], dtype=first.y.dtype
+            )
+            losses = np.empty((n_rows, epochs, steps[-1]), dtype=np.float64)
+            schedule = _lockstep_schedule(sizes, batch)
+            for epoch in range(epochs):
+                for ci, blamed in enumerate(cohort):
+                    order, n, data = orders[ci][epoch], sizes[ci], blamed.train_data
+                    np.take(data.x, order, axis=0, out=x_epoch[ci, :n])
+                    np.take(data.y, order, axis=0, out=y_epoch[ci, :n])
+                for step, a, b, cut in schedule:
+                    blamed, run = cohort[a], (epoch, step, a, b)
+                    losses[a:b, epoch, step] = engine.train_step_all(
+                        x_epoch[a:b, cut], y_epoch[a:b, cut], plan.lr, rows=(a, b)
+                    )
+                run = None
+        except Exception as exc:
+            where = ""
+            if run is not None:
+                epoch, step, a, b = run
+                where = (
+                    f" (stacked step {step} of epoch {epoch}, rows {a}:{b} of "
+                    f"{n_rows}, clients {[c.client_id for c in cohort[a:b]]})"
                 )
-                step += 1
+            raise _client_failure(
+                exc, blamed, plan, self.name, monotonic() - round_start,
+                self.tracer, where,
+            ) from exc
         stacked = engine.extract_updates(plan.global_params)
         # The same flat mean over all E x B batch losses the serial
         # client computes (see FLClient.compute_update): reducing the
         # contiguous last axis runs numpy's pairwise sum over each
         # client's row, exactly as np.mean does over the serial list.
-        train_losses = losses.mean(axis=1)
+        # Rows with equal step counts are adjacent and reduce together
+        # (an equal-size cohort is one (C, E * steps) mean).
+        train_losses: List[float] = []
+        for a, b in _equal_runs(steps):
+            block = losses[a:b, :, : steps[a]].reshape(b - a, -1)
+            train_losses += block.mean(axis=1).tolist()
         return [
             ClientUpdate(
                 client_id=client.client_id,
                 update=stacked[ci].copy(),
-                n_samples=client.n_samples,
-                train_loss=float(train_losses[ci]),
+                n_samples=sizes[ci],
+                train_loss=train_losses[ci],
             )
             for ci, client in enumerate(cohort)
         ]
 
 
-def _run_on_workspace(
+def _equal_runs(values: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of each run of equal adjacent ``values``."""
+    cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+    return list(zip([0] + cuts, cuts + [len(values)]))
+
+
+def _lockstep_schedule(
+    sizes: Sequence[int], batch_size: int
+) -> List[Tuple[int, int, int, slice]]:
+    """One epoch of an ascending-size cohort as stacked calls.
+
+    ``(s, a, b, cut)`` says: at step ``s`` rows ``a:b`` all take the
+    same ``m = min(B, n_k - s*B)`` samples, ``cut = slice(s*B, s*B + m)``
+    of their epoch.  Rows with ``n_k <= s*B`` have finished and are in
+    no call, so the calls of a step tile a suffix of the rows.
+    """
+    schedule = []
+    for step, start in enumerate(range(0, sizes[-1], batch_size)):
+        samples = [min(batch_size, max(n - start, 0)) for n in sizes]
+        for a, b in _equal_runs(samples):
+            if samples[a]:
+                schedule.append((step, a, b, slice(start, start + samples[a])))
+    return schedule
+
+
+def _run_per_client(
     workspace: ModelWorkspace,
     plan: RoundPlan,
-    clients: Sequence[FLClient],
+    participants: Sequence[FLClient],
     backend: str,
-    round_start: float,
     tracer,
-) -> Iterator[Tuple[ClientUpdate, TaskTiming]]:
-    """Run ``clients`` back to back on ``workspace``, timing each.
+) -> List[ClientUpdate]:
+    """Run ``participants`` back to back on ``workspace``.
 
-    The one per-client loop both backends share: yields each client's
-    ``(update, timing)`` as it finishes, and re-raises a failure as
+    The one per-client loop: the serial backend's round and the batched
+    backend's fallback.  Each client is timed and replayed as a
+    ``client_compute`` span as it finishes; a failure is re-raised as
     :class:`ClientExecutionError` naming the client (plus the
     ``client_error`` trace event).
     """
-    for client in clients:
+    round_start = monotonic()
+    results: List[ClientUpdate] = []
+    for client in participants:
         start = monotonic()
         try:
             update = client.compute_update(
@@ -386,7 +420,9 @@ def _run_on_workspace(
             raise _client_failure(
                 exc, client, plan, backend, monotonic() - round_start, tracer
             ) from exc
-        yield update, (0.0, monotonic() - start, "main")
+        _emit_task_span(tracer, plan, client, (0.0, monotonic() - start, "main"))
+        results.append(update)
+    return results
 
 
 def _emit_broadcast_span(tracer, plan: RoundPlan) -> None:
@@ -444,12 +480,13 @@ def _client_failure(
     backend: str,
     elapsed: float,
     tracer,
+    where: str = "",
 ) -> ClientExecutionError:
     """Wrap a client failure with its structured context + trace event."""
     error = ClientExecutionError(
         client.client_id,
         f"client {client.client_id} failed during local "
-        f"computation: {type(exc).__name__}: {exc}",
+        f"computation{where}: {type(exc).__name__}: {exc}",
         iteration=plan.iteration,
         backend=backend,
         elapsed_s=elapsed,

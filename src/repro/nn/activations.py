@@ -10,13 +10,17 @@ __all__ = ["ReLU", "Sigmoid", "Tanh", "sigmoid", "softmax"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function.
+
+    ``e = exp(-|x|)`` never overflows, and each element takes the
+    quotient of its own sign: ``1 / (1 + e)`` for ``x >= 0``,
+    ``e / (1 + e)`` below — the same ``exp`` argument and the same
+    division per element as selecting the two halves with a boolean
+    mask first, without the two gathers and two scatters that costs.
+    """
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,8 +1,17 @@
-"""LSTM layer with full backpropagation through time."""
+"""LSTM layer with full backpropagation through time.
+
+:class:`LSTM` and its stacked twin :class:`BatchedLSTM` share **one**
+time loop, :func:`_lstm_forward` / :func:`_lstm_backward`, written over
+a leading client axis.  The serial layer calls it with ``x[None]`` and
+``w[None]``: a one-row stacked ``matmul`` issues the same per-slice
+dgemm as the 2-D product and every elementwise op is stacking-
+invariant, so serial is — bit for bit — the C = 1 case of batched.
+DESIGN 6b lists what the loop hoists and the fusions it refuses.
+"""
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -13,6 +22,156 @@ from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike, child_rngs
 
 __all__ = ["BatchedLSTM", "LSTM"]
+
+
+def _lstm_forward(
+    x: np.ndarray, params: Sequence[np.ndarray], return_sequences: bool
+) -> Tuple[np.ndarray, tuple]:
+    """The LSTM recurrence over ``(clients, batch, time, features)``.
+
+    ``params`` is ``w_x (C, in, 4h)``, ``w_h (C, h, 4h)``, ``bias
+    (C, 4h)``; gate order ``[input, forget, cell, output]``.  Returns
+    the stacked hidden sequence ``(C, n, T, h)`` or final state
+    ``(C, n, h)``, and the cache for :func:`_lstm_backward`.
+
+    The arithmetic is the textbook loop's, operation for operation;
+    what it avoids is memory traffic.  Gates go straight into the
+    ``(T, C, n, 4h)`` buffer — one ``sigmoid`` over the whole
+    contiguous ``z`` (cheaper than two over strided gate slices; the
+    ``g`` quarter is overwritten by the ``tanh`` that belongs there) —
+    and ``tanh(c_t)`` is kept for backward.
+    """
+    w_x, w_h, bias = params
+    c, n, t, _ = x.shape
+    h = w_h.shape[1]
+    hs = np.zeros((t + 1, c, n, h), dtype=float)
+    cs = np.zeros((t + 1, c, n, h), dtype=float)
+    gates = np.empty((t, c, n, 4 * h), dtype=float)
+    tanh_c = np.empty((t, c, n, h), dtype=float)
+    bias = bias[:, None, :]
+    for step in range(t):
+        z = x[:, :, step, :] @ w_x
+        z += hs[step] @ w_h
+        z += bias
+        gate = gates[step]
+        gate[...] = sigmoid(z)
+        np.tanh(z[..., 2 * h : 3 * h], out=gate[..., 2 * h : 3 * h])
+        cs[step + 1] = (
+            gate[..., h : 2 * h] * cs[step]
+            + gate[..., :h] * gate[..., 2 * h : 3 * h]
+        )
+        np.tanh(cs[step + 1], out=tanh_c[step])
+        hs[step + 1] = gate[..., 3 * h :] * tanh_c[step]
+    cache = (x, hs, cs, gates, tanh_c)
+    if return_sequences:
+        return hs[1:].transpose(1, 2, 0, 3), cache
+    return hs[-1].copy(), cache
+
+
+def _lstm_backward(
+    cache: tuple,
+    grad_output: np.ndarray,
+    params: Sequence[np.ndarray],
+    grads: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Backpropagation through time for :func:`_lstm_forward`.
+
+    Parameter gradients are **added** to ``grads`` (``dw_x``, ``dw_h``,
+    ``db``: strided views into the stacked flat gradient on the batched
+    path); the stacked input gradient is returned.  The cache is
+    consumed — ``gates`` and ``tanh_c`` are overwritten once read.
+
+    Only what feeds the recurrence is stepped.  The factors that do not
+    (``1-i``, ``1-f``, ``1-g^2``, ``1-o``, ``1-tanh^2 c`` and the slabs
+    ``[g, c_{t-1}, i, tanh c]`` / ``[i, f, 1, o]``) are computed once,
+    so a step's ``dz`` is three ``(C, n, 4h)`` multiplies in the
+    textbook association order (``dg`` gains an exact ``*1.0``); the
+    input gradient and bias sums come after the loop from the stored
+    ``dz``, as the same per-(step, client) GEMM / batch-axis sum.  The
+    weight gradients keep the per-step ``grad += x_t^T dz_t`` chain,
+    added through a ``(C, in * 4h)`` view of the gradient rows (numpy
+    adds that at contiguous speed, the 3-D view four times slower).
+    """
+    x, hs, cs, gates, tanh_c = cache
+    w_x, w_h, _ = params
+    dw_x, dw_h, db = grads
+    c, n, t, _ = x.shape
+    h = hs.shape[-1]
+    if grad_output.ndim == 4:
+        grad_h_seq = grad_output.transpose(2, 0, 1, 3)
+    else:
+        grad_h_seq = np.zeros((t, c, n, h), dtype=float)
+        grad_h_seq[-1] = grad_output
+
+    # dz = ((d * first) * second) * third with d = [dc, dc, dc, dh].
+    gate_g = gates[..., 2 * h : 3 * h]
+    first = np.empty_like(gates, dtype=float)
+    first[..., :h] = gate_g
+    first[..., h : 2 * h] = cs[:-1]
+    first[..., 2 * h : 3 * h] = gates[..., :h]
+    first[..., 3 * h :] = tanh_c
+    third = 1.0 - gates
+    third[..., 2 * h : 3 * h] = 1.0 - gate_g**2
+    second = gates
+    gate_g[...] = 1.0
+    gate_f = gates[..., h : 2 * h]
+    gate_o = gates[..., 3 * h :]
+    dtanh_c = np.square(tanh_c, out=tanh_c)
+    np.subtract(1.0, dtanh_c, out=dtanh_c)
+
+    x_t = x.transpose(2, 0, 3, 1)  # [step] == x[:, :, step, :].T per client
+    hs_t = hs.transpose(0, 1, 3, 2)
+    w_h_t = w_h.transpose(0, 2, 1)
+    step_dw_x = np.empty(w_x.shape, dtype=float)
+    step_dw_h = np.empty(w_h.shape, dtype=float)
+    dw_x2 = dw_x.reshape(c, -1)
+    dw_h2 = dw_h.reshape(c, -1)
+    if not (np.may_share_memory(dw_x2, dw_x) and np.may_share_memory(dw_h2, dw_h)):
+        raise RuntimeError("gradient rows do not flatten to a view")
+
+    d = np.empty((c, n, 4 * h), dtype=float)
+    d_cell = d[..., : 3 * h].reshape(c, n, 3, h)
+    d_out = d[..., 3 * h :]
+    dh_next = np.zeros((c, n, h), dtype=float)
+    dc_next = np.zeros((c, n, h), dtype=float)
+    for step in range(t - 1, -1, -1):
+        dh = grad_h_seq[step] + dh_next
+        dc = dc_next + dh * gate_o[step] * dtanh_c[step]
+        d_cell[...] = dc[:, :, None, :]
+        d_out[...] = dh
+        dz = np.multiply(d, first[step], out=first[step])
+        dz *= second[step]
+        dz *= third[step]
+
+        np.matmul(x_t[step], dz, out=step_dw_x)
+        dw_x2 += step_dw_x.reshape(c, -1)
+        np.matmul(hs_t[step], dz, out=step_dw_h)
+        dw_h2 += step_dw_h.reshape(c, -1)
+
+        dh_next = dz @ w_h_t
+        dc_next = dc * gate_f[step]
+    # ``first`` now holds every step's dz; the bias chain keeps the
+    # t = T-1 ... 0 order.
+    for step_db in first.sum(axis=2)[::-1]:
+        db += step_db
+    return (first @ w_x.transpose(0, 2, 1)).transpose(1, 2, 0, 3)
+
+
+def _claim_cache(layer, grad_shape: tuple, skip: int) -> tuple:
+    """``layer``'s forward cache, released (it serves one backward and
+    only holds memory afterwards), once the stacked ``grad_shape`` fits;
+    errors print shapes without the first ``skip`` axes."""
+    if layer._cache is None:
+        raise RuntimeError("backward called before forward")
+    c, n, t, _ = layer._cache[0].shape
+    h = layer.hidden_size
+    expected = (c, n, t, h) if layer.return_sequences else (c, n, h)
+    if grad_shape != expected:
+        raise ValueError(
+            f"expected gradient shape {expected[skip:]}, got {grad_shape[skip:]}"
+        )
+    cache, layer._cache = layer._cache, None
+    return cache
 
 
 class LSTM(Module):
@@ -50,7 +209,7 @@ class LSTM(Module):
         bias = np.zeros(4 * h, dtype=float)
         bias[h : 2 * h] = 1.0  # forget-gate bias
         self.bias = Parameter(bias, name=f"{name}.bias")
-        self._cache: dict | None = None
+        self._cache: tuple | None = None
 
     def parameters(self) -> List[Parameter]:
         return [self.w_x, self.w_h, self.bias]
@@ -61,77 +220,20 @@ class LSTM(Module):
             raise ValueError(
                 f"expected input (batch, time, {self.input_size}), got {x.shape}"
             )
-        n, t, _ = x.shape
-        h = self.hidden_size
-        hs = np.zeros((t + 1, n, h), dtype=float)
-        cs = np.zeros((t + 1, n, h), dtype=float)
-        gates = np.zeros((t, n, 4 * h), dtype=float)
-        for step in range(t):
-            z = x[:, step, :] @ self.w_x.data + hs[step] @ self.w_h.data + self.bias.data
-            i = sigmoid(z[:, :h])
-            f = sigmoid(z[:, h : 2 * h])
-            g = np.tanh(z[:, 2 * h : 3 * h])
-            o = sigmoid(z[:, 3 * h :])
-            cs[step + 1] = f * cs[step] + i * g
-            hs[step + 1] = o * np.tanh(cs[step + 1])
-            gates[step] = np.concatenate([i, f, g, o], axis=1)
-        self._cache = {"x": x, "hs": hs, "cs": cs, "gates": gates}
-        if self.return_sequences:
-            return hs[1:].transpose(1, 0, 2)
-        return hs[-1].copy()
+        out, self._cache = _lstm_forward(
+            x[None], [p.data[None] for p in self.parameters()],
+            self.return_sequences,
+        )
+        return out[0]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x = self._cache["x"]
-        hs = self._cache["hs"]
-        cs = self._cache["cs"]
-        gates = self._cache["gates"]
-        n, t, _ = x.shape
-        h = self.hidden_size
-
-        if self.return_sequences:
-            if grad_output.shape != (n, t, h):
-                raise ValueError(
-                    f"expected gradient shape {(n, t, h)}, got {grad_output.shape}"
-                )
-            grad_h_seq = grad_output.transpose(1, 0, 2)
-        else:
-            if grad_output.shape != (n, h):
-                raise ValueError(
-                    f"expected gradient shape {(n, h)}, got {grad_output.shape}"
-                )
-            grad_h_seq = np.zeros((t, n, h), dtype=float)
-            grad_h_seq[-1] = grad_output
-
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((n, h), dtype=float)
-        dc_next = np.zeros((n, h), dtype=float)
-        for step in range(t - 1, -1, -1):
-            i = gates[step][:, :h]
-            f = gates[step][:, h : 2 * h]
-            g = gates[step][:, 2 * h : 3 * h]
-            o = gates[step][:, 3 * h :]
-            c = cs[step + 1]
-            tanh_c = np.tanh(c)
-
-            dh = grad_h_seq[step] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
-
-            di = dc * g * i * (1.0 - i)
-            df = dc * cs[step] * f * (1.0 - f)
-            dg = dc * i * (1.0 - g**2)
-            do = dh * tanh_c * o * (1.0 - o)
-            dz = np.concatenate([di, df, dg, do], axis=1)
-
-            self.w_x.grad += x[:, step, :].T @ dz
-            self.w_h.grad += hs[step].T @ dz
-            self.bias.grad += dz.sum(axis=0)
-
-            dx[:, step, :] = dz @ self.w_x.data.T
-            dh_next = dz @ self.w_h.data.T
-            dc_next = dc * f
-        return dx
+        cache = _claim_cache(self, (1,) + grad_output.shape, skip=1)
+        return _lstm_backward(
+            cache,
+            grad_output[None],
+            [p.data[None] for p in self.parameters()],
+            [p.grad[None] for p in self.parameters()],
+        )[0]
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedLSTM":
         return BatchedLSTM(self, binder)
@@ -140,25 +242,25 @@ class LSTM(Module):
 class BatchedLSTM(BatchedModule):
     """Leading-client-axis counterpart of :class:`LSTM`.
 
-    Inputs are ``(clients, batch, time, features)``.  The recurrence is
-    still stepped serially over time (it is inherently sequential), but
-    each step's four matmuls run once over the whole client stack
-    instead of once per client.  Per-client operand slices keep the
-    serial shapes and strides — including the strided
+    Inputs are ``(clients, batch, time, features)``; the layer runs the
+    very loop the serial layer runs with one row, each step's matmuls
+    once over the whole client stack.  Per-client operand slices keep
+    the serial shapes and strides — including the strided
     ``x[:, :, step, :]`` time slice, whose per-client layout matches
     the serial ``x[:, step, :]`` — so every gate, state and gradient is
     bitwise equal to the serial layer per client; the bias gradient
-    reduces with ``sum(axis=1)``, never across clients.
+    reduces over the batch axis, never across clients.
     """
 
     def __init__(self, layer: LSTM, binder: BatchedParamBinder) -> None:
         self.input_size = layer.input_size
         self.hidden_size = layer.hidden_size
         self.return_sequences = layer.return_sequences
-        self._w_x, self._dw_x = binder.bind(layer.w_x)  # (C, in, 4h)
-        self._w_h, self._dw_h = binder.bind(layer.w_h)  # (C, h, 4h)
-        self._b, self._db = binder.bind(layer.bias)  # (C, 4h)
-        self._cache: dict | None = None
+        # w_x (C, in, 4h), w_h (C, h, 4h), bias (C, 4h)
+        bound = [binder.bind(p) for p in layer.parameters()]
+        self._params = [data for data, _ in bound]
+        self._grads = [grad for _, grad in bound]
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         del training
@@ -167,77 +269,9 @@ class BatchedLSTM(BatchedModule):
                 "expected input (clients, batch, time, "
                 f"{self.input_size}), got {x.shape}"
             )
-        c, n, t, _ = x.shape
-        h = self.hidden_size
-        hs = np.zeros((t + 1, c, n, h), dtype=float)
-        cs = np.zeros((t + 1, c, n, h), dtype=float)
-        gates = np.zeros((t, c, n, 4 * h), dtype=float)
-        bias = self._b[:, None, :]
-        for step in range(t):
-            z = x[:, :, step, :] @ self._w_x + hs[step] @ self._w_h + bias
-            i = sigmoid(z[:, :, :h])
-            f = sigmoid(z[:, :, h : 2 * h])
-            g = np.tanh(z[:, :, 2 * h : 3 * h])
-            o = sigmoid(z[:, :, 3 * h :])
-            cs[step + 1] = f * cs[step] + i * g
-            hs[step + 1] = o * np.tanh(cs[step + 1])
-            gates[step] = np.concatenate([i, f, g, o], axis=2)
-        self._cache = {"x": x, "hs": hs, "cs": cs, "gates": gates}
-        if self.return_sequences:
-            return hs[1:].transpose(1, 2, 0, 3)
-        return hs[-1].copy()
+        out, self._cache = _lstm_forward(x, self._params, self.return_sequences)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x = self._cache["x"]
-        hs = self._cache["hs"]
-        cs = self._cache["cs"]
-        gates = self._cache["gates"]
-        c, n, t, _ = x.shape
-        h = self.hidden_size
-
-        if self.return_sequences:
-            if grad_output.shape != (c, n, t, h):
-                raise ValueError(
-                    f"expected gradient shape {(c, n, t, h)}, got "
-                    f"{grad_output.shape}"
-                )
-            grad_h_seq = grad_output.transpose(2, 0, 1, 3)
-        else:
-            if grad_output.shape != (c, n, h):
-                raise ValueError(
-                    f"expected gradient shape {(c, n, h)}, got "
-                    f"{grad_output.shape}"
-                )
-            grad_h_seq = np.zeros((t, c, n, h), dtype=float)
-            grad_h_seq[-1] = grad_output
-
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((c, n, h), dtype=float)
-        dc_next = np.zeros((c, n, h), dtype=float)
-        for step in range(t - 1, -1, -1):
-            i = gates[step][:, :, :h]
-            f = gates[step][:, :, h : 2 * h]
-            g = gates[step][:, :, 2 * h : 3 * h]
-            o = gates[step][:, :, 3 * h :]
-            cell = cs[step + 1]
-            tanh_c = np.tanh(cell)
-
-            dh = grad_h_seq[step] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
-
-            di = dc * g * i * (1.0 - i)
-            df = dc * cs[step] * f * (1.0 - f)
-            dg = dc * i * (1.0 - g**2)
-            do = dh * tanh_c * o * (1.0 - o)
-            dz = np.concatenate([di, df, dg, do], axis=2)
-
-            self._dw_x += x[:, :, step, :].transpose(0, 2, 1) @ dz
-            self._dw_h += hs[step].transpose(0, 2, 1) @ dz
-            self._db += dz.sum(axis=1)
-
-            dx[:, :, step, :] = dz @ self._w_x.transpose(0, 2, 1)
-            dh_next = dz @ self._w_h.transpose(0, 2, 1)
-            dc_next = dc * f
-        return dx
+        cache = _claim_cache(self, grad_output.shape, skip=0)
+        return _lstm_backward(cache, grad_output, self._params, self._grads)

@@ -23,6 +23,7 @@ executor produce run histories digest-identical to serial.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -60,6 +61,10 @@ class BatchedParamBinder:
     contiguous, every per-client slice of a bound view has exactly the
     memory layout of the serial parameter array, which is what keeps
     stacked GEMMs bitwise-identical per client.
+
+    :meth:`window` gives a binder over **views** of adjacent rows of
+    the same pair: a twin model built on it computes on — and writes
+    to — those rows only, with no second copy of their parameters.
     """
 
     def __init__(self, n_clients: int, n_params: int) -> None:
@@ -73,6 +78,17 @@ class BatchedParamBinder:
         self.data = np.zeros((n_clients, n_params), dtype=float)
         self.grad = np.zeros((n_clients, n_params), dtype=float)
         self._offset = 0
+
+    def window(self, start: int, stop: int) -> "BatchedParamBinder":
+        """An unbound binder over views of rows ``start:stop``."""
+        if not 0 <= start < stop <= self.n_clients:
+            raise ValueError(
+                f"rows {start}:{stop} are not a window of {self.n_clients} clients"
+            )
+        window = copy.copy(self)
+        window.n_clients, window._offset = stop - start, 0
+        window.data, window.grad = self.data[start:stop], self.grad[start:stop]
+        return window
 
     def bind(self, param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked ``(data_view, grad_view)`` for ``param``; advances

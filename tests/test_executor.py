@@ -6,11 +6,22 @@ import dataclasses
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    hypothesis_installed = False
+else:
+    hypothesis_installed = True
+
 from repro.core.policy import CMFLPolicy, PolicyContext
 from repro.core.relevance import relevance, sign_agreement_counts
 from repro.core.thresholds import ConstantThreshold, InverseSqrtThreshold
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
+from repro.experiments.workloads import NWPWorkload
+from repro.fl import executor as executor_module
+from repro.fl.batched import BatchedWorkspace
 from repro.fl.client import FLClient
 from repro.fl.config import EXECUTOR_BACKENDS, FLConfig
 from repro.fl.executor import (
@@ -22,12 +33,15 @@ from repro.fl.executor import (
 )
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
+from repro.models.digits_cnn import make_digits_cnn
 from repro.models.linear import make_logistic_regression
-from repro.nn.losses import SigmoidBinaryCrossEntropy
-from repro.nn.metrics import binary_accuracy
+from repro.models.nwp_lstm import make_nwp_lstm
+from repro.nn.losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
+from repro.nn.metrics import accuracy, binary_accuracy
 from repro.nn.optimizers import SGD, Momentum
 from repro.nn.schedules import ConstantLR
 from repro.nn.serialization import flatten_gradients, flatten_parameters
+from repro.obs import MemorySink, Tracer
 from repro.utils.rng import child_rngs
 
 
@@ -104,9 +118,10 @@ class TestBackendEquivalence:
             assert params == serial[4], backend
 
 
-def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD):
-    """One round over shards of mixed sizes: two 2-client cohorts plus
-    a singleton straggler on the batched backend."""
+def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD, special=0):
+    """One round over shards of mixed sizes (one five-row stack with a
+    ragged tail on the batched backend); client ``special`` is built
+    from ``client_cls``."""
     rngs = child_rngs(11, 8)
     model = make_logistic_regression(5, rng=rngs[0])
     workspace = ModelWorkspace(
@@ -119,7 +134,7 @@ def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD):
     for i, n in enumerate([20, 20, 13, 13, 7]):
         x = rngs[1 + i].normal(size=(n, 5))
         y = (x @ np.ones(5) > 0).astype(np.int64)
-        cls = client_cls if i == 0 else FLClient
+        cls = client_cls if i == special else FLClient
         clients.append(cls(i, Dataset(x, y), rng=np.random.default_rng(90 + i)))
     executor = make_executor(backend)
     executor.bind(workspace, clients)
@@ -154,17 +169,22 @@ class TestBatchedBackend:
         assert (mixed.server.global_params.tobytes()
                 == pure.server.global_params.tobytes())
 
-    def test_heterogeneous_shards_split_into_cohorts(self):
-        """Mixed shard sizes still match serial bitwise; only
-        multi-client cohorts get a stacked engine."""
+    def test_heterogeneous_shards_split_into_cohorts(self, monkeypatch):
+        """Mixed shard sizes still match serial bitwise, as one stack:
+        the unequal tail runs on row windows, not per client."""
         _, serial = _hetero_round("serial")
+        monkeypatch.setattr(
+            FLClient, "compute_update",
+            lambda *a, **k: pytest.fail("per-client path taken"),
+        )
         executor, batched = _hetero_round("batched")
         for a, b in zip(serial, batched):
             assert a.client_id == b.client_id
             assert a.train_loss == b.train_loss
             np.testing.assert_array_equal(a.update, b.update, strict=True)
-        # Two 2-client cohorts share one engine; the singleton has none.
-        assert set(executor._engines) == {2}
+        # One engine holds all five rows; compute_update never ran.
+        assert set(executor._engines) == {5}
+        assert executor._engines[5].n_clients == 5
 
     @pytest.mark.parametrize("steps", [7, 8, 9, 17, 129])
     def test_train_loss_reduction_is_the_serial_one(self, steps):
@@ -208,16 +228,46 @@ class TestBatchedBackend:
         assert exc.value.backend == "batched"
         assert "shuffle exploded" in str(exc.value)
 
+    def test_cohort_failure_names_the_client_that_failed(self):
+        """Not the first row of the stack (the smallest shard, client 4)
+        and not the first client of its size (client 0)."""
+        with pytest.raises(ClientExecutionError, match="client 1") as exc:
+            _hetero_round("batched", client_cls=_ExplodingOrderClient, special=1)
+        assert exc.value.client_id == 1
+        assert exc.value.cause_type == "RuntimeError"
+
+    def test_stacked_step_failure_names_first_client_and_rows(self, monkeypatch):
+        """A failure inside a stacked kernel has no single owner: it is
+        reported for the first client of the run, with the rows."""
+        real = BatchedWorkspace.train_step_all
+
+        def exploding(self, x, y, lr, rows=None):
+            if rows == (3, 5):  # the 20-sample pair's last, 4-sample step
+                raise FloatingPointError("kernel exploded")
+            return real(self, x, y, lr, rows=rows)
+
+        monkeypatch.setattr(BatchedWorkspace, "train_step_all", exploding)
+        with pytest.raises(ClientExecutionError, match="client 0") as exc:
+            _hetero_round("batched")
+        assert exc.value.client_id == 0
+        assert exc.value.cause_type == "FloatingPointError"
+        assert "rows 3:5 of 5, clients [0, 1]" in str(exc.value)
+
     def test_fallback_failure_names_client(self):
         trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
                                  backend="batched")
         with trainer:
-            # Shrinking client 2's shard makes it a singleton cohort,
-            # which runs through compute_update and explodes there.
-            shrunk = trainer.clients[2].train_data.subset(range(7))
-            trainer.clients[2] = _ExplodingClient(2, shrunk)
+            # A stateful optimizer has no stacked step, so the whole
+            # round runs through compute_update — and client 2's
+            # explodes there.
+            workspace = trainer.workspace
+            workspace.optimizer = Momentum(workspace.model.parameters(), 0.5)
+            trainer.clients[2] = _ExplodingClient(
+                2, trainer.clients[2].train_data
+            )
             with pytest.raises(ClientExecutionError, match="client 2"):
                 trainer.run(1)
+            assert "Momentum" in trainer.executor._unsupported
 
     def test_rebind_drops_stale_engines(self):
         executor, _ = _hetero_round("batched")
@@ -225,6 +275,201 @@ class TestBatchedBackend:
         workspace = _make_workspace(np.random.default_rng(0))
         executor.bind(workspace, [])
         assert executor._engines == {}
+
+
+#: The shard sizes of ``NWPWorkload("bench")``: ten roles, six sizes.
+NWP_BENCH_SIZES = [158, 156, 155, 150, 156, 154, 154, 150, 152, 152]
+
+
+def _ragged_federation(kind, sizes, seed=3):
+    """A fresh ``(workspace, clients)`` of the given shard sizes for a
+    linear, digit-CNN or 2-layer-LSTM model (identical on every call)."""
+    rngs = child_rngs(seed, 2 + len(sizes))
+    if kind == "linear":
+        model = make_logistic_regression(5, rng=rngs[0])
+        loss, metric = SigmoidBinaryCrossEntropy(), binary_accuracy
+        draw_x = lambda rng, n: rng.normal(size=(n, 5))
+        draw_y = lambda rng, n: rng.integers(0, 2, size=n)
+    elif kind == "cnn":
+        model = make_digits_cnn(
+            image_size=16, n_classes=4, channels=(2, 3), hidden=6, rng=rngs[0]
+        )
+        loss, metric = SoftmaxCrossEntropy(), accuracy
+        draw_x = lambda rng, n: rng.normal(size=(n, 1, 16, 16))
+        draw_y = lambda rng, n: rng.integers(0, 4, size=n)
+    else:
+        model = make_nwp_lstm(11, embedding_dim=4, hidden=5, rng=rngs[0])
+        loss, metric = SoftmaxCrossEntropy(), accuracy
+        draw_x = lambda rng, n: rng.integers(0, 11, size=(n, 4))
+        draw_y = lambda rng, n: rng.integers(0, 11, size=n)
+    workspace = ModelWorkspace(
+        model, loss, SGD(model.parameters(), 0.2), metric=metric
+    )
+    clients = [
+        FLClient(i, Dataset(draw_x(rngs[1], n), draw_y(rngs[1], n)),
+                 rng=rngs[2 + i])
+        for i, n in enumerate(sizes)
+    ]
+    return workspace, clients
+
+
+def _ragged_round(backend, kind, sizes, epochs, batch_size):
+    workspace, clients = _ragged_federation(kind, sizes)
+    plan = RoundPlan(iteration=1, lr=0.2, local_epochs=epochs,
+                     batch_size=batch_size,
+                     global_params=workspace.get_flat())
+    with make_executor(backend) as executor:
+        executor.bind(workspace, clients)
+        updates = executor.run_round(plan, clients)
+        return executor, updates, [c.rng_state() for c in clients]
+
+
+def _assert_batched_is_serial(kind, sizes, epochs, batch_size):
+    _, serial, serial_rng = _ragged_round("serial", kind, sizes, epochs, batch_size)
+    executor, batched, batched_rng = _ragged_round(
+        "batched", kind, sizes, epochs, batch_size
+    )
+    assert [u.client_id for u in batched] == list(range(len(sizes)))
+    for a, b in zip(serial, batched):
+        assert (a.client_id, a.n_samples) == (b.client_id, b.n_samples)
+        assert a.train_loss == b.train_loss
+        np.testing.assert_array_equal(a.update, b.update, strict=True)
+    assert batched_rng == serial_rng
+    return executor
+
+
+class TestRaggedEquivalence:
+    """serial == batched, bit for bit, on shard sizes nobody aligned:
+    the lockstep schedule runs the common prefix on the whole stack and
+    the unequal tail on row windows."""
+
+    @pytest.mark.parametrize("kind", ["linear", "cnn", "lstm"])
+    @pytest.mark.parametrize(
+        "sizes,batch_size",
+        [
+            ([1, 1, 1], 4),
+            ([3, 2, 5, 1], 4),
+            ([8, 4, 12], 4),
+            ([5, 9, 2, 7, 11], 3),
+            ([6, 6, 6, 6], 4),  # one run per step
+            (NWP_BENCH_SIZES, 4),
+        ],
+        ids=["single-sample", "below-batch", "multiple-of-batch",
+             "all-distinct", "all-equal", "nwp-bench"],
+    )
+    def test_fixed_floor(self, kind, sizes, batch_size):
+        epochs = 1 if len(sizes) == 10 else 2
+        _assert_batched_is_serial(kind, sizes, epochs, batch_size)
+
+    @pytest.mark.skipif(
+        not hypothesis_installed, reason="package 'hypothesis' not installed"
+    )
+    def test_drawn_federations(self):
+        @settings(max_examples=30, deadline=None)
+        @given(
+            st.sampled_from(["linear", "cnn", "lstm"]),
+            st.lists(st.integers(1, 13), min_size=1, max_size=6),
+            st.integers(1, 2),
+            st.integers(1, 5),
+        )
+        def check(kind, sizes, epochs, batch_size):
+            _assert_batched_is_serial(kind, sizes, epochs, batch_size)
+
+        check()
+
+    def test_train_loss_across_pairwise_blocks_in_one_cohort(self):
+        """Per-client step counts on both sides of numpy's pairwise-sum
+        blocks (8 and 128) inside one ragged stack: each row's mean
+        reduces its own contiguous run of losses, whatever its length."""
+        steps = [7, 8, 9, 127, 128, 129]
+        _assert_batched_is_serial("linear", [2 * n for n in steps], 1, 2)
+        _assert_batched_is_serial("linear", [2 * n - 1 for n in steps], 1, 2)
+
+    def test_stack_cut_into_chunks(self, monkeypatch):
+        """Above MAX_STACK_BYTES the sorted rows run as consecutive
+        chunks — same bits, smaller stacks."""
+        sizes = [5, 9, 2, 7, 11]
+        n_params = _ragged_federation("linear", sizes)[0].n_params
+        monkeypatch.setattr(
+            executor_module, "MAX_STACK_BYTES", 2 * 16 * n_params
+        )
+        executor = _assert_batched_is_serial("linear", sizes, 2, 3)
+        assert set(executor._engines) == {2, 1}  # chunks of 2, 2 and 1 rows
+
+
+class TestStackTiming:
+    def test_stack_wall_is_split_by_sample_steps(self):
+        """``client_compute`` durations of one stack are proportional
+        to the clients' shard sizes, under one worker label."""
+        sizes = [20, 20, 13, 13, 7]
+        workspace, clients = _ragged_federation("linear", sizes)
+        sink = MemorySink()
+        plan = RoundPlan(iteration=1, lr=0.2, local_epochs=2, batch_size=8,
+                         global_params=workspace.get_flat())
+        with make_executor("batched") as executor:
+            executor.bind(workspace, clients, tracer=Tracer(sinks=[sink]))
+            executor.run_round(plan, clients)
+        spans = [e for e in sink.events if e.get("name") == "client_compute"]
+        assert [e["attrs"]["client_id"] for e in spans] == [0, 1, 2, 3, 4]
+        assert {e["rt"]["worker"] for e in spans} == {"batched-5"}
+        per_sample = [e["rt"]["dur"] / n for e, n in zip(spans, sizes)]
+        assert per_sample == pytest.approx([per_sample[0]] * 5)
+        assert spans[0]["rt"]["dur"] > spans[4]["rt"]["dur"] > 0
+
+
+def _stacked_calls_per_epoch(sizes, batch_size):
+    """One call per step per distinct live minibatch size."""
+    return sum(
+        len({min(batch_size, n - start) for n in sizes if n > start})
+        for start in range(0, max(sizes), batch_size)
+    )
+
+
+class TestStackedCallCounts:
+    """How many kernels a round issues — exact, so it cannot drift."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"load_global": 0, "train_step_all": 0, "compute_update": 0}
+
+        def counted(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(BatchedWorkspace, "load_global")
+        counted(BatchedWorkspace, "train_step_all")
+        counted(FLClient, "compute_update")
+        return counts
+
+    def test_nwp_bench_round(self, calls):
+        workload = NWPWorkload("bench")
+        trainer = workload.make_trainer(
+            CMFLPolicy(ConstantThreshold(0.0)), executor="batched"
+        )
+        sizes = [c.n_samples for c in trainer.clients]
+        assert sorted(sizes) == sorted(NWP_BENCH_SIZES)
+        p = workload.params
+        per_epoch = _stacked_calls_per_epoch(sizes, p.batch_size)
+        # Far fewer than one per client step; more than the full steps.
+        assert max(sizes) // p.batch_size < per_epoch < 50
+        with trainer:
+            trainer.run(1)
+        assert calls == {
+            "load_global": 1,
+            "train_step_all": p.local_epochs * per_epoch,
+            "compute_update": 0,
+        }
+
+    def test_equal_shards_round(self, calls):
+        _ragged_round("batched", "linear", [10] * 7, epochs=3, batch_size=4)
+        assert calls == {
+            "load_global": 1, "train_step_all": 3 * 3, "compute_update": 0,
+        }
 
 
 class TestCrashHandling:
