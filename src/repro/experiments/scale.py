@@ -8,24 +8,23 @@ a fixed 100-client cohort federates over populations of 1k / 10k /
 100k / 1M clients and we record **peak RSS** and **clients/sec** per
 point.  With the store, memory follows the *touched* state — the
 shared dataset plus the few shards the cohorts landed in — so RSS must
-grow sublinearly in population (the gate in ``tools/bench_compare.py
---max-rss-growth`` holds the 100k point to <= 10x the 1k point).
+grow sublinearly in population (``benchmarks/test_scale.py`` holds the
+1M point to <= 10x the 1k point).
 
 The workload is deliberately population-independent everywhere except
 the store: one fixed synthetic dataset is shared by all clients
 through a :class:`~repro.fl.store.CyclicPartition` (O(1) descriptors,
 slice views), the cohort is a fixed-``count``
 :class:`~repro.fl.sampling.UniformSampler` drawing indices (O(cohort)
-per round), and the model is the small logistic regression from the
-timing workload.  Anything that still scales with population is
-therefore a store regression, which is exactly what the bench gate is
-for.
+per round), and the model is a small logistic regression.  Anything
+that still scales with population is therefore a store regression,
+which is exactly what that gate is for.
 
 ``ru_maxrss`` is a process-lifetime high-water mark, so one process
-cannot honestly measure several populations — ``tools/bench_scale.py``
-runs each point in a fresh subprocess (``python -m
-repro.experiments.scale --population N --json``) and assembles
-``BENCH_scale.json``.
+cannot honestly measure several populations — the sweep in
+``benchmarks/test_scale.py`` runs each point, and its traced twin, in a
+fresh subprocess (``python -m repro.experiments.scale --population N
+--json``).
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
 from repro.fl.config import FLConfig
+from repro.fl.history import history_digest
 from repro.fl.sampling import UniformSampler
 from repro.fl.store import ClientStateStore, CyclicPartition
 from repro.fl.trainer import FederatedTrainer
@@ -54,19 +54,12 @@ from repro.nn.schedules import ConstantLR
 from repro.utils.rng import child_rngs
 
 __all__ = [
-    "DEFAULT_POPULATIONS",
-    "SCALE_SCHEMA",
     "format_point",
     "main",
     "make_scale_trainer",
     "peak_rss_kib",
     "run_scale_point",
 ]
-
-SCALE_SCHEMA = "repro-bench-scale/v1"
-
-#: The sweep tools/bench_scale.py runs by default.
-DEFAULT_POPULATIONS = (1_000, 10_000, 100_000, 1_000_000)
 
 _SCALE_SEED = 31
 
@@ -86,7 +79,6 @@ def make_scale_trainer(
     population: int,
     cohort: int,
     backend: str = "serial",
-    seed: int = _SCALE_SEED,
     trace: bool = False,
     trace_sample: float = 1.0,
     trace_path: Optional[str] = None,
@@ -103,7 +95,7 @@ def make_scale_trainer(
         raise ValueError(
             f"cohort {cohort} exceeds population {population}"
         )
-    rngs = child_rngs(seed, 4)
+    rngs = child_rngs(_SCALE_SEED, 4)
     w_true = rngs[0].normal(size=_N_FEATURES)
     x = rngs[1].normal(size=(_DATASET_ROWS, _N_FEATURES))
     y = (x @ w_true > 0).astype(np.int64)
@@ -115,7 +107,7 @@ def make_scale_trainer(
     store = ClientStateStore(
         population,
         CyclicPartition(data, population, _SAMPLES_PER_CLIENT),
-        seed=seed,
+        seed=_SCALE_SEED,
         shard_size=_SCALE_SHARD_SIZE,
     )
     config = FLConfig(
@@ -152,29 +144,14 @@ def peak_rss_kib() -> int:
 
 
 def run_scale_point(
-    population: int,
-    cohort: int = 100,
-    rounds: int = 3,
-    backend: str = "serial",
-    seed: int = _SCALE_SEED,
-    trace: bool = False,
-    trace_sample: float = 1.0,
-    trace_path: Optional[str] = None,
+    trainer: FederatedTrainer, rounds: int
 ) -> Dict[str, object]:
-    """Run one population point and measure its cost envelope."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    build_start = perf_counter()
-    trainer = make_scale_trainer(
-        population,
-        cohort,
-        backend=backend,
-        seed=seed,
-        trace=trace,
-        trace_sample=trace_sample,
-        trace_path=trace_path,
-    )
-    build_s = perf_counter() - build_start
+    """Run one population point and measure its cost envelope.
+
+    ``trainer`` comes from :func:`make_scale_trainer` and is closed on
+    return.
+    """
+    cohort = trainer.sampler.count
     try:
         samples = []
         for _ in range(rounds):
@@ -182,15 +159,10 @@ def run_scale_point(
             trainer.run(1)
             samples.append(perf_counter() - start)
         store = trainer.store
-        from repro.experiments.timing import history_digest
-
-        digest = history_digest(trainer)
         point = {
-            "population": population,
+            "population": store.population,
             "cohort": cohort,
             "rounds": rounds,
-            "backend": backend,
-            "build_s": build_s,
             "sec_per_round": float(np.median(samples)),
             "sec_per_round_samples": samples,
             "clients_per_sec": cohort / float(np.median(samples)),
@@ -198,10 +170,10 @@ def run_scale_point(
             "store_nbytes": store.nbytes,
             "materialized_shards": store.materialized_shards,
             "shard_size": store.shard_size,
-            "history_digest": digest,
+            "history_digest": history_digest(trainer),
             "trace": {
                 "enabled": bool(trainer.tracer.enabled),
-                "sample": trace_sample,
+                "sample": trainer.config.trace_sample,
             },
         }
     finally:
@@ -224,14 +196,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: measure one population point, print JSON or a report row.
 
     One invocation = one process = one honest ``ru_maxrss``; the sweep
-    driver is ``tools/bench_scale.py``.
+    driver is ``benchmarks/test_scale.py``.
     """
     parser = argparse.ArgumentParser(description=main.__doc__.splitlines()[0])
     parser.add_argument("--population", type=int, required=True)
     parser.add_argument("--cohort", type=int, default=100)
     parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--backend", default="serial")
-    parser.add_argument("--seed", type=int, default=_SCALE_SEED)
     parser.add_argument(
         "--trace",
         action="store_true",
@@ -254,16 +224,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="emit the point as machine-readable JSON on stdout",
     )
     args = parser.parse_args(argv)
-    point = run_scale_point(
-        args.population,
-        cohort=args.cohort,
-        rounds=args.rounds,
-        backend=args.backend,
-        seed=args.seed,
-        trace=args.trace,
-        trace_sample=args.trace_sample,
-        trace_path=args.trace_path,
-    )
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    build_start = perf_counter()
+    try:
+        trainer = make_scale_trainer(
+            args.population,
+            args.cohort,
+            trace=args.trace,
+            trace_sample=args.trace_sample,
+            trace_path=args.trace_path,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    build_s = perf_counter() - build_start
+    point = {"build_s": build_s, **run_scale_point(trainer, args.rounds)}
     if args.json:
         print(json.dumps(point, sort_keys=True))
     else:

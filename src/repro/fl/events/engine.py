@@ -168,7 +168,6 @@ class AsyncFederatedTrainer:
             )
             run_span.__enter__()
         run_span.set_rt("backend", trainer.executor.name)
-        run_span.set_rt("workers", 1)
         try:
             self._maybe_schedule_dispatch()
             while self.closes_done < self.target_rounds:

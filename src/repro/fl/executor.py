@@ -43,8 +43,8 @@ __all__ = [
     "make_executor",
 ]
 
-#: One client task's runtime data: ``(queue_wait, dur, worker)``.
-TaskTiming = Tuple[float, float, str]
+#: One client task's runtime data: ``(dur, worker)``.
+TaskTiming = Tuple[float, str]
 
 #: Ceiling on one stack's ``(rows, n_params)`` float64 parameter +
 #: gradient pair, 16 B per parameter per row.  Paper-scale NWP
@@ -269,7 +269,7 @@ class BatchedExecutor(ClientExecutor):
             worker = f"batched-{len(cohort)}"
             for idx, update in zip(indices, updates):
                 results[idx] = update
-                timings[idx] = (0.0, per_sample * update.n_samples, worker)
+                timings[idx] = (per_sample * update.n_samples, worker)
         for client, timing in zip(participants, timings):
             _emit_task_span(tracer, plan, client, timing)
         return results
@@ -420,7 +420,7 @@ def _run_per_client(
             raise _client_failure(
                 exc, client, plan, backend, monotonic() - round_start, tracer
             ) from exc
-        _emit_task_span(tracer, plan, client, (0.0, monotonic() - start, "main"))
+        _emit_task_span(tracer, plan, client, (monotonic() - start, "main"))
         results.append(update)
     return results
 
@@ -440,7 +440,6 @@ def _emit_broadcast_span(tracer, plan: RoundPlan) -> None:
             "iteration": plan.iteration,
             "n_params": int(np.asarray(plan.global_params).size),
         },
-        rt={"shm": False},
     )
 
 
@@ -454,22 +453,21 @@ def _emit_task_span(
     real duration and worker label.
 
     Per-client spans are head-sampled (``FLConfig.trace_sample``):
-    every task still feeds the runtime histogram and the round rollup,
-    but only sampled (round, client) pairs emit an individual span.
+    every task still feeds the round rollup, but only sampled
+    (round, client) pairs emit an individual span.
     """
     if not tracer.enabled:
         return
-    queue_wait, dur, worker = timing
-    tracer.metrics.histogram("runtime.executor.queue_wait").observe(queue_wait)
+    dur, worker = timing
     rollup = tracer.rollup
     if rollup is not None:
-        rollup.observe_task_rt(client.client_id, dur, queue_wait)
+        rollup.observe_task_rt(client.client_id, dur)
     if not tracer.span_sampled(plan.iteration, client.client_id):
         return
     tracer.record_span(
         "client_compute",
         attrs={"iteration": plan.iteration, "client_id": client.client_id},
-        rt={"queue_wait": queue_wait, "dur": dur, "worker": worker},
+        rt={"dur": dur, "worker": worker},
     )
 
 

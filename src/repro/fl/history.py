@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, List, Optional, Union
 
 import numpy as np
 
 from repro.utils.atomic_io import atomic_write_text
 
-__all__ = ["COMPATIBLE_SCHEMAS", "HISTORY_SCHEMA", "RoundRecord", "RunHistory"]
+__all__ = [
+    "COMPATIBLE_SCHEMAS",
+    "HISTORY_SCHEMA",
+    "RoundRecord",
+    "RunHistory",
+    "history_digest",
+]
 
 #: Schema tag of the JSONL serialisation (header line of every file).
 #: v2 added the async-engine columns ``staleness``/``virtual_time``
@@ -206,3 +213,18 @@ class RunHistory:
         for line in lines[1:]:
             history.append(RoundRecord(**json.loads(line)))
         return history
+
+
+def history_digest(trainer: Any) -> str:
+    """SHA-256 over everything a backend could perturb in ``trainer``'s run.
+
+    Covers per-round losses, scores, upload decisions and the final
+    global parameter bytes; equal digests mean bitwise-equal runs.
+    """
+    h = hashlib.sha256()
+    for r in trainer.history:
+        h.update(np.float64(r.mean_train_loss).tobytes())
+        h.update(np.float64(r.mean_score).tobytes())
+        h.update(np.asarray(r.uploaded_ids, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(trainer.server.global_params).tobytes())
+    return h.hexdigest()

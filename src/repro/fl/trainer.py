@@ -475,7 +475,6 @@ class FederatedTrainer:
             )
             run_span.__enter__()
         run_span.set_rt("backend", self.executor.name)
-        run_span.set_rt("workers", 1)
         try:
             for t in range(start, start + total):
                 self.run_round(t)

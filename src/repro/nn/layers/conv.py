@@ -45,12 +45,10 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> Tuple[np.ndarray, in
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
     # Reshaping the transposed window view already materialises a fresh
     # C-contiguous array whenever the kernel spans more than one element,
-    # so the historical unconditional ``np.ascontiguousarray`` was a no-op
-    # flag-check pass: both orders time indistinguishably (~0.6 ms per
-    # unfold on the digits-CNN layer shape; measured in BENCH_timing.json
-    # under micro.im2col, regenerated by benchmarks/test_timing.py).  The
-    # flag check below keeps the 1x1-kernel edge case, where reshape can
-    # return a read-only view aliasing ``x``, from escaping uncopied.
+    # so an unconditional ``np.ascontiguousarray`` would only re-check
+    # the flags.  The check below keeps the 1x1-kernel edge case, where
+    # reshape can return a read-only view aliasing ``x``, from escaping
+    # uncopied (``test_im2col_returns_an_owned_contiguous_array``).
     if not cols.flags["C_CONTIGUOUS"] or not cols.flags["WRITEABLE"]:
         cols = cols.copy()
     return cols, out_h, out_w

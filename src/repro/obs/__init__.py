@@ -76,7 +76,6 @@ from repro.obs.report import (
     rollup_rows,
     round_rows,
     trace_digest,
-    trace_to_timing_payload,
     validate_trace,
 )
 
@@ -121,7 +120,6 @@ __all__ = [
     "to_jsonl_snapshot",
     "to_openmetrics",
     "trace_digest",
-    "trace_to_timing_payload",
     "truncate_trace",
     "validate_trace",
 ]

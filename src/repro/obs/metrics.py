@@ -107,7 +107,7 @@ class Gauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Bounded streaming summary over observed values (queue waits).
+    """Bounded streaming summary over observed values (save times).
 
     Constant memory at any observation count: exact count/total/min/
     max plus P² quantile sketches (p50/p90/p99).  Deliberately does

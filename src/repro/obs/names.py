@@ -48,7 +48,6 @@ METRIC_NAMES = frozenset(
         "runtime.ckpt.bytes",
         "runtime.ckpt.save_s",
         "runtime.executor.batched_fallbacks",
-        "runtime.executor.queue_wait",
     }
 )
 

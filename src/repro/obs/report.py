@@ -1,11 +1,11 @@
 """Read, validate, diff and summarise ``repro-trace/v1`` files.
 
 The functions here are the measurement side of the observability layer:
-``tools/trace_report.py`` and ``python -m repro.obs`` render a
-per-phase time/bytes breakdown from a trace, and the deterministic view
-(+ digest) is how the cross-backend equivalence contract is checked —
-two traces of the same run under different execution backends must be
-identical after :func:`deterministic_view`.
+``python -m repro.obs`` renders a per-phase time/bytes breakdown from
+a trace, and the deterministic view (+ digest) is how the cross-backend
+equivalence contract is checked — two traces of the same run under
+different execution backends must be identical after
+:func:`deterministic_view`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "rollup_rows",
     "round_rows",
     "trace_digest",
-    "trace_to_timing_payload",
     "validate_trace",
 ]
 
@@ -367,48 +366,3 @@ def format_report(
             )
         )
     return "\n\n".join(parts)
-
-
-def trace_to_timing_payload(
-    events: List[Dict[str, Any]], workload: str = "traced_run"
-) -> Dict[str, Any]:
-    """Convert a trace's phase aggregates into the bench-timing schema.
-
-    The result is a minimal ``repro-bench-timing/v1`` payload (one
-    workload, one backend) accepted by ``tools/bench_compare.py``, so a
-    traced production run can be regression-checked against the
-    recorded ``BENCH_timing.json`` baseline.
-    """
-    phases = phase_summary(events)
-    rounds = phases.get("round")
-    if rounds is None or not rounds["count"]:
-        raise ValueError("trace contains no round spans")
-    compute = phases.get("client_compute", {"count": 0})
-    n_rounds = int(rounds["count"])
-    n_clients = int(compute["count"]) // n_rounds if compute["count"] else 0
-    sec_per_round = rounds["total_s"] / n_rounds
-    backend = "traced"
-    for event in events:
-        if event.get("kind") == "span" and event["name"] == "run":
-            backend = event.get("rt", {}).get("backend", backend)
-            break
-    return {
-        "schema": "repro-bench-timing/v1",
-        "config": {"source": "trace", "rounds_timed": n_rounds},
-        "workloads": {
-            workload: {
-                "backends": {
-                    backend: {
-                        "backend": backend,
-                        "rounds_timed": n_rounds,
-                        "n_clients": n_clients,
-                        "sec_per_round": sec_per_round,
-                        "clients_per_sec": (
-                            n_clients / sec_per_round if sec_per_round else 0.0
-                        ),
-                    }
-                },
-                "identical_histories": True,
-            }
-        },
-    }

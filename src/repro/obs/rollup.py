@@ -14,8 +14,8 @@ Determinism: every structure here is a pure function of its input
 *sequence*.  The trainer feeds deterministic quantities (relevance
 scores, upload decisions) in participant order, so rollup ``attrs``
 are identical across execution backends; wall-clock quantities
-(compute durations, queue waits) accumulate on the runtime side and
-are emitted under the event's ``rt`` key, which the deterministic view
+(compute durations) accumulate on the runtime side and are
+emitted under the event's ``rt`` key, which the deterministic view
 masks.  The sampling decision itself is a pure hash of
 ``(seed, round, client_index)`` — no RNG object, no state — so the
 same clients are sampled on every backend and ``trace_digest`` stays a
@@ -103,8 +103,8 @@ class P2Quantile:
                     # Degenerate neighborhood (constant stream): both
                     # the parabolic and linear formulas reduce to
                     # q[i] + 0.0, so only the marker position moves.
-                    # Worth special-casing — all-zero queue waits on
-                    # the serial backend hit this on every observe.
+                    # Worth special-casing — a constant stream hits
+                    # this on every observe.
                     q[i] = q[i] + 0.0
                     n[i] += step
                     continue
@@ -352,7 +352,6 @@ class RoundRollup:
         self.extra: Dict[str, Any] = {}
         # Runtime side (completion data replayed in participant order).
         self.compute = StreamingHistogram()
-        self.queue_wait = StreamingHistogram()
         self._slowest: List[Tuple[float, int]] = []
 
     # -- deterministic feed ---------------------------------------------
@@ -369,12 +368,9 @@ class RoundRollup:
 
     # -- runtime feed ----------------------------------------------------
 
-    def observe_task_rt(
-        self, client_index: int, dur: float, queue_wait: float
-    ) -> None:
+    def observe_task_rt(self, client_index: int, dur: float) -> None:
         """One client task's wall-clock cost (runtime side)."""
         self.compute.observe(dur)
-        self.queue_wait.observe(queue_wait)
         entry = (float(dur), int(client_index))
         if len(self._slowest) < self.SLOWEST_K:
             self._slowest.append(entry)
@@ -412,6 +408,5 @@ class RoundRollup:
         """The runtime half (masked by the deterministic view)."""
         return {
             "compute_s": self.compute.summary(),
-            "queue_wait_s": self.queue_wait.summary(),
             "slowest": [[index, dur] for index, dur in self.slowest()],
         }

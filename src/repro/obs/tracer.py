@@ -26,7 +26,7 @@ Event schema (one JSON object per line in a ``.jsonl`` trace)::
 
     {"seq": 12, "kind": "span", "name": "client_compute", "id": 7,
      "parent": 3, "attrs": {"iteration": 1, "client_id": 4},
-     "rt": {"ts": 8.1, "dur": 0.03, "queue_wait": 0.001, "worker": "..."}}
+     "rt": {"ts": 8.1, "dur": 0.03, "worker": "..."}}
 
 ``kind`` is ``header`` | ``span`` | ``point`` | ``metric``.
 
@@ -34,8 +34,8 @@ Event schema (one JSON object per line in a ``.jsonl`` trace)::
 event ordering, span nesting, names, ids and ``attrs`` payloads — is a
 pure function of the run's decisions and therefore identical across the
 serial and batched execution backends.  All wall-clock and
-scheduling-dependent data (timestamps, durations, queue waits, worker
-labels, backend names, host info) lives in ``rt``, and metrics in
+scheduling-dependent data (timestamps, durations, worker labels,
+backend names, host info) lives in ``rt``, and metrics in
 the ``runtime.*`` namespace keep their values there too.
 :func:`repro.obs.report.deterministic_view` strips ``rt``/``seq`` and
 drops ``runtime.*`` events; two traces of the same run must be equal

@@ -1,10 +1,12 @@
-"""The ``python -m repro`` and ``python -m repro.lint`` entry points."""
+"""The ``python -m repro``, ``repro.experiments.scale`` and
+``python -m repro.lint`` entry points."""
 
 import json
 
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.scale import main as scale_main
 from repro.lint.cli import main as lint_main
 
 
@@ -33,6 +35,26 @@ def test_runs_one_experiment_at_test_scale(capsys):
 def test_bad_scale_raises():
     with pytest.raises(ValueError):
         main(["fig2_measures", "enormous"])
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["--population", "50", "--cohort", "100"], "exceeds population"),
+        (["--population", "1000", "--rounds", "0"], "--rounds"),
+        (
+            ["--population", "1000", "--trace", "--trace-sample", "1.5"],
+            "trace_sample",
+        ),
+    ],
+)
+def test_scale_cli_rejects_bad_arguments(argv, cause, capsys):
+    # A usage error (exit 2, cause on stderr), not a traceback: the
+    # sweep in benchmarks/test_scale.py must tell it from a crash.
+    with pytest.raises(SystemExit) as exit_info:
+        scale_main(argv)
+    assert exit_info.value.code == 2
+    assert cause in capsys.readouterr().err
 
 
 # -- repro.lint CLI exit-code contract ---------------------------------------

@@ -480,7 +480,7 @@ class TestMetricNameRegistry:
             def record(metrics, n):
                 metrics.counter("comm.uploads").inc(n)
                 metrics.gauge("store.shards_materialized").set(n)
-                metrics.histogram("runtime.executor.queue_wait").observe(n)
+                metrics.histogram("runtime.ckpt.save_s").observe(n)
         """
         assert rules_fired(source, MetricNameRegistryRule) == []
 

@@ -70,6 +70,17 @@ class TestConv:
         rhs = float(np.sum(x * col2im(y, x.shape, 3, 3, 1)))
         assert abs(lhs - rhs) < 1e-9
 
+    @pytest.mark.parametrize("kernel, stride", [(1, 1), (3, 1), (2, 2)])
+    def test_im2col_returns_an_owned_contiguous_array(self, rng, kernel, stride):
+        """The conv layers cache ``cols`` for backward; for a 1x1
+        stride-1 kernel the unfold's reshape is a read-only view
+        aliasing ``x`` unless ``im2col`` copies it."""
+        x = rng.normal(size=(2, 3, 6, 6))
+        cols, _, _ = im2col(x, kernel, kernel, stride)
+        assert cols.flags["C_CONTIGUOUS"]
+        assert cols.flags["WRITEABLE"]
+        assert not np.shares_memory(cols, x)
+
     def test_kernel_larger_than_input_raises(self):
         with pytest.raises(ValueError):
             im2col(np.zeros((1, 1, 3, 3)), 5, 5, 1)

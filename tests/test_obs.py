@@ -363,7 +363,7 @@ class TestSampledTracing:
 
     def test_tracing_never_changes_the_run(self):
         from repro.experiments.scale import make_scale_trainer
-        from repro.experiments.timing import history_digest
+        from repro.fl.history import history_digest
 
         digests = set()
         for trace, sample in ((False, 1.0), (True, 0.01), (True, 1.0)):

@@ -27,7 +27,7 @@ def _traced_metrics():
     tracer = Tracer(sinks=[sink])
     tracer.metrics.counter("comm.uploads").inc(7)
     tracer.metrics.gauge("store.shards_materialized").set(3)
-    hist = tracer.metrics.histogram("runtime.executor.queue_wait")
+    hist = tracer.metrics.histogram("runtime.ckpt.save_s")
     for v in (0.01, 0.02, 0.03, 0.04):
         hist.observe(v)
     tracer.close()
@@ -64,12 +64,12 @@ class TestOpenMetrics:
         assert types["store_shards_materialized"] == "gauge"
         assert samples["store_shards_materialized"] == 3
         # Histogram sketches export as the OpenMetrics summary type.
-        assert types["runtime_executor_queue_wait"] == "summary"
-        assert samples["runtime_executor_queue_wait_count"] == 4
-        assert samples["runtime_executor_queue_wait_sum"] == pytest.approx(
+        assert types["runtime_ckpt_save_s"] == "summary"
+        assert samples["runtime_ckpt_save_s_count"] == 4
+        assert samples["runtime_ckpt_save_s_sum"] == pytest.approx(
             0.1
         )
-        assert samples['runtime_executor_queue_wait{quantile="0.5"}'] == (
+        assert samples['runtime_ckpt_save_s{quantile="0.5"}'] == (
             pytest.approx(0.025)
         )
 
@@ -101,7 +101,7 @@ class TestMetricsFromTrace:
         metrics = metrics_from_trace(_traced_metrics())
         assert metrics["comm.uploads"]["value"] == 7
         # Histogram quantiles only exist via the snapshot path.
-        assert metrics["runtime.executor.queue_wait"]["p50"] is not None
+        assert metrics["runtime.ckpt.save_s"]["p50"] is not None
 
     def test_falls_back_to_streamed_metric_events(self):
         # A killed run: drop the close-time snapshot.
@@ -114,7 +114,7 @@ class TestMetricsFromTrace:
         assert metrics["comm.uploads"]["value"] == 7
         assert metrics["comm.uploads"]["type"] == "counter"
         # Histograms do not stream per observation.
-        assert "runtime.executor.queue_wait" not in metrics
+        assert "runtime.ckpt.save_s" not in metrics
 
 
 def _write_trace(tmp_path, name="trace.jsonl", rounds=2):

@@ -179,7 +179,7 @@ class TestRoundRollup:
             rollup.observe_decision(
                 score=0.1 * i, train_loss=1.0 - 0.05 * i, uploaded=i % 2 == 0
             )
-            rollup.observe_task_rt(i, dur=0.01 * (i + 1), queue_wait=0.001)
+            rollup.observe_task_rt(i, dur=0.01 * (i + 1))
         rollup.uploaded_bytes = 5_000
         rollup.status_bytes = 50
         return rollup

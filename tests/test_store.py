@@ -64,7 +64,7 @@ def _config(rounds=5, backend="serial"):
 
 
 def _history_digest(trainer):
-    from repro.experiments.timing import history_digest
+    from repro.fl.history import history_digest
 
     return history_digest(trainer)
 
