@@ -152,12 +152,13 @@ class BatchedModule:
 class BatchedStateless(BatchedModule):
     """Batched adapter for parameter-free, stacking-invariant modules.
 
-    Wraps a **fresh** serial instance of an elementwise/shape-only
-    layer (ReLU, Sigmoid, Tanh) whose forward/backward already accept
-    arbitrary shapes and compute each element independently — running
-    it on ``(C, batch, ...)`` is bitwise-identical to running each
-    client slice separately.  A fresh instance is required so the
-    batched path never clobbers the serial workspace's forward caches.
+    Wraps a **fresh** serial instance of a layer whose forward/backward
+    already accept arbitrary leading shapes and compute each element
+    (ReLU, Sigmoid, Tanh) or each trailing plane (MaxPool2D)
+    independently — running it on ``(C, batch, ...)`` is
+    bitwise-identical to running each client slice separately.  A
+    fresh instance is required so the batched path never clobbers the
+    serial workspace's forward caches.
     """
 
     def __init__(self, inner: Module) -> None:

@@ -1,12 +1,15 @@
 """Reference kernels: the arithmetic the shipped kernels must reproduce.
 
-These are the pre-rewrite ``sigmoid`` (boolean-mask form) and LSTM time
+These are the pre-rewrite ``sigmoid`` (boolean-mask form), LSTM time
 loops (four gate temporaries + ``np.concatenate`` per step, one
-gradient read-modify-write per step), kept verbatim so "same bits as
-before" is something the tier-1 suite asserts rather than something only
-a digest file remembers.  They are deliberately slow and deliberately
-not shared with ``src/``: a reference that imports the code under test
-checks nothing.
+gradient read-modify-write per step) and CNN kernels (``np.where``
+ReLU backward, index-routed max pooling with its flat-scatter backward,
+single-batch-axis ``im2col`` / ``col2im``, and the serial and stacked
+conv layers around them), kept verbatim so "same bits as before" is
+something the tier-1 suite asserts rather than something only a digest
+file remembers.  They are deliberately slow and deliberately not shared
+with ``src/``: a reference that imports the code under test checks
+nothing.
 """
 
 import numpy as np
@@ -162,4 +165,160 @@ def stacked_lstm_backward(
         dx[:, :, step, :] = dz @ w_x.transpose(0, 2, 1)
         dh_next = dz @ w_h.transpose(0, 2, 1)
         dc_next = dc * f
+    return dx
+
+
+def relu_backward(mask, grad_output):
+    """ReLU backward: the branching select."""
+    return np.where(mask, grad_output, 0.0)
+
+
+def maxpool_forward(x, p):
+    """Max pooling over ``(n, c, h, w)``: returns ``(output, idx)``,
+    ``idx`` the row-major position of each block's first maximum."""
+    n, c, h, w = x.shape
+    if p == 2:
+        x6 = x.reshape(n, c, h // 2, 2, w // 2, 2)
+        a = x6[:, :, :, 0, :, 0]
+        b = x6[:, :, :, 0, :, 1]
+        cc = x6[:, :, :, 1, :, 0]
+        d = x6[:, :, :, 1, :, 1]
+        top = np.maximum(a, b)
+        bottom = np.maximum(cc, d)
+        idx = np.where(bottom > top, (d > cc) + 2, (b > a) + 0)
+        return np.maximum(top, bottom), idx
+    blocks = x.reshape(n, c, h // p, p, w // p, p).transpose(0, 1, 2, 4, 3, 5)
+    flat = blocks.reshape(n, c, h // p, w // p, p * p)
+    idx = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
+
+def maxpool_backward(idx, in_shape, p, grad_output):
+    """Scatter each block's gradient to its ``idx`` position."""
+    n, c, h, w = in_shape
+    base = (
+        (
+            np.arange(n)[:, None, None, None] * c
+            + np.arange(c)[None, :, None, None]
+        )
+        * h
+        + np.arange(0, h, p)[None, None, :, None]
+    ) * w + np.arange(0, w, p)[None, None, None, :]
+    flat = base + (idx // p) * w + idx % p
+    dx = np.zeros(n * c * h * w, dtype=grad_output.dtype)
+    dx[flat.reshape(-1)] = grad_output.reshape(-1)
+    return dx.reshape(n, c, h, w)
+
+
+def im2col(x, kh, kw, stride):
+    """Unfold ``(n, c, h, w)`` into ``(n, c * kh * kw, out_h * out_w)``."""
+    n, c, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kh, kw),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        writeable=False,
+    )
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
+    if not cols.flags["C_CONTIGUOUS"] or not cols.flags["WRITEABLE"]:
+        cols = cols.copy()
+    return cols, out_h, out_w
+
+
+def col2im(cols, x_shape, kh, kw, stride):
+    """Fold ``(n, c * kh * kw, out_h * out_w)`` back onto ``x_shape``."""
+    n, c, h, w = x_shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
+    dx = np.zeros(x_shape, dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += (
+                cols6[:, :, i, j]
+            )
+    return dx
+
+
+def conv_forward(x, weight, bias, stride, padding):
+    """Serial conv forward over ``(n, ch, h, w)``.  Returns
+    ``(output, cache)``."""
+    f, _, k, _ = weight.shape
+    if padding:
+        pad = padding
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols, out_h, out_w = im2col(x, k, k, stride)
+    w_rows = weight.reshape(f, -1)
+    out = np.matmul(w_rows[None], cols)
+    out += bias[None, :, None]
+    return out.reshape(x.shape[0], f, out_h, out_w), (cols, x.shape, (out_h, out_w))
+
+
+def conv_backward(cache, grad_output, weight, dw, db, stride, padding):
+    """Serial conv backward; accumulates into ``dw`` / ``db`` in place
+    and returns ``dx``."""
+    cols, x_padded_shape, (out_h, out_w) = cache
+    f, _, k, _ = weight.shape
+    n = grad_output.shape[0]
+    grad_flat = grad_output.reshape(n, f, out_h * out_w)
+    dw += np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(dw.shape)
+    db += grad_flat.sum(axis=(0, 2))
+    w_rows = weight.reshape(f, -1)
+    dcols = np.matmul(w_rows.T[None], grad_flat)
+    dx = col2im(dcols, x_padded_shape, k, k, stride)
+    if padding:
+        pad = padding
+        dx = dx[:, :, pad:-pad, pad:-pad]
+    return dx
+
+
+def stacked_conv_forward(x, weight, bias, stride, padding):
+    """Leading-client-axis conv forward over ``(c, n, ch, h, w)`` with
+    ``weight`` ``(c, f, ch, k, k)`` and ``bias`` ``(c, f)``.  Returns
+    ``(output, cache)``."""
+    f, k = weight.shape[1], weight.shape[3]
+    if padding:
+        pad = padding
+        x = np.pad(x, ((0, 0), (0, 0), (0, 0), (pad, pad), (pad, pad)))
+    c, n = x.shape[0], x.shape[1]
+    folded = x.reshape((c * n,) + x.shape[2:])
+    cols, out_h, out_w = im2col(folded, k, k, stride)
+    cols = cols.reshape(c, n, cols.shape[1], cols.shape[2])
+    w_rows = weight.reshape(c, f, -1)
+    out = np.matmul(w_rows[:, None], cols)
+    out += bias[:, None, :, None]
+    return out.reshape(c, n, f, out_h, out_w), (cols, x.shape, (out_h, out_w))
+
+
+def stacked_conv_backward(cache, grad_output, weight, dw, db, stride, padding):
+    """Leading-client-axis conv backward (folded dcols GEMM + inline
+    col2im on a pure-view permutation); accumulates into the stacked
+    ``dw`` / ``db`` in place and returns the stacked ``dx``."""
+    cols, x_padded_shape, (out_h, out_w) = cache
+    f, in_channels, k = weight.shape[1], weight.shape[2], weight.shape[3]
+    c, n = grad_output.shape[0], grad_output.shape[1]
+    grad_flat = grad_output.reshape(c, n, f, out_h * out_w)
+    dw += np.matmul(
+        grad_flat, cols.transpose(0, 1, 3, 2)
+    ).sum(axis=1).reshape(dw.shape)
+    db += grad_flat.sum(axis=(1, 3))
+    w_rows = weight.reshape(c, f, -1)
+    grad_cols = grad_flat.transpose(0, 2, 1, 3).reshape(c, f, -1)
+    dcols = np.matmul(w_rows.transpose(0, 2, 1), grad_cols)
+    cols7 = dcols.reshape(
+        c, in_channels, k, k, n, out_h, out_w
+    ).transpose(0, 4, 1, 2, 3, 5, 6)
+    dx = np.zeros(x_padded_shape, dtype=dcols.dtype)
+    s = stride
+    for i in range(k):
+        for j in range(k):
+            dx[
+                :, :, :, i : i + s * out_h : s, j : j + s * out_w : s
+            ] += cols7[:, :, :, i, j]
+    if padding:
+        pad = padding
+        dx = dx[:, :, :, pad:-pad, pad:-pad]
     return dx

@@ -43,9 +43,20 @@ from repro.nn.serialization import (
 C = 3  # stacked clients in every test
 
 
+def _same_bits(got, want):
+    """``assert_array_equal`` calls -0.0 and +0.0 (and any two NaNs)
+    equal — exactly the deviation a cheap kernel introduces — so "bit
+    for bit" compares bytes."""
+    got = np.asarray(got)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def _check_layer(module_factory, x_stack, grad_from=None, training=True):
     """Batched forward/backward over C stacked clients must be bitwise
-    equal to C serial runs with the same per-client parameters."""
+    equal to C serial runs with the same per-client parameters — on
+    the ``backward`` route and, from zeroed gradients again, on the
+    ``head_backward`` one."""
     ref = module_factory()
     n_params = parameter_count(ref)
     binder = BatchedParamBinder(C, n_params)
@@ -57,19 +68,40 @@ def _check_layer(module_factory, x_stack, grad_from=None, training=True):
     out = batched.forward(x_stack, training=training)
     grad_out = (grad_from or rng.normal)(size=out.shape)
     dx = batched.backward(grad_out)
+    grads = binder.grad.copy()
+    binder.grad[...] = 0.0
+    batched.forward(x_stack, training=training)
+    head_dx = batched.head_backward(grad_out)
     for c in range(C):
         serial = module_factory()
         if n_params:
             assign_flat_parameters(serial, binder.data[c].copy())
         out_c = serial.forward(x_stack[c], training=training)
         dx_c = serial.backward(np.ascontiguousarray(grad_out[c]))
-        np.testing.assert_array_equal(out[c], out_c, strict=True)
-        np.testing.assert_array_equal(dx[c], dx_c, strict=True)
+        _same_bits(out[c], out_c)
+        _same_bits(dx[c], dx_c)
         if n_params:
-            np.testing.assert_array_equal(
-                binder.grad[c], flatten_gradients(serial), strict=True
-            )
+            _same_bits(grads[c], flatten_gradients(serial))
+        serial.zero_grad()
+        serial.forward(x_stack[c], training=training)
+        head_dx_c = serial.head_backward(np.ascontiguousarray(grad_out[c]))
+        if head_dx_c is None:
+            assert head_dx is None
+        else:
+            _same_bits(head_dx[c], head_dx_c)
+        if n_params:
+            _same_bits(binder.grad[c], flatten_gradients(serial))
     return out
+
+
+def _step_window(rng, shape):
+    """A non-contiguous ``x_epoch[a:b, cut]``-shaped slice: what the
+    batched executor hands the first layer of a stacked step."""
+    c, n = shape[:2]
+    epoch = rng.normal(size=(c + 2, 3 * n) + shape[2:])
+    window = epoch[1 : c + 1, n : 2 * n]
+    assert not window.flags["C_CONTIGUOUS"]
+    return window
 
 
 class TestBatchedLayers:
@@ -85,7 +117,7 @@ class TestBatchedLayers:
         _check_layer(
             lambda: Conv2D(2, 3, kernel_size=3, padding=1,
                            rng=np.random.default_rng(2)),
-            rng.normal(size=(C, 4, 2, 6, 6)),
+            _step_window(rng, (C, 4, 2, 6, 6)),
         )
 
     def test_conv2d_unpadded_stride(self):
@@ -93,12 +125,12 @@ class TestBatchedLayers:
         _check_layer(
             lambda: Conv2D(1, 2, kernel_size=3, stride=2,
                            rng=np.random.default_rng(3)),
-            rng.normal(size=(C, 5, 1, 7, 7)),
+            _step_window(rng, (C, 5, 1, 7, 7)),
         )
 
     def test_maxpool(self):
         rng = np.random.default_rng(0)
-        _check_layer(lambda: MaxPool2D(2), rng.normal(size=(C, 4, 2, 6, 6)))
+        _check_layer(lambda: MaxPool2D(2), _step_window(rng, (C, 4, 2, 6, 6)))
 
     def test_lstm_last_hidden(self):
         rng = np.random.default_rng(0)

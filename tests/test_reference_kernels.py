@@ -1,10 +1,11 @@
-"""The shipped ``sigmoid`` and LSTM kernel against the reference
+"""The shipped ``sigmoid``, LSTM and CNN kernels against the reference
 kernels in :mod:`tests.reference_kernels`: same bits, not close bits."""
 
 import numpy as np
 import pytest
 
-from repro.nn.activations import sigmoid
+from repro.nn.activations import ReLU, select_grad, sigmoid
+from repro.nn.layers.conv import Conv2D, MaxPool2D, col2im, im2col
 from repro.nn.layers.recurrent import LSTM
 from repro.nn.module import BatchedParamBinder
 from repro.nn.serialization import parameter_count
@@ -179,3 +180,266 @@ class TestLSTMGradientAccumulation:
         twin.backward(np.ones((2, 2, 4)))
         with pytest.raises(RuntimeError, match="backward called before forward"):
             twin.backward(np.ones((2, 2, 4)))
+
+
+#: Gradients a cheap select gets wrong: a float multiply turns a dropped
+#: Inf into NaN and a dropped negative into -0.0.
+HOSTILE = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5])
+
+#: (clients, batch, channels, H, W) entering each pooling stage: the
+#: bench federation, then the paper's B = 2 model on a few clients.
+POOL_INPUTS = [(30, 5, 4, 16, 16), (30, 5, 8, 4, 4), (3, 2, 32, 24, 24),
+               (3, 2, 64, 8, 8)]
+
+#: (clients, batch, in, out, size, kernel, stride, padding): both bench
+#: stages, both paper stages, a strided and a padded layer.
+CONVS = [
+    (30, 5, 1, 4, 20, 5, 1, 0),
+    (30, 5, 4, 8, 8, 5, 1, 0),
+    (3, 2, 1, 32, 28, 5, 1, 0),
+    (3, 2, 32, 64, 12, 5, 1, 0),
+    (3, 4, 2, 3, 9, 3, 2, 0),
+    (3, 4, 2, 3, 6, 3, 1, 1),
+]
+
+
+def _hostile_grad(rng, shape):
+    """Random gradients with every hostile value under kept and dropped
+    positions alike (the caller's mask is independent of these)."""
+    grad = rng.normal(size=shape)
+    flat = grad.reshape(-1)
+    where = rng.choice(flat.size, size=flat.size // 3, replace=False)
+    flat[where] = rng.choice(HOSTILE, size=where.size)
+    return grad
+
+
+def _activations(rng, shape):
+    """Post-ReLU-like values: about half exact zeros, so ties between
+    window positions are the common case, as in a real round."""
+    return np.maximum(rng.normal(size=shape), 0.0)
+
+
+class TestSelectGrad:
+    @pytest.mark.parametrize("shape", [(150, 4, 16, 16), (150, 8, 4, 4), (7,)])
+    def test_bitwise_equal_to_where(self, shape):
+        rng = np.random.default_rng(len(shape))
+        mask = rng.random(shape) < 0.5
+        grad = _hostile_grad(rng, shape)
+        got = select_grad(mask, grad)
+        want = ref.relu_backward(mask, grad)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_every_hostile_value_under_both_mask_values(self):
+        grad = np.concatenate([HOSTILE, HOSTILE])
+        mask = np.arange(grad.size) < HOSTILE.size
+        got = select_grad(mask, grad)
+        assert got.tobytes() == ref.relu_backward(mask, grad).tobytes()
+        with np.errstate(invalid="ignore"):  # what a multiply would do
+            assert got.tobytes() != (grad * mask).tobytes()
+        assert not np.signbit(got[HOSTILE.size :]).any()
+        assert (got[HOSTILE.size :] == 0.0).all()
+
+    def test_strided_operands_and_broadcasting(self):
+        rng = np.random.default_rng(5)
+        grad = _hostile_grad(rng, (6, 10, 8))[:, ::2, 1:7]
+        mask = (rng.random((6, 10, 8)) < 0.5)[:, ::2, 1:7]
+        want = ref.relu_backward(mask, grad)
+        assert select_grad(mask, grad).tobytes() == want.tobytes()
+        rows = rng.random((3, 6, 5, 6)) < 0.5
+        assert (
+            select_grad(rows, grad[None]).tobytes()
+            == ref.relu_backward(rows, grad[None]).tobytes()
+        )
+
+    def test_relu_layer_routes_through_it(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(5, 4, 16, 16))
+        x.reshape(-1)[::7] = 0.0
+        grad = _hostile_grad(rng, x.shape)
+        layer = ReLU()
+        layer.forward(x, training=True)
+        assert (
+            layer.backward(grad).tobytes()
+            == ref.relu_backward(x > 0, grad).tobytes()
+        )
+
+
+def _check_pool(x, p, grad):
+    """``MaxPool2D(p)`` on ``x`` — folded to 4-D, and with its leading
+    axes as they are — against the index-routed kernel."""
+    folded = x.reshape((-1,) + x.shape[-3:])
+    want_out, idx = ref.maxpool_forward(folded, p)
+    want_dx = ref.maxpool_backward(idx, folded.shape, p, grad.reshape(want_out.shape))
+    for view, g in ((folded, grad.reshape(want_out.shape)), (x, grad)):
+        pool = MaxPool2D(p)
+        out = pool.forward(view, training=True)
+        dx = pool.backward(g)
+        assert out.shape == g.shape and dx.shape == view.shape
+        assert out.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+    return want_dx
+
+
+class TestMaxPoolBits:
+    @pytest.mark.parametrize("shape", POOL_INPUTS)
+    def test_two_by_two_on_bench_and_paper_shapes(self, shape):
+        rng = np.random.default_rng(shape[2])
+        x = _activations(rng, shape)
+        grad = _hostile_grad(rng, shape[:3] + (shape[3] // 2, shape[4] // 2))
+        _check_pool(x, 2, grad)
+
+    @pytest.mark.parametrize("p,size", [(3, 12), (4, 8), (1, 5)])
+    def test_other_pool_sizes(self, p, size):
+        rng = np.random.default_rng(p)
+        x = _activations(rng, (4, 3, 5, size, size))
+        grad = _hostile_grad(rng, (4, 3, 5, size // p, size // p))
+        _check_pool(x, p, grad)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_tied_windows_route_to_the_first_maximum(self, p):
+        """All-zero input, one constant, a constant per window, and a
+        few distinct levels (ties inside and across windows)."""
+        rng = np.random.default_rng(10 + p)
+        shape = (6, 2, 4 * p, 4 * p)
+        grad = _hostile_grad(rng, (6, 2, 4, 4))
+        per_window = np.repeat(
+            np.repeat(rng.normal(size=(6, 2, 4, 4)), p, axis=2), p, axis=3
+        )
+        levels = rng.integers(-1, 2, size=shape).astype(np.float64)
+        for x in (np.zeros(shape), np.full(shape, -3.0), per_window, levels,
+                  np.where(levels > 0, np.inf, -np.inf)):
+            dx = _check_pool(x, p, grad)
+            # One position per window carries the gradient.
+            routed = dx.reshape(6, 2, 4, p, 4, p) != 0.0
+            assert (routed.sum(axis=(3, 5)) <= 1).all()
+        dx = _check_pool(np.zeros(shape), p, np.ones((6, 2, 4, 4)))
+        assert (dx[:, :, ::p, ::p] == 1.0).all() and dx.sum() == 6 * 2 * 16
+
+    def test_non_contiguous_input_and_gradient(self):
+        rng = np.random.default_rng(12)
+        x = _activations(rng, (8, 9, 4, 8, 8))[2:7, 3:8]
+        grad = _hostile_grad(rng, (5, 5, 4, 4, 8))[..., ::2]
+        assert not x.flags["C_CONTIGUOUS"] and not grad.flags["C_CONTIGUOUS"]
+        _check_pool(x, 2, grad)
+
+
+class TestUnfoldFoldBits:
+    @pytest.mark.parametrize("c,n,ch,f,size,k,stride,pad", CONVS)
+    def test_im2col(self, c, n, ch, f, size, k, stride, pad):
+        del f, pad
+        rng = np.random.default_rng(size)
+        x = rng.normal(size=(c, n, ch, size, size))
+        want, out_h, out_w = ref.im2col(x.reshape(c * n, ch, size, size), k, k, stride)
+        got = im2col(x.reshape(c * n, ch, size, size), k, k, stride)
+        assert got[1:] == (out_h, out_w)
+        assert got[0].shape == want.shape and got[0].tobytes() == want.tobytes()
+        # A leading batch shape, and the executor's strided step window.
+        stacked, _, _ = im2col(x, k, k, stride)
+        assert stacked.shape == (c, n) + want.shape[1:]
+        assert stacked.tobytes() == want.tobytes()
+        epoch = rng.normal(size=(c + 2, 3 * n, ch, size, size))
+        window = epoch[1 : c + 1, n : 2 * n]
+        assert not window.flags["C_CONTIGUOUS"]
+        want, _, _ = ref.im2col(
+            np.ascontiguousarray(window).reshape(c * n, ch, size, size), k, k, stride
+        )
+        got, _, _ = im2col(window, k, k, stride)
+        assert got.flags["C_CONTIGUOUS"] and got.flags["WRITEABLE"]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c,n,ch,f,size,k,stride,pad", CONVS)
+    def test_col2im(self, c, n, ch, f, size, k, stride, pad):
+        del f, pad
+        rng = np.random.default_rng(size + 1)
+        out = (size - k) // stride + 1
+        cols = _hostile_grad(rng, (c * n, ch * k * k, out * out))
+        shape = (c * n, ch, size, size)
+        with np.errstate(invalid="ignore"):
+            want = ref.col2im(cols, shape, k, k, stride)
+            got = col2im(cols, shape, k, k, stride)
+        assert got.shape == want.shape and got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
+
+    def test_col2im_starts_from_positive_zero(self):
+        """A plane element covered only by -0.0 terms is +0.0: the
+        accumulation starts from a +0.0 buffer, not from the first term."""
+        cols = np.full((1, 4, 4), -0.0)
+        got = col2im(cols, (1, 1, 3, 3), 2, 2, 1)
+        assert got.tobytes() == ref.col2im(cols, (1, 1, 3, 3), 2, 2, 1).tobytes()
+        assert not np.signbit(got).any()
+
+
+def _conv_case(c, n, ch, f, size, k, stride, pad):
+    rng = np.random.default_rng(100 * size + k)
+    out = (size + 2 * pad - k) // stride + 1
+    return (
+        rng.normal(size=(c, n, ch, size, size)),
+        rng.normal(size=(c, f, ch, k, k)) * 0.3,
+        rng.normal(size=(c, f)),
+        rng.normal(size=(c, n, f, out, out)),
+    )
+
+
+@pytest.mark.parametrize("c,n,ch,f,size,k,stride,pad", CONVS)
+class TestConvLayerBits:
+    def test_serial_layer(self, c, n, ch, f, size, k, stride, pad):
+        """The one-row case of the stacked kernels against the old
+        serial layer (per-image dcols GEMM, single-batch-axis fold)."""
+        x, weight, bias, grad_out = (
+            a[0] for a in _conv_case(c, n, ch, f, size, k, stride, pad)
+        )
+        for head in (False, True):
+            layer = Conv2D(ch, f, kernel_size=k, stride=stride, padding=pad, rng=0)
+            layer.weight.data[...] = weight
+            layer.bias.data[...] = bias
+            out = layer.forward(x, training=True)
+            dx = layer.head_backward(grad_out) if head else layer.backward(grad_out)
+
+            want_out, cache = ref.conv_forward(x, weight, bias, stride, pad)
+            grads = [np.zeros_like(weight), np.zeros_like(bias)]
+            want_dx = ref.conv_backward(
+                cache, grad_out, weight, *grads, stride, pad
+            )
+            assert out.shape == want_out.shape
+            assert out.tobytes() == want_out.tobytes()
+            if head:
+                assert dx is None
+            else:
+                assert dx.shape == want_dx.shape
+                assert dx.tobytes() == want_dx.tobytes()
+            for param, want in zip(layer.parameters(), grads):
+                assert param.grad.tobytes() == want.tobytes(), param.name
+
+    def test_stacked_layer(self, c, n, ch, f, size, k, stride, pad):
+        """The twin on a stacked flat pair and on a row window of a
+        wider one, fed the executor's strided ``x_epoch[a:b, cut]``."""
+        x, weight, bias, grad_out = _conv_case(c, n, ch, f, size, k, stride, pad)
+        want_out, cache = ref.stacked_conv_forward(x, weight, bias, stride, pad)
+        grads = [np.zeros_like(weight), np.zeros_like(bias)]
+        want_dx = ref.stacked_conv_backward(
+            cache, grad_out, weight, *grads, stride, pad
+        )
+        want_flat = np.concatenate([g.reshape(c, -1) for g in grads], axis=1)
+        epoch = np.zeros((c, 3 * n) + x.shape[2:])
+        epoch[:, n : 2 * n] = x
+
+        layer = Conv2D(ch, f, kernel_size=k, stride=stride, padding=pad, rng=0)
+        full = BatchedParamBinder(c + 2, parameter_count(layer))
+        for binder in (BatchedParamBinder(c, parameter_count(layer)),
+                       full.window(1, c + 1)):
+            twin = layer.batched(binder)
+            binder.finish()
+            binder.data[...] = np.concatenate(
+                [p.reshape(c, -1) for p in (weight, bias)], axis=1
+            )
+            out = twin.forward(epoch[:, n : 2 * n], training=True)
+            dx = twin.backward(grad_out)
+            assert out.tobytes() == want_out.tobytes()
+            assert dx.shape == want_dx.shape and dx.tobytes() == want_dx.tobytes()
+            assert binder.grad.tobytes() == want_flat.tobytes()
+            binder.grad[...] = 0.0
+            twin.forward(epoch[:, n : 2 * n], training=True)
+            assert twin.head_backward(grad_out) is None
+            assert binder.grad.tobytes() == want_flat.tobytes()
+        assert not full.grad[0].any() and not full.grad[-1].any()
