@@ -11,8 +11,8 @@ the async engine call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -37,8 +37,9 @@ class PolicyContext:
 
     The trainer builds one context per round and derives the per-client
     views with :meth:`for_client`; all views share ``_round_cache``, so
-    round-constant derived quantities (currently the feedback sign
-    vector) are computed once per round instead of once per client.
+    round-constant derived quantities (the feedback sign vector and
+    whether it has any non-zero component) are computed once per round
+    instead of once per client.
     """
 
     iteration: int
@@ -46,24 +47,35 @@ class PolicyContext:
     global_update_estimate: np.ndarray
     client_id: int = -1
     staleness: int = 0
-    _round_cache: Dict[str, np.ndarray] = field(
+    _round_cache: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def feedback_sign(self) -> np.ndarray:
-        """``np.sign(global_update_estimate)``, cached for the round."""
-        sign = self._round_cache.get("feedback_sign")
-        if sign is None:
+    def _feedback(self) -> Tuple[np.ndarray, bool]:
+        cached = self._round_cache.get("feedback")
+        if cached is None:
             sign = np.sign(
                 np.asarray(self.global_update_estimate, dtype=float).reshape(-1)
             )
-            self._round_cache["feedback_sign"] = sign
-        return sign
+            cached = self._round_cache["feedback"] = (sign, bool(np.any(sign)))
+        return cached
+
+    @property
+    def feedback_sign(self) -> np.ndarray:
+        """``np.sign(global_update_estimate)``, flat, cached for the round."""
+        return self._feedback()[0]
+
+    @property
+    def has_feedback(self) -> bool:
+        """Whether any feedback component is non-zero, cached for the round."""
+        return self._feedback()[1]
 
     def for_client(self, client_id: int) -> "PolicyContext":
         """A view of this round's context for one client (shared cache)."""
-        return replace(self, client_id=client_id)
+        return PolicyContext(
+            self.iteration, self.global_params, self.global_update_estimate,
+            client_id, self.staleness, self._round_cache,
+        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +137,10 @@ class CMFLPolicy(UploadPolicy):
 
     def decide(self, update: np.ndarray, ctx: PolicyContext) -> UploadDecision:
         score = relevance(
-            update, ctx.global_update_estimate, u_bar_sign=ctx.feedback_sign
+            update,
+            ctx.global_update_estimate,
+            u_bar_sign=ctx.feedback_sign,
+            has_feedback=ctx.has_feedback,
         )
         v_t = min(1.0, self.threshold(ctx.iteration))
         return UploadDecision(upload=score >= v_t, score=score, threshold=v_t)

@@ -29,26 +29,19 @@ def sign_agreement_counts(
     ``np.sign`` maps to {-1, 0, +1}; two exact zeros count as agreeing,
     matching the indicator in Eq. (9).
 
-    ``u_bar_sign``, when given, must be ``np.sign(u_bar)`` computed in
-    advance; ``u_bar`` is then not consulted.  The trainer scores every
-    client of a round against the same feedback vector, so this fast
-    path turns n_clients sign computations per round into one (see
-    :attr:`repro.core.policy.PolicyContext.feedback_sign`).
+    ``u_bar_sign``, when given, must be the flat float ``np.sign(u_bar)``
+    computed in advance; ``u_bar`` is then not consulted.  The trainer
+    scores every client of a round against the same feedback vector, so
+    this fast path turns n_clients sign computations per round into one
+    (see :attr:`repro.core.policy.PolicyContext.feedback_sign`).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if u_bar_sign is None:
-        u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
-        if u.shape != u_bar.shape:
-            raise ValueError(
-                f"update shapes differ: {u.shape} vs {u_bar.shape}"
-            )
-        u_bar_sign = np.sign(u_bar)
-    else:
-        u_bar_sign = np.asarray(u_bar_sign, dtype=float).reshape(-1)
-        if u.shape != u_bar_sign.shape:
-            raise ValueError(
-                f"update shapes differ: {u.shape} vs {u_bar_sign.shape}"
-            )
+        u_bar_sign = np.sign(np.asarray(u_bar, dtype=float).reshape(-1))
+    if u.shape != u_bar_sign.shape:
+        raise ValueError(
+            f"update shapes differ: {u.shape} vs {u_bar_sign.shape}"
+        )
     if u.size == 0:
         raise ValueError("updates cannot be empty")
     agree = int(np.count_nonzero(np.sign(u) == u_bar_sign))
@@ -59,6 +52,7 @@ def relevance(
     u: np.ndarray,
     u_bar: np.ndarray,
     u_bar_sign: Optional[np.ndarray] = None,
+    has_feedback: Optional[bool] = None,
 ) -> float:
     """e(u, u_bar) in [0, 1]; 1 means perfectly aligned with the federation.
 
@@ -69,20 +63,18 @@ def relevance(
 
     ``u_bar_sign`` is the optional precomputed ``np.sign(u_bar)``; a
     sign vector is zero exactly where the feedback is zero, so the
-    zero-feedback rule is decided from it alone on the fast path.
+    zero-feedback rule is decided from it alone on the fast path —
+    or from ``has_feedback``, the precomputed ``np.any(u_bar_sign)``,
+    which like the sign is a constant of the round
+    (:attr:`repro.core.policy.PolicyContext.has_feedback`).
     """
-    if u_bar_sign is None:
-        u_bar_arr = np.asarray(u_bar, dtype=float)
-        if not np.any(u_bar_arr):
-            np.asarray(u, dtype=float)  # still validate the partner argument
-            return 1.0
-        agree, total = sign_agreement_counts(u, u_bar_arr)
-    else:
-        sign = np.asarray(u_bar_sign, dtype=float).reshape(-1)
-        if not np.any(sign):
-            np.asarray(u, dtype=float)  # still validate the partner argument
-            return 1.0
-        agree, total = sign_agreement_counts(u, u_bar, u_bar_sign=sign)
+    if has_feedback is None:
+        probe = np.asarray(u_bar, dtype=float) if u_bar_sign is None else u_bar_sign
+        has_feedback = bool(np.any(probe))
+    if not has_feedback:
+        np.asarray(u, dtype=float)  # still validate the partner argument
+        return 1.0
+    agree, total = sign_agreement_counts(u, u_bar, u_bar_sign=u_bar_sign)
     return agree / total
 
 

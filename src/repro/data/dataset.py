@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,7 +12,12 @@ __all__ = ["Dataset", "train_test_split"]
 
 
 class Dataset:
-    """Paired arrays ``x`` (features) and ``y`` (targets) of equal length."""
+    """Paired arrays ``x`` (features) and ``y`` (targets) of equal length.
+
+    Row ``i`` is row ``(start + i) % len(source)`` of ``source``: the
+    dataset itself from row 0, unless it came from :meth:`window` — so
+    rows of many windows of one source can be gathered from it at once.
+    """
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         x = np.asarray(x)
@@ -23,9 +28,28 @@ class Dataset:
             raise ValueError("dataset cannot be empty")
         self.x = x
         self.y = y
+        self._source: Optional["Dataset"] = None  # None: itself (no cycle)
+        self.start = 0
+
+    @property
+    def source(self) -> "Dataset":
+        return self if self._source is None else self._source
 
     def __len__(self) -> int:
         return len(self.x)
+
+    def window(self, start: int, stop: int) -> "Dataset":
+        """Rows ``(start + i) % len(self)`` for ``i < stop - start``: a
+        zero-copy view while ``stop <= len(self)``, else a gathered copy."""
+        n = len(self)
+        if not (0 <= start < n and start < stop <= start + n):
+            raise ValueError(
+                f"window [{start}, {stop}) does not fit a dataset of {n} rows"
+            )
+        rows = slice(start, stop) if stop <= n else np.arange(start, stop) % n
+        window = Dataset(self.x[rows], self.y[rows])
+        window._source, window.start = self, start
+        return window
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """New dataset restricted to ``indices`` (copies the slices)."""

@@ -103,10 +103,11 @@ class FLClient:
         """
         if lr <= 0:
             raise ValueError("lr must be positive")
+        rng = self._rng  # first: a retired store view refuses before any work
         workspace.load_flat(global_params)
         losses = []
         for _ in range(local_epochs):
-            for xb, yb in self.train_data.batches(batch_size, rng=self._rng):
+            for xb, yb in self.train_data.batches(batch_size, rng=rng):
                 losses.append(workspace.train_step(xb, yb, lr))
         # Flatten straight into the update buffer and subtract in place:
         # one n_params allocation per client instead of two (the update

@@ -50,7 +50,7 @@ import numpy as np
 from repro.fl.client import ClientUpdate
 from repro.fl.events.clock import VirtualClock
 from repro.fl.events.config import AsyncConfig
-from repro.fl.events.latency import ClientTiming, LatencyModel
+from repro.fl.events.latency import LatencyModel
 from repro.fl.events.queue import ARRIVAL, DISPATCH, Event, EventQueue
 from repro.fl.history import RunHistory
 from repro.fl.trainer import FederatedTrainer, RoundState
@@ -256,31 +256,28 @@ class AsyncFederatedTrainer:
             dispatch_time=self.clock.now,
             closes_at_dispatch=self.closes_done,
         )
-        timings: Dict[int, ClientTiming] = {}
-        for client, result in zip(state.participants, state.results):
-            timings[client.client_id] = self.latency.timing(
-                t, client.client_id, result.n_samples,
-                trainer.config.local_epochs,
-            )
-        if timings and all(tm.dropped for tm in timings.values()):
+        timing = self.latency.timing
+        epochs = trainer.config.local_epochs
+        timings = [
+            timing(t, result.client_id, result.n_samples, epochs)
+            for result in state.results
+        ]
+        if timings and all(tm.dropped for tm in timings):
             # All-dropped rescue: a fully dead round could never close.
             # The fastest upload lands anyway (ids break latency ties).
             rescue = min(
-                timings, key=lambda cid: (timings[cid].latency_s, cid)
+                range(len(timings)),
+                key=lambda i: (timings[i].latency_s, state.results[i].client_id),
             )
-            timings[rescue] = ClientTiming(
-                dropped=False, latency_s=timings[rescue].latency_s
-            )
-        for client in state.participants:
-            cid = client.client_id
-            timing = timings[cid]
-            if timing.dropped:
+            timings[rescue] = timings[rescue]._replace(dropped=False)
+        now = self.clock.now
+        for result, tm in zip(state.results, timings):
+            cid = result.client_id
+            if tm.dropped:
                 inflight.dropped.add(cid)
             else:
                 inflight.pending.add(cid)
-                self.queue.push(
-                    Event(self.clock.now + timing.latency_s, ARRIVAL, t, cid)
-                )
+                self.queue.push(Event(now + tm.latency_s, ARRIVAL, t, cid))
         self._inflight[t] = inflight
         self.last_dispatch_time = self.clock.now
         if not self.sync_mode and self.tracer.enabled:
@@ -305,11 +302,7 @@ class AsyncFederatedTrainer:
         inflight = self._inflight[event.iteration]
         inflight.pending.remove(event.client_id)
         inflight.arrived.append(event.client_id)
-        if (
-            not self.sync_mode
-            and self.tracer.enabled
-            and self.tracer.span_sampled(event.iteration, event.client_id)
-        ):
+        if not self.sync_mode and event.client_id in inflight.state.sampled:
             self.tracer.record_span(
                 "admit",
                 attrs={
@@ -474,6 +467,9 @@ class AsyncFederatedTrainer:
             # the uninterrupted run's; the lost wall-clock side lives
             # under rt, which the deterministic view masks anyway.
             rollup = RoundRollup(t) if self.tracer.enabled else None
+            sampled = self.tracer.sampled_clients(
+                t, [int(cid) for cid in entry["participants"]]
+            )
             round_state = RoundState(
                 iteration=t,
                 lr=float(entry["lr"]),
@@ -483,6 +479,7 @@ class AsyncFederatedTrainer:
                 results=results,
                 views=[],
                 rollup=rollup,
+                sampled=sampled,
             )
             inflight = _InflightRound(
                 state=round_state,

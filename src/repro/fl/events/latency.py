@@ -19,13 +19,13 @@ its result is discarded and its arrival never scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.emu.network import MOBILE_LINK, LinkModel, NodeComputeModel
 from repro.nn.serialization import update_nbytes
+from repro.utils.rng import stream_seed
 
 __all__ = ["ClientTiming", "LatencyModel", "STREAM_TAG"]
 
@@ -35,8 +35,7 @@ __all__ = ["ClientTiming", "LatencyModel", "STREAM_TAG"]
 STREAM_TAG = 0x1A7E9C
 
 
-@dataclass(frozen=True)
-class ClientTiming:
+class ClientTiming(NamedTuple):
     """One client's simulated fate in one round."""
 
     dropped: bool
@@ -67,6 +66,9 @@ class LatencyModel:
         self.compute = compute if compute is not None else NodeComputeModel()
         self.speed_sigma = float(speed_sigma)
         self.drop_rate = float(drop_rate)
+        # The model crosses the link once down and once up at the same
+        # cost for every client of every round.
+        self._transfer_s = self.link.transfer_time(update_nbytes(self.n_params))
 
     def timing(
         self,
@@ -85,18 +87,14 @@ class LatencyModel:
         rescue needs it).
         """
         rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=(self.seed, STREAM_TAG, int(iteration), int(client_id))
-            )
+            stream_seed(self.seed, STREAM_TAG, int(iteration), int(client_id))
         )
         dropped = bool(rng.random() < self.drop_rate)
-        model_bytes = update_nbytes(self.n_params)
-        down = self.link.transfer_time(model_bytes)
         train = self.compute.local_training_time(n_samples, local_epochs)
         if self.speed_sigma > 0.0:
             train *= float(np.exp(self.speed_sigma * rng.standard_normal()))
-        up = self.link.transfer_time(model_bytes)
-        return ClientTiming(dropped=dropped, latency_s=down + train + up)
+        # down + train + up, in that order.
+        return ClientTiming(dropped, self._transfer_s + train + self._transfer_s)
 
     def __repr__(self) -> str:
         return (

@@ -16,8 +16,7 @@ reordered against the arrival that completed it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, NamedTuple
 
 __all__ = ["ARRIVAL", "DISPATCH", "Event", "EventQueue"]
 
@@ -28,18 +27,17 @@ DISPATCH = 1
 _KINDS = (ARRIVAL, DISPATCH)
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """One scheduled occurrence on the virtual timeline."""
+class Event(NamedTuple):
+    """One scheduled occurrence on the virtual timeline.
+
+    A tuple, so the heap orders events by ``(time, kind, iteration,
+    client_id)`` without calling back into Python.
+    """
 
     time: float
     kind: int
     iteration: int
     client_id: int = -1
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown event kind {self.kind}")
 
 
 class EventQueue:
@@ -49,6 +47,8 @@ class EventQueue:
         self._heap: List[Event] = []
 
     def push(self, event: Event) -> None:
+        if event.kind not in _KINDS:
+            raise ValueError(f"unknown event kind {event.kind}")
         heapq.heappush(self._heap, event)
 
     def pop(self) -> Event:
@@ -81,13 +81,9 @@ class EventQueue:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._heap = [
-            Event(
-                time=float(t), kind=int(k), iteration=int(i), client_id=int(c)
-            )
-            for t, k, i, c in state["events"]
-        ]
-        heapq.heapify(self._heap)
+        self._heap = []
+        for t, k, i, c in state["events"]:  # sorted: each push is O(1)
+            self.push(Event(float(t), int(k), int(i), int(c)))
 
     def __repr__(self) -> str:
         return f"EventQueue({len(self._heap)} pending)"

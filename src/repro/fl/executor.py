@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +63,9 @@ class RoundPlan:
     batch_size: int
     #: The broadcast x_{t-1} all participants start from (read-only).
     global_params: np.ndarray
+    #: The participants whose ``client_compute`` span the trace keeps
+    #: (:meth:`repro.obs.Tracer.sampled_clients`); None keeps them all.
+    sampled: Optional[FrozenSet[int]] = None
 
 
 class ClientExecutionError(RuntimeError):
@@ -204,6 +207,9 @@ class BatchedExecutor(ClientExecutor):
         #: One engine per stack height, built lazily and kept across
         #: rounds (heights repeat under a fixed cohort size).
         self._engines: Dict[int, BatchedWorkspace] = {}
+        #: Per stack height, the ``(sizes, batch)`` it last ran and the
+        #: lock-step schedule for them.
+        self._schedules: Dict[int, Tuple[tuple, list]] = {}
         self._unsupported: Optional[str] = None
         self.tracer = NULL_TRACER
 
@@ -211,6 +217,7 @@ class BatchedExecutor(ClientExecutor):
         del clients
         self._workspace = workspace
         self._engines = {}  # stale stacks would read the old model's shapes
+        self._schedules = {}
         self._unsupported = None
         self.tracer = tracer or NULL_TRACER
 
@@ -270,8 +277,7 @@ class BatchedExecutor(ClientExecutor):
             for idx, update in zip(indices, updates):
                 results[idx] = update
                 timings[idx] = (per_sample * update.n_samples, worker)
-        for client, timing in zip(participants, timings):
-            _emit_task_span(tracer, plan, client, timing)
+        _emit_task_spans(tracer, plan, participants, timings)
         return results
 
     def _run_cohort(
@@ -284,15 +290,16 @@ class BatchedExecutor(ClientExecutor):
         """E local epochs of ``cohort`` (ascending shard size) in lockstep.
 
         A failure is re-raised as :class:`ClientExecutionError` for the
-        client it belongs to: the one whose permutation draw or gather
-        raised, or — inside a stacked step, which has no single owner —
-        the first client of the run, with the rows that ran.
+        client it belongs to: the one whose permutation draw raised, or
+        — inside a gather or a stacked step, which run many rows and
+        have no single owner — the first client of the run, with the
+        rows that ran.
         """
         epochs, batch, n_rows = plan.local_epochs, plan.batch_size, len(cohort)
         sizes = [client.n_samples for client in cohort]
         steps = [-(-n // batch) for n in sizes]
         # ``blamed`` follows the work: whose phase it is, or — with the
-        # ``(epoch, step, a, b)`` of the call in ``run`` — whose run.
+        # ``(what, a, b)`` of the call in ``run`` — whose run of rows.
         blamed, run = cohort[0], None
         try:
             if plan.lr <= 0:
@@ -302,9 +309,10 @@ class BatchedExecutor(ClientExecutor):
             # stream — exactly the draws Dataset.batches would make
             # serially; training consumes no other client randomness,
             # so the streams end the round in the identical state.
-            orders = []
-            for blamed in cohort:
-                orders.append([blamed.epoch_order() for _ in range(epochs)])
+            orders = np.empty((epochs, n_rows, sizes[-1]), dtype=np.int64)
+            for ci, blamed in enumerate(cohort):
+                for epoch in range(epochs):
+                    orders[epoch, ci, : sizes[ci]] = blamed.epoch_order()
             # One gather buffer per cohort call, refilled in place every
             # epoch: per-step minibatches are plain slices whose
             # per-client slabs are contiguous — the same memory layout
@@ -318,14 +326,39 @@ class BatchedExecutor(ClientExecutor):
                 (n_rows, sizes[-1]) + first.y.shape[1:], dtype=first.y.dtype
             )
             losses = np.empty((n_rows, epochs, steps[-1]), dtype=np.float64)
-            schedule = _lockstep_schedule(sizes, batch)
+            # Adjacent equally long windows of one source dataset gather
+            # together: row k of epoch e is source row start_k + order_k
+            # (an eager client is its own source, from row 0).
+            sources = [client.train_data.source for client in cohort]
+            gathers = []
+            for a, b in _equal_runs(list(zip(sizes, map(id, sources)))):
+                blamed, run = cohort[a], ("gather", a, b)
+                n = sizes[a]
+                rows = orders[:, a:b, :n]
+                if not 0 <= rows.min() <= rows.max() < n:
+                    raise IndexError(f"epoch order outside the {n} rows of its shard")
+                starts = [client.train_data.start for client in cohort[a:b]]
+                rows = rows + np.array(starts, dtype=np.int64)[:, None]
+                gathers.append((a, b, n, sources[a], rows))
+            # The lock-step schedule of a fixed cohort shape (equal
+            # shards, or full participation) is built once, not per round.
+            key = (tuple(sizes), batch)
+            if self._schedules.get(n_rows, (None,))[0] != key:
+                self._schedules[n_rows] = (key, _lockstep_schedule(sizes, batch))
+            schedule = self._schedules[n_rows][1]
             for epoch in range(epochs):
-                for ci, blamed in enumerate(cohort):
-                    order, n, data = orders[ci][epoch], sizes[ci], blamed.train_data
-                    np.take(data.x, order, axis=0, out=x_epoch[ci, :n])
-                    np.take(data.y, order, axis=0, out=y_epoch[ci, :n])
+                for a, b, n, source, rows in gathers:
+                    blamed, run = cohort[a], (f"gather of epoch {epoch}", a, b)
+                    # mode="wrap" is the windows' own wrap-around, and
+                    # writes a contiguous ``out`` in place where the
+                    # default mode buffers it to survive its bounds
+                    # check — made above, once.
+                    index = rows[epoch]
+                    for data, out in ((source.x, x_epoch), (source.y, y_epoch)):
+                        np.take(data, index, axis=0, out=out[a:b, :n], mode="wrap")
                 for step, a, b, cut in schedule:
-                    blamed, run = cohort[a], (epoch, step, a, b)
+                    blamed = cohort[a]
+                    run = (f"stacked step {step} of epoch {epoch}", a, b)
                     losses[a:b, epoch, step] = engine.train_step_all(
                         x_epoch[a:b, cut], y_epoch[a:b, cut], plan.lr, rows=(a, b)
                     )
@@ -333,10 +366,10 @@ class BatchedExecutor(ClientExecutor):
         except Exception as exc:
             where = ""
             if run is not None:
-                epoch, step, a, b = run
+                what, a, b = run
                 where = (
-                    f" (stacked step {step} of epoch {epoch}, rows {a}:{b} of "
-                    f"{n_rows}, clients {[c.client_id for c in cohort[a:b]]})"
+                    f" ({what}, rows {a}:{b} of {n_rows}, "
+                    f"clients {[c.client_id for c in cohort[a:b]]})"
                 )
             raise _client_failure(
                 exc, blamed, plan, self.name, monotonic() - round_start,
@@ -364,7 +397,7 @@ class BatchedExecutor(ClientExecutor):
         ]
 
 
-def _equal_runs(values: Sequence[int]) -> List[Tuple[int, int]]:
+def _equal_runs(values: Sequence[Any]) -> List[Tuple[int, int]]:
     """``(start, stop)`` of each run of equal adjacent ``values``."""
     cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
     return list(zip([0] + cuts, cuts + [len(values)]))
@@ -420,7 +453,7 @@ def _run_per_client(
             raise _client_failure(
                 exc, client, plan, backend, monotonic() - round_start, tracer
             ) from exc
-        _emit_task_span(tracer, plan, client, (monotonic() - start, "main"))
+        _emit_task_spans(tracer, plan, [client], [(monotonic() - start, "main")])
         results.append(update)
     return results
 
@@ -443,32 +476,32 @@ def _emit_broadcast_span(tracer, plan: RoundPlan) -> None:
     )
 
 
-def _emit_task_span(
-    tracer, plan: RoundPlan, client: FLClient, timing: TaskTiming
+def _emit_task_spans(
+    tracer, plan: RoundPlan, clients: Sequence[FLClient], timings: Sequence[TaskTiming]
 ) -> None:
-    """Replay one client task as a ``client_compute`` span.
+    """Replay client tasks as ``client_compute`` spans.
 
     Executors time tasks as they run, then call this in participant
     order, so the span sequence is deterministic while ``rt`` keeps the
     real duration and worker label.
 
     Per-client spans are head-sampled (``FLConfig.trace_sample``):
-    every task still feeds the round rollup, but only sampled
-    (round, client) pairs emit an individual span.
+    every task still feeds the round rollup, but only the clients in
+    ``plan.sampled`` emit an individual span.
     """
     if not tracer.enabled:
         return
-    dur, worker = timing
+    ids = [client.client_id for client in clients]
     rollup = tracer.rollup
     if rollup is not None:
-        rollup.observe_task_rt(client.client_id, dur)
-    if not tracer.span_sampled(plan.iteration, client.client_id):
-        return
-    tracer.record_span(
-        "client_compute",
-        attrs={"iteration": plan.iteration, "client_id": client.client_id},
-        rt={"dur": dur, "worker": worker},
-    )
+        rollup.observe_tasks_rt(ids, [dur for dur, _ in timings])
+    for cid, (dur, worker) in zip(ids, timings):
+        if plan.sampled is None or cid in plan.sampled:
+            tracer.record_span(
+                "client_compute",
+                attrs={"iteration": plan.iteration, "client_id": cid},
+                rt={"dur": dur, "worker": worker},
+            )
 
 
 def _client_failure(

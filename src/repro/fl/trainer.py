@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,8 +51,9 @@ EvalFn = Callable[[ModelWorkspace], Tuple[float, float]]
 
 def _ensure_finite(vector: np.ndarray, what: str) -> None:
     """Raise if ``vector`` carries NaN/Inf (the FLConfig.check_finite guard)."""
-    bad = np.count_nonzero(~np.isfinite(vector))
-    if bad:
+    finite = np.isfinite(vector)
+    if not finite.all():
+        bad = vector.size - np.count_nonzero(finite)
         raise FloatingPointError(
             f"{what} contains {bad} non-finite value(s) out of "
             f"{vector.size}; a diverging client or an unstable learning "
@@ -81,6 +82,9 @@ class RoundState:
     results: List[ClientUpdate]
     views: List[FLClient] = field(default_factory=list)
     rollup: Optional[RoundRollup] = None
+    #: The participants whose per-client spans the trace keeps
+    #: (:meth:`repro.obs.Tracer.sampled_clients`), decided once.
+    sampled: FrozenSet[int] = frozenset()
 
 
 class FederatedTrainer:
@@ -236,12 +240,16 @@ class FederatedTrainer:
         # Results come back aligned with the participant order whatever
         # the backend's completion order was.  The executor itself emits
         # the broadcast + per-client client_compute spans.
+        sampled = self.tracer.sampled_clients(
+            t, [client.client_id for client in participants]
+        )
         plan = RoundPlan(
             iteration=t,
             lr=lr,
             local_epochs=self.config.local_epochs,
             batch_size=self.config.batch_size,
             global_params=global_params,
+            sampled=sampled,
         )
         # One rollup per round: executors feed wall-clock task timings
         # for every participant (sampled or not), the decide loop in
@@ -260,6 +268,7 @@ class FederatedTrainer:
             results=list(results),
             views=list(participants),
             rollup=rollup,
+            sampled=sampled,
         )
 
     def _finish_round(
@@ -304,41 +313,39 @@ class FederatedTrainer:
         scores: List[float] = []
         losses: List[float] = []
         threshold = 0.0
+        check_finite = self.config.check_finite
+        decide = self.policy.decide
+
+        def judge(result: ClientUpdate, cid: int):
+            if check_finite:
+                _ensure_finite(
+                    result.update, f"update from client {cid} in round {t}"
+                )
+            return decide(result.update, round_ctx.for_client(cid))
+
         with self.tracer.span("decide", iteration=t):
             for client, result in zip(participants, results):
-                with self.tracer.sampled_span(
-                    "relevance_check",
-                    t,
-                    client.client_id,
-                    iteration=t,
-                    client_id=client.client_id,
-                ) as check_span:
-                    if self.config.check_finite:
-                        _ensure_finite(
-                            result.update,
-                            f"update from client {client.client_id} "
-                            f"in round {t}",
-                        )
-                    decision = self.policy.decide(
-                        result.update, round_ctx.for_client(client.client_id)
-                    )
-                    check_span.set_attr("upload", bool(decision.upload))
-                    check_span.set_attr("score", float(decision.score))
+                cid = client.client_id
+                if cid in state.sampled:
+                    with self.tracer.span(
+                        "relevance_check", iteration=t, client_id=cid
+                    ) as check_span:
+                        decision = judge(result, cid)
+                        check_span.set_attr("upload", bool(decision.upload))
+                        check_span.set_attr("score", float(decision.score))
+                else:
+                    decision = judge(result, cid)
                 if self.on_decision is not None:
                     self.on_decision(result, decision)
                 scores.append(decision.score)
                 losses.append(result.train_loss)
-                if rollup is not None:
-                    rollup.observe_decision(
-                        float(decision.score),
-                        float(result.train_loss),
-                        bool(decision.upload),
-                    )
                 threshold = decision.threshold
                 if decision.upload:
                     uploads.append(result)
                 else:
                     skipped.append(result)
+            if rollup is not None:
+                rollup.observe_decisions(scores, losses, len(uploads))
 
             if not uploads and self.config.on_empty_round == "force_best":
                 best = int(np.argmax(scores))

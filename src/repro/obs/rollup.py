@@ -25,7 +25,8 @@ pure function of the run at any sampling rate.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import heapq
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "P2Quantile",
@@ -203,21 +204,31 @@ class StreamingHistogram:
         self._buffer: Optional[List[float]] = []
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Absorb ``values`` in order, to the state of as many ``observe``
+        calls: the float total is not re-associated, and a batch crossing
+        :data:`SPILL_AT` replays in arrival order like any spill."""
+        values = [float(value) for value in values]
+        total, low, high = self.total, self.min, self.max
+        for value in values:
+            total += value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+        self.count += len(values)
+        self.total, self.min, self.max = total, low, high
         buffer = self._buffer
         if buffer is not None:
-            buffer.append(value)
+            buffer.extend(values)
             if len(buffer) >= self.SPILL_AT:
                 self._spill()
             return
-        for estimator in self._est_seq:
-            estimator.observe(value)
+        for value in values:
+            for estimator in self._est_seq:
+                estimator.observe(value)
 
     def _spill(self) -> None:
         """Replay the exact buffer into the P² estimators, in order."""
@@ -327,12 +338,12 @@ class RoundRollup:
 
     The trainer owns one instance per round and attaches it to the
     tracer; the executor feeds wall-clock task timings for *every*
-    participant (sampled or not) via :meth:`observe_task_rt`, the
+    participant (sampled or not) via :meth:`observe_tasks_rt`, the
     trainer feeds the deterministic decision stream via
-    :meth:`observe_decision`, and the finished accumulators are
-    emitted as one ``round_rollup`` event — deterministic aggregates in
-    ``attrs`` (:meth:`attrs`), runtime aggregates in ``rt``
-    (:meth:`rt`).
+    :meth:`observe_decisions` (a cohort per call), and the finished
+    accumulators are emitted as one ``round_rollup`` event —
+    deterministic aggregates in ``attrs`` (:meth:`attrs`), runtime
+    aggregates in ``rt`` (:meth:`rt`).
     """
 
     #: How many slowest clients the runtime side remembers.
@@ -356,34 +367,28 @@ class RoundRollup:
 
     # -- deterministic feed ---------------------------------------------
 
-    def observe_decision(
-        self, score: float, train_loss: float, uploaded: bool
+    def observe_decisions(
+        self, scores: Sequence[float], train_losses: Sequence[float], n_uploaded: int
     ) -> None:
-        """One client's decide-half outcome, in participant order."""
-        self.n_participants += 1
-        self.scores.observe(score)
-        self.train_losses.observe(train_loss)
-        if uploaded:
-            self.n_uploaded += 1
+        """A cohort's decide-half outcomes, in participant order."""
+        self.n_participants += len(scores)
+        self.scores.observe_many(scores)
+        self.train_losses.observe_many(train_losses)
+        self.n_uploaded += n_uploaded
 
     # -- runtime feed ----------------------------------------------------
 
-    def observe_task_rt(self, client_index: int, dur: float) -> None:
-        """One client task's wall-clock cost (runtime side)."""
-        self.compute.observe(dur)
-        entry = (float(dur), int(client_index))
-        if len(self._slowest) < self.SLOWEST_K:
-            self._slowest.append(entry)
-            self._slowest.sort()
-        elif entry > self._slowest[0]:
-            self._slowest[0] = entry
-            self._slowest.sort()
+    def observe_tasks_rt(
+        self, client_indices: Sequence[int], durs: Sequence[float]
+    ) -> None:
+        """A cohort's client tasks' wall-clock costs (runtime side)."""
+        self.compute.observe_many(durs)
+        entries = [(float(d), int(i)) for d, i in zip(durs, client_indices)]
+        self._slowest = heapq.nlargest(self.SLOWEST_K, self._slowest + entries)
 
     def slowest(self) -> List[Tuple[int, float]]:
         """``(client_index, duration)`` pairs, slowest first."""
-        return [
-            (index, dur) for dur, index in sorted(self._slowest, reverse=True)
-        ]
+        return [(index, dur) for dur, index in self._slowest]
 
     # -- event payloads --------------------------------------------------
 

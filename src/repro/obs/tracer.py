@@ -51,7 +51,7 @@ from __future__ import annotations
 import os
 import platform
 from time import monotonic
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.obs.rollup import RoundRollup, SpanSampler
@@ -160,31 +160,24 @@ class Tracer:
         """A new span; enter it (``with tracer.span(...)``) to start."""
         return Span(self, name, attrs)
 
-    def span_sampled(self, iteration: int, client_index: int) -> bool:
-        """Head-sampling decision for a per-client span.
+    def sampled_clients(
+        self, iteration: int, client_indices: Iterable[int]
+    ) -> FrozenSet[int]:
+        """The clients of a round's cohort whose per-client spans are kept.
 
-        True when the configured :class:`SpanSampler` keeps
-        ``(iteration, client_index)`` — or when no sampler is set (the
-        keep-everything default).  The decision is a pure hash, so it
-        is identical on every execution backend and across resumes.
+        The one head-sampling decision per ``(iteration, client_index)``:
+        the trainer asks when the round begins and carries the answer to
+        every site that emits a per-client span (``client_compute``,
+        ``admit``, ``relevance_check``).  All clients without a
+        :class:`SpanSampler`; a pure hash, so identical on every
+        execution backend and across resumes.
         """
         sampler = self.sampler
-        return sampler is None or sampler.sampled(iteration, client_index)
-
-    def sampled_span(
-        self, name: str, iteration: int, client_index: int, /, **attrs: Any
-    ) -> Any:
-        """Like :meth:`span`, but subject to per-client head sampling.
-
-        The first three parameters are positional-only so ``attrs`` may
-        legitimately carry ``iteration=``/``client_id=`` keys.  Returns
-        a shared no-op span for unsampled clients: the caller's
-        ``with`` body still runs (and still feeds the round rollup);
-        only the span event is suppressed.
-        """
-        if not self.span_sampled(iteration, client_index):
-            return _NULL_SPAN
-        return Span(self, name, attrs)
+        if sampler is None:
+            return frozenset(client_indices)
+        return frozenset(
+            index for index in client_indices if sampler.sampled(iteration, index)
+        )
 
     def record_span(
         self,
@@ -413,13 +406,10 @@ class NullTracer:
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def span_sampled(self, iteration: int, client_index: int) -> bool:
-        return False
-
-    def sampled_span(
-        self, name: str, iteration: int, client_index: int, /, **attrs: Any
-    ) -> _NullSpan:
-        return _NULL_SPAN
+    def sampled_clients(
+        self, iteration: int, client_indices: Iterable[int]
+    ) -> FrozenSet[int]:
+        return frozenset()
 
     def record_span(self, name, attrs=None, rt=None) -> None:
         pass

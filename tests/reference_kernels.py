@@ -5,9 +5,11 @@ loops (four gate temporaries + ``np.concatenate`` per step, one
 gradient read-modify-write per step) and CNN kernels (``np.where``
 ReLU backward, index-routed max pooling with its flat-scatter backward,
 single-batch-axis ``im2col`` / ``col2im``, and the serial and stacked
-conv layers around them), kept verbatim so "same bits as before" is
-something the tier-1 suite asserts rather than something only a digest
-file remembers.  They are deliberately slow and deliberately not shared
+conv layers around them) — and, at the end, the per-client code of the
+population-soak round (stream seeding, store checkout, epoch gather,
+event ordering, the CMFL decision) — kept verbatim so "same bits as
+before" is something the tier-1 suite asserts rather than something
+only a digest file remembers.  They are deliberately slow and deliberately not shared
 with ``src/``: a reference that imports the code under test checks
 nothing.
 """
@@ -322,3 +324,166 @@ def stacked_conv_backward(cache, grad_output, weight, dw, db, stride, padding):
         pad = padding
         dx = dx[:, :, :, pad:-pad, pad:-pad]
     return dx
+
+
+# -- the population-soak round: seeding, streams, gather, events, decide ------
+#
+# The pre-rewrite per-client code of ``LatencyModel.timing``,
+# ``ClientStateStore.checkout``, ``CyclicPartition.materialize``, the
+# batched executor's per-client epoch gather, the ``order=True``
+# dataclass ``Event`` and ``CMFLPolicy.decide`` (with the relevance
+# functions under it), verbatim.
+
+import dataclasses  # noqa: E402
+from typing import Optional  # noqa: E402
+
+LATENCY_STREAM_TAG = 0x1A7E9C
+
+
+def latency_timing(seed, n_params, link, compute, speed_sigma, drop_rate,
+                   iteration, client_id, n_samples, local_epochs):
+    """``(dropped, latency_s)`` of one dispatch."""
+    from repro.nn.serialization import update_nbytes
+
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=(seed, LATENCY_STREAM_TAG, int(iteration), int(client_id))
+        )
+    )
+    dropped = bool(rng.random() < drop_rate)
+    model_bytes = update_nbytes(n_params)
+    down = link.transfer_time(model_bytes)
+    train = compute.local_training_time(n_samples, local_epochs)
+    if speed_sigma > 0.0:
+        train *= float(np.exp(speed_sigma * rng.standard_normal()))
+    up = link.transfer_time(model_bytes)
+    return dropped, down + train + up
+
+
+def fresh_stream(seed, index):
+    """The stream of a never-touched store row."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=(seed, index)))
+    )
+
+
+def live_stream(row):
+    """The stream captured in a live store row (6 ``uint64``)."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": (int(row[0]) << 64) | int(row[1]),
+            "inc": (int(row[2]) << 64) | int(row[3]),
+        },
+        "has_uint32": int(row[4]),
+        "uinteger": int(row[5]),
+    }
+    return rng
+
+
+def cyclic_materialize(x, y, start, size):
+    """``(x, y)`` of the wrap-around shard starting at row ``start``."""
+    n = len(x)
+    end = start + size
+    if end <= n:
+        return x[start:end], y[start:end]
+    wrap = end - n
+    return (
+        np.concatenate([x[start:], x[:wrap]]),
+        np.concatenate([y[start:], y[:wrap]]),
+    )
+
+
+def _equal_runs(values):
+    cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+    return list(zip([0] + cuts, cuts + [len(values)]))
+
+
+def lockstep_schedule(sizes, batch_size):
+    schedule = []
+    for step, start in enumerate(range(0, sizes[-1], batch_size)):
+        samples = [min(batch_size, max(n - start, 0)) for n in sizes]
+        for a, b in _equal_runs(samples):
+            if samples[a]:
+                schedule.append((step, a, b, slice(start, start + samples[a])))
+    return schedule
+
+
+def cohort_minibatches(shards, orders, batch_size):
+    """Every stacked minibatch of a cohort (ascending shard size), as
+    ``(epoch, step, (a, b), x, y)``: one ``np.take`` per client per
+    array per epoch into a fresh gather buffer, then the lock-step
+    slices.  ``shards[k]`` is client ``k``'s ``(x, y)``, ``orders[k][e]``
+    its epoch-``e`` permutation."""
+    sizes = [len(x) for x, _ in shards]
+    n_rows, epochs = len(shards), len(orders[0])
+    first_x, first_y = shards[0]
+    x_epoch = np.empty((n_rows, sizes[-1]) + first_x.shape[1:], dtype=first_x.dtype)
+    y_epoch = np.empty((n_rows, sizes[-1]) + first_y.shape[1:], dtype=first_y.dtype)
+    schedule = lockstep_schedule(sizes, batch_size)
+    out = []
+    for epoch in range(epochs):
+        for ci, (x, y) in enumerate(shards):
+            order, n = orders[ci][epoch], sizes[ci]
+            np.take(x, order, axis=0, out=x_epoch[ci, :n])
+            np.take(y, order, axis=0, out=y_epoch[ci, :n])
+        for step, a, b, cut in schedule:
+            out.append(
+                (epoch, step, (a, b), x_epoch[a:b, cut].copy(), y_epoch[a:b, cut].copy())
+            )
+    return out
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class DataclassEvent:
+    time: float
+    kind: int
+    iteration: int
+    client_id: int = -1
+
+
+def sign_agreement_counts(u, u_bar, u_bar_sign=None):
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u_bar_sign is None:
+        u_bar = np.asarray(u_bar, dtype=float).reshape(-1)
+        if u.shape != u_bar.shape:
+            raise ValueError(
+                f"update shapes differ: {u.shape} vs {u_bar.shape}"
+            )
+        u_bar_sign = np.sign(u_bar)
+    else:
+        u_bar_sign = np.asarray(u_bar_sign, dtype=float).reshape(-1)
+        if u.shape != u_bar_sign.shape:
+            raise ValueError(
+                f"update shapes differ: {u.shape} vs {u_bar_sign.shape}"
+            )
+    if u.size == 0:
+        raise ValueError("updates cannot be empty")
+    agree = int(np.count_nonzero(np.sign(u) == u_bar_sign))
+    return agree, int(u.size)
+
+
+def relevance(u, u_bar, u_bar_sign: Optional[np.ndarray] = None):
+    if u_bar_sign is None:
+        u_bar_arr = np.asarray(u_bar, dtype=float)
+        if not np.any(u_bar_arr):
+            np.asarray(u, dtype=float)  # still validate the partner argument
+            return 1.0
+        agree, total = sign_agreement_counts(u, u_bar_arr)
+    else:
+        sign = np.asarray(u_bar_sign, dtype=float).reshape(-1)
+        if not np.any(sign):
+            np.asarray(u, dtype=float)  # still validate the partner argument
+            return 1.0
+        agree, total = sign_agreement_counts(u, u_bar, u_bar_sign=sign)
+    return agree / total
+
+
+def cmfl_decide(update, feedback, v_t):
+    """``(upload, score, threshold)`` of one CMFL relevance check, the
+    feedback sign computed as the round cache did."""
+    sign = np.sign(np.asarray(feedback, dtype=float).reshape(-1))
+    score = relevance(update, feedback, u_bar_sign=sign)
+    v_t = min(1.0, v_t)
+    return score >= v_t, score, v_t

@@ -59,6 +59,13 @@ class _ExplodingOrderClient(FLClient):
         raise RuntimeError("shuffle exploded")
 
 
+class _StrayOrderClient(FLClient):
+    """Draws a permutation that leaves its shard by one row."""
+
+    def epoch_order(self):
+        return super().epoch_order() + 1
+
+
 def _make_workspace(rng):
     model = make_logistic_regression(5, rng=rng)
     return ModelWorkspace(
@@ -252,6 +259,61 @@ class TestBatchedBackend:
         assert exc.value.client_id == 0
         assert exc.value.cause_type == "FloatingPointError"
         assert "rows 3:5 of 5, clients [0, 1]" in str(exc.value)
+
+    def _shared_source_round(self, client_cls, special):
+        """Five 8-row windows of one dataset: one shared gather."""
+        rng = np.random.default_rng(2)
+        base = Dataset(rng.normal(size=(30, 5)), rng.integers(0, 2, size=30))
+        workspace = _make_workspace(np.random.default_rng(3))
+        clients = [
+            (client_cls if i == special else FLClient)(
+                i, base.window(6 * i, 6 * i + 8), rng=np.random.default_rng(i)
+            )
+            for i in range(5)
+        ]
+        plan = RoundPlan(iteration=4, lr=0.3, local_epochs=2, batch_size=4,
+                         global_params=workspace.get_flat())
+        with make_executor("batched") as executor:
+            executor.bind(workspace, clients)
+            return executor.run_round(plan, clients)
+
+    def test_shared_gather_failure_names_first_client_and_rows(self):
+        """One gather serves the whole run of rows, so — like a stacked
+        step — its failure goes to the run's first client, rows named."""
+        with pytest.raises(ClientExecutionError, match="client 0") as exc:
+            self._shared_source_round(_StrayOrderClient, special=3)
+        assert (exc.value.client_id, exc.value.iteration) == (0, 4)
+        assert exc.value.cause_type == "IndexError"
+        assert "outside the 8 rows of its shard" in str(exc.value)
+        assert "(gather, rows 0:5 of 5, clients [0, 1, 2, 3, 4])" in str(exc.value)
+
+    def test_gather_of_one_names_its_client(self):
+        """Separate datasets gather separately: a run of one."""
+        with pytest.raises(ClientExecutionError, match="client 1") as exc:
+            _hetero_round("batched", client_cls=_StrayOrderClient, special=1)
+        assert exc.value.cause_type == "IndexError"
+        assert "(gather, rows 4:5 of 5, clients [1])" in str(exc.value)
+
+    def test_permutation_draw_still_blames_its_own_client(self):
+        with pytest.raises(ClientExecutionError, match="client 3") as exc:
+            self._shared_source_round(_ExplodingOrderClient, special=3)
+        assert exc.value.client_id == 3 and "rows" not in str(exc.value)
+
+    def test_gather_itself_failing_is_attributed_like_its_bounds_check(
+        self, monkeypatch
+    ):
+        real = np.take
+
+        def exploding(a, indices, **kwargs):
+            if kwargs.get("out") is not None and kwargs["out"].ndim == 2:
+                raise MemoryError("gather exploded")  # the labels' gather
+            return real(a, indices, **kwargs)
+
+        monkeypatch.setattr(executor_module.np, "take", exploding)
+        with pytest.raises(ClientExecutionError, match="client 0") as exc:
+            self._shared_source_round(FLClient, special=0)
+        assert exc.value.cause_type == "MemoryError"
+        assert "(gather of epoch 0, rows 0:5 of 5, " in str(exc.value)
 
     def test_fallback_failure_names_client(self):
         trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),

@@ -175,11 +175,14 @@ class TestSpanSampler:
 class TestRoundRollup:
     def _fed_rollup(self):
         rollup = RoundRollup(iteration=4)
-        for i in range(10):
-            rollup.observe_decision(
-                score=0.1 * i, train_loss=1.0 - 0.05 * i, uploaded=i % 2 == 0
+        # Two cohorts' worth, to cover accumulation across feeds.
+        for ids in (range(0, 6), range(6, 10)):
+            rollup.observe_decisions(
+                scores=[0.1 * i for i in ids],
+                train_losses=[1.0 - 0.05 * i for i in ids],
+                n_uploaded=sum(i % 2 == 0 for i in ids),
             )
-            rollup.observe_task_rt(i, dur=0.01 * (i + 1))
+            rollup.observe_tasks_rt(ids, durs=[0.01 * (i + 1) for i in ids])
         rollup.uploaded_bytes = 5_000
         rollup.status_bytes = 50
         return rollup

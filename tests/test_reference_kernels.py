@@ -443,3 +443,272 @@ class TestConvLayerBits:
             assert twin.head_backward(grad_out) is None
             assert binder.grad.tobytes() == want_flat.tobytes()
         assert not full.grad[0].any() and not full.grad[-1].any()
+
+
+# -- the population-soak round ------------------------------------------------
+
+import dataclasses  # noqa: E402
+import heapq  # noqa: E402
+import itertools  # noqa: E402
+
+from repro.core.policy import CMFLPolicy, PolicyContext  # noqa: E402
+from repro.core.thresholds import ConstantThreshold  # noqa: E402
+from repro.data.dataset import Dataset  # noqa: E402
+from repro.emu.network import LinkModel, NodeComputeModel  # noqa: E402
+from repro.fl.batched import BatchedWorkspace  # noqa: E402
+from repro.fl.client import FLClient  # noqa: E402
+from repro.fl.events.latency import LatencyModel  # noqa: E402
+from repro.fl.events.queue import ARRIVAL, DISPATCH, Event, EventQueue  # noqa: E402
+from repro.fl.executor import RoundPlan, make_executor  # noqa: E402
+from repro.fl.store import ClientStateStore, CyclicPartition  # noqa: E402
+from repro.fl.workspace import ModelWorkspace  # noqa: E402
+from repro.models.linear import make_logistic_regression  # noqa: E402
+from repro.nn.losses import SigmoidBinaryCrossEntropy  # noqa: E402
+from repro.nn.optimizers import SGD  # noqa: E402
+from repro.utils.rng import stream_seed  # noqa: E402
+
+#: Entropy ints on both sides of the one-word boundary.
+WORD_EDGES = [0, 1, 7, 0x1A7E9C, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
+class TestNumpyBehaviourReliedOn:
+    """Tripwires: a numpy that changes either of these fails here, not
+    by forking every stream or by silently re-buffering the gather."""
+
+    def test_seed_sequence_coerces_words_like_the_int_tuple(self):
+        for a in WORD_EDGES[:6]:
+            for b in WORD_EDGES[:6]:
+                words = np.random.SeedSequence(np.array([a, 3, b], dtype=np.uint32))
+                ints = np.random.SeedSequence((a, 3, b))
+                assert words.pool.tobytes() == ints.pool.tobytes(), (a, b)
+        # An int of two words is two words: the tuple is not the array.
+        wide = np.random.SeedSequence((2**32, 1)).pool
+        assert wide.tobytes() != np.random.SeedSequence((0, 1)).pool.tobytes()
+
+    def test_take_with_out_and_wrap_mode_writes_in_place(self):
+        source = np.arange(40.0).reshape(10, 4)
+        index = np.array([[9, 10, 11], [0, 19, 3]])
+        out = np.full((2, 3, 4), -1.0)
+        got = np.take(source, index, axis=0, out=out, mode="wrap")
+        assert got is out and np.shares_memory(got, out)
+        assert out.tobytes() == source[index % 10].tobytes()
+
+
+class TestStreamSeeding:
+    def test_stream_seed_is_the_tuple_seed_sequence(self):
+        for n in (2, 4):
+            for entropy in list(itertools.product(WORD_EDGES, repeat=n))[::7]:
+                assert (
+                    stream_seed(*entropy).generate_state(8).tobytes()
+                    == np.random.SeedSequence(entropy).generate_state(8).tobytes()
+                ), entropy
+
+    def test_wide_and_negative_ints_take_the_tuple_route(self):
+        assert isinstance(stream_seed(3, 2**32 - 1).entropy, np.ndarray)
+        for entropy in [(3, 2**32), (2**40, 0), (2**32, 2**40, 1, 2)]:
+            assert stream_seed(*entropy).entropy == entropy
+        with pytest.raises(ValueError):
+            stream_seed(-1, 2)
+
+    @pytest.mark.parametrize("speed_sigma,drop_rate", [(0.5, 0.05), (0.0, 0.3), (0.7, 0.0)])
+    def test_latency_timing(self, speed_sigma, drop_rate):
+        link, compute = LinkModel(2e6, 0.03), NodeComputeModel(1.5e-3)
+        for seed in (0, 3, 2**32 - 1, 2**32 + 5):
+            model = LatencyModel(
+                seed, 65, link=link, compute=compute,
+                speed_sigma=speed_sigma, drop_rate=drop_rate,
+            )
+            for iteration in (1, 2, 850, 2**32):
+                for client in (0, 17, 99_999, 2**33):
+                    for n_samples, epochs in ((50, 2), (1, 1), (158, 5)):
+                        got = model.timing(iteration, client, n_samples, epochs)
+                        want = ref.latency_timing(
+                            seed, 65, link, compute, speed_sigma, drop_rate,
+                            iteration, client, n_samples, epochs,
+                        )
+                        assert (got.dropped, got.latency_s) == want
+
+
+def _shuffled(rng, n):
+    order = np.arange(n)
+    rng.shuffle(order)
+    return order
+
+
+class TestStoreStreams:
+    """``checkout`` hands out the streams the old code built: seeded
+    from the ``(seed, index)`` tuple when fresh, a new PCG64 with its
+    state overwritten when live."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_fresh_and_live_rows(self, seed):
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(60, 3)), rng.integers(0, 2, size=60))
+        store = ClientStateStore(
+            5_000, CyclicPartition(data, 5_000, 10), seed=seed, shard_size=64
+        )
+        indices = [0, 5, 63, 64, 4_999]
+        olds = [ref.fresh_stream(seed, index) for index in indices]
+        for _ in range(3):  # fresh rows, then the same rows live, twice
+            views = store.checkout(indices)
+            for view, old in zip(views, olds):
+                assert view._rng.random() == old.random()
+                for _ in range(2):
+                    assert view.epoch_order().tobytes() == _shuffled(old, 10).tobytes()
+                assert view.rng_state() == old.bit_generator.state
+            store.writeback(views)
+            olds = [
+                ref.live_stream(store._shards[i // 64].rng[i % 64]) for i in indices
+            ]
+
+
+def _soak_workspace(n_features):
+    model = make_logistic_regression(n_features, rng=np.random.default_rng(1))
+    return ModelWorkspace(
+        model, SigmoidBinaryCrossEntropy(), SGD(model.parameters(), 0.3)
+    )
+
+
+def _cohort(base, spec, seed):
+    """Clients from ``spec``: ``("window", start, size)`` shards of
+    ``base`` or ``("eager", size)`` datasets of their own, with the
+    ``(x, y)`` the old per-client code would have gathered from."""
+    rng = np.random.default_rng(seed)
+    clients, shards = [], []
+    for cid, entry in enumerate(spec):
+        if entry[0] == "window":
+            _, start, size = entry
+            data = base.window(start, start + size)
+            shards.append(ref.cyclic_materialize(base.x, base.y, start, size))
+        else:
+            size = entry[1]
+            data = Dataset(rng.normal(size=(size, 4)), rng.integers(0, 2, size=size))
+            shards.append((data.x, data.y))
+        clients.append(FLClient(cid, data, rng=np.random.default_rng(100 + cid)))
+    return clients, shards
+
+
+COHORTS = {
+    "all-window": [("window", s, 6) for s in (0, 6, 30, 12, 41)],
+    "wrap-around": [("window", s, 6) for s in (0, 47, 12, 49, 44)],
+    "ragged": [("window", 3, 4), ("window", 20, 4), ("window", 48, 7),
+               ("window", 9, 7), ("window", 30, 9)],
+    "mixed": [("eager", 5), ("window", 10, 5), ("window", 48, 5),
+              ("eager", 8), ("window", 0, 8)],
+}
+
+
+class TestCohortGatherBits:
+    """The stacked minibatches the batched executor trains on are, byte
+    for byte, slices of the per-client epoch gather."""
+
+    @pytest.mark.parametrize("name", sorted(COHORTS))
+    def test_minibatches(self, name, monkeypatch):
+        rng = np.random.default_rng(4)
+        base = Dataset(rng.normal(size=(50, 4)), rng.integers(0, 2, size=50))
+        clients, shards = _cohort(base, COHORTS[name], seed=9)
+        twins, _ = _cohort(base, COHORTS[name], seed=9)
+        epochs, batch = 3, 4
+        want = ref.cohort_minibatches(
+            shards,
+            [[twin.epoch_order() for _ in range(epochs)] for twin in twins],
+            batch,
+        )
+        got = []
+        real = BatchedWorkspace.train_step_all
+
+        def capturing(self, x, y, lr, rows=None):
+            got.append((rows, x.copy(), y.copy()))
+            return real(self, x, y, lr, rows=rows)
+
+        monkeypatch.setattr(BatchedWorkspace, "train_step_all", capturing)
+        workspace = _soak_workspace(4)
+        plan = RoundPlan(iteration=1, lr=0.3, local_epochs=epochs,
+                         batch_size=batch, global_params=workspace.get_flat())
+        with make_executor("batched") as executor:
+            executor.bind(workspace, clients)
+            executor.run_round(plan, clients)
+        assert [c.rng_state() for c in clients] == [t.rng_state() for t in twins]
+        assert len(got) == len(want) > 0
+        for (rows, x, y), (_, _, ref_rows, ref_x, ref_y) in zip(got, want):
+            assert rows == ref_rows
+            assert (x.shape, x.dtype, x.tobytes()) == (ref_x.shape, ref_x.dtype, ref_x.tobytes())
+            assert (y.shape, y.dtype, y.tobytes()) == (ref_y.shape, ref_y.dtype, ref_y.tobytes())
+
+
+class TestEventOrder:
+    def test_heap_pops_like_the_dataclass(self):
+        rng = np.random.default_rng(8)
+        times = rng.choice(rng.random(120), size=1_000)  # many exact ties
+        fields = [
+            (float(t), int(k), int(i), int(c))
+            for t, k, i, c in zip(
+                times, rng.integers(0, 2, 1_000), rng.integers(1, 6, 1_000),
+                rng.integers(-1, 40, 1_000),
+            )
+        ]
+        queue, old = EventQueue(), []
+        for entry in fields:
+            queue.push(Event(*entry))
+            heapq.heappush(old, ref.DataclassEvent(*entry))
+        popped = [tuple(queue.pop()) for _ in range(1_000)]
+        assert popped == [
+            dataclasses.astuple(heapq.heappop(old)) for _ in range(1_000)
+        ]
+        assert popped == sorted(fields)
+
+    def test_kind_is_checked_where_events_enter_the_queue(self):
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="unknown event kind 7"):
+            queue.push(Event(1.0, 7, 1))
+        with pytest.raises(ValueError, match="unknown event kind 7"):
+            queue.load_state_dict({"events": [[1.0, 7, 1, -1]]})
+        queue.push(Event(1.0, DISPATCH, 1))
+        queue.push(Event(1.0, ARRIVAL, 1, 4))
+        assert queue.state_dict() == {"events": [[1.0, 0, 1, 4], [1.0, 1, 1, -1]]}
+
+
+class TestDecideBits:
+    def _both(self, update, feedback, v_t=0.5):
+        ctx = PolicyContext(iteration=3, global_params=np.zeros(1),
+                            global_update_estimate=feedback)
+        outcomes = []
+        for decide in (
+            lambda: dataclasses.astuple(
+                CMFLPolicy(ConstantThreshold(v_t)).decide(update, ctx.for_client(2))
+            ),
+            lambda: ref.cmfl_decide(update, feedback, v_t),
+        ):
+            try:
+                outcomes.append(decide())
+            except ValueError as exc:
+                outcomes.append(("ValueError", str(exc)))
+        return outcomes
+
+    def test_scores_and_decisions(self):
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 65, 1_000):
+            feedback = rng.normal(size=n)
+            feedback[::5] = 0.0
+            for v_t in (0.0, 0.5, 1.0, 1.7):
+                update = rng.normal(size=n)
+                update[::3] = 0.0
+                new, old = self._both(update, feedback, v_t)
+                assert new == old and not isinstance(new[0], str)
+
+    def test_all_zero_feedback_uploads_everything(self):
+        new, old = self._both(np.array([1.0, -2.0]), np.zeros(2))
+        assert new == old == (True, 1.0, 0.5)
+        # ... whatever the update's shape: there is nothing to compare.
+        new, old = self._both(np.ones(3), np.zeros(2))
+        assert new == old == (True, 1.0, 0.5)
+
+    def test_shape_mismatch_and_empty_update_raise_alike(self):
+        new, old = self._both(np.ones(3), np.array([1.0, -1.0]))
+        assert new == old == ("ValueError", "update shapes differ: (3,) vs (2,)")
+        new, old = self._both(np.array([]), np.array([1.0, -1.0]))
+        assert new == old == ("ValueError", "update shapes differ: (0,) vs (2,)")
+        new, old = self._both(np.array([]), np.array([]))
+        assert new == old == (True, 1.0, 0.5)
+
+

@@ -228,6 +228,70 @@ class TestStoreCore:
             view.compute_update(None, np.zeros(5), lr=0.1,
                                 local_epochs=1, batch_size=2)
 
+    def test_retired_view_refuses_every_stream_access(self):
+        """The batched path never calls ``compute_update``: it draws
+        through ``epoch_order``.  A retired view must not advance (or
+        report) a stream whose state the store already captured."""
+        store = self._store()
+        (view,) = store.checkout([1])
+        store.writeback([view])
+        captured = store.state_arrays()["rng"].copy()
+        for access in (view.epoch_order, view.rng_state,
+                       lambda: view.set_rng_state({"bit_generator": "PCG64"})):
+            with pytest.raises(RuntimeError, match="already written back"):
+                access()
+        # A live row is restored into the generator the retired view
+        # handed back; the retired view has no way left to move it.
+        (again,) = store.checkout([1])
+        assert again._rng is not None and view._stream is None
+        store.writeback([again])
+        assert np.array_equal(store.state_arrays()["rng"], captured)
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_executors_refuse_a_retired_cohort(self, backend):
+        from repro.fl.executor import ClientExecutionError, RoundPlan, make_executor
+
+        store = self._store()
+        workspace = _workspace()
+        plan = RoundPlan(iteration=1, lr=0.3, local_epochs=1, batch_size=4,
+                         global_params=workspace.get_flat())
+        views = store.checkout([3, 4, 5])
+        with make_executor(backend) as executor:
+            executor.bind(workspace, views)
+            executor.run_round(plan, views)
+            store.writeback(views)
+            captured = store.state_arrays()["rng"].copy()
+            with pytest.raises(ClientExecutionError, match="already written back") as exc:
+                executor.run_round(plan, views)
+        assert exc.value.client_id == 3 and exc.value.cause_type == "RuntimeError"
+        assert np.array_equal(store.state_arrays()["rng"], captured)
+
+    def test_async_dispatch_retires_the_views_it_wrote_back(self):
+        """S > 0 writes views back at dispatch; the in-flight round
+        still holds them, and they must be inert from then on."""
+        from repro.fl.events import AsyncConfig, AsyncFederatedTrainer
+
+        store = self._store(population=40)
+        trainer = FederatedTrainer(
+            _workspace(), store, CMFLPolicy(InverseSqrtThreshold(0.8)),
+            _config(backend="batched"), sampler=UniformSampler(count=6, rng=2),
+        )
+        engine = AsyncFederatedTrainer(trainer, AsyncConfig(staleness_bound=2))
+        held = []
+        begin = trainer._begin_round
+
+        def spying_begin(t, span):
+            state = begin(t, span)
+            held.extend(state.views)
+            return state
+
+        trainer._begin_round = spying_begin
+        engine.run(3)
+        assert len(held) >= 18 and not store._outstanding
+        for view in held:
+            with pytest.raises(RuntimeError, match="already written back"):
+                view.epoch_order()
+
     def test_snapshot_refused_mid_round(self):
         store = self._store()
         views = store.checkout([1])
