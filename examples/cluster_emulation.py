@@ -1,7 +1,7 @@
 """Master/slave cluster emulation with byte-level accounting (Sec. V-C).
 
-Replays a federated run through the discrete-event cluster emulator --
-the stand-in for the paper's 30-node EC2 testbed -- and prints the
+Runs a federation, replays its finished history through the cluster
+emulation -- the stand-in for the paper's 30-node EC2 testbed -- and prints the
 per-message-kind traffic breakdown, simulated wall-clock, and the
 relevance-check overhead.  Also shows the mobile-link sensitivity the
 paper motivates (edge devices with slow uplinks).
@@ -11,7 +11,7 @@ Run:  python examples/cluster_emulation.py        (~1 minute)
 
 from repro import CMFLPolicy, VanillaPolicy
 from repro.core.thresholds import ConstantThreshold
-from repro.emu import ClusterEmulator, LinkModel
+from repro.emu import LinkModel, emulate_cluster
 from repro.emu.network import MOBILE_LINK
 
 from quickstart import ROUNDS, build_trainer
@@ -19,9 +19,14 @@ from quickstart import ROUNDS, build_trainer
 
 def emulate(name, policy, link):
     trainer = build_trainer(policy)
-    emulator = ClusterEmulator(trainer, link=link,
-                               feedback_in_broadcast=name != "vanilla")
-    report = emulator.run(ROUNDS)
+    report = emulate_cluster(
+        trainer.run(ROUNDS),
+        {c.client_id: c.n_samples for c in trainer.clients},
+        trainer.server.n_params,
+        trainer.config.local_epochs,
+        link=link,
+        feedback_in_broadcast=name != "vanilla",
+    )
     print(f"== {name} over {link.bandwidth_bps / 1e6:.0f} Mbit/s links")
     for kind, nbytes in sorted(report.bytes_by_kind.items()):
         print(f"   {kind:<16} {nbytes / 1e6:8.2f} MB")

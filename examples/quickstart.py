@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py        (~1 minute)
 import numpy as np
 
 from repro import CMFLPolicy, FLConfig, FederatedTrainer, VanillaPolicy
-from repro.utils.ascii_plot import ascii_plot
 from repro.core.thresholds import ConstantThreshold
 from repro.data import label_shard_partition, make_digit_dataset
 from repro.fl import FLClient, ModelWorkspace
@@ -19,6 +18,7 @@ from repro.models import make_digits_cnn
 from repro.nn import SGD, SoftmaxCrossEntropy, accuracy
 from repro.nn.schedules import InverseSqrtLR
 from repro.utils.rng import child_rngs
+from repro.utils.tables import format_table
 
 N_CLIENTS = 12
 ROUNDS = 15
@@ -73,8 +73,12 @@ def main():
         print(f"   final test accuracy: {accs[-1]:.3f}\n")
 
     # The Fig. 4 view: accuracy against accumulated communication rounds.
-    print(ascii_plot(curves, x_label="accumulated comm rounds (Phi)",
-                     y_label="test accuracy"))
+    for name, (comm, acc) in curves.items():
+        print(format_table(
+            ["accumulated comm rounds (Phi)", "test accuracy"],
+            zip(comm.tolist(), acc.tolist()),
+            title=f"{name}: accuracy against communication",
+        ) + "\n")
 
 
 if __name__ == "__main__":

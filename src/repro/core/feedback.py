@@ -17,56 +17,7 @@ import numpy as np
 __all__ = [
     "GlobalUpdateEstimator",
     "normalized_update_difference",
-    "pack_signs",
-    "packed_sign_nbytes",
-    "unpack_signs",
 ]
-
-
-def packed_sign_nbytes(n_params: int) -> int:
-    """Bytes :func:`pack_signs` needs for an ``n_params`` sign vector."""
-    if n_params < 1:
-        raise ValueError("n_params must be >= 1")
-    return 2 * ((n_params + 7) // 8)
-
-
-def pack_signs(vector: np.ndarray) -> np.ndarray:
-    """Compress ``np.sign(vector)`` into two packed bit-planes.
-
-    A sign takes values in {-1, 0, +1}, so two bits suffice: plane 0
-    records where the value is nonzero, plane 1 where it is positive.
-    The result is a ``uint8`` array of :func:`packed_sign_nbytes`
-    bytes — 2 bits per parameter instead of the 64 a float64 sign
-    vector spends, a 32x drop.  This is what lets a million-client
-    state store keep per-client feedback-sign records (see
-    :mod:`repro.fl.store`) without a float array per client.
-
-    :func:`unpack_signs` inverts this exactly: the round trip equals
-    ``np.sign(vector)`` bitwise (proven in tests/test_store.py).
-    """
-    v = np.asarray(vector, dtype=float).reshape(-1)
-    if v.size == 0:
-        raise ValueError("cannot pack an empty sign vector")
-    nonzero = np.packbits(v != 0.0)
-    positive = np.packbits(v > 0.0)
-    return np.concatenate([nonzero, positive])
-
-
-def unpack_signs(packed: np.ndarray, n_params: int) -> np.ndarray:
-    """Invert :func:`pack_signs` back to a float64 {-1, 0, +1} vector."""
-    packed = np.asarray(packed, dtype=np.uint8).reshape(-1)
-    expected = packed_sign_nbytes(n_params)
-    if packed.size != expected:
-        raise ValueError(
-            f"packed sign vector has {packed.size} bytes, expected "
-            f"{expected} for {n_params} parameters"
-        )
-    plane_bytes = packed.size // 2
-    nonzero = np.unpackbits(packed[:plane_bytes], count=n_params)
-    positive = np.unpackbits(packed[plane_bytes:], count=n_params)
-    out = np.where(positive.astype(bool), 1.0, -1.0)
-    out[~nonzero.astype(bool)] = 0.0
-    return out
 
 
 def normalized_update_difference(

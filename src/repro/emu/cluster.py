@@ -1,32 +1,32 @@
-"""The master/slave cluster emulator.
+"""The master/slave cluster emulation.
 
-Wraps a :class:`~repro.fl.trainer.FederatedTrainer` and replays each
-synchronous round through the link/compute models:
+A pure function of a finished run: :func:`emulate_cluster` walks the
+round records of a :class:`~repro.fl.history.RunHistory` and replays
+each synchronous round through the link/compute models:
 
 1. the master broadcasts the model (+ feedback) to every slave;
 2. every slave trains locally and runs its upload-policy check;
 3. uploading slaves send a full UPDATE, filtered slaves a STATUS;
 4. the barrier closes when the slowest slave's upload lands.
 
-The emulator keeps a byte ledger per message kind and a per-round
-timing record, which together generate Fig. 7a (accuracy vs rounds on
-the cluster), Fig. 7b (uploaded data volume at given accuracies) and
-the Sec. V-C computation-overhead numbers.
+The report keeps a byte ledger per message kind and a per-round timing
+record, which together generate Fig. 7a (accuracy vs rounds on the
+cluster), Fig. 7b (uploaded data volume at given accuracies) and the
+Sec. V-C computation-overhead numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.emu.messages import MessageKind, message_size
 from repro.emu.network import LinkModel, NodeComputeModel
-from repro.fl.history import RoundRecord
-from repro.fl.trainer import FederatedTrainer
+from repro.fl.history import RunHistory
 
-__all__ = ["ClusterEmulator", "EmulationReport", "RoundTiming"]
+__all__ = ["EmulationReport", "RoundTiming", "emulate_cluster"]
 
 
 @dataclass
@@ -80,106 +80,69 @@ class EmulationReport:
         return float(np.mean(fractions))
 
 
-class ClusterEmulator:
-    """Replays federated rounds through network and compute models."""
+def emulate_cluster(
+    history: RunHistory,
+    client_sizes: Mapping[int, int],
+    n_params: int,
+    local_epochs: int,
+    link: Optional[LinkModel] = None,
+    compute: Optional[NodeComputeModel] = None,
+    feedback_in_broadcast: bool = True,
+) -> EmulationReport:
+    """Replay the finished ``history`` through network and compute models.
 
-    def __init__(
-        self,
-        trainer: FederatedTrainer,
-        link: Optional[LinkModel] = None,
-        compute: Optional[NodeComputeModel] = None,
-        feedback_in_broadcast: bool = True,
-    ) -> None:
-        self.trainer = trainer
-        self.link = link or LinkModel()
-        self.compute = compute or NodeComputeModel()
-        self.feedback_in_broadcast = feedback_in_broadcast
-        self.report = EmulationReport(
-            n_clients=len(trainer.clients),
-            n_params=trainer.server.n_params,
-        )
+    ``client_sizes`` maps each client id of the federation to its local
+    sample count.  The emulation models the paper's full-participation
+    barrier: a round that did not involve every client in
+    ``client_sizes`` is refused rather than billed for absent clients.
+    """
+    link = link or LinkModel()
+    compute = compute or NodeComputeModel()
+    n_clients = len(client_sizes)
+    report = EmulationReport(n_clients=n_clients, n_params=n_params)
+    ledger = report.bytes_by_kind
 
-    def _account(self, kind: MessageKind, count: int = 1) -> int:
-        size = message_size(
-            kind, self.report.n_params, with_feedback=self.feedback_in_broadcast
+    def account(kind: MessageKind, count: int = 1) -> int:
+        total = count * message_size(
+            kind, n_params, with_feedback=feedback_in_broadcast
         )
-        total = size * count
-        key = kind.value
-        self.report.bytes_by_kind[key] = self.report.bytes_by_kind.get(key, 0) + total
-        # Mirror the ledger into the trainer's trace, one counter pair
-        # per message kind.  Message counts and sizes are pure functions
-        # of the run, so these live in the deterministic namespace; the
-        # names are a registered prefix family ("emu.messages.",
-        # "emu.bytes." in repro.obs.names.METRIC_PREFIXES), which is
-        # what lets these f-strings through the metric-name-registry
-        # lint rule.
-        metrics = self.trainer.tracer.metrics
-        metrics.counter(f"emu.messages.{key}").inc(count)
-        metrics.counter(f"emu.bytes.{key}").inc(total)
+        ledger[kind.value] = ledger.get(kind.value, 0) + total
         return total
 
-    def run_round(self, t: int) -> RoundRecord:
-        """Execute one federated round and emulate its cluster timeline."""
-        record = self.trainer.run_round(t)
-        n_params = self.report.n_params
-
-        broadcast_bytes = self._account(
-            MessageKind.MODEL_BROADCAST, count=self.report.n_clients
-        )
+    compute_times = [
+        compute.local_training_time(n_samples, local_epochs)
+        for n_samples in client_sizes.values()
+    ]
+    check_time = compute.relevance_check_time(n_params)
+    for record in history.records:
+        if record.n_clients != n_clients:
+            raise ValueError(
+                f"round {record.iteration} had {record.n_clients} "
+                f"participants but the emulated cluster has {n_clients} "
+                "clients; the emulation models full participation only"
+            )
+        broadcast_bytes = account(MessageKind.MODEL_BROADCAST, count=n_clients)
         # The master serialises broadcasts per slave; slaves receive in
         # parallel, so the barrier cost is one transfer.
-        broadcast_time = self.link.transfer_time(
-            broadcast_bytes // max(self.report.n_clients, 1)
-        )
-
-        compute_times = [
-            self.compute.local_training_time(
-                c.n_samples, self.trainer.config.local_epochs
-            )
-            for c in self.trainer.clients
-        ]
-        check_time = self.compute.relevance_check_time(n_params)
+        broadcast_time = link.transfer_time(broadcast_bytes // n_clients)
 
         uploaded = set(record.uploaded_ids)
         upload_times = []
-        for client in self.trainer.clients:
+        for client_id in client_sizes:
             kind = (
                 MessageKind.UPDATE
-                if client.client_id in uploaded
+                if client_id in uploaded
                 else MessageKind.STATUS
             )
-            size = self._account(kind)
-            upload_times.append(self.link.transfer_time(size))
+            upload_times.append(link.transfer_time(account(kind)))
 
         timing = RoundTiming(
-            iteration=t,
+            iteration=record.iteration,
             broadcast_time=broadcast_time,
             slowest_compute_time=max(compute_times) + check_time,
             slowest_upload_time=max(upload_times),
             relevance_check_time=check_time,
         )
-        self.report.timings.append(timing)
-        self.report.simulated_seconds += timing.total
-        # Emulated times are model-derived (not wall clock), hence
-        # deterministic attrs rather than rt.
-        self.trainer.tracer.event(
-            "emu_round",
-            attrs={
-                "iteration": t,
-                "broadcast_time": timing.broadcast_time,
-                "slowest_compute_time": timing.slowest_compute_time,
-                "slowest_upload_time": timing.slowest_upload_time,
-                "relevance_check_time": timing.relevance_check_time,
-                "total": timing.total,
-            },
-        )
-        return record
-
-    def run(self, rounds: int) -> EmulationReport:
-        """Emulate ``rounds`` synchronous iterations."""
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        start = len(self.trainer.history) + 1
-        for t in range(start, start + rounds):
-            self.run_round(t)
-        return self.report
+        report.timings.append(timing)
+        report.simulated_seconds += timing.total
+    return report

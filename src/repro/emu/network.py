@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["InstrumentedLink", "LinkModel", "NodeComputeModel"]
+__all__ = ["LinkModel", "NodeComputeModel"]
 
 
 @dataclass(frozen=True)
@@ -36,36 +36,6 @@ class LinkModel:
 #: A mobile-grade link for the "what if this ran on real phones"
 #: sensitivity analysis (LTE uplink-ish).
 MOBILE_LINK = LinkModel(bandwidth_bps=5e6, latency_s=0.05)
-
-
-class InstrumentedLink:
-    """A :class:`LinkModel` wrapper that streams transfer metrics.
-
-    Counts every ``transfer_time`` call and its byte volume into the
-    given :class:`~repro.obs.metrics.MetricsRegistry` under
-    ``emu.<name>.transfers`` / ``emu.<name>.bytes`` — both byte totals
-    are pure functions of the run, so they stay in the deterministic
-    metric namespace.  All other attribute access delegates to the
-    wrapped link, so an ``InstrumentedLink`` drops in anywhere a
-    ``LinkModel`` is accepted.
-    """
-
-    def __init__(self, link: LinkModel, metrics, name: str = "link") -> None:
-        self.link = link
-        self.metrics = metrics
-        self.name = name
-
-    def transfer_time(self, n_bytes: int) -> float:
-        seconds = self.link.transfer_time(n_bytes)
-        self.metrics.counter(f"emu.{self.name}.transfers").inc()
-        self.metrics.counter(f"emu.{self.name}.bytes").inc(n_bytes)
-        return seconds
-
-    def __getattr__(self, attr: str):
-        return getattr(self.link, attr)
-
-    def __repr__(self) -> str:
-        return f"InstrumentedLink({self.link!r}, name={self.name!r})"
 
 
 @dataclass(frozen=True)

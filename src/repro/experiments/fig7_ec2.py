@@ -7,10 +7,10 @@ data volume in MB at three accuracy levels (Fig. 7b), where CMFL ships
 6.4-7.1x less data.  Sec. V-C also measures the relevance check at
 <0.13% of a local training iteration.
 
-We replay the same federated rounds through the discrete-event cluster
-emulator of :mod:`repro.emu`, which accounts every protocol message
-byte-by-byte (model broadcast with feedback, full updates, tiny status
-notices for withheld updates).
+We run the same federated rounds and replay the finished history
+through the cluster emulation of :mod:`repro.emu`, which accounts every
+protocol message byte-by-byte (model broadcast with feedback, full
+updates, tiny status notices for withheld updates).
 """
 
 from __future__ import annotations
@@ -18,17 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.analysis.saving import rounds_to_accuracy
+from repro.analysis.saving import bytes_to_accuracy, rounds_to_accuracy
 from repro.baselines.gaia import GaiaPolicy
 from repro.baselines.vanilla import VanillaPolicy
 from repro.core.policy import CMFLPolicy, UploadPolicy
 from repro.core.thresholds import ConstantThreshold, LinearDecayThreshold
-from repro.emu.cluster import ClusterEmulator, EmulationReport
+from repro.emu.cluster import EmulationReport, emulate_cluster
 from repro.experiments.workloads import NWPWorkload, resolve_scale
 from repro.fl.history import RunHistory
-from repro.utils.smoothing import moving_average
 from repro.utils.tables import format_table
 
 __all__ = ["Fig7Result", "main", "run"]
@@ -48,22 +45,6 @@ def _policies(rounds: int) -> Dict[str, UploadPolicy]:
     }
 
 
-def _megabytes_at_accuracy(
-    history: RunHistory, report: EmulationReport, target: float
-) -> Optional[float]:
-    """Uploaded MB when the smoothed accuracy first reaches ``target``."""
-    evaluated = [r for r in history.records if r.test_metric is not None]
-    if not evaluated:
-        return None
-    acc = moving_average([r.test_metric for r in evaluated], 3)
-    hits = np.flatnonzero(acc >= target)
-    if hits.size == 0:
-        return None
-    # Uploaded bytes scale with accumulated rounds; the ledger's
-    # total_bytes at that record already counts updates + statuses.
-    return evaluated[hits[0]].total_bytes / 1e6
-
-
 @dataclass
 class Fig7Result:
     scale: str
@@ -77,15 +58,11 @@ class Fig7Result:
 
     def data_reduction(self, target: float) -> Optional[float]:
         """vanilla MB / CMFL MB at ``target`` (paper: 6.4-7.1x)."""
-        mb_v = _megabytes_at_accuracy(
-            self.histories["vanilla"], self.reports["vanilla"], target
-        )
-        mb_c = _megabytes_at_accuracy(
-            self.histories["cmfl"], self.reports["cmfl"], target
-        )
-        if mb_v is None or mb_c is None or mb_c == 0:
+        bytes_v = bytes_to_accuracy(self.histories["vanilla"], target)
+        bytes_c = bytes_to_accuracy(self.histories["cmfl"], target)
+        if bytes_v is None or bytes_c is None or bytes_c == 0:
             return None
-        return mb_v / mb_c
+        return (bytes_v / 1e6) / (bytes_c / 1e6)
 
     def report(self) -> str:
         lines: List[str] = []
@@ -142,11 +119,14 @@ def run(scale: Optional[str] = None) -> Fig7Result:
     for name, policy in _policies(rounds).items():
         workload = NWPWorkload(scale=scale)
         trainer = workload.make_trainer(policy, rounds=rounds)
-        emulator = ClusterEmulator(
-            trainer, feedback_in_broadcast=(name == "cmfl")
+        histories[name] = trainer.run(rounds)
+        reports[name] = emulate_cluster(
+            histories[name],
+            {c.client_id: c.n_samples for c in trainer.clients},
+            trainer.server.n_params,
+            trainer.config.local_epochs,
+            feedback_in_broadcast=(name == "cmfl"),
         )
-        reports[name] = emulator.run(rounds)
-        histories[name] = trainer.history
     return Fig7Result(
         scale=scale, histories=histories, reports=reports, levels=levels
     )

@@ -30,8 +30,6 @@ from repro.fl.sampling import (
     UniformSampler,
     UnreliableParticipation,
 )
-from repro.fl.privacy import GaussianMechanism, PrivatizedPolicy
-from repro.fl.secure import SecureAggregator
 from repro.fl.store import (
     ClientStateStore,
     CyclicPartition,
@@ -69,8 +67,5 @@ __all__ = [
     "CyclicPartition",
     "ExplicitPartition",
     "IndexedPartition",
-    "SecureAggregator",
-    "GaussianMechanism",
-    "PrivatizedPolicy",
     "FederatedTrainer",
 ]

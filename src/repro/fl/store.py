@@ -8,8 +8,8 @@ rows in contiguous numpy arrays, and Python objects exist only for the
 clients of the current round.
 
 Layout.  A population of P clients is split into fixed-size shards of
-``shard_size`` rows.  Each shard owns three (optionally four) arrays,
-allocated lazily the first time any of its clients is touched:
+``shard_size`` rows.  Each shard owns three arrays, allocated lazily
+the first time any of its clients is touched:
 
 * ``rng``   — ``uint64 (rows, 6)``: the PCG64 counter state of each
   client's stream (state hi/lo, increment hi/lo, ``has_uint32``,
@@ -19,11 +19,7 @@ allocated lazily the first time any of its clients is touched:
   stream; a dead row's stream is defined by the seed scheme below, so
   untouched clients cost nothing and touch order cannot matter;
 * ``stats`` — ``int64 (rows, 3)``: participations, uploads, last
-  participation round;
-* ``feedback`` — ``uint8 (rows, packed_sign_nbytes(n_params))``: the
-  packed sign bit-planes (:func:`repro.core.feedback.pack_signs`) of
-  the global-update feedback each client last trained against — 2 bits
-  per parameter instead of a float64 vector per client.
+  participation round.
 
 Fresh streams are a pure function of ``(seed, client_index)`` via
 ``SeedSequence``, never of when a client first participates: two runs
@@ -56,7 +52,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.feedback import pack_signs, packed_sign_nbytes, unpack_signs
 from repro.data.dataset import Dataset
 from repro.fl.client import FLClient
 from repro.utils.rng import stream_seed
@@ -276,13 +271,12 @@ class StoreClient(FLClient):
 class _Shard:
     """One shard's arrays; allocated only when a row is first touched."""
 
-    __slots__ = ("rng", "live", "stats", "feedback")
+    __slots__ = ("rng", "live", "stats")
 
     def __init__(self, rows: int) -> None:
         self.rng = np.zeros((rows, 6), dtype=np.uint64)
         self.live = np.zeros(rows, dtype=bool)
         self.stats = np.zeros((rows, 3), dtype=np.int64)
-        self.feedback: Optional[np.ndarray] = None
 
 
 #: stats columns, by index.
@@ -293,16 +287,11 @@ class ClientStateStore:
     """Sharded array-backed per-client state for huge populations.
 
     ``population`` rows of client state (RNG counters, participation
-    stats, packed feedback signs) in lazily allocated fixed-size
-    shards; ``partition`` maps rows to data.  Peak memory is
-    O(touched shards + dataset), never O(population x object): a
-    100-client cohort from a million-client pool materializes a
-    handful of shards and exactly 100 Python objects.
-
-    ``track_feedback=True`` additionally records, for every
-    participant, the packed sign bit-planes of the feedback vector it
-    trained against (``n_params`` then names the model size; see
-    :func:`repro.core.feedback.pack_signs`).
+    stats) in lazily allocated fixed-size shards; ``partition`` maps
+    rows to data.  Peak memory is O(touched shards + dataset), never
+    O(population x object): a 100-client cohort from a million-client
+    pool materializes a handful of shards and exactly 100 Python
+    objects.
     """
 
     def __init__(
@@ -311,8 +300,6 @@ class ClientStateStore:
         partition: DataPartition,
         seed: int = 0,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        track_feedback: bool = False,
-        n_params: Optional[int] = None,
     ) -> None:
         if population < 1:
             raise ValueError("population must be >= 1")
@@ -323,14 +310,10 @@ class ClientStateStore:
                 f"partition covers {len(partition)} clients, population "
                 f"is {population}"
             )
-        if track_feedback and (n_params is None or n_params < 1):
-            raise ValueError("track_feedback=True requires n_params >= 1")
         self.population = population
         self.partition = partition  # ckpt: transient — re-supplied at build, like datasets
         self.seed = seed
         self.shard_size = shard_size
-        self.track_feedback = track_feedback
-        self.n_params = n_params
         self._shards: Dict[int, _Shard] = {}
         self._outstanding: Dict[int, StoreClient] = {}  # ckpt: transient — live round views
         # Generators of retired views: a live row restores into one
@@ -345,8 +328,6 @@ class ClientStateStore:
         cls,
         clients: Sequence[FLClient],
         shard_size: int = DEFAULT_SHARD_SIZE,
-        track_feedback: bool = False,
-        n_params: Optional[int] = None,
     ) -> "ClientStateStore":
         """Adopt an eager client list: same ids, same streams, same data.
 
@@ -367,8 +348,6 @@ class ClientStateStore:
             len(clients),
             ExplicitPartition([c.train_data for c in clients]),
             shard_size=shard_size,
-            track_feedback=track_feedback,
-            n_params=n_params,
         )
         for client in clients:
             shard, offset = store._locate(client.client_id)
@@ -462,22 +441,8 @@ class ClientStateStore:
         iteration: int,
         uploaded_ids: Sequence[int],
         skipped_ids: Sequence[int],
-        feedback_sign: Optional[np.ndarray] = None,
     ) -> None:
-        """Account one round's participation into the stats columns.
-
-        With feedback tracking on, every participant's row also
-        records the packed signs of ``feedback_sign`` — the broadcast
-        u_bar it judged its update against.
-        """
-        packed = None
-        if self.track_feedback and feedback_sign is not None:
-            packed = pack_signs(feedback_sign)
-            if packed.size != packed_sign_nbytes(self.n_params):
-                raise ValueError(
-                    f"feedback sign vector is not {self.n_params} "
-                    "parameters wide"
-                )
+        """Account one round's participation into the stats columns."""
         for ids, uploaded in ((uploaded_ids, True), (skipped_ids, False)):
             for raw in ids:
                 index = int(raw)
@@ -486,12 +451,6 @@ class ClientStateStore:
                 if uploaded:
                     shard.stats[offset, _UPLOADS] += 1
                 shard.stats[offset, _LAST_ROUND] = iteration
-                if packed is not None:
-                    if shard.feedback is None:
-                        shard.feedback = np.zeros(
-                            (len(shard.live), packed.size), dtype=np.uint8
-                        )
-                    shard.feedback[offset] = packed
 
     # -- inspection ----------------------------------------------------
 
@@ -502,12 +461,10 @@ class ClientStateStore:
     @property
     def nbytes(self) -> int:
         """Bytes held in shard arrays (the population-model footprint)."""
-        total = 0
-        for shard in self._shards.values():
-            total += shard.rng.nbytes + shard.live.nbytes + shard.stats.nbytes
-            if shard.feedback is not None:
-                total += shard.feedback.nbytes
-        return total
+        return sum(
+            shard.rng.nbytes + shard.live.nbytes + shard.stats.nbytes
+            for shard in self._shards.values()
+        )
 
     def participation_stats(self, index: int) -> Dict[str, int]:
         """(participations, uploads, last round) of one client."""
@@ -522,16 +479,6 @@ class ClientStateStore:
             "last_round": int(row[_LAST_ROUND]),
         }
 
-    def feedback_signs(self, index: int) -> Optional[np.ndarray]:
-        """Unpacked {-1,0,+1} feedback signs last seen by one client."""
-        if not self.track_feedback:
-            raise ValueError("store was built with track_feedback=False")
-        shard_id, offset = divmod(int(index), self.shard_size)
-        shard = self._shards.get(shard_id)
-        if shard is None or shard.feedback is None:
-            return None
-        return unpack_signs(shard.feedback[offset], self.n_params)
-
     # -- checkpoint plumbing (see repro.ckpt.state) --------------------
 
     def manifest(self) -> Dict[str, Any]:
@@ -545,13 +492,7 @@ class ClientStateStore:
             "population": self.population,
             "shard_size": self.shard_size,
             "seed": self.seed,
-            "track_feedback": self.track_feedback,
-            "n_params": self.n_params,
             "shards": sorted(self._shards),
-            "feedback_shards": sorted(
-                s for s, shard in self._shards.items()
-                if shard.feedback is not None
-            ),
             "partition": self.partition.describe(),
         }
 
@@ -559,10 +500,9 @@ class ClientStateStore:
         """Materialized shards as whole-store columns.
 
         ``rng`` / ``live`` / ``stats`` hold the rows of every
-        materialized shard, concatenated in shard-id order (``feedback``
-        those of the shards that track it); :meth:`manifest` lists the
-        ids.  A checkpoint therefore carries at most four store members
-        however many shards are live.
+        materialized shard, concatenated in shard-id order;
+        :meth:`manifest` lists the ids.  A checkpoint therefore carries
+        three store members however many shards are live.
         """
         if self._outstanding:
             raise RuntimeError(
@@ -571,20 +511,23 @@ class ClientStateStore:
             )
         # The leading zero-row shard gives an untouched store columns too.
         shards = [_Shard(0)] + [self._shards[s] for s in sorted(self._shards)]
-        arrays = {
+        return {
             name: np.concatenate([getattr(shard, name) for shard in shards])
             for name in ("rng", "live", "stats")
         }
-        feedback = [s.feedback for s in shards if s.feedback is not None]
-        if feedback:
-            arrays["feedback"] = np.concatenate(feedback)
-        return arrays
 
     def load_state(
         self, manifest: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> None:
         """Restore a :meth:`manifest` + :meth:`state_arrays` snapshot."""
-        for field in ("population", "shard_size", "seed", "track_feedback"):
+        # Older snapshots carry the keys of the removed per-client
+        # feedback-sign column; one that never used it restores as is.
+        if manifest.get("track_feedback") or manifest.get("feedback_shards"):
+            raise ValueError(
+                "store snapshot was written with track_feedback=True; the "
+                "feedback-sign column was removed and cannot be restored"
+            )
+        for field in ("population", "shard_size", "seed"):
             if manifest[field] != getattr(self, field):
                 raise ValueError(
                     f"store snapshot has {field}={manifest[field]!r}, "
@@ -597,35 +540,26 @@ class ClientStateStore:
             )
         rows = {int(s): self._shard_rows(int(s)) for s in manifest["shards"]}
         total = sum(rows.values())
-        feedback_shards = {int(s) for s in manifest["feedback_shards"]}
-        n_feedback = sum(rows[s] for s in feedback_shards)
         rng = np.asarray(arrays["rng"], dtype=np.uint64)
         live = np.asarray(arrays["live"], dtype=bool)
         stats = np.asarray(arrays["stats"], dtype=np.int64)
-        feedback = np.asarray(arrays.get("feedback", ()), dtype=np.uint8)
         if (
             rng.shape != (total, 6)
             or live.shape != (total,)
             or stats.shape != (total, 3)
-            or len(feedback) != n_feedback
         ):
             raise ValueError(
                 f"store columns have the wrong shape for the {total} rows "
-                f"({n_feedback} with feedback) of shards {list(rows)}"
+                f"of shards {list(rows)}"
             )
         self._shards = {}
-        start = feedback_start = 0
+        start = 0
         for shard_id, n_rows in rows.items():
             shard = _Shard(n_rows)
             shard.rng[...] = rng[start : start + n_rows]
             shard.live[...] = live[start : start + n_rows]
             shard.stats[...] = stats[start : start + n_rows]
             start += n_rows
-            if shard_id in feedback_shards:
-                shard.feedback = feedback[
-                    feedback_start : feedback_start + n_rows
-                ].copy()
-                feedback_start += n_rows
             self._shards[shard_id] = shard
 
     def __repr__(self) -> str:

@@ -401,9 +401,6 @@ class FederatedTrainer:
                 t,
                 [u.client_id for u in uploads],
                 [s.client_id for s in skipped],
-                feedback_sign=(
-                    feedback if self.store.track_feedback else None
-                ),
             )
             if store_writeback:
                 self.store.writeback(state.views)

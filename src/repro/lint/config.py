@@ -7,7 +7,7 @@ Settings live in ``pyproject.toml`` under ``[tool.repro-lint]``::
 
     [tool.repro-lint.explicit-dtype]
     severity = "error"
-    paths = ["core/", "fl/", "nn/", "compress/"]
+    paths = ["core/", "fl/", "nn/"]
 
 Per-rule tables accept ``enabled`` (bool), ``severity`` (``"error"`` or
 ``"warning"``), ``paths`` (package-relative prefixes the rule is scoped

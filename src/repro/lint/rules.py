@@ -239,7 +239,7 @@ class ExplicitDtypeRule(_AliasTrackingRule):
         "np.zeros/np.ones/np.empty/np.full in hot paths must pass an "
         "explicit dtype"
     )
-    default_paths = ("core/", "fl/", "nn/", "compress/")
+    default_paths = ("core/", "fl/", "nn/")
     tracked_modules = ("numpy",)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -731,17 +731,13 @@ class MetricNameRegistryRule(LintRule):
     separate time series — no error, just missing data in every report
     built on the real name.  Requiring each ``counter``/``gauge``/
     ``histogram`` call to pass a string literal declared in the central
-    registry turns that into a lint failure.  Name families with a
-    data-driven suffix (the emulator's per-``MessageKind`` counters)
-    are declared as prefixes; call sites may build those with an
-    f-string whose literal head starts with a registered prefix.
+    registry turns that into a lint failure.
     """
 
     name = "metric-name-registry"
     description = (
         "counter()/gauge()/histogram() names must be string literals "
-        "declared in repro.obs.names (f-strings allowed for registered "
-        "prefix families)"
+        "declared in repro.obs.names"
     )
 
     #: Attribute names whose receiver looks like a metrics registry.
@@ -752,18 +748,10 @@ class MetricNameRegistryRule(LintRule):
         super().__init__(*args, **kwargs)
         # Lazy import: keeps repro.lint importable without repro.obs on
         # the path (both are stdlib-only; this is layering hygiene).
-        from repro.obs.names import METRIC_NAMES, METRIC_PREFIXES
+        from repro.obs.names import METRIC_NAMES
 
         self._names = METRIC_NAMES | set(
             self.settings.option("extra_names", ())
-        )
-        self._prefixes = tuple(METRIC_PREFIXES) + tuple(
-            self.settings.option("extra_prefixes", ())
-        )
-
-    def _is_registered(self, name: str) -> bool:
-        return name in self._names or any(
-            name.startswith(prefix) for prefix in self._prefixes
         )
 
     def _receiver_is_registry(self, func: ast.Attribute) -> bool:
@@ -785,31 +773,19 @@ class MetricNameRegistryRule(LintRule):
         self, node: ast.Call, arg: ast.expr, instrument: str
     ) -> None:
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            if not self._is_registered(arg.value):
+            if arg.value not in self._names:
                 self.report(
                     node,
                     f"metric name {arg.value!r} is not declared in "
-                    "repro.obs.names; add it to METRIC_NAMES (or a "
-                    "prefix family) so reports can rely on the registry",
-                )
-            return
-        if isinstance(arg, ast.JoinedStr):
-            head = ""
-            if arg.values and isinstance(arg.values[0], ast.Constant):
-                head = str(arg.values[0].value)
-            if not any(head.startswith(p) for p in self._prefixes):
-                self.report(
-                    node,
-                    f"f-string metric name must start with a prefix "
-                    f"declared in repro.obs.names.METRIC_PREFIXES "
-                    f"(literal head is {head!r})",
+                    "repro.obs.names; add it to METRIC_NAMES so reports "
+                    "can rely on the registry",
                 )
             return
         self.report(
             node,
-            f"{instrument}() name must be a string literal (or an "
-            "f-string over a registered prefix family), not a computed "
-            "expression — the registry cannot vouch for runtime names",
+            f"{instrument}() name must be a string literal, not a "
+            "computed expression — the registry cannot vouch for "
+            "runtime names",
         )
 
 

@@ -4,7 +4,7 @@ The paper trains its models in TensorFlow; CMFL itself only ever sees
 flattened update vectors, so any correct SGD learner reproduces the
 algorithm's behaviour.  This package provides exactly that: a small,
 fully backpropagated layer library (dense, convolution, pooling, LSTM,
-embedding, dropout), losses, optimizers and the flat-vector parameter
+embedding), losses, optimizers and the flat-vector parameter
 (de)serialisation the federated engine is built on.
 
 Every layer follows the same contract:
@@ -31,7 +31,6 @@ from repro.nn.layers.dense import Dense
 from repro.nn.layers.conv import Conv2D, MaxPool2D
 from repro.nn.layers.recurrent import LSTM
 from repro.nn.layers.embedding import Embedding
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.reshape import Flatten
 from repro.nn.losses import (
     BatchedLoss,
@@ -67,7 +66,6 @@ __all__ = [
     "MaxPool2D",
     "LSTM",
     "Embedding",
-    "Dropout",
     "Flatten",
     "Loss",
     "SoftmaxCrossEntropy",

@@ -4,7 +4,6 @@ from repro.nn.layers.dense import Dense
 from repro.nn.layers.conv import Conv2D, MaxPool2D
 from repro.nn.layers.recurrent import LSTM
 from repro.nn.layers.embedding import Embedding
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.reshape import Flatten
 
-__all__ = ["Dense", "Conv2D", "MaxPool2D", "LSTM", "Embedding", "Dropout", "Flatten"]
+__all__ = ["Dense", "Conv2D", "MaxPool2D", "LSTM", "Embedding", "Flatten"]

@@ -51,7 +51,7 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
     RUNTIME_PREFIX,
 )
-from repro.obs.names import METRIC_NAMES, METRIC_PREFIXES, is_registered
+from repro.obs.names import METRIC_NAMES, is_registered
 from repro.obs.rollup import (
     P2Quantile,
     RoundRollup,
@@ -86,7 +86,6 @@ __all__ = [
     "HealthMonitor",
     "Histogram",
     "METRIC_NAMES",
-    "METRIC_PREFIXES",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "P2Quantile",

@@ -266,11 +266,7 @@ _SPARK_CHARS = " .:-=+*#@"
 
 
 def sparkline(values: Sequence[Optional[float]], width: int = 40) -> str:
-    """A pure-ASCII sparkline; ``None`` gaps render as ``?``.
-
-    Deliberately not :mod:`repro.utils.ascii_plot` — that module
-    imports numpy and the obs layer stays stdlib-only.
-    """
+    """A pure-ASCII sparkline; ``None`` gaps render as ``?``."""
     points = list(values)[-width:]
     finite = [v for v in points if v is not None and math.isfinite(v)]
     if not finite:

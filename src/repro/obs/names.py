@@ -3,10 +3,7 @@
 Every ``counter(...)``/``gauge(...)``/``histogram(...)`` call site in
 the tree must name its instrument with a string literal declared here —
 the ``metric-name-registry`` lint rule enforces it — so a typo'd metric
-name is a lint error, not a silently separate time series.  Families
-whose suffix is data-driven (the emulator's per-``MessageKind``
-counters) register a literal *prefix* instead; call sites may then
-build the name with an f-string whose literal head matches the prefix.
+name is a lint error, not a silently separate time series.
 
 Names follow the namespace conventions of the determinism contract
 (DESIGN.md §6c): ``runtime.*`` values are wall-clock/scheduling
@@ -16,7 +13,7 @@ be a pure function of the run.
 
 from __future__ import annotations
 
-__all__ = ["METRIC_NAMES", "METRIC_PREFIXES", "is_registered"]
+__all__ = ["METRIC_NAMES", "is_registered"]
 
 #: Every fixed metric name in the tree, namespace-sorted.
 METRIC_NAMES = frozenset(
@@ -51,22 +48,7 @@ METRIC_NAMES = frozenset(
     }
 )
 
-#: Registered name families: a call site may pass an f-string whose
-#: literal head starts with one of these prefixes (part of the name is
-#: data-driven).  The emulator namespace is such a family twice over:
-#: per-``MessageKind`` counters (``emu.messages.<kind>``,
-#: ``emu.bytes.<kind>``) and per-link transfer counters with a
-#: data-driven *middle* (``emu.<link>.transfers``), hence the broad
-#: ``emu.`` entry.
-METRIC_PREFIXES = (
-    "emu.",
-    "emu.bytes.",
-    "emu.messages.",
-)
-
 
 def is_registered(name: str) -> bool:
-    """True when ``name`` is declared, exactly or via a prefix family."""
-    return name in METRIC_NAMES or any(
-        name.startswith(prefix) for prefix in METRIC_PREFIXES
-    )
+    """True when ``name`` is declared in :data:`METRIC_NAMES`."""
+    return name in METRIC_NAMES

@@ -16,7 +16,6 @@ from repro.nn import (
     BatchedUnsupported,
     Conv2D,
     Dense,
-    Dropout,
     Embedding,
     Flatten,
     LSTM,
@@ -177,28 +176,6 @@ class TestBatchedLayers:
             ]),
             rng.normal(size=(C, 5, 1, 6, 6)),
         )
-
-    def test_dropout_inference_is_identity(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        batched = layer.batched(BatchedParamBinder(C, 0))
-        x = np.random.default_rng(1).normal(size=(C, 4, 5))
-        out = batched.forward(x, training=False)
-        np.testing.assert_array_equal(out, x, strict=True)
-        np.testing.assert_array_equal(
-            batched.backward(x), x, strict=True
-        )
-
-    def test_dropout_training_draws_from_layer_stream(self):
-        """Training-mode batched dropout consumes the wrapped layer's
-        own RNG stream (dropout sits outside the cross-backend bitwise
-        contract, but the stream ownership stays with the layer)."""
-        layer = Dropout(0.5, rng=np.random.default_rng(3))
-        batched = layer.batched(BatchedParamBinder(C, 0))
-        x = np.ones((C, 6, 8))
-        out = batched.forward(x, training=True)
-        kept = out != 0.0
-        assert 0 < kept.sum() < out.size
-        np.testing.assert_array_equal(out[kept], x[kept] / 0.5)
 
 
 class TestBatchedLosses:

@@ -6,7 +6,6 @@ import pytest
 from repro.nn.activations import ReLU, Sigmoid, Tanh, sigmoid, softmax
 from repro.nn.layers.conv import Conv2D, MaxPool2D, col2im, im2col
 from repro.nn.layers.dense import Dense
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.recurrent import LSTM
 from repro.nn.layers.reshape import Flatten, LastStep
@@ -181,30 +180,6 @@ class TestEmbedding:
         emb.backward(np.ones_like(out))
         np.testing.assert_allclose(emb.weight.grad[1], [3.0, 3.0])
         assert np.allclose(emb.weight.grad[0], 0.0)
-
-
-class TestDropout:
-    def test_identity_at_inference(self, rng):
-        drop = Dropout(0.5, rng=0)
-        x = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(drop.forward(x, training=False), x)
-
-    def test_preserves_expectation_under_training(self):
-        drop = Dropout(0.3, rng=0)
-        x = np.ones((200, 200))
-        out = drop.forward(x, training=True)
-        assert abs(out.mean() - 1.0) < 0.02
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_backward_uses_same_mask(self):
-        drop = Dropout(0.5, rng=0)
-        x = np.ones((10, 10))
-        out = drop.forward(x, training=True)
-        grad = drop.backward(np.ones_like(x))
-        np.testing.assert_array_equal(grad == 0, out == 0)
 
 
 class TestReshape:

@@ -53,7 +53,7 @@ def _parse_openmetrics(text):
 class TestOpenMetrics:
     def test_name_sanitization(self):
         assert openmetrics_name("comm.uploaded_bytes") == "comm_uploaded_bytes"
-        assert openmetrics_name("emu.bytes.UPDATE") == "emu_bytes_UPDATE"
+        assert openmetrics_name("runtime.ckpt.save_s") == "runtime_ckpt_save_s"
         assert openmetrics_name("9lives") == "_9lives"
 
     def test_exposition_covers_all_metric_types(self):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.feedback import pack_signs, packed_sign_nbytes, unpack_signs
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
@@ -67,43 +66,6 @@ def _history_digest(trainer):
     from repro.fl.history import history_digest
 
     return history_digest(trainer)
-
-
-class TestPackedSigns:
-    def test_round_trip_equals_sign(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 7, 8, 9, 64, 1000):
-            v = rng.normal(size=n)
-            v[rng.random(n) < 0.3] = 0.0
-            assert np.array_equal(
-                unpack_signs(pack_signs(v), n), np.sign(v)
-            )
-
-    def test_parity_with_unpacked_feedback_path(self):
-        # The store records packed signs of u_bar; CMFL's relevance uses
-        # np.sign(u_bar).  The packed record must reproduce that vector
-        # exactly, zeros included.
-        rng = np.random.default_rng(1)
-        u_bar = rng.normal(size=129)
-        u_bar[::7] = 0.0
-        unpacked_signs = np.sign(u_bar)
-        packed = pack_signs(u_bar)
-        assert np.array_equal(unpack_signs(packed, 129), unpacked_signs)
-
-    def test_memory_is_two_bits_per_param(self):
-        n = 100_000
-        packed = packed_sign_nbytes(n)
-        assert packed == 2 * ((n + 7) // 8)
-        # ~32x below a float64 sign vector.
-        assert packed * 31 < n * 8
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            pack_signs(np.array([]))
-        with pytest.raises(ValueError):
-            packed_sign_nbytes(0)
-        with pytest.raises(ValueError):
-            unpack_signs(np.zeros(4, dtype=np.uint8), 100)
 
 
 class TestPartitions:
@@ -318,13 +280,13 @@ class TestStoreCore:
         store.writeback([a])
         other.writeback([b])
 
-    def test_state_columns_span_shards_and_partial_feedback(self):
-        """Shard rows travel as whole-store columns: ragged last shard,
-        feedback on only some shards, and an untouched store."""
+    def test_state_columns_span_shards(self):
+        """Shard rows travel as whole-store columns: ragged last shard
+        and an untouched store."""
         def store():
             return ClientStateStore(
                 100, CyclicPartition(_dataset(rows=60), 100, 10), seed=4,
-                shard_size=32, track_feedback=True, n_params=9,
+                shard_size=32,
             )
 
         source = store()
@@ -333,23 +295,19 @@ class TestStoreCore:
         }
         store().load_state(source.manifest(), source.state_arrays())
         source.writeback(source.checkout([1, 40, 99]))  # shards 0, 1, 3
-        u_bar = np.array([0.5, -1.0, 0.0, 2.0, -3.0, 0.0, 1.0, 1.0, -1.0])
-        source.record_round(1, [40], [99], feedback_sign=u_bar)
+        source.record_round(1, [40], [99])
         arrays = source.state_arrays()
-        assert set(arrays) == {"rng", "live", "stats", "feedback"}
+        assert set(arrays) == {"rng", "live", "stats"}
         assert len(arrays["rng"]) == 32 + 32 + 4
-        assert len(arrays["feedback"]) == 32 + 4
         other = store()
         other.load_state(source.manifest(), arrays)
         assert other.materialized_shards == source.materialized_shards
-        assert other.feedback_signs(1) is None
         for index in (40, 99):
-            assert np.array_equal(other.feedback_signs(index), np.sign(u_bar))
             assert other.participation_stats(index) == (
                 source.participation_stats(index)
             )
         with pytest.raises(ValueError, match="wrong shape"):
-            arrays["feedback"] = arrays["feedback"][:-1]
+            arrays["stats"] = arrays["stats"][:-1]
             store().load_state(source.manifest(), arrays)
 
     def test_load_state_validates_identity(self):
@@ -377,16 +335,11 @@ class TestStoreCore:
         with pytest.raises(ValueError):
             ClientStateStore.from_clients(clients)
 
-    def test_record_round_stats_and_feedback(self):
-        data = _dataset(rows=60)
+    def test_record_round_stats(self):
         store = ClientStateStore(
-            100,
-            CyclicPartition(data, 100, 10),
-            track_feedback=True,
-            n_params=9,
+            100, CyclicPartition(_dataset(rows=60), 100, 10)
         )
-        u_bar = np.array([0.5, -1.0, 0.0, 2.0, -3.0, 0.0, 1.0, 1.0, -1.0])
-        store.record_round(3, [4, 5], [6], feedback_sign=u_bar)
+        store.record_round(3, [4, 5], [6])
         assert store.participation_stats(4) == {
             "participations": 1, "uploads": 1, "last_round": 3,
         }
@@ -394,22 +347,6 @@ class TestStoreCore:
             "participations": 1, "uploads": 0, "last_round": 3,
         }
         assert store.participation_stats(7)["participations"] == 0
-        assert np.array_equal(store.feedback_signs(5), np.sign(u_bar))
-        # Same shard, never a participant: an all-zero sign row.
-        assert not store.feedback_signs(99).any()
-        # Untouched shard: no feedback recorded at all.
-        sharded = ClientStateStore(
-            100,
-            CyclicPartition(data, 100, 10),
-            shard_size=8,
-            track_feedback=True,
-            n_params=9,
-        )
-        sharded.record_round(1, [0], [], feedback_sign=u_bar)
-        assert sharded.feedback_signs(99) is None
-        plain = ClientStateStore(100, CyclicPartition(data, 100, 10))
-        with pytest.raises(ValueError):
-            plain.feedback_signs(0)
 
     def test_constructor_validates(self):
         data = _dataset(rows=60)
@@ -418,8 +355,6 @@ class TestStoreCore:
             ClientStateStore(0, part)
         with pytest.raises(ValueError):
             ClientStateStore(11, part)  # partition too small
-        with pytest.raises(ValueError):
-            ClientStateStore(10, part, track_feedback=True)  # no n_params
 
 
 class TestTrainerParity:
@@ -560,6 +495,54 @@ class TestStoreCheckpoint:
                 _config(rounds=8),
                 sampler=UniformSampler(0.5, rng=5),
             )
+
+    @pytest.mark.parametrize(
+        "legacy, refused",
+        [
+            ({"track_feedback": False, "n_params": None,
+              "feedback_shards": []}, False),
+            ({"track_feedback": True, "n_params": 9,
+              "feedback_shards": []}, True),
+            ({"track_feedback": False, "n_params": None,
+              "feedback_shards": [0]}, True),
+        ],
+    )
+    def test_store_manifest_of_the_feedback_column_era(
+        self, tmp_path, legacy, refused
+    ):
+        """Older store manifests carry the removed feedback-sign
+        column's keys: one that never used it resumes bitwise, one that
+        did is refused by name."""
+        from repro.ckpt.format import CheckpointError, write_checkpoint
+        from repro.ckpt.state import capture_run_state
+
+        reference = self._build()
+        reference.run(8)
+
+        crashed = self._build()
+        crashed.run(4)
+        manifest, arrays, texts = capture_run_state(crashed)
+        manifest["store"].update(legacy)
+        path = tmp_path / "legacy.ckpt"
+        write_checkpoint(path, manifest, arrays, texts)
+
+        def restore():
+            return FederatedTrainer.restore(
+                path,
+                _workspace(),
+                ClientStateStore.from_clients(_clients(), shard_size=4),
+                CMFLPolicy(InverseSqrtThreshold(0.8)),
+                _config(rounds=8),
+                sampler=UniformSampler(0.5, rng=5),
+            )
+
+        if refused:
+            with pytest.raises(CheckpointError, match="track_feedback"):
+                restore()
+        else:
+            resumed = restore()
+            resumed.run(4)
+            assert _history_digest(resumed) == _history_digest(reference)
 
     @pytest.mark.parametrize("store_backed", [False, True])
     def test_ledger_tables_survive_restore(self, tmp_path, store_backed):
