@@ -14,7 +14,6 @@ from repro import CMFLPolicy, VanillaPolicy
 from repro.core.thresholds import ConstantThreshold
 from repro.data import make_har_tasks
 from repro.mtl import MochaTrainer, MTLConfig
-from repro.mtl.relationship import task_similarity
 
 
 def run(policy, tasks):
@@ -49,11 +48,6 @@ def main():
     print(f"  clean clients   : {skips[~outliers].mean():5.1f} of 30 rounds")
     share = skips[outliers].sum() / max(skips.sum(), 1)
     print(f"  share of all eliminations owned by outliers: {share:.0%}")
-
-    sim = task_similarity(trainer.base[:, None] + trainer.offsets)
-    upper = sim[np.triu_indices_from(sim, k=1)]
-    print(f"\nLearned task similarity: mean {upper.mean():.2f} "
-          f"(min {upper.min():.2f}, max {upper.max():.2f})")
 
 
 if __name__ == "__main__":

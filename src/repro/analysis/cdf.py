@@ -1,21 +1,10 @@
-"""Empirical CDFs (the paper plots several: Figs. 1, 3, 6)."""
+"""Empirical-distribution statistics (the paper plots CDFs in Figs. 1, 3, 6)."""
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["empirical_cdf", "fraction_below", "quantile"]
-
-
-def empirical_cdf(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(sorted values, cumulative probabilities in (0, 1])."""
-    arr = np.sort(np.asarray(values, dtype=float).reshape(-1))
-    if arr.size == 0:
-        raise ValueError("cannot build a CDF of zero values")
-    probs = np.arange(1, arr.size + 1) / arr.size
-    return arr, probs
+__all__ = ["fraction_below", "quantile"]
 
 
 def fraction_below(values: np.ndarray, threshold: float) -> float:

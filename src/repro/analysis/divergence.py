@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["divergence_summary", "normalized_model_divergence"]
+__all__ = ["normalized_model_divergence"]
 
 _EPS = 1e-12
 
@@ -42,16 +42,3 @@ def normalized_model_divergence(
         )
     denom = np.maximum(np.abs(global_flat), _EPS)
     return np.mean(np.abs(stack - global_flat[None, :]), axis=0) / denom
-
-
-def divergence_summary(d: np.ndarray) -> dict:
-    """The statistics the paper quotes about a divergence distribution."""
-    d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        raise ValueError("divergence vector cannot be empty")
-    return {
-        "median": float(np.median(d)),
-        "fraction_above_1": float(np.mean(d > 1.0)),
-        "max": float(np.max(d)),
-        "mean": float(np.mean(d)),
-    }

@@ -22,7 +22,7 @@ cover everything round ``t+1`` depends on:
   metric values), so a resumed trace extends the original stream.
 
 The restore side validates shape/identity invariants (parameter count,
-policy name, client-id set, feedback staleness, aggregation mode) and
+policy name, client-id set, feedback staleness) and
 wraps any structural mismatch in :class:`CheckpointError` so a
 checkpoint applied against the wrong federation fails loudly.
 """
@@ -83,7 +83,6 @@ def capture_run_state(
             "state": trainer.policy.state_dict(),
         },
         "server": {
-            "weighted": server.weighted,
             "feedback_staleness": estimator.staleness,
             "n_feedback": len(feedback_state["history"]),
         },
@@ -171,7 +170,7 @@ def apply_run_state(trainer: Any, ckpt: Checkpoint) -> None:
 
     The trainer must have been built over the same federation shape —
     same model architecture, optimizer type, policy, clients, sampler
-    and aggregation settings — as the run that produced the checkpoint.
+    and feedback staleness — as the run that produced the checkpoint.
     """
     manifest = ckpt.manifest
     try:
@@ -194,8 +193,11 @@ def _apply(trainer: Any, ckpt: Checkpoint, manifest: Dict[str, Any]) -> None:
             f"checkpoint is for policy {manifest['policy']['name']!r}, "
             f"trainer runs {trainer.policy.name!r}"
         )
-    if bool(manifest["server"]["weighted"]) != server.weighted:
-        raise ValueError("weighted-aggregation setting differs")
+    if manifest["server"].get("weighted", False):
+        raise ValueError(
+            "checkpoint was written with weighted_aggregation=True, "
+            "a FedAvg-weighted mean this engine no longer has"
+        )
     if int(manifest["server"]["feedback_staleness"]) != server.estimator.staleness:
         raise ValueError(
             f"checkpoint has feedback staleness "

@@ -9,7 +9,6 @@ section 2 for the substitution rationale.
 
 from repro.data.dataset import Dataset, train_test_split
 from repro.data.partition import (
-    dirichlet_partition,
     group_partition,
     iid_partition,
     label_shard_partition,
@@ -25,7 +24,6 @@ __all__ = [
     "train_test_split",
     "iid_partition",
     "label_shard_partition",
-    "dirichlet_partition",
     "group_partition",
     "make_digit_dataset",
     "make_dialogue_corpus",

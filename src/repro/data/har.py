@@ -13,14 +13,14 @@ clients).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.utils.rng import RngLike, ensure_rng
 
-__all__ = ["TaskData", "make_har_tasks", "stack_tests"]
+__all__ = ["TaskData", "make_har_tasks"]
 
 
 @dataclass
@@ -131,12 +131,3 @@ def make_har_tasks(
             )
         )
     return tasks
-
-
-def stack_tests(tasks: List[TaskData]) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate every task's test split (global evaluation pool)."""
-    if not tasks:
-        raise ValueError("tasks is empty")
-    x = np.concatenate([t.test.x for t in tasks])
-    y = np.concatenate([t.test.y for t in tasks])
-    return x, y

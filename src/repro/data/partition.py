@@ -3,8 +3,8 @@
 The paper's non-IID MNIST split sorts samples by label and hands each of
 the 100 clients one contiguous 600-sample slice, so most clients see one
 or two digit classes only (:func:`label_shard_partition` with
-``shards_per_client=1``).  Dirichlet and IID partitioners are provided
-for ablations, and :func:`group_partition` implements the
+``shards_per_client=1``).  An IID partitioner is provided for
+comparison, and :func:`group_partition` implements the
 one-role-per-client Shakespeare split.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = [
-    "dirichlet_partition",
     "group_partition",
     "iid_partition",
     "label_shard_partition",
@@ -73,40 +72,6 @@ def label_shard_partition(
         mine = order[c * shards_per_client : (c + 1) * shards_per_client]
         parts.append(np.sort(np.concatenate([shards[s] for s in mine])))
     return parts
-
-
-def dirichlet_partition(
-    labels: Sequence[int],
-    n_clients: int,
-    alpha: float = 0.5,
-    rng: RngLike = None,
-    min_samples: int = 1,
-) -> List[np.ndarray]:
-    """Dirichlet(alpha) label-skew partition; smaller alpha = more skew.
-
-    Retries until every client holds at least ``min_samples`` samples.
-    """
-    labels = np.asarray(labels)
-    _validate(labels.size, n_clients)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    gen = ensure_rng(rng)
-    classes = np.unique(labels)
-    for _ in range(100):
-        buckets: List[List[int]] = [[] for _ in range(n_clients)]
-        for cls in classes:
-            idx = np.flatnonzero(labels == cls)
-            gen.shuffle(idx)
-            props = gen.dirichlet(np.full(n_clients, alpha))
-            cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
-            for client, chunk in enumerate(np.split(idx, cuts)):
-                buckets[client].extend(chunk.tolist())
-        if all(len(b) >= min_samples for b in buckets):
-            return [np.sort(np.asarray(b, dtype=int)) for b in buckets]
-    raise RuntimeError(
-        "dirichlet_partition failed to give every client "
-        f">= {min_samples} samples after 100 attempts"
-    )
 
 
 def group_partition(groups: Sequence[int]) -> List[np.ndarray]:

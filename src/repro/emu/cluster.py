@@ -59,13 +59,6 @@ class EmulationReport:
         """Upstream full-update traffic in MB (the Fig. 7b y-axis)."""
         return self.bytes_by_kind.get(MessageKind.UPDATE.value, 0) / 1e6
 
-    @property
-    def upstream_megabytes(self) -> float:
-        """All upstream traffic (updates + status notices) in MB."""
-        up = self.bytes_by_kind.get(MessageKind.UPDATE.value, 0)
-        up += self.bytes_by_kind.get(MessageKind.STATUS.value, 0)
-        return up / 1e6
-
     def relevance_overhead_fraction(self) -> float:
         """Mean (relevance-check time / local-compute time) per round."""
         if not self.timings:

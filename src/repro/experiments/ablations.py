@@ -113,11 +113,8 @@ def run(scale: Optional[str] = None) -> AblationResult:
 
     # 2. feedback staleness
     for staleness in (1, 3):
-        trainer = workload.make_trainer(
-            CMFLPolicy(ConstantThreshold(0.57)), rounds=rounds
-        )
-        trainer.server.estimator.staleness = staleness
-        history = trainer.run()
+        history = _run(workload, CMFLPolicy(ConstantThreshold(0.57)), rounds,
+                       feedback_staleness=staleness)
         result.staleness_runs.append(
             AblationRun(f"staleness={staleness}", history)
         )

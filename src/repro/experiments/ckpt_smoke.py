@@ -44,7 +44,7 @@ from repro.nn.optimizers import Momentum, SGD
 from repro.nn.schedules import ConstantLR
 from repro.utils.rng import child_rngs
 
-__all__ = ["build_trainer", "federation_parts", "main"]
+__all__ = ["federation_parts", "main"]
 
 _SEED = 7
 _FEATURES = 12
@@ -111,11 +111,6 @@ def federation_parts(
         "config": config,
         "eval_fn": lambda ws: ws.evaluate(x_test, y_test),
     }
-
-
-def build_trainer(**kwargs: Any) -> FederatedTrainer:
-    """A fresh smoke-federation trainer (see :func:`federation_parts`)."""
-    return FederatedTrainer(**federation_parts(**kwargs))
 
 
 def _install_kill(

@@ -39,7 +39,6 @@ def async_config(staleness_bound: int = 2) -> AsyncConfig:
     """
     return AsyncConfig(
         staleness_bound=staleness_bound,
-        staleness_alpha=1.0,
         dispatch_interval_s=0.4,
         speed_sigma=1.0,
         drop_rate=0.1,

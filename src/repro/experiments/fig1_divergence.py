@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analysis.cdf import empirical_cdf, fraction_below
+from repro.analysis.cdf import fraction_below
 from repro.analysis.divergence import normalized_model_divergence
 from repro.baselines.vanilla import VanillaPolicy
 from repro.experiments.workloads import DigitsWorkload, NWPWorkload, resolve_scale
@@ -72,9 +72,6 @@ class Fig1Result:
             "fraction_above_100pct": 1.0 - fraction_below(d, 1.0),
             "max": float(np.max(d)),
         }
-
-    def cdf(self, model: str):
-        return empirical_cdf(self.divergences[model])
 
     def report(self) -> str:
         rows = []

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analysis.cdf import empirical_cdf, fraction_below, quantile
+from repro.analysis.cdf import fraction_below, quantile
 from repro.baselines.vanilla import VanillaPolicy
 from repro.experiments.workloads import DigitsWorkload, NWPWorkload, resolve_scale
 from repro.utils.tables import format_table
@@ -43,9 +43,6 @@ class Fig3Result:
             "median": quantile(d, 0.5),
             "max": float(np.max(d)),
         }
-
-    def cdf(self, model: str):
-        return empirical_cdf(self.deltas[model])
 
     def report(self) -> str:
         paper = {"digits_cnn": (0.99, 0.67), "nwp_lstm": (0.93, 0.21)}

@@ -87,12 +87,6 @@ class WorkloadComparison:
         _, comm, acc = self.histories[run_name].evaluated_points()
         return comm, acc
 
-    def rounds_table(self) -> Dict[str, Dict[float, Optional[int]]]:
-        return {
-            name: {a: rounds_to_accuracy(h, a) for a in self.targets}
-            for name, h in self.histories.items()
-        }
-
     def best_saving(self, family: str, target: float) -> Optional[float]:
         """Best saving across the swept thresholds of ``family``.
 

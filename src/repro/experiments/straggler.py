@@ -127,7 +127,6 @@ def make_straggler_engine(
         trainer,
         async_config=AsyncConfig(
             staleness_bound=staleness_bound,
-            staleness_alpha=1.0,
             dispatch_interval_s=0.2,
             drop_rate=drop_rate,
             speed_sigma=speed_sigma,

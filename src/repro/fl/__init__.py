@@ -21,20 +21,18 @@ from repro.fl.executor import (
     make_executor,
 )
 from repro.fl.server import FLServer
-from repro.fl.aggregation import mean_aggregate, weighted_mean_aggregate
+from repro.fl.aggregation import mean_aggregate
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.sampling import (
     AvailabilitySampler,
     FullParticipation,
     UniformSampler,
-    UnreliableParticipation,
 )
 from repro.fl.store import (
     ClientStateStore,
     CyclicPartition,
     ExplicitPartition,
-    IndexedPartition,
     StoreClient,
 )
 from repro.fl.trainer import FederatedTrainer
@@ -54,18 +52,15 @@ __all__ = [
     "ClientUpdate",
     "FLServer",
     "mean_aggregate",
-    "weighted_mean_aggregate",
     "CommunicationLedger",
     "RoundRecord",
     "RunHistory",
     "AvailabilitySampler",
     "FullParticipation",
     "UniformSampler",
-    "UnreliableParticipation",
     "ClientStateStore",
     "StoreClient",
     "CyclicPartition",
     "ExplicitPartition",
-    "IndexedPartition",
     "FederatedTrainer",
 ]

@@ -1,8 +1,7 @@
 """Server-side aggregation rules.
 
 The paper's Algorithm 1 line 8 is a plain mean over the received
-(relevant) updates; a sample-count-weighted mean (FedAvg-style) is
-provided as an option.
+(relevant) updates.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from repro.fl.client import ClientUpdate
 
-__all__ = ["mean_aggregate", "weighted_mean_aggregate"]
+__all__ = ["mean_aggregate"]
 
 
 def mean_aggregate(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -22,15 +21,3 @@ def mean_aggregate(updates: Sequence[ClientUpdate]) -> np.ndarray:
         raise ValueError("cannot aggregate zero updates")
     stacked = np.stack([u.update for u in updates])
     return stacked.mean(axis=0)
-
-
-def weighted_mean_aggregate(updates: Sequence[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted mean (FedAvg weighting)."""
-    if not updates:
-        raise ValueError("cannot aggregate zero updates")
-    weights = np.asarray([u.n_samples for u in updates], dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("all clients must have positive sample counts")
-    weights /= weights.sum()
-    stacked = np.stack([u.update for u in updates])
-    return np.tensordot(weights, stacked, axes=1)

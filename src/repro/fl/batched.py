@@ -62,7 +62,7 @@ class BatchedWorkspace:
     ``(C,)`` per-client vector, and the optimizer step is the fused
     elementwise SGD update applied to the whole stack at once.  Only
     plain :class:`~repro.nn.optimizers.SGD` has that fused form;
-    stateful optimizers (Momentum, Adam) raise
+    stateful optimizers (Momentum) raise
     :class:`~repro.nn.module.BatchedUnsupported` so cohorts fall back
     to the per-client path.
 

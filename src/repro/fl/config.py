@@ -43,9 +43,10 @@ class FLConfig:
     batch_size: int = 2
     lr: LRSchedule = field(default_factory=lambda: ConstantLR(0.05))
     eval_every: int = 1
-    eval_batch_size: int = 256
     on_empty_round: str = "force_best"
-    weighted_aggregation: bool = False
+    #: CMFL's feedback is the global update of ``feedback_staleness``
+    #: rounds ago (1 = the previous round's, the paper's estimate).
+    feedback_staleness: int = 1
     seed: int = 0
     #: Runtime sanitizer: reject NaN/Inf in client updates and in the
     #: aggregated global delta, naming the offending client and round.

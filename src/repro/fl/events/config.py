@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.emu.network import LinkModel, NodeComputeModel
 
 __all__ = ["AsyncConfig"]
 
@@ -21,30 +18,23 @@ class AsyncConfig:
     mode — one round in flight, histories and traces bitwise identical
     to :class:`~repro.fl.trainer.FederatedTrainer`'s.
 
-    ``staleness_alpha`` shapes the merge weight ``w(s) = 1 / (1 + s) **
-    alpha``; ``w(0)`` is exactly 1.0, which takes the server's unscaled
-    code path.  ``dispatch_interval_s`` spaces dispatches on the
-    virtual timeline (0 = dispatch as soon as the bound allows);
-    ``drop_rate``/``speed_sigma`` and the link/compute models feed the
+    A round aggregated ``s`` rounds stale merges with weight ``w(s) =
+    1 / (1 + s)``; ``w(0)`` is exactly 1.0, which takes the server's
+    unscaled code path.  ``dispatch_interval_s`` spaces dispatches on
+    the virtual timeline (0 = dispatch as soon as the bound allows);
+    ``drop_rate``/``speed_sigma`` feed the
     :class:`~repro.fl.events.latency.LatencyModel`.
     """
 
     staleness_bound: int = 0
-    staleness_alpha: float = 1.0
     dispatch_interval_s: float = 0.0
     drop_rate: float = 0.0
     speed_sigma: float = 0.5
-    link: Optional[LinkModel] = None
-    compute: Optional[NodeComputeModel] = None
 
     def __post_init__(self) -> None:
         if self.staleness_bound < 0:
             raise ValueError(
                 f"staleness_bound must be >= 0, got {self.staleness_bound}"
-            )
-        if self.staleness_alpha < 0.0:
-            raise ValueError(
-                f"staleness_alpha must be >= 0, got {self.staleness_alpha}"
             )
         if self.dispatch_interval_s < 0.0:
             raise ValueError(
@@ -66,9 +56,7 @@ class AsyncConfig:
         return self.staleness_bound == 0
 
     def merge_weight(self, staleness: int) -> float:
-        """w(s) = 1 / (1 + s) ** alpha; exactly 1.0 at s = 0."""
+        """w(s) = 1 / (1 + s); exactly 1.0 at s = 0."""
         if staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {staleness}")
-        if staleness == 0:
-            return 1.0
-        return 1.0 / (1.0 + staleness) ** self.staleness_alpha
+        return 1.0 / (1.0 + staleness)

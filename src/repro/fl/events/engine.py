@@ -101,8 +101,6 @@ class AsyncFederatedTrainer:
         self.latency = LatencyModel(  # ckpt: transient — pure streams, no state
             seed=trainer.config.seed,
             n_params=trainer.server.n_params,
-            link=self.async_config.link,
-            compute=self.async_config.compute,
             speed_sigma=self.async_config.speed_sigma,
             drop_rate=self.async_config.drop_rate,
         )

@@ -19,11 +19,11 @@ its result is discarded and its arrival never scheduled.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.emu.network import MOBILE_LINK, LinkModel, NodeComputeModel
+from repro.emu.network import MOBILE_LINK, NodeComputeModel
 from repro.nn.serialization import update_nbytes
 from repro.utils.rng import stream_seed
 
@@ -43,14 +43,14 @@ class ClientTiming(NamedTuple):
 
 
 class LatencyModel:
-    """Draws :class:`ClientTiming` from pure per-(round, client) streams."""
+    """Draws :class:`ClientTiming` from pure per-(round, client) streams,
+    over :data:`~repro.emu.network.MOBILE_LINK` and the default
+    :class:`~repro.emu.network.NodeComputeModel`."""
 
     def __init__(
         self,
         seed: int,
         n_params: int,
-        link: Optional[LinkModel] = None,
-        compute: Optional[NodeComputeModel] = None,
         speed_sigma: float = 0.5,
         drop_rate: float = 0.0,
     ) -> None:
@@ -62,13 +62,12 @@ class LatencyModel:
             raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
         self.seed = int(seed)
         self.n_params = int(n_params)
-        self.link = link if link is not None else MOBILE_LINK
-        self.compute = compute if compute is not None else NodeComputeModel()
+        self.compute = NodeComputeModel()
         self.speed_sigma = float(speed_sigma)
         self.drop_rate = float(drop_rate)
         # The model crosses the link once down and once up at the same
         # cost for every client of every round.
-        self._transfer_s = self.link.transfer_time(update_nbytes(self.n_params))
+        self._transfer_s = MOBILE_LINK.transfer_time(update_nbytes(self.n_params))
 
     def timing(
         self,

@@ -56,11 +56,6 @@ class EventQueue:
             raise IndexError("pop from an empty event queue")
         return heapq.heappop(self._heap)
 
-    def peek(self) -> Event:
-        if not self._heap:
-            raise IndexError("peek into an empty event queue")
-        return self._heap[0]
-
     def __len__(self) -> int:
         return len(self._heap)
 

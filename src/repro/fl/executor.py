@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -536,10 +536,8 @@ def _client_failure(
     return error
 
 
-def make_executor(backend: Union[str, ClientExecutor]) -> ClientExecutor:
-    """Build an executor from a backend name (or pass one through)."""
-    if isinstance(backend, ClientExecutor):
-        return backend
+def make_executor(backend: str) -> ClientExecutor:
+    """Build an executor from a backend name."""
     if backend == "serial":
         return SerialExecutor()
     if backend == "batched":

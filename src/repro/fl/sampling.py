@@ -1,11 +1,12 @@
-"""Per-round client participation: sampling and failure injection.
+"""Per-round client participation.
 
 The paper assumes every client participates in every synchronous round.
 Real deployments (McMahan et al., the paper's reference [5]) select a
-fraction C of clients per round, and devices drop out mid-round.  These
-samplers slot into :class:`~repro.fl.trainer.FederatedTrainer` to model
-both; CMFL is unchanged -- whoever participates still runs the
-relevance check before uploading.
+cohort of clients per round out of whoever is online.  These samplers
+slot into :class:`~repro.fl.trainer.FederatedTrainer` to model that
+(devices dropping out mid-round are the async engine's ``drop_rate``);
+CMFL is unchanged -- whoever participates still runs the relevance
+check before uploading.
 
 Samplers are **index-space**: :meth:`ClientSampler.select_indices`
 draws client indices from ``range(n_population)`` without ever
@@ -18,7 +19,7 @@ draws, so digests are unchanged for existing workloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "ClientSampler",
     "FullParticipation",
     "UniformSampler",
-    "UnreliableParticipation",
     "diurnal_trace",
 ]
 
@@ -104,45 +104,26 @@ class FullParticipation(ClientSampler):
 
 
 class UniformSampler(ClientSampler):
-    """A uniformly random cohort per round: FedAvg's C, or a fixed count.
-
-    Exactly one of ``fraction`` (cohort = round(C * population)) or
-    ``count`` (fixed cohort size, the cross-device setting where the
-    cohort does not scale with the pool) must be given.  The draw is
-    one index-space ``rng.choice`` without replacement — O(cohort),
-    independent of population size.
+    """A uniformly random cohort of ``count`` clients per round — the
+    cross-device setting where the cohort does not scale with the pool.
+    The draw is one index-space ``rng.choice`` without replacement —
+    O(cohort), independent of population size.
     """
 
-    def __init__(
-        self,
-        fraction: Optional[float] = None,
-        rng: RngLike = None,
-        count: Optional[int] = None,
-    ) -> None:
-        if (fraction is None) == (count is None):
-            raise ValueError("give exactly one of fraction or count")
-        if fraction is not None and not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if count is not None and count < 1:
+    def __init__(self, count: int, rng: RngLike = None) -> None:
+        if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        self.fraction = fraction  # ckpt: transient — constructor constant
         self.count = count  # ckpt: transient — constructor constant
         self._rng = ensure_rng(rng)
 
-    def cohort_size(self, n_population: int) -> int:
-        if self.count is not None:
-            if self.count > n_population:
-                raise ValueError(
-                    f"cohort count {self.count} exceeds population "
-                    f"{n_population}"
-                )
-            return self.count
-        return max(1, int(round(self.fraction * n_population)))
-
     def select_indices(self, iteration: int, n_population: int) -> np.ndarray:
         del iteration
-        k = self.cohort_size(n_population)
-        idx = self._rng.choice(n_population, size=k, replace=False)
+        if self.count > n_population:
+            raise ValueError(
+                f"cohort count {self.count} exceeds population "
+                f"{n_population}"
+            )
+        idx = self._rng.choice(n_population, size=self.count, replace=False)
         return np.sort(idx).astype(np.int64)
 
     def state_dict(self) -> Dict[str, Any]:
@@ -209,48 +190,3 @@ class AvailabilitySampler(ClientSampler):
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self._rng = restore_generator(state["rng"])
-
-
-class UnreliableParticipation(ClientSampler):
-    """Failure injection: each selected client drops out with probability p.
-
-    Models devices losing connectivity mid-round; at least one survivor
-    is guaranteed (a fully dead round would deadlock a synchronous
-    barrier, which real servers handle with timeouts we do not model).
-    The dropout draws are one vectorized ``rng.random`` over the base
-    cohort — bit-identical to the former per-client scalar draws, so
-    existing digests are unchanged.
-    """
-
-    def __init__(
-        self,
-        base: ClientSampler,
-        drop_probability: float,
-        rng: RngLike = None,
-    ) -> None:
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(
-                f"drop_probability must be in [0, 1), got {drop_probability}"
-            )
-        self.base = base
-        self.drop_probability = drop_probability  # ckpt: transient — constructor constant
-        self._rng = ensure_rng(rng)
-
-    def select_indices(self, iteration: int, n_population: int) -> np.ndarray:
-        selected = self.base.select_indices(iteration, n_population)
-        draws = self._rng.random(len(selected))
-        survivors = selected[draws >= self.drop_probability]
-        if survivors.size == 0:
-            keep = self._rng.integers(0, len(selected))
-            survivors = selected[[keep]]
-        return survivors
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "rng": self._rng.bit_generator.state,
-            "base": self.base.state_dict(),
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._rng = restore_generator(state["rng"])
-        self.base.load_state_dict(state["base"])

@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.feedback import GlobalUpdateEstimator
-from repro.fl.aggregation import mean_aggregate, weighted_mean_aggregate
+from repro.fl.aggregation import mean_aggregate
 from repro.fl.client import ClientUpdate
 
 __all__ = ["FLServer"]
@@ -23,16 +23,12 @@ class FLServer:
     """
 
     def __init__(
-        self,
-        initial_params: np.ndarray,
-        weighted: bool = False,
-        feedback_staleness: int = 1,
+        self, initial_params: np.ndarray, feedback_staleness: int = 1
     ) -> None:
         params = np.asarray(initial_params, dtype=float).reshape(-1)
         if params.size == 0:
             raise ValueError("initial parameters cannot be empty")
         self.global_params = params.copy()
-        self.weighted = weighted
         self.estimator = GlobalUpdateEstimator(
             params.size, staleness=feedback_staleness
         )
@@ -70,11 +66,7 @@ class FLServer:
                     f"client {u.client_id} sent an update of shape "
                     f"{u.update.shape}, expected ({self.n_params},)"
                 )
-        aggregate = (
-            weighted_mean_aggregate(updates)
-            if self.weighted
-            else mean_aggregate(updates)
-        )
+        aggregate = mean_aggregate(updates)
         if scale != 1.0:
             aggregate = aggregate * scale
         self.global_params += aggregate

@@ -40,10 +40,8 @@ are **coordinator-owned** state — only ``checkout`` / ``writeback`` /
 Data stays shared: a :class:`DataPartition` maps a client index to its
 shard of a common dataset.  :class:`CyclicPartition` is O(1) state per
 population (contiguous wrap-around slices — views, not copies);
-:class:`IndexedPartition` compacts explicit per-client index lists
-into one contiguous index array; :class:`ExplicitPartition` adopts
-prebuilt datasets (the :meth:`ClientStateStore.from_clients` parity
-path).
+:class:`ExplicitPartition` adopts prebuilt datasets (the
+:meth:`ClientStateStore.from_clients` parity path).
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ __all__ = [
     "DataPartition",
     "DEFAULT_SHARD_SIZE",
     "ExplicitPartition",
-    "IndexedPartition",
     "StoreClient",
 ]
 
@@ -127,8 +124,8 @@ class ExplicitPartition(DataPartition):
     """Prebuilt per-client datasets (the ``from_clients`` parity path).
 
     Holds object references, so it is O(population) like the eager
-    client list it came from — use :class:`CyclicPartition` or
-    :class:`IndexedPartition` for large populations.
+    client list it came from — use :class:`CyclicPartition` for large
+    populations.
     """
 
     kind = "explicit"
@@ -148,49 +145,13 @@ class ExplicitPartition(DataPartition):
         return self._datasets[index]
 
 
-class IndexedPartition(DataPartition):
-    """Explicit index lists compacted into one contiguous array.
-
-    Accepts the output of any :mod:`repro.data.partition` function
-    (label shards, Dirichlet, IID, groups) and stores it as a single
-    int64 index array plus per-client offsets — two contiguous arrays
-    instead of P Python lists.  ``materialize`` gathers the client's
-    rows (a copy, for the active cohort only).
-    """
-
-    kind = "indexed"
-
-    def __init__(self, dataset: Dataset, parts: Sequence[np.ndarray]) -> None:
-        if not parts:
-            raise ValueError("need at least one partition entry")
-        self.dataset = dataset
-        lengths = np.asarray([len(p) for p in parts], dtype=np.int64)
-        if np.any(lengths == 0):
-            raise ValueError("every client needs at least one sample")
-        self._offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self._offsets[1:])
-        self._indices = np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in parts]
-        )
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def n_samples(self, index: int) -> int:
-        return int(self._offsets[index + 1] - self._offsets[index])
-
-    def materialize(self, index: int) -> Dataset:
-        idx = self._indices[self._offsets[index] : self._offsets[index + 1]]
-        return Dataset(self.dataset.x[idx], self.dataset.y[idx])
-
-
 class CyclicPartition(DataPartition):
     """O(1)-state partition: wrap-around slices of a shared dataset.
 
     Client ``i`` owns the ``samples_per_client`` rows starting at
-    ``(i * stride) % n`` — population size is decoupled from dataset
-    size, which is what a million-client emulation over a fixed corpus
-    needs.  Every client is one :meth:`Dataset.window
+    ``(i * samples_per_client) % n`` — population size is decoupled from
+    dataset size, which is what a million-client emulation over a fixed
+    corpus needs.  Every client is one :meth:`Dataset.window
     <repro.data.dataset.Dataset.window>` of the base: a zero-copy view,
     or for the few wrap-around clients a gathered copy.
     """
@@ -202,7 +163,6 @@ class CyclicPartition(DataPartition):
         dataset: Dataset,
         n_clients: int,
         samples_per_client: int,
-        stride: Optional[int] = None,
     ) -> None:
         if n_clients < 1:
             raise ValueError("n_clients must be >= 1")
@@ -214,9 +174,6 @@ class CyclicPartition(DataPartition):
         self.dataset = dataset
         self.n_clients = n_clients
         self.samples_per_client = samples_per_client
-        self.stride = samples_per_client if stride is None else stride
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
     def __len__(self) -> int:
         return self.n_clients
@@ -226,7 +183,7 @@ class CyclicPartition(DataPartition):
         return self.samples_per_client
 
     def materialize(self, index: int) -> Dataset:
-        start = (index * self.stride) % len(self.dataset)
+        start = (index * self.samples_per_client) % len(self.dataset)
         return self.dataset.window(start, start + self.samples_per_client)
 
     def describe(self) -> Dict[str, Any]:
@@ -234,7 +191,9 @@ class CyclicPartition(DataPartition):
             "kind": self.kind,
             "n_clients": self.n_clients,
             "samples_per_client": self.samples_per_client,
-            "stride": self.stride,
+            # Consecutive clients' windows abut; the key keeps the
+            # manifest readable by and from earlier checkpoints.
+            "stride": self.samples_per_client,
         }
 
 

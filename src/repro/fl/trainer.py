@@ -25,7 +25,7 @@ from repro.core.relevance import relevance_per_segment
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.config import FLConfig
-from repro.fl.executor import ClientExecutor, RoundPlan, make_executor
+from repro.fl.executor import RoundPlan, make_executor
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.sampling import ClientSampler, FullParticipation
 from repro.fl.server import FLServer
@@ -107,9 +107,7 @@ class FederatedTrainer:
         policy: UploadPolicy,
         config: FLConfig,
         eval_fn: Optional[EvalFn] = None,
-        feedback_staleness: int = 1,
         sampler: Optional[ClientSampler] = None,
-        executor: Union[None, str, ClientExecutor] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if isinstance(clients, ClientStateStore):
@@ -130,9 +128,7 @@ class FederatedTrainer:
         self.eval_fn = eval_fn  # ckpt: transient — caller-supplied callable
         self.sampler = sampler or FullParticipation()
         self.server = FLServer(
-            workspace.get_flat(),
-            weighted=config.weighted_aggregation,
-            feedback_staleness=feedback_staleness,
+            workspace.get_flat(), feedback_staleness=config.feedback_staleness
         )
         # Observability: an explicit tracer wins; otherwise the config
         # knobs build one (JSONL file if trace_path, else in-memory).
@@ -169,11 +165,7 @@ class FederatedTrainer:
             np.cumsum([p.size for p in workspace.model.parameters()])
         )
         self.history = RunHistory(policy_name=policy.name)
-        # Client-execution engine: ``executor`` overrides the config's
-        # backend name; a ready-made ClientExecutor is used as-is.
-        self.executor = make_executor(
-            config.executor if executor is None else executor
-        )
+        self.executor = make_executor(config.executor)
         if self.store is not None:
             self.store.metrics = self.tracer.metrics
         self.executor.bind(workspace, self.clients, tracer=self.tracer)
@@ -507,9 +499,7 @@ class FederatedTrainer:
         policy: UploadPolicy,
         config: FLConfig,
         eval_fn: Optional[EvalFn] = None,
-        feedback_staleness: int = 1,
         sampler: Optional[ClientSampler] = None,
-        executor: Union[None, str, ClientExecutor] = None,
     ) -> "FederatedTrainer":
         """Rebuild a trainer from a checkpoint and the federation parts.
 
@@ -532,9 +522,7 @@ class FederatedTrainer:
             policy,
             config,
             eval_fn=eval_fn,
-            feedback_staleness=feedback_staleness,
             sampler=sampler,
-            executor=executor,
             tracer=tracer,
         )
         if tracer is not None:

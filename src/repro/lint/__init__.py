@@ -14,8 +14,8 @@ Usage::
 
 or programmatically::
 
-    from repro.lint import run_lint
-    violations = run_lint(["src/repro"])
+    from repro.lint import ProjectAnalyzer
+    violations = ProjectAnalyzer().analyze(["src/repro"]).violations
 
 Both run every rule — the per-file visitors of :mod:`repro.lint.rules`
 and the whole-program rules of :mod:`repro.lint.flow_rules` — through
@@ -34,7 +34,6 @@ from repro.lint.project import (
     AnalysisResult,
     ProjectAnalyzer,
     ProjectModel,
-    run_lint,
 )
 from repro.lint.reporting import format_json, format_text
 from repro.lint.rules import (
@@ -65,5 +64,4 @@ __all__ = [
     "format_json",
     "format_text",
     "load_config",
-    "run_lint",
 ]

@@ -7,8 +7,8 @@ the flow rules need, with names already resolved through the module's
 import table: RNG and wall-clock taint expressions, class attribute
 maps, capture-method references and trace-call findings.  Phase 2
 (:mod:`repro.lint.flow_rules`) then runs pure-data rules over the
-:class:`ProjectModel` built from those summaries.  ``run_lint`` and
-``python -m repro.lint`` both go through this driver, so there is no
+:class:`ProjectModel` built from those summaries.  ``python -m repro.lint``
+and every programmatic caller go through this driver, so there is no
 per-file-only mode to forget the flow rules in.
 
 Taint expressions are symbolic: ``{"d": bool, "c": [refs], "wc": bool}``
@@ -45,7 +45,6 @@ __all__ = [
     "ProjectModel",
     "extract_summary",
     "module_name_for",
-    "run_lint",
 ]
 
 #: Method names that serialise/deserialise persistent state.  A class
@@ -921,12 +920,3 @@ class ProjectAnalyzer:
         return AnalysisResult(
             violations=violations, stats={"files": len(files)}
         )
-
-
-def run_lint(
-    paths: Sequence[str],
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[type]] = None,
-) -> List[Violation]:
-    """Convenience wrapper: lint ``paths`` and return the violations."""
-    return ProjectAnalyzer(config=config, rules=rules).analyze(paths).violations

@@ -81,9 +81,13 @@ DEFAULT_PURE_FUNCTIONS = frozenset(
         "relevance_per_segment",
         "sign_agreement_counts",
         "normalized_update_difference",
-        "threshold_at",
         "encode",
         "decode",
+        # nn kernels that return a fresh array and touch nothing else.
+        "select_grad",
+        "im2col",
+        "col2im",
+        "_fold",
     }
 )
 
@@ -393,7 +397,7 @@ class NoWallclockSeedRule(_AliasTrackingRule):
 
     A seed derived from ``time.time()`` makes the run unreproducible by
     construction.  Seeds must flow from the experiment's root seed via
-    ``repro.utils.rng.spawn_seed``.
+    ``repro.utils.rng.child_rngs``.
     """
 
     name = "no-wallclock-seed"
@@ -420,7 +424,7 @@ class NoWallclockSeedRule(_AliasTrackingRule):
         self.report(
             call,
             f"wall-clock call feeds {context}; derive it from the root "
-            "seed via repro.utils.rng.spawn_seed for reproducibility",
+            "seed via repro.utils.rng.child_rngs for reproducibility",
         )
 
     @staticmethod
@@ -474,9 +478,9 @@ class NoWallclockSeedRule(_AliasTrackingRule):
 class UnusedPureResultRule(LintRule):
     """Flag discarded results of pure functions.
 
-    ``relevance(u, u_bar)`` (and the codec ``encode``/``decode`` pair)
-    have no side effects; a bare call statement is always a bug — the
-    author meant to use the value.
+    ``relevance(u, u_bar)`` and the nn kernels (``im2col``, ...) have no
+    side effects; a bare call statement is always a bug — the author
+    meant to use the value.
     """
 
     name = "unused-pure-result"

@@ -10,7 +10,7 @@ matrix refresh -- with the same upload-policy interface as
 :mod:`repro.fl`.
 """
 
-from repro.mtl.relationship import relationship_matrix, task_similarity
+from repro.mtl.relationship import relationship_matrix
 from repro.mtl.mocha import MTLConfig, MochaTrainer
 
-__all__ = ["relationship_matrix", "task_similarity", "MTLConfig", "MochaTrainer"]
+__all__ = ["relationship_matrix", "MTLConfig", "MochaTrainer"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-__all__ = ["inverse_relationship", "relationship_matrix", "task_similarity"]
+__all__ = ["relationship_matrix"]
 
 
 def relationship_matrix(weights: np.ndarray, ridge: float = 1e-3) -> np.ndarray:
@@ -40,31 +40,3 @@ def relationship_matrix(weights: np.ndarray, ridge: float = 1e-3) -> np.ndarray:
     omega = root / trace
     # Symmetrise against sqrtm round-off.
     return (omega + omega.T) / 2.0
-
-
-def inverse_relationship(omega: np.ndarray, ridge: float = 1e-6) -> np.ndarray:
-    """Omega^{-1} with a ridge for numerical safety."""
-    omega = np.asarray(omega, dtype=float)
-    n = omega.shape[0]
-    if omega.shape != (n, n):
-        raise ValueError("omega must be square")
-    return np.linalg.inv(omega + ridge * np.eye(n))
-
-
-def task_similarity(weights: np.ndarray) -> np.ndarray:
-    """Cosine-similarity matrix between task weight columns.
-
-    A human-readable companion to Omega: entries near +1 are strongly
-    related tasks, near -1 the anti-aligned outliers of paper Fig. 6.
-    Zero-norm columns (untrained tasks) yield zero similarity rows.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2:
-        raise ValueError(f"weights must be 2-D, got shape {w.shape}")
-    norms = np.linalg.norm(w, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = w / safe[None, :]
-    sim = unit.T @ unit
-    sim[norms == 0, :] = 0.0
-    sim[:, norms == 0] = 0.0
-    return sim

@@ -26,7 +26,7 @@ from repro.nn.module import (
     Module,
     Sequential,
 )
-from repro.nn.activations import ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.conv import Conv2D, MaxPool2D
 from repro.nn.layers.recurrent import LSTM
@@ -35,12 +35,11 @@ from repro.nn.layers.reshape import Flatten
 from repro.nn.losses import (
     BatchedLoss,
     Loss,
-    MeanSquaredError,
     SigmoidBinaryCrossEntropy,
     SoftmaxCrossEntropy,
 )
-from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer
-from repro.nn.schedules import ConstantLR, InverseSqrtLR, StepLR
+from repro.nn.optimizers import SGD, Momentum, Optimizer
+from repro.nn.schedules import ConstantLR, InverseSqrtLR
 from repro.nn.serialization import (
     assign_flat_parameters,
     flatten_parameters,
@@ -59,8 +58,6 @@ __all__ = [
     "BatchedUnsupported",
     "BatchedLoss",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Dense",
     "Conv2D",
     "MaxPool2D",
@@ -70,14 +67,11 @@ __all__ = [
     "Loss",
     "SoftmaxCrossEntropy",
     "SigmoidBinaryCrossEntropy",
-    "MeanSquaredError",
     "Optimizer",
     "SGD",
     "Momentum",
-    "Adam",
     "ConstantLR",
     "InverseSqrtLR",
-    "StepLR",
     "flatten_parameters",
     "assign_flat_parameters",
     "parameter_count",

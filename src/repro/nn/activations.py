@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.module import BatchedParamBinder, BatchedStateless, Module
 
-__all__ = ["ReLU", "Sigmoid", "Tanh", "select_grad", "sigmoid", "softmax"]
+__all__ = ["ReLU", "select_grad", "sigmoid", "softmax"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -66,45 +66,3 @@ class ReLU(Module):
     def batched(self, binder: BatchedParamBinder) -> BatchedStateless:
         del binder  # parameter-free
         return BatchedStateless(ReLU())
-
-
-class Sigmoid(Module):
-    """Logistic activation."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        self._out = sigmoid(x)
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._out * (1.0 - self._out)
-
-    def batched(self, binder: BatchedParamBinder) -> BatchedStateless:
-        del binder  # parameter-free
-        return BatchedStateless(Sigmoid())
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._out**2)
-
-    def batched(self, binder: BatchedParamBinder) -> BatchedStateless:
-        del binder  # parameter-free
-        return BatchedStateless(Tanh())

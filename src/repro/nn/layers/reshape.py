@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.module import BatchedModule, BatchedParamBinder, Module
 
-__all__ = ["BatchedFlatten", "BatchedLastStep", "Flatten", "LastStep"]
+__all__ = ["BatchedFlatten", "Flatten"]
 
 
 class Flatten(Module):
@@ -50,51 +50,3 @@ class BatchedFlatten(BatchedModule):
         if self._in_shape is None:
             raise RuntimeError("backward called before forward")
         return grad_output.reshape(self._in_shape)
-
-
-class LastStep(Module):
-    """Select the final timestep of a ``(batch, time, features)`` sequence."""
-
-    def __init__(self) -> None:
-        self._in_shape: Tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        if x.ndim != 3:
-            raise ValueError(f"expected 3-D input, got shape {x.shape}")
-        self._in_shape = x.shape
-        return x[:, -1, :]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._in_shape is None:
-            raise RuntimeError("backward called before forward")
-        grad = np.zeros(self._in_shape, dtype=grad_output.dtype)
-        grad[:, -1, :] = grad_output
-        return grad
-
-    def batched(self, binder: BatchedParamBinder) -> "BatchedLastStep":
-        del binder  # parameter-free
-        return BatchedLastStep()
-
-
-class BatchedLastStep(BatchedModule):
-    """Counterpart of :class:`LastStep` keeping the leading client axis:
-    selects ``x[:, :, -1, :]`` of a ``(C, batch, time, features)``
-    sequence — pure data movement."""
-
-    def __init__(self) -> None:
-        self._in_shape: Tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        if x.ndim != 4:
-            raise ValueError(f"expected 4-D input, got shape {x.shape}")
-        self._in_shape = x.shape
-        return x[:, :, -1, :]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._in_shape is None:
-            raise RuntimeError("backward called before forward")
-        grad = np.zeros(self._in_shape, dtype=grad_output.dtype)
-        grad[:, :, -1, :] = grad_output
-        return grad

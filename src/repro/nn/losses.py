@@ -15,11 +15,9 @@ from repro.nn.module import BatchedUnsupported
 
 __all__ = [
     "BatchedLoss",
-    "BatchedMeanSquaredError",
     "BatchedSigmoidBinaryCrossEntropy",
     "BatchedSoftmaxCrossEntropy",
     "Loss",
-    "MeanSquaredError",
     "SigmoidBinaryCrossEntropy",
     "SoftmaxCrossEntropy",
 ]
@@ -229,57 +227,3 @@ class BatchedSigmoidBinaryCrossEntropy(BatchedLoss):
             raise RuntimeError("backward called before forward")
         grad = (self._probs - self._targets) / self._targets.shape[1]
         return grad.reshape(self._shape)
-
-
-class MeanSquaredError(Loss):
-    """Mean of squared differences, averaged over every element."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=float)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
-
-    def batched(self) -> "BatchedMeanSquaredError":
-        return BatchedMeanSquaredError()
-
-
-class BatchedMeanSquaredError(BatchedLoss):
-    """Counterpart of :class:`MeanSquaredError`: each client's loss is
-    the flat mean over its own ``(batch, ...)`` block."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        targets = np.asarray(targets, dtype=float)
-        if predictions.ndim < 2:
-            raise ValueError(
-                f"expected stacked predictions with a leading client axis, "
-                f"got shape {predictions.shape}"
-            )
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        self._diff = predictions - targets
-        sq = self._diff**2
-        return np.mean(sq.reshape(sq.shape[0], -1), axis=1)
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff[0].size

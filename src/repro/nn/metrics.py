@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "binary_accuracy", "perplexity"]
+__all__ = ["accuracy", "binary_accuracy"]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -29,8 +29,3 @@ def binary_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         raise ValueError("cannot compute accuracy of an empty batch")
     return float(np.mean((logits > 0).astype(int) == labels.astype(int)))
-
-
-def perplexity(mean_cross_entropy: float) -> float:
-    """Perplexity from a mean cross-entropy in nats."""
-    return float(np.exp(mean_cross_entropy))

@@ -154,7 +154,7 @@ class BatchedStateless(BatchedModule):
 
     Wraps a **fresh** serial instance of a layer whose forward/backward
     already accept arbitrary leading shapes and compute each element
-    (ReLU, Sigmoid, Tanh) or each trailing plane (MaxPool2D)
+    (ReLU) or each trailing plane (MaxPool2D)
     independently — running it on ``(C, batch, ...)`` is
     bitwise-identical to running each client slice separately.  A
     fresh instance is required so the batched path never clobbers the

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["Adam", "Momentum", "Optimizer", "SGD"]
+__all__ = ["Momentum", "Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -20,7 +20,7 @@ class Optimizer:
     schedule.
 
     ``state_dict``/``load_state_dict`` snapshot the *slot* state
-    (momentum velocity, Adam moments) that the flat parameter vector
+    (momentum velocity) that the flat parameter vector
     does not carry — what checkpoints must persist so a resumed run
     steps identically.  The shared layout is
     ``{"type", "scalars": {...}, "slots": {name: [array per parameter,
@@ -152,61 +152,3 @@ class Momentum(Optimizer):
         self._load_slot(
             "velocity", state["slots"]["velocity"], self._velocity
         )
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
-
-    def __init__(
-        self,
-        parameters: List[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1  # ckpt: transient — constructor constant
-        self.beta2 = beta2  # ckpt: transient — constructor constant
-        self.eps = eps  # ckpt: transient — constructor constant
-        self._t = 0
-        self._m: Dict[int, np.ndarray] = {
-            id(p): np.zeros_like(p.data) for p in self.parameters
-        }
-        self._v: Dict[int, np.ndarray] = {
-            id(p): np.zeros_like(p.data) for p in self.parameters
-        }
-
-    def step(self, lr: Optional[float] = None) -> None:
-        eta = self.lr if lr is None else lr
-        self._t += 1
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
-        for p in self.parameters:
-            m = self._m[id(p)]
-            v = self._v[id(p)]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= eta * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "type": type(self).__name__,
-            "scalars": {"t": self._t},
-            "slots": {
-                "m": [self._m[id(p)].copy() for p in self.parameters],
-                "v": [self._v[id(p)].copy() for p in self.parameters],
-            },
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._check_state_type(state)
-        self._t = int(state["scalars"]["t"])
-        self._load_slot("m", state["slots"]["m"], self._m)
-        self._load_slot("v", state["slots"]["v"], self._v)

@@ -8,7 +8,7 @@ the paper's notation.
 
 from __future__ import annotations
 
-__all__ = ["ConstantLR", "InverseSqrtLR", "LRSchedule", "StepLR"]
+__all__ = ["ConstantLR", "InverseSqrtLR", "LRSchedule"]
 
 
 class LRSchedule:
@@ -51,20 +51,3 @@ class InverseSqrtLR(LRSchedule):
 
     def __repr__(self) -> str:
         return f"InverseSqrtLR({self.lr0})"
-
-
-class StepLR(LRSchedule):
-    """eta multiplied by ``gamma`` every ``step_size`` iterations."""
-
-    def __init__(self, lr0: float, step_size: int, gamma: float = 0.5) -> None:
-        if lr0 <= 0 or step_size < 1 or not 0 < gamma <= 1:
-            raise ValueError("invalid StepLR configuration")
-        self.lr0 = lr0
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def value(self, t: int) -> float:
-        return self.lr0 * self.gamma ** ((t - 1) // self.step_size)
-
-    def __repr__(self) -> str:
-        return f"StepLR({self.lr0}, step_size={self.step_size}, gamma={self.gamma})"

@@ -5,7 +5,7 @@ nested spans (``run``/``round``/``broadcast``/``client_compute``/
 ``relevance_check``/``decide``/``aggregate``/``evaluate``) with
 monotonic-clock durations, a :class:`MetricsRegistry` streams counters,
 gauges and histograms, and pluggable sinks persist the event stream
-(in-memory, JSON-lines, human-readable summary).
+(in-memory, JSON-lines).
 
 Built to stay constant-memory at population scale: per-client spans are
 head-sampled (:class:`SpanSampler`, rate ``FLConfig.trace_sample``)
@@ -51,7 +51,7 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
     RUNTIME_PREFIX,
 )
-from repro.obs.names import METRIC_NAMES, is_registered
+from repro.obs.names import METRIC_NAMES
 from repro.obs.rollup import (
     P2Quantile,
     RoundRollup,
@@ -61,7 +61,6 @@ from repro.obs.rollup import (
 from repro.obs.sinks import (
     JsonlSink,
     MemorySink,
-    SummarySink,
     TraceSink,
     truncate_trace,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "StreamingHistogram",
     "JsonlSink",
     "MemorySink",
-    "SummarySink",
     "TraceSink",
     "NULL_TRACER",
     "NullTracer",
@@ -108,7 +106,6 @@ __all__ = [
     "format_report",
     "health_events",
     "health_summary",
-    "is_registered",
     "load_trace",
     "metrics_from_trace",
     "openmetrics_name",

@@ -11,11 +11,11 @@ emits as trace events:
   uploads, if any, kept the round alive);
 * ``health.non_finite`` — a NaN/inf training or evaluation quantity;
 * ``health.stall`` — the evaluation metric has not improved by
-  ``stall_min_delta`` for ``stall_patience`` consecutive evaluations;
+  ``STALL_MIN_DELTA`` for ``STALL_PATIENCE`` consecutive evaluations;
 * ``health.comm_drift`` — the ledger's byte total disagrees with the
   streamed ``comm.*`` counters (an accounting bug, not a run property);
 * ``runtime.health.straggler`` — the slowest client task took at least
-  ``straggler_factor`` times the round's median compute time.
+  ``STRAGGLER_FACTOR`` times the round's median compute time.
 
 Naming is load-bearing: the first four findings are pure functions of
 the run and keep the plain ``health.`` prefix, so they participate in
@@ -70,25 +70,15 @@ class HealthMonitor:
     O(1) regardless of run length or population size.
     """
 
-    def __init__(
-        self,
-        stall_patience: int = 5,
-        stall_min_delta: float = 1e-4,
-        straggler_factor: float = 4.0,
-        straggler_min_clients: int = 8,
-    ) -> None:
-        if stall_patience < 1:
-            raise ValueError(
-                f"stall_patience must be >= 1, got {stall_patience}"
-            )
-        if straggler_factor <= 1.0:
-            raise ValueError(
-                f"straggler_factor must be > 1, got {straggler_factor}"
-            )
-        self.stall_patience = stall_patience  # ckpt: transient — caller-supplied threshold
-        self.stall_min_delta = float(stall_min_delta)  # ckpt: transient — caller-supplied threshold
-        self.straggler_factor = float(straggler_factor)  # ckpt: transient — caller-supplied threshold
-        self.straggler_min_clients = straggler_min_clients  # ckpt: transient — caller-supplied threshold
+    #: Evaluations without a ``STALL_MIN_DELTA`` gain before a stall.
+    STALL_PATIENCE = 5
+    STALL_MIN_DELTA = 1e-4
+    #: A straggler takes ``STRAGGLER_FACTOR`` x the median compute time,
+    #: judged only in cohorts of at least ``STRAGGLER_MIN_CLIENTS``.
+    STRAGGLER_FACTOR = 4.0
+    STRAGGLER_MIN_CLIENTS = 8
+
+    def __init__(self) -> None:
         # Stall cursor — the only cross-round state; checkpointed.
         self.best_metric: Optional[float] = None
         self.rounds_since_improvement = 0
@@ -155,13 +145,13 @@ class HealthMonitor:
             self.evals_seen += 1
             if (
                 self.best_metric is None
-                or test_metric > self.best_metric + self.stall_min_delta
+                or test_metric > self.best_metric + self.STALL_MIN_DELTA
             ):
                 self.best_metric = float(test_metric)
                 self.rounds_since_improvement = 0
             else:
                 self.rounds_since_improvement += 1
-            if self.rounds_since_improvement >= self.stall_patience:
+            if self.rounds_since_improvement >= self.STALL_PATIENCE:
                 findings.append(
                     (
                         "health.stall",
@@ -197,10 +187,10 @@ class HealthMonitor:
         p50 = compute.get("p50")
         worst = compute.get("max")
         if (
-            int(compute.get("count", 0)) >= self.straggler_min_clients
+            int(compute.get("count", 0)) >= self.STRAGGLER_MIN_CLIENTS
             and p50
             and worst is not None
-            and worst >= self.straggler_factor * p50
+            and worst >= self.STRAGGLER_FACTOR * p50
         ):
             # Wall-clock verdict: runtime.* name, payload in rt, so the
             # deterministic view drops the whole event.

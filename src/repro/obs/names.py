@@ -13,7 +13,7 @@ be a pure function of the run.
 
 from __future__ import annotations
 
-__all__ = ["METRIC_NAMES", "is_registered"]
+__all__ = ["METRIC_NAMES"]
 
 #: Every fixed metric name in the tree, namespace-sorted.
 METRIC_NAMES = frozenset(
@@ -47,8 +47,3 @@ METRIC_NAMES = frozenset(
         "runtime.executor.batched_fallbacks",
     }
 )
-
-
-def is_registered(name: str) -> bool:
-    """True when ``name`` is declared in :data:`METRIC_NAMES`."""
-    return name in METRIC_NAMES

@@ -181,7 +181,7 @@ class StreamingHistogram:
     resumes the sequence bitwise.
     """
 
-    DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+    QUANTILES = (0.5, 0.9, 0.99)
 
     #: Buffer size at which exact retention hands over to P² sketches.
     SPILL_AT = 512
@@ -191,14 +191,12 @@ class StreamingHistogram:
         "_buffer",
     )
 
-    def __init__(
-        self, quantiles: Sequence[float] = DEFAULT_QUANTILES
-    ) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._estimators = {float(p): P2Quantile(p) for p in quantiles}
+        self._estimators = {p: P2Quantile(p) for p in self.QUANTILES}
         # Hot-path alias: iterating a tuple beats a dict view per call.
         self._est_seq = tuple(self._estimators.values())  # ckpt: transient — alias of _estimators
         self._buffer: Optional[List[float]] = []

@@ -1,35 +1,28 @@
 """Pluggable destinations for trace events.
 
 Sinks receive finished event dicts (see :mod:`repro.obs.tracer` for the
-schema) in emission order.  Three are shipped:
+schema) in emission order.  Two are shipped:
 
 * :class:`MemorySink` — keeps events in a list (tests, in-process
-  inspection); ``max_events`` bounds retention to a recent-events ring
-  for long runs;
+  inspection);
 * :class:`JsonlSink` — one JSON object per line, opened lazily so an
-  enabled-but-never-used tracer creates no file;
-* :class:`SummarySink` — accumulates per-phase aggregates and writes a
-  human-readable table to a stream when closed.
+  enabled-but-never-used tracer creates no file.
 
-Library code must never ``print``; the summary sink writes to the
-stream it was given (default ``sys.stderr``).
+``python -m repro.obs report`` renders the per-phase table of a JSONL
+trace.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Union
 
 from repro.utils.atomic_io import atomic_write, fsync_file
-from repro.utils.tables import format_table
 
 __all__ = [
     "JsonlSink",
     "MemorySink",
-    "SummarySink",
     "TraceSink",
     "encode_event",
     "truncate_trace",
@@ -68,23 +61,13 @@ class TraceSink:
 class MemorySink(TraceSink):
     """Collects events in-process; the default sink for tests.
 
-    Unbounded by default — fine for short runs and tests, but on a
-    population-scale run the event list itself becomes
-    O(population·rounds).  ``max_events`` caps retention: the sink then
-    keeps only the most recent N events (a ``collections.deque`` ring;
-    oldest dropped first), trading history for constant memory.  Use a
-    :class:`JsonlSink` when the *full* stream must survive a long run.
+    Unbounded: on a population-scale run the event list itself becomes
+    O(population·rounds).  Use a :class:`JsonlSink` when a long run's
+    stream must be kept.
     """
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError(
-                f"max_events must be >= 1 or None, got {max_events}"
-            )
-        self.max_events = max_events
-        self.events: Union[List[Dict[str, Any]], Deque[Dict[str, Any]]] = (
-            [] if max_events is None else deque(maxlen=max_events)
-        )
+    def __init__(self) -> None:
+        self.events: List[Dict[str, Any]] = []
 
     def emit(self, event: Dict[str, Any]) -> None:
         self.events.append(event)
@@ -134,57 +117,6 @@ class JsonlSink(TraceSink):
 
     def __repr__(self) -> str:
         return f"JsonlSink({str(self.path)!r}, mode={self.mode!r})"
-
-
-class SummarySink(TraceSink):
-    """Streams span aggregates; renders a per-phase table on close.
-
-    Only constant-size per-phase accumulators are kept (count, total
-    duration), so the sink is safe on arbitrarily long runs.
-    """
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        self.stream = stream if stream is not None else sys.stderr
-        self._spans: Dict[str, List[float]] = {}  # name -> [count, total_s]
-        self._counters: Dict[str, Any] = {}
-        self._closed = False
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        kind = event.get("kind")
-        if kind == "span":
-            entry = self._spans.setdefault(event["name"], [0, 0.0])
-            entry[0] += 1
-            entry[1] += float(event.get("rt", {}).get("dur", 0.0))
-        elif kind == "metric":
-            attrs = event.get("attrs", {})
-            if attrs.get("type") == "counter" and "value" in attrs:
-                self._counters[event["name"]] = attrs["value"]
-
-    def render(self) -> str:
-        rows = [
-            [name, int(count), total, (total / count) * 1e3 if count else 0.0]
-            for name, (count, total) in sorted(self._spans.items())
-        ]
-        parts = [
-            format_table(
-                ["phase", "spans", "total_s", "mean_ms"],
-                rows,
-                title="trace summary (per-phase wall time)",
-            )
-        ]
-        if self._counters:
-            parts.append(
-                format_table(
-                    ["counter", "value"],
-                    [[k, v] for k, v in sorted(self._counters.items())],
-                )
-            )
-        return "\n\n".join(parts)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.stream.write(self.render() + "\n")
 
 
 def truncate_trace(path: Union[str, Path], upto_seq: int) -> int:

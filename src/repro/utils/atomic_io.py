@@ -27,7 +27,6 @@ from typing import IO, Iterator, Union
 
 __all__ = [
     "atomic_write",
-    "atomic_write_bytes",
     "atomic_write_text",
     "fsync_file",
 ]
@@ -97,9 +96,3 @@ def atomic_write_text(path: PathLike, text: str) -> None:
     """Atomically replace ``path`` with ``text`` (UTF-8)."""
     with atomic_write(path, "w") as fh:
         fh.write(text)
-
-
-def atomic_write_bytes(path: PathLike, data: bytes) -> None:
-    """Atomically replace ``path`` with ``data``."""
-    with atomic_write(path, "wb") as fh:
-        fh.write(data)

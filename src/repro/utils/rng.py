@@ -16,7 +16,6 @@ __all__ = [
     "child_rngs",
     "ensure_rng",
     "restore_generator",
-    "spawn_seed",
     "stream_seed",
 ]
 
@@ -50,11 +49,6 @@ def child_rngs(rng: RngLike, n: int) -> List[np.random.Generator]:
     seeds = parent.integers(0, 2**63 - 1, size=2)
     sequence = np.random.SeedSequence(entropy=[int(s) for s in seeds])
     return [np.random.default_rng(child) for child in sequence.spawn(n)]
-
-
-def spawn_seed(rng: RngLike) -> int:
-    """Draw a fresh 63-bit seed from ``rng`` (for handing to subprocesses)."""
-    return int(ensure_rng(rng).integers(0, 2**63 - 1))
 
 
 def stream_seed(*entropy: int) -> np.random.SeedSequence:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["moving_average", "running_max"]
+__all__ = ["moving_average"]
 
 
 def moving_average(values: Sequence[float], window: int) -> np.ndarray:
@@ -29,11 +29,3 @@ def moving_average(values: Sequence[float], window: int) -> np.ndarray:
         total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
         out[i] = total / (i - lo + 1)
     return out
-
-
-def running_max(values: Sequence[float]) -> np.ndarray:
-    """Elementwise running maximum (monotone envelope of a curve)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("running_max expects a 1-D sequence")
-    return np.maximum.accumulate(arr) if arr.size else arr.copy()

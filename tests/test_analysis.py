@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis.cdf import empirical_cdf, fraction_below, quantile
+from repro.analysis.cdf import fraction_below, quantile
 from repro.analysis.convergence import RegretTracker, theoretical_bound
-from repro.analysis.divergence import divergence_summary, normalized_model_divergence
+from repro.analysis.divergence import normalized_model_divergence
 from repro.analysis.saving import (
     best_reached_accuracy,
     bytes_to_accuracy,
@@ -41,33 +39,14 @@ class TestDivergence:
         with pytest.raises(ValueError):
             normalized_model_divergence([np.ones(2)], np.ones(3))
 
-    def test_summary(self):
-        s = divergence_summary(np.array([0.5, 1.5, 2.5]))
-        assert s["fraction_above_1"] == pytest.approx(2 / 3)
-        assert s["max"] == 2.5
-
 
 class TestCDF:
-    def test_empirical_cdf_sorted(self):
-        values, probs = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        assert values.tolist() == [1.0, 2.0, 3.0]
-        np.testing.assert_allclose(probs, [1 / 3, 2 / 3, 1.0])
-
     def test_fraction_below(self):
         assert fraction_below(np.array([1, 2, 3, 4]), 2.5) == 0.5
 
     def test_quantile_bounds(self):
         with pytest.raises(ValueError):
             quantile(np.array([1.0]), 1.5)
-
-    @settings(max_examples=30)
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1,
-                    max_size=50))
-    def test_cdf_is_monotone_and_ends_at_one(self, values):
-        v, p = empirical_cdf(np.asarray(values))
-        assert np.all(np.diff(v) >= 0)
-        assert np.all(np.diff(p) > 0)
-        assert p[-1] == pytest.approx(1.0)
 
 
 def _history(metrics, uploads_per_round=5, bytes_per_round=1000):

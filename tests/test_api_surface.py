@@ -1,6 +1,7 @@
 """Small API-surface contracts: reprs, exports, package wiring."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -11,6 +12,9 @@ import numpy as np
 import pytest
 
 import repro
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 
 def _public_modules():
@@ -93,16 +97,16 @@ def test_schedule_reprs():
         InverseSqrtThreshold,
         LinearDecayThreshold,
     )
-    from repro.nn.schedules import ConstantLR, InverseSqrtLR, StepLR
+    from repro.nn.schedules import ConstantLR, InverseSqrtLR
 
     for obj in (ConstantThreshold(0.5), InverseSqrtThreshold(0.5),
                 LinearDecayThreshold(0.5, 0.4, 10),
-                ConstantLR(0.1), InverseSqrtLR(0.1), StepLR(0.1, 5)):
+                ConstantLR(0.1), InverseSqrtLR(0.1)):
         assert type(obj).__name__ in repr(obj)
 
 
 def test_fl_package_exports_extensions():
-    assert UniformSampler(0.5).fraction == 0.5
+    assert UniformSampler(count=5).count == 5
 
 
 def test_dataset_repr():
@@ -135,10 +139,9 @@ def test_every_module_is_reached_by_an_experiment_benchmark_or_tool():
     ``__main__``, everything ``benchmarks/`` and ``tools/`` import.  A
     name a package ``__init__`` re-exports is an import of the module
     that defines it; the re-export line itself reaches nothing."""
-    repo = Path(__file__).resolve().parent.parent
     files = {}
-    for path in (repo / "src" / "repro").rglob("*.py"):
-        parts = path.relative_to(repo / "src").with_suffix("").parts
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
         files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
     packages = {m for m, path in files.items() if path.name == "__init__.py"}
 
@@ -153,7 +156,7 @@ def test_every_module_is_reached_by_an_experiment_benchmark_or_tool():
     }
     frontier = [files[m] for m in reached]
     for outside in ("benchmarks", "tools"):
-        frontier.extend((repo / outside).rglob("*.py"))
+        frontier.extend((REPO / outside).rglob("*.py"))
     while frontier:
         for target in _imports(frontier.pop()).values():
             module = defining_module(target)
@@ -162,3 +165,84 @@ def test_every_module_is_reached_by_an_experiment_benchmark_or_tool():
                 frontier.append(files[module])
     unreached = sorted(set(files) - packages - reached)
     assert unreached == sorted(UNREACHED_ON_PURPOSE), unreached
+
+
+#: Top-level classes and functions that only tests call, each with the
+#: fact that keeps it (besides every name of an UNREACHED_ON_PURPOSE
+#: module).
+CALLED_ONLY_BY_TESTS = {
+    "repro.nn.layers.conv.col2im": (
+        "the public fold tests/test_reference_kernels.py compares bitwise"
+    ),
+    "repro.nn.serialization.flatten_gradients": (
+        "the serial gradient view the stacked-gradient tests compare against"
+    ),
+}
+
+
+def _identifiers(nodes, with_imports=True):
+    """Every name, attribute and import alias referenced under ``nodes``."""
+    found = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif with_imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+                found.add(alias.asname or alias.name)
+    return found
+
+
+def test_every_top_level_name_is_used_outside_tests():
+    """Nothing ships that nothing runs, one level down.  A top-level
+    ``def`` / ``class`` is used when an identifier outside its own body
+    names it: anywhere in ``src/repro`` except a package ``__init__``'s
+    import lines, or anywhere in ``benchmarks/`` or ``tools/``."""
+    defined, used = {}, set()
+    for path in SRC.rglob("*.py"):
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        tree = ast.parse(path.read_text())
+        defs = [
+            node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for node in defs:
+            defined.setdefault(node.name, []).append(module)
+            used |= _identifiers([node]) - {node.name}
+        rest = [node for node in tree.body if node not in defs]
+        used |= _identifiers(rest, with_imports=path.name != "__init__.py")
+    for outside in ("benchmarks", "tools"):
+        for path in (REPO / outside).rglob("*.py"):
+            used |= _identifiers([ast.parse(path.read_text())])
+    unused = sorted(
+        f"{module}.{name}"
+        for name, modules in defined.items()
+        if not name.startswith("_") and name not in used
+        for module in modules
+        if module not in UNREACHED_ON_PURPOSE
+    )
+    assert unused == sorted(CALLED_ONLY_BY_TESTS), unused
+
+
+def test_every_config_field_is_read():
+    """A config field nothing reads is an option with no effect."""
+    from repro.fl.config import FLConfig
+    from repro.fl.events.config import AsyncConfig
+    from repro.mtl.mocha import MTLConfig
+
+    read = {
+        node.attr
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (FLConfig, AsyncConfig, MTLConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    ]
+    assert unread == [], unread

@@ -15,7 +15,7 @@ import pytest
 
 from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
 from repro.ckpt.__main__ import main as ckpt_cli
-from repro.experiments.ckpt_smoke import build_trainer, federation_parts
+from repro.experiments.ckpt_smoke import federation_parts
 from repro.fl.trainer import FederatedTrainer
 from repro.obs import load_trace, trace_digest
 
@@ -46,14 +46,14 @@ def _kwargs(tmp_path, tag, backend, optimizer):
 
 
 def _run_uninterrupted(kwargs):
-    trainer = build_trainer(**kwargs)
+    trainer = FederatedTrainer(**federation_parts(**kwargs))
     with trainer:
         trainer.run(ROUNDS)
     return trainer
 
 
 def _run_crashed_then_resumed(kwargs):
-    trainer = build_trainer(**kwargs)
+    trainer = FederatedTrainer(**federation_parts(**kwargs))
     seen = {"count": 0}
 
     def hook(result, decision):
@@ -170,7 +170,7 @@ def test_restore_rejects_mismatched_federation(tmp_path):
         rounds=2, backend="serial", optimizer="momentum",
         ckpt_dir=str(tmp_path / "ckpt"),
     )
-    trainer = build_trainer(**kw)
+    trainer = FederatedTrainer(**federation_parts(**kw))
     with trainer:
         trainer.run(2)
     path = latest_checkpoint(kw["ckpt_dir"])
@@ -184,7 +184,7 @@ def test_checkpoint_every_and_retention_in_run(tmp_path):
         rounds=ROUNDS, backend="serial", optimizer="sgd",
         ckpt_dir=str(tmp_path / "ckpt"), ckpt_every=2, ckpt_keep=2,
     )
-    trainer = build_trainer(**kw)
+    trainer = FederatedTrainer(**federation_parts(**kw))
     with trainer:
         trainer.run(ROUNDS)
     names = [p.name for p in checkpoint_paths(kw["ckpt_dir"])]

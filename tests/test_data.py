@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset, train_test_split
-from repro.data.har import make_har_tasks, stack_tests
+from repro.data.har import make_har_tasks
 from repro.data.partition import (
-    dirichlet_partition,
     group_partition,
     iid_partition,
     label_shard_partition,
@@ -78,16 +77,6 @@ class TestPartitioners:
         parts = label_shard_partition(labels, 10, shards_per_client=1, rng=0)
         for part in parts:
             assert len(np.unique(labels[part])) <= 2
-
-    @settings(max_examples=15)
-    @given(st.integers(3, 6), st.integers(0, 500))
-    def test_dirichlet_partition_exact_cover(self, k, seed):
-        gen = np.random.default_rng(seed)
-        labels = gen.integers(0, 4, size=200)
-        parts = dirichlet_partition(labels, k, alpha=0.5, rng=seed)
-        allidx = np.concatenate(parts)
-        assert sorted(allidx.tolist()) == list(range(200))
-        assert all(len(p) >= 1 for p in parts)
 
     def test_group_partition(self):
         groups = np.array([0, 1, 0, 2, 1])
@@ -226,11 +215,6 @@ class TestHAR:
             (outl_acc if t.is_outlier else clean_acc).append(acc)
         assert np.mean(clean_acc) > 0.9
         assert np.mean(outl_acc) < 0.75
-
-    def test_stack_tests(self):
-        tasks = make_har_tasks(n_clients=5, n_features=10, rng=3)
-        x, y = stack_tests(tasks)
-        assert len(x) == len(y) == sum(len(t.test) for t in tasks)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

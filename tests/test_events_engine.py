@@ -138,9 +138,9 @@ class TestClockAndQueue:
 
 class TestAsyncConfig:
     def test_merge_weight_is_exactly_one_at_zero(self):
-        cfg = AsyncConfig(staleness_bound=4, staleness_alpha=1.7)
+        cfg = AsyncConfig(staleness_bound=4)
         assert cfg.merge_weight(0) == 1.0
-        assert cfg.merge_weight(2) == pytest.approx(1.0 / 3.0**1.7)
+        assert cfg.merge_weight(2) == 1.0 / 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -566,10 +566,6 @@ class TestFactoryAndConfig:
         with pytest.raises(ValueError, match="unknown executor backend"):
             make_executor("gpu")
 
-    def test_instances_pass_through(self):
-        ex = BatchedExecutor()
-        assert make_executor(ex) is ex
-
     def test_make_executor_maps_names(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("batched"), BatchedExecutor)

@@ -9,7 +9,7 @@ from repro.core.thresholds import ConstantThreshold
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.fl.accounting import CommunicationLedger
-from repro.fl.aggregation import mean_aggregate, weighted_mean_aggregate
+from repro.fl.aggregation import mean_aggregate
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.config import FLConfig
 from repro.fl.history import RoundRecord, RunHistory
@@ -35,12 +35,6 @@ class TestAggregation:
         agg = mean_aggregate([_make_update(0, [1.0, 0.0]),
                               _make_update(1, [3.0, 2.0])])
         np.testing.assert_allclose(agg, [2.0, 1.0])
-
-    def test_weighted_mean(self):
-        agg = weighted_mean_aggregate(
-            [_make_update(0, [0.0], n=1), _make_update(1, [4.0], n=3)]
-        )
-        np.testing.assert_allclose(agg, [3.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -120,12 +114,6 @@ class TestServer:
         server = FLServer(np.zeros(2))
         with pytest.raises(ValueError):
             server.apply_round([_make_update(0, [1.0, 2.0, 3.0])])
-
-    def test_weighted_server(self):
-        server = FLServer(np.zeros(1), weighted=True)
-        server.apply_round([_make_update(0, [0.0], n=1),
-                            _make_update(1, [4.0], n=3)])
-        np.testing.assert_allclose(server.global_params, [3.0])
 
 
 class _RejectAfterFirstRound(CMFLPolicy):

@@ -12,7 +12,7 @@ concurrency flow rule that PR 15 removed.
 import ast
 from pathlib import Path
 
-from repro.lint import ProjectAnalyzer, format_text, load_config, run_lint
+from repro.lint import ProjectAnalyzer, format_text, load_config
 from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +41,7 @@ def test_seeded_violation_is_caught(tmp_path, capsys):
         "    buf = np.zeros(3)\n"
         "    return np.random.normal(size=3)\n"
     )
-    violations = run_lint([str(bad)])
+    violations = ProjectAnalyzer().analyze([str(bad)]).violations
     assert {v.rule for v in violations} == {"no-global-rng", "explicit-dtype"}
     assert all(v.line in (7, 8) for v in violations)
     # ...and the CLI turns that into a non-zero exit with file:line output.

@@ -10,10 +10,10 @@ from repro.lint import (
     LintConfig,
     Linter,
     NoGlobalRngRule,
+    ProjectAnalyzer,
     format_json,
     format_text,
     load_config,
-    run_lint,
 )
 from repro.lint.cli import main
 from repro.lint.engine import package_relative_path, parse_suppressions
@@ -201,13 +201,13 @@ class TestTreeWalkAndCli:
         (pkg / "clean.py").write_text("__all__ = []\nVALUE = 1\n")
         return tmp_path
 
-    def test_run_lint_over_directory(self, bad_tree):
-        violations = run_lint([str(bad_tree)])
+    def test_analyze_over_directory(self, bad_tree):
+        violations = ProjectAnalyzer().analyze([str(bad_tree)]).violations
         assert [v.rule for v in violations] == ["no-global-rng"]
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
-            run_lint(["does/not/exist"])
+            ProjectAnalyzer().analyze(["does/not/exist"])
 
     def test_cli_exit_codes_and_text(self, bad_tree, capsys):
         assert main([str(bad_tree)]) == 1

@@ -91,7 +91,7 @@ def test_rng_taint_int_laundering_is_sanctioned(tmp_path):
         {
             "m.py": (
                 "import numpy as np\n"
-                "def spawn_seed(gen):\n"
+                "def derive_seed(gen):\n"
                 "    return int(gen.integers(2**31))\n"
                 "SEED_KIND = 1\n"
             )

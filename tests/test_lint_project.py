@@ -46,7 +46,7 @@ RNG_UTIL = (
     "    gen = make_rng(seed)\n"
     "    return gen\n"
     "\n"
-    "def spawn_seed(seed):\n"
+    "def derive_seed(seed):\n"
     "    return int(seed) + 1\n"
 )
 
@@ -61,19 +61,19 @@ def test_rng_taint_fixpoint_through_returns():
     model = _model({"util.py": RNG_UTIL})
     tainted = compute_tainted_functions(model)
     # make_rng returns default_rng directly; relabel returns a local
-    # assigned from make_rng; spawn_seed launders through int().
+    # assigned from make_rng; derive_seed launders through int().
     assert "repro.util.make_rng" in tainted
     assert "repro.util.relabel" in tainted
-    assert "repro.util.spawn_seed" not in tainted
+    assert "repro.util.derive_seed" not in tainted
 
 
 TREE = {
     "util.py": RNG_UTIL,
     "app.py": (
-        "from repro.util import spawn_seed\n"
+        "from repro.util import derive_seed\n"
         "\n"
         "def main():\n"
-        "    return spawn_seed(3)\n"
+        "    return derive_seed(3)\n"
     ),
     "other.py": "def standalone():\n    return 7\n",
 }

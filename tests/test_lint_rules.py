@@ -292,7 +292,16 @@ class TestUnusedPureResult:
 
     def test_method_call_fires(self):
         source = """\
-            codec.encode(update)
+            vocab.encode(tokens)
+        """
+        assert rules_fired(source, UnusedPureResultRule) == [
+            "unused-pure-result"
+        ]
+
+    def test_nn_kernel_call_fires(self):
+        source = """\
+            from repro.nn.layers.conv import im2col
+            im2col(x, 3, 3, 1)
         """
         assert rules_fired(source, UnusedPureResultRule) == [
             "unused-pure-result"

@@ -8,11 +8,7 @@ from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import ConstantThreshold
 from repro.data.har import make_har_tasks
 from repro.mtl.mocha import MochaTrainer, MTLConfig
-from repro.mtl.relationship import (
-    inverse_relationship,
-    relationship_matrix,
-    task_similarity,
-)
+from repro.mtl.relationship import relationship_matrix
 
 
 @pytest.fixture
@@ -38,29 +34,6 @@ class TestRelationship:
         w = rng.normal(size=(8, 4))
         omega = relationship_matrix(w)
         assert np.all(np.linalg.eigvalsh(omega) > 0)
-
-    def test_inverse(self, rng):
-        w = rng.normal(size=(8, 4))
-        omega = relationship_matrix(w)
-        inv = inverse_relationship(omega, ridge=0.0)
-        np.testing.assert_allclose(omega @ inv, np.eye(4), atol=1e-6)
-
-    def test_similarity_identical_columns(self):
-        w = np.tile(np.arange(1, 5, dtype=float)[:, None], (1, 3))
-        sim = task_similarity(w)
-        np.testing.assert_allclose(sim, np.ones((3, 3)))
-
-    def test_similarity_opposite_columns(self):
-        col = np.arange(1, 5, dtype=float)
-        w = np.stack([col, -col], axis=1)
-        sim = task_similarity(w)
-        assert sim[0, 1] == pytest.approx(-1.0)
-
-    def test_zero_column_similarity_is_zero(self):
-        w = np.zeros((4, 2))
-        w[:, 0] = 1.0
-        sim = task_similarity(w)
-        assert sim[0, 1] == 0.0
 
 
 class TestMTLConfig:

@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.gradcheck import check_input_gradient, check_module_gradients
 from repro.nn.layers.conv import Conv2D, MaxPool2D
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.recurrent import LSTM
 from repro.nn.layers.reshape import Flatten
-from repro.nn.losses import (
-    MeanSquaredError,
-    SigmoidBinaryCrossEntropy,
-    SoftmaxCrossEntropy,
-)
+from repro.nn.losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.module import Sequential
 
 TOL = 1e-5
@@ -41,15 +37,15 @@ def test_dense_input_gradient(rng):
 
 def test_mlp_with_activations_gradients(rng):
     model = Sequential(
-        [Dense(4, 6, rng=0), ReLU(), Dense(6, 5, rng=1), Tanh(), Dense(5, 2, rng=2)]
+        [Dense(4, 6, rng=0), ReLU(), Dense(6, 5, rng=1), ReLU(), Dense(5, 2, rng=2)]
     )
     x = rng.normal(size=(4, 4))
     y = rng.integers(0, 2, size=4)
     assert check_module_gradients(model, SoftmaxCrossEntropy(), x, y) < TOL
 
 
-def test_sigmoid_activation_gradients(rng):
-    model = Sequential([Dense(3, 3, rng=0), Sigmoid(), Dense(3, 2, rng=1)])
+def test_relu_activation_gradients(rng):
+    model = Sequential([Dense(3, 3, rng=0), ReLU(), Dense(3, 2, rng=1)])
     x = rng.normal(size=(4, 3))
     y = rng.integers(0, 2, size=4)
     assert check_module_gradients(model, SoftmaxCrossEntropy(), x, y) < TOL
@@ -153,13 +149,6 @@ def test_embedding_gradients(rng):
 
     numeric = numerical_gradient(f, emb.weight.data)
     assert max_relative_error(analytic, numeric) < TOL
-
-
-def test_mse_gradients(rng):
-    model = Sequential([Dense(3, 2, rng=0)])
-    x = rng.normal(size=(4, 3))
-    y = rng.normal(size=(4, 2))
-    assert check_module_gradients(model, MeanSquaredError(), x, y) < TOL
 
 
 def test_bce_gradients(rng):

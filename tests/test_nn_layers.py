@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import ReLU, Sigmoid, Tanh, sigmoid, softmax
+from repro.nn.activations import ReLU, sigmoid, softmax
 from repro.nn.layers.conv import Conv2D, MaxPool2D, col2im, im2col
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.recurrent import LSTM
-from repro.nn.layers.reshape import Flatten, LastStep
+from repro.nn.layers.reshape import Flatten
 from repro.nn.module import Sequential
 
 
@@ -191,15 +191,6 @@ class TestReshape:
         back = flat.backward(out)
         np.testing.assert_array_equal(back, x)
 
-    def test_last_step(self, rng):
-        layer = LastStep()
-        x = rng.normal(size=(2, 5, 3))
-        out = layer.forward(x)
-        np.testing.assert_array_equal(out, x[:, -1, :])
-        grad = layer.backward(np.ones((2, 3)))
-        assert grad[:, :-1, :].sum() == 0
-        assert grad[:, -1, :].sum() == 6
-
 
 class TestActivationsAndSequential:
     def test_relu_zeroes_negative(self):
@@ -216,11 +207,6 @@ class TestActivationsAndSequential:
         probs = softmax(rng.normal(size=(5, 7)) * 50)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), rtol=1e-9)
 
-    def test_tanh_backward_value(self):
-        layer = Tanh()
-        layer.forward(np.array([[0.0]]))
-        assert layer.backward(np.array([[1.0]]))[0, 0] == pytest.approx(1.0)
-
     def test_sequential_chains(self, rng):
         model = Sequential([Dense(4, 8, rng=0), ReLU(), Dense(8, 2, rng=1)])
         out = model.forward(rng.normal(size=(3, 4)))
@@ -231,7 +217,3 @@ class TestActivationsAndSequential:
     def test_sequential_requires_layers(self):
         with pytest.raises(ValueError):
             Sequential([])
-
-    def test_sigmoid_layer_matches_function(self, rng):
-        x = rng.normal(size=(3, 3))
-        np.testing.assert_allclose(Sigmoid().forward(x), sigmoid(x))

@@ -17,7 +17,6 @@ from repro.obs import (
     NULL_TRACER,
     NullMetricsRegistry,
     NullTracer,
-    SummarySink,
     TRACE_SCHEMA,
     Tracer,
     comm_totals,
@@ -139,19 +138,6 @@ class TestSinks:
         path.write_text('{"seq": 0}\nnot json\n')
         with pytest.raises(ValueError, match="2"):
             load_trace(path)
-
-    def test_summary_sink_renders_phase_table(self):
-        import io
-
-        out = io.StringIO()
-        tracer = Tracer(sinks=[SummarySink(stream=out)])
-        with tracer.span("round", iteration=1):
-            pass
-        tracer.metrics.counter("comm.uploads").inc(5)
-        tracer.close()
-        text = out.getvalue()
-        assert "round" in text
-        assert "comm.uploads" in text
 
 
 class TestMetrics:

@@ -35,13 +35,16 @@ def _straggler_rt(count=10, p50=0.01, worst=0.2):
     }
 
 
-class TestHealthMonitor:
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="stall_patience"):
-            HealthMonitor(stall_patience=0)
-        with pytest.raises(ValueError, match="straggler_factor"):
-            HealthMonitor(straggler_factor=1.0)
+def _monitor(**thresholds):
+    """A monitor with some of its class-level thresholds replaced."""
+    monitor = HealthMonitor()
+    for name, value in thresholds.items():
+        assert hasattr(HealthMonitor, name), name
+        setattr(monitor, name, value)
+    return monitor
 
+
+class TestHealthMonitor:
     def test_healthy_round_yields_nothing(self):
         monitor = HealthMonitor()
         assert monitor.observe_round(
@@ -78,7 +81,7 @@ class TestHealthMonitor:
         assert set(fields) == {"test_loss", "mean_train_loss"}
 
     def test_stall_fires_after_patience_and_resets_on_improvement(self):
-        monitor = HealthMonitor(stall_patience=2, stall_min_delta=0.01)
+        monitor = _monitor(STALL_PATIENCE=2, STALL_MIN_DELTA=0.01)
         assert monitor.observe_round(_round_attrs(1), test_metric=0.5) == []
         assert monitor.observe_round(_round_attrs(2), test_metric=0.5) == []
         findings = monitor.observe_round(_round_attrs(3), test_metric=0.505)
@@ -102,7 +105,7 @@ class TestHealthMonitor:
         ) == []
 
     def test_straggler_is_a_runtime_finding(self):
-        monitor = HealthMonitor(straggler_factor=4.0, straggler_min_clients=8)
+        monitor = HealthMonitor()
         findings = monitor.observe_round(_round_attrs(), _straggler_rt())
         assert [name for name, _, _ in findings] == [
             "runtime.health.straggler"
@@ -121,7 +124,7 @@ class TestHealthMonitor:
         ) == []
 
     def test_findings_come_in_fixed_order(self):
-        monitor = HealthMonitor(stall_patience=1, straggler_min_clients=1)
+        monitor = _monitor(STALL_PATIENCE=1, STRAGGLER_MIN_CLIENTS=1)
         monitor.observe_round(_round_attrs(1), test_metric=0.5)
         findings = monitor.observe_round(
             _round_attrs(2, uploaded=0),
@@ -140,10 +143,10 @@ class TestHealthMonitor:
         ]
 
     def test_stall_cursor_roundtrips_through_state(self):
-        monitor = HealthMonitor(stall_patience=3)
+        monitor = _monitor(STALL_PATIENCE=3)
         monitor.observe_round(_round_attrs(1), test_metric=0.7)
         monitor.observe_round(_round_attrs(2), test_metric=0.7)
-        resumed = HealthMonitor(stall_patience=3)
+        resumed = _monitor(STALL_PATIENCE=3)
         resumed.load_state_dict(monitor.state_dict())
         assert resumed.best_metric == 0.7
         assert resumed.rounds_since_improvement == 1
@@ -178,8 +181,8 @@ class TestInjectedFaults:
         return trainer, list(trainer.tracer.memory_events())
 
     def test_injected_straggler_fires_and_stays_runtime(self):
-        monitor = HealthMonitor(
-            straggler_factor=2.0, straggler_min_clients=4
+        monitor = _monitor(
+            STRAGGLER_FACTOR=2.0, STRAGGLER_MIN_CLIENTS=4
         )
         _, events = self._traced_run(monitor, client_cls=_SleepyClient)
         stragglers = [
@@ -194,7 +197,7 @@ class TestInjectedFaults:
     def test_injected_stall_fires_deterministically(self):
         # min_delta so large no improvement ever counts: the second
         # eval starts the stall and it fires every round after.
-        monitor = HealthMonitor(stall_patience=1, stall_min_delta=100.0)
+        monitor = _monitor(STALL_PATIENCE=1, STALL_MIN_DELTA=100.0)
         _, events = self._traced_run(monitor, rounds=4)
         stalls = [e for e in events if e["name"] == "health.stall"]
         assert len(stalls) == 3
@@ -212,7 +215,7 @@ class TestDashboard:
         assert line[0] == " " and line[-1] == "@"
 
     def test_dashboard_renders_rollups_and_findings(self):
-        monitor = HealthMonitor(stall_patience=1, stall_min_delta=100.0)
+        monitor = _monitor(STALL_PATIENCE=1, STALL_MIN_DELTA=100.0)
         trainer, _ = _federation(
             CMFLPolicy(InverseSqrtThreshold(0.8)), rounds=3, trace=True
         )

@@ -1,5 +1,7 @@
 """Streaming rollups: P² quantiles, the span sampler, and RoundRollup."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -113,9 +115,25 @@ class TestStreamingHistogram:
         restored = StreamingHistogram()
         restored.load_state_dict(hist.state_dict())
         assert restored.summary() == hist.summary()
-        other = StreamingHistogram(quantiles=(0.5,))
+        state = hist.state_dict()
+        del state["quantiles"]["0.99"]
         with pytest.raises(ValueError, match="quantiles"):
-            other.load_state_dict(hist.state_dict())
+            StreamingHistogram().load_state_dict(state)
+
+    def test_state_dict_keeps_the_quantile_keys(self):
+        """Checkpointed rollup and metric states load across versions:
+        the fixed quantile set is encoded exactly as before."""
+        hist = StreamingHistogram()
+        for v in (3.0, 1.0, 2.0):
+            hist.observe(v)
+        empty = '"buffer": [], "count": 0, "n": [], "np": []'
+        assert json.dumps(hist.state_dict(), sort_keys=True) == (
+            '{"buffer": [3.0, 1.0, 2.0], "count": 3, "max": 3.0, "min": 1.0, '
+            '"quantiles": {'
+            f'"0.5": {{{empty}, "p": 0.5, "q": []}}, '
+            f'"0.9": {{{empty}, "p": 0.9, "q": []}}, '
+            f'"0.99": {{{empty}, "p": 0.99, "q": []}}}}, "total": 6.0}}'
+        )
 
     def test_state_roundtrip_across_the_spill_boundary(self):
         rng = np.random.default_rng(9)

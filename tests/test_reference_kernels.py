@@ -454,7 +454,7 @@ import itertools  # noqa: E402
 from repro.core.policy import CMFLPolicy, PolicyContext  # noqa: E402
 from repro.core.thresholds import ConstantThreshold  # noqa: E402
 from repro.data.dataset import Dataset  # noqa: E402
-from repro.emu.network import LinkModel, NodeComputeModel  # noqa: E402
+from repro.emu.network import MOBILE_LINK, NodeComputeModel  # noqa: E402
 from repro.fl.batched import BatchedWorkspace  # noqa: E402
 from repro.fl.client import FLClient  # noqa: E402
 from repro.fl.events.latency import LatencyModel  # noqa: E402
@@ -512,11 +512,10 @@ class TestStreamSeeding:
 
     @pytest.mark.parametrize("speed_sigma,drop_rate", [(0.5, 0.05), (0.0, 0.3), (0.7, 0.0)])
     def test_latency_timing(self, speed_sigma, drop_rate):
-        link, compute = LinkModel(2e6, 0.03), NodeComputeModel(1.5e-3)
+        link, compute = MOBILE_LINK, NodeComputeModel()
         for seed in (0, 3, 2**32 - 1, 2**32 + 5):
             model = LatencyModel(
-                seed, 65, link=link, compute=compute,
-                speed_sigma=speed_sigma, drop_rate=drop_rate,
+                seed, 65, speed_sigma=speed_sigma, drop_rate=drop_rate,
             )
             for iteration in (1, 2, 850, 2**32):
                 for client in (0, 17, 99_999, 2**33):

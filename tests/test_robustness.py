@@ -51,12 +51,6 @@ class TestTinyClients:
         trainer.run()
         assert np.all(np.isfinite(trainer.server.global_params))
 
-    def test_weighted_aggregation_path(self):
-        trainer = _trainer(VanillaPolicy(), [2, 50],
-                           weighted_aggregation=True)
-        trainer.run()
-        assert np.all(np.isfinite(trainer.server.global_params))
-
 
 class TestSchedulesInTrainer:
     def test_linear_decay_threshold_in_trainer(self):
@@ -76,8 +70,9 @@ class TestSchedulesInTrainer:
         assert its.size == 0
 
     def test_feedback_staleness_in_trainer(self):
-        trainer = _trainer(VanillaPolicy(), [10, 10], rounds=5)
-        trainer.server.estimator.staleness = 3
+        trainer = _trainer(VanillaPolicy(), [10, 10], rounds=5,
+                           feedback_staleness=3)
+        assert trainer.server.estimator.staleness == 3
         trainer.run()
         assert len(trainer.history) == 5
 

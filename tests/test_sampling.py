@@ -1,4 +1,4 @@
-"""Client sampling and failure injection."""
+"""Client sampling."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,7 @@ from repro.baselines.vanilla import VanillaPolicy
 from repro.data.dataset import Dataset
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
-from repro.fl.sampling import (
-    AvailabilitySampler,
-    FullParticipation,
-    UniformSampler,
-    UnreliableParticipation,
-)
+from repro.fl.sampling import AvailabilitySampler, FullParticipation, UniformSampler
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
@@ -38,47 +33,21 @@ class TestSamplers:
         clients = _clients(5)
         assert FullParticipation().select(1, clients) == clients
 
-    def test_uniform_fraction_size(self):
+    def test_uniform_cohort_size(self):
         clients = _clients(10)
-        sampler = UniformSampler(0.3, rng=0)
+        sampler = UniformSampler(count=3, rng=0)
         selected = sampler.select(1, clients)
         assert len(selected) == 3
         assert len({c.client_id for c in selected}) == 3
 
     def test_uniform_changes_across_rounds(self):
         clients = _clients(10)
-        sampler = UniformSampler(0.5, rng=1)
+        sampler = UniformSampler(count=5, rng=1)
         a = {c.client_id for c in sampler.select(1, clients)}
         b = {c.client_id for c in sampler.select(2, clients)}
         c = {c.client_id for c in sampler.select(3, clients)}
         assert len({frozenset(a), frozenset(b), frozenset(c)}) > 1
 
-    def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            UniformSampler(0.0)
-        with pytest.raises(ValueError):
-            UniformSampler(1.5)
-
-    def test_tiny_fraction_selects_at_least_one(self):
-        clients = _clients(10)
-        assert len(UniformSampler(0.01, rng=0).select(1, clients)) == 1
-
-    def test_unreliable_drops_some(self):
-        clients = _clients(20)
-        sampler = UnreliableParticipation(FullParticipation(), 0.5, rng=0)
-        sizes = [len(sampler.select(t, clients)) for t in range(5)]
-        assert all(1 <= s <= 20 for s in sizes)
-        assert min(sizes) < 20
-
-    def test_unreliable_never_empty(self):
-        clients = _clients(3)
-        sampler = UnreliableParticipation(FullParticipation(), 0.99, rng=0)
-        for t in range(20):
-            assert len(sampler.select(t, clients)) >= 1
-
-    def test_drop_probability_validated(self):
-        with pytest.raises(ValueError):
-            UnreliableParticipation(FullParticipation(), 1.0)
 
 
 class TestIndexSpace:
@@ -86,8 +55,8 @@ class TestIndexSpace:
 
     def test_select_matches_select_indices(self):
         clients = _clients(10)
-        a = UniformSampler(0.4, rng=3)
-        b = UniformSampler(0.4, rng=3)
+        a = UniformSampler(count=4, rng=3)
+        b = UniformSampler(count=4, rng=3)
         selected = a.select(1, clients)
         indices = b.select_indices(1, 10)
         assert [c.client_id for c in selected] == [int(i) for i in indices]
@@ -98,25 +67,7 @@ class TestIndexSpace:
         # run digests depend on it.
         rng = np.random.default_rng(7)
         expected = sorted(rng.choice(10, size=4, replace=False))
-        got = UniformSampler(0.4, rng=7).select_indices(5, 10)
-        assert [int(i) for i in got] == [int(i) for i in expected]
-
-    def test_unreliable_draws_unchanged_by_vectorization(self):
-        # One rng.random(k) consumes the PCG64 stream exactly like k
-        # scalar rng.random() calls, so survivors are bit-identical to
-        # the old per-client dropout loop.
-        rng_choice = np.random.default_rng(9)
-        rng_drop = np.random.default_rng(11)
-        base = sorted(rng_choice.choice(20, size=8, replace=False))
-        draws = [rng_drop.random() for _ in base]
-        expected = [i for i, d in zip(base, draws) if d >= 0.4]
-        if not expected:
-            expected = [base[rng_drop.integers(0, len(base))]]
-        got = UnreliableParticipation(
-            UniformSampler(0.4, rng=np.random.default_rng(9)),
-            0.4,
-            rng=np.random.default_rng(11),
-        ).select_indices(1, 20)
+        got = UniformSampler(count=4, rng=7).select_indices(5, 10)
         assert [int(i) for i in got] == [int(i) for i in expected]
 
     def test_full_participation_indices(self):
@@ -132,11 +83,7 @@ class TestIndexSpace:
         with pytest.raises(ValueError):
             UniformSampler(count=50, rng=0).select_indices(1, 10)
 
-    def test_exactly_one_of_fraction_and_count(self):
-        with pytest.raises(ValueError):
-            UniformSampler()
-        with pytest.raises(ValueError):
-            UniformSampler(0.5, count=3)
+    def test_count_validated(self):
         with pytest.raises(ValueError):
             UniformSampler(count=0)
 
@@ -208,7 +155,7 @@ class TestTrainerIntegration:
                                 sampler=sampler)
 
     def test_sampled_round_uploads_only_participants(self):
-        trainer = self._trainer(UniformSampler(0.25, rng=0))
+        trainer = self._trainer(UniformSampler(count=2, rng=0))
         history = trainer.run()
         assert all(r.n_clients == 2 for r in history)
         assert all(r.n_uploaded == 2 for r in history)
@@ -220,15 +167,7 @@ class TestTrainerIntegration:
         assert all(r.n_clients == 8 for r in history)
 
     def test_learning_still_happens_with_sampling(self):
-        trainer = self._trainer(UniformSampler(0.5, rng=2), rounds=8)
+        trainer = self._trainer(UniformSampler(count=4, rng=2), rounds=8)
         history = trainer.run()
         losses = history.train_losses()
         assert losses[-1] < losses[0]
-
-    def test_failure_injection_run_completes(self):
-        sampler = UnreliableParticipation(UniformSampler(0.8, rng=1), 0.3,
-                                          rng=2)
-        trainer = self._trainer(sampler, rounds=6)
-        history = trainer.run()
-        assert len(history) == 6
-        assert np.all(np.isfinite(trainer.server.global_params))

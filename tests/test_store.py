@@ -6,7 +6,6 @@ import pytest
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
-from repro.data.partition import dirichlet_partition
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
 from repro.fl.sampling import UniformSampler
@@ -14,7 +13,6 @@ from repro.fl.store import (
     ClientStateStore,
     CyclicPartition,
     ExplicitPartition,
-    IndexedPartition,
     StoreClient,
 )
 from repro.fl.trainer import FederatedTrainer
@@ -83,14 +81,12 @@ class TestPartitions:
         # client 104 starts at (104*10) % 50 = 40 -> same shard.
         d = part.materialize(4)
         assert np.array_equal(d.x, data.x[40:50])
-        part7 = CyclicPartition(
-            data, n_clients=1000, samples_per_client=10, stride=7
-        )
-        d = part7.materialize(7)  # start 49, wraps 9 rows
+        part15 = CyclicPartition(data, n_clients=1000, samples_per_client=15)
+        d = part15.materialize(3)  # start 45, wraps 10 rows
         assert np.array_equal(
-            d.x, np.concatenate([data.x[49:], data.x[:9]])
+            d.x, np.concatenate([data.x[45:], data.x[:10]])
         )
-        assert part7.n_samples(7) == 10
+        assert part15.n_samples(3) == 15
 
     def test_cyclic_validates(self):
         data = _dataset(rows=50)
@@ -98,29 +94,15 @@ class TestPartitions:
             CyclicPartition(data, n_clients=0, samples_per_client=10)
         with pytest.raises(ValueError):
             CyclicPartition(data, n_clients=10, samples_per_client=51)
-        with pytest.raises(ValueError):
-            CyclicPartition(data, 10, 10, stride=0)
 
-    def test_indexed_matches_subset(self):
-        data = _dataset(rows=60)
-        parts = dirichlet_partition(
-            np.asarray(data.y), n_clients=6, alpha=0.5, rng=7
-        )
-        ip = IndexedPartition(data, parts)
-        assert len(ip) == 6
-        for i, p in enumerate(parts):
-            assert ip.n_samples(i) == len(p)
-            sub = data.subset(p)
-            got = ip.materialize(i)
-            assert np.array_equal(got.x, sub.x)
-            assert np.array_equal(got.y, sub.y)
-
-    def test_indexed_rejects_empty_client(self):
-        data = _dataset(rows=10)
-        with pytest.raises(ValueError):
-            IndexedPartition(
-                data, [np.array([0, 1]), np.array([], dtype=np.int64)]
-            )
+    def test_cyclic_describe_keeps_the_stride_key(self):
+        """Checkpoints compare the partition's manifest entry as a
+        whole, so the fixed stride is still spelled out for them."""
+        part = CyclicPartition(_dataset(rows=50), 1000, 10)
+        assert part.describe() == {
+            "kind": "cyclic", "n_clients": 1000, "samples_per_client": 10,
+            "stride": 10,
+        }
 
     def test_explicit_serves_given_datasets(self):
         ds = [_dataset(rows=5, seed=s) for s in range(3)]
@@ -399,7 +381,7 @@ class TestTrainerParity:
             store,
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             _config(),
-            sampler=UniformSampler(0.5, rng=2),
+            sampler=UniformSampler(count=4, rng=2),
         )
         history = trainer.run(4)
         assert all(r.n_clients == 4 for r in history)
@@ -408,7 +390,7 @@ class TestTrainerParity:
             _clients(),
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             _config(),
-            sampler=UniformSampler(0.5, rng=2),
+            sampler=UniformSampler(count=4, rng=2),
         )
         eager.run(4)
         assert _history_digest(trainer) == _history_digest(eager)
@@ -455,7 +437,7 @@ class TestStoreCheckpoint:
             store,
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             _config(rounds=8),
-            sampler=UniformSampler(0.5, rng=5),
+            sampler=UniformSampler(count=4, rng=5),
         )
 
     def test_resume_is_bitwise_identical(self, tmp_path):
@@ -472,7 +454,7 @@ class TestStoreCheckpoint:
             ClientStateStore.from_clients(_clients(), shard_size=4),
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             _config(rounds=8),
-            sampler=UniformSampler(0.5, rng=5),
+            sampler=UniformSampler(count=4, rng=5),
         )
         resumed.run(4)
         assert _history_digest(resumed) == expected
@@ -493,7 +475,7 @@ class TestStoreCheckpoint:
                 _clients(),  # eager federation, store-backed checkpoint
                 CMFLPolicy(InverseSqrtThreshold(0.8)),
                 _config(rounds=8),
-                sampler=UniformSampler(0.5, rng=5),
+                sampler=UniformSampler(count=4, rng=5),
             )
 
     @pytest.mark.parametrize(
@@ -533,7 +515,7 @@ class TestStoreCheckpoint:
                 ClientStateStore.from_clients(_clients(), shard_size=4),
                 CMFLPolicy(InverseSqrtThreshold(0.8)),
                 _config(rounds=8),
-                sampler=UniformSampler(0.5, rng=5),
+                sampler=UniformSampler(count=4, rng=5),
             )
 
         if refused:
@@ -541,6 +523,47 @@ class TestStoreCheckpoint:
                 restore()
         else:
             resumed = restore()
+            resumed.run(4)
+            assert _history_digest(resumed) == _history_digest(reference)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("store_backed", [False, True])
+    def test_server_manifest_of_the_weighted_era(
+        self, tmp_path, store_backed, weighted
+    ):
+        """Older manifests carry ``server.weighted``: a plain-mean run
+        resumes bitwise, a FedAvg-weighted one is refused by name."""
+        from repro.ckpt.format import CheckpointError, write_checkpoint
+        from repro.ckpt.state import capture_run_state
+
+        def build(restore_from=None):
+            clients = _clients()
+            if store_backed:
+                clients = ClientStateStore.from_clients(clients, shard_size=4)
+            parts = (
+                _workspace(), clients, CMFLPolicy(InverseSqrtThreshold(0.8)),
+                _config(rounds=8),
+            )
+            sampler = UniformSampler(count=4, rng=5)
+            if restore_from is None:
+                return FederatedTrainer(*parts, sampler=sampler)
+            return FederatedTrainer.restore(
+                restore_from, *parts, sampler=sampler
+            )
+
+        reference = build()
+        reference.run(8)
+        crashed = build()
+        crashed.run(4)
+        manifest, arrays, texts = capture_run_state(crashed)
+        manifest["server"]["weighted"] = weighted
+        path = tmp_path / "weighted.ckpt"
+        write_checkpoint(path, manifest, arrays, texts)
+        if weighted:
+            with pytest.raises(CheckpointError, match="weighted_aggregation"):
+                build(restore_from=path)
+        else:
+            resumed = build(restore_from=path)
             resumed.run(4)
             assert _history_digest(resumed) == _history_digest(reference)
 
@@ -558,7 +581,7 @@ class TestStoreCheckpoint:
         def build():
             return FederatedTrainer(
                 _workspace(), clients(), CMFLPolicy(InverseSqrtThreshold(0.8)),
-                _config(rounds=8), sampler=UniformSampler(0.5, rng=5),
+                _config(rounds=8), sampler=UniformSampler(count=4, rng=5),
             )
 
         crashed = build()
@@ -567,7 +590,7 @@ class TestStoreCheckpoint:
         resumed = FederatedTrainer.restore(
             path, _workspace(), clients(),
             CMFLPolicy(InverseSqrtThreshold(0.8)), _config(rounds=8),
-            sampler=UniformSampler(0.5, rng=5),
+            sampler=UniformSampler(count=4, rng=5),
         )
         ledger = resumed.ledger
         assert ledger.uploads_per_client == crashed.ledger.uploads_per_client
@@ -635,5 +658,5 @@ class TestStoreCheckpoint:
                 ClientStateStore.from_clients(_clients(), shard_size=4),
                 CMFLPolicy(InverseSqrtThreshold(0.8)),
                 _config(rounds=8),
-                sampler=UniformSampler(0.5, rng=5),
+                sampler=UniformSampler(count=4, rng=5),
             )

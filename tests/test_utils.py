@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import child_rngs, ensure_rng, spawn_seed
-from repro.utils.smoothing import moving_average, running_max
+from repro.utils.rng import child_rngs, ensure_rng
+from repro.utils.smoothing import moving_average
 from repro.utils.tables import format_table
 
 
@@ -33,10 +33,6 @@ class TestRng:
         with pytest.raises(ValueError):
             child_rngs(0, -1)
 
-    def test_spawn_seed_range(self):
-        s = spawn_seed(3)
-        assert 0 <= s < 2**63
-
 
 class TestSmoothing:
     def test_moving_average_warmup(self):
@@ -50,11 +46,6 @@ class TestSmoothing:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             moving_average([1.0], 0)
-
-    def test_running_max(self):
-        np.testing.assert_allclose(
-            running_max([1.0, 3.0, 2.0]), [1.0, 3.0, 3.0]
-        )
 
 
 class TestTables:
