@@ -79,7 +79,7 @@ def run(scale: Optional[str] = None) -> MicroOverheadResult:
     start = time.perf_counter()
     for _ in range(repeats * 200):
         # Timing loop: the value is deliberately discarded.
-        relevance(update, feedback)  # repro-lint: disable=unused-pure-result
+        relevance(update, feedback)
     check_seconds = (time.perf_counter() - start) / (repeats * 200)
 
     # One "local training iteration" in the paper's sense: E passes of

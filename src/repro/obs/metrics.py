@@ -11,9 +11,10 @@ p50/p90/p99 — see :class:`repro.obs.rollup.StreamingHistogram`) and
 surfaces it in the close-time ``metrics_snapshot`` event and the
 per-round ``round_rollup`` events instead.
 
-Metric names are not free-form: every call-site literal must be
-declared in the :mod:`repro.obs.names` registry (the
-``metric-name-registry`` lint rule enforces it).
+Metric names are not free-form: :class:`MetricsRegistry` refuses to
+create an instrument whose name is not declared in the
+:mod:`repro.obs.names` registry, so a typo'd name fails the run instead
+of opening a separate, silently empty time series.
 
 Determinism contract (see :mod:`repro.obs.tracer`): a metric whose name
 starts with ``runtime.`` is *runtime-dependent* — its values (queue
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from repro.obs.names import METRIC_NAMES
 from repro.obs.rollup import StreamingHistogram
 
 __all__ = [
@@ -167,7 +169,9 @@ class MetricsRegistry:
 
     ``emit`` (wired up by :class:`~repro.obs.tracer.Tracer`) streams
     every update into the trace; a registry constructed without it is a
-    plain in-memory store, usable standalone in tests.
+    plain in-memory store, usable standalone in tests.  Creating an
+    instrument (by call site or by :meth:`restore`) whose name is not
+    in :data:`~repro.obs.names.METRIC_NAMES` raises ``ValueError``.
     """
 
     def __init__(self, emit: Optional[EmitFn] = None) -> None:
@@ -183,6 +187,11 @@ class MetricsRegistry:
                     f"{existing.metric_type}, not {cls.metric_type}"
                 )
             return existing
+        if name not in METRIC_NAMES:
+            raise ValueError(
+                f"metric name {name!r} is not declared in "
+                "repro.obs.names.METRIC_NAMES"
+            )
         instrument = cls(name, emit=self._emit)
         self._metrics[name] = instrument
         return instrument

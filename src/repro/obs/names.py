@@ -1,9 +1,9 @@
 """The central metric-name registry.
 
-Every ``counter(...)``/``gauge(...)``/``histogram(...)`` call site in
-the tree must name its instrument with a string literal declared here —
-the ``metric-name-registry`` lint rule enforces it — so a typo'd metric
-name is a lint error, not a silently separate time series.
+Every instrument a :class:`~repro.obs.metrics.MetricsRegistry` creates
+must be named here: the registry raises ``ValueError`` on any other name
+(at a call site or in a restored checkpoint), so a typo'd metric name
+fails the run instead of opening a silently separate time series.
 
 Names follow the namespace conventions of the determinism contract
 (DESIGN.md §6c): ``runtime.*`` values are wall-clock/scheduling

@@ -10,8 +10,8 @@ either the complete old content or the complete new content, never a
 mix; a crash at any point leaves the target untouched.
 
 This module is the single place in the library allowed to open files
-for writing directly (enforced by the ``no-bare-artifact-write`` lint
-rule); everything else routes one-shot artifact writes through here.
+for writing directly (``tests/test_source_scans.py`` checks it);
+everything else routes one-shot artifact writes through here.
 Streaming writers (``repro.obs.sinks.JsonlSink``) are the exception —
 they append line-oriented events to their final path and use
 :func:`fsync_file` at flush points instead.

@@ -29,10 +29,9 @@ def _public_modules():
 
 @pytest.mark.parametrize("module_name", _public_modules())
 def test_module_exposes_correct_all(module_name):
-    """The ``__all__`` contract (checked here at runtime; there is no
-    lint rule for it): every public module defines ``__all__``, every
-    entry resolves, and every public function/class defined in the
-    module is listed."""
+    """The ``__all__`` contract: every public module defines
+    ``__all__``, every entry resolves, and every public function/class
+    defined in the module is listed."""
     module = importlib.import_module(module_name)
     assert hasattr(module, "__all__"), f"{module_name} has no __all__"
     exported = module.__all__
@@ -122,6 +121,22 @@ UNREACHED_ON_PURPOSE = {
     "repro.nn.gradcheck": "numerical reference for tests/test_nn_gradients.py",
 }
 
+#: Every ``__main__`` module, with what runs it.  A CLI is a root only
+#: when a report, experiment, benchmark, tool or the verify skill runs it.
+RUN_AS_MAIN = {
+    "repro.__main__": (
+        "the verify skill's Experiments CLI (python -m repro --help) and "
+        "README's python -m repro list / all test"
+    ),
+    "repro.obs.__main__": (
+        "tools/build_experiments_md.py's python -m repro.obs validate / "
+        "report / watch / export, and the verify skill's Trace CLI"
+    ),
+    "repro.ckpt.__main__": (
+        "tools/build_experiments_md.py's python -m repro.ckpt verify"
+    ),
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _imports(path):
@@ -136,9 +151,10 @@ def _imports(path):
 
 def test_every_module_is_reached_by_an_experiment_benchmark_or_tool():
     """Nothing ships that nothing runs.  Roots: every experiment, every
-    ``__main__``, everything ``benchmarks/`` and ``tools/`` import.  A
-    name a package ``__init__`` re-exports is an import of the module
-    that defines it; the re-export line itself reaches nothing."""
+    ``__main__`` in :data:`RUN_AS_MAIN`, everything ``benchmarks/`` and
+    ``tools/`` import.  A name a package ``__init__`` re-exports is an
+    import of the module that defines it; the re-export line itself
+    reaches nothing."""
     files = {}
     for path in SRC.rglob("*.py"):
         parts = path.relative_to(SRC.parent).with_suffix("").parts
@@ -151,9 +167,10 @@ def test_every_module_is_reached_by_an_experiment_benchmark_or_tool():
             name = _imports(files[owner]).get(attr) if owner in packages else owner
         return name if name and name not in packages else None
 
-    reached = {
-        m for m in files if m.startswith("repro.experiments.") or m.endswith(".__main__")
-    }
+    mains = sorted(m for m in files if m.endswith(".__main__"))
+    assert mains == sorted(RUN_AS_MAIN), "a __main__ nothing runs, or a stale entry"
+    reached = {m for m in files if m.startswith("repro.experiments.")}
+    reached |= set(RUN_AS_MAIN)
     frontier = [files[m] for m in reached]
     for outside in ("benchmarks", "tools"):
         frontier.extend((REPO / outside).rglob("*.py"))

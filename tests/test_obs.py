@@ -143,26 +143,35 @@ class TestSinks:
 class TestMetrics:
     def test_counter_gauge_histogram_math(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.counter("c").inc(4)
-        registry.gauge("g").set(2.5)
-        hist = registry.histogram("h")
+        registry.counter("comm.uploads").inc()
+        registry.counter("comm.uploads").inc(4)
+        registry.gauge("async.virtual_time").set(2.5)
+        hist = registry.histogram("async.staleness")
         for v in (1.0, 3.0, 8.0):
             hist.observe(v)
         snap = registry.snapshot()
-        assert snap["c"]["value"] == 5
-        assert snap["g"]["value"] == 2.5
-        assert snap["h"]["count"] == 3
-        assert snap["h"]["min"] == 1.0 and snap["h"]["max"] == 8.0
+        assert snap["comm.uploads"]["value"] == 5
+        assert snap["async.virtual_time"]["value"] == 2.5
+        assert snap["async.staleness"]["count"] == 3
+        assert snap["async.staleness"]["min"] == 1.0
+        assert snap["async.staleness"]["max"] == 8.0
         assert hist.mean == pytest.approx(4.0)
 
     def test_counter_rejects_negative_and_type_conflicts(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.counter("c").inc(-1)
-        registry.counter("dual")
+            registry.counter("comm.uploads").inc(-1)
+        registry.counter("comm.skips")
         with pytest.raises(TypeError):
-            registry.gauge("dual")
+            registry.gauge("comm.skips")
+
+    def test_unregistered_name_is_refused(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="'comm.uplaods'"):
+            registry.counter("comm.uplaods")
+        with pytest.raises(ValueError, match="'store.checkout'"):
+            registry.restore({"store.checkout": {"type": "counter", "value": 3}})
+        assert len(registry) == 0
 
     def test_runtime_namespace_split(self):
         registry = MetricsRegistry()
@@ -175,8 +184,8 @@ class TestMetrics:
 
     def test_null_registry_is_inert(self):
         registry = NullMetricsRegistry()
-        registry.counter("x").inc(10)
-        registry.histogram("y").observe(1.0)
+        registry.counter("comm.uploads").inc(10)
+        registry.histogram("async.staleness").observe(1.0)
         assert registry.snapshot() == {}
         assert len(registry) == 0
 
@@ -190,7 +199,7 @@ class TestNullTracer:
             span.set_rt("b", 2)
         NULL_TRACER.record_span("x")
         NULL_TRACER.event("y")
-        NULL_TRACER.metrics.counter("z").inc()
+        NULL_TRACER.metrics.counter("comm.uploads").inc()
         assert NULL_TRACER.memory_events() is None
 
     def test_trainer_defaults_to_null_tracer(self):

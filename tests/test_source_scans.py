@@ -1,0 +1,277 @@
+"""Source scans for the invariants no runtime test can see.
+
+Each scan reads ``src/repro`` as ``{package path: source}`` and returns
+its findings as ``"path:line: what"`` strings.  Every scan has a seeded
+twin here: one source edited in memory, never on disk, and the finding
+it must produce.  ``test_lint_clean.py`` runs them over the tree;
+``test_lint_rules.py`` and ``test_lint_flow.py`` hold their edge cases.
+The determinism contracts (explicit generators, no wall-clock seeds, no
+shared streams, spans free of wall-clock attrs) are held by the runtime
+equivalence tests instead: seeding any of them fails tier-1 tests
+elsewhere.
+"""
+
+import ast
+import functools
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+
+
+@functools.lru_cache(maxsize=None)
+def _source_tree():
+    return {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+
+
+def _tree():
+    return dict(_source_tree())
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(source):
+    return ast.parse(source)
+
+
+def _nodes(tree, kinds):
+    for path, source in sorted(tree.items()):
+        for node in ast.walk(_parse(source)):
+            if isinstance(node, kinds):
+                yield path, node
+
+
+def _dotted(node):
+    """``np.random.normal`` for a Name/Attribute chain, else ``""``."""
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return f"{head}.{node.attr}" if head else ""
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _is_self_attr(node):
+    return isinstance(node, ast.Attribute) and _dotted(node.value) == "self"
+
+
+# -- checkpoint coverage ------------------------------------------------------
+
+#: Where run state lives: classes here must checkpoint what they hold.
+CKPT_SCOPE = ("fl/", "core/", "nn/optimizers.py", "obs/", "baselines/")
+#: A class defining or inheriting one of these is stateful.  What these
+#: methods touch, and every self-method or property they reach, counts
+#: as captured.
+CAPTURE_METHODS = {
+    "state_dict", "load_state_dict", "export_state", "restore_state",
+    "restore", "rng_state", "set_rng_state",
+}
+#: Stateful without a capture method: ``ckpt/state.py`` serialises them
+#: field by field, so every attribute or string it names is captured.
+CAPTURED_BY_CKPT_STATE = {"FederatedTrainer", "FLServer"}
+
+
+def _assigned_attrs(cls):
+    """``(name, line)`` of every ``self.<name> =`` and dataclass field."""
+    if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield node.target.id, node.lineno
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                for elt in getattr(target, "elts", [target]):
+                    if _is_self_attr(elt):
+                        yield elt.attr, node.lineno
+
+
+def uncaptured_state(tree):
+    """Attributes of stateful classes that a resume would silently lose:
+    neither captured nor marked ``# ckpt: transient — <why>``."""
+    classes = {node.name: (path, node) for path, node in _nodes(tree, ast.ClassDef)}
+    methods = {
+        name: {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
+        for name, (_, cls) in classes.items()
+    }
+    in_ckpt_state = {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(_parse(tree["ckpt/state.py"]))
+        if isinstance(node, (ast.Attribute, ast.Constant))
+    }
+    found = []
+    for name, (path, cls) in sorted(classes.items()):
+        lineage, queue = [], [name]
+        while queue:
+            current = queue.pop(0)
+            if current in classes and current not in lineage:
+                lineage.append(current)
+                queue.extend(_dotted(b).rpartition(".")[2] for b in classes[current][1].bases)
+        todo = [m for c in lineage for k, m in methods[c].items() if k in CAPTURE_METHODS]
+        if not path.startswith(CKPT_SCOPE) or not (todo or name in CAPTURED_BY_CKPT_STATE):
+            continue
+        captured, seen = set(in_ckpt_state), set()
+        while todo:
+            method = todo.pop()
+            if method not in seen:
+                seen.add(method)
+                for node in ast.walk(method):
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        captured.add(node.value)
+                    elif _is_self_attr(node):
+                        captured.add(node.attr)
+                        todo.extend(methods[c][node.attr] for c in lineage if node.attr in methods[c])
+        lines = tree[path].splitlines()
+        sites = {}
+        for attr, line in _assigned_attrs(cls):
+            sites.setdefault(attr, []).append(line)
+        found += [
+            f"{path}:{min(at)}: {name}.{attr}"
+            for attr, at in sorted(sites.items())
+            if attr not in captured and not any("ckpt: transient" in lines[i - 1] for i in at)
+        ]
+    return found
+
+
+# -- library code owns neither stdout nor crash-unsafe writes -----------------
+
+#: Files that own their stdout and their output files.  Everything else
+#: under src/repro is library code, which reports through repro.obs and
+#: writes through repro.utils.atomic_io.
+OWN_THEIR_OUTPUT = {
+    "experiments/": "experiment scripts print tables and write reports",
+    "__main__.py": "the experiment CLI",
+    "obs/__main__.py": "the trace CLI",
+    "ckpt/__main__.py": "the checkpoint CLI",
+}
+#: The one library module that opens files for writing: temp file +
+#: fsync + rename, so a crash never leaves a torn artifact.
+ATOMIC_WRITER = "utils/atomic_io.py"
+
+
+def _library_calls(tree):
+    for path, node in _nodes(tree, ast.Call):
+        if not any(path == k or (k.endswith("/") and path.startswith(k)) for k in OWN_THEIR_OUTPUT):
+            yield path, node, _dotted(node.func)
+
+
+def library_prints(tree):
+    return [f"{p}:{n.lineno}: print()" for p, n, f in _library_calls(tree) if f == "print"]
+
+
+def _open_mode(call):
+    """The literal mode of an ``open`` call; ``""`` when not a literal."""
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    literal = modes and isinstance(modes[-1], ast.Constant)
+    return str(modes[-1].value) if literal else ""
+
+
+def bare_artifact_writes(tree):
+    return [
+        f"{path}:{node.lineno}: {ast.unparse(node.func)}()"
+        for path, node, func in _library_calls(tree)
+        if path != ATOMIC_WRITER
+        and (
+            getattr(node.func, "attr", "") in ("write_text", "write_bytes")
+            or func == "json.dump"
+            or (func == "open" and set(_open_mode(node)) & set("wx"))
+        )
+    ]
+
+
+# -- dtypes in the hot paths --------------------------------------------------
+
+DTYPE_SCOPE = ("core/", "fl/", "nn/")
+#: numpy constructor -> how many positional arguments include the dtype.
+DTYPE_ARITY = {"np.zeros": 2, "np.ones": 2, "np.empty": 2, "np.full": 3}
+
+
+def implicit_dtypes(tree):
+    """``np.zeros(n)`` commits to float64 silently.  The store's int64 /
+    uint64 / bool columns size every ``KiB store`` figure in
+    ``benchmarks/reports/scale.txt``, and no runtime test reads them."""
+    return [
+        f"{path}:{node.lineno}: {_dotted(node.func)}()"
+        for path, node in _nodes(tree, ast.Call)
+        if path.startswith(DTYPE_SCOPE)
+        and len(node.args) < DTYPE_ARITY.get(_dotted(node.func), 0)
+        and not any(k.arg in ("dtype", None) for k in node.keywords)
+    ]
+
+
+# -- imports ------------------------------------------------------------------
+
+
+def _imported_roots(tree):
+    for path, node in _nodes(tree, (ast.Import, ast.ImportFrom)):
+        relative = getattr(node, "level", 0)
+        names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+        for name in [] if relative else names:
+            yield f"{path}:{node.lineno}", name.split(".")[0]
+
+
+WORKER_POOLS = {"threading", "multiprocessing", "concurrent"}
+
+
+def worker_pool_imports(tree):
+    return [f"{at}: {root}" for at, root in _imported_roots(tree) if root in WORKER_POOLS]
+
+
+def test_no_worker_pool_imports():
+    offenders = worker_pool_imports(_tree())
+    assert offenders == [], (
+        "src/repro imports a worker-pool module:\n  "
+        + "\n  ".join(offenders)
+        + "\nNothing checks state shared across workers: a worker pool must "
+        "arrive with a concurrency check for the writes its workers reach."
+    )
+
+
+def undeclared_imports(tree, dependencies):
+    declared = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_") for d in dependencies}
+    return sorted({
+        f"{at}: {root}"
+        for at, root in _imported_roots(tree)
+        if root not in sys.stdlib_module_names and root != "repro" and root.lower() not in declared
+    })
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    assert undeclared_imports(_tree(), project["dependencies"]) == []
+
+
+def test_dependency_scan_flags_an_undeclared_scipy():
+    found = undeclared_imports(_tree(), ["numpy>=1.21"])
+    assert found and {f.split(": ")[-1] for f in found} == {"scipy"}
+
+
+# -- every scan catches its seed -----------------------------------------------
+
+#: Run over the whole tree by tests/test_lint_clean.py.
+SCANS = [uncaptured_state, library_prints, bare_artifact_writes, implicit_dtypes]
+ROUND_LOOP = "        results = self.executor.run_round(plan, participants)\n"
+HISTORY = "        self.history = RunHistory(policy_name=policy.name)\n"
+#: (scan, file, old text, seeded text, what the one finding names)
+SEEDS = [
+    (uncaptured_state, "fl/trainer.py", HISTORY, HISTORY + "        self._foo = 1\n",
+     "FederatedTrainer._foo"),
+    (library_prints, "fl/trainer.py", ROUND_LOOP, '        print(f"round {t}")\n' + ROUND_LOOP,
+     "print()"),
+    (bare_artifact_writes, "fl/history.py", "atomic_write_text(path, text)",
+     "Path(path).write_text(text)", "Path(path).write_text()"),
+    (implicit_dtypes, "fl/store.py", "self.live = np.zeros(rows, dtype=bool)",
+     "self.live = np.zeros(rows)", "np.zeros()"),
+    (worker_pool_imports, "fl/executor.py", "from time import monotonic\n",
+     "import threading\nfrom time import monotonic\n", "threading"),
+]
+
+
+@pytest.mark.parametrize("scan, path, old, new, what", SEEDS, ids=[s[0].__name__ for s in SEEDS])
+def test_scan_flags_its_seed(scan, path, old, new, what):
+    tree = _tree()
+    assert tree[path].count(old) == 1, (path, old)
+    tree[path] = tree[path].replace(old, new)
+    [finding] = scan(tree)
+    assert re.fullmatch(rf"{re.escape(path)}:\d+: {re.escape(what)}", finding)

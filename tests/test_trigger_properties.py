@@ -4,7 +4,8 @@ The async engine's determinism leans on :meth:`UploadPolicy.decide`
 being a **pure** function of ``(update, ctx)`` — same decision on any
 backend, across resumes, under any event ordering.  These tests hold
 every stateless shipped policy to that, plus each rule's defining
-identity (relevance == Eq. 9).  Degrades to a clean skip
+identity (relevance == Eq. 9), and hold the server's mean aggregation
+to the same no-mutation contract.  Degrades to a clean skip
 when ``hypothesis`` is not installed, like
 ``test_relevance_properties.py``.
 """
@@ -25,6 +26,8 @@ from repro.baselines import GaiaPolicy, VanillaPolicy
 from repro.core.policy import CMFLPolicy, PolicyContext
 from repro.core.relevance import relevance
 from repro.core.thresholds import InverseSqrtThreshold
+from repro.fl.aggregation import mean_aggregate
+from repro.fl.client import ClientUpdate
 
 pytestmark = pytest.mark.skipif(
     not hypothesis_installed, reason="package 'hypothesis' not installed"
@@ -34,6 +37,11 @@ if hypothesis_installed:
     finite_vectors = arrays(
         np.float64,
         st.integers(1, 64),
+        elements=st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    update_stacks = arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 64)),
         elements=st.floats(-1e6, 1e6, allow_nan=False),
     )
     iterations = st.integers(1, 1000)
@@ -82,6 +90,18 @@ if hypothesis_installed:
             ctx.global_update_estimate, feedback_before
         )
         np.testing.assert_array_equal(ctx.global_params, params_before)
+
+    @settings(max_examples=50)
+    @given(update_stacks)
+    def test_mean_aggregate_does_not_mutate_inputs(rows):
+        """The received updates may alias client or store buffers."""
+        updates = [
+            ClientUpdate(k, row.copy(), n_samples=1, train_loss=0.0)
+            for k, row in enumerate(rows)
+        ]
+        mean_aggregate(updates)
+        for update, row in zip(updates, rows):
+            assert update.update.tobytes() == row.tobytes()
 
     @settings(max_examples=100)
     @given(finite_vectors, iterations, seeds)
