@@ -29,11 +29,6 @@ class PolicyContext:
     ``iteration`` is the 1-based federated round; ``global_params`` the
     model the update was computed against; ``global_update_estimate``
     the feedback u_bar_{t-1} the server broadcast with it.
-    ``staleness`` is how many global rounds closed between this round's
-    dispatch and its aggregation — always 0 under the synchronous
-    trainer, and in [0, S] under the bounded-staleness async engine
-    (:mod:`repro.fl.events`), for policies that want to discount or
-    veto stale updates.
 
     The trainer builds one context per round and derives the per-client
     views with :meth:`for_client`; all views share ``_round_cache``, so
@@ -46,7 +41,6 @@ class PolicyContext:
     global_params: np.ndarray
     global_update_estimate: np.ndarray
     client_id: int = -1
-    staleness: int = 0
     _round_cache: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -74,7 +68,7 @@ class PolicyContext:
         """A view of this round's context for one client (shared cache)."""
         return PolicyContext(
             self.iteration, self.global_params, self.global_update_estimate,
-            client_id, self.staleness, self._round_cache,
+            client_id, self._round_cache,
         )
 
 

@@ -7,8 +7,9 @@ the event engine (:mod:`repro.fl.events`) across staleness bounds
 ``S in {0, 2, 8}`` and measures what relaxing the barrier buys and
 costs on the virtual timeline:
 
-- **S=0** is the synchronous baseline — bitwise the plain trainer's
-  history, produced through the same event machinery;
+- **S=0** is the synchronous baseline — the plain trainer's history
+  and parameters, produced through the same event machinery, with the
+  barrier's virtual close times recorded;
 - **S>0** lets up to ``S+1`` rounds overlap: the virtual finish time
   drops (stragglers no longer serialize the timeline), while the
   staleness column of the history records how old each aggregated
@@ -243,10 +244,7 @@ def run(
             StragglerPoint(
                 staleness_bound=bound,
                 rounds=len(history),
-                # S=0 runs record virtual_time 0 (bitwise-sync contract),
-                # so the barrier's timeline cost is reconstructed from
-                # the engine's clock, which ticked either way.
-                virtual_finish_s=float(engine.clock.now),
+                virtual_finish_s=final.virtual_time,
                 staleness_mean=float(staleness.mean()),
                 staleness_p50=float(np.percentile(staleness, 50)),
                 staleness_p99=float(np.percentile(staleness, 99)),

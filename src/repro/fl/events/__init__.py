@@ -3,7 +3,8 @@
 A discrete-event coordinator over a virtual clock: client compute
 latencies come from pure per-(round, client) hash streams, results are
 admitted as they arrive, and aggregation is staleness-weighted under a
-hard bound S (``S=0`` reproduces the synchronous trainer bitwise).
+hard bound S (at ``S=0`` history and parameters are the synchronous
+trainer's, apart from the recorded ``virtual_time``).
 See DESIGN.md §6g for the event-schedule determinism contract and the
 README's "Async federation & event-triggered uploads" section for a
 worked example.

@@ -14,9 +14,9 @@ class AsyncConfig:
     ``staleness_bound`` is the hard bound S: round ``r`` may dispatch
     only once every round up to ``r - 1 - S`` has closed, so at most
     ``S + 1`` rounds are ever in flight and any round aggregates with
-    staleness in ``[0, S]``.  ``S = 0`` is the synchronous-equivalence
-    mode — one round in flight, histories and traces bitwise identical
-    to :class:`~repro.fl.trainer.FederatedTrainer`'s.
+    staleness in ``[0, S]``.  At ``S = 0`` one round is in flight at a
+    time, and the run's history (apart from ``virtual_time``) and
+    parameters are :class:`~repro.fl.trainer.FederatedTrainer`'s.
 
     A round aggregated ``s`` rounds stale merges with weight ``w(s) =
     1 / (1 + s)``; ``w(0)`` is exactly 1.0, which takes the server's
@@ -49,11 +49,6 @@ class AsyncConfig:
             raise ValueError(
                 f"speed_sigma must be >= 0, got {self.speed_sigma}"
             )
-
-    @property
-    def sync_equivalent(self) -> bool:
-        """True in the S=0 bitwise-equivalence mode."""
-        return self.staleness_bound == 0
 
     def merge_weight(self, staleness: int) -> float:
         """w(s) = 1 / (1 + s); exactly 1.0 at s = 0."""

@@ -5,33 +5,30 @@
 synchronous barrier with an event loop over a virtual timeline:
 
 - a **dispatch** event selects round ``t``'s cohort and runs its
-  compute half (:meth:`FederatedTrainer._begin_round`), then draws each
-  client's simulated round-trip from its own pure latency stream and
-  schedules the **arrival** events;
+  compute half (:meth:`FederatedTrainer._begin_round`), writes its
+  store views back (a later round may check the same client out again
+  while this one is in flight), then draws each client's simulated
+  round-trip from its own pure latency stream and schedules the
+  **arrival** events;
 - an **arrival** admits one client's upload; when every surviving
   upload of the *oldest* open round has arrived, that round **closes**
   — the strictly ordered decide/aggregate half
-  (:meth:`FederatedTrainer._finish_round`), staleness-weighted;
+  (:meth:`FederatedTrainer._finish_round`), its merge scaled by the
+  staleness weight ``w(s) = 1 / (1 + s)``;
 - round ``r`` may dispatch only once round ``r - 1 - S`` has closed
   (the bounded-staleness gate), so at most ``S + 1`` rounds are in
   flight and every aggregation's staleness lies in ``[0, S]``.
 
 Everything on the timeline is a pure function of (seed, config): the
 latency streams are hash-derived per (round, client), the event queue
-is totally ordered, and closes happen in round order.  Two modes:
-
-- ``S = 0`` — the *synchronous-equivalence* mode.  Exactly one round
-  is in flight, the engine opens/closes the same ``round`` spans the
-  synchronous loop does and emits none of the ``async.*`` instruments,
-  so history, parameters and ``trace_digest`` are **bitwise** the
-  synchronous trainer's (asserted in ``tests/test_events_engine.py``).
-- ``S > 0`` — bounded staleness.  Rounds overlap; the engine emits
-  ``dispatch``/``admit``/``round_close`` spans and the ``async.*``
-  metrics instead of ``round`` spans (the tracer's span stack is
-  strictly nested, which overlapping rounds cannot honour), store
-  views are written back at dispatch (a later round may check the same
-  client out again while this one is in flight), and the merge is
-  scaled by ``w(s) = 1 / (1 + s) ** alpha``.
+is totally ordered, and closes happen in round order.  Rounds may
+overlap, which the tracer's strictly nested span stack cannot honour,
+so the engine emits flat ``dispatch``/``admit``/``round_close`` spans
+and the ``async.*`` metrics instead of ``round`` spans.  At ``S = 0``
+one round is in flight at a time, and the run computes what the
+synchronous trainer does: the same history apart from
+``virtual_time``, and the same parameters
+(``tests/test_events_engine.py``).
 
 Checkpoints capture the virtual clock, the event queue and every
 in-flight round's computed results (recomputing them on resume would
@@ -41,9 +38,8 @@ a SIGKILLed async run resumes bitwise (``tests/test_events_resume.py``).
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -104,18 +100,12 @@ class AsyncFederatedTrainer:
             speed_sigma=self.async_config.speed_sigma,
             drop_rate=self.async_config.drop_rate,
         )
-        self.sync_mode = self.async_config.sync_equivalent  # ckpt: transient — derived from config
         self.closes_done = len(trainer.history)
         self.next_dispatch = self.closes_done + 1
         self.last_dispatch_time: Optional[float] = None
-        self.target_rounds = 0  # ckpt: transient — run()-scoped target
+        self.target_rounds = 0  # ckpt: transient — set by each closed_rounds() call
         self._inflight: Dict[int, _InflightRound] = {}
-        self._handlers: Dict[int, Any] = {}  # ckpt: transient — rebound every construction
-        self.register_handler(DISPATCH, self._on_dispatch)
-        self.register_handler(ARRIVAL, self._on_arrival)
         self._dispatch_pending = False  # ckpt: transient — derived from the queue on restore
-        self._just_closed: List[int] = []  # ckpt: transient — drained within one event
-        self._open_round_span = None  # ckpt: transient — live span handle (S=0 mode)
         trainer.async_engine = self
 
     # -- wiring ----------------------------------------------------------
@@ -128,64 +118,40 @@ class AsyncFederatedTrainer:
     def history(self) -> RunHistory:
         return self.trainer.history
 
-    def register_handler(self, kind: int, handler) -> None:
-        """Bind ``handler`` to event ``kind``.
-
-        Handlers run one at a time on the event loop's single thread,
-        in queue order; the S=0 and kill/resume digest tests pin that
-        they leave the run deterministic.
-        """
-        self._handlers[int(kind)] = handler
-
     # -- the event loop --------------------------------------------------
 
     def run(self, rounds: Optional[int] = None) -> RunHistory:
         """Close ``rounds`` more rounds (default: the configured count).
 
-        Mirrors :meth:`FederatedTrainer.run`: same run-span attributes,
-        same per-close checkpoint schedule, and a restored engine
-        continues the checkpointed trace's still-open ``run`` span.  On
-        return nothing is in flight — every dispatched round has
-        closed — so the engine is at a consistent (checkpointable)
-        boundary between ``run`` calls.
+        The wrapped trainer's :meth:`FederatedTrainer.run` drives
+        :meth:`closed_rounds`, so the run span and the checkpoint
+        schedule are the synchronous run's.  On return nothing is in
+        flight — every dispatched round has closed — so the engine is
+        at a consistent (checkpointable) boundary between ``run`` calls.
         """
-        trainer = self.trainer
-        total = trainer.config.rounds if rounds is None else rounds
-        if total < 1:
-            raise ValueError("rounds must be >= 1")
-        start = len(trainer.history) + 1
-        self.target_rounds = self.closes_done + total
-        run_span = trainer._resume_span
-        trainer._resume_span = None
-        if run_span is None:
-            run_span = self.tracer.span(
-                "run",
-                policy=trainer.policy.name,
-                rounds=total,
-                start_iteration=start,
-            )
-            run_span.__enter__()
-        run_span.set_rt("backend", trainer.executor.name)
-        try:
-            self._maybe_schedule_dispatch()
-            while self.closes_done < self.target_rounds:
-                event = self.queue.pop()
-                self.clock.advance_to(event.time)
-                self._handlers[event.kind](event)
-                # Checkpoints happen here, between events: the handler
-                # has returned, spans are closed, clock and queue are
-                # consistent — the same boundary the synchronous loop
-                # saves at.  One arrival can close several rounds
-                # back-to-back; only the last is saved (the earlier
-                # closes share this exact state), named for it.
-                if self._just_closed:
-                    closed = self._just_closed[-1]
-                    self._just_closed.clear()
-                    if trainer.checkpointer is not None:
-                        trainer.checkpointer.maybe_save(trainer, closed)
-        finally:
-            run_span.__exit__(*sys.exc_info())
-        return trainer.history
+        return self.trainer.run(rounds)
+
+    def closed_rounds(self, rounds: int) -> Iterator[int]:
+        """Process events until ``rounds`` more rounds have closed.
+
+        Yields at each event boundary where rounds closed: the handler
+        has returned, clock and queue are consistent, and the trainer
+        may checkpoint.  One arrival can close several rounds back to
+        back; the boundary yields only the last (the earlier closes
+        share this exact state).
+        """
+        self.target_rounds = self.closes_done + rounds
+        self._maybe_schedule_dispatch()
+        while self.closes_done < self.target_rounds:
+            event = self.queue.pop()
+            self.clock.advance_to(event.time)
+            closes = self.closes_done
+            if event.kind == DISPATCH:
+                self._on_dispatch(event)
+            else:
+                self._on_arrival(event)
+            if self.closes_done > closes:
+                yield self.closes_done
 
     def _dispatch_allowed(self, iteration: int) -> bool:
         """The bounded-staleness gate for dispatching ``iteration``."""
@@ -204,7 +170,7 @@ class AsyncFederatedTrainer:
         if iteration > self.target_rounds or self._dispatch_pending:
             return
         if not self._dispatch_allowed(iteration):
-            if count_deferred and not self.sync_mode and self.tracer.enabled:
+            if count_deferred and self.tracer.enabled:
                 self.tracer.metrics.counter("async.deferred_dispatches").inc()
             return
         time = self.clock.now
@@ -223,32 +189,13 @@ class AsyncFederatedTrainer:
         trainer = self.trainer
         t = event.iteration
         self._dispatch_pending = False
-        if self.sync_mode:
-            # Exactly the synchronous loop's round span, entered here
-            # and exited when the round closes — with one round in
-            # flight the spans nest just as run_round's would.
-            span = self.tracer.span("round", iteration=t)
-            span.__enter__()
-            try:
-                state = trainer._begin_round(t, span)
-            except BaseException:
-                if self.tracer.enabled:
-                    self.tracer.rollup = None
-                span.__exit__(*sys.exc_info())
-                raise
-            self._open_round_span = span
-        else:
-            state = trainer._begin_round(t, None)
-            # The rollup slot is only consumed inside run_round; park
-            # it on the inflight state so overlapping rounds cannot
-            # cross-feed.
-            if self.tracer.enabled:
-                self.tracer.rollup = None
-            if trainer.store is not None:
-                # Retire the views now: a later dispatch may check the
-                # same client out again while this round is in flight
-                # (checkout refuses a client that is still out).
-                trainer.store.writeback(state.views)
+        state = trainer._begin_round(t, None)
+        if trainer.store is not None:
+            # Retire the views now: a later dispatch may check the same
+            # client out again while this round is in flight (checkout
+            # refuses a client that is still out).
+            trainer.store.writeback(state.views)
+            state.views = []
         inflight = _InflightRound(
             state=state,
             dispatch_time=self.clock.now,
@@ -278,7 +225,7 @@ class AsyncFederatedTrainer:
                 self.queue.push(Event(now + tm.latency_s, ARRIVAL, t, cid))
         self._inflight[t] = inflight
         self.last_dispatch_time = self.clock.now
-        if not self.sync_mode and self.tracer.enabled:
+        if self.tracer.enabled:
             metrics = self.tracer.metrics
             metrics.counter("async.dispatches").inc()
             if inflight.dropped:
@@ -300,7 +247,7 @@ class AsyncFederatedTrainer:
         inflight = self._inflight[event.iteration]
         inflight.pending.remove(event.client_id)
         inflight.arrived.append(event.client_id)
-        if not self.sync_mode and event.client_id in inflight.state.sampled:
+        if event.client_id in inflight.state.sampled:
             self.tracer.record_span(
                 "admit",
                 attrs={
@@ -335,49 +282,33 @@ class AsyncFederatedTrainer:
             ]
             state.participants = [state.participants[i] for i in keep]
             state.results = [state.results[i] for i in keep]
-        if self.sync_mode:
-            span = self._open_round_span
-            self._open_round_span = None
-            try:
-                trainer._finish_round(state, span)
-            except BaseException:
-                if self.tracer.enabled:
-                    self.tracer.rollup = None
-                span.__exit__(*sys.exc_info())
-                raise
-            if self.tracer.enabled:
-                self.tracer.rollup = None
-            span.__exit__(None, None, None)
-        else:
-            staleness = (iteration - 1) - inflight.closes_at_dispatch
-            trainer._finish_round(
-                state,
-                None,
-                staleness=staleness,
-                virtual_time=self.clock.now,
-                merge_scale=self.async_config.merge_weight(staleness),
-                store_writeback=False,
+        staleness = (iteration - 1) - inflight.closes_at_dispatch
+        trainer._finish_round(
+            state,
+            None,
+            staleness=staleness,
+            virtual_time=self.clock.now,
+            merge_scale=self.async_config.merge_weight(staleness),
+        )
+        if self.tracer.enabled:
+            metrics = self.tracer.metrics
+            metrics.counter("async.closes").inc()
+            # Once per closed round, not once per arrival: every inc()
+            # streams a metric event into the trace.
+            metrics.counter("async.arrivals").inc(len(inflight.arrived))
+            metrics.histogram("async.staleness").observe(float(staleness))
+            metrics.gauge("async.virtual_time").set(self.clock.now)
+            self.tracer.record_span(
+                "round_close",
+                attrs={
+                    "iteration": iteration,
+                    "staleness": staleness,
+                    "n_arrived": len(state.participants),
+                    "virtual_time": self.clock.now,
+                },
             )
-            if self.tracer.enabled:
-                metrics = self.tracer.metrics
-                metrics.counter("async.closes").inc()
-                # Once per closed round, not once per arrival: every
-                # inc() streams a metric event into the trace.
-                metrics.counter("async.arrivals").inc(len(inflight.arrived))
-                metrics.histogram("async.staleness").observe(float(staleness))
-                metrics.gauge("async.virtual_time").set(self.clock.now)
-                self.tracer.record_span(
-                    "round_close",
-                    attrs={
-                        "iteration": iteration,
-                        "staleness": staleness,
-                        "n_arrived": len(state.participants),
-                        "virtual_time": self.clock.now,
-                    },
-                )
         del self._inflight[iteration]
         self.closes_done += 1
-        self._just_closed.append(iteration)
 
     # -- checkpoint capture/restore --------------------------------------
 
@@ -389,10 +320,11 @@ class AsyncFederatedTrainer:
         re-emit ``client_compute`` spans the trace already carries and
         fork the digest.  Legal at event boundaries only (between
         handler invocations), which is when the trainer's checkpointer
-        fires.
+        fires.  The manifest records every :class:`AsyncConfig` field:
+        a resume under different knobs would draw a different timeline.
         """
         manifest: Dict[str, Any] = {
-            "staleness_bound": self.async_config.staleness_bound,
+            **asdict(self.async_config),
             "clock": self.clock.state_dict(),
             "queue": self.queue.state_dict(),
             "closes_done": self.closes_done,
@@ -428,13 +360,18 @@ class AsyncFederatedTrainer:
     def restore_state(
         self, state: Dict[str, Any], arrays: Dict[str, np.ndarray]
     ) -> None:
-        """Apply an :meth:`export_state` snapshot to this engine."""
-        if int(state["staleness_bound"]) != self.async_config.staleness_bound:
-            raise ValueError(
-                f"checkpoint was taken with staleness_bound="
-                f"{state['staleness_bound']}, this engine is configured "
-                f"with {self.async_config.staleness_bound}"
-            )
+        """Apply an :meth:`export_state` snapshot to this engine.
+
+        Refuses a snapshot whose :class:`AsyncConfig` differs from this
+        engine's in any field, or lacks one.
+        """
+        for name, ours in asdict(self.async_config).items():
+            theirs = state.get(name, "<missing>")
+            if theirs != ours:
+                raise ValueError(
+                    f"checkpoint was taken with {name}={theirs}, this "
+                    f"engine is configured with {name}={ours}"
+                )
         self.clock.load_state_dict(state["clock"])
         self.queue.load_state_dict(state["queue"])
         self.closes_done = int(state["closes_done"])

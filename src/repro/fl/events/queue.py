@@ -5,8 +5,7 @@ order, so the pop sequence is unambiguous whatever insertion order the
 handlers used, and bitwise-identical across runs and resumes.  At equal
 times arrivals (kind 0) are processed before dispatches (kind 1): a
 result that lands exactly when the next round would start is admitted
-first, which is what lets the S=0 mode interleave close-then-dispatch
-exactly like the synchronous loop.
+first, so a round it completes closes before that dispatch.
 
 Round closes are deliberately *not* heap events — the engine triggers
 them in round order from the arrival handler, so a close can never be

@@ -32,7 +32,7 @@ from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.config import EXECUTOR_BACKENDS
 from repro.fl.workspace import ModelWorkspace
 from repro.nn.module import BatchedUnsupported
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, RoundRollup
 
 __all__ = [
     "BatchedExecutor",
@@ -66,6 +66,8 @@ class RoundPlan:
     #: The participants whose ``client_compute`` span the trace keeps
     #: (:meth:`repro.obs.Tracer.sampled_clients`); None keeps them all.
     sampled: Optional[FrozenSet[int]] = None
+    #: The round's rollup, fed every task's wall time; None when untraced.
+    rollup: Optional[RoundRollup] = None
 
 
 class ClientExecutionError(RuntimeError):
@@ -492,9 +494,8 @@ def _emit_task_spans(
     if not tracer.enabled:
         return
     ids = [client.client_id for client in clients]
-    rollup = tracer.rollup
-    if rollup is not None:
-        rollup.observe_tasks_rt(ids, [dur for dur, _ in timings])
+    if plan.rollup is not None:
+        plan.rollup.observe_tasks_rt(ids, [dur for dur, _ in timings])
     for cid, (dur, worker) in zip(ids, timings):
         if plan.sampled is None or cid in plan.sampled:
             tracer.record_span(

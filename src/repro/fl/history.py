@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, List, Optional, Union
 
@@ -35,9 +35,9 @@ class RoundRecord:
 
     ``staleness`` is how many later rounds closed between this round's
     dispatch and its aggregation, and ``virtual_time`` the simulated
-    close time — both always zero under the synchronous trainer (and
-    the async engine's S=0 mode, whose histories are bitwise the
-    synchronous ones), nonzero only under bounded-staleness async runs.
+    close time.  The synchronous trainer records zeros for both; the
+    async engine records the close time on its virtual clock, and a
+    staleness of zero at ``S = 0``.
     """
 
     iteration: int
@@ -127,25 +127,13 @@ class RunHistory:
 
     # -- JSONL round-trip ----------------------------------------------
 
-    def to_jsonl(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        append: bool = False,
-    ) -> str:
+    def to_jsonl(self, path: Optional[Union[str, Path]] = None) -> str:
         """Serialise as JSON lines: a schema header, then one record per line.
 
         Returns the text; also writes it to ``path`` when given (via an
         atomic replace, so a crash never leaves a half-written file).
         The format round-trips exactly through :meth:`from_jsonl` (plain
         ints/floats only, so equality is bitwise).
-
-        ``append=True`` is *continuation* mode for resumed runs: when
-        ``path`` already holds a history, this history must extend it —
-        same policy, byte-identical records for every iteration the file
-        already covers — otherwise a ``ValueError`` refuses the write.
-        The full serialisation is still written atomically (the file is
-        replaced, not appended to in place); ``append`` names the
-        contract, not the syscall.
         """
         lines = [
             json.dumps(
@@ -162,31 +150,8 @@ class RunHistory:
         )
         text = "\n".join(lines) + "\n"
         if path is not None:
-            if append and Path(path).exists():
-                self._check_continuation(Path(path))
             atomic_write_text(path, text)
         return text
-
-    def _check_continuation(self, path: Path) -> None:
-        """Require this history to be a superset of the one at ``path``."""
-        existing = type(self).from_jsonl(path)
-        if existing.policy_name != self.policy_name:
-            raise ValueError(
-                f"history at {path} is for policy "
-                f"{existing.policy_name!r}, not {self.policy_name!r}; "
-                "refusing to overwrite"
-            )
-        if len(existing) > len(self):
-            raise ValueError(
-                f"history at {path} has {len(existing)} records, more "
-                f"than this run's {len(self)}; refusing to overwrite"
-            )
-        for old, new in zip(existing.records, self.records):
-            if asdict(old) != asdict(new):
-                raise ValueError(
-                    f"history at {path} diverges at iteration "
-                    f"{old.iteration}; refusing to overwrite"
-                )
 
     @classmethod
     def from_jsonl(cls, source: Union[str, Path]) -> "RunHistory":

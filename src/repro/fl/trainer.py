@@ -68,10 +68,11 @@ class RoundState:
     The synchronous loop builds and consumes one per round back to
     back; the async engine (:mod:`repro.fl.events`) holds several in
     flight while their virtual-latency arrivals trickle in.  ``views``
-    is the full checked-out cohort (what a store writeback must retire)
+    is the checked-out cohort the decide half still has to write back
+    to the store (the engine retires it at dispatch and empties it),
     while ``participants``/``results`` may be narrowed to the clients
     whose uploads actually arrived (churn drops never reach the decide
-    half); under the synchronous trainer the two are always identical.
+    half).
     """
 
     iteration: int
@@ -195,14 +196,7 @@ class FederatedTrainer:
     def run_round(self, t: int) -> RoundRecord:
         """Execute one synchronous iteration (1-based index ``t``)."""
         with self.tracer.span("round", iteration=t) as round_span:
-            try:
-                state = self._begin_round(t, round_span)
-                return self._finish_round(state, round_span)
-            finally:
-                # The rollup accumulator never outlives its round, even
-                # when the round dies mid-flight.
-                if self.tracer.enabled:
-                    self.tracer.rollup = None
+            return self._finish_round(self._begin_round(t, round_span), round_span)
 
     def _begin_round(self, t: int, round_span) -> RoundState:
         """The compute half: select a cohort and fan it out.
@@ -211,8 +205,8 @@ class FederatedTrainer:
         (:meth:`_finish_round`) consumes.  The synchronous loop calls
         the two back to back under one ``round`` span; the async engine
         calls them from its dispatch and close handlers with (possibly)
-        other rounds in between.  ``round_span`` may be None (the
-        engine's bounded-staleness mode has no enclosing round span).
+        other rounds in between.  ``round_span`` is None under the
+        engine, whose overlapping rounds have no enclosing round span.
         """
         lr = self.config.lr(t)
         feedback = self.server.feedback
@@ -235,6 +229,10 @@ class FederatedTrainer:
         sampled = self.tracer.sampled_clients(
             t, [client.client_id for client in participants]
         )
+        # One rollup per round: executors feed wall-clock task timings
+        # for every participant (sampled or not), the decide loop in
+        # _finish_round feeds the deterministic decision stream.
+        rollup = RoundRollup(t) if self.tracer.enabled else None
         plan = RoundPlan(
             iteration=t,
             lr=lr,
@@ -242,14 +240,8 @@ class FederatedTrainer:
             batch_size=self.config.batch_size,
             global_params=global_params,
             sampled=sampled,
+            rollup=rollup,
         )
-        # One rollup per round: executors feed wall-clock task timings
-        # for every participant (sampled or not), the decide loop in
-        # _finish_round feeds the deterministic decision stream.
-        rollup: Optional[RoundRollup] = None
-        if self.tracer.enabled:
-            rollup = RoundRollup(t)
-            self.tracer.rollup = rollup
         results = self.executor.run_round(plan, participants)
         return RoundState(
             iteration=t,
@@ -271,17 +263,13 @@ class FederatedTrainer:
         staleness: int = 0,
         virtual_time: float = 0.0,
         merge_scale: float = 1.0,
-        store_writeback: bool = True,
     ) -> RoundRecord:
         """The decide/aggregate half: a strictly ordered reduction.
 
-        ``staleness``/``virtual_time`` flow into the round record (and
-        the policy context); ``merge_scale`` is the staleness weight the
-        aggregate is scaled by before it moves the model (1.0 takes the
-        exact unscaled path, so synchronous arithmetic is untouched);
-        ``store_writeback=False`` is for the async engine, which retires
-        store views at dispatch time instead (a later round may check
-        the same client out again while this one is still in flight).
+        ``staleness``/``virtual_time`` flow into the round record;
+        ``merge_scale`` is the staleness weight the aggregate is scaled
+        by before it moves the model (1.0 takes the exact unscaled
+        path, so synchronous arithmetic is untouched).
         """
         t = state.iteration
         lr = state.lr
@@ -298,7 +286,6 @@ class FederatedTrainer:
             iteration=t,
             global_params=global_params,
             global_update_estimate=feedback,
-            staleness=staleness,
         )
         uploads: List[ClientUpdate] = []
         skipped: List[ClientUpdate] = []
@@ -386,15 +373,15 @@ class FederatedTrainer:
             # Account participation into the shard stats and capture
             # every view's advanced RNG stream back into its row; after
             # this the round's views are retired and the store is
-            # consistent (checkpointable) again.  (The async engine
-            # retires views at dispatch instead — store_writeback=False
-            # — so only the stats are recorded here.)
+            # consistent (checkpointable) again.  The async engine
+            # retires its views at dispatch and hands over none — and
+            # writeback([]) would empty the spare-generator pool.
             self.store.record_round(
                 t,
                 [u.client_id for u in uploads],
                 [s.client_id for s in skipped],
             )
-            if store_writeback:
+            if state.views:
                 self.store.writeback(state.views)
             if rollup is not None:
                 rollup.extra["store"] = {"population": self.store.population}
@@ -425,7 +412,6 @@ class FederatedTrainer:
             rollup_attrs = rollup.attrs()
             rollup_rt = rollup.rt()
             self.tracer.event("round_rollup", attrs=rollup_attrs, rt=rollup_rt)
-            self.tracer.rollup = None
             if self.health is not None:
                 metrics = self.tracer.metrics
                 counter_bytes = None
@@ -450,11 +436,15 @@ class FederatedTrainer:
     def run(self, rounds: Optional[int] = None) -> RunHistory:
         """Run ``rounds`` iterations (default: the configured count).
 
+        A trainer wrapped by an
+        :class:`~repro.fl.events.AsyncFederatedTrainer` closes them
+        through the engine's event loop instead of :meth:`run_round`.
         With checkpointing configured, a checkpoint is saved after each
-        round the schedule selects.  A trainer built by :meth:`restore`
-        continues the checkpointed trace's still-open ``run`` span
-        instead of opening a new one, so the resumed event stream is
-        indistinguishable from an uninterrupted run's.
+        closed round the schedule selects (an engine event that closes
+        several rounds saves once, named for the last).  A trainer built by
+        :meth:`restore` continues the checkpointed trace's still-open
+        ``run`` span instead of opening a new one, so the resumed event
+        stream is indistinguishable from an uninterrupted run's.
         """
         total = self.config.rounds if rounds is None else rounds
         if total < 1:
@@ -471,9 +461,12 @@ class FederatedTrainer:
             )
             run_span.__enter__()
         run_span.set_rt("backend", self.executor.name)
+        if self.async_engine is None:
+            closed = (self.run_round(t).iteration for t in range(start, start + total))
+        else:
+            closed = self.async_engine.closed_rounds(total)
         try:
-            for t in range(start, start + total):
-                self.run_round(t)
+            for t in closed:
                 if self.checkpointer is not None:
                     self.checkpointer.maybe_save(self, t)
         finally:

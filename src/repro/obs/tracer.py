@@ -54,7 +54,7 @@ from time import monotonic
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.obs.rollup import RoundRollup, SpanSampler
+from repro.obs.rollup import SpanSampler
 from repro.obs.sinks import MemorySink, TraceSink
 
 __all__ = [
@@ -132,10 +132,6 @@ class Tracer:
         # re-derives it from the config, so it never rides in a
         # checkpoint.
         self.sampler: Optional[SpanSampler] = None  # ckpt: transient — config-derived pure hash
-        # The current round's rollup accumulator, attached by the
-        # trainer for the duration of one round so executors can feed
-        # per-task runtime data; always None at round boundaries.
-        self.rollup: Optional[RoundRollup] = None  # ckpt: transient — intra-round scratch
         self._seq = 0
         self._next_id = 1
         self._stack: List[Span] = []
@@ -401,7 +397,6 @@ class NullTracer:
     enabled = False
     metrics = _NULL_METRICS
     sampler = None
-    rollup = None
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN

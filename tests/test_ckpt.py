@@ -382,32 +382,6 @@ class TestHistoryContinuation:
         assert history.to_jsonl() == reference
         assert history.records[1].test_metric is None
 
-    def test_append_extends_existing_file(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        _history(n=2).to_jsonl(path)
-        _history(n=4).to_jsonl(path, append=True)
-        assert len(RunHistory.from_jsonl(path)) == 4
-
-    def test_append_refuses_divergent_history(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        _history(n=3).to_jsonl(path)
-        divergent = _history(n=4)
-        divergent.records[1].mean_train_loss = 99.0
-        with pytest.raises(ValueError, match="diverges at iteration 2"):
-            divergent.to_jsonl(path, append=True)
-
-    def test_append_refuses_policy_mismatch(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        _history(policy="cmfl").to_jsonl(path)
-        with pytest.raises(ValueError, match="policy"):
-            _history(policy="vanilla").to_jsonl(path, append=True)
-
-    def test_append_refuses_shorter_history(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        _history(n=4).to_jsonl(path)
-        with pytest.raises(ValueError, match="refusing to overwrite"):
-            _history(n=2).to_jsonl(path, append=True)
-
 
 # -- trace truncation + tracer continuation ---------------------------------
 

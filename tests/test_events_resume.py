@@ -3,6 +3,7 @@
 from its last checkpoint is bitwise-identical to an uninterrupted one —
 history, parameters and trace digest."""
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -135,16 +136,45 @@ def test_checkpoint_captures_inflight_rounds(tmp_path):
     assert seen_inflight > 0
 
 
-def test_restore_rejects_staleness_bound_mismatch(tmp_path):
-    kw = _kwargs(tmp_path, "mis")
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """One uninterrupted smoke run's kwargs, shared by the refusals."""
+    kw = _kwargs(tmp_path_factory.mktemp("finished"), "mis")
     _run_uninterrupted(kw)
-    path = latest_checkpoint(kw["ckpt_dir"])
-    with pytest.raises(ValueError, match="staleness_bound"):
+    return kw
+
+
+#: One changed value per AsyncConfig field (the smoke run uses S=2,
+#: dispatch 0.4 s, drop 0.1, sigma 1.0).
+MISMATCHES = {
+    "staleness_bound": 7,
+    "dispatch_interval_s": 0.5,
+    "drop_rate": 0.0,
+    "speed_sigma": 0.5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHES))
+def test_restore_rejects_async_config_mismatch(finished_run, name):
+    path = latest_checkpoint(finished_run["ckpt_dir"])
+    ours = MISMATCHES[name]
+    theirs = getattr(async_config(), name)
+    with pytest.raises(ValueError, match=rf"{name}={theirs}.*{name}={ours}"):
         AsyncFederatedTrainer.restore(
             path,
-            async_config=async_config(staleness_bound=7),
-            **federation_parts(**kw),
+            async_config=dataclasses.replace(async_config(), **{name: ours}),
+            **federation_parts(**finished_run),
         )
+
+
+def test_restore_rejects_a_snapshot_missing_a_knob(finished_run):
+    """A checkpoint that does not record a knob cannot prove it matches."""
+    ckpt = read_checkpoint(latest_checkpoint(finished_run["ckpt_dir"]))
+    state = dict(ckpt.manifest["async"])
+    del state["drop_rate"]
+    engine = _build_engine(dict(finished_run, ckpt_dir=None, trace_path=None))
+    with pytest.raises(ValueError, match="drop_rate=<missing>"):
+        engine.restore_state(state, ckpt.arrays)
 
 
 def test_sync_checkpoint_refused_by_async_restore(tmp_path):

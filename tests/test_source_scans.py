@@ -247,12 +247,42 @@ def test_dependency_scan_flags_an_undeclared_scipy():
     assert found and {f.split(": ")[-1] for f in found} == {"scipy"}
 
 
+# -- the async engine drives the trainer through two halves only --------------
+
+#: The private ``FederatedTrainer`` names ``fl/events/`` may call.
+TRAINER_SEAM = {"_begin_round", "_finish_round"}
+
+
+def private_trainer_reach(tree):
+    """``trainer._name`` under ``fl/events/`` for any name off the seam."""
+    return [
+        f"{path}:{node.lineno}: {_dotted(node)}"
+        for path, node in _nodes(tree, ast.Attribute)
+        if path.startswith("fl/events/")
+        and node.attr.startswith("_")
+        and node.attr not in TRAINER_SEAM
+        and _dotted(node.value).rpartition(".")[2] == "trainer"
+    ]
+
+
+def test_events_reach_only_the_trainer_seam():
+    offenders = private_trainer_reach(_tree())
+    assert offenders == [], (
+        "fl/events touches private trainer state:\n  "
+        + "\n  ".join(offenders)
+        + "\nThe engine may call only _begin_round and _finish_round; the run "
+        "loop, its span and the checkpoints stay in FederatedTrainer.run. "
+        "ROADMAP 1(c) + 5(a) make those two halves public."
+    )
+
+
 # -- every scan catches its seed -----------------------------------------------
 
 #: Run over the whole tree by tests/test_lint_clean.py.
 SCANS = [uncaptured_state, library_prints, bare_artifact_writes, implicit_dtypes]
 ROUND_LOOP = "        results = self.executor.run_round(plan, participants)\n"
 HISTORY = "        self.history = RunHistory(policy_name=policy.name)\n"
+DISPATCH = "        state = trainer._begin_round(t, None)\n"
 #: (scan, file, old text, seeded text, what the one finding names)
 SEEDS = [
     (uncaptured_state, "fl/trainer.py", HISTORY, HISTORY + "        self._foo = 1\n",
@@ -265,6 +295,8 @@ SEEDS = [
      "self.live = np.zeros(rows)", "np.zeros()"),
     (worker_pool_imports, "fl/executor.py", "from time import monotonic\n",
      "import threading\nfrom time import monotonic\n", "threading"),
+    (private_trainer_reach, "fl/events/engine.py", DISPATCH,
+     "        trainer._resume_span = None\n" + DISPATCH, "trainer._resume_span"),
 ]
 
 

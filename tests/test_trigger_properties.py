@@ -47,13 +47,12 @@ if hypothesis_installed:
     iterations = st.integers(1, 1000)
     seeds = st.integers(0, 2**31 - 1)
 
-    def _ctx(update, iteration, seed, staleness=0):
+    def _ctx(update, iteration, seed):
         gen = np.random.default_rng(seed)
         return PolicyContext(
             iteration=iteration,
             global_params=gen.normal(size=update.shape),
             global_update_estimate=gen.normal(size=update.shape),
-            staleness=staleness,
         )
 
     POLICIES = [
@@ -63,8 +62,8 @@ if hypothesis_installed:
     ]
 
     @settings(max_examples=50)
-    @given(finite_vectors, iterations, seeds, st.integers(0, 8))
-    def test_check_is_pure(u, iteration, seed, staleness):
+    @given(finite_vectors, iterations, seeds)
+    def test_check_is_pure(u, iteration, seed):
         """Same inputs -> the same decision, every time, for every rule.
 
         Fresh but equal context objects (separate round caches) must
@@ -72,8 +71,8 @@ if hypothesis_installed:
         per round and per resume.
         """
         for policy in POLICIES:
-            first = policy.decide(u, _ctx(u, iteration, seed, staleness))
-            again = policy.decide(u, _ctx(u, iteration, seed, staleness))
+            first = policy.decide(u, _ctx(u, iteration, seed))
+            again = policy.decide(u, _ctx(u, iteration, seed))
             assert first == again
 
     @settings(max_examples=50)
