@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset
 from repro.data.har import TaskData
@@ -43,6 +42,8 @@ def make_semeion_tasks(
     outliers whose *training* labels carry heavy flip noise (their test
     labels stay clean), mirroring the HAR generator.
     """
+    from scipy import ndimage  # see render_digit
+
     if n_clients < 1:
         raise ValueError("need at least 1 client")
     if not 0.0 < positive_fraction < 1.0:

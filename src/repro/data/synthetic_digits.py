@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset
 from repro.utils.rng import RngLike, ensure_rng
@@ -60,6 +59,10 @@ def render_digit(
     noise_std: float = 0.05,
 ) -> np.ndarray:
     """Render one ``(image_size, image_size)`` sample of ``digit`` in [0, 1]."""
+    # Imported on first use, so that ``import repro`` does not load
+    # scipy: only the digit and Semeion generators and MOCHA need it.
+    from scipy import ndimage
+
     if not 0 <= digit < N_CLASSES:
         raise ValueError(f"digit must be in [0, {N_CLASSES}), got {digit}")
     if image_size < 16:

@@ -58,7 +58,7 @@ def _optimal_loss(data: Dataset, iters: int = 3000) -> float:
     for _ in range(iters):
         model.zero_grad()
         out = model.forward(data.x, training=True)
-        value = loss.forward(out, data.y)
+        value = loss.forward(out, data.y, training=True)
         model.backward(loss.backward())
         opt.step()
     return value

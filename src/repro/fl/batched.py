@@ -143,7 +143,7 @@ class BatchedWorkspace:
         binder, model, loss = bound
         binder.grad[...] = 0.0
         out = model.forward(x, training=True)
-        loss_values = loss.forward(out, y)
+        loss_values = loss.forward(out, y, training=True)
         model.head_backward(loss.backward())
         # In place on the gradient rows (the next step zeroes them):
         # no stack-sized temporary, same ``lr * (grad + wd * param)``.

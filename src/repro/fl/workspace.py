@@ -65,7 +65,7 @@ class ModelWorkspace:
         """
         self.model.zero_grad()
         out = self.model.forward(x, training=True)
-        loss_value = self.loss.forward(out, y)
+        loss_value = self.loss.forward(out, y, training=True)
         self.model.head_backward(self.loss.backward())
         self.optimizer.step(lr=lr)
         return loss_value

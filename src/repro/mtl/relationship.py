@@ -14,7 +14,6 @@ W is near zero.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 __all__ = ["relationship_matrix"]
 
@@ -25,6 +24,8 @@ def relationship_matrix(weights: np.ndarray, ridge: float = 1e-3) -> np.ndarray:
     Returns a symmetric positive-definite ``(n_tasks, n_tasks)`` matrix
     with unit trace (up to the ridge).
     """
+    from scipy import linalg  # only MOCHA runs pay for scipy
+
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {w.shape}")

@@ -9,9 +9,11 @@ embedding), losses, optimizers and the flat-vector parameter
 
 Every layer follows the same contract:
 
-- ``forward(x, training=...)`` caches whatever the backward pass needs;
-- ``backward(grad_output)`` accumulates parameter gradients into
-  ``Parameter.grad`` and returns the gradient w.r.t. the layer input.
+- ``forward(x, training=True)`` caches whatever the backward pass
+  needs; an inference forward (``training=False``) caches nothing;
+- ``backward(grad_output)`` consumes that cache, accumulates parameter
+  gradients into ``Parameter.grad`` and returns the gradient w.r.t. the
+  layer input.
 
 All gradients are verified against finite differences in the test suite
 (see :mod:`repro.nn.gradcheck`).

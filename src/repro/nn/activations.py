@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import BatchedParamBinder, BatchedStateless, Module
+from repro.nn.module import (
+    BatchedParamBinder,
+    BatchedStateless,
+    Module,
+    claim_cache,
+    keep_cache,
+)
 
 __all__ = ["ReLU", "select_grad", "sigmoid", "softmax"]
 
@@ -48,20 +54,14 @@ def select_grad(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
 class ReLU(Module):
     """max(0, x)."""
 
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
-        self._mask = x > 0
+        keep_cache(self, training, x.shape, x > 0)
         # maximum(x, 0.0) selects exactly what where(mask, x, 0.0)
         # would (+0.0 for every non-positive input) in one pass.
         return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return select_grad(self._mask, grad_output)
+        return select_grad(claim_cache(self, grad_output.shape), grad_output)
 
     def batched(self, binder: BatchedParamBinder) -> BatchedStateless:
         del binder  # parameter-free

@@ -60,8 +60,8 @@ def check_module_gradients(
     for tiny modules only (cost is O(parameters) forward passes).
     """
     module.zero_grad()
-    out = module.forward(x, training=False)
-    loss.forward(out, targets)
+    out = module.forward(x, training=True)
+    loss.forward(out, targets, training=True)
     module.backward(loss.backward())
 
     worst = 0.0
@@ -85,8 +85,8 @@ def check_input_gradient(
 ) -> float:
     """Worst relative error of the gradient w.r.t. the module input."""
     module.zero_grad()
-    out = module.forward(x, training=False)
-    loss.forward(out, targets)
+    out = module.forward(x, training=True)
+    loss.forward(out, targets, training=True)
     analytic = module.backward(loss.backward())
 
     def f() -> float:

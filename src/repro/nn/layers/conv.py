@@ -25,6 +25,8 @@ from repro.nn.module import (
     BatchedParamBinder,
     BatchedStateless,
     Module,
+    claim_cache,
+    keep_cache,
 )
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike
@@ -111,11 +113,11 @@ def col2im(
     return np.ascontiguousarray(_fold(windows, h, w, stride).transpose(2, 3, 0, 1))
 
 
-def _conv_forward(layer, x: np.ndarray) -> np.ndarray:
+def _conv_forward(layer, x: np.ndarray) -> Tuple[np.ndarray, tuple]:
     """Convolve ``(clients, batch, channels, H, W)`` with ``layer``'s
     stacked operands: ``w_rows`` ``(clients, F, channels * k * k)`` and
-    ``bias`` ``(clients, F)``.  ``layer`` also gives the geometry and
-    keeps the cache.
+    ``bias`` ``(clients, F)``; ``layer`` also gives the geometry.
+    Returns the output and the unfold :func:`_conv_backward` reads.
     """
     w_rows, bias, _, _ = layer._stacked()
     k = layer.kernel_size
@@ -123,7 +125,6 @@ def _conv_forward(layer, x: np.ndarray) -> np.ndarray:
         pad = (layer.padding, layer.padding)
         x = np.pad(x, ((0, 0), (0, 0), (0, 0), pad, pad))
     cols, out_h, out_w = im2col(x, k, k, layer.stride)
-    layer._cache = (cols, x.shape)
     # One BLAS GEMM per image (broadcast matmul) rather than a c_einsum
     # contraction: dgemm is SIMD-blocked where einsum runs naive loops.
     # matmul loops BLAS over 2-D slices, and each per-client slice has
@@ -132,19 +133,19 @@ def _conv_forward(layer, x: np.ndarray) -> np.ndarray:
     # bitwise the one-row result.
     out = np.matmul(w_rows[:, None], cols)
     out += bias[:, None, :, None]
-    return out.reshape(out.shape[:3] + (out_h, out_w))
+    return out.reshape(out.shape[:3] + (out_h, out_w)), (cols, x.shape)
 
 
-def _conv_backward(layer, grad_output: np.ndarray, head: bool) -> Optional[np.ndarray]:
+def _conv_backward(
+    layer, cache: tuple, grad_output: np.ndarray, head: bool
+) -> Optional[np.ndarray]:
     """Accumulate into ``layer``'s stacked ``dw`` / ``db`` in place and
     return the stacked input gradient — or None for the network
     ``head``, whose input gradient (the dcols GEMM plus the fold, the
     layer's most expensive backward ops) is dead work.
     """
-    if layer._cache is None:
-        raise RuntimeError("backward called before forward")
     w_rows, _, dw, db = layer._stacked()
-    cols, (c, n, ch, h, w) = layer._cache
+    cols, (c, n, ch, h, w) = cache
     k, stride, pad = layer.kernel_size, layer.stride, layer.padding
     f = w_rows.shape[1]
     grad_flat = grad_output.reshape(c, n, f, -1)
@@ -205,7 +206,6 @@ class Conv2D(Module):
         self.bias = Parameter(
             np.zeros(out_channels, dtype=float), name=f"{name}.bias"
         )
-        self._cache: tuple | None = None
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
@@ -219,19 +219,22 @@ class Conv2D(Module):
         )
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected input (batch, {self.in_channels}, H, W), got {x.shape}"
             )
-        return _conv_forward(self, x[None])[0]
+        out, cache = _conv_forward(self, x[None])
+        keep_cache(self, training, out.shape[1:], cache)
+        return out[0]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return _conv_backward(self, grad_output[None], head=False)[0]
+        cache = claim_cache(self, grad_output.shape)
+        return _conv_backward(self, cache, grad_output[None], head=False)[0]
 
     def head_backward(self, grad_output: np.ndarray) -> None:
         # Parameter gradients are bitwise those of ``backward``.
-        return _conv_backward(self, grad_output[None], head=True)
+        cache = claim_cache(self, grad_output.shape)
+        return _conv_backward(self, cache, grad_output[None], head=True)
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedConv2D":
         return BatchedConv2D(self, binder)
@@ -263,25 +266,27 @@ class BatchedConv2D(BatchedModule):
                 "stacked conv weight rows materialised a copy; forward "
                 "would read stale parameters"
             )
-        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
                 f"expected input (clients, batch, {self.in_channels}, H, W), "
                 f"got {x.shape}"
             )
-        return _conv_forward(self, x)
+        out, cache = _conv_forward(self, x)
+        keep_cache(self, training, out.shape, cache)
+        return out
 
     def _stacked(self) -> Tuple[np.ndarray, ...]:
         return self._w_rows, self._b, self._dw, self._db
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return _conv_backward(self, grad_output, head=False)
+        cache = claim_cache(self, grad_output.shape)
+        return _conv_backward(self, cache, grad_output, head=False)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        return _conv_backward(self, grad_output, head=True)
+        cache = claim_cache(self, grad_output.shape)
+        return _conv_backward(self, cache, grad_output, head=True)
 
 
 class MaxPool2D(Module):
@@ -298,11 +303,8 @@ class MaxPool2D(Module):
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         self.pool_size = pool_size
-        self._wins: np.ndarray | None = None
-        self._in_shape: Tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         if x.ndim < 3:
             raise ValueError(
                 f"expected (..., channels, H, W) input, got shape {x.shape}"
@@ -311,7 +313,6 @@ class MaxPool2D(Module):
         p = self.pool_size
         if h % p or w % p:
             raise ValueError(f"input {h}x{w} not divisible by pool size {p}")
-        self._in_shape = x.shape
         # De-interleave once: slab k = i*p + j holds window position
         # (i, j) of every window, contiguously, so the maxima and
         # comparisons below are flat passes instead of stride-p ones.
@@ -331,21 +332,18 @@ class MaxPool2D(Module):
         for k in range(1, p * p):
             np.greater(wins[k], seen, out=wins[k])  # equal here, nowhere before
             seen |= wins[k]
-        self._wins = wins
+        keep_cache(self, training, out.shape, (wins, x.shape))
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._wins is None:
-            raise RuntimeError("backward called before forward")
-        w = self._in_shape[-1]
+        wins, in_shape = claim_cache(self, grad_output.shape)
+        w = in_shape[-1]
         p = self.pool_size
         # Windows are disjoint, so every input element is its window's
         # gradient or +0.0: select per slab in one flat pass, then
         # interleave the slabs back with one stride-p store per j.
-        picked = select_grad(
-            self._wins.reshape(p, p, -1), grad_output.reshape(-1)
-        )
-        dx = np.empty(self._in_shape, dtype=np.float64)
+        picked = select_grad(wins.reshape(p, p, -1), grad_output.reshape(-1))
+        dx = np.empty(in_shape, dtype=np.float64)
         rows = dx.reshape(-1, p, w // p, p)  # (window row, i, window, j)
         for j in range(p):
             rows[:, :, :, j] = picked[:, j].reshape(p, -1, w // p).transpose(1, 0, 2)

@@ -7,7 +7,13 @@ from typing import List
 import numpy as np
 
 from repro.nn.initializers import get_initializer
-from repro.nn.module import BatchedModule, BatchedParamBinder, Module
+from repro.nn.module import (
+    BatchedModule,
+    BatchedParamBinder,
+    Module,
+    claim_cache,
+    keep_cache,
+)
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike
 
@@ -42,37 +48,33 @@ class Dense(Module):
             if use_bias
             else None
         )
-        self._x: np.ndarray | None = None
 
     def parameters(self) -> List[Parameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input (batch, {self.in_features}), got {x.shape}"
             )
-        self._x = x
         out = x @ self.weight.data
         if self.bias is not None:
             out = out + self.bias.data
+        keep_cache(self, training, out.shape, x)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += self._x.T @ grad_output
+    def _accumulate(self, grad_output: np.ndarray) -> None:
+        x = claim_cache(self, grad_output.shape)
+        self.weight.grad += x.T @ grad_output
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self._accumulate(grad_output)
         return grad_output @ self.weight.data.T
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += self._x.T @ grad_output
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
+        self._accumulate(grad_output)
         return None  # input gradient elided (see Module.head_backward)
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedDense":
@@ -101,33 +103,29 @@ class BatchedDense(BatchedModule):
         else:
             self._b = None
             self._db = None
-        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         if x.ndim != 3 or x.shape[2] != self.in_features:
             raise ValueError(
                 f"expected input (clients, batch, {self.in_features}), "
                 f"got {x.shape}"
             )
-        self._x = x
         out = x @ self._w
         if self._b is not None:
             out = out + self._b[:, None, :]
+        keep_cache(self, training, out.shape, x)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self._dw += self._x.transpose(0, 2, 1) @ grad_output
+    def _accumulate(self, grad_output: np.ndarray) -> None:
+        x = claim_cache(self, grad_output.shape)
+        self._dw += x.transpose(0, 2, 1) @ grad_output
         if self._db is not None:
             self._db += grad_output.sum(axis=1)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self._accumulate(grad_output)
         return grad_output @ self._w.transpose(0, 2, 1)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self._dw += self._x.transpose(0, 2, 1) @ grad_output
-        if self._db is not None:
-            self._db += grad_output.sum(axis=1)
+        self._accumulate(grad_output)
         return None  # input gradient elided (see Module.head_backward)

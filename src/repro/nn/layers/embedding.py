@@ -7,7 +7,13 @@ from typing import List
 import numpy as np
 
 from repro.nn.initializers import normal
-from repro.nn.module import BatchedModule, BatchedParamBinder, Module
+from repro.nn.module import (
+    BatchedModule,
+    BatchedParamBinder,
+    Module,
+    claim_cache,
+    keep_cache,
+)
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike
 
@@ -31,33 +37,31 @@ class Embedding(Module):
         self.weight = Parameter(
             normal((vocab_size, embedding_dim), rng, std=0.05), name=f"{name}.weight"
         )
-        self._ids: np.ndarray | None = None
 
     def parameters(self) -> List[Parameter]:
         return [self.weight]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         ids = np.asarray(x)
         if not np.issubdtype(ids.dtype, np.integer):
             raise TypeError(f"Embedding expects integer ids, got dtype {ids.dtype}")
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab_size:
             raise ValueError("token id out of range for vocabulary")
-        self._ids = ids
-        return self.weight.data[ids]
+        out = self.weight.data[ids]
+        keep_cache(self, training, out.shape, ids)
+        return out
+
+    def _accumulate(self, grad_output: np.ndarray) -> None:
+        np.add.at(self.weight.grad, claim_cache(self, grad_output.shape), grad_output)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        np.add.at(self.weight.grad, self._ids, grad_output)
+        self._accumulate(grad_output)
         # Token ids are not differentiable; return a zero placeholder of
-        # the input's shape for API uniformity.
-        return np.zeros(self._ids.shape, dtype=float)
+        # the input's shape (the gradient's, less the vector axis).
+        return np.zeros(grad_output.shape[:-1], dtype=float)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        np.add.at(self.weight.grad, self._ids, grad_output)
+        self._accumulate(grad_output)
         return None  # zero placeholder elided (see Module.head_backward)
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedEmbedding":
@@ -79,14 +83,12 @@ class BatchedEmbedding(BatchedModule):
         self.vocab_size = layer.vocab_size
         self.embedding_dim = layer.embedding_dim
         self._w, self._dw = binder.bind(layer.weight)  # (C, vocab, dim)
-        self._ids: np.ndarray | None = None
 
     def _client_index(self, ids: np.ndarray) -> np.ndarray:
         shape = (-1,) + (1,) * (ids.ndim - 1)
         return np.arange(self._w.shape[0]).reshape(shape)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         ids = np.asarray(x)
         if not np.issubdtype(ids.dtype, np.integer):
             raise TypeError(f"Embedding expects integer ids, got dtype {ids.dtype}")
@@ -96,21 +98,19 @@ class BatchedEmbedding(BatchedModule):
             )
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab_size:
             raise ValueError("token id out of range for vocabulary")
-        self._ids = ids
-        return self._w[self._client_index(ids), ids]
+        out = self._w[self._client_index(ids), ids]
+        keep_cache(self, training, out.shape, ids)
+        return out
+
+    def _accumulate(self, grad_output: np.ndarray) -> None:
+        ids = claim_cache(self, grad_output.shape)
+        c_idx = np.broadcast_to(self._client_index(ids), ids.shape)
+        np.add.at(self._dw, (c_idx, ids), grad_output)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        ids = self._ids
-        c_idx = np.broadcast_to(self._client_index(ids), ids.shape)
-        np.add.at(self._dw, (c_idx, ids), grad_output)
-        return np.zeros(ids.shape, dtype=float)
+        self._accumulate(grad_output)
+        return np.zeros(grad_output.shape[:-1], dtype=float)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        ids = self._ids
-        c_idx = np.broadcast_to(self._client_index(ids), ids.shape)
-        np.add.at(self._dw, (c_idx, ids), grad_output)
+        self._accumulate(grad_output)
         return None  # zero placeholder elided (see Module.head_backward)

@@ -17,7 +17,13 @@ import numpy as np
 
 from repro.nn.activations import sigmoid
 from repro.nn.initializers import glorot_uniform, orthogonal
-from repro.nn.module import BatchedModule, BatchedParamBinder, Module
+from repro.nn.module import (
+    BatchedModule,
+    BatchedParamBinder,
+    Module,
+    claim_cache,
+    keep_cache,
+)
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike, child_rngs
 
@@ -157,23 +163,6 @@ def _lstm_backward(
     return (first @ w_x.transpose(0, 2, 1)).transpose(1, 2, 0, 3)
 
 
-def _claim_cache(layer, grad_shape: tuple, skip: int) -> tuple:
-    """``layer``'s forward cache, released (it serves one backward and
-    only holds memory afterwards), once the stacked ``grad_shape`` fits;
-    errors print shapes without the first ``skip`` axes."""
-    if layer._cache is None:
-        raise RuntimeError("backward called before forward")
-    c, n, t, _ = layer._cache[0].shape
-    h = layer.hidden_size
-    expected = (c, n, t, h) if layer.return_sequences else (c, n, h)
-    if grad_shape != expected:
-        raise ValueError(
-            f"expected gradient shape {expected[skip:]}, got {grad_shape[skip:]}"
-        )
-    cache, layer._cache = layer._cache, None
-    return cache
-
-
 class LSTM(Module):
     """A single LSTM layer over ``(batch, time, features)`` inputs.
 
@@ -209,25 +198,24 @@ class LSTM(Module):
         bias = np.zeros(4 * h, dtype=float)
         bias[h : 2 * h] = 1.0  # forget-gate bias
         self.bias = Parameter(bias, name=f"{name}.bias")
-        self._cache: tuple | None = None
 
     def parameters(self) -> List[Parameter]:
         return [self.w_x, self.w_h, self.bias]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(
                 f"expected input (batch, time, {self.input_size}), got {x.shape}"
             )
-        out, self._cache = _lstm_forward(
+        out, cache = _lstm_forward(
             x[None], [p.data[None] for p in self.parameters()],
             self.return_sequences,
         )
+        keep_cache(self, training, out.shape[1:], cache)
         return out[0]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cache = _claim_cache(self, (1,) + grad_output.shape, skip=1)
+        cache = claim_cache(self, grad_output.shape)
         return _lstm_backward(
             cache,
             grad_output[None],
@@ -260,18 +248,17 @@ class BatchedLSTM(BatchedModule):
         bound = [binder.bind(p) for p in layer.parameters()]
         self._params = [data for data, _ in bound]
         self._grads = [grad for _, grad in bound]
-        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        del training
         if x.ndim != 4 or x.shape[3] != self.input_size:
             raise ValueError(
                 "expected input (clients, batch, time, "
                 f"{self.input_size}), got {x.shape}"
             )
-        out, self._cache = _lstm_forward(x, self._params, self.return_sequences)
+        out, cache = _lstm_forward(x, self._params, self.return_sequences)
+        keep_cache(self, training, out.shape, cache)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cache = _claim_cache(self, grad_output.shape, skip=0)
+        cache = claim_cache(self, grad_output.shape)
         return _lstm_backward(cache, grad_output, self._params, self._grads)

@@ -1,17 +1,21 @@
 """Loss functions with fused, numerically stable gradients.
 
-Each loss exposes ``forward(predictions, targets) -> float`` (mean loss
-over the batch) and ``backward() -> grad`` w.r.t. the predictions.  The
+Each loss exposes ``forward(predictions, targets, training=...) ->
+float`` (mean loss over the batch) and ``backward() -> grad`` w.r.t.
+the predictions; like a layer, it caches for ``backward`` only on a
+training forward, and ``backward`` consumes that cache.  The
 softmax/sigmoid are fused into the cross-entropy losses so the gradient
 is the plain ``probabilities - onehot`` form.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.nn.activations import sigmoid, softmax
-from repro.nn.module import BatchedUnsupported
+from repro.nn.module import BatchedUnsupported, claim_cache, keep_cache
 
 __all__ = [
     "BatchedLoss",
@@ -26,7 +30,11 @@ __all__ = [
 class Loss:
     """Base class: call ``forward`` then ``backward`` once per step."""
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    _cache: Optional[tuple] = None  # see repro.nn.module.keep_cache
+
+    def forward(
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
+    ) -> float:
         raise NotImplementedError
 
     def backward(self) -> np.ndarray:
@@ -43,8 +51,10 @@ class Loss:
             f"{type(self).__name__} has no batched counterpart"
         )
 
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)
+    def __call__(
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
+    ) -> float:
+        return self.forward(predictions, targets, training=training)
 
 
 class BatchedLoss:
@@ -59,8 +69,10 @@ class BatchedLoss:
     serial loss scales by ``targets.size``.
     """
 
+    _cache: Optional[tuple] = None  # see repro.nn.module.keep_cache
+
     def forward(
-        self, predictions: np.ndarray, targets: np.ndarray
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -68,9 +80,9 @@ class BatchedLoss:
         raise NotImplementedError
 
     def __call__(
-        self, predictions: np.ndarray, targets: np.ndarray
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
     ) -> np.ndarray:
-        return self.forward(predictions, targets)
+        return self.forward(predictions, targets, training=training)
 
 
 class SoftmaxCrossEntropy(Loss):
@@ -80,11 +92,9 @@ class SoftmaxCrossEntropy(Loss):
     ``targets``: integer labels ``(batch,)``.
     """
 
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
+    ) -> float:
         targets = np.asarray(targets)
         if predictions.ndim != 2:
             raise ValueError(f"expected 2-D logits, got shape {predictions.shape}")
@@ -95,17 +105,16 @@ class SoftmaxCrossEntropy(Loss):
             )
         if not np.issubdtype(targets.dtype, np.integer):
             raise TypeError("SoftmaxCrossEntropy expects integer class targets")
-        self._probs = softmax(predictions, axis=1)
-        self._targets = targets
-        picked = self._probs[np.arange(targets.size), targets]
+        probs = softmax(predictions, axis=1)
+        keep_cache(self, training, None, (probs, targets))
+        picked = probs[np.arange(targets.size), targets]
         return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None:
-            raise RuntimeError("backward called before forward")
-        grad = self._probs.copy()
-        grad[np.arange(self._targets.size), self._targets] -= 1.0
-        return grad / self._targets.size
+        probs, targets = claim_cache(self)
+        grad = probs.copy()
+        grad[np.arange(targets.size), targets] -= 1.0
+        return grad / targets.size
 
     def batched(self) -> "BatchedSoftmaxCrossEntropy":
         return BatchedSoftmaxCrossEntropy()
@@ -115,12 +124,8 @@ class BatchedSoftmaxCrossEntropy(BatchedLoss):
     """Counterpart of :class:`SoftmaxCrossEntropy` over ``(C, batch,
     classes)`` logits and ``(C, batch)`` integer targets."""
 
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-
     def forward(
-        self, predictions: np.ndarray, targets: np.ndarray
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
     ) -> np.ndarray:
         targets = np.asarray(targets)
         if predictions.ndim != 3:
@@ -134,22 +139,17 @@ class BatchedSoftmaxCrossEntropy(BatchedLoss):
             )
         if not np.issubdtype(targets.dtype, np.integer):
             raise TypeError("SoftmaxCrossEntropy expects integer class targets")
-        self._probs = softmax(predictions, axis=2)
-        self._targets = targets
+        probs = softmax(predictions, axis=2)
+        keep_cache(self, training, None, (probs, targets))
         c, n = targets.shape
-        picked = self._probs[
-            np.arange(c)[:, None], np.arange(n)[None, :], targets
-        ]
+        picked = probs[np.arange(c)[:, None], np.arange(n)[None, :], targets]
         return -np.mean(np.log(np.clip(picked, 1e-12, None)), axis=1)
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None:
-            raise RuntimeError("backward called before forward")
-        c, n = self._targets.shape
-        grad = self._probs.copy()
-        grad[
-            np.arange(c)[:, None], np.arange(n)[None, :], self._targets
-        ] -= 1.0
+        probs, targets = claim_cache(self)
+        c, n = targets.shape
+        grad = probs.copy()
+        grad[np.arange(c)[:, None], np.arange(n)[None, :], targets] -= 1.0
         return grad / n
 
 
@@ -160,13 +160,9 @@ class SigmoidBinaryCrossEntropy(Loss):
     ``targets``: labels in {0, 1} of matching shape.
     """
 
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-        self._shape: tuple | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        self._shape = predictions.shape
+    def forward(
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
+    ) -> float:
         logits = predictions.reshape(-1)
         targets = np.asarray(targets, dtype=float).reshape(-1)
         if logits.shape != targets.shape:
@@ -176,15 +172,14 @@ class SigmoidBinaryCrossEntropy(Loss):
         # log(1 + exp(-|z|)) + max(z, 0) - z*y  is the stable BCE form.
         loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
         loss -= logits * targets
-        self._probs = sigmoid(logits)
-        self._targets = targets
+        keep_cache(
+            self, training, None, (sigmoid(logits), targets, predictions.shape)
+        )
         return float(np.mean(loss))
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None or self._shape is None:
-            raise RuntimeError("backward called before forward")
-        grad = (self._probs - self._targets) / self._targets.size
-        return grad.reshape(self._shape)
+        probs, targets, shape = claim_cache(self)
+        return ((probs - targets) / targets.size).reshape(shape)
 
     def batched(self) -> "BatchedSigmoidBinaryCrossEntropy":
         return BatchedSigmoidBinaryCrossEntropy()
@@ -194,20 +189,14 @@ class BatchedSigmoidBinaryCrossEntropy(BatchedLoss):
     """Counterpart of :class:`SigmoidBinaryCrossEntropy` over stacked
     ``(C, batch)`` or ``(C, batch, 1)`` logits."""
 
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._targets: np.ndarray | None = None
-        self._shape: tuple | None = None
-
     def forward(
-        self, predictions: np.ndarray, targets: np.ndarray
+        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
     ) -> np.ndarray:
         if predictions.ndim < 2:
             raise ValueError(
                 f"expected stacked logits with a leading client axis, got "
                 f"shape {predictions.shape}"
             )
-        self._shape = predictions.shape
         c = predictions.shape[0]
         logits = predictions.reshape(c, -1)
         targets = np.asarray(targets, dtype=float).reshape(c, -1)
@@ -218,12 +207,11 @@ class BatchedSigmoidBinaryCrossEntropy(BatchedLoss):
         # Same stable BCE form as the serial loss, elementwise.
         loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
         loss -= logits * targets
-        self._probs = sigmoid(logits)
-        self._targets = targets
+        keep_cache(
+            self, training, None, (sigmoid(logits), targets, predictions.shape)
+        )
         return np.mean(loss, axis=1)
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._targets is None or self._shape is None:
-            raise RuntimeError("backward called before forward")
-        grad = (self._probs - self._targets) / self._targets.shape[1]
-        return grad.reshape(self._shape)
+        probs, targets, shape = claim_cache(self)
+        return ((probs - targets) / targets.shape[1]).reshape(shape)

@@ -24,7 +24,7 @@ executor produce run histories digest-identical to serial.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,38 @@ __all__ = [
     "BatchedUnsupported",
     "Module",
     "Sequential",
+    "claim_cache",
+    "keep_cache",
 ]
+
+
+def keep_cache(owner: Any, training: bool, out_shape: tuple, payload: Any) -> None:
+    """Forward half of the activation-lifetime rule.
+
+    A training forward keeps ``payload`` — what ``owner``'s backward
+    reads — together with the shape its output had, for exactly one
+    backward.  An inference forward keeps nothing and drops whatever an
+    earlier forward left, so evaluation holds no activations.
+    """
+    owner._cache = (out_shape, payload) if training else None
+
+
+def claim_cache(owner: Any, grad_shape: Optional[tuple] = None) -> Any:
+    """Backward half: ``owner``'s forward payload, released (it serves
+    one backward and only holds memory afterwards) once ``grad_shape``
+    is the shape the forward produced.  Losses, whose backward takes no
+    gradient, pass None.
+    """
+    name = type(owner).__name__
+    if owner._cache is None:
+        raise RuntimeError(f"{name}: backward called before forward")
+    out_shape, payload = owner._cache
+    if grad_shape is not None and grad_shape != out_shape:
+        raise ValueError(
+            f"{name}: expected gradient shape {out_shape}, got {grad_shape}"
+        )
+    owner._cache = None
+    return payload
 
 
 class BatchedUnsupported(NotImplementedError):
@@ -126,10 +157,13 @@ class BatchedModule:
     """Base class for batched-leading-axis module counterparts.
 
     Mirrors the :class:`Module` contract with every tensor carrying a
-    leading client axis: ``forward`` takes ``(C, batch, ...)`` and
-    caches what ``backward`` needs; ``backward`` accumulates into the
-    stacked gradient views and returns the stacked input gradient.
+    leading client axis: ``forward`` takes ``(C, batch, ...)`` and, in
+    training, caches what ``backward`` needs; ``backward`` consumes that
+    cache, accumulates into the stacked gradient views and returns the
+    stacked input gradient.
     """
+
+    _cache: Optional[tuple] = None  # see keep_cache
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -182,11 +216,15 @@ class BatchedStateless(BatchedModule):
 class Module:
     """Base class for all layers and models.
 
-    Subclasses implement :meth:`forward` (caching activations needed by
-    the backward pass) and :meth:`backward` (accumulating parameter
-    gradients, returning the input gradient).  The forward cache is
-    single-use: call ``forward`` then ``backward`` once per step.
+    Subclasses implement :meth:`forward` (caching, when ``training``,
+    the activations the backward pass needs) and :meth:`backward`
+    (accumulating parameter gradients, returning the input gradient).
+    The cache lives for one step: :func:`keep_cache` /
+    :func:`claim_cache` keep it on a training forward only and release
+    it in the one backward that reads it.
     """
+
+    _cache: Optional[tuple] = None  # see keep_cache
 
     def parameters(self) -> List[Parameter]:
         """All trainable parameters of this module, in a stable order."""

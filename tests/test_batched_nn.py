@@ -175,13 +175,13 @@ class TestBatchedLayers:
 class TestBatchedLosses:
     def _check_loss(self, loss_factory, pred, target):
         batched = loss_factory().batched()
-        vec = batched.forward(pred, target)
+        vec = batched.forward(pred, target, training=True)
         grad = batched.backward()
         assert vec.shape == (C,)
         for c in range(C):
             serial = loss_factory()
             assert vec[c] == serial.forward(
-                np.ascontiguousarray(pred[c]), target[c]
+                np.ascontiguousarray(pred[c]), target[c], training=True
             )
             np.testing.assert_array_equal(
                 grad[c], serial.backward(), strict=True

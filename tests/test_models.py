@@ -47,7 +47,9 @@ class TestDigitsCNN:
             values = []
             for xb, yb in ds.batches(10, rng=rng):
                 model.zero_grad()
-                values.append(loss.forward(model.forward(xb, training=True), yb))
+                values.append(
+                    loss.forward(model.forward(xb, training=True), yb, training=True)
+                )
                 model.backward(loss.backward())
                 opt.step()
             epoch_losses.append(np.mean(values))

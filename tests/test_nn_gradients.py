@@ -137,8 +137,8 @@ def test_embedding_gradients(rng):
 
     emb.zero_grad()
     tail.zero_grad()
-    out = tail.forward(emb.forward(ids))
-    loss.forward(out, y)
+    out = tail.forward(emb.forward(ids, training=True), training=True)
+    loss.forward(out, y, training=True)
     emb.backward(tail.backward(loss.backward()))
     analytic = emb.weight.grad.copy()
 

@@ -40,10 +40,10 @@ class TestDense:
     def test_gradient_accumulates_across_calls(self):
         layer = Dense(2, 2, rng=0)
         x = np.ones((3, 2))
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(np.ones((3, 2)))
         first = layer.weight.grad.copy()
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(np.ones((3, 2)))
         np.testing.assert_allclose(layer.weight.grad, 2 * first)
 
@@ -105,7 +105,7 @@ class TestMaxPool:
     def test_backward_routes_to_max(self):
         pool = MaxPool2D(2)
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        pool.forward(x)
+        pool.forward(x, training=True)
         grad = pool.backward(np.ones((1, 1, 2, 2)))
         assert grad.sum() == 4.0
         assert grad[0, 0, 1, 1] == 1.0  # position of 5
@@ -114,7 +114,7 @@ class TestMaxPool:
     def test_ties_do_not_duplicate_gradient(self):
         pool = MaxPool2D(2)
         x = np.ones((1, 1, 4, 4))
-        pool.forward(x)
+        pool.forward(x, training=True)
         grad = pool.backward(np.ones((1, 1, 2, 2)))
         assert grad.sum() == pytest.approx(4.0)
 
@@ -144,13 +144,13 @@ class TestLSTM:
     def test_backward_shape(self, rng):
         lstm = LSTM(3, 5, rng=0, return_sequences=True)
         x = rng.normal(size=(2, 6, 3))
-        out = lstm.forward(x)
+        out = lstm.forward(x, training=True)
         grad = lstm.backward(np.ones_like(out))
         assert grad.shape == x.shape
 
     def test_backward_wrong_grad_shape_raises(self, rng):
         lstm = LSTM(3, 5, rng=0, return_sequences=False)
-        lstm.forward(rng.normal(size=(2, 6, 3)))
+        lstm.forward(rng.normal(size=(2, 6, 3)), training=True)
         with pytest.raises(ValueError):
             lstm.backward(np.ones((2, 6, 5)))
 
@@ -176,7 +176,7 @@ class TestEmbedding:
     def test_backward_accumulates_repeated_ids(self):
         emb = Embedding(5, 2, rng=0)
         ids = np.array([[1, 1, 1]])
-        out = emb.forward(ids)
+        out = emb.forward(ids, training=True)
         emb.backward(np.ones_like(out))
         np.testing.assert_allclose(emb.weight.grad[1], [3.0, 3.0])
         assert np.allclose(emb.weight.grad[0], 0.0)
@@ -186,7 +186,7 @@ class TestReshape:
     def test_flatten_round_trip(self, rng):
         flat = Flatten()
         x = rng.normal(size=(3, 2, 4, 4))
-        out = flat.forward(x)
+        out = flat.forward(x, training=True)
         assert out.shape == (3, 32)
         back = flat.backward(out)
         np.testing.assert_array_equal(back, x)
@@ -209,7 +209,7 @@ class TestActivationsAndSequential:
 
     def test_sequential_chains(self, rng):
         model = Sequential([Dense(4, 8, rng=0), ReLU(), Dense(8, 2, rng=1)])
-        out = model.forward(rng.normal(size=(3, 4)))
+        out = model.forward(rng.normal(size=(3, 4)), training=True)
         assert out.shape == (3, 2)
         grad = model.backward(np.ones((3, 2)))
         assert grad.shape == (3, 4)

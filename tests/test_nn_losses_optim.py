@@ -149,7 +149,7 @@ class TestSerialization:
 
     def test_flatten_gradients(self):
         model = Sequential([Dense(2, 2, rng=0)])
-        model.forward(np.ones((1, 2)))
+        model.forward(np.ones((1, 2)), training=True)
         model.backward(np.ones((1, 2)))
         grads = flatten_gradients(model)
         assert grads.shape == (6,)
