@@ -6,11 +6,11 @@ rounds into a directory, pruning old files) and is what
 :class:`~repro.fl.trainer.FederatedTrainer` instantiates from the
 ``FLConfig.checkpoint_*`` knobs.
 
-Trace interaction: the deterministic ``ckpt`` span and ``ckpt.saves``
-counter are emitted *before* the tracer state is captured, so they are
-part of the checkpointed stream and a resumed run's trace digests
-identically to an uninterrupted one.  The save duration and on-disk
-size go to ``runtime.ckpt.*`` metrics afterwards — runtime data the
+Trace interaction: the deterministic ``ckpt`` span is emitted *before*
+the tracer state is captured, so it is part of the checkpointed stream
+and a resumed run's trace digests identically to an uninterrupted one.
+The save duration and on-disk size follow in a ``runtime.ckpt`` point
+event (``rt`` = ``save_s``, ``bytes``) — runtime data the
 deterministic view masks.
 """
 
@@ -43,16 +43,15 @@ def save_checkpoint(trainer: Any, path: Union[str, Path]) -> Path:
         tracer.record_span(
             "ckpt", attrs={"iteration": len(trainer.history)}
         )
-        tracer.metrics.counter("ckpt.saves").inc()
         tracer.flush()
     started = perf_counter()
     manifest, arrays, texts = capture_run_state(trainer)
     nbytes = write_checkpoint(path, manifest, arrays, texts)
     if tracer.enabled:
-        tracer.metrics.histogram("runtime.ckpt.save_s").observe(
-            perf_counter() - started
+        tracer.event(
+            "runtime.ckpt",
+            rt={"save_s": perf_counter() - started, "bytes": nbytes},
         )
-        tracer.metrics.gauge("runtime.ckpt.bytes").set(nbytes)
     return Path(path)
 
 

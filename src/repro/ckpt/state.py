@@ -18,8 +18,8 @@ cover everything round ``t+1`` depends on:
   ``rounds_per_iteration`` as ``ledger/<name>`` int64 array members —
   the manifest keeps only their lengths) and the full
   :class:`RunHistory`;
-* the tracer continuation snapshot (sequence/id counters, open spans,
-  metric values), so a resumed trace extends the original stream.
+* the tracer continuation snapshot (sequence/id counters and open
+  spans), so a resumed trace extends the original stream.
 
 The restore side validates shape/identity invariants (parameter count,
 policy name, client-id set, feedback staleness) and
@@ -299,6 +299,10 @@ def build_resume_tracer(trace_state: Any, config: Any) -> Any:
     """
     if trace_state is None or not config.trace_enabled:
         return None
+    # Adopt the snapshot before touching the file: one this tracer
+    # cannot continue is refused with the trace still intact.
+    tracer = Tracer(emit_header=False)
+    tracer.restore_state(trace_state)
     upto_seq = int(trace_state["seq"])
     if config.trace_path:
         path = Path(config.trace_path)
@@ -318,6 +322,5 @@ def build_resume_tracer(trace_state: Any, config: Any) -> Any:
         # In-memory traces do not survive the original process; the
         # resumed stream continues from the checkpoint's counters.
         sink = MemorySink()
-    tracer = Tracer(sinks=[sink], emit_header=False)
-    tracer.restore_state(trace_state)
+    tracer.sinks.append(sink)
     return tracer

@@ -21,8 +21,9 @@ the pool is online each round, the cross-device regime of Ribero &
 Vikalo 2020.  Straggling and churn come from the latency model's
 ``speed_sigma``/``drop_rate`` knobs.
 
-A ``--trace-path`` run streams the ``async.*`` instruments; the final
-metric values export to OpenMetrics text with::
+A ``--trace-path`` run writes the S=2 run's trace; its ``async.*``
+totals, folded from the ``dispatch``/``round_close`` spans, export to
+OpenMetrics text with::
 
     python -m repro.experiments.straggler --trace-path /tmp/s.jsonl
     python -m repro.obs export /tmp/s.jsonl
@@ -271,8 +272,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--trace-path",
         default=None,
-        help="stream the S=2 run's trace (async.* instruments) to this "
-        "JSONL file, ready for `python -m repro.obs export`",
+        help="stream the S=2 run's trace to this JSONL file, ready for "
+        "`python -m repro.obs export` (its async.* totals)",
     )
     parser.add_argument(
         "--json",
@@ -295,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.trace_path:
             print(
                 f"\ntraced the S=2 run to {args.trace_path}; export its "
-                f"final async.* metrics with:\n"
+                f"async.* totals with:\n"
                 f"  python -m repro.obs export {args.trace_path}"
             )
     return 0

@@ -1,9 +1,9 @@
 """Traced smoke run: the observability layer end to end.
 
 Runs a short CMFL federation on the digits workload with tracing on,
-then renders the per-phase breakdown and reconciles the trace's
-``comm.*`` counters against the trainer's communication ledger — the
-same cross-check the tier-1 gate test performs.  Useful as a manual
+then renders the per-phase breakdown and reconciles the ``comm.*``
+totals folded from the trace against the trainer's communication
+ledger — the same cross-check the tier-1 gate test performs.  Useful as a manual
 sanity check of the :mod:`repro.obs` pipeline::
 
     python -m repro.experiments.trace_smoke [--backend batched] \
@@ -34,8 +34,7 @@ def run_traced_smoke(
 
     With no ``trace_path`` the events collect in memory
     (``trainer.tracer.memory_events()``); the trainer — and therefore
-    its tracer, including the final metrics snapshot — is closed before
-    returning.
+    its tracer — is closed before returning.
     """
     workload = DigitsWorkload(scale="test")
     trainer = workload.make_trainer(
@@ -51,7 +50,7 @@ def run_traced_smoke(
 
 
 def main(argv=None) -> int:
-    from repro.obs import comm_totals, format_report, load_trace
+    from repro.obs import format_report, load_trace, metrics_from_trace
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=2)
@@ -71,7 +70,11 @@ def main(argv=None) -> int:
     else:
         events = trainer.tracer.memory_events()
     print(format_report(events, history=trainer.history))
-    totals = comm_totals(events)
+    totals = {
+        name: summary["value"]
+        for name, summary in metrics_from_trace(events).items()
+        if name.startswith("comm.")
+    }
     ok = (
         totals.get("comm.uploads") == trainer.ledger.accumulated_rounds
         and totals.get("comm.uploaded_bytes", 0)

@@ -9,12 +9,11 @@ where a filtered client sends only a tiny status message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
 from repro.nn.serialization import STATUS_MESSAGE_BYTES, update_nbytes
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CommunicationLedger"]
 
@@ -23,11 +22,9 @@ __all__ = ["CommunicationLedger"]
 class CommunicationLedger:
     """Running totals of uploads, skips and bytes for one federated run.
 
-    When a ``metrics`` registry is attached (the trainer passes its
-    tracer's), every recorded round also streams the first-class
-    ``comm.*`` counters — uploads, skips, uploaded/status bytes — so a
-    trace carries the paper's communication measurements alongside its
-    timing spans.
+    A traced run carries the same per-round numbers in its
+    ``round_rollup`` events; ``python -m repro.obs export`` sums them
+    back into the ``comm.*`` totals.
     """
 
     n_params: int
@@ -39,9 +36,6 @@ class CommunicationLedger:
     rounds_per_iteration: List[int] = field(default_factory=list)
     staleness_total: int = 0
     staleness_max: int = 0
-    metrics: Optional[MetricsRegistry] = field(  # ckpt: transient — live registry binding
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.n_params < 1:
@@ -66,19 +60,12 @@ class CommunicationLedger:
             self.staleness_max = int(staleness)
         self.accumulated_rounds += r_t
         self.rounds_per_iteration.append(r_t)
-        upload_bytes = r_t * update_nbytes(self.n_params)
-        skip_bytes = len(skipped_ids) * STATUS_MESSAGE_BYTES
-        self.uploaded_bytes += upload_bytes
-        self.status_bytes += skip_bytes
+        self.uploaded_bytes += r_t * update_nbytes(self.n_params)
+        self.status_bytes += len(skipped_ids) * STATUS_MESSAGE_BYTES
         for cid in uploaded_ids:
             self.uploads_per_client[cid] = self.uploads_per_client.get(cid, 0) + 1
         for cid in skipped_ids:
             self.skips_per_client[cid] = self.skips_per_client.get(cid, 0) + 1
-        if self.metrics is not None:
-            self.metrics.counter("comm.uploads").inc(r_t)
-            self.metrics.counter("comm.skips").inc(len(skipped_ids))
-            self.metrics.counter("comm.uploaded_bytes").inc(upload_bytes)
-            self.metrics.counter("comm.status_bytes").inc(skip_bytes)
 
     @property
     def total_bytes(self) -> int:

@@ -24,9 +24,10 @@ latency streams are hash-derived per (round, client), the event queue
 is totally ordered, and closes happen in round order.  Rounds may
 overlap, which the tracer's strictly nested span stack cannot honour,
 so the engine emits flat ``dispatch``/``admit``/``round_close`` spans
-and the ``async.*`` metrics instead of ``round`` spans.  At ``S = 0``
-one round is in flight at a time, and the run computes what the
-synchronous trainer does: the same history apart from
+instead of ``round`` spans; their attributes carry everything the
+``async.*`` totals of ``python -m repro.obs export`` are folded from.
+At ``S = 0`` one round is in flight at a time, and the run computes
+what the synchronous trainer does: the same history apart from
 ``virtual_time``, and the same parameters
 (``tests/test_events_engine.py``).
 
@@ -158,21 +159,19 @@ class AsyncFederatedTrainer:
         bound = self.async_config.staleness_bound
         return self.closes_done >= iteration - 1 - bound
 
-    def _maybe_schedule_dispatch(self, count_deferred: bool = False) -> None:
+    def _maybe_schedule_dispatch(self) -> bool:
         """Queue the next round's dispatch if the gate allows it now.
 
-        When the gate blocks, nothing is queued — the close that
-        eventually satisfies it calls back in here.  ``count_deferred``
-        (set by the dispatch handler) accounts the block once per
-        round in ``async.deferred_dispatches``.
+        Returns whether the staleness gate blocked it.  When it blocks,
+        nothing is queued — the close that eventually satisfies the
+        gate calls back in here.  The dispatch handler records the
+        answer on its span (``next_deferred``).
         """
         iteration = self.next_dispatch
         if iteration > self.target_rounds or self._dispatch_pending:
-            return
+            return False
         if not self._dispatch_allowed(iteration):
-            if count_deferred and self.tracer.enabled:
-                self.tracer.metrics.counter("async.deferred_dispatches").inc()
-            return
+            return True
         time = self.clock.now
         if self.last_dispatch_time is not None:
             time = max(
@@ -181,6 +180,7 @@ class AsyncFederatedTrainer:
             )
         self.queue.push(Event(time, DISPATCH, iteration))
         self._dispatch_pending = True
+        return False
 
     # -- handlers --------------------------------------------------------
 
@@ -225,22 +225,19 @@ class AsyncFederatedTrainer:
                 self.queue.push(Event(now + tm.latency_s, ARRIVAL, t, cid))
         self._inflight[t] = inflight
         self.last_dispatch_time = self.clock.now
+        self.next_dispatch += 1
+        next_deferred = self._maybe_schedule_dispatch()
         if self.tracer.enabled:
-            metrics = self.tracer.metrics
-            metrics.counter("async.dispatches").inc()
-            if inflight.dropped:
-                metrics.counter("async.drops").inc(len(inflight.dropped))
-            metrics.gauge("async.virtual_time").set(self.clock.now)
             self.tracer.record_span(
                 "dispatch",
                 attrs={
                     "iteration": t,
                     "n_participants": len(state.participants),
+                    "n_dropped": len(inflight.dropped),
+                    "next_deferred": next_deferred,
                     "virtual_time": self.clock.now,
                 },
             )
-        self.next_dispatch += 1
-        self._maybe_schedule_dispatch(count_deferred=True)
 
     def _on_arrival(self, event: Event) -> None:
         """Admit one upload; close every round that became complete."""
@@ -291,13 +288,6 @@ class AsyncFederatedTrainer:
             merge_scale=self.async_config.merge_weight(staleness),
         )
         if self.tracer.enabled:
-            metrics = self.tracer.metrics
-            metrics.counter("async.closes").inc()
-            # Once per closed round, not once per arrival: every inc()
-            # streams a metric event into the trace.
-            metrics.counter("async.arrivals").inc(len(inflight.arrived))
-            metrics.histogram("async.staleness").observe(float(staleness))
-            metrics.gauge("async.virtual_time").set(self.clock.now)
             self.tracer.record_span(
                 "round_close",
                 attrs={

@@ -234,9 +234,10 @@ class BatchedExecutor(ClientExecutor):
             except BatchedUnsupported as exc:
                 # Remember why so every later round skips the retry.
                 self._unsupported = str(exc)
-                self.tracer.metrics.counter(
-                    "runtime.executor.batched_fallbacks"
-                ).inc()
+                self.tracer.event(
+                    "runtime.executor.batched_fallback",
+                    rt={"reason": self._unsupported},
+                )
                 return None
             self._engines[size] = engine
         return engine

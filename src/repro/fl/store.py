@@ -278,7 +278,6 @@ class ClientStateStore:
         # Generators of retired views: a live row restores into one
         # (1.4 us) instead of into a PCG64 seeded from the OS first (15 us).
         self._idle_rngs: List[np.random.Generator] = []  # ckpt: transient — stateless spares
-        self.metrics = None  # ckpt: transient — live registry binding
 
     # -- construction --------------------------------------------------
 
@@ -327,8 +326,6 @@ class ClientStateStore:
         if shard is None:
             shard = _Shard(self._shard_rows(shard_id))
             self._shards[shard_id] = shard
-            if self.metrics is not None:
-                self.metrics.counter("store.shards_materialized").inc()
         return shard, offset
 
     def _fresh_stream(self, index: int) -> np.random.Generator:
@@ -371,8 +368,6 @@ class ClientStateStore:
             view = StoreClient(index, self.partition.materialize(index), rng)
             self._outstanding[index] = view
             views.append(view)
-        if self.metrics is not None:
-            self.metrics.counter("store.checkouts").inc(len(views))
         return views
 
     def writeback(self, views: Sequence[StoreClient]) -> None:
@@ -392,8 +387,6 @@ class ClientStateStore:
             del self._outstanding[index]
         # Fresh rows bring new generators; keep one cohort's worth.
         del self._idle_rngs[len(views) :]
-        if self.metrics is not None and views:
-            self.metrics.counter("store.rows_written").inc(len(views))
 
     def record_round(
         self,

@@ -152,9 +152,7 @@ class FederatedTrainer:
         # pre-sampling traces stay bit-identical.
         if self.tracer.enabled and config.trace_sample < 1.0:
             self.tracer.sampler = SpanSampler(config.seed, config.trace_sample)
-        self.ledger = CommunicationLedger(
-            n_params=self.server.n_params, metrics=self.tracer.metrics
-        )
+        self.ledger = CommunicationLedger(n_params=self.server.n_params)
         # Online anomaly checks over the per-round rollups; its small
         # stall cursor rides in checkpoints (manifest["health"]).
         self.health: Optional[HealthMonitor] = (
@@ -167,8 +165,6 @@ class FederatedTrainer:
         )
         self.history = RunHistory(policy_name=policy.name)
         self.executor = make_executor(config.executor)
-        if self.store is not None:
-            self.store.metrics = self.tracer.metrics
         self.executor.bind(workspace, self.clients, tracer=self.tracer)
         # Run-state persistence (see repro.ckpt), driven by the
         # checkpoint_* config knobs.  Imported lazily: repro.ckpt
@@ -384,7 +380,10 @@ class FederatedTrainer:
             if state.views:
                 self.store.writeback(state.views)
             if rollup is not None:
-                rollup.extra["store"] = {"population": self.store.population}
+                rollup.extra["store"] = {
+                    "population": self.store.population,
+                    "shards_materialized": self.store.materialized_shards,
+                }
 
         record = RoundRecord(
             iteration=t,
@@ -413,21 +412,15 @@ class FederatedTrainer:
             rollup_rt = rollup.rt()
             self.tracer.event("round_rollup", attrs=rollup_attrs, rt=rollup_rt)
             if self.health is not None:
-                metrics = self.tracer.metrics
-                counter_bytes = None
-                if "comm.uploaded_bytes" in metrics:
-                    counter_bytes = (
-                        metrics.counter("comm.uploaded_bytes").value
-                        + metrics.counter("comm.status_bytes").value
-                    )
+                records = self.history.records
+                previous_bytes = records[-1].total_bytes if records else 0
                 for name, attrs, rt in self.health.observe_round(
                     rollup_attrs,
                     rollup_rt,
                     test_metric=record.test_metric,
                     test_loss=record.test_loss,
                     mean_train_loss=record.mean_train_loss,
-                    ledger_total_bytes=self.ledger.total_bytes,
-                    counter_total_bytes=counter_bytes,
+                    ledger_round_bytes=record.total_bytes - previous_bytes,
                 ):
                     self.tracer.event(name, attrs=attrs, rt=rt)
         self.history.append(record)

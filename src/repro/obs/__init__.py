@@ -1,27 +1,27 @@
-"""``repro.obs`` — zero-dependency tracing, metrics and profiling.
+"""``repro.obs`` — zero-dependency tracing and profiling.
 
 The observability layer of the reproduction: a :class:`Tracer` emits
 nested spans (``run``/``round``/``broadcast``/``client_compute``/
 ``relevance_check``/``decide``/``aggregate``/``evaluate``) with
-monotonic-clock durations, a :class:`MetricsRegistry` streams counters,
-gauges and histograms, and pluggable sinks persist the event stream
-(in-memory, JSON-lines).
+monotonic-clock durations and point events, and pluggable sinks
+persist the event stream (in-memory, JSON-lines).
 
 Built to stay constant-memory at population scale: per-client spans are
 head-sampled (:class:`SpanSampler`, rate ``FLConfig.trace_sample``)
 with the unsampled remainder folded into exact per-round
-``round_rollup`` events (:class:`RoundRollup`, quantiles via the P²
-sketch in :class:`StreamingHistogram`); a :class:`HealthMonitor`
-consumes the rollups online and flags stalls, dead cohorts, comm-ledger
-drift and stragglers.  Final metric values export as OpenMetrics text
-or JSONL snapshots (:mod:`repro.obs.export`); metric names are declared
-centrally in :mod:`repro.obs.names`.
+``round_rollup`` events (:class:`RoundRollup`); a
+:class:`HealthMonitor` consumes the rollups online and flags stalls,
+dead cohorts, comm-ledger drift and stragglers.  The trace has one
+channel for numbers: the run's totals (``comm.*``, ``async.*``,
+``store.*``, ``ckpt.*``) are a fold over its spans and rollups
+(:func:`metrics_from_trace`), exported as OpenMetrics text or JSONL
+snapshots (:mod:`repro.obs.export`).
 
 The central invariant is the *determinism contract*: event ordering and
 payloads are a pure function of the run, identical across the serial
 and batched execution backends; every wall-clock or
 scheduling-dependent value is confined to the ``rt`` event attribute
-and the ``runtime.*`` metric namespace, which
+and to events named under ``runtime.*``, which
 :func:`~repro.obs.report.deterministic_view` masks.  See
 :mod:`repro.obs.tracer` for the schema and DESIGN.md §6c for the full
 contract.
@@ -43,30 +43,22 @@ from repro.obs.health import (
     health_summary,
     render_dashboard,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    RUNTIME_PREFIX,
-)
-from repro.obs.names import METRIC_NAMES
-from repro.obs.rollup import (
-    P2Quantile,
-    RoundRollup,
-    SpanSampler,
-    StreamingHistogram,
-)
+from repro.obs.rollup import RoundRollup, SpanSampler, summarize
 from repro.obs.sinks import (
     JsonlSink,
     MemorySink,
     TraceSink,
     truncate_trace,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, TRACE_SCHEMA, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    NullTracer,
+    RUNTIME_PREFIX,
+    Span,
+    TRACE_SCHEMA,
+    Tracer,
+)
 from repro.obs.report import (
-    comm_totals,
     deterministic_view,
     diff_traces,
     format_report,
@@ -79,19 +71,11 @@ from repro.obs.report import (
 )
 
 __all__ = [
-    "Counter",
     "EXPORT_SCHEMA",
-    "Gauge",
     "HealthMonitor",
-    "Histogram",
-    "METRIC_NAMES",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "P2Quantile",
     "RUNTIME_PREFIX",
     "RoundRollup",
     "SpanSampler",
-    "StreamingHistogram",
     "JsonlSink",
     "MemorySink",
     "TraceSink",
@@ -100,7 +84,6 @@ __all__ = [
     "Span",
     "TRACE_SCHEMA",
     "Tracer",
-    "comm_totals",
     "deterministic_view",
     "diff_traces",
     "format_report",
@@ -113,6 +96,7 @@ __all__ = [
     "render_dashboard",
     "rollup_rows",
     "round_rows",
+    "summarize",
     "to_jsonl_snapshot",
     "to_openmetrics",
     "trace_digest",

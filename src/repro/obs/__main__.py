@@ -10,9 +10,9 @@
 ``report`` prints the per-phase time/bytes breakdown; ``diff`` compares
 two traces under the deterministic view (timestamps and other runtime
 data masked) and exits non-zero when the runs diverged.  ``export``
-writes the trace's final metric values as OpenMetrics text (or a JSONL
-snapshot); ``watch`` renders the live health dashboard, re-reading the
-growing trace file under ``--follow``.
+folds the trace into the run's totals and writes them as OpenMetrics
+text (or a JSONL snapshot); ``watch`` renders the live health
+dashboard, re-reading the growing trace file under ``--follow``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.obs.report import (
     trace_digest,
     validate_trace,
 )
+from repro.obs.tracer import TRACE_SCHEMA
 
 __all__ = ["build_parser", "main"]
 
@@ -43,7 +44,7 @@ __all__ = ["build_parser", "main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="inspect repro-trace/v1 JSONL trace files",
+        description=f"inspect {TRACE_SCHEMA} JSONL trace files",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("b", type=Path)
 
     export = sub.add_parser(
-        "export", help="final metric values as OpenMetrics text or JSONL"
+        "export", help="the trace's totals as OpenMetrics text or JSONL"
     )
     export.add_argument("trace", type=Path)
     export.add_argument(
@@ -167,7 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for problem in problems:
                     print(problem, file=sys.stderr)
                 return 1
-            print(f"{args.trace}: valid repro-trace/v1")
+            print(f"{args.trace}: valid {TRACE_SCHEMA}")
             return 0
         if args.command == "digest":
             print(trace_digest(load_trace(args.trace)))

@@ -1,9 +1,9 @@
-"""Export metrics in standard forms: OpenMetrics text and JSONL.
+"""Export a trace's totals in standard forms: OpenMetrics text and JSONL.
 
-A ``repro-trace/v1`` file (or a live :class:`~repro.obs.metrics.
-MetricsRegistry` snapshot) carries the run's ``comm.*``/``emu.*``/
-``store.*``/``runtime.*`` instruments; this module writes them out so
-they can leave the process in a form other tooling understands:
+:func:`metrics_from_trace` folds a ``repro-trace/v2`` event list into
+the run's ``comm.*``/``async.*``/``store.*``/``ckpt.*``/``runtime.*``
+totals; this module writes them out so they can leave the process in a
+form other tooling understands:
 
 * :func:`to_openmetrics` — the OpenMetrics text exposition format
   (Prometheus-compatible): counters as ``<name>_total``, gauges as
@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
+from repro.obs.rollup import summarize
+from repro.obs.tracer import TRACE_SCHEMA
 __all__ = [
     "EXPORT_SCHEMA",
     "metrics_from_trace",
@@ -37,7 +39,7 @@ _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def openmetrics_name(name: str) -> str:
-    """Sanitize a dotted registry name (``comm.uploads`` ->
+    """Sanitize a dotted metric name (``comm.uploads`` ->
     ``comm_uploads``) into the OpenMetrics charset."""
     sanitized = _NAME_BAD_CHARS.sub("_", name)
     if not sanitized or not _NAME_OK.match(sanitized):
@@ -48,32 +50,84 @@ def openmetrics_name(name: str) -> str:
 def metrics_from_trace(
     events: Iterable[Dict[str, Any]],
 ) -> Dict[str, Dict[str, Any]]:
-    """Reconstruct the final metric summaries from a trace.
+    """The run's counters, gauges and summaries: one fold over its trace.
 
-    Prefers the close-time ``metrics_snapshot`` event (complete,
-    including histogram quantiles); a trace without one — a killed or
-    still-running run — falls back to folding the streamed ``metric``
-    events, which recovers the latest counter/gauge values (histograms
-    do not stream per observation and are absent on that path).
+    Every number is read off events the run emits anyway:
+
+    * ``comm.*`` — sums over the ``round_rollup`` events;
+    * ``async.*`` — the ``dispatch`` and ``round_close`` spans (counts,
+      their ``n_dropped``/``next_deferred``/``n_arrived`` attributes,
+      the last ``virtual_time``, and an exact summary of every
+      ``staleness``);
+    * ``store.*`` — on store-backed runs (rollups carry a ``store``
+      block), the participants of every ``round``/``dispatch`` span and
+      the last rollup's ``shards_materialized``;
+    * ``ckpt.saves`` — the ``ckpt`` spans; ``runtime.ckpt.*`` and
+      ``runtime.executor.batched_fallbacks`` — the runtime point events
+      of those names.
+
+    A trace cut after round k (a killed or still-running run) yields the
+    same names as the complete trace, with their values as of round k.
+    A trace whose header names another schema raises ``ValueError``.
     """
-    snapshot: Optional[Dict[str, Any]] = None
-    folded: Dict[str, Dict[str, Any]] = {}
+    counts: Dict[str, int] = {}
+    gauges: Dict[str, Any] = {}
+    samples: Dict[str, List[float]] = {}
+    participants = 0
+
+    def add(name: str, delta: int = 1) -> None:
+        counts[name] = counts.get(name, 0) + delta
+
     for event in events:
-        kind = event.get("kind")
-        if kind == "point" and event.get("name") == "metrics_snapshot":
-            snapshot = dict(event.get("attrs", {}).get("metrics", {}))
-            snapshot.update(event.get("rt", {}).get("metrics", {}))
-        elif kind == "metric":
-            attrs = dict(event.get("attrs", {}))
-            metric_type = attrs.pop("type", "gauge")
-            fields = {
-                k: v
-                for k, v in {**event.get("rt", {}), **attrs}.items()
-                if k != "ts"
-            }
-            fields["type"] = metric_type
-            folded[str(event["name"])] = fields
-    return snapshot if snapshot is not None else folded
+        name = event.get("name")
+        attrs = event.get("attrs", {})
+        if event.get("kind") == "header":
+            if attrs.get("schema") != TRACE_SCHEMA:
+                raise ValueError(
+                    f"trace schema is {attrs.get('schema')!r}; totals are "
+                    f"folded from {TRACE_SCHEMA} traces only"
+                )
+        elif name == "round_rollup":
+            add("comm.uploads", attrs["n_uploaded"])
+            add("comm.skips", attrs["n_participants"] - attrs["n_uploaded"])
+            add("comm.uploaded_bytes", attrs["uploaded_bytes"])
+            add("comm.status_bytes", attrs["status_bytes"])
+            if "store" in attrs:
+                counts["store.shards_materialized"] = attrs["store"][
+                    "shards_materialized"
+                ]
+        elif name in ("round", "dispatch"):
+            participants += attrs.get("n_participants", 0)
+            if name == "dispatch":
+                add("async.dispatches")
+                add("async.drops", attrs["n_dropped"])
+                add("async.deferred_dispatches", int(attrs["next_deferred"]))
+                gauges["async.virtual_time"] = attrs["virtual_time"]
+        elif name == "round_close":
+            add("async.closes")
+            add("async.arrivals", attrs["n_arrived"])
+            samples.setdefault("async.staleness", []).append(
+                float(attrs["staleness"])
+            )
+            gauges["async.virtual_time"] = attrs["virtual_time"]
+        elif name == "ckpt":
+            add("ckpt.saves")
+        elif name == "runtime.ckpt":
+            rt = event.get("rt", {})
+            samples.setdefault("runtime.ckpt.save_s", []).append(rt["save_s"])
+            gauges["runtime.ckpt.bytes"] = rt["bytes"]
+        elif name == "runtime.executor.batched_fallback":
+            add("runtime.executor.batched_fallbacks")
+    if "store.shards_materialized" in counts:  # a store-backed run
+        counts["store.checkouts"] = counts["store.rows_written"] = participants
+    metrics: Dict[str, Dict[str, Any]] = {}
+    for name, value in counts.items():
+        metrics[name] = {"type": "counter", "value": value}
+    for name, value in gauges.items():
+        metrics[name] = {"type": "gauge", "value": value}
+    for name, values in samples.items():
+        metrics[name] = {"type": "histogram", **summarize(values)}
+    return dict(sorted(metrics.items()))
 
 
 def _format_value(value: Any) -> str:
@@ -87,8 +141,8 @@ def _format_value(value: Any) -> str:
 def to_openmetrics(metrics: Dict[str, Dict[str, Any]]) -> str:
     """Render final metric summaries as OpenMetrics exposition text.
 
-    ``metrics`` maps registry names to summary dicts (the shape of
-    :meth:`MetricsRegistry.snapshot` / :func:`metrics_from_trace`).
+    ``metrics`` maps dotted names to summary dicts (the shape of
+    :func:`metrics_from_trace`).
     Families are name-sorted; the output always ends with ``# EOF``.
     """
     lines: List[str] = []
@@ -102,7 +156,7 @@ def to_openmetrics(metrics: Dict[str, Dict[str, Any]]) -> str:
             if value is not None:
                 lines.append(f"{om_name}_total {_format_value(value)}")
         elif metric_type == "histogram":
-            # Quantile sketches map onto the OpenMetrics summary type.
+            # Exact summaries map onto the OpenMetrics summary type.
             lines.append(f"# TYPE {om_name} summary")
             for key in sorted(summary):
                 if not key.startswith("p") or not key[1:].isdigit():
@@ -131,10 +185,7 @@ def to_jsonl_snapshot(metrics: Dict[str, Dict[str, Any]]) -> str:
     """One JSON object per metric, after a schema header line."""
     lines = [json.dumps({"schema": EXPORT_SCHEMA}, sort_keys=True)]
     for name in sorted(metrics):
-        entry = {"name": name}
-        entry.update(
-            {k: v for k, v in metrics[name].items() if k != "state"}
-        )
+        entry = {"name": name, **metrics[name]}
         lines.append(
             json.dumps(entry, sort_keys=True, separators=(",", ":"))
         )

@@ -12,8 +12,10 @@ emits as trace events:
 * ``health.non_finite`` — a NaN/inf training or evaluation quantity;
 * ``health.stall`` — the evaluation metric has not improved by
   ``STALL_MIN_DELTA`` for ``STALL_PATIENCE`` consecutive evaluations;
-* ``health.comm_drift`` — the ledger's byte total disagrees with the
-  streamed ``comm.*`` counters (an accounting bug, not a run property);
+* ``health.comm_drift`` — the bytes the ledger added this round
+  disagree with the rollup's ``uploaded_bytes + status_bytes``, which
+  the trainer computes separately (an accounting bug, not a run
+  property);
 * ``runtime.health.straggler`` — the slowest client task took at least
   ``STRAGGLER_FACTOR`` times the round's median compute time.
 
@@ -94,12 +96,13 @@ class HealthMonitor:
         test_metric: Optional[float] = None,
         test_loss: Optional[float] = None,
         mean_train_loss: Optional[float] = None,
-        ledger_total_bytes: Optional[int] = None,
-        counter_total_bytes: Optional[int] = None,
+        ledger_round_bytes: Optional[int] = None,
     ) -> List[Finding]:
         """Check one finished round; returns findings in a fixed order.
 
-        ``attrs``/``rt`` are the round rollup's two halves.  Check
+        ``attrs``/``rt`` are the round rollup's two halves;
+        ``ledger_round_bytes`` is the ledger's byte total minus its
+        total after the previous round.  Check
         order (dead cohort, non-finite, stall, comm drift, straggler)
         is fixed so the emitted event sequence stays deterministic.
         """
@@ -166,18 +169,17 @@ class HealthMonitor:
                     )
                 )
 
-        if (
-            ledger_total_bytes is not None
-            and counter_total_bytes is not None
-            and ledger_total_bytes != counter_total_bytes
-        ):
+        rollup_bytes = int(attrs.get("uploaded_bytes", 0)) + int(
+            attrs.get("status_bytes", 0)
+        )
+        if ledger_round_bytes is not None and ledger_round_bytes != rollup_bytes:
             findings.append(
                 (
                     "health.comm_drift",
                     {
                         "iteration": iteration,
-                        "ledger_bytes": int(ledger_total_bytes),
-                        "counter_bytes": int(counter_total_bytes),
+                        "ledger_bytes": int(ledger_round_bytes),
+                        "rollup_bytes": rollup_bytes,
                     },
                     None,
                 )

@@ -1,4 +1,4 @@
-"""Read, validate, diff and summarise ``repro-trace/v1`` files.
+"""Read, validate, diff and summarise ``repro-trace/v2`` files.
 
 The functions here are the measurement side of the observability layer:
 ``python -m repro.obs`` renders a per-phase time/bytes breakdown from
@@ -15,13 +15,12 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from repro.obs.export import metrics_from_trace
 from repro.obs.health import health_summary
-from repro.obs.metrics import RUNTIME_PREFIX
-from repro.obs.tracer import TRACE_SCHEMA
+from repro.obs.tracer import RUNTIME_PREFIX, TRACE_SCHEMA
 from repro.utils.tables import format_table
 
 __all__ = [
-    "comm_totals",
     "deterministic_view",
     "diff_traces",
     "format_report",
@@ -33,7 +32,7 @@ __all__ = [
     "validate_trace",
 ]
 
-_KINDS = ("header", "span", "point", "metric")
+_KINDS = ("header", "span", "point")
 
 
 def load_trace(source: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -174,24 +173,6 @@ def phase_summary(events: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, float
     return phases
 
 
-def comm_totals(events: Iterable[Dict[str, Any]]) -> Dict[str, Union[int, float]]:
-    """Final values of the deterministic counters (``comm.*``, ``emu.*``).
-
-    Reads the running ``value`` field of metric events, so a truncated
-    trace yields the totals up to the truncation point.
-    """
-    totals: Dict[str, Union[int, float]] = {}
-    for event in events:
-        if event.get("kind") != "metric":
-            continue
-        if str(event["name"]).startswith(RUNTIME_PREFIX):
-            continue
-        value = event.get("attrs", {}).get("value")
-        if value is not None:
-            totals[event["name"]] = value
-    return totals
-
-
 def _round_ancestor(
     event: Dict[str, Any], by_id: Dict[int, Dict[str, Any]]
 ) -> Optional[Dict[str, Any]]:
@@ -322,14 +303,14 @@ def format_report(
                 title="per-round breakdown",
             )
         )
-    totals = comm_totals(events)
+    totals = [
+        [name, summary["value"]]
+        for name, summary in metrics_from_trace(events).items()
+        if "value" in summary and not name.startswith(RUNTIME_PREFIX)
+    ]
     if totals:
         parts.append(
-            format_table(
-                ["metric", "total"],
-                [[name, value] for name, value in sorted(totals.items())],
-                title="communication totals",
-            )
+            format_table(["metric", "total"], totals, title="run totals")
         )
     rollups = rollup_rows(events)
     if rollups:

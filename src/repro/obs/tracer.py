@@ -1,4 +1,4 @@
-"""Structured tracing: nested spans, point events, streamed metrics.
+"""Structured tracing: nested spans and point events.
 
 One :class:`Tracer` serves one run.  It emits dict events to its sinks
 in a single deterministic order; the federated round produces the span
@@ -28,22 +28,24 @@ Event schema (one JSON object per line in a ``.jsonl`` trace)::
      "parent": 3, "attrs": {"iteration": 1, "client_id": 4},
      "rt": {"ts": 8.1, "dur": 0.03, "worker": "..."}}
 
-``kind`` is ``header`` | ``span`` | ``point`` | ``metric``.
+``kind`` is ``header`` | ``span`` | ``point``.  There is one channel
+for numbers: every count a run reports (uploads, bytes, dispatches,
+checkpoint saves) is a fold over these events, computed when the trace
+is read (:func:`repro.obs.export.metrics_from_trace`).
 
 **Determinism contract.**  Everything outside the ``rt`` attribute —
 event ordering, span nesting, names, ids and ``attrs`` payloads — is a
 pure function of the run's decisions and therefore identical across the
 serial and batched execution backends.  All wall-clock and
 scheduling-dependent data (timestamps, durations, worker labels,
-backend names, host info) lives in ``rt``, and metrics in
-the ``runtime.*`` namespace keep their values there too.
+backend names, host info) lives in ``rt``, and events named under
+:data:`RUNTIME_PREFIX` keep their whole payload there.
 :func:`repro.obs.report.deterministic_view` strips ``rt``/``seq`` and
 drops ``runtime.*`` events; two traces of the same run must be equal
 under that view (asserted in ``tests/test_obs.py``).
 
 The default :data:`NULL_TRACER` keeps instrumented code allocation-free
-when tracing is off: ``span()`` returns a shared no-op span and the
-null metrics registry hands back a shared no-op instrument.
+when tracing is off: ``span()`` returns a shared no-op span.
 """
 
 from __future__ import annotations
@@ -53,19 +55,22 @@ import platform
 from time import monotonic
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.obs.rollup import SpanSampler
 from repro.obs.sinks import MemorySink, TraceSink
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
+    "RUNTIME_PREFIX",
     "Span",
     "TRACE_SCHEMA",
     "Tracer",
 ]
 
-TRACE_SCHEMA = "repro-trace/v1"
+TRACE_SCHEMA = "repro-trace/v2"
+
+#: Event-name prefix marking runtime-dependent (nondeterministic) data.
+RUNTIME_PREFIX = "runtime."
 
 
 class Span:
@@ -108,7 +113,7 @@ class Span:
 
 
 class Tracer:
-    """Emits spans, point events and metric updates to its sinks.
+    """Emits spans and point events to its sinks.
 
     Not thread-safe by design: all emission happens on the trainer's
     thread, which is exactly what the deterministic-ordering contract
@@ -126,7 +131,6 @@ class Tracer:
     ) -> None:
         self.sinks: List[TraceSink] = list(sinks or ())  # ckpt: transient — live I/O handles
         self.clock = clock
-        self.metrics = MetricsRegistry(emit=self._metric_event)
         # Head-sampling policy for per-client spans; None keeps every
         # span.  A pure (seed, round, client_index) hash — the trainer
         # re-derives it from the config, so it never rides in a
@@ -231,7 +235,7 @@ class Tracer:
             }
         )
 
-    # -- point events and metrics --------------------------------------
+    # -- point events ---------------------------------------------------
 
     def event(
         self,
@@ -253,16 +257,6 @@ class Tracer:
             }
         )
 
-    def _metric_event(
-        self, name: str, metric_type: str, fields: Dict[str, Any], runtime: bool
-    ) -> None:
-        attrs: Dict[str, Any] = {"type": metric_type}
-        rt: Dict[str, Any] = {"ts": self.clock()}
-        # Runtime metric values are nondeterministic; isolate them in rt
-        # so the deterministic view masks them along with timestamps.
-        (rt if runtime else attrs).update(fields)
-        self._emit({"kind": "metric", "name": name, "attrs": attrs, "rt": rt})
-
     def _emit(self, event: Dict[str, Any]) -> None:
         event["seq"] = self._seq
         self._seq += 1
@@ -276,14 +270,14 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     def export_state(self) -> Dict[str, Any]:
-        """Continuation snapshot: counters, open spans, metric values.
+        """Continuation snapshot: counters and open spans.
 
         Everything :meth:`restore_state` needs to continue this exact
-        event stream in a fresh process — sequence and id counters, the
-        open-span stack (names, ids, deterministic attrs) and the
-        metrics registry.  Checkpoints persist it so a killed-and-
-        resumed run emits the same events, with the same ids and
-        ``seq`` numbers, as an uninterrupted one.
+        event stream in a fresh process — sequence and id counters and
+        the open-span stack (names, ids, deterministic attrs).
+        Checkpoints persist it so a killed-and-resumed run emits the
+        same events, with the same ids and ``seq`` numbers, as an
+        uninterrupted one.
         """
         return {
             "seq": self._seq,
@@ -297,7 +291,6 @@ class Tracer:
                 }
                 for span in self._stack
             ],
-            "metrics": self.metrics.export_state(),
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
@@ -307,14 +300,23 @@ class Tracer:
         must not have emitted anything yet: the snapshot's counters
         replace its own, checkpointed open spans are reopened with
         their original ids/attrs (their durations restart — runtime
-        data, masked by the deterministic view), and metric values are
-        reinstated without emitting events.
+        data, masked by the deterministic view).  A snapshot with a key
+        missing or one this tracer does not read (a section written by
+        an older version) raises ``ValueError`` naming the key: resuming
+        from it would fork the event stream silently.
         """
-        if self._seq != 0 or self._stack or len(self.metrics):
+        if self._seq != 0 or self._stack:
             raise RuntimeError(
                 "restore_state needs a fresh tracer (emit_header=False, "
-                "no events emitted, no metrics registered)"
+                "no events emitted)"
             )
+        expected = ("seq", "next_id", "open_spans")
+        for key in expected:
+            if key not in state:
+                raise ValueError(f"tracer state is missing key {key!r}")
+        for key in state:
+            if key not in expected:
+                raise ValueError(f"tracer state has unknown key {key!r}")
         self._seq = int(state["seq"])
         self._next_id = int(state["next_id"])
         for entry in state["open_spans"]:
@@ -323,7 +325,6 @@ class Tracer:
             span.parent_id = entry["parent"]
             span._start = self.clock()
             self._stack.append(span)
-        self.metrics.restore(state.get("metrics", {}))
 
     # -- lifecycle ------------------------------------------------------
 
@@ -340,21 +341,10 @@ class Tracer:
         return None
 
     def close(self) -> None:
-        """Emit the final metrics snapshot and close every sink.
-
-        Idempotent.  The snapshot separates deterministic metrics
-        (``attrs``) from ``runtime.*`` ones (``rt``), like every other
-        event.
-        """
+        """Close every sink.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        if len(self.metrics):
-            self.event(
-                "metrics_snapshot",
-                attrs={"metrics": self.metrics.snapshot(runtime=False)},
-                rt={"metrics": self.metrics.snapshot(runtime=True)},
-            )
         for sink in self.sinks:
             sink.close()
 
@@ -384,7 +374,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-_NULL_METRICS = NullMetricsRegistry()
 
 
 class NullTracer:
@@ -395,7 +384,6 @@ class NullTracer:
     """
 
     enabled = False
-    metrics = _NULL_METRICS
     sampler = None
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:

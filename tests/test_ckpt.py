@@ -11,6 +11,7 @@ from repro.ckpt import (
     CKPT_SCHEMA,
     Checkpointer,
     CheckpointError,
+    build_resume_tracer,
     checkpoint_paths,
     latest_checkpoint,
     read_checkpoint,
@@ -22,6 +23,7 @@ from repro.core.feedback import GlobalUpdateEstimator
 from repro.core.policy import CMFLPolicy, UploadPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.fl.accounting import CommunicationLedger
+from repro.fl.config import FLConfig
 from repro.fl.history import RunHistory, RoundRecord
 from repro.fl.sampling import FullParticipation, UniformSampler
 from repro.models.linear import make_logistic_regression
@@ -400,23 +402,51 @@ class TestTraceContinuation:
         tracer = Tracer(sinks=[sink])
         span = tracer.span("run", policy="cmfl")
         span.__enter__()
-        tracer.metrics.counter("comm.uploads").inc(3)
+        tracer.record_span("round_close", attrs={"iteration": 1})
         state = tracer.export_state()
 
         fresh_sink = MemorySink()
         fresh = Tracer(sinks=[fresh_sink], emit_header=False)
         fresh.restore_state(state)
         assert fresh.current_span().name == "run"
-        fresh.metrics.counter("comm.uploads").inc(2)
+        fresh.record_span("round_close", attrs={"iteration": 2})
         event = fresh_sink.events[-1]
         assert event["seq"] == state["seq"]
-        assert event["attrs"]["value"] == 5  # counter kept counting
+        # Ids and parents continue the original stream.
+        assert event["id"] == state["next_id"]
+        assert event["parent"] == span.span_id
 
     def test_restore_state_requires_fresh_tracer(self):
         used = Tracer(sinks=[MemorySink()])  # header consumed seq 0
         with pytest.raises(RuntimeError, match="fresh tracer"):
-            used.restore_state({"seq": 5, "next_id": 2, "open_spans": [],
-                                "metrics": {}})
+            used.restore_state({"seq": 5, "next_id": 2, "open_spans": []})
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            # A snapshot from before the trace had one channel.
+            (lambda state: state.update(metrics={}), "metrics"),
+            (lambda state: state.pop("open_spans"), "open_spans"),
+        ],
+        ids=["unknown", "missing"],
+    )
+    def test_restore_state_refuses_keys_it_does_not_read(self, edit, key):
+        state = {"seq": 5, "next_id": 2, "open_spans": []}
+        edit(state)
+        with pytest.raises(ValueError, match=repr(key)):
+            Tracer(emit_header=False).restore_state(state)
+
+    def test_resume_refuses_a_snapshot_before_touching_the_trace(
+        self, tmp_path
+    ):
+        path = tmp_path / "t.jsonl"
+        lines = [encode_event({"seq": i, "kind": "point"}) for i in range(6)]
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_text()
+        old = {"seq": 3, "next_id": 1, "open_spans": [], "metrics": {}}
+        with pytest.raises(ValueError, match="'metrics'"):
+            build_resume_tracer(old, FLConfig(trace_path=str(path)))
+        assert path.read_text() == before
 
 
 # -- Checkpointer scheduling ------------------------------------------------

@@ -29,7 +29,7 @@ from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.metrics import binary_accuracy
 from repro.nn.optimizers import SGD
 from repro.nn.schedules import ConstantLR
-from repro.obs import load_trace, trace_digest
+from repro.obs import load_trace, metrics_from_trace, trace_digest
 from repro.utils.rng import child_rngs
 
 N_FEATURES = 4
@@ -260,10 +260,10 @@ class TestBoundedStaleness:
             staleness_bound=2, trace_path=path, speed_sigma=1.0
         )
         events = load_trace(path)
-        counters = {}
-        for event in events:
-            if event.get("kind") == "metric":
-                counters[event["name"]] = event["attrs"].get("value")
+        counters = {
+            name: summary.get("value")
+            for name, summary in metrics_from_trace(events).items()
+        }
         assert counters.get("async.dispatches") == 4
         assert counters.get("async.closes") == 4
         assert counters.get("async.arrivals") == 4 * 6
@@ -274,18 +274,16 @@ class TestBoundedStaleness:
         assert "round" not in span_names
 
     def test_arrivals_are_counted_once_per_closed_round(self, tmp_path):
-        # Every Counter.inc() streams a metric event; one per arrival
-        # was 4/5 of a population run's trace.
+        # One event per arrival was 4/5 of a population run's trace: the
+        # round_close span carries its round's arrival count instead.
         path = tmp_path / "t.jsonl"
         self._run(staleness_bound=2, trace_path=path, speed_sigma=1.0)
         events = load_trace(path)
-        arrivals = [
-            e for e in events
-            if e.get("kind") == "metric" and e["name"] == "async.arrivals"
-        ]
         closes = [
             e for e in events
             if e.get("kind") == "span" and e["name"] == "round_close"
         ]
         assert len(closes) == 4
-        assert 1 <= len(arrivals) <= len(closes)
+        arrivals = metrics_from_trace(events)["async.arrivals"]["value"]
+        assert arrivals == sum(e["attrs"]["n_arrived"] for e in closes)
+        assert arrivals == 4 * 6

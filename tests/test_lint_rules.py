@@ -2,10 +2,9 @@
 
 ``TestExplicitDtype`` and ``TestNoPrintInLibrary`` hold the source scans
 of ``test_source_scans.py`` to the edge cases the rules were held to.
-The other classes hold the runtime checks that replaced a rule: the
-metric registry refuses undeclared names, a run never draws from a
-global generator, and the no-mutation property over ``mean_aggregate``
-fails on every kind of write into its inputs.
+The other classes hold the runtime checks that replaced a rule: a run
+never draws from a global generator, and the no-mutation property over
+``mean_aggregate`` fails on every kind of write into its inputs.
 """
 
 import pickle
@@ -17,8 +16,6 @@ import pytest
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.fl.client import FLClient
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 from tests import test_trigger_properties as properties
 from tests.test_executor import _federation
 from tests.test_source_scans import _tree, implicit_dtypes, library_prints
@@ -81,46 +78,6 @@ class TestNoPrintInLibrary:
         """The scans read no disable comment: the line is still flagged."""
         source = "def debug(x):\n    print(x)  # noqa  # lint: disable=no-print-in-library\n"
         assert library_prints({"fl/probe.py": source}) == ["fl/probe.py:2: print()"]
-
-
-class TestMetricNameRegistry:
-    """Creating an instrument under an undeclared name raises."""
-
-    def test_registered_literal_is_clean(self):
-        registry = MetricsRegistry()
-        registry.counter("comm.uploads").inc(2)
-        registry.gauge("store.shards_materialized").set(2)
-        registry.histogram("runtime.ckpt.save_s").observe(2)
-        assert len(registry) == 3
-
-    def test_unregistered_literal_fires_per_call(self):
-        registry = MetricsRegistry()
-        for _ in range(2):
-            with pytest.raises(ValueError, match="'comm.uplaods'"):
-                registry.counter("comm.uplaods").inc()
-        with pytest.raises(ValueError, match="'totally.new'"):
-            registry.gauge("totally.new").set(1)
-        assert len(registry) == 0
-
-    def test_fstring_without_registered_head_fires(self):
-        kind = "uploads"
-        with pytest.raises(ValueError, match="'mesh.uploads'"):
-            MetricsRegistry().counter(f"mesh.{kind}")
-
-    def test_dynamic_name_expression_fires(self):
-        """A computed name is checked by its value."""
-        registry = MetricsRegistry()
-        for suffix in ("uploads", "skips"):
-            registry.counter("comm." + suffix).inc()
-        with pytest.raises(ValueError, match="'comm.uplaods'"):
-            registry.counter("comm." + "uplaods")
-        assert len(registry) == 2
-
-    def test_registry_receiver_spellings(self):
-        with pytest.raises(ValueError, match="'bogus.one'"):
-            Tracer(emit_header=False).metrics.counter("bogus.one")
-        with pytest.raises(ValueError, match="'bogus.two'"):
-            MetricsRegistry().histogram("bogus.two")
 
 
 def _run_moves_a_global_rng(draw=None):

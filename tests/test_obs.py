@@ -1,5 +1,5 @@
-"""The repro.obs observability layer: span nesting, sinks, metrics,
-and the cross-backend trace-determinism contract."""
+"""The repro.obs observability layer: span nesting, sinks, the totals
+folded from a trace, and the cross-backend trace-determinism contract."""
 
 import json
 
@@ -13,16 +13,14 @@ from repro.fl.history import HISTORY_SCHEMA, RoundRecord, RunHistory
 from repro.obs import (
     JsonlSink,
     MemorySink,
-    MetricsRegistry,
     NULL_TRACER,
-    NullMetricsRegistry,
     NullTracer,
     TRACE_SCHEMA,
     Tracer,
-    comm_totals,
     deterministic_view,
     diff_traces,
     load_trace,
+    metrics_from_trace,
     phase_summary,
     trace_digest,
     validate_trace,
@@ -100,21 +98,15 @@ class TestSpans:
                 raise ValueError("boom")
         assert sink.events[-1]["attrs"]["error"] == "ValueError"
 
-    def test_close_is_idempotent_and_snapshots_metrics(self):
+    def test_close_is_idempotent_and_emits_nothing(self):
         tracer, sink = _memory_tracer()
-        tracer.metrics.counter("comm.uploads").inc(4)
-        tracer.metrics.counter("runtime.executor.batched_fallbacks").inc()
+        with tracer.span("round", iteration=1):
+            pass
+        emitted = list(sink.events)
         tracer.close()
         tracer.close()
-        snapshots = [
-            e for e in sink.events if e["name"] == "metrics_snapshot"
-        ]
-        assert len(snapshots) == 1
-        assert snapshots[0]["attrs"]["metrics"]["comm.uploads"]["value"] == 4
-        assert (
-            "runtime.executor.batched_fallbacks"
-            in snapshots[0]["rt"]["metrics"]
-        )
+        # No close-time summary: every total is a fold over the events.
+        assert sink.events == emitted
 
 
 class TestSinks:
@@ -123,7 +115,7 @@ class TestSinks:
         tracer = Tracer(sinks=[JsonlSink(path), MemorySink()])
         with tracer.span("round", iteration=1):
             tracer.event("tick", attrs={"n": 2})
-        tracer.metrics.counter("comm.uploads").inc(3)
+        tracer.event("runtime.ckpt", rt={"save_s": 0.5, "bytes": 10})
         tracer.close()
         assert load_trace(path) == tracer.memory_events()
 
@@ -140,56 +132,6 @@ class TestSinks:
             load_trace(path)
 
 
-class TestMetrics:
-    def test_counter_gauge_histogram_math(self):
-        registry = MetricsRegistry()
-        registry.counter("comm.uploads").inc()
-        registry.counter("comm.uploads").inc(4)
-        registry.gauge("async.virtual_time").set(2.5)
-        hist = registry.histogram("async.staleness")
-        for v in (1.0, 3.0, 8.0):
-            hist.observe(v)
-        snap = registry.snapshot()
-        assert snap["comm.uploads"]["value"] == 5
-        assert snap["async.virtual_time"]["value"] == 2.5
-        assert snap["async.staleness"]["count"] == 3
-        assert snap["async.staleness"]["min"] == 1.0
-        assert snap["async.staleness"]["max"] == 8.0
-        assert hist.mean == pytest.approx(4.0)
-
-    def test_counter_rejects_negative_and_type_conflicts(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("comm.uploads").inc(-1)
-        registry.counter("comm.skips")
-        with pytest.raises(TypeError):
-            registry.gauge("comm.skips")
-
-    def test_unregistered_name_is_refused(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="'comm.uplaods'"):
-            registry.counter("comm.uplaods")
-        with pytest.raises(ValueError, match="'store.checkout'"):
-            registry.restore({"store.checkout": {"type": "counter", "value": 3}})
-        assert len(registry) == 0
-
-    def test_runtime_namespace_split(self):
-        registry = MetricsRegistry()
-        registry.counter("comm.uploads").inc()
-        registry.counter("runtime.executor.batched_fallbacks").inc()
-        assert set(registry.snapshot(runtime=False)) == {"comm.uploads"}
-        assert set(registry.snapshot(runtime=True)) == {
-            "runtime.executor.batched_fallbacks"
-        }
-
-    def test_null_registry_is_inert(self):
-        registry = NullMetricsRegistry()
-        registry.counter("comm.uploads").inc(10)
-        registry.histogram("async.staleness").observe(1.0)
-        assert registry.snapshot() == {}
-        assert len(registry) == 0
-
-
 class TestNullTracer:
     def test_null_tracer_is_shared_and_inert(self):
         assert isinstance(NULL_TRACER, NullTracer)
@@ -199,7 +141,6 @@ class TestNullTracer:
             span.set_rt("b", 2)
         NULL_TRACER.record_span("x")
         NULL_TRACER.event("y")
-        NULL_TRACER.metrics.counter("comm.uploads").inc()
         assert NULL_TRACER.memory_events() is None
 
     def test_trainer_defaults_to_null_tracer(self):
@@ -248,26 +189,30 @@ class TestDeterminismContract:
         with trainer:
             trainer.run()
             # What a fallback to the per-client loop emits.
-            trainer.tracer.metrics.counter(
-                "runtime.executor.batched_fallbacks"
-            ).inc()
+            trainer.tracer.event(
+                "runtime.executor.batched_fallback", rt={"reason": "test"}
+            )
         events = list(trainer.tracer.memory_events())
         view = deterministic_view(events)
         assert all("rt" not in e and "seq" not in e for e in view)
         assert all(
             not e["name"].startswith("runtime.") for e in view
         )
-        # The raw trace does carry the runtime metric.
+        # The raw trace does carry the runtime event.
         assert any(
             e["name"].startswith("runtime.") for e in events
         )
 
     def test_trace_reproduces_history_and_ledger(self):
         trainer, events = _traced_events("serial")
-        totals = comm_totals(events)
-        assert totals["comm.uploads"] == trainer.ledger.accumulated_rounds
+        totals = metrics_from_trace(events)
         assert (
-            totals["comm.uploaded_bytes"] + totals["comm.status_bytes"]
+            totals["comm.uploads"]["value"]
+            == trainer.ledger.accumulated_rounds
+        )
+        assert (
+            totals["comm.uploaded_bytes"]["value"]
+            + totals["comm.status_bytes"]["value"]
             == trainer.ledger.total_bytes
         )
         checks = [

@@ -1,5 +1,5 @@
-"""Metrics export (OpenMetrics/JSONL) and the CLI's behavior on
-damaged traces."""
+"""The totals folded from a trace, their export (OpenMetrics/JSONL),
+and the CLI's behavior on damaged traces."""
 
 import json
 
@@ -10,26 +10,46 @@ from repro.core.thresholds import InverseSqrtThreshold
 from repro.obs import (
     EXPORT_SCHEMA,
     MemorySink,
+    TRACE_SCHEMA,
     Tracer,
     diff_traces,
     load_trace,
     metrics_from_trace,
     openmetrics_name,
+    summarize,
     to_jsonl_snapshot,
     to_openmetrics,
 )
-from repro.obs.__main__ import main as obs_main
+from repro.obs.__main__ import build_parser, main as obs_main
 from tests.test_executor import _federation
 
 
+_SAVE_S = (0.01, 0.02, 0.03, 0.04)
+
+
 def _traced_metrics():
+    """Two round rollups, an async close and four checkpoint saves."""
     sink = MemorySink()
     tracer = Tracer(sinks=[sink])
-    tracer.metrics.counter("comm.uploads").inc(7)
-    tracer.metrics.gauge("store.shards_materialized").set(3)
-    hist = tracer.metrics.histogram("runtime.ckpt.save_s")
-    for v in (0.01, 0.02, 0.03, 0.04):
-        hist.observe(v)
+    for t, uploads, skips in ((1, 4, 1), (2, 3, 2)):
+        tracer.event(
+            "round_rollup",
+            attrs={
+                "iteration": t,
+                "n_participants": uploads + skips,
+                "n_uploaded": uploads,
+                "uploaded_bytes": 100 * uploads,
+                "status_bytes": 8 * skips,
+            },
+        )
+    tracer.record_span(
+        "round_close",
+        attrs={"iteration": 1, "staleness": 1, "n_arrived": 5,
+               "virtual_time": 2.5},
+    )
+    for save_s in _SAVE_S:
+        tracer.record_span("ckpt", attrs={"iteration": 2})
+        tracer.event("runtime.ckpt", rt={"save_s": save_s, "bytes": 64})
     tracer.close()
     return sink.events
 
@@ -61,9 +81,9 @@ class TestOpenMetrics:
         types, samples = _parse_openmetrics(to_openmetrics(metrics))
         assert types["comm_uploads"] == "counter"
         assert samples["comm_uploads_total"] == 7
-        assert types["store_shards_materialized"] == "gauge"
-        assert samples["store_shards_materialized"] == 3
-        # Histogram sketches export as the OpenMetrics summary type.
+        assert types["async_virtual_time"] == "gauge"
+        assert samples["async_virtual_time"] == 2.5
+        # Exact summaries export as the OpenMetrics summary type.
         assert types["runtime_ckpt_save_s"] == "summary"
         assert samples["runtime_ckpt_save_s_count"] == 4
         assert samples["runtime_ckpt_save_s_sum"] == pytest.approx(
@@ -92,29 +112,50 @@ class TestJsonlSnapshot:
         by_name = {p["name"]: p for p in parsed}
         assert by_name["comm.uploads"]["value"] == 7
         assert by_name["comm.uploads"]["type"] == "counter"
-        # Internal resume-state never leaks into the export.
-        assert all("state" not in p for p in parsed)
 
 
 class TestMetricsFromTrace:
-    def test_prefers_the_close_time_snapshot(self):
+    def test_folds_rollups_spans_and_runtime_events(self):
         metrics = metrics_from_trace(_traced_metrics())
-        assert metrics["comm.uploads"]["value"] == 7
-        # Histogram quantiles only exist via the snapshot path.
-        assert metrics["runtime.ckpt.save_s"]["p50"] is not None
+        assert {name: m["value"] for name, m in metrics.items()
+                if m["type"] == "counter"} == {
+            "async.arrivals": 5,
+            "async.closes": 1,
+            "ckpt.saves": 4,
+            "comm.skips": 3,
+            "comm.status_bytes": 24,
+            "comm.uploaded_bytes": 700,
+            "comm.uploads": 7,
+        }
+        assert metrics["runtime.ckpt.bytes"] == {"type": "gauge", "value": 64}
+        assert metrics["async.staleness"]["count"] == 1
 
-    def test_falls_back_to_streamed_metric_events(self):
-        # A killed run: drop the close-time snapshot.
-        events = [
-            e
-            for e in _traced_metrics()
-            if e.get("name") != "metrics_snapshot"
-        ]
-        metrics = metrics_from_trace(events)
-        assert metrics["comm.uploads"]["value"] == 7
-        assert metrics["comm.uploads"]["type"] == "counter"
-        # Histograms do not stream per observation.
-        assert "runtime.ckpt.save_s" not in metrics
+    def test_histograms_are_summarised_exactly(self):
+        metrics = metrics_from_trace(_traced_metrics())
+        assert metrics["runtime.ckpt.save_s"] == {
+            "type": "histogram", **summarize(_SAVE_S)
+        }
+        assert metrics["runtime.ckpt.save_s"]["p50"] == pytest.approx(0.025)
+
+    def test_refuses_a_trace_of_another_schema(self, tmp_path, capsys):
+        events = _traced_metrics()
+        events[0]["attrs"]["schema"] = "repro-trace/v1"
+        with pytest.raises(ValueError, match="repro-trace/v1"):
+            metrics_from_trace(events)
+        path = tmp_path / "v1.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        assert obs_main(["export", str(path)]) == 2
+        assert TRACE_SCHEMA in capsys.readouterr().err
+
+    def test_a_cut_trace_exports_the_same_names(self):
+        events = _traced_metrics()
+        first_save = next(
+            i for i, e in enumerate(events) if e["name"] == "runtime.ckpt"
+        )
+        cut = metrics_from_trace(events[: first_save + 1])
+        assert list(cut) == list(metrics_from_trace(events))
+        assert cut["ckpt.saves"]["value"] == 1
+        assert cut["runtime.ckpt.save_s"]["count"] == 1
 
 
 def _write_trace(tmp_path, name="trace.jsonl", rounds=2):
@@ -146,6 +187,14 @@ class TestExportCli:
         ) == 0
         lines = out.read_text().splitlines()
         assert json.loads(lines[0]) == {"schema": EXPORT_SCHEMA}
+
+    def test_validate_names_the_trace_schema(self, tmp_path, capsys):
+        trace = _write_trace(tmp_path)
+        assert obs_main(["validate", str(trace)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"valid {TRACE_SCHEMA}"
+        )
+        assert TRACE_SCHEMA in build_parser().description
 
     def test_export_missing_file_exits_2(self, tmp_path, capsys):
         assert obs_main(["export", str(tmp_path / "nope.jsonl")]) == 2

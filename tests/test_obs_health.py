@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
+from repro.fl.accounting import CommunicationLedger
 from repro.fl.client import FLClient
 from repro.obs import (
     HealthMonitor,
@@ -25,6 +26,8 @@ def _round_attrs(iteration=1, participants=4, uploaded=2, forced=0):
         "n_participants": participants,
         "n_uploaded": uploaded,
         "n_forced": forced,
+        "uploaded_bytes": 40 * uploaded,
+        "status_bytes": 8 * (participants - uploaded),
     }
 
 
@@ -50,8 +53,7 @@ class TestHealthMonitor:
         assert monitor.observe_round(
             _round_attrs(),
             test_metric=0.8,
-            ledger_total_bytes=100,
-            counter_total_bytes=100,
+            ledger_round_bytes=40 * 2 + 8 * 2,
         ) == []
 
     def test_dead_cohort_counts_only_organic_uploads(self):
@@ -97,11 +99,14 @@ class TestHealthMonitor:
     def test_comm_drift_requires_both_totals(self):
         monitor = HealthMonitor()
         findings = monitor.observe_round(
-            _round_attrs(), ledger_total_bytes=100, counter_total_bytes=96
+            _round_attrs(), ledger_round_bytes=97
         )
         assert [name for name, _, _ in findings] == ["health.comm_drift"]
+        assert findings[0][1] == {
+            "iteration": 1, "ledger_bytes": 97, "rollup_bytes": 96,
+        }
         assert monitor.observe_round(
-            _round_attrs(), ledger_total_bytes=100, counter_total_bytes=None
+            _round_attrs(), ledger_round_bytes=None
         ) == []
 
     def test_straggler_is_a_runtime_finding(self):
@@ -131,8 +136,7 @@ class TestHealthMonitor:
             _straggler_rt(count=9),
             test_metric=0.5,
             test_loss=float("nan"),
-            ledger_total_bytes=1,
-            counter_total_bytes=2,
+            ledger_round_bytes=1,
         )
         assert [name for name, _, _ in findings] == [
             "health.dead_cohort",
@@ -166,8 +170,17 @@ class _SleepyClient(FLClient):
         return super().compute_update(*args, **kwargs)
 
 
+class _LeakyLedger(CommunicationLedger):
+    """Books one phantom status byte in its second round only."""
+
+    def record_round(self, uploaded_ids, skipped_ids, staleness=0):
+        super().record_round(uploaded_ids, skipped_ids, staleness)
+        if len(self.rounds_per_iteration) == 2:
+            self.status_bytes += 1
+
+
 class TestInjectedFaults:
-    def _traced_run(self, monitor, client_cls=FLClient, rounds=3):
+    def _traced_run(self, monitor, client_cls=FLClient, rounds=3, ledger=None):
         trainer, _ = _federation(
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             rounds=rounds,
@@ -175,6 +188,8 @@ class TestInjectedFaults:
             client_cls=client_cls,
         )
         trainer.health = monitor
+        if ledger is not None:
+            trainer.ledger = ledger(n_params=trainer.server.n_params)
         with trainer:
             trainer.run()
         trainer.tracer.close()
@@ -193,6 +208,17 @@ class TestInjectedFaults:
         assert slowest[0][0] == 0  # client 0 is the injected straggler
         # Wall-clock findings are masked from the deterministic view.
         assert health_events(deterministic_view(events)) == []
+
+    def test_injected_ledger_drift_fires_in_its_round_only(self):
+        _, clean = self._traced_run(HealthMonitor())
+        assert "health.comm_drift" not in health_summary(clean)
+        _, events = self._traced_run(HealthMonitor(), ledger=_LeakyLedger)
+        drifts = [e for e in events if e["name"] == "health.comm_drift"]
+        # The check compares per-round deltas, so one bad round is
+        # flagged once, not in every round after it.
+        assert [e["attrs"]["iteration"] for e in drifts] == [2]
+        attrs = drifts[0]["attrs"]
+        assert attrs["ledger_bytes"] == attrs["rollup_bytes"] + 1
 
     def test_injected_stall_fires_deterministically(self):
         # min_delta so large no improvement ever counts: the second

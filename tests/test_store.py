@@ -396,7 +396,7 @@ class TestTrainerParity:
         assert _history_digest(trainer) == _history_digest(eager)
 
     def test_store_counters_account_cohorts(self):
-        from repro.obs import MemorySink, Tracer
+        from repro.obs import MemorySink, Tracer, metrics_from_trace
 
         store = ClientStateStore.from_clients(_clients(), shard_size=4)
         trainer = FederatedTrainer(
@@ -407,9 +407,12 @@ class TestTrainerParity:
             tracer=Tracer(sinks=[MemorySink()]),
         )
         trainer.run(3)
-        # from_clients touched both shards before the trainer bound the
-        # metrics registry, so only the checkout traffic is counted.
-        assert store.metrics.counter("store.checkouts").value == 8 * 3
+        totals = metrics_from_trace(trainer.tracer.memory_events())
+        assert totals["store.checkouts"]["value"] == 8 * 3
+        assert totals["store.rows_written"]["value"] == 8 * 3
+        # from_clients materialized both shards; the rollups report the
+        # store's own count.
+        assert totals["store.shards_materialized"]["value"] == 2
         assert store.materialized_shards == 2
         trainer.close()
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.fl.sampling import AvailabilitySampler, diurnal_trace
 from repro.obs.__main__ import main as obs_main
+from tests.test_obs_export import _parse_openmetrics
 
 
 def test_diurnal_trace_shape():
@@ -93,3 +94,32 @@ class TestStragglerSweep:
             if json.loads(line).get("name")
         }
         assert {"async.dispatches", "async.closes", "async.staleness"} <= names
+
+    def test_export_of_a_cut_trace_keeps_the_staleness_summary(
+        self, result, tmp_path, capsys
+    ):
+        """A run killed after round k exports the names of the complete
+        run, with their values as of round k — summaries included."""
+        _, trace = result
+        lines = trace.read_text().splitlines(keepends=True)
+        closes = [
+            i for i, line in enumerate(lines)
+            if json.loads(line)["name"] == "round_close"
+        ]
+        k = 2
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[: closes[k - 1] + 1]))
+
+        def exported(path):
+            assert obs_main(["export", str(path)]) == 0
+            _, samples = _parse_openmetrics(capsys.readouterr().out)
+            return samples
+
+        whole, partial = exported(trace), exported(cut)
+        assert {n.split("{")[0] for n in partial} == {
+            n.split("{")[0] for n in whole
+        }
+        assert partial["async_staleness_count"] == k
+        assert partial["async_closes_total"] == k
+        assert whole["async_staleness_count"] == 4
+
