@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.har import TaskData
-from repro.data.synthetic_digits import binarize_images, render_digit
+from repro.data.synthetic_digits import binarize_images, render_digits, rotate_images
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["make_semeion_tasks"]
@@ -35,15 +35,20 @@ def make_semeion_tasks(
 ) -> List[TaskData]:
     """Generate per-client Semeion-like binary tasks (is the digit a 0?).
 
-    Client sample counts are drawn in ``[min_samples, max_samples]`` and
-    rescaled to sum to ``total_samples``.  Each client's digits share a
-    style bias (a fixed rotation offset), making tasks related but
-    distinct -- the regime MOCHA targets.  A fraction of clients are
-    outliers whose *training* labels carry heavy flip noise (their test
-    labels stay clean), mirroring the HAR generator.
+    Client training counts are drawn in ``[min_samples, max_samples]``,
+    rescaled toward ``total_samples`` and floored, so their sum can come
+    out a few short of ``total_samples`` -- or above it, when the
+    ``min_samples`` floor lifts small clients.  Each client also gets a
+    test split of ``max(2, round(n * test_fraction))`` images on top:
+    about 25 % more at the default, so the paper preset
+    (``total_samples=1593``, seed 0) renders 1,983 images, not 1,593.
+    Each client's digits share a style bias (a fixed rotation offset),
+    making tasks related but distinct -- the regime MOCHA targets: its
+    images are rendered in one batch, then all turned by that offset.
+    A fraction of clients are outliers whose *training* labels carry
+    heavy flip noise (their test labels stay clean), mirroring the HAR
+    generator.
     """
-    from scipy import ndimage  # see render_digit
-
     if n_clients < 1:
         raise ValueError("need at least 1 client")
     if not 0.0 < positive_fraction < 1.0:
@@ -69,17 +74,15 @@ def make_semeion_tasks(
         style_rotation = float(gen.uniform(-20.0, 20.0))
 
         labels = (gen.random(total) < positive_fraction).astype(np.int64)
-        images = []
-        for is_zero in labels:
-            digit = 0 if is_zero else int(gen.integers(1, 10))
-            img = render_digit(
-                digit, gen, image_size=image_size, max_rotation_deg=8.0, max_shift=1
-            )
-            img = ndimage.rotate(
-                img, style_rotation, reshape=False, order=1, mode="constant"
-            )
-            images.append(img)
-        x = binarize_images(np.stack(images), threshold=0.45).reshape(total, -1)
+        # Each non-zero image draws its digit just before its render draws.
+        digits = (0 if is_zero else int(gen.integers(1, 10)) for is_zero in labels)
+        images = render_digits(
+            digits, total, gen, image_size=image_size, max_rotation_deg=8.0, max_shift=1
+        )
+        images = rotate_images(
+            images, np.full(total, style_rotation), np.zeros((total, 2), dtype=np.int64)
+        )
+        x = binarize_images(images, threshold=0.45).reshape(total, -1)
         y_train = labels[:n].copy()
         if outlier_flags[client] and label_flip_fraction > 0:
             flip = gen.random(n) < label_flip_fraction

@@ -487,3 +487,100 @@ def cmfl_decide(update, feedback, v_t):
     score = relevance(update, feedback, u_bar_sign=sign)
     v_t = min(1.0, v_t)
     return score >= v_t, score, v_t
+
+
+# -- digit rendering ----------------------------------------------------------
+#
+# The scipy renderer of ``repro.data.synthetic_digits`` and the per-image
+# loop of ``make_semeion_tasks``, verbatim apart from validation and
+# their return types (plain arrays, not ``Dataset`` / ``TaskData``): one
+# ``scipy.ndimage`` call per blur, rotation and shift.  The shipped
+# numpy renderer must reproduce their bytes and leave the generator in
+# the same state.  Only the glyph font is shared: it is input, not
+# arithmetic.
+
+from repro.data.synthetic_digits import GLYPHS  # noqa: E402
+
+
+def render_digit(digit, gen, image_size=28, max_rotation_deg=10.0,
+                 max_shift=2, noise_std=0.05):
+    from scipy import ndimage
+
+    scale = max(1, (image_size - 2 * max_shift - 2) // 7)
+    glyph = np.kron(GLYPHS[digit], np.ones((scale, scale)))
+    # Slight stroke-weight variation.
+    glyph = ndimage.gaussian_filter(glyph, sigma=gen.uniform(0.4, 0.9))
+
+    canvas = np.zeros((image_size, image_size))
+    gh, gw = glyph.shape
+    top = (image_size - gh) // 2
+    left = (image_size - gw) // 2
+    canvas[top : top + gh, left : left + gw] = glyph
+
+    angle = gen.uniform(-max_rotation_deg, max_rotation_deg)
+    canvas = ndimage.rotate(canvas, angle, reshape=False, order=1, mode="constant")
+    shift = gen.integers(-max_shift, max_shift + 1, size=2)
+    canvas = ndimage.shift(canvas, shift, order=1, mode="constant")
+
+    canvas *= gen.uniform(0.8, 1.2)
+    canvas += gen.normal(0.0, noise_std, size=canvas.shape)
+    return np.clip(canvas, 0.0, 1.0)
+
+
+def make_digit_dataset(n_samples, gen, image_size=28, flat=False, class_balance=True):
+    if class_balance:
+        labels = np.arange(n_samples) % 10
+        gen.shuffle(labels)
+    else:
+        labels = gen.integers(0, 10, size=n_samples)
+    images = np.stack(
+        [render_digit(int(d), gen, image_size=image_size) for d in labels]
+    )
+    if flat:
+        x = images.reshape(n_samples, -1)
+    else:
+        x = images[:, None, :, :]
+    return x, labels.astype(np.int64)
+
+
+def make_semeion_tasks(n_clients=15, total_samples=1593, min_samples=10,
+                       max_samples=200, positive_fraction=0.5,
+                       outlier_fraction=0.2, label_flip_fraction=0.5,
+                       test_fraction=0.25, image_size=16, gen=None):
+    """``[(x_train, y_train, x_test, y_test, is_outlier), ...]``."""
+    from scipy import ndimage
+
+    raw_counts = gen.integers(min_samples, max_samples + 1, size=n_clients)
+    counts = np.maximum(
+        min_samples, (raw_counts / raw_counts.sum() * total_samples).astype(int)
+    )
+    n_outliers = int(round(outlier_fraction * n_clients))
+    outlier_flags = np.zeros(n_clients, dtype=bool)
+    if n_outliers:
+        outlier_flags[gen.choice(n_clients, size=n_outliers, replace=False)] = True
+
+    tasks = []
+    for client in range(n_clients):
+        n = int(counts[client])
+        n_test = max(2, int(round(n * test_fraction)))
+        total = n + n_test
+        style_rotation = float(gen.uniform(-20.0, 20.0))
+
+        labels = (gen.random(total) < positive_fraction).astype(np.int64)
+        images = []
+        for is_zero in labels:
+            digit = 0 if is_zero else int(gen.integers(1, 10))
+            img = render_digit(
+                digit, gen, image_size=image_size, max_rotation_deg=8.0, max_shift=1
+            )
+            img = ndimage.rotate(
+                img, style_rotation, reshape=False, order=1, mode="constant"
+            )
+            images.append(img)
+        x = (np.stack(images) >= 0.45).astype(float).reshape(total, -1)
+        y_train = labels[:n].copy()
+        if outlier_flags[client] and label_flip_fraction > 0:
+            flip = gen.random(n) < label_flip_fraction
+            y_train[flip] = 1 - y_train[flip]
+        tasks.append((x[:n], y_train, x[n:], labels[n:], bool(outlier_flags[client])))
+    return tasks

@@ -219,7 +219,8 @@ from repro.baselines.vanilla import VanillaPolicy
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
-from repro.experiments.workloads import NWPWorkload
+from repro.data.semeion import make_semeion_tasks
+from repro.experiments.workloads import DigitsWorkload, NWPWorkload
 from repro.fl.config import FLConfig
 from repro.fl.sampling import UniformSampler
 from repro.fl.store import ClientStateStore, CyclicPartition
@@ -231,6 +232,8 @@ from repro.nn.schedules import ConstantLR
 import numpy as np
 
 NWPWorkload("test").make_trainer(VanillaPolicy()).run(1)
+DigitsWorkload("test").make_trainer(VanillaPolicy()).run(1)
+make_semeion_tasks(n_clients=3, total_samples=60, rng=0)
 g = np.random.default_rng(0)
 x = g.normal(size=(60, 4))
 data = Dataset(x, (x[:, 0] > 0).astype(np.int64))
@@ -247,12 +250,13 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 """
 
-_DIGITS_LOAD_SCIPY = """
+_MOCHA_LOADS_SCIPY = """
 import sys
-from repro.data.synthetic_digits import make_digit_dataset
+import numpy as np
+from repro.mtl import relationship_matrix
 assert "scipy" not in sys.modules
-make_digit_dataset(2, rng=0, image_size=16)
-assert "scipy.ndimage" in sys.modules
+relationship_matrix(np.eye(3))
+assert "scipy.linalg" in sys.modules
 """
 
 
@@ -269,6 +273,6 @@ def test_importing_and_running_sync_and_store_federations_loads_no_scipy():
     _run(_NO_SCIPY)
 
 
-def test_digit_rendering_does_load_scipy():
+def test_mocha_relationship_matrix_does_load_scipy():
     """Positive control: the tripwire above can see scipy load."""
-    _run(_DIGITS_LOAD_SCIPY)
+    _run(_MOCHA_LOADS_SCIPY)

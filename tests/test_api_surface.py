@@ -188,6 +188,10 @@ def test_every_module_is_reached_by_an_experiment_benchmark_or_tool():
 #: fact that keeps it (besides every name of an UNREACHED_ON_PURPOSE
 #: module).
 CALLED_ONLY_BY_TESTS = {
+    "repro.data.synthetic_digits.render_digit": (
+        "the one-image case of render_digits, drawn against scipy's "
+        "original in tests/test_reference_kernels.py"
+    ),
     "repro.nn.layers.conv.col2im": (
         "the public fold tests/test_reference_kernels.py compares bitwise"
     ),

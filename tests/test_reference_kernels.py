@@ -711,3 +711,102 @@ class TestDecideBits:
         assert new == old == (True, 1.0, 0.5)
 
 
+
+
+# -- digit rendering ----------------------------------------------------------
+
+from repro.data.semeion import make_semeion_tasks  # noqa: E402
+from repro.data.synthetic_digits import (  # noqa: E402
+    RENDER_CHUNK,
+    _cos_sin_deg,
+    make_digit_dataset,
+    render_digit,
+)
+
+
+def _same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+class TestDigitRendererBits:
+    """The numpy renderer is scipy's ``gaussian_filter`` / ``rotate`` /
+    ``shift`` to the bit, and takes the same draws in the same order."""
+
+    @pytest.mark.parametrize("image_size", [16, 20, 28])
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("class_balance", [True, False])
+    def test_make_digit_dataset(self, image_size, flat, class_balance):
+        for seed in range(5):
+            gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            kwargs = dict(image_size=image_size, flat=flat, class_balance=class_balance)
+            got = make_digit_dataset(23, gen, **kwargs)
+            x, y = ref.make_digit_dataset(23, ref_gen, **kwargs)
+            assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes(), seed
+            assert got.y.tobytes() == y.tobytes()
+            assert _same_state(gen, ref_gen)
+
+    def test_across_a_chunk_boundary(self):
+        gen, ref_gen = np.random.default_rng(11), np.random.default_rng(11)
+        got = make_digit_dataset(RENDER_CHUNK + 9, gen, image_size=20)
+        x, _ = ref.make_digit_dataset(RENDER_CHUNK + 9, ref_gen, image_size=20)
+        assert got.x.tobytes() == x.tobytes() and _same_state(gen, ref_gen)
+
+    def test_one_image_with_wide_angles_shifts_and_sizes(self):
+        rng = np.random.default_rng(5)
+        for seed in range(40):
+            size = int(rng.integers(16, 33))
+            kwargs = dict(
+                image_size=size,
+                max_rotation_deg=float(rng.choice([0.0, 10.0, 90.0, 400.0])),
+                max_shift=int(rng.integers(0, 4)),
+                noise_std=float(rng.choice([0.0, 0.05])),
+            )
+            gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = render_digit(seed % 10, gen, **kwargs)
+            want = ref.render_digit(seed % 10, ref_gen, **kwargs)
+            assert got.tobytes() == want.tobytes(), kwargs
+            assert _same_state(gen, ref_gen)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [dict(n_clients=6, total_samples=180), dict(n_clients=15, total_samples=800)],
+        ids=["test", "bench"],
+    )
+    def test_make_semeion_tasks(self, sizes):
+        for seed in (0, 3):
+            gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            tasks = make_semeion_tasks(rng=gen, **sizes)
+            want = ref.make_semeion_tasks(gen=ref_gen, **sizes)
+            assert len(tasks) == len(want)
+            for task, (x_train, y_train, x_test, y_test, outlier) in zip(tasks, want):
+                assert task.train.x.tobytes() == x_train.tobytes()
+                assert task.train.y.tobytes() == y_train.tobytes()
+                assert task.test.x.tobytes() == x_test.tobytes()
+                assert task.test.y.tobytes() == y_test.tobytes()
+                assert task.is_outlier == outlier
+            assert _same_state(gen, ref_gen)
+
+
+class TestDegreeTrig:
+    """The cephes ``cosdg`` / ``sindg`` port is ``scipy.special``'s."""
+
+    def _check(self, degrees):
+        special = pytest.importorskip("scipy.special")
+        degrees = np.asarray(degrees, dtype=float)
+        cos, sin = _cos_sin_deg(degrees)
+        assert cos.tobytes() == special.cosdg(degrees).tobytes()
+        assert sin.tobytes() == special.sindg(degrees).tobytes()
+
+    def test_multiples_of_45_degrees(self):
+        self._check(np.arange(-1080, 1081, 45))
+
+    def test_negative_and_signed_zero_angles(self):
+        self._check([-0.0, 0.0, -1e-300, -0.5, -10.0, -19.99, -44.999, -90.0, -359.0])
+
+    def test_plus_minus_a_thousand(self):
+        self._check([-1e3, 1e3, -999.5, 999.5])
+
+    def test_random_angles(self):
+        rng = np.random.default_rng(0)
+        self._check(rng.uniform(-25.0, 25.0, 50_000))
+        self._check(rng.uniform(-1e3, 1e3, 50_000))

@@ -227,6 +227,28 @@ def test_no_worker_pool_imports():
     )
 
 
+#: The one package that may import scipy: MOCHA's matrix square root.
+SCIPY_HOME = "mtl/"
+
+
+def scipy_outside_mtl(tree):
+    return [
+        f"{at}: {root}"
+        for at, root in _imported_roots(tree)
+        if root == "scipy" and not at.startswith(SCIPY_HOME)
+    ]
+
+
+def test_only_mtl_imports_scipy():
+    offenders = scipy_outside_mtl(_tree())
+    assert offenders == [], (
+        "src/repro imports scipy outside repro/mtl/:\n  "
+        + "\n  ".join(offenders)
+        + "\nThe data generators render with numpy (the scipy originals live "
+        "in tests/reference_kernels.py); only MOCHA's sqrtm needs scipy."
+    )
+
+
 def undeclared_imports(tree, dependencies):
     declared = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_") for d in dependencies}
     return sorted({
@@ -295,6 +317,8 @@ SEEDS = [
      "self.live = np.zeros(rows)", "np.zeros()"),
     (worker_pool_imports, "fl/executor.py", "from time import monotonic\n",
      "import threading\nfrom time import monotonic\n", "threading"),
+    (scipy_outside_mtl, "data/synthetic_digits.py", "import numpy as np\n",
+     "import numpy as np\nfrom scipy import ndimage\n", "scipy"),
     (private_trainer_reach, "fl/events/engine.py", DISPATCH,
      "        trainer._resume_span = None\n" + DISPATCH, "trainer._resume_span"),
 ]
