@@ -18,10 +18,11 @@ the serial backend):
   summed across the client axis before each client's flat update has
   been extracted from its own row;
 * every stacked kernel is chosen so each per-client slice sees the
-  serial operand shapes and strides, making numpy perform the same
-  per-element floating-point operation sequence (see
-  :mod:`repro.nn.module` for the layer-level contract) — which is why
-  unequal minibatches are never padded and masked;
+  one-row operand shapes and strides, making numpy perform the same
+  per-element floating-point operation sequence whatever the client
+  count — which is why unequal minibatches are never padded and
+  masked.  The serial layers are those kernels run with one row (see
+  :mod:`repro.nn.module`);
 * per-client minibatch order is driven by each client's own RNG stream
   (:meth:`repro.fl.client.FLClient.epoch_order`), drawn exactly as
   ``Dataset.batches`` would draw it serially.

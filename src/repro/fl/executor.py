@@ -109,12 +109,19 @@ class ClientExecutionError(RuntimeError):
 
 
 class ClientExecutor:
-    """Interface: run the compute half of one synchronous round."""
+    """Run the compute half of one synchronous round.
+
+    The base runs the participants back to back on the trainer's one
+    workspace: the serial reference every equivalence contract is tied
+    to, and the fallback of any backend that cannot run a model its
+    own way.
+    """
 
     name = "base"
     #: Observability hook; the allocation-free default is replaced by
     #: the trainer's tracer at ``bind`` time when tracing is on.
     tracer = NULL_TRACER
+    _workspace: Optional[ModelWorkspace] = None
 
     def bind(
         self,
@@ -123,7 +130,9 @@ class ClientExecutor:
         tracer=None,
     ) -> None:
         """Called once by the trainer before the first round."""
-        raise NotImplementedError
+        del clients
+        self._workspace = workspace
+        self.tracer = tracer or NULL_TRACER
 
     def run_round(
         self, plan: RoundPlan, participants: Sequence[FLClient]
@@ -133,9 +142,37 @@ class ClientExecutor:
         The returned list is aligned with ``participants`` regardless
         of the order in which a backend runs individual clients; the
         trainer's decide/aggregate reduction therefore sees the same
-        sequence under every backend.
+        sequence under every backend.  Each client is timed and
+        replayed as a ``client_compute`` span as it finishes; a failure
+        is re-raised as :class:`ClientExecutionError` naming the client
+        (plus the ``client_error`` trace event).
         """
-        raise NotImplementedError
+        workspace, tracer = self._bound(), self.tracer
+        _emit_broadcast_span(tracer, plan)
+        round_start = monotonic()
+        results: List[ClientUpdate] = []
+        for client in participants:
+            start = monotonic()
+            try:
+                update = client.compute_update(
+                    workspace,
+                    plan.global_params,
+                    lr=plan.lr,
+                    local_epochs=plan.local_epochs,
+                    batch_size=plan.batch_size,
+                )
+            except Exception as exc:
+                raise _client_failure(
+                    exc, client, plan, self.name, monotonic() - round_start, tracer
+                ) from exc
+            _emit_task_spans(tracer, plan, [client], [(monotonic() - start, "main")])
+            results.append(update)
+        return results
+
+    def _bound(self) -> ModelWorkspace:
+        if self._workspace is None:
+            raise RuntimeError("executor not bound to a trainer")
+        return self._workspace
 
     def close(self) -> None:
         """Release backend resources; idempotent."""
@@ -151,26 +188,9 @@ class ClientExecutor:
 
 
 class SerialExecutor(ClientExecutor):
-    """The reference backend: clients run back to back on one workspace."""
+    """The reference backend: the base's back-to-back loop, by name."""
 
     name = "serial"
-
-    def __init__(self) -> None:
-        self._workspace: Optional[ModelWorkspace] = None
-        self.tracer = NULL_TRACER
-
-    def bind(self, workspace, clients, tracer=None) -> None:
-        del clients
-        self._workspace = workspace
-        self.tracer = tracer or NULL_TRACER
-
-    def run_round(self, plan, participants):
-        if self._workspace is None:
-            raise RuntimeError("executor not bound to a trainer")
-        _emit_broadcast_span(self.tracer, plan)
-        return _run_per_client(
-            self._workspace, plan, participants, self.name, self.tracer
-        )
 
 
 class BatchedExecutor(ClientExecutor):
@@ -205,7 +225,6 @@ class BatchedExecutor(ClientExecutor):
     name = "batched"
 
     def __init__(self) -> None:
-        self._workspace: Optional[ModelWorkspace] = None
         #: One engine per stack height, built lazily and kept across
         #: rounds (heights repeat under a fixed cohort size).
         self._engines: Dict[int, BatchedWorkspace] = {}
@@ -213,15 +232,12 @@ class BatchedExecutor(ClientExecutor):
         #: lock-step schedule for them.
         self._schedules: Dict[int, Tuple[tuple, list]] = {}
         self._unsupported: Optional[str] = None
-        self.tracer = NULL_TRACER
 
     def bind(self, workspace, clients, tracer=None) -> None:
-        del clients
-        self._workspace = workspace
+        super().bind(workspace, clients, tracer)
         self._engines = {}  # stale stacks would read the old model's shapes
         self._schedules = {}
         self._unsupported = None
-        self.tracer = tracer or NULL_TRACER
 
     def _engine_for(self, size: int) -> Optional[BatchedWorkspace]:
         """The ``size``-row engine, or None when this model must fall back."""
@@ -243,27 +259,23 @@ class BatchedExecutor(ClientExecutor):
         return engine
 
     def run_round(self, plan, participants):
-        if self._workspace is None:
-            raise RuntimeError("executor not bound to a trainer")
-        tracer = self.tracer
-        _emit_broadcast_span(tracer, plan)
-        round_start = monotonic()
         # Stable sort by shard size; the indices keep participant order
         # inside equal sizes and align the results at the end.  The
         # sorted rows run as one stack, or as the fewest equal chunks
         # that each stay under MAX_STACK_BYTES.
         count = len(participants)
         order = sorted(range(count), key=lambda i: participants[i].n_samples)
-        max_rows = max(1, MAX_STACK_BYTES // max(1, 16 * self._workspace.n_params))
+        max_rows = max(1, MAX_STACK_BYTES // max(1, 16 * self._bound().n_params))
         rows = -(-count // max(1, -(-count // max_rows)))
         chunks = [order[i : i + rows] for i in range(0, count, rows)]
         if chunks and self._engine_for(len(chunks[0])) is None:
             # No batched path for this model: the serial reference, in
             # **participant order** — with a stateful optimizer the
             # shared slot state makes client order observable.
-            return _run_per_client(
-                self._workspace, plan, participants, self.name, tracer
-            )
+            return super().run_round(plan, participants)
+        tracer = self.tracer
+        _emit_broadcast_span(tracer, plan)
+        round_start = monotonic()
         results: List[Optional[ClientUpdate]] = [None] * count
         timings: List[Optional[TaskTiming]] = [None] * count
         for indices in chunks:
@@ -423,42 +435,6 @@ def _lockstep_schedule(
             if samples[a]:
                 schedule.append((step, a, b, slice(start, start + samples[a])))
     return schedule
-
-
-def _run_per_client(
-    workspace: ModelWorkspace,
-    plan: RoundPlan,
-    participants: Sequence[FLClient],
-    backend: str,
-    tracer,
-) -> List[ClientUpdate]:
-    """Run ``participants`` back to back on ``workspace``.
-
-    The one per-client loop: the serial backend's round and the batched
-    backend's fallback.  Each client is timed and replayed as a
-    ``client_compute`` span as it finishes; a failure is re-raised as
-    :class:`ClientExecutionError` naming the client (plus the
-    ``client_error`` trace event).
-    """
-    round_start = monotonic()
-    results: List[ClientUpdate] = []
-    for client in participants:
-        start = monotonic()
-        try:
-            update = client.compute_update(
-                workspace,
-                plan.global_params,
-                lr=plan.lr,
-                local_epochs=plan.local_epochs,
-                batch_size=plan.batch_size,
-            )
-        except Exception as exc:
-            raise _client_failure(
-                exc, client, plan, backend, monotonic() - round_start, tracer
-            ) from exc
-        _emit_task_spans(tracer, plan, [client], [(monotonic() - start, "main")])
-        results.append(update)
-    return results
 
 
 def _emit_broadcast_span(tracer, plan: RoundPlan) -> None:

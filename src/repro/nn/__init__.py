@@ -15,6 +15,13 @@ Every layer follows the same contract:
   gradients into ``Parameter.grad`` and returns the gradient w.r.t. the
   layer input.
 
+Each layer and loss has one body.  Those with a stacked twin of their
+own (Dense, Embedding, Flatten, Conv2D, LSTM and both losses) run it
+with one row: the twin's ``(clients, batch, ...)`` kernels, bound to
+views of the layer's own parameters (:class:`~repro.nn.module.TwinView`,
+:class:`~repro.nn.losses.Loss`).  ReLU and MaxPool2D, per element or
+per plane, are their own twin's body.
+
 All gradients are verified against finite differences in the test suite
 (see :mod:`repro.nn.gradcheck`).
 """

@@ -2,11 +2,9 @@
 
 Inputs use the NCHW layout: ``(batch, channels, height, width)``.
 
-:class:`Conv2D` and its stacked twin :class:`BatchedConv2D` share one
-kernel pair, :func:`_conv_forward` / :func:`_conv_backward`, written
-over a leading client axis; the serial layer calls it with ``x[None]``
-and one-row views of its parameters, so serial is the C = 1 case of
-batched (as :mod:`repro.nn.layers.recurrent` does for the LSTM).  The
+:class:`Conv2D` is the one-row case of its stacked twin
+:class:`BatchedConv2D`, whose kernels are written over a leading
+client axis (see :class:`repro.nn.module.TwinView`).  The
 data-movement half — :func:`im2col`, :func:`_fold`, the pooling window
 split — takes any leading batch shape.  DESIGN 6b says what these
 kernels move and which arithmetic they pin.
@@ -25,6 +23,7 @@ from repro.nn.module import (
     BatchedParamBinder,
     BatchedStateless,
     Module,
+    TwinView,
     claim_cache,
     keep_cache,
 )
@@ -113,72 +112,11 @@ def col2im(
     return np.ascontiguousarray(_fold(windows, h, w, stride).transpose(2, 3, 0, 1))
 
 
-def _conv_forward(layer, x: np.ndarray) -> Tuple[np.ndarray, tuple]:
-    """Convolve ``(clients, batch, channels, H, W)`` with ``layer``'s
-    stacked operands: ``w_rows`` ``(clients, F, channels * k * k)`` and
-    ``bias`` ``(clients, F)``; ``layer`` also gives the geometry.
-    Returns the output and the unfold :func:`_conv_backward` reads.
+class Conv2D(TwinView):
+    """Valid-padding 2-D convolution (optionally with symmetric zero padding).
+
+    The body is :class:`BatchedConv2D`'s, with one row.
     """
-    w_rows, bias, _, _ = layer._stacked()
-    k = layer.kernel_size
-    if layer.padding:
-        pad = (layer.padding, layer.padding)
-        x = np.pad(x, ((0, 0), (0, 0), (0, 0), pad, pad))
-    cols, out_h, out_w = im2col(x, k, k, layer.stride)
-    # One BLAS GEMM per image (broadcast matmul) rather than a c_einsum
-    # contraction: dgemm is SIMD-blocked where einsum runs naive loops.
-    # matmul loops BLAS over 2-D slices, and each per-client slice has
-    # the same operand shapes and strides whatever the client count
-    # (binder rows are contiguous per client), so every client slice is
-    # bitwise the one-row result.
-    out = np.matmul(w_rows[:, None], cols)
-    out += bias[:, None, :, None]
-    return out.reshape(out.shape[:3] + (out_h, out_w)), (cols, x.shape)
-
-
-def _conv_backward(
-    layer, cache: tuple, grad_output: np.ndarray, head: bool
-) -> Optional[np.ndarray]:
-    """Accumulate into ``layer``'s stacked ``dw`` / ``db`` in place and
-    return the stacked input gradient — or None for the network
-    ``head``, whose input gradient (the dcols GEMM plus the fold, the
-    layer's most expensive backward ops) is dead work.
-    """
-    w_rows, _, dw, db = layer._stacked()
-    cols, (c, n, ch, h, w) = cache
-    k, stride, pad = layer.kernel_size, layer.stride, layer.padding
-    f = w_rows.shape[1]
-    grad_flat = grad_output.reshape(c, n, f, -1)
-    # One (F, L) x (L, K) dgemm per image, then a sum over the image
-    # axis in image order: the transpose is a stride swap (no copy)
-    # that BLAS absorbs as its transposed-operand form.
-    dw += (
-        np.matmul(grad_flat, cols.transpose(0, 1, 3, 2)).sum(axis=1).reshape(dw.shape)
-    )
-    db += grad_flat.sum(axis=(1, 3))
-    if head:
-        return None
-    # Fold the image axis into the GEMM's column dimension: one
-    # (K, F) x (F, n*L) dgemm per client instead of one tiny GEMM per
-    # image.  Only output columns are folded — the contraction axis (F)
-    # is untouched, so each output element is the same ascending-f
-    # accumulation whatever the image count.
-    grad_cols = grad_flat.transpose(0, 2, 1, 3).reshape(c, f, -1)
-    dcols = np.matmul(w_rows.transpose(0, 2, 1), grad_cols)
-    # A pure-view permutation of the (client, K, n*L) layout; image
-    # before client, so the fold's innermost source run is the merged
-    # (client, channel) axis rather than ``ch`` elements.
-    windows = dcols.reshape(
-        c, ch, k, k, n, _out_size(h, k, stride), -1
-    ).transpose(4, 0, 1, 2, 3, 5, 6)
-    acc = _fold(windows, h, w, stride)  # (h, w, n, c, ch)
-    if pad:
-        acc = acc[pad:-pad, pad:-pad]
-    return np.ascontiguousarray(acc.transpose(3, 2, 4, 0, 1))
-
-
-class Conv2D(Module):
-    """Valid-padding 2-D convolution (optionally with symmetric zero padding)."""
 
     def __init__(
         self,
@@ -210,42 +148,15 @@ class Conv2D(Module):
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
 
-    def _stacked(self) -> Tuple[np.ndarray, ...]:
-        """One-row ``(w_rows, bias, dw, db)`` views of the parameters."""
-        weight, bias = self.weight, self.bias
-        return (
-            weight.data.reshape(1, self.out_channels, -1),
-            bias.data[None], weight.grad[None], bias.grad[None],
-        )
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"expected input (batch, {self.in_channels}, H, W), got {x.shape}"
-            )
-        out, cache = _conv_forward(self, x[None])
-        keep_cache(self, training, out.shape[1:], cache)
-        return out[0]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cache = claim_cache(self, grad_output.shape)
-        return _conv_backward(self, cache, grad_output[None], head=False)[0]
-
-    def head_backward(self, grad_output: np.ndarray) -> None:
-        # Parameter gradients are bitwise those of ``backward``.
-        cache = claim_cache(self, grad_output.shape)
-        return _conv_backward(self, cache, grad_output[None], head=True)
-
     def batched(self, binder: BatchedParamBinder) -> "BatchedConv2D":
         return BatchedConv2D(self, binder)
 
 
 class BatchedConv2D(BatchedModule):
-    """Leading-client-axis counterpart of :class:`Conv2D`.
+    """Leading-client-axis body of :class:`Conv2D`.
 
-    Inputs are ``(clients, batch, channels, H, W)``; the layer runs the
-    very kernels the serial layer runs with one row, on views of the
-    binder's stacked parameter and gradient rows.
+    Inputs are ``(clients, batch, channels, H, W)``, convolved against
+    views of the binder's stacked parameter and gradient rows.
     """
 
     def __init__(self, layer: Conv2D, binder: BatchedParamBinder) -> None:
@@ -273,20 +184,68 @@ class BatchedConv2D(BatchedModule):
                 f"expected input (clients, batch, {self.in_channels}, H, W), "
                 f"got {x.shape}"
             )
-        out, cache = _conv_forward(self, x)
-        keep_cache(self, training, out.shape, cache)
+        k = self.kernel_size
+        if self.padding:
+            pad = (self.padding, self.padding)
+            x = np.pad(x, ((0, 0), (0, 0), (0, 0), pad, pad))
+        cols, out_h, out_w = im2col(x, k, k, self.stride)
+        # One BLAS GEMM per image (broadcast matmul) rather than a
+        # c_einsum contraction: dgemm is SIMD-blocked where einsum runs
+        # naive loops.  matmul loops BLAS over 2-D slices, and each
+        # per-client slice has the same operand shapes and strides
+        # whatever the client count (binder rows are contiguous per
+        # client), so every client slice is bitwise the one-row result.
+        out = np.matmul(self._w_rows[:, None], cols)
+        out += self._b[:, None, :, None]
+        out = out.reshape(out.shape[:3] + (out_h, out_w))
+        keep_cache(self, training, out.shape, (cols, x.shape))
         return out
 
-    def _stacked(self) -> Tuple[np.ndarray, ...]:
-        return self._w_rows, self._b, self._dw, self._db
-
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cache = claim_cache(self, grad_output.shape)
-        return _conv_backward(self, cache, grad_output, head=False)
+        return self._backward(grad_output, head=False)
 
     def head_backward(self, grad_output: np.ndarray) -> None:
-        cache = claim_cache(self, grad_output.shape)
-        return _conv_backward(self, cache, grad_output, head=True)
+        # Parameter gradients are bitwise those of ``backward``.
+        return self._backward(grad_output, head=True)
+
+    def _backward(self, grad_output: np.ndarray, head: bool) -> Optional[np.ndarray]:
+        """Accumulate into the stacked ``dw`` / ``db`` in place and
+        return the stacked input gradient — or None for the network
+        ``head``, whose input gradient (the dcols GEMM plus the fold,
+        the layer's most expensive backward ops) is dead work.
+        """
+        cols, (c, n, ch, h, w) = claim_cache(self, grad_output.shape)
+        k, stride, pad = self.kernel_size, self.stride, self.padding
+        f = self.out_channels
+        grad_flat = grad_output.reshape(c, n, f, -1)
+        # One (F, L) x (L, K) dgemm per image, then a sum over the image
+        # axis in image order: the transpose is a stride swap (no copy)
+        # that BLAS absorbs as its transposed-operand form.
+        self._dw += (
+            np.matmul(grad_flat, cols.transpose(0, 1, 3, 2))
+            .sum(axis=1)
+            .reshape(self._dw.shape)
+        )
+        self._db += grad_flat.sum(axis=(1, 3))
+        if head:
+            return None
+        # Fold the image axis into the GEMM's column dimension: one
+        # (K, F) x (F, n*L) dgemm per client instead of one tiny GEMM per
+        # image.  Only output columns are folded — the contraction axis
+        # (F) is untouched, so each output element is the same
+        # ascending-f accumulation whatever the image count.
+        grad_cols = grad_flat.transpose(0, 2, 1, 3).reshape(c, f, -1)
+        dcols = np.matmul(self._w_rows.transpose(0, 2, 1), grad_cols)
+        # A pure-view permutation of the (client, K, n*L) layout; image
+        # before client, so the fold's innermost source run is the
+        # merged (client, channel) axis rather than ``ch`` elements.
+        windows = dcols.reshape(
+            c, ch, k, k, n, _out_size(h, k, stride), -1
+        ).transpose(4, 0, 1, 2, 3, 5, 6)
+        acc = _fold(windows, h, w, stride)  # (h, w, n, c, ch)
+        if pad:
+            acc = acc[pad:-pad, pad:-pad]
+        return np.ascontiguousarray(acc.transpose(3, 2, 4, 0, 1))
 
 
 class MaxPool2D(Module):

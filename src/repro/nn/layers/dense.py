@@ -10,7 +10,7 @@ from repro.nn.initializers import get_initializer
 from repro.nn.module import (
     BatchedModule,
     BatchedParamBinder,
-    Module,
+    TwinView,
     claim_cache,
     keep_cache,
 )
@@ -20,10 +20,11 @@ from repro.utils.rng import RngLike
 __all__ = ["BatchedDense", "Dense"]
 
 
-class Dense(Module):
+class Dense(TwinView):
     """Affine map ``y = x @ W + b`` over the last axis.
 
-    Accepts inputs of shape ``(batch, in_features)``.
+    Accepts inputs of shape ``(batch, in_features)``; the body is
+    :class:`BatchedDense`'s, with one row.
     """
 
     def __init__(
@@ -52,46 +53,19 @@ class Dense(Module):
     def parameters(self) -> List[Parameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"expected input (batch, {self.in_features}), got {x.shape}"
-            )
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out = out + self.bias.data
-        keep_cache(self, training, out.shape, x)
-        return out
-
-    def _accumulate(self, grad_output: np.ndarray) -> None:
-        x = claim_cache(self, grad_output.shape)
-        self.weight.grad += x.T @ grad_output
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        self._accumulate(grad_output)
-        return grad_output @ self.weight.data.T
-
-    def head_backward(self, grad_output: np.ndarray) -> None:
-        self._accumulate(grad_output)
-        return None  # input gradient elided (see Module.head_backward)
-
     def batched(self, binder: BatchedParamBinder) -> "BatchedDense":
         return BatchedDense(self, binder)
 
 
 class BatchedDense(BatchedModule):
-    """Leading-client-axis counterpart of :class:`Dense`.
+    """Leading-client-axis body of :class:`Dense`.
 
     Takes ``(clients, batch, in)`` inputs against stacked weight views
     ``(clients, in, out)``.  Every per-client slice of the stacked
-    operands has exactly the shape and strides of the serial operands,
-    so the 3-D ``matmul`` dispatches the identical per-slice GEMM and
-    each client's output/gradients are bitwise equal to the serial
-    layer run on that client's slice; the bias-gradient ``sum(axis=1)``
-    accumulates over the batch axis in the same element order as the
-    serial ``sum(axis=0)``.
+    operands has the shape and strides of the one-row operands, so the
+    3-D ``matmul`` dispatches the identical per-slice GEMM and each
+    client's output/gradients are bitwise what it gets alone; the
+    bias-gradient ``sum(axis=1)`` accumulates over the batch axis only.
     """
 
     def __init__(self, layer: Dense, binder: BatchedParamBinder) -> None:

@@ -10,7 +10,7 @@ from repro.nn.initializers import normal
 from repro.nn.module import (
     BatchedModule,
     BatchedParamBinder,
-    Module,
+    TwinView,
     claim_cache,
     keep_cache,
 )
@@ -20,8 +20,11 @@ from repro.utils.rng import RngLike
 __all__ = ["BatchedEmbedding", "Embedding"]
 
 
-class Embedding(Module):
-    """Map integer token ids ``(batch, time)`` to vectors ``(batch, time, dim)``."""
+class Embedding(TwinView):
+    """Map integer token ids ``(batch, time)`` to vectors ``(batch, time, dim)``.
+
+    The body is :class:`BatchedEmbedding`'s, with one row.
+    """
 
     def __init__(
         self,
@@ -41,42 +44,19 @@ class Embedding(Module):
     def parameters(self) -> List[Parameter]:
         return [self.weight]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        ids = np.asarray(x)
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TypeError(f"Embedding expects integer ids, got dtype {ids.dtype}")
-        if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab_size:
-            raise ValueError("token id out of range for vocabulary")
-        out = self.weight.data[ids]
-        keep_cache(self, training, out.shape, ids)
-        return out
-
-    def _accumulate(self, grad_output: np.ndarray) -> None:
-        np.add.at(self.weight.grad, claim_cache(self, grad_output.shape), grad_output)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        self._accumulate(grad_output)
-        # Token ids are not differentiable; return a zero placeholder of
-        # the input's shape (the gradient's, less the vector axis).
-        return np.zeros(grad_output.shape[:-1], dtype=float)
-
-    def head_backward(self, grad_output: np.ndarray) -> None:
-        self._accumulate(grad_output)
-        return None  # zero placeholder elided (see Module.head_backward)
-
     def batched(self, binder: BatchedParamBinder) -> "BatchedEmbedding":
         return BatchedEmbedding(self, binder)
 
 
 class BatchedEmbedding(BatchedModule):
-    """Leading-client-axis counterpart of :class:`Embedding`.
+    """Leading-client-axis body of :class:`Embedding`.
 
     Gathers each client's token vectors from its own table row of the
     stacked ``(C, vocab, dim)`` weight view; the scatter-add in
     ``backward`` pairs a broadcast client index with the token ids, so
     ``np.add.at`` iterates the ids in flat C order — per client the
-    identical in-order accumulation the serial layer performs, and
-    never across clients (distinct tables).
+    identical in-order accumulation it performs alone, and never
+    across clients (distinct tables).
     """
 
     def __init__(self, layer: Embedding, binder: BatchedParamBinder) -> None:
@@ -109,6 +89,8 @@ class BatchedEmbedding(BatchedModule):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._accumulate(grad_output)
+        # Token ids are not differentiable; return a zero placeholder of
+        # the input's shape (the gradient's, less the vector axis).
         return np.zeros(grad_output.shape[:-1], dtype=float)
 
     def head_backward(self, grad_output: np.ndarray) -> None:

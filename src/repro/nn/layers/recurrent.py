@@ -1,12 +1,12 @@
 """LSTM layer with full backpropagation through time.
 
-:class:`LSTM` and its stacked twin :class:`BatchedLSTM` share **one**
-time loop, :func:`_lstm_forward` / :func:`_lstm_backward`, written over
-a leading client axis.  The serial layer calls it with ``x[None]`` and
-``w[None]``: a one-row stacked ``matmul`` issues the same per-slice
-dgemm as the 2-D product and every elementwise op is stacking-
-invariant, so serial is — bit for bit — the C = 1 case of batched.
-DESIGN 6b lists what the loop hoists and the fusions it refuses.
+:class:`LSTM` is the one-row case of its stacked twin
+:class:`BatchedLSTM` (see :class:`repro.nn.module.TwinView`), whose
+time loop, :func:`_lstm_forward` / :func:`_lstm_backward`, is written
+over a leading client axis: a stacked ``matmul`` issues the same
+per-slice dgemm whatever the client count and every elementwise op is
+stacking-invariant.  DESIGN 6b lists what the loop hoists and the
+fusions it refuses.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.nn.initializers import glorot_uniform, orthogonal
 from repro.nn.module import (
     BatchedModule,
     BatchedParamBinder,
-    Module,
+    TwinView,
     claim_cache,
     keep_cache,
 )
@@ -163,7 +163,7 @@ def _lstm_backward(
     return (first @ w_x.transpose(0, 2, 1)).transpose(1, 2, 0, 3)
 
 
-class LSTM(Module):
+class LSTM(TwinView):
     """A single LSTM layer over ``(batch, time, features)`` inputs.
 
     Gate ordering inside the fused kernels is ``[input, forget, cell,
@@ -171,6 +171,7 @@ class LSTM(Module):
     hidden sequence ``(batch, time, hidden)``; otherwise only the final
     hidden state ``(batch, hidden)``.  The forget-gate bias is
     initialised to 1, the standard trick for stable early training.
+    The body is :class:`BatchedLSTM`'s, with one row.
     """
 
     def __init__(
@@ -202,42 +203,19 @@ class LSTM(Module):
     def parameters(self) -> List[Parameter]:
         return [self.w_x, self.w_h, self.bias]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 3 or x.shape[2] != self.input_size:
-            raise ValueError(
-                f"expected input (batch, time, {self.input_size}), got {x.shape}"
-            )
-        out, cache = _lstm_forward(
-            x[None], [p.data[None] for p in self.parameters()],
-            self.return_sequences,
-        )
-        keep_cache(self, training, out.shape[1:], cache)
-        return out[0]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cache = claim_cache(self, grad_output.shape)
-        return _lstm_backward(
-            cache,
-            grad_output[None],
-            [p.data[None] for p in self.parameters()],
-            [p.grad[None] for p in self.parameters()],
-        )[0]
-
     def batched(self, binder: BatchedParamBinder) -> "BatchedLSTM":
         return BatchedLSTM(self, binder)
 
 
 class BatchedLSTM(BatchedModule):
-    """Leading-client-axis counterpart of :class:`LSTM`.
+    """Leading-client-axis body of :class:`LSTM`.
 
-    Inputs are ``(clients, batch, time, features)``; the layer runs the
-    very loop the serial layer runs with one row, each step's matmuls
-    once over the whole client stack.  Per-client operand slices keep
-    the serial shapes and strides — including the strided
-    ``x[:, :, step, :]`` time slice, whose per-client layout matches
-    the serial ``x[:, step, :]`` — so every gate, state and gradient is
-    bitwise equal to the serial layer per client; the bias gradient
-    reduces over the batch axis, never across clients.
+    Inputs are ``(clients, batch, time, features)``; each step's
+    matmuls run once over the whole client stack.  Per-client operand
+    slices keep the one-row shapes and strides — including the strided
+    ``x[:, :, step, :]`` time slice — so every gate, state and gradient
+    is bitwise what the client gets alone; the bias gradient reduces
+    over the batch axis, never across clients.
     """
 
     def __init__(self, layer: LSTM, binder: BatchedParamBinder) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn.module import (
     BatchedModule,
     BatchedParamBinder,
-    Module,
+    TwinView,
     claim_cache,
     keep_cache,
 )
@@ -15,16 +15,8 @@ from repro.nn.module import (
 __all__ = ["BatchedFlatten", "Flatten"]
 
 
-class Flatten(Module):
+class Flatten(TwinView):
     """Collapse all axes but the batch axis: ``(N, ...) -> (N, prod(...))``."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = x.reshape(x.shape[0], -1)
-        keep_cache(self, training, out.shape, x.shape)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(claim_cache(self, grad_output.shape))
 
     def batched(self, binder: BatchedParamBinder) -> "BatchedFlatten":
         del binder  # parameter-free
@@ -32,7 +24,7 @@ class Flatten(Module):
 
 
 class BatchedFlatten(BatchedModule):
-    """Counterpart of :class:`Flatten` keeping the leading client axis:
+    """Body of :class:`Flatten`, keeping the leading client axis:
     ``(C, N, ...) -> (C, N, prod(...))`` — pure data movement."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

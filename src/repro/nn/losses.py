@@ -5,7 +5,9 @@ float`` (mean loss over the batch) and ``backward() -> grad`` w.r.t.
 the predictions; like a layer, it caches for ``backward`` only on a
 training forward, and ``backward`` consumes that cache.  The
 softmax/sigmoid are fused into the cross-entropy losses so the gradient
-is the plain ``probabilities - onehot`` form.
+is the plain ``probabilities - onehot`` form.  As with the layers, a
+loss has one body, its stacked twin's: the serial loss is the one-row
+case (:class:`Loss`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.activations import sigmoid, softmax
-from repro.nn.module import BatchedUnsupported, claim_cache, keep_cache
+from repro.nn.module import (
+    BatchedUnsupported,
+    TwinHolder,
+    claim_cache,
+    keep_cache,
+)
 
 __all__ = [
     "BatchedLoss",
@@ -27,18 +34,33 @@ __all__ = [
 ]
 
 
-class Loss:
-    """Base class: call ``forward`` then ``backward`` once per step."""
+class Loss(TwinHolder):
+    """Base class: call ``forward`` then ``backward`` once per step.
+
+    ``forward`` / ``backward`` run the stacked twin (:meth:`batched`) on
+    ``predictions[None]`` / ``targets[None]`` and return row 0; the
+    loss itself only records that a training forward happened.
+    """
 
     _cache: Optional[tuple] = None  # see repro.nn.module.keep_cache
+    _twin: "BatchedLoss"
+
+    def _build_twin(self) -> "BatchedLoss":
+        # Through the class, as TwinView builds a layer's twin.
+        return type(self).batched(self)
 
     def forward(
         self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
     ) -> float:
-        raise NotImplementedError
+        loss = self._twin.forward(
+            predictions[None], np.asarray(targets)[None], training=training
+        )
+        keep_cache(self, training, None, None)
+        return float(loss[0])
 
     def backward(self) -> np.ndarray:
-        raise NotImplementedError
+        claim_cache(self)
+        return self._twin.backward()[0]
 
     def batched(self) -> "BatchedLoss":
         """Build this loss's batched-leading-axis counterpart.
@@ -62,11 +84,10 @@ class BatchedLoss:
 
     ``forward`` takes ``(clients, batch, ...)`` predictions/targets and
     returns a ``(clients,)`` float64 vector whose every entry is
-    bitwise equal to the serial loss on that client's slice — each
-    client's mean reduces over its own contiguous row, never across the
-    client axis.  ``backward`` returns the stacked prediction gradient,
-    scaled per client by that client's element count exactly as the
-    serial loss scales by ``targets.size``.
+    bitwise what that client's slice gets alone — each client's mean
+    reduces over its own contiguous row, never across the client axis.
+    ``backward`` returns the stacked prediction gradient, scaled per
+    client by that client's element count.
     """
 
     _cache: Optional[tuple] = None  # see repro.nn.module.keep_cache
@@ -92,36 +113,12 @@ class SoftmaxCrossEntropy(Loss):
     ``targets``: integer labels ``(batch,)``.
     """
 
-    def forward(
-        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
-    ) -> float:
-        targets = np.asarray(targets)
-        if predictions.ndim != 2:
-            raise ValueError(f"expected 2-D logits, got shape {predictions.shape}")
-        if targets.shape != (predictions.shape[0],):
-            raise ValueError(
-                f"targets shape {targets.shape} does not match batch "
-                f"{predictions.shape[0]}"
-            )
-        if not np.issubdtype(targets.dtype, np.integer):
-            raise TypeError("SoftmaxCrossEntropy expects integer class targets")
-        probs = softmax(predictions, axis=1)
-        keep_cache(self, training, None, (probs, targets))
-        picked = probs[np.arange(targets.size), targets]
-        return float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
-
-    def backward(self) -> np.ndarray:
-        probs, targets = claim_cache(self)
-        grad = probs.copy()
-        grad[np.arange(targets.size), targets] -= 1.0
-        return grad / targets.size
-
     def batched(self) -> "BatchedSoftmaxCrossEntropy":
         return BatchedSoftmaxCrossEntropy()
 
 
 class BatchedSoftmaxCrossEntropy(BatchedLoss):
-    """Counterpart of :class:`SoftmaxCrossEntropy` over ``(C, batch,
+    """Body of :class:`SoftmaxCrossEntropy` over ``(C, batch,
     classes)`` logits and ``(C, batch)`` integer targets."""
 
     def forward(
@@ -160,33 +157,12 @@ class SigmoidBinaryCrossEntropy(Loss):
     ``targets``: labels in {0, 1} of matching shape.
     """
 
-    def forward(
-        self, predictions: np.ndarray, targets: np.ndarray, training: bool = False
-    ) -> float:
-        logits = predictions.reshape(-1)
-        targets = np.asarray(targets, dtype=float).reshape(-1)
-        if logits.shape != targets.shape:
-            raise ValueError(
-                f"predictions {predictions.shape} and targets do not align"
-            )
-        # log(1 + exp(-|z|)) + max(z, 0) - z*y  is the stable BCE form.
-        loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
-        loss -= logits * targets
-        keep_cache(
-            self, training, None, (sigmoid(logits), targets, predictions.shape)
-        )
-        return float(np.mean(loss))
-
-    def backward(self) -> np.ndarray:
-        probs, targets, shape = claim_cache(self)
-        return ((probs - targets) / targets.size).reshape(shape)
-
     def batched(self) -> "BatchedSigmoidBinaryCrossEntropy":
         return BatchedSigmoidBinaryCrossEntropy()
 
 
 class BatchedSigmoidBinaryCrossEntropy(BatchedLoss):
-    """Counterpart of :class:`SigmoidBinaryCrossEntropy` over stacked
+    """Body of :class:`SigmoidBinaryCrossEntropy` over stacked
     ``(C, batch)`` or ``(C, batch, 1)`` logits."""
 
     def forward(
@@ -204,7 +180,7 @@ class BatchedSigmoidBinaryCrossEntropy(BatchedLoss):
             raise ValueError(
                 f"predictions {predictions.shape} and targets do not align"
             )
-        # Same stable BCE form as the serial loss, elementwise.
+        # log(1 + exp(-|z|)) + max(z, 0) - z*y  is the stable BCE form.
         loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
         loss -= logits * targets
         keep_cache(

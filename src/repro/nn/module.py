@@ -10,12 +10,21 @@ a :class:`BatchedModule` whose ``forward``/``backward`` take
 ``(C, batch, ...)`` tensors and whose parameters/gradients are strided
 views into one stacked ``(C, n_params)`` pair of flat vectors.
 
-The contract every batched counterpart must honour: for each client
-``c``, slicing its inputs/params out and running the serial layer must
-give **bitwise-identical** outputs and gradient accumulations — all
-reductions stay per-client (no cross-client sums), and every kernel is
-chosen so numpy performs the same per-element floating-point operation
-sequence as the serial path (stacked GEMMs loop the same BLAS call per
+Each layer has one body.  A layer with a stacked twin of its own is a
+:class:`TwinView`: its serial ``forward``/``backward`` run that twin
+with C = 1, bound to one-row views of the layer's own parameter and
+gradient arrays, so serial is the one-row case of batched by
+construction.  Parameter-free elementwise and per-plane layers (ReLU,
+MaxPool2D) are the other way round: their stacked twin is
+:class:`BatchedStateless`, a fresh serial instance fed the stacked
+tensor as is.
+
+The contract every stacked body honours: for each client ``c``, its
+slice of the outputs and gradient accumulations is **bitwise** what
+the same body computes with that client alone — all reductions stay
+per-client (no cross-client sums), and every kernel is chosen so numpy
+performs the same per-element floating-point operation sequence
+whatever the client count (stacked GEMMs loop the same BLAS call per
 slice; elementwise ops are stacking-invariant; reduction axes keep the
 same length and memory layout).  This is what lets the ``batched``
 executor produce run histories digest-identical to serial.
@@ -38,6 +47,8 @@ __all__ = [
     "BatchedUnsupported",
     "Module",
     "Sequential",
+    "TwinHolder",
+    "TwinView",
     "claim_cache",
     "keep_cache",
 ]
@@ -296,8 +307,9 @@ class Module:
 
         The head (first) layer's *input* gradient is dead work — no
         caller of a training step consumes it — so layers whose input
-        gradient is separable (Dense, Conv2D, Embedding) override this
-        to accumulate parameter gradients only and return None.
+        gradient is separable (the twins of Dense, Conv2D, Embedding)
+        override this to accumulate parameter gradients only and
+        return None.
         Parameter gradients are bitwise-unchanged, which is why the
         trainer's histories are unaffected.  The default falls back to
         the full :meth:`backward`.
@@ -310,6 +322,80 @@ class Module:
     def __repr__(self) -> str:
         n = sum(p.size for p in self.parameters())
         return f"{type(self).__name__}(parameters={n})"
+
+
+class TwinHolder:
+    """Owner of ``_twin``, a stacked twin built on first use
+    (:meth:`_build_twin`) over views of the owner's own arrays.
+
+    The views are safe to keep because parameter arrays are only ever
+    written in place, never rebound (``assign_flat_parameters``,
+    ``load_state_dict``, the optimizers, ``zero_grad``), so the twin
+    always computes on the current values.  A copy must not share
+    them: copies and pickles drop the twin, and the forward cache that
+    belongs with it, and the copy builds its own over its own arrays.
+    """
+
+    def _build_twin(self) -> Any:
+        raise NotImplementedError
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while ``_twin`` is unset: first use, or a copy.
+        if name != "_twin":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        twin = self._twin = self._build_twin()
+        return twin
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_twin", None)
+        state.pop("_cache", None)
+        return state
+
+
+class _OwnRows:
+    """The binder of a :class:`TwinView`'s twin: each parameter bound
+    to one-row views of its own data and gradient arrays."""
+
+    @staticmethod
+    def bind(param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
+        return param.data[None], param.grad[None]
+
+
+class TwinView(TwinHolder, Module):
+    """A layer whose one body is its stacked twin (:meth:`batched`).
+
+    ``forward`` / ``backward`` / ``head_backward`` run the twin on
+    ``x[None]`` / ``grad_output[None]`` and return row 0.  The layer
+    keeps only its output shape in its own cache, so a mis-shaped
+    gradient is refused naming the layer and its serial shapes; what
+    backward reads lives in the twin's cache.  Subclasses define their
+    parameters and :meth:`batched`, nothing else.
+    """
+
+    _twin: BatchedModule
+
+    def _build_twin(self) -> BatchedModule:
+        # Through the class: ``self.batched`` may be wrapped on the
+        # instance to see every stacked model handed out, and this twin
+        # is the layer's own body, not another model.
+        return type(self).batched(self, _OwnRows)
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        out = self._twin.forward(x[None], training=training)[0]
+        keep_cache(self, training, out.shape, None)
+        return out
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        claim_cache(self, grad_output.shape)
+        return self._twin.backward(grad_output[None])[0]
+
+    def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
+        claim_cache(self, grad_output.shape)
+        grad = self._twin.head_backward(grad_output[None])
+        return None if grad is None else grad[0]
 
 
 class Sequential(Module):
@@ -359,31 +445,17 @@ class Sequential(Module):
 
 
 class BatchedSequential(BatchedModule):
-    """Batched counterpart of :class:`Sequential`: same chain rule, one
-    leading client axis on every tensor."""
+    """Batched counterpart of :class:`Sequential`: the same chain rule,
+    one leading client axis on every tensor."""
 
     def __init__(self, layers: Iterable[BatchedModule]) -> None:
         self.layers: List[BatchedModule] = list(layers)
         if not self.layers:
             raise ValueError("BatchedSequential requires at least one layer")
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
-        grad = grad_output
-        for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
-        return self.layers[0].head_backward(grad)
+    forward = Sequential.forward
+    backward = Sequential.backward
+    head_backward = Sequential.head_backward
 
     def __repr__(self) -> str:
         inner = ", ".join(type(l).__name__ for l in self.layers)

@@ -5,7 +5,9 @@ loops (four gate temporaries + ``np.concatenate`` per step, one
 gradient read-modify-write per step) and CNN kernels (``np.where``
 ReLU backward, index-routed max pooling with its flat-scatter backward,
 single-batch-axis ``im2col`` / ``col2im``, and the serial and stacked
-conv layers around them) — and, at the end, the per-client code of the
+conv layers around them), the serial ``Dense``, ``Embedding``,
+``Flatten`` and cross-entropy bodies from before each became the
+one-row case of its stacked twin — and, at the end, the per-client code of the
 population-soak round (stream seeding, store checkout, epoch gather,
 event ordering, the CMFL decision) — kept verbatim so "same bits as
 before" is something the tier-1 suite asserts rather than something
@@ -324,6 +326,77 @@ def stacked_conv_backward(cache, grad_output, weight, dw, db, stride, padding):
         pad = padding
         dx = dx[:, :, :, pad:-pad, pad:-pad]
     return dx
+
+
+# -- the serial Dense, Embedding, Flatten and loss bodies ---------------------
+#
+# What the serial layers and losses ran before they became the one-row
+# case of their stacked twins, verbatim less the forward-cache
+# bookkeeping; ``head`` is ``head_backward`` (input gradient elided).
+
+
+def dense_forward(x, weight, bias):
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def dense_backward(x, grad_output, weight, dw, db, head):
+    """Accumulates into ``dw`` / ``db`` (None without a bias) in place
+    and returns ``dx``, or None for the head."""
+    dw += x.T @ grad_output
+    if db is not None:
+        db += grad_output.sum(axis=0)
+    if head:
+        return None
+    return grad_output @ weight.T
+
+
+def embedding_forward(ids, weight):
+    return weight[ids]
+
+
+def embedding_backward(ids, grad_output, dw, head):
+    np.add.at(dw, ids, grad_output)
+    if head:
+        return None
+    return np.zeros(grad_output.shape[:-1], dtype=float)
+
+
+def flatten_forward(x):
+    return x.reshape(x.shape[0], -1)
+
+
+def flatten_backward(x_shape, grad_output):
+    return grad_output.reshape(x_shape)
+
+
+def softmax(logits, axis=-1):
+    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / np.sum(ex, axis=axis, keepdims=True)
+
+
+def softmax_cross_entropy(predictions, targets):
+    """``(loss, grad)`` over ``(batch, classes)`` logits."""
+    probs = softmax(predictions, axis=1)
+    picked = probs[np.arange(targets.size), targets]
+    loss = float(-np.mean(np.log(np.clip(picked, 1e-12, None))))
+    grad = probs.copy()
+    grad[np.arange(targets.size), targets] -= 1.0
+    return loss, grad / targets.size
+
+
+def sigmoid_binary_cross_entropy(predictions, targets):
+    """``(loss, grad)`` over ``(batch,)`` or ``(batch, 1)`` logits."""
+    logits = predictions.reshape(-1)
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    # log(1 + exp(-|z|)) + max(z, 0) - z*y  is the stable BCE form.
+    loss = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0)
+    loss -= logits * targets
+    grad = ((masked_sigmoid(logits) - targets) / targets.size).reshape(predictions.shape)
+    return float(np.mean(loss)), grad
 
 
 # -- the population-soak round: seeding, streams, gather, events, decide ------

@@ -8,9 +8,14 @@ with C separate serial runs — outputs, input gradients and accumulated
 parameter gradients alike.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.models.digits_cnn import make_digits_cnn
+from repro.models.nwp_lstm import make_nwp_lstm
 from repro.nn import (
     BatchedParamBinder,
     BatchedUnsupported,
@@ -270,3 +275,50 @@ class TestBinderAndFallback:
         updates = engine.extract_updates(flat)
         assert updates.shape == (C, flat.size)
         assert not np.array_equal(updates, np.zeros_like(updates))
+
+
+# -- a copy of a serial layer binds its own twin ------------------------------
+
+COPIES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+#: model id -> (factory, (x, y) from a generator).
+TWIN_MODELS = {
+    "digits": (
+        lambda: make_digits_cnn(image_size=16, channels=(2, 3), hidden=5, rng=1),
+        lambda g: (g.normal(size=(4, 1, 16, 16)), g.integers(0, 10, size=4)),
+    ),
+    "nwp": (
+        lambda: make_nwp_lstm(9, embedding_dim=4, hidden=5, rng=1),
+        lambda g: (g.integers(0, 9, size=(4, 3)), g.integers(0, 9, size=4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("model_name", TWIN_MODELS)
+@pytest.mark.parametrize("how", COPIES)
+def test_a_copy_computes_on_its_own_parameters(how, model_name):
+    """A serial layer runs its twin over views of its own arrays.  A
+    copy made after a forward must bind a twin to the copy's arrays,
+    not keep a copied twin holding a snapshot of the original's: after
+    ``load_flat`` and an SGD step it equals a model that never ran."""
+    from repro.fl.workspace import ModelWorkspace
+
+    factory, make = TWIN_MODELS[model_name]
+    x, y = make(np.random.default_rng(0))
+    original = ModelWorkspace(factory(), SoftmaxCrossEntropy())
+    original.train_step(x, y, lr=0.1)  # builds every twin, loss's too
+    before = original.model.forward(x)
+    copied = ModelWorkspace(
+        COPIES[how](original.model), COPIES[how](original.loss)
+    )
+    fresh = ModelWorkspace(factory(), SoftmaxCrossEntropy())
+    theta = np.random.default_rng(1).normal(size=original.n_params) * 0.1
+    for workspace in (copied, fresh):
+        workspace.load_flat(theta)
+    _same_bits(copied.model.forward(x), fresh.model.forward(x))
+    losses = [w.train_step(x, y, lr=0.1) for w in (copied, fresh)]
+    assert losses[0].hex() == losses[1].hex()
+    _same_bits(copied.get_flat(), fresh.get_flat())
+    _same_bits(original.model.forward(x), before)

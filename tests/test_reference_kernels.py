@@ -1,12 +1,17 @@
-"""The shipped ``sigmoid``, LSTM and CNN kernels against the reference
-kernels in :mod:`tests.reference_kernels`: same bits, not close bits."""
+"""The shipped ``sigmoid``, LSTM, CNN, dense, embedding, flatten and
+cross-entropy kernels against the reference kernels in
+:mod:`tests.reference_kernels`: same bits, not close bits."""
 
 import numpy as np
 import pytest
 
 from repro.nn.activations import ReLU, select_grad, sigmoid
 from repro.nn.layers.conv import Conv2D, MaxPool2D, col2im, im2col
+from repro.nn.layers.dense import Dense
+from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.recurrent import LSTM
+from repro.nn.layers.reshape import Flatten
+from repro.nn.losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.module import BatchedParamBinder
 from repro.nn.serialization import parameter_count
 from tests import reference_kernels as ref
@@ -443,6 +448,125 @@ class TestConvLayerBits:
             assert twin.head_backward(grad_out) is None
             assert binder.grad.tobytes() == want_flat.tobytes()
         assert not full.grad[0].any() and not full.grad[-1].any()
+
+
+# -- serial Dense, Embedding, Flatten and losses: the one-row case ------------
+
+#: Batch sizes of a training step, and the rows of an evaluation batch
+#: (the inference forward of the benchmark's evaluation path).
+BATCHES = [1, 3, 7]
+EVAL_ROWS = 250
+#: Two full backward calls then the head's: gradients accumulate.
+ROUTES = ["backward", "backward", "head_backward"]
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_routes(layer, wants, rng, make_x, ref_forward, ref_backward):
+    """Forward, then each of :data:`ROUTES`, against the reference;
+    ``wants`` are the reference gradient accumulators."""
+    for route in ROUTES:
+        x = make_x(rng)
+        out = layer.forward(x, training=True)
+        _same_bits(out, ref_forward(x))
+        g = rng.normal(size=out.shape)
+        dx = getattr(layer, route)(g)
+        want_dx = ref_backward(x, g, route == "head_backward")
+        if want_dx is None:
+            assert dx is None
+        else:
+            _same_bits(dx, want_dx)
+        for param, want in zip(layer.parameters(), wants):
+            _same_bits(param.grad, want)
+    x = make_x(rng, EVAL_ROWS)
+    _same_bits(layer.forward(x), ref_forward(x))
+    assert layer._cache is None
+
+
+@pytest.mark.parametrize("n", BATCHES)
+class TestOneRowLayerBits:
+    """The serial layers, now their twins run with one row, against the
+    bodies they had before."""
+
+    @pytest.mark.parametrize(
+        "use_bias, init",
+        [(True, "glorot_uniform"), (False, "glorot_uniform"), (True, "zeros")],
+    )
+    def test_dense(self, n, use_bias, init):
+        rng = np.random.default_rng(10 * n + use_bias)
+        layer = Dense(6, 4, rng=1, weight_init=init, use_bias=use_bias)
+        if use_bias:
+            layer.bias.data[...] = rng.normal(size=4)
+        weight = layer.weight.data
+        bias = layer.bias.data if use_bias else None
+        wants = [np.zeros_like(p.data) for p in layer.parameters()]
+        dw, db = wants[0], wants[1] if use_bias else None
+        _check_routes(
+            layer, wants, rng,
+            lambda g, rows=n: g.normal(size=(rows, 6)),
+            lambda x: ref.dense_forward(x, weight, bias),
+            lambda x, g, head: ref.dense_backward(x, g, weight, dw, db, head),
+        )
+
+    def test_embedding_with_repeated_ids(self, n):
+        rng = np.random.default_rng(20 + n)
+        layer = Embedding(4, 3, rng=1)
+        [dw] = wants = [np.zeros_like(layer.weight.data)]
+        # Four ids over n x 5 positions: every batch repeats some.
+        _check_routes(
+            layer, wants, rng,
+            lambda g, rows=n: g.integers(0, 4, size=(rows, 5)),
+            lambda ids: ref.embedding_forward(ids, layer.weight.data),
+            lambda ids, g, head: ref.embedding_backward(ids, g, dw, head),
+        )
+
+    def test_flatten(self, n):
+        rng = np.random.default_rng(30 + n)
+        _check_routes(
+            Flatten(), [], rng,
+            lambda g, rows=n: g.normal(size=(rows, 2, 3, 4)),
+            ref.flatten_forward,
+            lambda x, g, head: ref.flatten_backward(x.shape, g),
+        )
+
+
+LOSS_CASES = {
+    "softmax": (
+        SoftmaxCrossEntropy,
+        ref.softmax_cross_entropy,
+        lambda g, n: (g.normal(size=(n, 5)) * 4, g.integers(0, 5, size=n)),
+    ),
+    "sigmoid_flat": (
+        SigmoidBinaryCrossEntropy,
+        ref.sigmoid_binary_cross_entropy,
+        lambda g, n: (g.normal(size=n) * 4, g.integers(0, 2, size=n)),
+    ),
+    "sigmoid_column": (
+        SigmoidBinaryCrossEntropy,
+        ref.sigmoid_binary_cross_entropy,
+        lambda g, n: (g.normal(size=(n, 1)) * 4, g.integers(0, 2, size=(n, 1))),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", BATCHES + [EVAL_ROWS])
+@pytest.mark.parametrize("name", LOSS_CASES)
+def test_one_row_loss_bits(name, n):
+    """Loss float bits and the prediction gradient, training and
+    inference forward alike."""
+    factory, reference, make = LOSS_CASES[name]
+    loss = factory()
+    rng = np.random.default_rng(n)
+    for training in (True, False, True):
+        pred, target = make(rng, n)
+        got = loss.forward(pred, target, training=training)
+        want, want_grad = reference(pred, target)
+        assert type(got) is float and got.hex() == want.hex()
+        if training:
+            _same_bits(loss.backward(), want_grad)
 
 
 # -- the population-soak round ------------------------------------------------

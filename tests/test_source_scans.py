@@ -298,6 +298,48 @@ def test_events_reach_only_the_trainer_seam():
     )
 
 
+# -- one nn body per layer -----------------------------------------------------
+
+#: The methods of a serial body, which a layer or loss with a stacked
+#: twin of its own must not define: the twin is its body, run with one
+#: row by ``TwinView`` / ``Loss``.
+BODY_METHODS = {"forward", "backward", "head_backward"}
+#: Calls in ``batched()`` that mean the class is its twin's body
+#: (``BatchedStateless(...)``: ReLU, MaxPool2D) or a chain of its
+#: children's twins (``layer.batched(...)``: Sequential).
+SHARED_BODY_CALLS = {"BatchedStateless", "batched"}
+
+
+def second_bodies(tree):
+    """``Class.method`` under ``nn/`` for a serial body defined beside
+    a stacked twin that ``batched()`` returns."""
+    found = []
+    for path, cls in _nodes(tree, ast.ClassDef):
+        methods = {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
+        twin = methods.get("batched")
+        if not path.startswith("nn/") or twin is None:
+            continue
+        nodes = list(ast.walk(twin))
+        returns = any(isinstance(n, ast.Return) and n.value is not None for n in nodes)
+        calls = {_dotted(n.func).rpartition(".")[2] for n in nodes if isinstance(n, ast.Call)}
+        if returns and not calls & SHARED_BODY_CALLS:
+            found += [
+                f"{path}:{methods[name].lineno}: {cls.name}.{name}"
+                for name in sorted(BODY_METHODS & methods.keys())
+            ]
+    return found
+
+
+def test_a_layer_with_a_twin_has_no_second_body():
+    offenders = second_bodies(_tree())
+    assert offenders == [], (
+        "an nn class with its own stacked twin defines a serial body:\n  "
+        + "\n  ".join(offenders)
+        + "\nIts twin is its body: subclass TwinView (layers) or Loss and "
+        "define only the constructor, parameters() and batched()."
+    )
+
+
 # -- every scan catches its seed -----------------------------------------------
 
 #: Run over the whole tree by tests/test_lint_clean.py.
@@ -305,6 +347,8 @@ SCANS = [uncaptured_state, library_prints, bare_artifact_writes, implicit_dtypes
 ROUND_LOOP = "        results = self.executor.run_round(plan, participants)\n"
 HISTORY = "        self.history = RunHistory(policy_name=policy.name)\n"
 DISPATCH = "        state = trainer._begin_round(t, None)\n"
+DENSE_TWIN = '    def batched(self, binder: BatchedParamBinder) -> "BatchedDense":\n'
+DENSE_BODY = "    def forward(self, x, training=False):\n        return x @ self.weight.data\n\n"
 #: (scan, file, old text, seeded text, what the one finding names)
 SEEDS = [
     (uncaptured_state, "fl/trainer.py", HISTORY, HISTORY + "        self._foo = 1\n",
@@ -321,6 +365,8 @@ SEEDS = [
      "import numpy as np\nfrom scipy import ndimage\n", "scipy"),
     (private_trainer_reach, "fl/events/engine.py", DISPATCH,
      "        trainer._resume_span = None\n" + DISPATCH, "trainer._resume_span"),
+    (second_bodies, "nn/layers/dense.py", DENSE_TWIN, DENSE_BODY + DENSE_TWIN,
+     "Dense.forward"),
 ]
 
 
