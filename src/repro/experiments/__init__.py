@@ -4,7 +4,8 @@ Every experiment module exposes ``run(scale=...)`` returning a result
 object with a ``report()`` method that prints the same rows/series the
 paper reports.  ``scale`` selects a preset: ``"test"`` (seconds, for
 the test suite), ``"bench"`` (minutes, the default for the benchmark
-harness) or ``"paper"`` (the paper's client counts and model sizes).
+harness) or ``"paper"`` (the paper's federation -- client counts, E,
+B and split -- at the bench model widths; about an hour per run).
 """
 
 from repro.experiments.workloads import (

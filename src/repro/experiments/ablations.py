@@ -36,7 +36,7 @@ from repro.utils.tables import format_table
 
 __all__ = ["AblationResult", "AblationRun", "main", "run"]
 
-_ROUNDS = {"test": 4, "bench": 30, "paper": 300}
+_ROUNDS = {"test": 4, "bench": 30, "paper": 50}
 
 
 @dataclass

@@ -24,7 +24,7 @@ from repro.utils.tables import format_table
 
 __all__ = ["Fig2Result", "main", "run"]
 
-_ROUNDS = {"test": 4, "bench": 40, "paper": 400}
+_ROUNDS = {"test": 4, "bench": 40, "paper": 50}
 
 
 @dataclass

@@ -5,7 +5,7 @@ previous one (Eq. 8).  The paper validates this by showing
 ||u_{t+1} - u_t|| / ||u_t|| is below 0.05 for >99% (MNIST CNN) and
 >93% (NWP LSTM) of iterations.
 
-Note on our smaller scale: with 10-30 clients instead of 100 the global
+Note on the bench scale: with 10-30 clients instead of 100 the global
 update averages fewer locals, so round-to-round variation is larger and
 the sub-0.05 mass smaller than the paper's; what must survive is the
 *concentration near small values* that makes the previous update a
@@ -26,7 +26,7 @@ from repro.utils.tables import format_table
 
 __all__ = ["Fig3Result", "main", "run"]
 
-_ROUNDS = {"test": 4, "bench": 25, "paper": 500}
+_ROUNDS = {"test": 4, "bench": 25, "paper": 50}
 
 
 @dataclass

@@ -10,7 +10,8 @@ reported.
 Paper numbers (Table I): MNIST CNN -- Gaia 1.25/1.13, CMFL 3.45/3.47;
 NWP LSTM -- Gaia 1.42/1.26, CMFL 13.35/13.97.  Our smaller federation
 preserves the ordering (CMFL > Gaia > 1) with smaller factors; the
-``paper`` scale uses the full sweep and client counts.
+``paper`` scale runs the full threshold sweep on the paper's federation
+(100 clients, E=4, B=2) at the bench model widths.
 """
 
 from __future__ import annotations

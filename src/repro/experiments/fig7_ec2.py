@@ -24,17 +24,19 @@ from repro.baselines.vanilla import VanillaPolicy
 from repro.core.policy import CMFLPolicy, UploadPolicy
 from repro.core.thresholds import ConstantThreshold, LinearDecayThreshold
 from repro.emu.cluster import EmulationReport, emulate_cluster
+from repro.experiments.fig4_table1 import TARGETS
 from repro.experiments.workloads import NWPWorkload, resolve_scale
 from repro.fl.history import RunHistory
 from repro.utils.tables import format_table
 
 __all__ = ["Fig7Result", "main", "run"]
 
-#: Accuracy levels for the Fig. 7b byte-volume comparison.
+#: Accuracy levels for the Fig. 7b byte-volume comparison; ``paper``
+#: takes Table I's NWP targets, which the bench-width LSTM reaches.
 ACCURACY_LEVELS = {"test": (0.05,), "bench": (0.12, 0.18, 0.22),
-                   "paper": (0.5, 0.6, 0.7)}
+                   "paper": TARGETS["nwp_lstm"]}
 
-_ROUNDS = {"test": 4, "bench": 30, "paper": 600}
+_ROUNDS = {"test": 4, "bench": 30, "paper": 150}
 
 
 def _policies(rounds: int) -> Dict[str, UploadPolicy]:

@@ -14,9 +14,10 @@ both backends bitwise-identical:
 The serial backend is the reference every equivalence contract is tied
 to.  The batched backend vectorizes: the round's participants, sorted
 by shard size, are stacked into one leading client axis and run in
-lockstep as a handful of large numpy kernels through a
-:class:`~repro.fl.batched.BatchedWorkspace`, with the per-client loop
-left only for models that have no batched path.
+lockstep as a handful of large numpy kernels through one
+:class:`~repro.fl.batched.BatchedWorkspace` (the largest stack any
+preset builds is 39 MB, DESIGN 6b), with the per-client loop left only
+for models that have no batched path.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ __all__ = [
 
 #: One client task's runtime data: ``(dur, worker)``.
 TaskTiming = Tuple[float, str]
-
-#: Ceiling on one stack's ``(rows, n_params)`` float64 parameter +
-#: gradient pair, 16 B per parameter per row.  Paper-scale NWP
-#: (1 469 940 parameters x 100 roles = 2.2 GiB) runs as five 20-row
-#: chunks of 449 MiB; every benchmark federation is one stack.
-MAX_STACK_BYTES = 512 * 2**20
 
 
 @dataclass(frozen=True)
@@ -198,8 +193,7 @@ class BatchedExecutor(ClientExecutor):
 
     The participants are sorted by shard size (stable, so participant
     order inside equal sizes) into one ``(C, n_params)`` stack on a
-    :class:`~repro.fl.batched.BatchedWorkspace` — or the fewest equal
-    chunks of the sorted rows that stay under :data:`MAX_STACK_BYTES`.
+    :class:`~repro.fl.batched.BatchedWorkspace`.
     Step ``s`` of client ``k`` is a minibatch of ``min(B, n_k - s*B)``
     samples, so rows with equally long minibatches are adjacent: each
     such *run* is one ``train_step_all`` — the whole stack for the steps
@@ -246,7 +240,7 @@ class BatchedExecutor(ClientExecutor):
         engine = self._engines.get(size)
         if engine is None:
             try:
-                engine = BatchedWorkspace(self._workspace, size)
+                engine = BatchedWorkspace(self._bound(), size)
             except BatchedUnsupported as exc:
                 # Remember why so every later round skips the retry.
                 self._unsupported = str(exc)
@@ -259,39 +253,31 @@ class BatchedExecutor(ClientExecutor):
         return engine
 
     def run_round(self, plan, participants):
-        # Stable sort by shard size; the indices keep participant order
-        # inside equal sizes and align the results at the end.  The
-        # sorted rows run as one stack, or as the fewest equal chunks
-        # that each stay under MAX_STACK_BYTES.
         count = len(participants)
-        order = sorted(range(count), key=lambda i: participants[i].n_samples)
-        max_rows = max(1, MAX_STACK_BYTES // max(1, 16 * self._bound().n_params))
-        rows = -(-count // max(1, -(-count // max_rows)))
-        chunks = [order[i : i + rows] for i in range(0, count, rows)]
-        if chunks and self._engine_for(len(chunks[0])) is None:
-            # No batched path for this model: the serial reference, in
-            # **participant order** — with a stateful optimizer the
-            # shared slot state makes client order observable.
+        engine = self._engine_for(count) if count else None
+        if engine is None:
+            # No batched path for this model (or nobody to run): the
+            # serial reference, in **participant order** — with a
+            # stateful optimizer the shared slot state makes client
+            # order observable.
             return super().run_round(plan, participants)
+        # Stable sort by shard size; the indices keep participant order
+        # inside equal sizes and align the results at the end.
+        order = sorted(range(count), key=lambda i: participants[i].n_samples)
         tracer = self.tracer
         _emit_broadcast_span(tracer, plan)
         round_start = monotonic()
+        cohort = [participants[idx] for idx in order]
+        updates = self._run_cohort(engine, plan, cohort, round_start)
+        # The stack's wall, split by sample-steps (E x n_k; E cancels).
+        per_sample = (monotonic() - round_start) / sum(
+            update.n_samples for update in updates
+        )
         results: List[Optional[ClientUpdate]] = [None] * count
-        timings: List[Optional[TaskTiming]] = [None] * count
-        for indices in chunks:
-            cohort = [participants[idx] for idx in indices]
-            start = monotonic()
-            updates = self._run_cohort(
-                self._engine_for(len(cohort)), plan, cohort, round_start
-            )
-            # The stack's wall, split by sample-steps (E x n_k; E cancels).
-            per_sample = (monotonic() - start) / sum(
-                update.n_samples for update in updates
-            )
-            worker = f"batched-{len(cohort)}"
-            for idx, update in zip(indices, updates):
-                results[idx] = update
-                timings[idx] = (per_sample * update.n_samples, worker)
+        for idx, update in zip(order, updates):
+            results[idx] = update
+        worker = f"batched-{count}"
+        timings = [(per_sample * update.n_samples, worker) for update in results]
         _emit_task_spans(tracer, plan, participants, timings)
         return results
 

@@ -2,8 +2,9 @@
 
 Two 5x5 convolution layers (each followed by ReLU and 2x2 max pooling),
 a fully connected layer and an output layer, per LeCun et al.'s classic
-architecture.  Channel and hidden widths are configurable so the
-default stays laptop-fast; pass larger values for paper-scale runs.
+architecture.  Channel, hidden and image sizes are parameters; every
+experiment preset, ``paper`` included, builds the small 20x20 one
+(DESIGN.md §2 says why width is a substitution).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A word-level 2-layer LSTM language model: after reading a fixed-length
 word window it predicts the next word.  The paper uses 256 units per
-layer; the default here is smaller for laptop-scale runs and fully
-configurable.
+layer; every experiment preset, ``paper`` included, trains the smaller
+default (DESIGN.md §2 says why width is a substitution).
 """
 
 from __future__ import annotations

@@ -447,17 +447,6 @@ class TestRaggedEquivalence:
         _assert_batched_is_serial("linear", [2 * n for n in steps], 1, 2)
         _assert_batched_is_serial("linear", [2 * n - 1 for n in steps], 1, 2)
 
-    def test_stack_cut_into_chunks(self, monkeypatch):
-        """Above MAX_STACK_BYTES the sorted rows run as consecutive
-        chunks — same bits, smaller stacks."""
-        sizes = [5, 9, 2, 7, 11]
-        n_params = _ragged_federation("linear", sizes)[0].n_params
-        monkeypatch.setattr(
-            executor_module, "MAX_STACK_BYTES", 2 * 16 * n_params
-        )
-        executor = _assert_batched_is_serial("linear", sizes, 2, 3)
-        assert set(executor._engines) == {2, 1}  # chunks of 2, 2 and 1 rows
-
 
 class TestStackTiming:
     def test_stack_wall_is_split_by_sample_steps(self):

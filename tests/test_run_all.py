@@ -3,7 +3,11 @@
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.experiments import reports, workloads
 from repro.experiments.run_all import EXPERIMENTS
+from repro.experiments.workloads import SCALE_ENV_VAR, SCALES
 
 
 def test_every_experiment_module_is_wired():
@@ -16,6 +20,36 @@ def test_every_experiment_module_is_wired():
     for _, module in EXPERIMENTS:
         assert callable(module.run)
         assert callable(module.main)
+
+
+def test_every_per_scale_table_names_every_scale():
+    """A table keyed by scale names misses none: a missing ``paper``
+    key would otherwise surface only hours into a paper run."""
+    tables = {}
+    for module in [workloads] + [module for _, module in EXPERIMENTS]:
+        for name, value in vars(module).items():
+            if isinstance(value, dict) and set(value) & set(SCALES):
+                tables[f"{module.__name__}.{name}"] = set(value)
+    short = {qualified.rsplit(".", 1)[1] for qualified in tables}
+    assert {"_ROUNDS", "_WARMUP", "_REPEATS", "ACCURACY_LEVELS",
+            "_HAR_SIZES", "_SHD_SIZES", "_DIGIT_SCALES", "_DIGIT_SPLITS",
+            "_NWP_SCALES"} <= short
+    assert {name: keys for name, keys in tables.items()
+            if keys != set(SCALES)} == {}
+
+
+@pytest.mark.parametrize(
+    "scale,written", [("bench", "fig0.txt"), ("paper", "fig0.paper.txt"),
+                      ("test", "fig0.test.txt")]
+)
+def test_reports_are_named_by_scale(scale, written, tmp_path, monkeypatch):
+    """Only a bench report takes the committed ``<name>.txt``: a paper
+    run beside the bench reports leaves them as they were."""
+    monkeypatch.setattr(reports, "REPORTS_DIR", tmp_path)
+    monkeypatch.setenv(SCALE_ENV_VAR, scale)
+    reports.emit_report("fig0", "table")
+    assert [p.name for p in tmp_path.iterdir()] == [written]
+    assert (tmp_path / written).read_text() == "table\n"
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

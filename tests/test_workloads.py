@@ -5,6 +5,8 @@ import pytest
 
 from repro.baselines.vanilla import VanillaPolicy
 from repro.experiments.workloads import (
+    _DIGIT_SCALES,
+    _DIGIT_SPLITS,
     SCALES,
     DigitsWorkload,
     NWPWorkload,
@@ -64,3 +66,29 @@ class TestNWPWorkload:
         trainer = workload.make_trainer(VanillaPolicy(), rounds=1)
         out = trainer.workspace.model.forward(workload.test.x[:2])
         assert out.shape == (2, workload.vocab_size)
+
+
+class TestPaperPreset:
+    """``paper`` is the paper's federation (Sec. V-A) at bench width."""
+
+    def test_digits_federation(self):
+        # Read off the preset tables: building it renders 62,000 images.
+        p = _DIGIT_SCALES["paper"]
+        assert (p.n_clients, p.samples_per_client) == (100, 600)
+        assert (p.local_epochs, p.batch_size) == (4, 2)
+        shards_per_client, _ = _DIGIT_SPLITS["paper"]
+        assert shards_per_client == 1
+
+    def test_nwp_federation_at_bench_width(self):
+        workload = NWPWorkload(scale="paper")
+        trainer = workload.make_trainer(VanillaPolicy())
+        assert len(trainer.clients) == 100
+        assert len(workload.train_indices_by_role) == 100
+        assert (trainer.config.local_epochs, trainer.config.batch_size) == (4, 2)
+        bench = NWPWorkload(scale="bench").make_trainer(VanillaPolicy())
+        assert trainer.server.n_params == bench.server.n_params == 24_490
+
+    @pytest.mark.parametrize("workload", [DigitsWorkload, NWPWorkload])
+    def test_only_scale_and_seed_are_settable(self, workload):
+        with pytest.raises(TypeError):
+            workload(scale="test", hidden=64)

@@ -17,7 +17,8 @@ HEADER = """# EXPERIMENTS — paper vs. measured
 Every table and figure of the paper's evaluation, regenerated by
 `pytest benchmarks/ --benchmark-only` at the default **bench** scale
 (30-client digit CNN, 10-role NWP LSTM, 40-client HAR, 15-client
-Semeion; `REPRO_SCALE=paper` runs the paper-size configurations).
+Semeion; `REPRO_SCALE=paper` runs the paper's federation at the same
+model widths and writes `<name>.paper.txt` beside these reports).
 
 Absolute numbers differ from the paper's by design — the substrate is a
 numpy simulator on synthetic data at ~1/5 the client count — so each
