@@ -5,9 +5,10 @@
     python -m repro.ckpt diff a.ckpt b.ckpt
 
 ``inspect`` prints the manifest summary and member table; ``verify``
-digest-checks every member of each file and exits non-zero on the
-first failure; ``diff`` compares two checkpoints' manifests and array
-payloads and lists every divergence.
+digest-checks every member of each file as it streams out of the zip
+(nothing is decoded) and exits non-zero on the first failure; ``diff``
+compares two checkpoints' manifests and array payloads and lists every
+divergence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ckpt.format import Checkpoint, CheckpointError, read_checkpoint
+from repro.ckpt.format import (
+    Checkpoint,
+    CheckpointError,
+    read_checkpoint,
+    verify_checkpoint,
+)
 from repro.utils.tables import format_table
 
 __all__ = ["build_parser", "main"]
@@ -133,10 +139,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "verify":
             for path in args.checkpoints:
-                ckpt = read_checkpoint(path, verify=True)
+                manifest = verify_checkpoint(path)
                 print(
-                    f"OK {path} (iteration {ckpt.iteration}, "
-                    f"{len(ckpt.manifest['members'])} members)"
+                    f"OK {path} (iteration {manifest['iteration']}, "
+                    f"{len(manifest['members'])} members)"
                 )
             return 0
         if args.command == "diff":

@@ -21,6 +21,11 @@ Writes are atomic (temp file + fsync + rename via
 previous checkpoint or none, never a torn file.  Reads verify every
 member against the manifest digests by default and raise
 :class:`CheckpointError` naming the offending member.
+
+Members stream in ``_CHUNK_BYTES`` pieces both ways: a save hashes and
+deflates an array (or a store column given as its shards' row blocks)
+without building its ``.npy`` bytes, a read decodes each array as it
+streams out, and :func:`verify_checkpoint` hashes without decoding.
 """
 
 from __future__ import annotations
@@ -29,15 +34,21 @@ import hashlib
 import io
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
+)
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from repro.utils.atomic_io import atomic_write
 
 __all__ = [
+    "ArrayMember",
     "CKPT_SCHEMA",
     "CKPT_SUFFIX",
     "Checkpoint",
@@ -89,81 +100,139 @@ class Checkpoint:
         return int(self.manifest["iteration"])
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+#: Bytes of one member moved per hash update, zip write or read: a save
+#: or a verify holds this much of a payload at a time, not the member.
+_CHUNK_BYTES = 1 << 18
 
-
-def _npy_bytes(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-    return buffer.getvalue()
-
-
-def _npy_load(data: bytes, member: str) -> np.ndarray:
-    try:
-        return np.load(io.BytesIO(data), allow_pickle=False)
-    except ValueError as exc:
-        raise CheckpointError(
-            f"member {member!r} is not a valid .npy payload: {exc}"
-        ) from exc
+#: An array member: one array, or its blocks of rows in order (a list or
+#: tuple), which land in the file as if concatenated.
+ArrayMember = Union[np.ndarray, Sequence[np.ndarray]]
 
 
 def _array_member(key: str) -> str:
     return f"arrays/{key}.npy"
 
 
+def _npy_payload(
+    key: str, value: ArrayMember
+) -> Tuple[bytes, List[np.ndarray], np.dtype, Tuple[int, ...]]:
+    """(``.npy`` header, C-contiguous blocks, dtype, shape) of a member.
+
+    The header is the one ``np.save`` writes for the concatenated
+    array, so the streamed payload is that file byte for byte.
+    """
+    if isinstance(value, (list, tuple)):
+        blocks = [np.ascontiguousarray(block) for block in value]
+        if not blocks or any(
+            block.dtype != blocks[0].dtype
+            or block.shape[1:] != blocks[0].shape[1:]
+            for block in blocks
+        ):
+            raise CheckpointError(
+                f"array {key!r} must be one or more row blocks of one "
+                "dtype and row shape"
+            )
+        shape = (sum(len(block) for block in blocks),) + blocks[0].shape[1:]
+    else:
+        blocks = [np.ascontiguousarray(value)]
+        shape = blocks[0].shape
+    dtype = blocks[0].dtype
+    header = io.BytesIO()
+    npformat.write_array_header_1_0(
+        header,
+        {
+            "descr": npformat.dtype_to_descr(dtype),
+            "fortran_order": False,
+            "shape": shape,
+        },
+    )
+    return header.getvalue(), blocks, dtype, shape
+
+
+def _chunks(head: bytes, blocks: Sequence[np.ndarray]) -> Iterator[Any]:
+    """A member's bytes: ``head``, then each block's in ``_CHUNK_BYTES``
+    pieces (views, never copies)."""
+    yield head
+    for block in blocks:
+        data = block.reshape(-1).view(np.uint8)
+        for start in range(0, len(data), _CHUNK_BYTES):
+            yield data[start : start + _CHUNK_BYTES]
+
+
 def write_checkpoint(
     path: Union[str, Path],
     manifest: Dict[str, Any],
-    arrays: Dict[str, np.ndarray],
+    arrays: Dict[str, ArrayMember],
     texts: Optional[Dict[str, str]] = None,
 ) -> int:
     """Write a ``repro-ckpt/v2`` container; returns its size in bytes.
 
     ``manifest`` is extended in place with the ``schema`` tag, the
     ``arrays`` index and the per-member digest table before being
-    serialised.  The whole container lands atomically.
+    serialised.  An array member given as row blocks is written as
+    their concatenation without ever building it: one pass over the
+    blocks fills the digest table, a second streams them into the zip,
+    so a save holds one chunk of a member at a time.  The whole
+    container lands atomically.
     """
     target = Path(path)
-    members: Dict[str, bytes] = {}
+    members: Dict[str, Tuple[bytes, List[np.ndarray]]] = {}
     array_index: Dict[str, Dict[str, Any]] = {}
     for key in sorted(arrays):
         member = _array_member(key)
-        data = np.ascontiguousarray(arrays[key])
-        members[member] = _npy_bytes(data)
+        header, blocks, dtype, shape = _npy_payload(key, arrays[key])
+        members[member] = (header, blocks)
         array_index[key] = {
             "member": member,
-            "dtype": str(data.dtype),
-            "shape": list(data.shape),
+            "dtype": str(dtype),
+            "shape": list(shape),
         }
     for name in sorted(texts or {}):
         if name == MANIFEST_MEMBER or name in members:
             raise CheckpointError(f"duplicate checkpoint member {name!r}")
-        members[name] = (texts or {})[name].encode("utf-8")
+        members[name] = ((texts or {})[name].encode("utf-8"), [])
 
+    sizes: Dict[str, int] = {}
     manifest["schema"] = CKPT_SCHEMA
     manifest["arrays"] = array_index
-    manifest["members"] = {
-        name: {"sha256": _sha256(data), "bytes": len(data)}
-        for name, data in sorted(members.items())
-    }
+    manifest["members"] = {}
+    for name in sorted(members):
+        digest = hashlib.sha256()
+        sizes[name] = 0
+        for chunk in _chunks(*members[name]):
+            digest.update(chunk)
+            sizes[name] += len(chunk)
+        manifest["members"][name] = {
+            "sha256": digest.hexdigest(),
+            "bytes": sizes[name],
+        }
     manifest_bytes = json.dumps(
         manifest, sort_keys=True, indent=2, default=_json_default
     ).encode("utf-8")
 
     with atomic_write(target, "wb") as fh:
         with zipfile.ZipFile(fh, "w", zipfile.ZIP_DEFLATED) as zf:
-            _write_member(zf, MANIFEST_MEMBER, manifest_bytes)
+            _write_member(
+                zf, MANIFEST_MEMBER, [manifest_bytes], len(manifest_bytes)
+            )
             for name in sorted(members):
-                _write_member(zf, name, members[name])
+                _write_member(zf, name, _chunks(*members[name]), sizes[name])
     return target.stat().st_size
 
 
-def _write_member(zf: zipfile.ZipFile, name: str, data: bytes) -> None:
+def _write_member(
+    zf: zipfile.ZipFile, name: str, chunks: Iterable[Any], size: int
+) -> None:
     info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
     info.compress_type = zipfile.ZIP_DEFLATED
     info.external_attr = 0o644 << 16
-    zf.writestr(info, data, compresslevel=_DEFLATE_LEVEL)
+    # What ``writestr(info, data, compresslevel=...)`` sets before it
+    # opens the same stream: the size decides zip64 up front.
+    info.file_size = size
+    info._compresslevel = _DEFLATE_LEVEL
+    with zf.open(info, "w") as dest:
+        for chunk in chunks:
+            dest.write(chunk)
 
 
 def _json_default(obj: Any) -> Any:
@@ -174,51 +243,54 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON serialisable: {type(obj).__name__}")
 
 
-def read_checkpoint(
-    path: Union[str, Path], verify: bool = True
-) -> Checkpoint:
-    """Read (and by default digest-verify) a checkpoint container.
-
-    Raises :class:`CheckpointError` on a truncated/corrupt zip, a
-    missing member, a digest or length mismatch (naming the member and
-    both digests), or a schema the reader does not understand.
-    """
-    source = Path(path)
+def _open_checkpoint(source: Path) -> zipfile.ZipFile:
     try:
-        zf = zipfile.ZipFile(source)
+        return zipfile.ZipFile(source)
     except (zipfile.BadZipFile, OSError) as exc:
         raise CheckpointError(
             f"{source} is not a readable checkpoint "
             f"(truncated or corrupt): {exc}"
         ) from exc
-    with zf:
+
+
+def read_checkpoint(
+    path: Union[str, Path], verify: bool = True
+) -> Checkpoint:
+    """Read (and by default digest-verify) a checkpoint container.
+
+    Each array member is decoded as it streams out of the zip, so a
+    read holds the decoded arrays and a few chunks, never a member's
+    raw bytes beside its array.  Raises :class:`CheckpointError` on a
+    truncated/corrupt zip, a missing member, a digest or length
+    mismatch (naming the member and both digests), or a schema the
+    reader does not understand.
+    """
+    source = Path(path)
+    arrays: Dict[str, np.ndarray] = {}
+    texts: Dict[str, str] = {}
+    with _open_checkpoint(source) as zf:
         manifest = _read_manifest(zf, source)
-        members: Dict[str, bytes] = {}
+        array_keys = {
+            entry["member"]: key for key, entry in manifest["arrays"].items()
+        }
         for name, expected in manifest["members"].items():
-            try:
-                data = zf.read(name)
-            except KeyError as exc:
-                raise CheckpointError(
-                    f"{source} is missing member {name!r}"
-                ) from exc
-            except zipfile.BadZipFile as exc:
-                raise CheckpointError(
-                    f"member {name!r} of {source} is corrupt: {exc}"
-                ) from exc
-            if verify:
-                _verify_member(source, name, data, expected)
-            members[name] = data
-    arrays = {
-        key: _npy_load(members[entry["member"]], entry["member"])
-        for key, entry in manifest["arrays"].items()
-    }
-    array_members = {entry["member"] for entry in manifest["arrays"].values()}
-    texts = {
-        name: data.decode("utf-8")
-        for name, data in members.items()
-        if name not in array_members
-    }
+            if name in array_keys:
+                arrays[array_keys[name]] = _read_member(
+                    zf, source, name, expected, verify, _parse_npy
+                )
+            else:
+                texts[name] = _read_member(
+                    zf, source, name, expected, verify, _parse_text
+                )
     return Checkpoint(path=source, manifest=manifest, arrays=arrays, texts=texts)
+
+
+def _parse_npy(reader: "_HashingReader") -> np.ndarray:
+    return npformat.read_array(reader, allow_pickle=False)
+
+
+def _parse_text(reader: "_HashingReader") -> str:
+    return reader.read().decode("utf-8")
 
 
 def _read_manifest(zf: zipfile.ZipFile, source: Path) -> Dict[str, Any]:
@@ -244,25 +316,89 @@ def _read_manifest(zf: zipfile.ZipFile, source: Path) -> Dict[str, Any]:
     return manifest
 
 
-def _verify_member(
-    source: Path, name: str, data: bytes, expected: Dict[str, Any]
-) -> None:
-    if len(data) != int(expected["bytes"]):
+class _HashingReader:
+    """A member's decompressed stream that hashes and counts every
+    byte read through it."""
+
+    def __init__(self, raw: Any) -> None:
+        self._raw = raw
+        self.digest = hashlib.sha256()
+        self.nbytes = 0
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._raw.read(size)
+        self.digest.update(data)
+        self.nbytes += len(data)
+        return data
+
+
+def _read_member(
+    zf: zipfile.ZipFile,
+    source: Path,
+    name: str,
+    expected: Dict[str, Any],
+    verify: bool = True,
+    parse: Optional[Callable[[_HashingReader], Any]] = None,
+) -> Any:
+    """Stream member ``name`` through ``parse`` while hashing it.
+
+    The one per-member check of :func:`read_checkpoint` and
+    :func:`verify_checkpoint`.  ``parse`` reads what it needs from the
+    member and returns the decoded value; the rest is drained in
+    chunks, so the length and digest cover every byte.  A digest
+    mismatch is reported before a decode failure: a
+    corrupt member often fails to decode too, and the digest is the
+    finding.
+    """
+    failure: Optional[ValueError] = None
+    value = None
+    try:
+        with zf.open(name) as raw:
+            reader = _HashingReader(raw)
+            if parse is not None:
+                try:
+                    value = parse(reader)
+                except ValueError as exc:
+                    failure = exc
+            while reader.read(_CHUNK_BYTES):
+                pass
+    except KeyError as exc:
+        raise CheckpointError(f"{source} is missing member {name!r}") from exc
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
         raise CheckpointError(
-            f"member {name!r} of {source} is {len(data)} bytes, manifest "
-            f"says {expected['bytes']}"
-        )
-    actual = _sha256(data)
-    if actual != expected["sha256"]:
+            f"member {name!r} of {source} is corrupt: {exc}"
+        ) from exc
+    if verify:
+        if reader.nbytes != int(expected["bytes"]):
+            raise CheckpointError(
+                f"member {name!r} of {source} is {reader.nbytes} bytes, "
+                f"manifest says {expected['bytes']}"
+            )
+        actual = reader.digest.hexdigest()
+        if actual != expected["sha256"]:
+            raise CheckpointError(
+                f"member {name!r} of {source} fails digest verification: "
+                f"expected sha256 {expected['sha256']}, got {actual}"
+            )
+    if failure is not None:
         raise CheckpointError(
-            f"member {name!r} of {source} fails digest verification: "
-            f"expected sha256 {expected['sha256']}, got {actual}"
-        )
+            f"member {name!r} of {source} cannot be decoded: {failure}"
+        ) from failure
+    return value
 
 
 def verify_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
-    """Fully read + digest-check a checkpoint; returns its manifest."""
-    return read_checkpoint(path, verify=True).manifest
+    """Digest-check every member of a checkpoint; returns its manifest.
+
+    Members are hashed while they stream out of the zip and nothing
+    is decoded, so a verify holds a few chunks, whatever the file size.
+    """
+    source = Path(path)
+    with _open_checkpoint(source) as zf:
+        manifest = _read_manifest(zf, source)
+        for name, expected in manifest["members"].items():
+            _read_member(zf, source, name, expected)
+    return manifest
 
 
 def checkpoint_paths(

@@ -34,7 +34,7 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro.ckpt.format import CheckpointError, Checkpoint
+from repro.ckpt.format import ArrayMember, CheckpointError, Checkpoint
 from repro.fl.history import RunHistory
 from repro.obs import JsonlSink, MemorySink, Tracer
 from repro.obs.sinks import truncate_trace
@@ -52,7 +52,7 @@ HISTORY_MEMBER = "history.jsonl"
 
 def capture_run_state(
     trainer: Any,
-) -> Tuple[Dict[str, Any], Dict[str, np.ndarray], Dict[str, str]]:
+) -> Tuple[Dict[str, Any], Dict[str, ArrayMember], Dict[str, str]]:
     """Snapshot ``trainer`` into (manifest, arrays, texts).
 
     Must be called at a round boundary (between ``run_round`` calls):
@@ -63,7 +63,7 @@ def capture_run_state(
     estimator = server.estimator
     opt_state = trainer.workspace.optimizer.state_dict()
 
-    arrays: Dict[str, np.ndarray] = {"global_params": server.global_params}
+    arrays: Dict[str, ArrayMember] = {"global_params": server.global_params}
     feedback_state = estimator.state_dict()
     for i, update in enumerate(feedback_state["history"]):
         arrays[f"feedback/{i}"] = update
@@ -115,7 +115,9 @@ def capture_run_state(
     }
     # Store-backed federations: the population lives in shard arrays,
     # not client objects, so ``rng.clients`` above is empty and the
-    # shard state rides along as whole-store ``store/<column>`` arrays.
+    # shard state rides along as whole-store ``store/<column>`` members,
+    # handed over as the shards' own row blocks: the writer streams
+    # them, so a save never concatenates the store.
     # The store refuses to snapshot while round views are outstanding,
     # which re-asserts the round-boundary contract for this mode.
     if trainer.store is not None:
@@ -138,7 +140,7 @@ def capture_run_state(
 
 
 def _split_ledger(
-    state: Dict[str, Any], arrays: Dict[str, np.ndarray]
+    state: Dict[str, Any], arrays: Dict[str, ArrayMember]
 ) -> Dict[str, Any]:
     """Move the ledger's arrays into ``arrays`` as ``ledger/<name>``
     members; the manifest entry returned keeps only their lengths, so

@@ -129,7 +129,10 @@ class AsyncFederatedTrainer:
         schedule are the synchronous run's.  On return nothing is in
         flight — every dispatched round has closed — so the engine is
         at a consistent (checkpointable) boundary between ``run`` calls.
+        A closed engine refuses: its trainer would run synchronously.
         """
+        if self.trainer.async_engine is not self:
+            raise RuntimeError("this engine is closed; build or restore a new one")
         return self.trainer.run(rounds)
 
     def closed_rounds(self, rounds: int) -> Iterator[int]:
@@ -449,8 +452,15 @@ class AsyncFederatedTrainer:
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Release the wrapped trainer's resources."""
+        """Release the wrapped trainer's resources and unhook from it.
+
+        Clearing ``trainer.async_engine`` breaks the engine <-> trainer
+        reference cycle, so a closed federation is freed by reference
+        counting as soon as its caller drops it, not at the next full
+        collection of the cyclic GC.
+        """
         self.trainer.close()
+        self.trainer.async_engine = None
 
     def __enter__(self) -> "AsyncFederatedTrainer":
         return self

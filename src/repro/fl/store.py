@@ -448,23 +448,26 @@ class ClientStateStore:
             "partition": self.partition.describe(),
         }
 
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Materialized shards as whole-store columns.
+    def state_arrays(self) -> Dict[str, List[np.ndarray]]:
+        """Materialized shards as the row blocks of whole-store columns.
 
-        ``rng`` / ``live`` / ``stats`` hold the rows of every
-        materialized shard, concatenated in shard-id order;
-        :meth:`manifest` lists the ids.  A checkpoint therefore carries
-        three store members however many shards are live.
+        ``rng`` / ``live`` / ``stats`` each map to a leading zero-row
+        block (an untouched store still has columns) and then every
+        materialized shard's array, in shard-id order; :meth:`manifest`
+        lists the ids.  The blocks are the shards' own arrays, not
+        copies: :func:`~repro.ckpt.format.write_checkpoint` streams each
+        column into one member without concatenating it, so a save
+        costs no second copy of the store.  ``np.concatenate`` of a
+        column is what :meth:`load_state` takes back.
         """
         if self._outstanding:
             raise RuntimeError(
                 f"{len(self._outstanding)} views are checked out; the "
                 "store only snapshots at round boundaries"
             )
-        # The leading zero-row shard gives an untouched store columns too.
         shards = [_Shard(0)] + [self._shards[s] for s in sorted(self._shards)]
         return {
-            name: np.concatenate([getattr(shard, name) for shard in shards])
+            name: [getattr(shard, name) for shard in shards]
             for name in ("rng", "live", "stats")
         }
 

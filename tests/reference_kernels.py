@@ -9,7 +9,8 @@ conv layers around them), the serial ``Dense``, ``Embedding``,
 ``Flatten`` and cross-entropy bodies from before each became the
 one-row case of its stacked twin — and, at the end, the per-client code of the
 population-soak round (stream seeding, store checkout, epoch gather,
-event ordering, the CMFL decision) — kept verbatim so "same bits as
+event ordering, the CMFL decision) and the buffered checkpoint writer —
+kept verbatim so "same bits as
 before" is something the tier-1 suite asserts rather than something
 only a digest file remembers.  They are deliberately slow and deliberately not shared
 with ``src/``: a reference that imports the code under test checks
@@ -657,3 +658,91 @@ def make_semeion_tasks(n_clients=15, total_samples=1593, min_samples=10,
             y_train[flip] = 1 - y_train[flip]
         tasks.append((x[:n], y_train, x[n:], labels[n:], bool(outlier_flags[client])))
     return tasks
+
+
+# -- the checkpoint writer ------------------------------------------------------
+#
+# ``repro.ckpt.format.write_checkpoint`` from before it streamed members
+# into the zip: every member's bytes built in memory (``np.save`` into a
+# buffer, a store column concatenated by the caller), hashed, then
+# handed to ``writestr``.  Verbatim apart from the names; the schema tag
+# and the member name are the format's, copied, not imported.
+
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import zipfile  # noqa: E402
+
+from repro.utils.atomic_io import atomic_write  # noqa: E402
+
+_CKPT_SCHEMA = "repro-ckpt/v2"
+_MANIFEST_MEMBER = "manifest.json"
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+_DEFLATE_LEVEL = 1
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _array_member(key):
+    return f"arrays/{key}.npy"
+
+
+def write_checkpoint(path, manifest, arrays, texts=None):
+    """The buffered writer; returns the container's size in bytes."""
+    from pathlib import Path
+
+    target = Path(path)
+    members = {}
+    array_index = {}
+    for key in sorted(arrays):
+        member = _array_member(key)
+        data = np.ascontiguousarray(arrays[key])
+        members[member] = _npy_bytes(data)
+        array_index[key] = {
+            "member": member,
+            "dtype": str(data.dtype),
+            "shape": list(data.shape),
+        }
+    for name in sorted(texts or {}):
+        if name == _MANIFEST_MEMBER or name in members:
+            raise ValueError(f"duplicate checkpoint member {name!r}")
+        members[name] = (texts or {})[name].encode("utf-8")
+
+    manifest["schema"] = _CKPT_SCHEMA
+    manifest["arrays"] = array_index
+    manifest["members"] = {
+        name: {"sha256": _sha256(data), "bytes": len(data)}
+        for name, data in sorted(members.items())
+    }
+    manifest_bytes = json.dumps(
+        manifest, sort_keys=True, indent=2, default=_json_default
+    ).encode("utf-8")
+
+    with atomic_write(target, "wb") as fh:
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_DEFLATED) as zf:
+            _write_member(zf, _MANIFEST_MEMBER, manifest_bytes)
+            for name in sorted(members):
+                _write_member(zf, name, members[name])
+    return target.stat().st_size
+
+
+def _write_member(zf, name, data):
+    info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
+    info.compress_type = zipfile.ZIP_DEFLATED
+    info.external_attr = 0o644 << 16
+    zf.writestr(info, data, compresslevel=_DEFLATE_LEVEL)
+
+
+def _json_default(obj):
+    item = getattr(obj, "item", None)
+    if callable(item):
+        return item()
+    raise TypeError(f"not JSON serialisable: {type(obj).__name__}")

@@ -1,7 +1,10 @@
 """The checkpoint layer: atomic IO, container format, state round-trips,
 retention and the ``python -m repro.ckpt`` CLI."""
 
+import gc
+import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -22,16 +25,19 @@ from repro.ckpt.__main__ import main as ckpt_cli
 from repro.core.feedback import GlobalUpdateEstimator
 from repro.core.policy import CMFLPolicy, UploadPolicy
 from repro.core.thresholds import InverseSqrtThreshold
+from repro.data.dataset import Dataset
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.config import FLConfig
 from repro.fl.history import RunHistory, RoundRecord
 from repro.fl.sampling import FullParticipation, UniformSampler
+from repro.fl.store import ClientStateStore, CyclicPartition
 from repro.models.linear import make_logistic_regression
 from repro.nn.optimizers import SGD, Momentum
 from repro.obs import MemorySink, Tracer, truncate_trace
 from repro.obs.sinks import encode_event
 from repro.utils.atomic_io import atomic_write, atomic_write_text
 from repro.utils.rng import restore_generator
+from tests import reference_kernels as ref
 
 
 # -- atomic_io --------------------------------------------------------------
@@ -191,6 +197,113 @@ class TestContainerFormat:
         path = tmp_path / "a.ckpt"
         _write_sample(path)
         assert verify_checkpoint(path)["iteration"] == 3
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [],
+            [np.zeros((2, 3)), np.zeros((2, 3), dtype=np.float32)],
+            [np.zeros((2, 3)), np.zeros((2, 4))],
+        ],
+        ids=["none", "dtype", "row-shape"],
+    )
+    def test_row_blocks_must_make_one_array(self, tmp_path, blocks):
+        with pytest.raises(CheckpointError, match="row blocks"):
+            write_checkpoint(tmp_path / "a.ckpt", {}, {"column": blocks})
+        assert not (tmp_path / "a.ckpt").exists()
+
+
+# -- memory: saves, verifies and reads stream their members ----------------
+
+
+def _live_store(shards=48, rows=1024):
+    """A store with ``shards`` materialized shards, 64 live rows each."""
+    population = shards * rows
+    data = Dataset(np.zeros((rows, 2)), np.zeros(rows, dtype=np.int64))
+    store = ClientStateStore(
+        population, CyclicPartition(data, population, 1), seed=1,
+        shard_size=rows,
+    )
+    store.writeback(store.checkout(range(0, population, rows // 64)))
+    assert store.materialized_shards == shards
+    return store
+
+
+def _store_members(store, join=False):
+    return {
+        f"store/{name}": np.concatenate(blocks) if join else blocks
+        for name, blocks in store.state_arrays().items()
+    }
+
+
+def _traced_peak(fn):
+    """Peak bytes tracemalloc sees allocated while ``fn`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """A save or a verify holds a chunk of a member, not the store; a
+    read holds the decoded arrays, not their bytes beside them.  Each
+    bound has a twin that a buffering path fails."""
+
+    def test_save_peaks_below_half_the_store(self, tmp_path):
+        store = _live_store()
+        bound = store.nbytes / 2
+        peak = _traced_peak(
+            lambda: write_checkpoint(
+                tmp_path / "new.ckpt", {"store": store.manifest()},
+                _store_members(store),
+            )
+        )
+        assert peak < bound
+        # Twin: the buffered reference writer, handed joined columns,
+        # holds the store twice over.
+        old = _traced_peak(
+            lambda: ref.write_checkpoint(
+                tmp_path / "old.ckpt", {"store": store.manifest()},
+                _store_members(store, join=True),
+            )
+        )
+        assert old >= bound
+
+    def test_verify_peaks_below_half_the_store(self, tmp_path):
+        store = _live_store()
+        path = tmp_path / "a.ckpt"
+        write_checkpoint(path, {"store": store.manifest()}, _store_members(store))
+        bound = store.nbytes / 2
+        assert _traced_peak(lambda: verify_checkpoint(path)) < bound
+        # Twin: verifying through a full read holds every decoded array.
+        assert _traced_peak(lambda: read_checkpoint(path, verify=True)) >= bound
+
+    def test_read_holds_each_array_once(self, tmp_path):
+        store = _live_store()
+        path = tmp_path / "a.ckpt"
+        write_checkpoint(path, {"store": store.manifest()}, _store_members(store))
+        # The arrays themselves, plus a few read chunks (about 0.8 MiB
+        # of zip and decode buffers at any store size).
+        bound = 1.5 * store.nbytes
+        ckpt = read_checkpoint(path)
+        assert sum(a.nbytes for a in ckpt.arrays.values()) == store.nbytes
+        del ckpt
+        assert _traced_peak(lambda: read_checkpoint(path)) < bound
+
+        # Twin: every member's raw bytes kept until all are decoded.
+        def buffered():
+            with zipfile.ZipFile(path) as zf:
+                raw = {name: zf.read(name) for name in zf.namelist()}
+            return {
+                name: np.load(io.BytesIO(data), allow_pickle=False)
+                for name, data in raw.items()
+                if name.endswith(".npy")
+            }
+
+        assert _traced_peak(buffered) >= bound
 
 
 # -- state_dict round-trips -------------------------------------------------

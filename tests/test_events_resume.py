@@ -4,10 +4,12 @@ from its last checkpoint is bitwise-identical to an uninterrupted one —
 history, parameters and trace digest."""
 
 import dataclasses
+import gc
 import os
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -227,3 +229,50 @@ def test_sigkill_resume_matches_uninterrupted(tmp_path):
         load_trace(full_kw["trace_path"])
     )
     _assert_verify_ok(kill_kw["ckpt_dir"], full_kw["ckpt_dir"])
+
+
+@pytest.mark.parametrize("restored", [False, True])
+def test_a_closed_engine_is_freed_without_the_cyclic_gc(tmp_path, restored):
+    """``close()`` clears ``trainer.async_engine``: once the caller
+    drops a closed engine, reference counting frees its trainer."""
+    kw = _kwargs(tmp_path, "gc")
+    if restored:
+        _run_uninterrupted(kw)
+        first = checkpoint_paths(kw["ckpt_dir"])[0]
+
+    def build():
+        if restored:
+            return AsyncFederatedTrainer.restore(
+                first, async_config=async_config(), **federation_parts(**kw)
+            )
+        return _build_engine(kw)
+
+    gc.disable()
+    try:
+        engine = build()
+        engine.run(ROUNDS - len(engine.history))
+        trainer = weakref.ref(engine.trainer)
+        engine.close()
+        del engine
+        assert trainer() is None
+
+        # Twin: closing only the trainer leaves the back-reference, and
+        # the pair waits for the cyclic GC.
+        twin = build()
+        twin.run(ROUNDS - len(twin.history))
+        kept = weakref.ref(twin.trainer)
+        twin.trainer.close()
+        del twin
+        assert kept() is not None
+    finally:
+        gc.enable()
+        gc.collect()
+
+
+def test_a_closed_engine_refuses_to_run(tmp_path):
+    engine = _build_engine(_kwargs(tmp_path, "closed"))
+    with engine:
+        engine.run(2)
+    with pytest.raises(RuntimeError, match="closed"):
+        engine.run(2)
+    assert len(engine.history) == 2

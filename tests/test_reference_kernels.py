@@ -934,3 +934,126 @@ class TestDegreeTrig:
         rng = np.random.default_rng(0)
         self._check(rng.uniform(-25.0, 25.0, 50_000))
         self._check(rng.uniform(-1e3, 1e3, 50_000))
+
+
+# -- the checkpoint writer ----------------------------------------------------
+
+import copy  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from repro.ckpt import checkpointer as ckpt_checkpointer  # noqa: E402
+from repro.ckpt import write_checkpoint  # noqa: E402
+from repro.fl.config import FLConfig  # noqa: E402
+from repro.fl.events import AsyncConfig, AsyncFederatedTrainer  # noqa: E402
+from repro.nn.schedules import ConstantLR  # noqa: E402
+from repro.fl.sampling import UniformSampler  # noqa: E402
+from repro.fl.trainer import FederatedTrainer  # noqa: E402
+
+
+def _joined(arrays):
+    """The buffered writer's input: each row-block member concatenated."""
+    return {
+        key: np.concatenate(value) if isinstance(value, list) else value
+        for key, value in arrays.items()
+    }
+
+
+class TestCheckpointWriterBits:
+    """The streaming writer's file is, byte for byte, the buffered
+    writer's: same ``.npy`` headers, same deflate stream, same zip."""
+
+    def _same_file(self, tmp_path, arrays, texts=None):
+        ref.write_checkpoint(
+            tmp_path / "old.ckpt", {"iteration": 1}, _joined(arrays), texts
+        )
+        write_checkpoint(tmp_path / "new.ckpt", {"iteration": 1}, arrays, texts)
+        return (tmp_path / "new.ckpt").read_bytes() == (
+            tmp_path / "old.ckpt"
+        ).read_bytes()
+
+    def test_store_columns_as_row_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        base = Dataset(rng.normal(size=(60, 4)), rng.integers(0, 2, size=60))
+        store = ClientStateStore(
+            100, CyclicPartition(base, 100, 10), seed=4, shard_size=32
+        )
+        store.writeback(store.checkout([1, 40, 41, 99]))  # shards 0, 1, 3
+        store.record_round(1, [40], [99])
+        columns = store.state_arrays()
+        assert [len(block) for block in columns["rng"]] == [0, 32, 32, 4]
+        assert self._same_file(
+            tmp_path, {f"store/{k}": v for k, v in columns.items()}
+        )
+
+    def test_zero_d_and_empty_arrays(self, tmp_path):
+        arrays = {
+            "scalar": np.array(2.5),
+            "empty": np.zeros((0, 3)),
+            "empty_int": np.zeros(0, dtype=np.int64),
+            "no_rows": [np.zeros((0, 6), dtype=np.uint64)],
+        }
+        assert self._same_file(tmp_path, arrays)
+
+    def test_text_members(self, tmp_path):
+        texts = {
+            "history.jsonl": '{"schema": "x"}\n' * 500,
+            "notes.txt": "naïve ✓ δ\n" * 100,
+            "empty.txt": "",
+        }
+        assert self._same_file(tmp_path, {"global_params": np.arange(5.0)}, texts)
+
+    def test_soak_checkpoints_at_rounds_50_and_100(self, tmp_path, monkeypatch):
+        """Every save of a store-backed async run: sharded store
+        columns, ledger tables, in-flight rounds, trace state."""
+        saved = []
+        streaming = ckpt_checkpointer.write_checkpoint
+
+        def both(path, manifest, arrays, texts):
+            old = tmp_path / "old" / Path(path).name
+            ref.write_checkpoint(old, copy.deepcopy(manifest), _joined(arrays), texts)
+            nbytes = streaming(path, manifest, arrays, texts)
+            saved.append(
+                (
+                    manifest["iteration"],
+                    len(manifest["store"]["shards"]),
+                    Path(path).read_bytes() == old.read_bytes(),
+                )
+            )
+            return nbytes
+
+        monkeypatch.setattr(ckpt_checkpointer, "write_checkpoint", both)
+        with _soak_engine(tmp_path) as engine:
+            # In chunks of 50, as the benchmark runs it: a run call
+            # drains its in-flight rounds, so round 50 is a boundary.
+            engine.run(50)
+            engine.run(50)
+        assert [(it, same) for it, _, same in saved] == [(50, True), (100, True)]
+        assert all(shards > 1 for _, shards, _ in saved)
+
+
+def _soak_engine(tmp_path):
+    """A population_soak-shaped federation in miniature: sharded store,
+    batched cohort, async engine, sampled tracing, a save every 50."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(256, 4))
+    data = Dataset(x, (x @ rng.normal(size=4) > 0).astype(np.int64))
+    config = FLConfig(
+        rounds=100,
+        local_epochs=1,
+        batch_size=8,
+        lr=ConstantLR(0.3),
+        seed=5,
+        executor="batched",
+        trace_path=str(tmp_path / "trace.jsonl"),
+        trace_sample=0.2,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        checkpoint_every=50,
+    )
+    trainer = FederatedTrainer(
+        _soak_workspace(4),
+        ClientStateStore(5_000, CyclicPartition(data, 5_000, 16), seed=5, shard_size=256),
+        CMFLPolicy(ConstantThreshold(0.5)),
+        config,
+        sampler=UniformSampler(count=20, rng=6),
+    )
+    return AsyncFederatedTrainer(trainer, AsyncConfig(staleness_bound=2, drop_rate=0.05))

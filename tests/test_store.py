@@ -66,6 +66,15 @@ def _history_digest(trainer):
     return history_digest(trainer)
 
 
+def _columns(store):
+    """The store's snapshot with each column's row blocks joined: the
+    whole-store arrays a checkpoint reads back."""
+    return {
+        name: np.concatenate(blocks)
+        for name, blocks in store.state_arrays().items()
+    }
+
+
 class TestPartitions:
     def test_cyclic_no_wrap_is_view(self):
         data = _dataset(rows=50)
@@ -179,7 +188,7 @@ class TestStoreCore:
         store = self._store()
         (view,) = store.checkout([1])
         store.writeback([view])
-        captured = store.state_arrays()["rng"].copy()
+        captured = _columns(store)["rng"]
         for access in (view.epoch_order, view.rng_state,
                        lambda: view.set_rng_state({"bit_generator": "PCG64"})):
             with pytest.raises(RuntimeError, match="already written back"):
@@ -189,7 +198,7 @@ class TestStoreCore:
         (again,) = store.checkout([1])
         assert again._rng is not None and view._stream is None
         store.writeback([again])
-        assert np.array_equal(store.state_arrays()["rng"], captured)
+        assert np.array_equal(_columns(store)["rng"], captured)
 
     @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_executors_refuse_a_retired_cohort(self, backend):
@@ -204,11 +213,11 @@ class TestStoreCore:
             executor.bind(workspace, views)
             executor.run_round(plan, views)
             store.writeback(views)
-            captured = store.state_arrays()["rng"].copy()
+            captured = _columns(store)["rng"]
             with pytest.raises(ClientExecutionError, match="already written back") as exc:
                 executor.run_round(plan, views)
         assert exc.value.client_id == 3 and exc.value.cause_type == "RuntimeError"
-        assert np.array_equal(store.state_arrays()["rng"], captured)
+        assert np.array_equal(_columns(store)["rng"], captured)
 
     def test_async_dispatch_retires_the_views_it_wrote_back(self):
         """S > 0 writes views back at dispatch; the in-flight round
@@ -253,7 +262,7 @@ class TestStoreCore:
             v._rng.random(5)
         store.writeback(views)
         manifest = store.manifest()
-        arrays = {k: v.copy() for k, v in store.state_arrays().items()}
+        arrays = _columns(store)
         other = self._store()
         other.load_state(manifest, arrays)
         (a,) = store.checkout([700])
@@ -272,13 +281,13 @@ class TestStoreCore:
             )
 
         source = store()
-        assert {k: len(v) for k, v in source.state_arrays().items()} == {
+        assert {k: len(v) for k, v in _columns(source).items()} == {
             "rng": 0, "live": 0, "stats": 0,
         }
-        store().load_state(source.manifest(), source.state_arrays())
+        store().load_state(source.manifest(), _columns(source))
         source.writeback(source.checkout([1, 40, 99]))  # shards 0, 1, 3
         source.record_round(1, [40], [99])
-        arrays = source.state_arrays()
+        arrays = _columns(source)
         assert set(arrays) == {"rng", "live", "stats"}
         assert len(arrays["rng"]) == 32 + 32 + 4
         other = store()
@@ -297,7 +306,7 @@ class TestStoreCore:
         views = store.checkout([0])
         store.writeback(views)
         manifest = store.manifest()
-        arrays = store.state_arrays()
+        arrays = _columns(store)
         with pytest.raises(ValueError):
             self._store(seed=12).load_state(manifest, arrays)
         smaller = ClientStateStore(
