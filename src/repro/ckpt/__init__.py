@@ -5,11 +5,12 @@ on — global model, optimizer slots, CMFL feedback state, client and
 sampler RNG streams, communication ledger, run history and the trace
 continuation — in a single verifiable ``repro-ckpt/v2`` container.
 
-The headline guarantee (enforced in ``tests/test_ckpt_resume.py``): a
-run killed at any point and resumed from its last checkpoint produces
-a bitwise-identical :class:`~repro.fl.history.RunHistory` and an
-identical deterministic trace digest to the uninterrupted run, on
-every execution backend.
+The headline guarantee (the kill/resume edge of
+``tests/test_lattice.py``, and a real SIGKILL in
+``tests/test_ckpt_resume.py``): a run killed at any point and resumed
+from its last checkpoint produces a bitwise-identical
+:class:`~repro.fl.history.RunHistory` and an identical deterministic
+trace digest to the uninterrupted run, on every execution backend.
 
 Typical use is through :class:`~repro.fl.config.FLConfig`::
 

@@ -87,11 +87,14 @@ class Checkpointer:
         """Whether a checkpoint is owed after completed round ``iteration``."""
         return iteration % self.every_n_rounds == 0
 
-    def maybe_save(self, trainer: Any, iteration: int) -> Optional[Path]:
-        """Save if round ``iteration`` hits the schedule; prune after."""
-        if not self.due(iteration):
-            return None
-        return self.save(trainer)
+    def maybe_save(
+        self, trainer: Any, iteration: int, previous: int
+    ) -> Optional[Path]:
+        """Save if a round in ``(previous, iteration]`` hits the schedule
+        (one async event can close several rounds, and any due one is
+        owed); prune after."""
+        every = self.every_n_rounds
+        return self.save(trainer) if iteration // every > previous // every else None
 
     def save(self, trainer: Any) -> Path:
         """Save unconditionally at the trainer's current iteration."""

@@ -22,7 +22,8 @@ cover everything round ``t+1`` depends on:
   spans), so a resumed trace extends the original stream.
 
 The restore side validates shape/identity invariants (parameter count,
-policy name, client-id set, feedback staleness) and
+policy name, client-id set, feedback staleness, and the run settings
+that change what later rounds compute) and
 wraps any structural mismatch in :class:`CheckpointError` so a
 checkpoint applied against the wrong federation fails loudly.
 """
@@ -112,6 +113,7 @@ def capture_run_state(
             trainer.health.state_dict() if trainer.health is not None else None
         ),
         "executor": {"backend": trainer.executor.name},
+        "run": _run_settings(trainer.config),
     }
     # Store-backed federations: the population lives in shard arrays,
     # not client objects, so ``rng.clients`` above is empty and the
@@ -137,6 +139,15 @@ def capture_run_state(
 
     texts = {HISTORY_MEMBER: trainer.history.to_jsonl()}
     return manifest, arrays, texts
+
+
+def _run_settings(config: Any) -> Dict[str, Any]:
+    """The config fields a resume must share with the checkpointed run:
+    each changes what the remaining rounds compute.  ``rounds``,
+    ``executor`` (every backend resumes the same bits), ``trace*`` and
+    ``checkpoint*`` may differ."""
+    names = ("local_epochs", "batch_size", "eval_every", "on_empty_round", "seed")
+    return dict({n: getattr(config, n) for n in names}, lr=repr(config.lr))
 
 
 def _split_ledger(
@@ -206,6 +217,15 @@ def _apply(trainer: Any, ckpt: Checkpoint, manifest: Dict[str, Any]) -> None:
             f"{manifest['server']['feedback_staleness']}, trainer has "
             f"{server.estimator.staleness}"
         )
+    recorded = manifest.get("run")  # absent from older checkpoints
+    if recorded is not None:
+        for name, ours in _run_settings(trainer.config).items():
+            theirs = recorded.get(name, "<missing>")
+            if theirs != ours:
+                raise ValueError(
+                    f"checkpoint was taken with {name}={theirs!r}, this "
+                    f"run has {name}={ours!r}"
+                )
     ckpt_ids = set(manifest["rng"]["clients"])
     trainer_ids = {str(c.client_id) for c in trainer.clients}
     if ckpt_ids != trainer_ids:

@@ -1,8 +1,9 @@
-"""Checkpoint/kill/resume smoke run — the repro.ckpt layer end to end.
+"""Checkpoint/kill/resume smoke run — repro.ckpt end to end.
 
 Runs a small deterministic CMFL federation with checkpointing (and
-optionally tracing) on, and can kill itself mid-round with SIGKILL to
-simulate a crashed run::
+optionally tracing) on, through the synchronous trainer or, with
+``--staleness-bound S``, the async event engine, and can SIGKILL
+itself mid-round to simulate a crashed run::
 
     python -m repro.experiments.ckpt_smoke --rounds 6 \
         --ckpt-dir /tmp/run --trace /tmp/run/trace.jsonl --kill-at 4
@@ -10,12 +11,11 @@ simulate a crashed run::
         --ckpt-dir /tmp/run --trace /tmp/run/trace.jsonl --resume
 
 The resume invocation restores the latest checkpoint and finishes the
-remaining rounds; the kill-resume test drives exactly this pair of
-commands in subprocesses and asserts the final history, parameters and
-trace digest are bitwise-identical to an uninterrupted run's.
-
-The federation is built by :func:`federation_parts` from a fixed seed,
-so two processes construct identical starting states — the property
+remaining rounds; ``tests/test_ckpt_resume.py`` drives this pair in
+subprocesses, in both modes, and asserts the final history, parameters
+and trace digest are bitwise an uninterrupted run's.  The federation
+is built by :func:`federation_parts` from a fixed seed, so two
+processes construct identical starting states — the property
 ``FederatedTrainer.restore`` relies on.
 """
 
@@ -35,19 +35,21 @@ from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.fl.client import FLClient
 from repro.fl.config import EXECUTOR_BACKENDS, FLConfig
+from repro.fl.events import AsyncConfig, AsyncFederatedTrainer
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
 from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.metrics import binary_accuracy
-from repro.nn.optimizers import Momentum, SGD
+from repro.nn.optimizers import Momentum
 from repro.nn.schedules import ConstantLR
 from repro.utils.rng import child_rngs
 
-__all__ = ["federation_parts", "main"]
+__all__ = ["async_config", "federation_parts", "main"]
 
 _SEED = 7
 _FEATURES = 12
+_CLIENTS = 4
 _SAMPLES_PER_CLIENT = 24
 
 
@@ -55,22 +57,19 @@ def federation_parts(
     rounds: int = 6,
     backend: str = "serial",
     ckpt_dir: Optional[str] = None,
-    ckpt_every: int = 1,
-    ckpt_keep: int = 0,
     trace_path: Optional[str] = None,
-    optimizer: str = "momentum",
-    n_clients: int = 4,
 ) -> Dict[str, Any]:
     """Deterministic constructor kwargs for the smoke federation.
 
     Returns the keyword arguments shared by ``FederatedTrainer(...)``
     and ``FederatedTrainer.restore(path, ...)`` — building them twice
     (in two different processes) yields identical objects, seed-for-
-    seed, which is the contract a checkpoint restore needs.
+    seed, which is the contract a checkpoint restore needs.  Every
+    round is checkpointed and every checkpoint kept.
     """
-    rngs = child_rngs(_SEED, n_clients + 4)
+    rngs = child_rngs(_SEED, _CLIENTS + 4)
     w_true = rngs[0].normal(size=_FEATURES)
-    n = n_clients * _SAMPLES_PER_CLIENT
+    n = _CLIENTS * _SAMPLES_PER_CLIENT
     x = rngs[1].normal(size=(n, _FEATURES))
     y = (x @ w_true > 0).astype(np.int64)
     data = Dataset(x, y)
@@ -78,16 +77,13 @@ def federation_parts(
     y_test = (x_test @ w_true > 0).astype(np.int64)
 
     model = make_logistic_regression(_FEATURES, rng=rngs[3])
-    if optimizer == "momentum":
-        opt = Momentum(model.parameters(), 0.2, momentum=0.9)
-    elif optimizer == "sgd":
-        opt = SGD(model.parameters(), 0.2)
-    else:
-        raise ValueError(f"optimizer must be 'momentum' or 'sgd', got {optimizer!r}")
     workspace = ModelWorkspace(
-        model, SigmoidBinaryCrossEntropy(), opt, metric=binary_accuracy
+        model,
+        SigmoidBinaryCrossEntropy(),
+        Momentum(model.parameters(), 0.2, momentum=0.9),
+        metric=binary_accuracy,
     )
-    parts = iid_partition(len(data), n_clients, rng=_SEED)
+    parts = iid_partition(len(data), _CLIENTS, rng=_SEED)
     clients = [
         FLClient(i, data.subset(p), rng=rngs[4 + i])
         for i, p in enumerate(parts)
@@ -101,8 +97,8 @@ def federation_parts(
         executor=backend,
         trace_path=trace_path,
         checkpoint_dir=ckpt_dir,
-        checkpoint_every=ckpt_every,
-        checkpoint_keep=ckpt_keep,
+        checkpoint_every=1,
+        checkpoint_keep=0,
     )
     return {
         "workspace": workspace,
@@ -113,22 +109,32 @@ def federation_parts(
     }
 
 
-def _install_kill(
-    trainer: FederatedTrainer, kill_round: int, after_decisions: int = 2
-) -> None:
-    """SIGKILL this process mid-round ``kill_round``.
+def async_config(staleness_bound: int = 2) -> AsyncConfig:
+    """The async smoke run's engine knobs (shared by kill and resume legs).
 
-    Hooks ``on_decision`` so the kill lands in the middle of the
-    decide phase — after a checkpoint exists for ``kill_round - 1``,
-    with spans open and the trace mid-stream, the worst realistic spot.
+    The dispatch interval spaces rounds out on the virtual timeline so
+    closes do not cluster into one arrival event — checkpoints then
+    genuinely carry in-flight rounds, which is the machinery this smoke
+    run exists to exercise.
     """
-    seen = {"count": 0}
+    return AsyncConfig(
+        staleness_bound=staleness_bound,
+        dispatch_interval_s=0.4,
+        speed_sigma=1.0,
+        drop_rate=0.1,
+    )
+
+
+def _install_kill(trainer: FederatedTrainer, kill_round: int) -> None:
+    """SIGKILL this process at the second decision of ``kill_round``:
+    after an earlier round's checkpoint, with spans open and the trace
+    mid-stream, the worst realistic spot."""
+    seen = []
 
     def hook(result, decision):
-        del result, decision
         if len(trainer.history) + 1 == kill_round:
-            seen["count"] += 1
-            if seen["count"] >= after_decisions:
+            seen.append(decision)
+            if len(seen) == 2:
                 os.kill(os.getpid(), signal.SIGKILL)
 
     trainer.on_decision = hook
@@ -139,14 +145,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--backend", default="serial",
                         choices=EXECUTOR_BACKENDS)
+    parser.add_argument("--staleness-bound", type=int, default=None,
+                        metavar="S",
+                        help="run through the async engine with bound S")
     parser.add_argument("--ckpt-dir", required=True)
     parser.add_argument("--trace", default=None,
                         help="stream the trace to this .jsonl file")
-    parser.add_argument("--every", type=int, default=1)
-    parser.add_argument("--keep", type=int, default=0,
-                        help="checkpoints to retain (0 = all)")
-    parser.add_argument("--optimizer", default="momentum",
-                        choices=("momentum", "sgd"))
     parser.add_argument("--kill-at", type=int, default=None,
                         help="SIGKILL this process during round N")
     parser.add_argument("--resume", action="store_true",
@@ -157,35 +161,41 @@ def main(argv=None) -> int:
         rounds=args.rounds,
         backend=args.backend,
         ckpt_dir=args.ckpt_dir,
-        ckpt_every=args.every,
-        ckpt_keep=args.keep,
         trace_path=args.trace,
-        optimizer=args.optimizer,
+    )
+    engine = (
+        None if args.staleness_bound is None
+        else async_config(args.staleness_bound)
     )
     if args.resume:
         path = latest_checkpoint(args.ckpt_dir)
         if path is None:
             print(f"error: no checkpoint found in {args.ckpt_dir}")
             return 2
-        trainer = FederatedTrainer.restore(path, **parts)
-        remaining = args.rounds - len(trainer.history)
-        print(f"resuming from {path} ({remaining} rounds remaining)")
-        if remaining > 0:
-            with trainer:
-                trainer.run(remaining)
+        if engine is None:
+            run = FederatedTrainer.restore(path, **parts)
         else:
-            trainer.close()
+            run = AsyncFederatedTrainer.restore(
+                path, async_config=engine, **parts
+            )
+        remaining = args.rounds - len(run.history)
+        print(f"resuming from {path} ({remaining} rounds remaining)")
     else:
-        trainer = FederatedTrainer(**parts)
+        run = trainer = FederatedTrainer(**parts)
         if args.kill_at is not None:
             _install_kill(trainer, args.kill_at)
-        with trainer:
-            trainer.run(args.rounds)
+        if engine is not None:
+            run = AsyncFederatedTrainer(trainer, async_config=engine)
+        remaining = args.rounds
+    with run:
+        if remaining > 0:
+            run.run(remaining)
 
-    final = trainer.history.final
+    final = run.history.final
     print(
-        f"done: {len(trainer.history)} rounds, "
+        f"done: {len(run.history)} rounds, "
         f"accumulated_rounds={final.accumulated_rounds}, "
+        f"virtual_time={final.virtual_time:.3f}, "
         f"test_metric={final.test_metric}"
     )
     return 0

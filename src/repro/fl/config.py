@@ -48,9 +48,6 @@ class FLConfig:
     #: rounds ago (1 = the previous round's, the paper's estimate).
     feedback_staleness: int = 1
     seed: int = 0
-    #: Runtime sanitizer: reject NaN/Inf in client updates and in the
-    #: aggregated global delta, naming the offending client and round.
-    check_finite: bool = False
     #: Client-execution backend for the compute half of each round.
     executor: str = "serial"
     #: Structured tracing (see :mod:`repro.obs`).  Off by default: the

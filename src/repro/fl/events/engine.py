@@ -29,12 +29,12 @@ instead of ``round`` spans; their attributes carry everything the
 At ``S = 0`` one round is in flight at a time, and the run computes
 what the synchronous trainer does: the same history apart from
 ``virtual_time``, and the same parameters
-(``tests/test_events_engine.py``).
+(edge (e) of ``tests/test_lattice.py``).
 
 Checkpoints capture the virtual clock, the event queue and every
 in-flight round's computed results (recomputing them on resume would
 re-emit their ``client_compute`` spans and fork the trace digest), so
-a SIGKILLed async run resumes bitwise (``tests/test_events_resume.py``).
+a SIGKILLed async run resumes bitwise (``tests/test_ckpt_resume.py``).
 """
 
 from __future__ import annotations

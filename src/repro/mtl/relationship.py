@@ -24,20 +24,19 @@ def relationship_matrix(weights: np.ndarray, ridge: float = 1e-3) -> np.ndarray:
     Returns a symmetric positive-definite ``(n_tasks, n_tasks)`` matrix
     with unit trace (up to the ridge).
     """
-    from scipy import linalg  # only MOCHA runs pay for scipy
-
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {w.shape}")
     n_tasks = w.shape[1]
     gram = w.T @ w + ridge * np.eye(n_tasks)
-    root = linalg.sqrtm(gram)
-    root = np.real_if_close(root)
-    if np.iscomplexobj(root):
-        root = root.real
+    # gram is symmetric positive semi-definite, so its principal root is
+    # V diag(sqrt(lambda)) V^T; round-off can push a zero eigenvalue
+    # (ridge 0, rank-deficient W) just below zero.
+    values, vectors = np.linalg.eigh(gram)
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
     trace = float(np.trace(root))
     if trace <= 0:
         raise ValueError("degenerate task weights: non-positive trace")
     omega = root / trace
-    # Symmetrise against sqrtm round-off.
+    # Symmetrise against round-off.
     return (omega + omega.T) / 2.0

@@ -22,6 +22,10 @@ class LRSchedule:
     def value(self, t: int) -> float:
         raise NotImplementedError
 
+    def __repr__(self) -> str:  # checkpoints compare it: never an address
+        fields = ", ".join(f"{k}={v!r}" for k, v in sorted(vars(self).items()))
+        return f"{type(self).__name__}({fields})"
+
 
 class ConstantLR(LRSchedule):
     """eta_t = eta_0."""

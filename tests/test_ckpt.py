@@ -595,6 +595,23 @@ class TestCheckpointer:
         ]
         assert ckpt.path_for(7).name == "ckpt-00000007.ckpt"
 
+    def test_an_event_closing_several_rounds_saves_when_one_is_due(
+        self, tmp_path, monkeypatch
+    ):
+        """One async event can close rounds 3-5 of an every-4 schedule:
+        round 4 is owed, so the event saves, named for round 5."""
+        ckpt, mod, fake_save = _checkpointer_with_stub(tmp_path, every_n_rounds=4)
+        monkeypatch.setattr(mod, "save_checkpoint", fake_save)
+        trainer = _FakeTrainer()
+        saved = []
+        for previous, closed in ((0, 2), (2, 3), (3, 5), (5, 7), (7, 8)):
+            trainer.history = _history(n=closed)
+            saved.append(ckpt.maybe_save(trainer, closed, previous) is not None)
+        assert saved == [False, False, True, False, True]
+        assert [p.name for p in ckpt.checkpoints()] == [
+            "ckpt-00000005.ckpt", "ckpt-00000008.ckpt",
+        ]
+
     def test_retention_prunes_oldest(self, tmp_path, monkeypatch):
         ckpt, mod, fake_save = _checkpointer_with_stub(tmp_path, keep=2)
         monkeypatch.setattr(mod, "save_checkpoint", fake_save)

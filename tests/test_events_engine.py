@@ -1,12 +1,12 @@
-"""The async event engine: S=0 sync-equivalence, bounded staleness,
-determinism, churn, and the virtual-timeline primitives."""
+"""The async event engine: bounded staleness, determinism, churn, and
+the virtual-timeline primitives."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.baselines import VanillaPolicy
-from repro.core import CMFLPolicy
-from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
@@ -20,8 +20,6 @@ from repro.fl.events import (
     LatencyModel,
     VirtualClock,
 )
-from repro.fl.sampling import UniformSampler
-from repro.fl.store import ClientStateStore
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
@@ -31,6 +29,7 @@ from repro.nn.optimizers import SGD
 from repro.nn.schedules import ConstantLR
 from repro.obs import load_trace, metrics_from_trace, trace_digest
 from repro.utils.rng import child_rngs
+from tests.strategies import SYNC_EQUIV, assert_lattice
 
 N_FEATURES = 4
 
@@ -56,44 +55,29 @@ def _workspace(seed=3):
     )
 
 
-def _policy(kind="always"):
-    if kind == "always":
-        return VanillaPolicy()
-    return CMFLPolicy(InverseSqrtThreshold(0.8))
-
-
-def _trainer(backend="serial", policy="always", rounds=4, trace_path=None):
-    """``backend="store"`` is the serial executor over a store-backed
-    pool of the same six clients, four of them sampled per round."""
+def _trainer(trace_path=None):
     config = FLConfig(
-        rounds=rounds,
+        rounds=4,
         local_epochs=1,
         batch_size=8,
         lr=ConstantLR(0.3),
         seed=11,
-        executor="serial" if backend == "store" else backend,
         trace=trace_path is not None,
         trace_path=None if trace_path is None else str(trace_path),
     )
-    if backend == "store":
-        return FederatedTrainer(
-            _workspace(), ClientStateStore.from_clients(_clients()),
-            _policy(policy), config, sampler=UniformSampler(count=4, rng=5),
-        )
-    return FederatedTrainer(_workspace(), _clients(), _policy(policy), config)
+    return FederatedTrainer(_workspace(), _clients(), VanillaPolicy(), config)
 
 
-def _run_sync(backend, policy, trace_path):
-    trainer = _trainer(backend, policy, trace_path=trace_path)
+def _run_sync():
+    trainer = _trainer()
     trainer.run()
     trainer.close()
     return trainer
 
 
-def _run_async(backend, policy, trace_path, async_config):
+def _run_async(trace_path, async_config):
     engine = AsyncFederatedTrainer(
-        _trainer(backend, policy, trace_path=trace_path),
-        async_config=async_config,
+        _trainer(trace_path=trace_path), async_config=async_config
     )
     engine.run()
     engine.close()
@@ -158,38 +142,27 @@ class TestAsyncConfig:
             AsyncConfig(drop_rate=1.0)
 
 
-# -- S = 0: synchronous equivalence -------------------------------------------
-
-
-def _records_without_virtual_time(history):
-    return [dict(vars(r), virtual_time=None) for r in history]
+# -- S = 0: the synchronous schedule -----------------------------------------
 
 
 class TestSyncEquivalence:
-    """At S=0 the engine computes what the synchronous trainer does:
-    every record field but ``virtual_time``, and the parameter bytes.
-    The store leg retires views at dispatch instead of at close."""
+    """S=0 computes what the synchronous trainer does (the lattice's
+    edge (e) in ``tests/test_lattice.py``); its timeline still moves."""
 
     @pytest.mark.parametrize("backend", ["serial", "batched", "store"])
     @pytest.mark.parametrize("policy", ["always", "cmfl"])
-    def test_bitwise_identical_to_sync_trainer(
-        self, tmp_path, backend, policy
-    ):
-        sync = _run_sync(backend, policy, tmp_path / "sync.jsonl")
-        engine = _run_async(
-            backend, policy, tmp_path / "async.jsonl", AsyncConfig()
+    def test_bitwise_identical_to_sync_trainer(self, backend, policy):
+        spec = replace(
+            SYNC_EQUIV, policy="vanilla" if policy == "always" else "cmfl"
         )
-
-        assert _records_without_virtual_time(
-            engine.history
-        ) == _records_without_virtual_time(sync.history)
-        assert (
-            engine.trainer.server.global_params.tobytes()
-            == sync.server.global_params.tobytes()
-        )
+        if backend == "store":
+            # Views retire at dispatch instead of at close.
+            spec = replace(spec, stored=True, shard_size=4096, cohort=4)
+        # Batched: the async run on it ≡ the serial async run ≡ sync.
+        assert_lattice(spec, "ae" if backend == "batched" else "e")
 
     def test_sync_mode_records_zero_staleness(self, tmp_path):
-        engine = _run_async("serial", "always", None, AsyncConfig())
+        engine = _run_async(None, AsyncConfig())
         assert engine.history.staleness().tolist() == [0, 0, 0, 0]
         times = engine.history.virtual_times()
         assert times[0] > 0.0 and np.all(np.diff(times) > 0)
@@ -201,8 +174,6 @@ class TestSyncEquivalence:
 class TestBoundedStaleness:
     def _run(self, staleness_bound=2, trace_path=None, **knobs):
         return _run_async(
-            "serial",
-            "always",
             trace_path,
             AsyncConfig(staleness_bound=staleness_bound, **knobs),
         )
@@ -235,7 +206,7 @@ class TestBoundedStaleness:
         )
 
     def test_async_history_differs_from_sync_when_stale(self):
-        sync = _run_sync("serial", "always", None)
+        sync = _run_sync()
         engine = self._run(staleness_bound=2, speed_sigma=1.0)
         assert engine.history.to_jsonl() != sync.history.to_jsonl()
 

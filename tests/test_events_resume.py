@@ -1,36 +1,24 @@
-"""Checkpoint/resume of the async engine: a run killed mid-timeline
-(in-flight rounds, queued events, advanced virtual clock) and resumed
-from its last checkpoint is bitwise-identical to an uninterrupted one —
-history, parameters and trace digest."""
+"""Checkpoint/resume of the async engine: what a mid-timeline
+checkpoint carries (in-flight rounds, queued events, the virtual
+clock), what a restore refuses, and how a closed engine is freed.
+That a killed async run resumes bitwise is the lattice's kill/resume
+edge, pinned here on the smoke federation, and the SIGKILL test of
+``tests/test_ckpt_resume.py``."""
 
 import dataclasses
 import gc
-import os
-import signal
-import subprocess
-import sys
 import weakref
-from pathlib import Path
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
-from repro.ckpt.__main__ import main as ckpt_cli
-from repro.experiments.ckpt_smoke import federation_parts
-from repro.experiments.events_smoke import async_config
+from repro.experiments.ckpt_smoke import async_config, federation_parts
 from repro.fl.events import AsyncFederatedTrainer
 from repro.fl.trainer import FederatedTrainer
-from repro.obs import load_trace, trace_digest
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from tests.strategies import SMOKE, assert_lattice
 
 ROUNDS = 6
-CRASH_ROUND = 5
-
-
-class _Abort(RuntimeError):
-    """Simulated crash raised from inside the decide phase."""
 
 
 def _kwargs(tmp_path, tag):
@@ -55,62 +43,12 @@ def _run_uninterrupted(kwargs):
     return engine
 
 
-def _run_crashed_then_resumed(kwargs):
-    engine = _build_engine(kwargs)
-    trainer = engine.trainer
-    seen = {"count": 0}
-
-    def hook(result, decision):
-        del result, decision
-        # Crash mid-decide of CRASH_ROUND's close — later rounds are
-        # already dispatched and in flight, the clock has advanced, and
-        # arrival events sit in the queue.
-        if len(trainer.history) + 1 == CRASH_ROUND:
-            seen["count"] += 1
-            if seen["count"] >= 2:
-                raise _Abort("simulated crash")
-
-    trainer.on_decision = hook
-    with pytest.raises(_Abort):
-        with engine:
-            engine.run(ROUNDS)
-
-    path = latest_checkpoint(kwargs["ckpt_dir"])
-    assert path is not None
-    # Several rounds can close inside one arrival event (checkpoints
-    # fire between events), so the last saved round may trail the
-    # crashed one by more than 1.
-    resumed = AsyncFederatedTrainer.restore(
-        path, async_config=async_config(), **federation_parts(**kwargs)
-    )
-    assert 0 < len(resumed.history) < CRASH_ROUND
-    with resumed:
-        resumed.run(ROUNDS - len(resumed.history))
-    return resumed
-
-
-def _assert_verify_ok(*directories):
-    paths = [str(p) for d in directories for p in checkpoint_paths(d)]
-    assert paths
-    assert ckpt_cli(["verify", *paths]) == 0
-
-
-def test_crash_resume_is_bitwise_identical(tmp_path):
-    full_kw = _kwargs(tmp_path, "full")
-    part_kw = _kwargs(tmp_path, "part")
-    full = _run_uninterrupted(full_kw)
-    resumed = _run_crashed_then_resumed(part_kw)
-
-    assert len(resumed.history) == ROUNDS
-    assert resumed.history.to_jsonl() == full.history.to_jsonl()
-    assert (
-        resumed.trainer.server.global_params.tobytes()
-        == full.trainer.server.global_params.tobytes()
-    )
-    assert trace_digest(load_trace(part_kw["trace_path"])) == trace_digest(
-        load_trace(full_kw["trace_path"])
-    )
-    _assert_verify_ok(full_kw["ckpt_dir"], part_kw["ckpt_dir"])
+def test_crash_resume_is_bitwise_identical():
+    """The smoke federation through the async engine (S=2), killed in
+    round 5 and resumed from a checkpoint before it: lattice edge (d)."""
+    assert 0 < assert_lattice(replace(
+        SMOKE, optimizer="momentum", async_config=async_config(2)
+    ), "d") < 5
 
 
 def test_checkpoint_captures_inflight_rounds(tmp_path):
@@ -189,46 +127,6 @@ def test_sync_checkpoint_refused_by_async_restore(tmp_path):
         AsyncFederatedTrainer.restore(
             path, async_config=async_config(), **federation_parts(**kw)
         )
-
-
-def test_sigkill_resume_matches_uninterrupted(tmp_path):
-    """A process killed with SIGKILL mid-timeline resumes to the same run."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    kill_kw = _kwargs(tmp_path, "kill")
-    cmd = [
-        sys.executable, "-m", "repro.experiments.events_smoke",
-        "--rounds", str(ROUNDS),
-        "--ckpt-dir", kill_kw["ckpt_dir"],
-        "--trace", kill_kw["trace_path"],
-    ]
-    killed = subprocess.run(
-        cmd + ["--kill-at", "4"], env=env, cwd=REPO_ROOT, capture_output=True
-    )
-    assert killed.returncode == -signal.SIGKILL
-    latest = latest_checkpoint(kill_kw["ckpt_dir"])
-    assert latest is not None and latest.name < "ckpt-00000004.ckpt"
-
-    resumed = subprocess.run(
-        cmd + ["--resume"], env=env, cwd=REPO_ROOT,
-        capture_output=True, text=True,
-    )
-    assert resumed.returncode == 0, resumed.stderr
-    assert "resuming from" in resumed.stdout
-
-    full_kw = _kwargs(tmp_path, "full")
-    full = _run_uninterrupted(full_kw)
-
-    final = read_checkpoint(
-        Path(kill_kw["ckpt_dir"]) / f"ckpt-{ROUNDS:08d}.ckpt"
-    )
-    assert final.texts["history.jsonl"] == full.history.to_jsonl()
-    np.testing.assert_array_equal(
-        final.arrays["global_params"], full.trainer.server.global_params
-    )
-    assert trace_digest(load_trace(kill_kw["trace_path"])) == trace_digest(
-        load_trace(full_kw["trace_path"])
-    )
-    _assert_verify_ok(kill_kw["ckpt_dir"], full_kw["ckpt_dir"])
 
 
 @pytest.mark.parametrize("restored", [False, True])

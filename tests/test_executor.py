@@ -1,24 +1,19 @@
-"""The client-execution engine: backend equivalence, crash handling
-and the round-level hot-path fast paths."""
+"""The client-execution engine: batched-backend cohorts, crash handling
+and the round-level hot-path fast paths.  That a whole run is the same
+on every backend is the lattice's edge (a) in ``tests/test_lattice.py``."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-except ImportError:
-    hypothesis_installed = False
-else:
-    hypothesis_installed = True
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.policy import CMFLPolicy, PolicyContext
 from repro.core.relevance import relevance, sign_agreement_counts
-from repro.core.thresholds import ConstantThreshold, InverseSqrtThreshold
+from repro.core.thresholds import ConstantThreshold
 from repro.data.dataset import Dataset
-from repro.data.partition import iid_partition
 from repro.experiments.workloads import NWPWorkload
 from repro.fl import executor as executor_module
 from repro.fl.batched import BatchedWorkspace
@@ -31,18 +26,23 @@ from repro.fl.executor import (
     SerialExecutor,
     make_executor,
 )
-from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
-from repro.models.digits_cnn import make_digits_cnn
 from repro.models.linear import make_logistic_regression
-from repro.models.nwp_lstm import make_nwp_lstm
-from repro.nn.losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
-from repro.nn.metrics import accuracy, binary_accuracy
+from repro.nn.losses import SigmoidBinaryCrossEntropy
+from repro.nn.metrics import binary_accuracy
 from repro.nn.optimizers import SGD, Momentum
-from repro.nn.schedules import ConstantLR
 from repro.nn.serialization import flatten_gradients, flatten_parameters
 from repro.obs import MemorySink, Tracer
 from repro.utils.rng import child_rngs
+from tests.strategies import (
+    FIXED,
+    MODEL_FAMILIES,
+    STANDARD_SETTINGS,
+    assert_lattice,
+    federation,
+    linear_workspace,
+    model_family,
+)
 
 
 class _ExplodingClient(FLClient):
@@ -64,65 +64,6 @@ class _StrayOrderClient(FLClient):
 
     def epoch_order(self):
         return super().epoch_order() + 1
-
-
-def _make_workspace(rng):
-    model = make_logistic_regression(5, rng=rng)
-    return ModelWorkspace(
-        model,
-        SigmoidBinaryCrossEntropy(),
-        SGD(model.parameters(), 0.5),
-        metric=binary_accuracy,
-    )
-
-
-def _federation(policy, backend="serial", n_clients=4, rounds=5, seed=0,
-                client_cls=FLClient, **cfg_kw):
-    rngs = child_rngs(seed, n_clients + 3)
-    w_true = rngs[0].normal(size=5)
-    x = rngs[1].normal(size=(80, 5))
-    y = (x @ w_true > 0).astype(np.int64)
-    data = Dataset(x, y)
-    workspace = _make_workspace(rngs[2])
-    parts = iid_partition(len(data), n_clients, rng=seed)
-    clients = [client_cls(i, data.subset(p), rng=rngs[3 + i])
-               for i, p in enumerate(parts)]
-    config = FLConfig(rounds=rounds, local_epochs=1, batch_size=10,
-                      lr=ConstantLR(0.5), eval_every=1,
-                      executor=backend, **cfg_kw)
-    return FederatedTrainer(
-        workspace, clients, policy, config,
-        eval_fn=lambda w: w.evaluate(data.x, data.y),
-    ), data
-
-
-def _run_fingerprint(backend):
-    with _federation(CMFLPolicy(InverseSqrtThreshold(0.8)),
-                     backend=backend)[0] as trainer:
-        history = trainer.run()
-        return (
-            [r.mean_train_loss for r in history],
-            [r.mean_score for r in history],
-            [r.uploaded_ids for r in history],
-            [r.test_loss for r in history],
-            trainer.server.global_params.tobytes(),
-        )
-
-
-class TestBackendEquivalence:
-    """The engine contract: backends differ only in wall-clock time."""
-
-    def test_all_backends_bitwise_identical(self):
-        serial = _run_fingerprint("serial")
-        for backend in EXECUTOR_BACKENDS:
-            if backend == "serial":
-                continue
-            losses, scores, uploaded, evals, params = _run_fingerprint(backend)
-            assert losses == serial[0], backend
-            assert scores == serial[1], backend
-            assert uploaded == serial[2], backend
-            assert evals == serial[3], backend
-            assert params == serial[4], backend
 
 
 def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD, special=0):
@@ -154,6 +95,13 @@ def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD, special=0):
     return executor, updates
 
 
+class TestBackendEquivalence:
+    """The engine contract: backends differ only in wall-clock time."""
+
+    def test_all_backends_bitwise_identical(self):
+        assert_lattice(FIXED, "a")
+
+
 class TestBatchedBackend:
     """Batched-specific contracts: cohort formation, RNG stream
     semantics, fallback paths and failure attribution."""
@@ -162,16 +110,16 @@ class TestBatchedBackend:
         """epoch_order leaves client streams exactly where serial
         epochs would: a batched round then a serial round matches an
         all-serial run bit for bit."""
-        mixed, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                               backend="batched", rounds=2)
+        mixed, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),
+                              backend="batched", rounds=2)
         mixed.run(1)
         mixed.executor.close()
         mixed.executor = SerialExecutor()
         mixed.executor.bind(mixed.workspace, mixed.clients)
         mixed.run(1)
 
-        pure, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                              backend="serial", rounds=2)
+        pure, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),
+                             backend="serial", rounds=2)
         pure.run(2)
         assert (mixed.server.global_params.tobytes()
                 == pure.server.global_params.tobytes())
@@ -202,7 +150,7 @@ class TestBatchedBackend:
 
         def losses(backend):
             rngs = child_rngs(5, 3)
-            workspace = _make_workspace(rngs[0])
+            workspace = linear_workspace(rngs[0])
             clients = []
             for i in range(2):
                 x = rngs[1 + i].normal(size=(2 * steps, 5))
@@ -264,7 +212,7 @@ class TestBatchedBackend:
         """Five 8-row windows of one dataset: one shared gather."""
         rng = np.random.default_rng(2)
         base = Dataset(rng.normal(size=(30, 5)), rng.integers(0, 2, size=30))
-        workspace = _make_workspace(np.random.default_rng(3))
+        workspace = linear_workspace(np.random.default_rng(3))
         clients = [
             (client_cls if i == special else FLClient)(
                 i, base.window(6 * i, 6 * i + 8), rng=np.random.default_rng(i)
@@ -316,8 +264,8 @@ class TestBatchedBackend:
         assert "(gather of epoch 0, rows 0:5 of 5, " in str(exc.value)
 
     def test_fallback_failure_names_client(self):
-        trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                 backend="batched")
+        trainer, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),
+                                backend="batched")
         with trainer:
             # A stateful optimizer has no stacked step, so the whole
             # round runs through compute_update — and client 2's
@@ -334,7 +282,7 @@ class TestBatchedBackend:
     def test_rebind_drops_stale_engines(self):
         executor, _ = _hetero_round("batched")
         assert executor._engines
-        workspace = _make_workspace(np.random.default_rng(0))
+        workspace = linear_workspace(np.random.default_rng(0))
         executor.bind(workspace, [])
         assert executor._engines == {}
 
@@ -347,23 +295,7 @@ def _ragged_federation(kind, sizes, seed=3):
     """A fresh ``(workspace, clients)`` of the given shard sizes for a
     linear, digit-CNN or 2-layer-LSTM model (identical on every call)."""
     rngs = child_rngs(seed, 2 + len(sizes))
-    if kind == "linear":
-        model = make_logistic_regression(5, rng=rngs[0])
-        loss, metric = SigmoidBinaryCrossEntropy(), binary_accuracy
-        draw_x = lambda rng, n: rng.normal(size=(n, 5))
-        draw_y = lambda rng, n: rng.integers(0, 2, size=n)
-    elif kind == "cnn":
-        model = make_digits_cnn(
-            image_size=16, n_classes=4, channels=(2, 3), hidden=6, rng=rngs[0]
-        )
-        loss, metric = SoftmaxCrossEntropy(), accuracy
-        draw_x = lambda rng, n: rng.normal(size=(n, 1, 16, 16))
-        draw_y = lambda rng, n: rng.integers(0, 4, size=n)
-    else:
-        model = make_nwp_lstm(11, embedding_dim=4, hidden=5, rng=rngs[0])
-        loss, metric = SoftmaxCrossEntropy(), accuracy
-        draw_x = lambda rng, n: rng.integers(0, 11, size=(n, 4))
-        draw_y = lambda rng, n: rng.integers(0, 11, size=n)
+    model, loss, metric, draw_x, draw_y = model_family(kind, rngs[0])
     workspace = ModelWorkspace(
         model, loss, SGD(model.parameters(), 0.2), metric=metric
     )
@@ -423,13 +355,10 @@ class TestRaggedEquivalence:
         epochs = 1 if len(sizes) == 10 else 2
         _assert_batched_is_serial(kind, sizes, epochs, batch_size)
 
-    @pytest.mark.skipif(
-        not hypothesis_installed, reason="package 'hypothesis' not installed"
-    )
     def test_drawn_federations(self):
-        @settings(max_examples=30, deadline=None)
+        @STANDARD_SETTINGS
         @given(
-            st.sampled_from(["linear", "cnn", "lstm"]),
+            st.sampled_from(MODEL_FAMILIES),
             st.lists(st.integers(1, 13), min_size=1, max_size=6),
             st.integers(1, 2),
             st.integers(1, 5),
@@ -525,8 +454,8 @@ class TestStackedCallCounts:
 
 class TestCrashHandling:
     def test_serial_backend_names_failing_client(self):
-        trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                 backend="serial")
+        trainer, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),
+                                backend="serial")
         with trainer:
             trainer.clients[2] = _ExplodingClient(
                 2, trainer.clients[2].train_data
@@ -538,8 +467,8 @@ class TestCrashHandling:
 
     def test_rebind_picks_up_changed_federation(self):
         for backend in EXECUTOR_BACKENDS:
-            trainer, _ = _federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                     backend=backend)
+            trainer, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),
+                                    backend=backend)
             with trainer:
                 trainer.run(1)
                 trainer.clients[2] = FLClient(
@@ -596,7 +525,7 @@ class TestHotPathFastPaths:
         assert relevance(u, u_bar) == relevance(u, u_bar, u_bar_sign=sign)
 
     def test_flatten_out_buffer(self):
-        workspace = _make_workspace(np.random.default_rng(1))
+        workspace = linear_workspace(np.random.default_rng(1))
         n = workspace.n_params
         buf = np.empty(n, dtype=float)
         out = flatten_parameters(workspace.model, out=buf)
@@ -609,7 +538,7 @@ class TestHotPathFastPaths:
         )
 
     def test_flatten_out_buffer_validated(self):
-        workspace = _make_workspace(np.random.default_rng(1))
+        workspace = linear_workspace(np.random.default_rng(1))
         with pytest.raises(ValueError, match="float64 vector"):
             flatten_parameters(
                 workspace.model,

@@ -1,13 +1,13 @@
 """The federated engine: accounting, history, aggregation, server, trainer."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.baselines.vanilla import VanillaPolicy
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import ConstantThreshold
-from repro.data.dataset import Dataset
-from repro.data.partition import iid_partition
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.aggregation import mean_aggregate
 from repro.fl.client import ClientUpdate, FLClient
@@ -15,14 +15,8 @@ from repro.fl.config import FLConfig
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.server import FLServer
 from repro.fl.trainer import FederatedTrainer
-from repro.fl.workspace import ModelWorkspace
-from repro.models.linear import make_logistic_regression
-from repro.nn.losses import SigmoidBinaryCrossEntropy
-from repro.nn.metrics import binary_accuracy
-from repro.nn.optimizers import SGD
-from repro.nn.schedules import ConstantLR
 from repro.nn.serialization import STATUS_MESSAGE_BYTES, update_nbytes
-from repro.utils.rng import child_rngs
+from tests.strategies import federation
 
 
 def _make_update(cid, vec, n=10):
@@ -129,26 +123,8 @@ class _RejectAfterFirstRound(CMFLPolicy):
         return type(d)(upload=False, score=d.score, threshold=1.0)
 
 
-def _binary_federation(policy, n_clients=4, rounds=6, seed=0, **cfg_kw):
-    rngs = child_rngs(seed, n_clients + 3)
-    w_true = rngs[0].normal(size=5)
-    x = rngs[1].normal(size=(80, 5))
-    y = (x @ w_true > 0).astype(np.int64)
-    data = Dataset(x, y)
-    model = make_logistic_regression(5, rng=rngs[2])
-    workspace = ModelWorkspace(
-        model, SigmoidBinaryCrossEntropy(), SGD(model.parameters(), 0.5),
-        metric=binary_accuracy,
-    )
-    parts = iid_partition(len(data), n_clients, rng=seed)
-    clients = [FLClient(i, data.subset(p), rng=rngs[3 + i])
-               for i, p in enumerate(parts)]
-    config = FLConfig(rounds=rounds, local_epochs=1, batch_size=10,
-                      lr=ConstantLR(0.5), eval_every=1, **cfg_kw)
-    return FederatedTrainer(
-        workspace, clients, policy, config,
-        eval_fn=lambda w: w.evaluate(data.x, data.y),
-    ), data
+#: The shared fixed federation, six rounds long.
+_binary_federation = functools.partial(federation, rounds=6)
 
 
 class TestTrainer:
@@ -317,15 +293,16 @@ class _PoisonedClient(FLClient):
 
 
 class TestCheckFinite:
-    """The FLConfig.check_finite runtime sanitizer."""
+    """Every round checks its aggregate and mean training loss once, and
+    names the client that poisoned it."""
 
     def test_clean_run_passes_with_guard_on(self):
-        trainer, _ = _binary_federation(VanillaPolicy(), check_finite=True)
+        trainer, _ = _binary_federation(VanillaPolicy())
         history = trainer.run()
         assert len(history) == 6
 
     def test_poisoned_client_named_in_error(self):
-        trainer, _ = _binary_federation(VanillaPolicy(), check_finite=True)
+        trainer, _ = _binary_federation(VanillaPolicy())
         bad = trainer.clients[2]
         trainer.clients[2] = _PoisonedClient(
             bad.client_id, bad.train_data, rng=0
@@ -335,11 +312,20 @@ class TestCheckFinite:
         # round 1 completed before the poison hit
         assert len(trainer.history) == 1
 
-    def test_guard_off_by_default(self):
-        trainer, _ = _binary_federation(VanillaPolicy(), rounds=3)
-        bad = trainer.clients[2]
-        trainer.clients[2] = _PoisonedClient(
-            bad.client_id, bad.train_data, rng=0
-        )
-        trainer.run()  # silently propagates NaN -- the guard exists for this
-        assert np.isnan(trainer.server.global_params).any()
+    def test_non_finite_training_loss_named_in_error(self):
+        """A finite update with an infinite loss still names its client,
+        and the round raises before the global model changes."""
+
+        class Client(FLClient):
+            def compute_update(self, *args, **kwargs):
+                result = super().compute_update(*args, **kwargs)
+                result.train_loss = float("inf")
+                return result
+
+        trainer, _ = _binary_federation(VanillaPolicy())
+        bad = trainer.clients[3]
+        trainer.clients[3] = Client(bad.client_id, bad.train_data, rng=0)
+        before = trainer.server.global_params.tobytes()
+        with pytest.raises(FloatingPointError, match=r"client 3 in round 1"):
+            trainer.run()
+        assert trainer.server.global_params.tobytes() == before

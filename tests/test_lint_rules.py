@@ -17,7 +17,7 @@ from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.fl.client import FLClient
 from tests import test_trigger_properties as properties
-from tests.test_executor import _federation
+from tests.strategies import federation
 from tests.test_source_scans import _tree, implicit_dtypes, library_prints
 
 
@@ -93,7 +93,7 @@ def _run_moves_a_global_rng(draw=None):
 
     before = pickle.dumps((np.random.get_state(), random.getstate()))
     policy = CMFLPolicy(InverseSqrtThreshold(0.8))
-    with _federation(policy, backend="batched", rounds=2, client_cls=Client)[0] as trainer:
+    with federation(policy, backend="batched", rounds=2, client_cls=Client)[0] as trainer:
         trainer.run()
     return pickle.dumps((np.random.get_state(), random.getstate())) != before
 
@@ -112,7 +112,6 @@ class TestNoGlobalRng:
 def _aggregation_property_fails(monkeypatch, seeded):
     """Whether ``test_trigger_properties``' no-mutation property over
     ``mean_aggregate`` fails with ``seeded`` in its place."""
-    pytest.importorskip("hypothesis")
     monkeypatch.setattr(properties, "mean_aggregate", seeded)
     try:
         properties.test_mean_aggregate_does_not_mutate_inputs()

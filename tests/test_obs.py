@@ -1,7 +1,10 @@
 """The repro.obs observability layer: span nesting, sinks, the totals
-folded from a trace, and the cross-backend trace-determinism contract."""
+folded from a trace, and what the deterministic view masks.  That a
+trace digests the same on every backend and sample rate is the
+lattice's edge (a) in ``tests/test_lattice.py``."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,18 +21,14 @@ from repro.obs import (
     TRACE_SCHEMA,
     Tracer,
     deterministic_view,
-    diff_traces,
     load_trace,
     metrics_from_trace,
     phase_summary,
     trace_digest,
     validate_trace,
 )
-from tests.test_executor import (
-    _ExplodingClient,
-    _ExplodingOrderClient,
-    _federation,
-)
+from tests.strategies import FIXED, assert_lattice, federation
+from tests.test_executor import _ExplodingClient, _ExplodingOrderClient
 
 #: A client class whose local computation fails, per backend: the
 #: batched cohort kernel never calls ``compute_update``, so there the
@@ -144,7 +143,7 @@ class TestNullTracer:
         assert NULL_TRACER.memory_events() is None
 
     def test_trainer_defaults_to_null_tracer(self):
-        trainer, _ = _federation(CMFLPolicy(InverseSqrtThreshold(0.8)))
+        trainer, _ = federation(CMFLPolicy(InverseSqrtThreshold(0.8)))
         assert trainer.tracer is NULL_TRACER
 
     def test_config_knobs(self):
@@ -156,7 +155,7 @@ class TestNullTracer:
 
 
 def _traced_events(backend, **cfg_kw):
-    trainer, _ = _federation(
+    trainer, _ = federation(
         CMFLPolicy(InverseSqrtThreshold(0.8)), backend=backend,
         rounds=3, trace=True, **cfg_kw,
     )
@@ -168,21 +167,10 @@ def _traced_events(backend, **cfg_kw):
 
 class TestDeterminismContract:
     def test_backends_produce_identical_deterministic_views(self):
-        views, digests = {}, {}
-        for backend in EXECUTOR_BACKENDS:
-            trainer, events = _traced_events(backend)
-            assert validate_trace(events) == []
-            views[backend] = deterministic_view(events)
-            digests[backend] = trace_digest(events)
-        for backend in EXECUTOR_BACKENDS:
-            assert views[backend] == views["serial"], backend
-        assert len(set(digests.values())) == 1
-        assert diff_traces(
-            views["serial"], views["batched"]
-        ) == []
+        assert_lattice(replace(FIXED, rounds=3, trace_sample=1.0), "a")
 
     def test_deterministic_view_masks_rt_and_runtime_metrics(self):
-        trainer, _ = _federation(
+        trainer, _ = federation(
             CMFLPolicy(InverseSqrtThreshold(0.8)), backend="batched",
             rounds=3, trace=True,
         )
@@ -247,8 +235,51 @@ class TestDeterminismContract:
         assert phases["run"]["count"] == 1
 
 
+def _scale_run(**kwargs):
+    """Two rounds of ``make_scale_trainer(500, 20, **kwargs)``."""
+    from repro.experiments.scale import make_scale_trainer
+
+    trainer = make_scale_trainer(500, 20, **kwargs)
+    with trainer:
+        trainer.run(2)
+    return trainer
+
+
+def _scale_fingerprint(trainer):
+    from repro.fl.history import history_digest
+
+    return history_digest(trainer), trainer.server.global_params.tobytes()
+
+
 class TestSampledTracing:
     """Head sampling must thin spans without touching determinism."""
+
+    def test_sampled_digests_identical_across_backends(self):
+        assert_lattice(replace(FIXED, rounds=3, trace_sample=0.5), "a")
+
+    def test_store_backed_sampled_digests_match(self):
+        """Lattice edge (a) on ``make_scale_trainer``'s seeded 500-client
+        store, the one the scale sweep and ``population_soak`` run."""
+        runs = [
+            _scale_run(backend=backend, trace=True, trace_sample=0.5)
+            for backend in EXECUTOR_BACKENDS
+        ]
+        for trainer in runs:
+            trainer.tracer.close()
+            assert validate_trace(trainer.tracer.memory_events()) == []
+        assert len({_scale_fingerprint(t) for t in runs}) == 1
+        assert len({
+            trace_digest(t.tracer.memory_events()) for t in runs
+        }) == 1
+
+    def test_tracing_never_changes_the_run(self):
+        """Lattice edge (c) on the same store: off, one span in a
+        hundred, and every span."""
+        runs = [
+            _scale_run(trace=trace, trace_sample=sample)
+            for trace, sample in ((False, 1.0), (True, 0.01), (True, 1.0))
+        ]
+        assert len({_scale_fingerprint(t) for t in runs}) == 1
 
     def test_sampling_drops_spans_but_keeps_exact_rollups(self):
         trainer, full = _traced_events("serial")
@@ -277,44 +308,6 @@ class TestSampledTracing:
             e["attrs"] for e in full_rollups
         ]
 
-    def test_sampled_digests_identical_across_backends(self):
-        digests = set()
-        for backend in EXECUTOR_BACKENDS:
-            trainer, events = _traced_events(backend, trace_sample=0.5)
-            assert validate_trace(events) == []
-            digests.add(trace_digest(events))
-        assert len(digests) == 1
-
-    def test_store_backed_sampled_digests_match(self):
-        from repro.experiments.scale import make_scale_trainer
-
-        digests = set()
-        for backend in EXECUTOR_BACKENDS:
-            trainer = make_scale_trainer(
-                500, 20, backend=backend, trace=True, trace_sample=0.5
-            )
-            with trainer:
-                trainer.run(2)
-            trainer.tracer.close()
-            events = trainer.tracer.memory_events()
-            assert validate_trace(events) == []
-            digests.add(trace_digest(events))
-        assert len(digests) == 1
-
-    def test_tracing_never_changes_the_run(self):
-        from repro.experiments.scale import make_scale_trainer
-        from repro.fl.history import history_digest
-
-        digests = set()
-        for trace, sample in ((False, 1.0), (True, 0.01), (True, 1.0)):
-            trainer = make_scale_trainer(
-                500, 20, trace=trace, trace_sample=sample
-            )
-            with trainer:
-                trainer.run(2)
-            digests.add(history_digest(trainer))
-        assert len(digests) == 1
-
     def test_sample_rate_validated(self):
         with pytest.raises(ValueError, match="trace_sample"):
             FLConfig(trace_sample=1.5)
@@ -325,7 +318,7 @@ class TestSampledTracing:
 class TestClientExecutionError:
     @staticmethod
     def _failed_run(backend):
-        trainer, _ = _federation(
+        trainer, _ = federation(
             CMFLPolicy(InverseSqrtThreshold(0.8)), backend=backend,
             client_cls=_EXPLODING[backend], trace=True,
         )
@@ -393,7 +386,7 @@ class TestRunHistoryJsonl:
             RunHistory.from_jsonl('{"schema": "bogus/v1", "policy_name": "x"}')
 
     def test_trained_history_roundtrips(self, tmp_path):
-        trainer, _ = _federation(CMFLPolicy(InverseSqrtThreshold(0.8)))
+        trainer, _ = federation(CMFLPolicy(InverseSqrtThreshold(0.8)))
         with trainer:
             trainer.run(2)
         path = tmp_path / "run.jsonl"

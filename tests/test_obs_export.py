@@ -21,7 +21,7 @@ from repro.obs import (
     to_openmetrics,
 )
 from repro.obs.__main__ import build_parser, main as obs_main
-from tests.test_executor import _federation
+from tests.strategies import federation
 
 
 _SAVE_S = (0.01, 0.02, 0.03, 0.04)
@@ -159,7 +159,7 @@ class TestMetricsFromTrace:
 
 
 def _write_trace(tmp_path, name="trace.jsonl", rounds=2):
-    trainer, _ = _federation(
+    trainer, _ = federation(
         CMFLPolicy(InverseSqrtThreshold(0.8)),
         rounds=rounds,
         trace_path=str(tmp_path / name),

@@ -17,7 +17,7 @@ from repro.obs import (
     render_dashboard,
 )
 from repro.obs.health import sparkline
-from tests.test_executor import _federation
+from tests.strategies import federation
 
 
 def _round_attrs(iteration=1, participants=4, uploaded=2, forced=0):
@@ -181,7 +181,7 @@ class _LeakyLedger(CommunicationLedger):
 
 class TestInjectedFaults:
     def _traced_run(self, monitor, client_cls=FLClient, rounds=3, ledger=None):
-        trainer, _ = _federation(
+        trainer, _ = federation(
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             rounds=rounds,
             trace=True,
@@ -242,7 +242,7 @@ class TestDashboard:
 
     def test_dashboard_renders_rollups_and_findings(self):
         monitor = _monitor(STALL_PATIENCE=1, STALL_MIN_DELTA=100.0)
-        trainer, _ = _federation(
+        trainer, _ = federation(
             CMFLPolicy(InverseSqrtThreshold(0.8)), rounds=3, trace=True
         )
         trainer.health = monitor

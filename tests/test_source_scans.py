@@ -227,25 +227,18 @@ def test_no_worker_pool_imports():
     )
 
 
-#: The one package that may import scipy: MOCHA's matrix square root.
-SCIPY_HOME = "mtl/"
+def scipy_imports(tree):
+    return [f"{at}: {root}" for at, root in _imported_roots(tree) if root == "scipy"]
 
 
-def scipy_outside_mtl(tree):
-    return [
-        f"{at}: {root}"
-        for at, root in _imported_roots(tree)
-        if root == "scipy" and not at.startswith(SCIPY_HOME)
-    ]
-
-
-def test_only_mtl_imports_scipy():
-    offenders = scipy_outside_mtl(_tree())
+def test_src_imports_no_scipy():
+    offenders = scipy_imports(_tree())
     assert offenders == [], (
-        "src/repro imports scipy outside repro/mtl/:\n  "
+        "src/repro imports scipy:\n  "
         + "\n  ".join(offenders)
-        + "\nThe data generators render with numpy (the scipy originals live "
-        "in tests/reference_kernels.py); only MOCHA's sqrtm needs scipy."
+        + "\nThe data generators render with numpy and MOCHA takes its "
+        "matrix root through numpy's eigh; the scipy originals live in "
+        "tests/reference_kernels.py."
     )
 
 
@@ -265,8 +258,10 @@ def test_every_third_party_import_is_a_declared_dependency():
 
 
 def test_dependency_scan_flags_an_undeclared_scipy():
-    found = undeclared_imports(_tree(), ["numpy>=1.21"])
-    assert found and {f.split(": ")[-1] for f in found} == {"scipy"}
+    tree = _tree()
+    assert undeclared_imports(tree, ["numpy>=1.21"]) == []
+    tree["mtl/relationship.py"] = "from scipy import linalg\n" + tree["mtl/relationship.py"]
+    assert undeclared_imports(tree, ["numpy>=1.21"]) == ["mtl/relationship.py:1: scipy"]
 
 
 # -- the async engine drives the trainer through two halves only --------------
@@ -361,7 +356,7 @@ SEEDS = [
      "self.live = np.zeros(rows)", "np.zeros()"),
     (worker_pool_imports, "fl/executor.py", "from time import monotonic\n",
      "import threading\nfrom time import monotonic\n", "threading"),
-    (scipy_outside_mtl, "data/synthetic_digits.py", "import numpy as np\n",
+    (scipy_imports, "data/synthetic_digits.py", "import numpy as np\n",
      "import numpy as np\nfrom scipy import ndimage\n", "scipy"),
     (private_trainer_reach, "fl/events/engine.py", DISPATCH,
      "        trainer._resume_span = None\n" + DISPATCH, "trainer._resume_span"),

@@ -1,5 +1,7 @@
 """The sharded client-state store: parity, laziness, checkpointing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.optimizers import SGD
 from repro.nn.schedules import ConstantLR
 from repro.utils.rng import child_rngs
+from tests.strategies import STORE, assert_lattice
 
 
 def _dataset(rows=60, features=4, seed=0):
@@ -349,60 +352,17 @@ class TestStoreCore:
 
 
 class TestTrainerParity:
-    """Store-backed lazy views vs eager FLClient objects: same bits."""
-
-    def _eager_trainer(self, backend="serial", rounds=5):
-        trainer = FederatedTrainer(
-            _workspace(),
-            _clients(),
-            CMFLPolicy(InverseSqrtThreshold(0.8)),
-            _config(backend=backend),
-        )
-        trainer.run(rounds)
-        return trainer
-
-    def _store_trainer(self, backend="serial", rounds=5, run=True):
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
-        trainer = FederatedTrainer(
-            _workspace(),
-            store,
-            CMFLPolicy(InverseSqrtThreshold(0.8)),
-            _config(backend=backend),
-        )
-        if run:
-            trainer.run(rounds)
-        return trainer
+    """What a store-backed run accounts (that it runs the eager run's
+    bits is the lattice's edge (b) in ``tests/test_lattice.py``)."""
 
     def test_serial_digest_identical(self):
-        assert _history_digest(self._eager_trainer("serial")) == (
-            _history_digest(self._store_trainer("serial"))
-        )
+        assert_lattice(STORE, "b")
 
     def test_batched_digest_identical(self):
-        assert _history_digest(self._eager_trainer("serial")) == (
-            _history_digest(self._store_trainer("batched"))
-        )
+        assert_lattice(STORE, "ab")
 
     def test_store_with_sampler(self):
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
-        trainer = FederatedTrainer(
-            _workspace(),
-            store,
-            CMFLPolicy(InverseSqrtThreshold(0.8)),
-            _config(),
-            sampler=UniformSampler(count=4, rng=2),
-        )
-        history = trainer.run(4)
-        assert all(r.n_clients == 4 for r in history)
-        eager = FederatedTrainer(
-            _workspace(),
-            _clients(),
-            CMFLPolicy(InverseSqrtThreshold(0.8)),
-            _config(),
-            sampler=UniformSampler(count=4, rng=2),
-        )
-        eager.run(4)
-        assert _history_digest(trainer) == _history_digest(eager)
+        assert_lattice(replace(STORE, cohort=4), "b")
 
     def test_store_counters_account_cohorts(self):
         from repro.obs import MemorySink, Tracer, metrics_from_trace
@@ -426,7 +386,13 @@ class TestTrainerParity:
         trainer.close()
 
     def test_stats_reflect_cmfl_decisions(self):
-        trainer = self._store_trainer(rounds=5)
+        trainer = FederatedTrainer(
+            _workspace(),
+            ClientStateStore.from_clients(_clients(), shard_size=4),
+            CMFLPolicy(InverseSqrtThreshold(0.8)),
+            _config(),
+        )
+        trainer.run(5)
         uploads = sum(
             trainer.store.participation_stats(i)["uploads"]
             for i in range(8)
@@ -440,7 +406,8 @@ class TestTrainerParity:
 
 
 class TestStoreCheckpoint:
-    """Crash/resume with shard state stays bitwise-identical."""
+    """What a store-backed checkpoint refuses, and the manifests of
+    older eras it still resumes bitwise."""
 
     def _build(self):
         store = ClientStateStore.from_clients(_clients(), shard_size=4)
@@ -452,27 +419,11 @@ class TestStoreCheckpoint:
             sampler=UniformSampler(count=4, rng=5),
         )
 
-    def test_resume_is_bitwise_identical(self, tmp_path):
-        reference = self._build()
-        reference.run(8)
-        expected = _history_digest(reference)
-
-        crashed = self._build()
-        crashed.run(4)
-        path = crashed.save_checkpoint(tmp_path / "store.ckpt")
-        resumed = FederatedTrainer.restore(
-            path,
-            _workspace(),
-            ClientStateStore.from_clients(_clients(), shard_size=4),
-            CMFLPolicy(InverseSqrtThreshold(0.8)),
-            _config(rounds=8),
-            sampler=UniformSampler(count=4, rng=5),
-        )
-        resumed.run(4)
-        assert _history_digest(resumed) == expected
-        assert resumed.store.materialized_shards == (
-            crashed.store.materialized_shards
-        )
+    def test_resume_is_bitwise_identical(self):
+        """Resumed from round 4 of eight, ``materialized_shards`` too."""
+        assert assert_lattice(
+            replace(STORE, cohort=4, rounds=8, kill_round=5), "d"
+        ) == 4
 
     def test_store_checkpoint_mismatch_fails_loudly(self, tmp_path):
         from repro.ckpt.format import CheckpointError

@@ -1,16 +1,16 @@
 """Tier-1 gate: a traced run writes a schema-valid JSONL trace whose
 spans, and the totals folded from them, reconcile with the run's own
-measurements — on the serial smoke run, and on a store-backed async
-run with drops, sampled spans and a kill/resume."""
+measurements — on a short serial digits run, and on a store-backed
+async run with drops, sampled spans and a kill/resume."""
 
 import numpy as np
 import pytest
 
 from repro.ckpt import latest_checkpoint
 from repro.core.policy import CMFLPolicy
-from repro.core.thresholds import ConstantThreshold
+from repro.core.thresholds import ConstantThreshold, InverseSqrtThreshold
 from repro.data.dataset import Dataset
-from repro.experiments.trace_smoke import run_traced_smoke
+from repro.experiments.workloads import DigitsWorkload
 from repro.fl.config import FLConfig
 from repro.fl.events import AsyncConfig, AsyncFederatedTrainer
 from repro.fl.sampling import UniformSampler
@@ -43,7 +43,11 @@ def _totals(events):
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "smoke.jsonl"
-    trainer = run_traced_smoke(rounds=2, trace_path=str(path))
+    trainer = DigitsWorkload("test").make_trainer(
+        CMFLPolicy(InverseSqrtThreshold(0.8)), rounds=2, trace_path=str(path)
+    )
+    with trainer:
+        trainer.run(2)
     return trainer, load_trace(path)
 
 
