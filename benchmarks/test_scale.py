@@ -3,9 +3,12 @@
 A fixed 100-client cohort federates over 1k / 10k / 100k / 1M-client
 store-backed populations; peak RSS must stay nearly flat, and turning
 head-sampled tracing on must not change that.  Each point and its
-traced twin run in a fresh subprocess because ``ru_maxrss`` is a
+traced twin run in a fresh subprocess because peak RSS is a
 process-lifetime high-water mark — measured in this process it would
-report whatever the heaviest earlier benchmark touched.
+report whatever the heaviest earlier benchmark touched.  The points
+read ``VmHWM`` (``repro.experiments.scale.peak_rss_kib``), which
+``exec`` resets; ``ru_maxrss`` would carry this launcher's peak into
+every subprocess and flatten the growth ratio the gate reads.
 """
 
 import json

@@ -20,10 +20,10 @@ per round), and the model is a small logistic regression.  Anything
 that still scales with population is therefore a store regression,
 which is exactly what that gate is for.
 
-``ru_maxrss`` is a process-lifetime high-water mark, so one process
-cannot honestly measure several populations — the sweep in
-``benchmarks/test_scale.py`` runs each point, and its traced twin, in a
-fresh subprocess (``python -m repro.experiments.scale --population N
+Peak RSS (:func:`peak_rss_kib`) is a process-lifetime high-water
+mark, so one process cannot honestly measure several populations — the
+sweep in ``benchmarks/test_scale.py`` runs each point, and its traced
+twin, in a fresh subprocess (``python -m repro.experiments.scale --population N
 --json``).
 """
 
@@ -133,10 +133,21 @@ def make_scale_trainer(
 def peak_rss_kib() -> int:
     """This process's peak resident set, in KiB.
 
-    ``ru_maxrss`` is monotone over the process lifetime, which is why
-    every population point must run in a fresh process to be honest.
-    (Linux reports KiB; macOS reports bytes and is normalized here.)
+    On Linux this is ``VmHWM`` from ``/proc/self/status``, the
+    high-water mark of the process's own address space, which ``exec``
+    starts afresh.  Elsewhere it is ``ru_maxrss`` (macOS reports bytes,
+    normalized here), which Linux carries across fork+exec: read there,
+    a subprocess would report at least its launcher's peak.  Either is
+    monotone over the process lifetime, which is why every population
+    point must run in a fresh process to be honest.
     """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":
         peak //= 1024
@@ -195,7 +206,7 @@ def format_point(point: Dict[str, object]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: measure one population point, print JSON or a report row.
 
-    One invocation = one process = one honest ``ru_maxrss``; the sweep
+    One invocation = one process = one honest peak RSS; the sweep
     driver is ``benchmarks/test_scale.py``.
     """
     parser = argparse.ArgumentParser(description=main.__doc__.splitlines()[0])

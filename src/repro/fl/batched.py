@@ -5,8 +5,9 @@ clients, but running it one client at a time spends most of each step
 in numpy dispatch on small operands.  :class:`BatchedWorkspace` stacks
 C clients into one leading client axis — stacked flat parameters
 ``(C, n_params)``, one ``(C, batch, ...)`` minibatch tensor per step —
-so a round runs as a handful of large kernels (stacked GEMMs, batched
-im2col/einsum) instead of ``C`` small ones.  Unequal shards share the
+so a round runs as a handful of large kernels (stacked GEMMs; for a
+conv layer a per-image dgemm forward, one ``dcols`` GEMM per client and
+a ``bincount`` fold of the input gradient) instead of ``C`` small ones.  Unequal shards share the
 stack: a step only rows ``a:b`` have runs on a *window* of it (the
 schedule is :class:`~repro.fl.executor.BatchedExecutor`'s).
 

@@ -4,14 +4,15 @@ Inputs use the NCHW layout: ``(batch, channels, height, width)``.
 
 :class:`Conv2D` is the one-row case of its stacked twin
 :class:`BatchedConv2D`, whose kernels are written over a leading
-client axis (see :class:`repro.nn.module.TwinView`).  The
-data-movement half — :func:`im2col`, :func:`_fold`, the pooling window
-split — takes any leading batch shape.  DESIGN 6b says what these
-kernels move and which arithmetic they pin.
+client axis (see :class:`repro.nn.module.TwinView`).  The unfold
+(:func:`im2col`) and the pooling window split take any leading batch
+shape; the fold (:func:`_fold_clients`) takes a leading client axis.
+DESIGN 6b says what these kernels move and which arithmetic they pin.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -73,29 +74,48 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> Tuple[np.ndarray, in
     return cols, out_h, out_w
 
 
-def _fold(cols: np.ndarray, h: int, w: int, stride: int) -> np.ndarray:
-    """Accumulate window gradients back onto the ``h x w`` plane.
+@functools.lru_cache(maxsize=16)
+def _fold_index(
+    n: int, ch: int, h: int, w: int, kh: int, kw: int, stride: int
+) -> np.ndarray:
+    """Where each window gradient of one client lands.
 
-    ``cols`` is a ``(*batch, kh, kw, out_h, out_w)`` view with any
-    strides; the result is the accumulator itself, ``(h, w, *batch)``
-    — batch axes innermost, so each of the ``kh * kw`` adds below is
-    ``out_h`` long contiguous runs on both sides instead of one
-    ``out_w``-element run per (batch, row).  Every plane element still
-    receives its overlapping windows in ``(i, j)``-lexicographic order
-    on top of ``+0.0``.  Callers crop and transpose back in one copy.
+    Entry ``e`` of a client's ``(ch, kh, kw, n, out_h, out_w)`` window
+    gradients, flattened, adds into element ``index[e]`` of its
+    flattened ``(n, ch, h, w)`` input gradient.  One client's geometry
+    only — K·n·L entries whatever the cohort — and read-only, since the
+    cache hands the same array to every caller.
     """
-    *batch, kh, kw, out_h, out_w = cols.shape
-    nb = len(batch)
-    src = np.ascontiguousarray(
-        cols.transpose(nb, nb + 1, nb + 2, nb + 3, *range(nb))
-    )
-    acc = np.zeros((h, w, *batch), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            rows = slice(i, i + stride * out_h, stride)
-            window = acc[rows, j : j + stride * out_w : stride]
-            window += src[i, j]
-    return acc
+    out_h, out_w = _out_size(h, kh, stride), _out_size(w, kw, stride)
+    c, i, j, img, oy, ox = np.ogrid[:ch, :kh, :kw, :n, :out_h, :out_w]
+    index = ((img * ch + c) * h + i + stride * oy) * w + j + stride * ox
+    index = index.reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def _fold_clients(
+    dcols: np.ndarray, n: int, ch: int, h: int, w: int, kh: int, kw: int,
+    stride: int,
+) -> np.ndarray:
+    """Accumulate window gradients back onto the ``h x w`` planes.
+
+    ``dcols`` is ``(clients, ch * kh * kw, n * out_h * out_w)``, the
+    layout the ``dcols`` GEMM writes; the result is the input gradient
+    ``(clients, n, ch, h, w)``.  Per client, one ``np.bincount`` adds
+    the window gradients in memory order onto a ``+0.0`` buffer, so
+    every plane element receives its overlapping windows in
+    ``(i, j)``-lexicographic order — the accumulation chain DESIGN 6b
+    pins — and lands directly in the result layout.  bincount
+    accumulates in float64.
+    """
+    c = dcols.shape[0]
+    index = _fold_index(n, ch, h, w, kh, kw, stride)
+    size = n * ch * h * w
+    out = np.empty((c, size), dtype=np.float64)
+    for row, src in zip(out, dcols.reshape(c, -1)):
+        row[...] = np.bincount(index, weights=src, minlength=size)
+    return out.reshape(c, n, ch, h, w)
 
 
 def col2im(
@@ -104,12 +124,11 @@ def col2im(
     """Fold column gradients back into an image-shaped gradient.
 
     Inverse (adjoint) of :func:`im2col`: overlapping windows accumulate.
+    Each image's ``(c * kh * kw, L)`` columns are a one-image client of
+    :func:`_fold_clients`.
     """
     n, c, h, w = x_shape
-    windows = cols.reshape(
-        n, c, kh, kw, _out_size(h, kh, stride), _out_size(w, kw, stride)
-    )
-    return np.ascontiguousarray(_fold(windows, h, w, stride).transpose(2, 3, 0, 1))
+    return _fold_clients(cols, 1, c, h, w, kh, kw, stride).reshape(x_shape)
 
 
 class Conv2D(TwinView):
@@ -236,16 +255,10 @@ class BatchedConv2D(BatchedModule):
         # ascending-f accumulation whatever the image count.
         grad_cols = grad_flat.transpose(0, 2, 1, 3).reshape(c, f, -1)
         dcols = np.matmul(self._w_rows.transpose(0, 2, 1), grad_cols)
-        # A pure-view permutation of the (client, K, n*L) layout; image
-        # before client, so the fold's innermost source run is the
-        # merged (client, channel) axis rather than ``ch`` elements.
-        windows = dcols.reshape(
-            c, ch, k, k, n, _out_size(h, k, stride), -1
-        ).transpose(4, 0, 1, 2, 3, 5, 6)
-        acc = _fold(windows, h, w, stride)  # (h, w, n, c, ch)
+        dx = _fold_clients(dcols, n, ch, h, w, k, k, stride)
         if pad:
-            acc = acc[pad:-pad, pad:-pad]
-        return np.ascontiguousarray(acc.transpose(3, 2, 4, 0, 1))
+            dx = np.ascontiguousarray(dx[..., pad:-pad, pad:-pad])
+        return dx
 
 
 class MaxPool2D(Module):

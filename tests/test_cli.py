@@ -1,9 +1,16 @@
 """The ``python -m repro`` and ``repro.experiments.scale`` entry points."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.__main__ import main
 from repro.experiments.scale import main as scale_main
+from repro.experiments.scale import peak_rss_kib
 
 
 def test_list_prints_experiments(capsys):
@@ -52,3 +59,28 @@ def test_scale_cli_rejects_bad_arguments(argv, cause, capsys):
     assert exit_info.value.code == 2
     assert cause in capsys.readouterr().err
 
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="VmHWM is Linux's counter"
+)
+def test_a_subprocess_reports_its_own_peak_rss():
+    """Each scale point runs in a subprocess of a launcher (a whole
+    ``pytest benchmarks`` session) that may hold far more than the
+    point: the child must report its own high-water mark, not one
+    carried over from its launcher, or the sweep's growth gate reads
+    the launcher's peak at every population."""
+    ballast = np.ones(128 * 2**20 // 8)  # 128 MiB, every page written
+    assert peak_rss_kib() >= 128 * 1024
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.experiments.scale import peak_rss_kib; print(peak_rss_kib())"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100 * 1024, (
+        f"child read {int(proc.stdout) / 1024:.0f} MiB beside a "
+        f"{ballast.nbytes / 2**20:.0f} MiB launcher"
+    )

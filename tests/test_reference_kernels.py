@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.activations import ReLU, select_grad, sigmoid
-from repro.nn.layers.conv import Conv2D, MaxPool2D, col2im, im2col
+from repro.nn.layers.conv import Conv2D, MaxPool2D, _fold_index, col2im, im2col
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.recurrent import LSTM
@@ -197,7 +197,9 @@ POOL_INPUTS = [(30, 5, 4, 16, 16), (30, 5, 8, 4, 4), (3, 2, 32, 24, 24),
                (3, 2, 64, 8, 8)]
 
 #: (clients, batch, in, out, size, kernel, stride, padding): both bench
-#: stages, both paper stages, a strided and a padded layer.
+#: stages, both paper stages, a strided and a padded layer, the paper
+#: cohort's conv2 at bench width, a 1x1 kernel and a kernel as large as
+#: its input.
 CONVS = [
     (30, 5, 1, 4, 20, 5, 1, 0),
     (30, 5, 4, 8, 8, 5, 1, 0),
@@ -205,6 +207,9 @@ CONVS = [
     (3, 2, 32, 64, 12, 5, 1, 0),
     (3, 4, 2, 3, 9, 3, 2, 0),
     (3, 4, 2, 3, 6, 3, 1, 1),
+    (100, 2, 4, 8, 8, 5, 1, 0),
+    (3, 4, 2, 3, 6, 1, 1, 0),
+    (3, 4, 2, 3, 5, 5, 1, 0),
 ]
 
 
@@ -375,6 +380,28 @@ class TestUnfoldFoldBits:
         assert not np.signbit(got).any()
 
 
+def test_the_fold_index_is_one_clients_geometry():
+    """The stacked backward loops its fold over the clients, so the
+    cached index holds one client's K·n·L entries: a cohort of 100
+    caches what a cohort of 1 does."""
+    n, ch, f, size, k = 2, 4, 8, 8, 5
+    sizes = []
+    for c in (1, 30, 100):
+        _fold_index.cache_clear()
+        layer = Conv2D(ch, f, kernel_size=k, rng=0)
+        binder = BatchedParamBinder(c, parameter_count(layer))
+        twin = layer.batched(binder)
+        binder.finish()
+        out = twin.forward(np.ones((c, n, ch, size, size)), training=True)
+        twin.backward(np.ones(out.shape))
+        assert _fold_index.cache_info().currsize == 1
+        index = _fold_index(n, ch, size, size, k, k, 1)
+        assert _fold_index.cache_info().hits == 1  # the array backward used
+        sizes.append(index.nbytes)
+    out_size = size - k + 1
+    assert sizes == [ch * k * k * n * out_size**2 * np.intp(0).itemsize] * 3
+
+
 def _conv_case(c, n, ch, f, size, k, stride, pad):
     rng = np.random.default_rng(100 * size + k)
     out = (size + 2 * pad - k) // stride + 1
@@ -406,6 +433,20 @@ class TestConvLayerBits:
             want_dx = ref.conv_backward(
                 cache, grad_out, weight, *grads, stride, pad
             )
+            if grad_out[0, 0].size == 1:
+                # One output position: the old per-image dcols product
+                # had one column, a matrix-vector product whose sums
+                # need not be dgemm's (under the OpenBLAS of numpy's
+                # wheels they are not), so the old serial and stacked
+                # bodies can disagree here.  The one body keeps the
+                # stacked bits.
+                want_dx = ref.stacked_conv_backward(
+                    ref.stacked_conv_forward(
+                        x[None], weight[None], bias[None], stride, pad
+                    )[1],
+                    grad_out[None], weight[None], np.zeros((1,) + weight.shape),
+                    np.zeros((1,) + bias.shape), stride, pad,
+                )[0]
             assert out.shape == want_out.shape
             assert out.tobytes() == want_out.tobytes()
             if head:

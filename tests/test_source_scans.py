@@ -335,6 +335,44 @@ def test_a_layer_with_a_twin_has_no_second_body():
     )
 
 
+# -- one fold in the conv layer ------------------------------------------------
+
+CONV = "nn/layers/conv.py"
+
+
+def second_folds(tree):
+    """A window add inside a loop in ``nn/layers/conv.py``, or other
+    than one ``np.bincount`` call site: the input gradient is folded
+    by one ordered bincount, and a second fold would be a second
+    accumulation chain for the reference pins to miss."""
+    nodes = list(ast.walk(_parse(tree[CONV])))
+    sites = [
+        n.lineno for n in nodes
+        if isinstance(n, ast.Call) and _dotted(n.func) == "np.bincount"
+    ]
+    found = [] if len(sites) == 1 else [
+        f"{CONV}:{max(sites, default=1)}: {len(sites)} np.bincount call sites"
+    ]
+    adds = {
+        (n.lineno, ast.unparse(n.target))
+        for loop in nodes if isinstance(loop, (ast.For, ast.While))
+        for n in ast.walk(loop)
+        if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
+    }
+    return found + [f"{CONV}:{line}: {target} += in a loop" for line, target in sorted(adds)]
+
+
+def test_conv_has_one_fold():
+    offenders = second_folds(_tree())
+    assert offenders == [], (
+        "nn/layers/conv.py folds window gradients outside its one bincount:\n  "
+        + "\n  ".join(offenders)
+        + "\nThe input gradient is _fold_clients' ordered np.bincount "
+        "through the cached window index (DESIGN 6b); route every fold, "
+        "col2im included, through it."
+    )
+
+
 # -- every scan catches its seed -----------------------------------------------
 
 #: Run over the whole tree by tests/test_lint_clean.py.
@@ -344,6 +382,8 @@ HISTORY = "        self.history = RunHistory(policy_name=policy.name)\n"
 DISPATCH = "        state = trainer._begin_round(t, None)\n"
 DENSE_TWIN = '    def batched(self, binder: BatchedParamBinder) -> "BatchedDense":\n'
 DENSE_BODY = "    def forward(self, x, training=False):\n        return x @ self.weight.data\n\n"
+COL2IM = "def col2im(\n"
+WINDOW_LOOP = "def _fold_loop(acc, src):\n    for i in range(3):\n        acc[i:] += src[i]\n\n\n"
 #: (scan, file, old text, seeded text, what the one finding names)
 SEEDS = [
     (uncaptured_state, "fl/trainer.py", HISTORY, HISTORY + "        self._foo = 1\n",
@@ -362,6 +402,7 @@ SEEDS = [
      "        trainer._resume_span = None\n" + DISPATCH, "trainer._resume_span"),
     (second_bodies, "nn/layers/dense.py", DENSE_TWIN, DENSE_BODY + DENSE_TWIN,
      "Dense.forward"),
+    (second_folds, CONV, COL2IM, WINDOW_LOOP + COL2IM, "acc[i:] += in a loop"),
 ]
 
 
