@@ -13,9 +13,6 @@ The package is organised in layers:
   measure, threshold schedules and upload policy.
 - :mod:`repro.baselines` -- vanilla FL and Gaia significance filtering.
 - :mod:`repro.mtl` -- MOCHA-style federated multi-task learning.
-- :mod:`repro.emu` -- a master/slave cluster emulation (a finished
-  run's history replayed through link and compute models) standing in
-  for the paper's 30-node EC2 testbed.
 - :mod:`repro.analysis` -- the paper's measurement machinery
   (Normalized Model Divergence, delta-update, saving, CDFs).
 - :mod:`repro.experiments` -- one runnable module per paper figure/table.

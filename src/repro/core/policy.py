@@ -3,10 +3,9 @@
 A policy decides, for each freshly computed local update, whether it is
 worth uploading.  CMFL's policy implements Algorithm 1's CheckRelevance
 (semantically: upload iff e(u, u_bar) >= v_t -- the paper's pseudo-code
-has the comparison inverted relative to its own prose).  Vanilla FL,
-Gaia and the norm band live in :mod:`repro.baselines` behind the same
-interface — the one upload-rule type both the synchronous trainer and
-the async engine call.
+has the comparison inverted relative to its own prose).  Vanilla FL and
+Gaia live in :mod:`repro.baselines` behind the same interface — the one
+upload-rule type both the synchronous trainer and the async engine call.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
-"""Fig. 7: the cluster (EC2) emulation of the NWP workload.
+"""Fig. 7: the EC2 cluster experiment's footprint, NWP LSTM.
 
 The paper's 30-node EC2 deployment re-runs the NWP LSTM comparison on a
 real master/slave prototype and reports (a) the accuracy-vs-rounds
 curves (Fig. 7a, same shape as the simulation) and (b) the uploaded
 data volume in MB at three accuracy levels (Fig. 7b), where CMFL ships
-6.4-7.1x less data.  Sec. V-C also measures the relevance check at
-<0.13% of a local training iteration.
-
-We run the same federated rounds and replay the finished history
-through the cluster emulation of :mod:`repro.emu`, which accounts every
-protocol message byte-by-byte (model broadcast with feedback, full
-updates, tiny status notices for withheld updates).
+6.4-7.1x less data.  The paper measures network footprint (rounds and
+bytes), not wall-clock, so we run the same federated rounds and read
+both off the run itself: Φ from its history, uploaded bytes from its
+:class:`~repro.fl.accounting.CommunicationLedger`.  Sec. V-C's
+relevance-check overhead is measured, not modelled, by
+:mod:`repro.experiments.micro_overhead`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.baselines.gaia import GaiaPolicy
 from repro.baselines.vanilla import VanillaPolicy
 from repro.core.policy import CMFLPolicy, UploadPolicy
 from repro.core.thresholds import ConstantThreshold, LinearDecayThreshold
-from repro.emu.cluster import EmulationReport, emulate_cluster
 from repro.experiments.fig4_table1 import TARGETS
 from repro.experiments.workloads import NWPWorkload, resolve_scale
 from repro.fl.history import RunHistory
@@ -51,7 +49,7 @@ def _policies(rounds: int) -> Dict[str, UploadPolicy]:
 class Fig7Result:
     scale: str
     histories: Dict[str, RunHistory]
-    reports: Dict[str, EmulationReport]
+    uploaded_bytes: Dict[str, int]
     levels: Tuple[float, ...]
 
     def curve(self, name: str):
@@ -70,23 +68,24 @@ class Fig7Result:
         lines: List[str] = []
         rows = []
         for name, history in self.histories.items():
-            report = self.reports[name]
             phis = [rounds_to_accuracy(history, a) for a in self.levels]
             rows.append(
                 [
                     name,
                     history.final.accumulated_rounds,
-                    f"{report.uploaded_megabytes:.2f}",
-                    f"{report.simulated_seconds:.1f}",
+                    f"{self.uploaded_bytes[name] / 1e6:.2f}",
                 ]
                 + [("-" if p is None else p) for p in phis]
             )
         lines.append(
             format_table(
-                ["policy", "total phi", "uploaded MB", "sim seconds"]
+                ["policy", "total phi", "uploaded MB"]
                 + [f"phi@{a}" for a in self.levels],
                 rows,
-                title=f"Fig 7a -- cluster emulation, NWP LSTM (scale={self.scale})",
+                title=(
+                    f"Fig 7a -- EC2 cluster footprint, NWP LSTM "
+                    f"(scale={self.scale})"
+                ),
             )
         )
         reduction_rows = []
@@ -96,11 +95,6 @@ class Fig7Result:
                 [f"acc {level}", "-" if r is None else f"{r:.2f}",
                  "paper: 6.4-7.1x"]
             )
-        overhead = self.reports["cmfl"].relevance_overhead_fraction()
-        reduction_rows.append(
-            ["relevance check / local compute", f"{overhead:.5f}",
-             "paper: <0.0013"]
-        )
         lines.append(
             format_table(
                 ["metric", "ours", "paper"],
@@ -117,20 +111,15 @@ def run(scale: Optional[str] = None) -> Fig7Result:
     rounds = _ROUNDS[scale]
     levels = ACCURACY_LEVELS[scale]
     histories: Dict[str, RunHistory] = {}
-    reports: Dict[str, EmulationReport] = {}
+    uploaded_bytes: Dict[str, int] = {}
     for name, policy in _policies(rounds).items():
         workload = NWPWorkload(scale=scale)
         trainer = workload.make_trainer(policy, rounds=rounds)
         histories[name] = trainer.run(rounds)
-        reports[name] = emulate_cluster(
-            histories[name],
-            {c.client_id: c.n_samples for c in trainer.clients},
-            trainer.server.n_params,
-            trainer.config.local_epochs,
-            feedback_in_broadcast=(name == "cmfl"),
-        )
+        uploaded_bytes[name] = trainer.ledger.uploaded_bytes
     return Fig7Result(
-        scale=scale, histories=histories, reports=reports, levels=levels
+        scale=scale, histories=histories, uploaded_bytes=uploaded_bytes,
+        levels=levels,
     )
 
 

@@ -1,8 +1,7 @@
 """Straggler/staleness sweep: bounded-staleness async vs synchronous.
 
 The paper's synchronous barrier waits for every participant, so one
-slow device prices the whole round (its EC2 emulation, Fig 7, shows
-exactly that).  This experiment runs the same CMFL federation under
+slow device prices the whole round.  This experiment runs the same CMFL federation under
 the event engine (:mod:`repro.fl.events`) across staleness bounds
 ``S in {0, 2, 8}`` and measures what relaxing the barrier buys and
 costs on the virtual timeline:

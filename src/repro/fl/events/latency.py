@@ -9,30 +9,82 @@ simulated round-trip is therefore a pure function of (seed, config):
 the event schedule it induces is bitwise-reproducible on any backend
 and across resumes, with *no RNG object to checkpoint*.
 
-The cost model reuses :mod:`repro.emu.network`: download the global
-model over the link, train (``NodeComputeModel`` seconds scaled by a
-lognormal per-draw speed factor — the straggler knob), upload the
-update.  Churn is a Bernoulli drop per (round, client): a dropped
-client still computes (the device worked; its upload never landed) but
-its result is discarded and its arrival never scheduled.
+The cost model is this module's link and compute constants: download
+the global model over :data:`MOBILE_LINK`, train
+(:class:`NodeComputeModel` seconds scaled by a lognormal per-draw speed
+factor — the straggler knob), upload the update.  This is the tree's
+one model of time; its one model of bytes is
+:class:`~repro.fl.accounting.CommunicationLedger`.  Churn is a
+Bernoulli drop per (round, client): a dropped client still computes
+(the device worked; its upload never landed) but its result is
+discarded and its arrival never scheduled.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.emu.network import MOBILE_LINK, NodeComputeModel
 from repro.nn.serialization import update_nbytes
 from repro.utils.rng import stream_seed
 
-__all__ = ["ClientTiming", "LatencyModel", "STREAM_TAG"]
+__all__ = [
+    "MOBILE_LINK",
+    "ClientTiming",
+    "LatencyModel",
+    "LinkModel",
+    "NodeComputeModel",
+    "STREAM_TAG",
+]
 
 #: Entropy-domain tag separating latency streams from every other
 #: SeedSequence family in the tree (client stores use bare
 #: ``(seed, index)``).
 STREAM_TAG = 0x1A7E9C
+
+
+@dataclass(frozen=True)
+class LinkModel:
+    """A point-to-point link: fixed latency plus bandwidth-limited transfer."""
+
+    bandwidth_bps: float
+    latency_s: float
+
+    def __post_init__(self) -> None:
+        if self.bandwidth_bps <= 0:
+            raise ValueError("bandwidth must be positive")
+        if self.latency_s < 0:
+            raise ValueError("latency must be >= 0")
+
+    def transfer_time(self, n_bytes: int) -> float:
+        """Seconds to move ``n_bytes`` across the link."""
+        if n_bytes < 0:
+            raise ValueError("n_bytes must be >= 0")
+        return self.latency_s + 8.0 * n_bytes / self.bandwidth_bps
+
+
+#: A phone-grade link (LTE uplink-ish): what every client of the async
+#: engine downloads and uploads over.
+MOBILE_LINK = LinkModel(bandwidth_bps=5e6, latency_s=0.05)
+
+
+@dataclass(frozen=True)
+class NodeComputeModel:
+    """Per-client computation cost: ``train_seconds_per_sample`` covers
+    one forward/backward pass of one sample in one local epoch."""
+
+    train_seconds_per_sample: float = 2e-3
+
+    def __post_init__(self) -> None:
+        if self.train_seconds_per_sample <= 0:
+            raise ValueError("train_seconds_per_sample must be positive")
+
+    def local_training_time(self, n_samples: int, local_epochs: int) -> float:
+        if n_samples < 0 or local_epochs < 0:
+            raise ValueError("counts must be >= 0")
+        return self.train_seconds_per_sample * n_samples * local_epochs
 
 
 class ClientTiming(NamedTuple):
@@ -44,8 +96,7 @@ class ClientTiming(NamedTuple):
 
 class LatencyModel:
     """Draws :class:`ClientTiming` from pure per-(round, client) streams,
-    over :data:`~repro.emu.network.MOBILE_LINK` and the default
-    :class:`~repro.emu.network.NodeComputeModel`."""
+    over :data:`MOBILE_LINK` and the default :class:`NodeComputeModel`."""
 
     def __init__(
         self,

@@ -69,8 +69,8 @@ def restore_generator(state: Dict[str, Any]) -> np.random.Generator:
 
     The snapshot (``gen.bit_generator.state``) is a plain JSON-safe dict
     naming the bit-generator class and its counter state; this is how
-    checkpoints and the process executor move RNG stream positions
-    between processes without pickling generator objects.
+    checkpoints carry RNG stream positions across a kill and resume
+    without pickling generator objects.
     """
     name = state.get("bit_generator")
     bit_cls = getattr(np.random, str(name), None)

@@ -20,6 +20,7 @@ from repro.fl.events import (
     LatencyModel,
     VirtualClock,
 )
+from repro.fl.events.latency import MOBILE_LINK, LinkModel, NodeComputeModel
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
@@ -127,6 +128,30 @@ class TestClockAndQueue:
         b = model.timing(2, 0, 20, 1)
         c = model.timing(1, 1, 20, 1)
         assert len({a.latency_s, b.latency_s, c.latency_s}) == 3
+
+
+class TestLinkAndComputeModel:
+    def test_transfer_time(self):
+        link = LinkModel(bandwidth_bps=8e6, latency_s=0.01)
+        # 1 MB over 8 Mbit/s = 1 s, plus latency
+        assert link.transfer_time(1_000_000) == pytest.approx(1.01)
+
+    def test_zero_bytes_costs_latency(self):
+        assert MOBILE_LINK.transfer_time(0) == pytest.approx(0.05)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            LinkModel(bandwidth_bps=0, latency_s=0.0)
+        with pytest.raises(ValueError):
+            LinkModel(bandwidth_bps=1e6, latency_s=-1.0)
+        with pytest.raises(ValueError):
+            MOBILE_LINK.transfer_time(-1)
+        with pytest.raises(ValueError):
+            NodeComputeModel(train_seconds_per_sample=0.0)
+
+    def test_training_time_scales(self):
+        node = NodeComputeModel(train_seconds_per_sample=0.01)
+        assert node.local_training_time(10, 2) == pytest.approx(0.2)
 
 
 class TestAsyncConfig:

@@ -88,14 +88,26 @@ def test_fig6_outliers_smoke():
 
 
 def test_fig7_ec2_smoke():
+    from repro.baselines.vanilla import VanillaPolicy
     from repro.experiments import fig7_ec2
+    from repro.nn.serialization import update_nbytes
 
     result = fig7_ec2.run("test")
     assert set(result.histories) == {"vanilla", "gaia", "cmfl"}
-    vanilla_mb = result.reports["vanilla"].uploaded_megabytes
-    cmfl_mb = result.reports["cmfl"].uploaded_megabytes
-    assert cmfl_mb <= vanilla_mb
-    assert "Fig 7" in result.report()
+    n_params = wl.NWPWorkload(scale="test").make_trainer(
+        VanillaPolicy(), rounds=1
+    ).server.n_params
+    report = result.report()
+    for name, history in result.histories.items():
+        # The uploaded MB column is the run's own ledger: Φ full updates.
+        uploaded_mb = result.uploaded_bytes[name] / 1e6
+        assert uploaded_mb == (
+            history.final.accumulated_rounds * update_nbytes(n_params) / 1e6
+        )
+        assert f"{uploaded_mb:.2f}" in report
+    assert result.uploaded_bytes["cmfl"] <= result.uploaded_bytes["vanilla"]
+    assert "Fig 7" in report
+    assert "sim seconds" not in report
 
 
 def test_micro_overhead_smoke():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.vanilla import VanillaPolicy
+from repro.ckpt import checkpoint_paths
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import ConstantThreshold
 from repro.fl.accounting import CommunicationLedger
@@ -16,6 +17,7 @@ from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.server import FLServer
 from repro.fl.trainer import FederatedTrainer
 from repro.nn.serialization import STATUS_MESSAGE_BYTES, update_nbytes
+from repro.obs import MemorySink, Tracer
 from tests.strategies import federation
 
 
@@ -208,6 +210,24 @@ class TestTrainer:
         trainer.run(2)
         trainer.run(3)
         assert [r.iteration for r in trainer.history] == [1, 2, 3, 4, 5]
+
+    def test_run_checkpoints_and_opens_one_run_span(self, tmp_path):
+        """A checkpointed, traced run goes through the one synchronous
+        driver: its checkpoint cadence and its single run span."""
+        sink = MemorySink()
+        built, _ = _binary_federation(
+            VanillaPolicy(), rounds=3, checkpoint_dir=str(tmp_path),
+            checkpoint_every=1,
+        )
+        trainer = FederatedTrainer(
+            built.workspace, built.clients, VanillaPolicy(), built.config,
+            tracer=Tracer(sinks=[sink]),
+        )
+        assert len(trainer.run(3)) == 3
+        assert len(checkpoint_paths(tmp_path)) > 0
+        runs = [e for e in sink.events
+                if e["kind"] == "span" and e["name"] == "run"]
+        assert len(runs) == 1
 
 
 class TestClientAndWorkspace:

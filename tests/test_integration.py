@@ -9,7 +9,6 @@ from repro.baselines.vanilla import VanillaPolicy
 from repro.core.policy import CMFLPolicy
 from repro.core.relevance import relevance
 from repro.core.thresholds import ConstantThreshold
-from repro.emu.cluster import emulate_cluster
 from repro.experiments.workloads import DigitsWorkload, NWPWorkload
 
 
@@ -77,18 +76,6 @@ class TestNWPFederation:
         trainer.on_decision = hook
         trainer.run()
         assert checks and all(checks)
-
-    def test_emulated_run_matches_trainer_history(self, nwp):
-        trainer = nwp.make_trainer(VanillaPolicy(), rounds=3)
-        history = trainer.run(3)
-        report = emulate_cluster(
-            history,
-            {c.client_id: c.n_samples for c in trainer.clients},
-            trainer.server.n_params,
-            trainer.config.local_epochs,
-        )
-        assert len(trainer.history) == 3
-        assert report.uploaded_megabytes > 0
 
 
 class TestAccountingConsistency:

@@ -619,10 +619,9 @@ import itertools  # noqa: E402
 from repro.core.policy import CMFLPolicy, PolicyContext  # noqa: E402
 from repro.core.thresholds import ConstantThreshold  # noqa: E402
 from repro.data.dataset import Dataset  # noqa: E402
-from repro.emu.network import MOBILE_LINK, NodeComputeModel  # noqa: E402
 from repro.fl.batched import BatchedWorkspace  # noqa: E402
 from repro.fl.client import FLClient  # noqa: E402
-from repro.fl.events.latency import LatencyModel  # noqa: E402
+from repro.fl.events.latency import MOBILE_LINK, LatencyModel, NodeComputeModel  # noqa: E402
 from repro.fl.events.queue import ARRIVAL, DISPATCH, Event, EventQueue  # noqa: E402
 from repro.fl.executor import RoundPlan, make_executor  # noqa: E402
 from repro.fl.store import ClientStateStore, CyclicPartition  # noqa: E402
