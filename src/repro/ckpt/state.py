@@ -106,12 +106,6 @@ def capture_run_state(
         "trace": (
             trainer.tracer.export_state() if trainer.tracer.enabled else None
         ),
-        # The health monitor's stall cursor (trainer.health): tiny, but
-        # without it a resumed run would reach different stall verdicts
-        # than an uninterrupted one.
-        "health": (
-            trainer.health.state_dict() if trainer.health is not None else None
-        ),
         "executor": {"backend": trainer.executor.name},
         "run": _run_settings(trainer.config),
     }
@@ -269,9 +263,6 @@ def _apply(trainer: Any, ckpt: Checkpoint, manifest: Dict[str, Any]) -> None:
         client.set_rng_state(manifest["rng"]["clients"][str(client.client_id)])
     trainer.sampler.load_state_dict(manifest["rng"]["sampler"])
     trainer.ledger.load_state_dict(_join_ledger(manifest["ledger"], ckpt.arrays))
-    health_state = manifest["health"]
-    if health_state is not None and trainer.health is not None:
-        trainer.health.load_state_dict(health_state)
 
     store_manifest = manifest.get("store")
     if (store_manifest is None) != (trainer.store is None):

@@ -9,7 +9,7 @@ where a filtered client sends only a tiny status message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -46,8 +46,9 @@ class CommunicationLedger:
         uploaded_ids: List[int],
         skipped_ids: List[int],
         staleness: int = 0,
-    ) -> None:
-        """Account one iteration's traffic.
+    ) -> Tuple[int, int]:
+        """Account one iteration's traffic; returns the round's
+        ``(uploaded_bytes, status_bytes)``, which its rollup carries.
 
         ``staleness`` is the round's aggregation staleness (0 under the
         synchronous trainer); the ledger keeps the running total and
@@ -60,12 +61,15 @@ class CommunicationLedger:
             self.staleness_max = int(staleness)
         self.accumulated_rounds += r_t
         self.rounds_per_iteration.append(r_t)
-        self.uploaded_bytes += r_t * update_nbytes(self.n_params)
-        self.status_bytes += len(skipped_ids) * STATUS_MESSAGE_BYTES
+        uploaded_bytes = r_t * update_nbytes(self.n_params)
+        status_bytes = len(skipped_ids) * STATUS_MESSAGE_BYTES
+        self.uploaded_bytes += uploaded_bytes
+        self.status_bytes += status_bytes
         for cid in uploaded_ids:
             self.uploads_per_client[cid] = self.uploads_per_client.get(cid, 0) + 1
         for cid in skipped_ids:
             self.skips_per_client[cid] = self.skips_per_client.get(cid, 0) + 1
+        return uploaded_bytes, status_bytes
 
     @property
     def total_bytes(self) -> int:

@@ -5,9 +5,9 @@
 synchronous barrier with an event loop over a virtual timeline:
 
 - a **dispatch** event selects round ``t``'s cohort and runs its
-  compute half (:meth:`FederatedTrainer._begin_round`), writes its
-  store views back (a later round may check the same client out again
-  while this one is in flight), then draws each client's simulated
+  compute half (:meth:`FederatedTrainer._begin_round`, which writes
+  store views back, so a later round may check the same client out
+  again while this one is in flight), then draws each client's simulated
   round-trip from its own pure latency stream and schedules the
   **arrival** events;
 - an **arrival** admits one client's upload; when every surviving
@@ -54,14 +54,6 @@ from repro.fl.trainer import FederatedTrainer, RoundState
 from repro.obs import RoundRollup
 
 __all__ = ["AsyncFederatedTrainer"]
-
-
-@dataclass(frozen=True)
-class _CohortRef:
-    """A participant rebuilt from a checkpoint: the close half only
-    needs the id (store views were already retired at dispatch)."""
-
-    client_id: int
 
 
 @dataclass
@@ -193,12 +185,6 @@ class AsyncFederatedTrainer:
         t = event.iteration
         self._dispatch_pending = False
         state = trainer._begin_round(t, None)
-        if trainer.store is not None:
-            # Retire the views now: a later dispatch may check the same
-            # client out again while this round is in flight (checkout
-            # refuses a client that is still out).
-            trainer.store.writeback(state.views)
-            state.views = []
         inflight = _InflightRound(
             state=state,
             dispatch_time=self.clock.now,
@@ -235,7 +221,7 @@ class AsyncFederatedTrainer:
                 "dispatch",
                 attrs={
                     "iteration": t,
-                    "n_participants": len(state.participants),
+                    "n_participants": len(state.results),
                     "n_dropped": len(inflight.dropped),
                     "next_deferred": next_deferred,
                     "virtual_time": self.clock.now,
@@ -275,13 +261,11 @@ class AsyncFederatedTrainer:
             # Churn: dropped uploads never reach the server — not even
             # a status message.  Participant order is preserved for the
             # survivors, so the reduction stays deterministic.
-            keep = [
-                i
-                for i, client in enumerate(state.participants)
-                if client.client_id not in inflight.dropped
+            state.results = [
+                result
+                for result in state.results
+                if result.client_id not in inflight.dropped
             ]
-            state.participants = [state.participants[i] for i in keep]
-            state.results = [state.results[i] for i in keep]
         staleness = (iteration - 1) - inflight.closes_at_dispatch
         trainer._finish_round(
             state,
@@ -296,7 +280,7 @@ class AsyncFederatedTrainer:
                 attrs={
                     "iteration": iteration,
                     "staleness": staleness,
-                    "n_arrived": len(state.participants),
+                    "n_arrived": len(state.results),
                     "virtual_time": self.clock.now,
                 },
             )
@@ -334,9 +318,7 @@ class AsyncFederatedTrainer:
                     "lr": state.lr,
                     "dispatch_time": inflight.dispatch_time,
                     "closes_at_dispatch": inflight.closes_at_dispatch,
-                    "participants": [
-                        c.client_id for c in state.participants
-                    ],
+                    "participants": [r.client_id for r in state.results],
                     "n_samples": [r.n_samples for r in state.results],
                     "train_losses": [r.train_loss for r in state.results],
                     "pending": sorted(inflight.pending),
@@ -374,9 +356,6 @@ class AsyncFederatedTrainer:
         self._inflight = {}
         for entry in state["inflight"]:
             t = int(entry["iteration"])
-            participants = [
-                _CohortRef(int(cid)) for cid in entry["participants"]
-            ]
             results = [
                 ClientUpdate(
                     client_id=int(cid),
@@ -403,9 +382,7 @@ class AsyncFederatedTrainer:
                 lr=float(entry["lr"]),
                 feedback=arrays[f"async/{t}/feedback"],
                 global_params=arrays[f"async/{t}/global_params"],
-                participants=participants,
                 results=results,
-                views=[],
                 rollup=rollup,
                 sampled=sampled,
             )

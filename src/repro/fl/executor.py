@@ -118,14 +118,8 @@ class ClientExecutor:
     tracer = NULL_TRACER
     _workspace: Optional[ModelWorkspace] = None
 
-    def bind(
-        self,
-        workspace: ModelWorkspace,
-        clients: Sequence[FLClient],
-        tracer=None,
-    ) -> None:
+    def bind(self, workspace: ModelWorkspace, tracer=None) -> None:
         """Called once by the trainer before the first round."""
-        del clients
         self._workspace = workspace
         self.tracer = tracer or NULL_TRACER
 
@@ -227,8 +221,8 @@ class BatchedExecutor(ClientExecutor):
         self._schedules: Dict[int, Tuple[tuple, list]] = {}
         self._unsupported: Optional[str] = None
 
-    def bind(self, workspace, clients, tracer=None) -> None:
-        super().bind(workspace, clients, tracer)
+    def bind(self, workspace, tracer=None) -> None:
+        super().bind(workspace, tracer)
         self._engines = {}  # stale stacks would read the old model's shapes
         self._schedules = {}
         self._unsupported = None

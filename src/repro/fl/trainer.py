@@ -14,7 +14,7 @@ run histories are bitwise-identical across backends.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -31,9 +31,7 @@ from repro.fl.sampling import ClientSampler, FullParticipation
 from repro.fl.server import FLServer
 from repro.fl.store import ClientStateStore
 from repro.fl.workspace import ModelWorkspace
-from repro.nn.serialization import STATUS_MESSAGE_BYTES, update_nbytes
 from repro.obs import (
-    HealthMonitor,
     JsonlSink,
     MemorySink,
     NULL_TRACER,
@@ -75,21 +73,18 @@ class RoundState:
 
     The synchronous loop builds and consumes one per round back to
     back; the async engine (:mod:`repro.fl.events`) holds several in
-    flight while their virtual-latency arrivals trickle in.  ``views``
-    is the checked-out cohort the decide half still has to write back
-    to the store (the engine retires it at dispatch and empties it),
-    while ``participants``/``results`` may be narrowed to the clients
-    whose uploads actually arrived (churn drops never reach the decide
-    half).
+    flight while their virtual-latency arrivals trickle in.  It holds
+    only what the decide half reads: the cohort's store views are
+    already written back, and each result carries its ``client_id``.
+    The engine may narrow ``results`` to the clients whose uploads
+    actually arrived (churn drops never reach the decide half).
     """
 
     iteration: int
     lr: float
     feedback: np.ndarray
     global_params: np.ndarray
-    participants: List[FLClient]
     results: List[ClientUpdate]
-    views: List[FLClient] = field(default_factory=list)
     rollup: Optional[RoundRollup] = None
     #: The participants whose per-client spans the trace keeps
     #: (:meth:`repro.obs.Tracer.sampled_clients`), decided once.
@@ -161,11 +156,6 @@ class FederatedTrainer:
         if self.tracer.enabled and config.trace_sample < 1.0:
             self.tracer.sampler = SpanSampler(config.seed, config.trace_sample)
         self.ledger = CommunicationLedger(n_params=self.server.n_params)
-        # Online anomaly checks over the per-round rollups; its small
-        # stall cursor rides in checkpoints (manifest["health"]).
-        self.health: Optional[HealthMonitor] = (
-            HealthMonitor() if self.tracer.enabled else None
-        )
         # Cumulative per-layer end offsets into the flat parameter
         # vector, for the rollup's per-layer sign-agreement summary.
         self._layer_boundaries = list(  # ckpt: transient — derived from the model shape
@@ -173,7 +163,7 @@ class FederatedTrainer:
         )
         self.history = RunHistory(policy_name=policy.name)
         self.executor = make_executor(config.executor)
-        self.executor.bind(workspace, self.clients, tracer=self.tracer)
+        self.executor.bind(workspace, tracer=self.tracer)
         # Run-state persistence (see repro.ckpt), driven by the
         # checkpoint_* config knobs.  Imported lazily: repro.ckpt
         # imports fl modules, so a module-level import would cycle.
@@ -247,14 +237,18 @@ class FederatedTrainer:
             rollup=rollup,
         )
         results = self.executor.run_round(plan, participants)
+        if self.store is not None:
+            # Capture every view's advanced RNG stream back into its
+            # row and retire the views: the decide half reads only the
+            # results, and under the async engine a later round may
+            # check the same client out while this one is in flight.
+            self.store.writeback(participants)
         return RoundState(
             iteration=t,
             lr=lr,
             feedback=feedback,
             global_params=global_params,
-            participants=list(participants),
             results=list(results),
-            views=list(participants),
             rollup=rollup,
             sampled=sampled,
         )
@@ -279,7 +273,6 @@ class FederatedTrainer:
         lr = state.lr
         feedback = state.feedback
         global_params = state.global_params
-        participants = state.participants
         results = state.results
         rollup = state.rollup
 
@@ -299,8 +292,8 @@ class FederatedTrainer:
         decide = self.policy.decide
 
         with self.tracer.span("decide", iteration=t):
-            for client, result in zip(participants, results):
-                cid = client.client_id
+            for result in results:
+                cid = result.client_id
                 if cid in state.sampled:
                     with self.tracer.span(
                         "relevance_check", iteration=t, client_id=cid
@@ -323,11 +316,7 @@ class FederatedTrainer:
                 rollup.observe_decisions(scores, losses, len(uploads))
 
             if not uploads and self.config.on_empty_round == "force_best":
-                best = int(np.argmax(scores))
-                forced = next(
-                    u for u in skipped
-                    if u.client_id == participants[best].client_id
-                )
+                forced = results[int(np.argmax(scores))]
                 skipped.remove(forced)
                 uploads.append(forced)
                 self.tracer.event(
@@ -350,19 +339,14 @@ class FederatedTrainer:
             aggregate = self.server.apply_round(uploads, scale=merge_scale)
             if aggregate is not None and not np.isfinite(aggregate).all():
                 _name_non_finite(t, results, aggregate)
-            self.ledger.record_round(
+            round_bytes = self.ledger.record_round(
                 [u.client_id for u in uploads],
                 [s.client_id for s in skipped],
                 staleness=staleness,
             )
 
         if rollup is not None:
-            # Mirror the ledger's per-round byte arithmetic exactly, so
-            # the health monitor's drift check is meaningful.
-            rollup.uploaded_bytes = len(uploads) * update_nbytes(
-                self.server.n_params
-            )
-            rollup.status_bytes = len(skipped) * STATUS_MESSAGE_BYTES
+            rollup.uploaded_bytes, rollup.status_bytes = round_bytes
             if aggregate is not None and feedback is not None:
                 rollup.layer_sign_agreement = [
                     float(v)
@@ -372,19 +356,13 @@ class FederatedTrainer:
                 ]
 
         if self.store is not None:
-            # Account participation into the shard stats and capture
-            # every view's advanced RNG stream back into its row; after
-            # this the round's views are retired and the store is
-            # consistent (checkpointable) again.  The async engine
-            # retires its views at dispatch and hands over none — and
-            # writeback([]) would empty the spare-generator pool.
+            # Account participation into the shard stats (the views
+            # were written back at the end of the compute half).
             self.store.record_round(
                 t,
                 [u.client_id for u in uploads],
                 [s.client_id for s in skipped],
             )
-            if state.views:
-                self.store.writeback(state.views)
             if rollup is not None:
                 rollup.extra["store"] = {
                     "population": self.store.population,
@@ -393,7 +371,7 @@ class FederatedTrainer:
 
         record = RoundRecord(
             iteration=t,
-            n_clients=len(participants),
+            n_clients=len(results),
             n_uploaded=len(uploads),
             accumulated_rounds=self.ledger.accumulated_rounds,
             total_bytes=self.ledger.total_bytes,
@@ -414,21 +392,7 @@ class FederatedTrainer:
                 eval_span.set_attr("test_loss", record.test_loss)
                 eval_span.set_attr("test_metric", record.test_metric)
         if rollup is not None:
-            rollup_attrs = rollup.attrs()
-            rollup_rt = rollup.rt()
-            self.tracer.event("round_rollup", attrs=rollup_attrs, rt=rollup_rt)
-            if self.health is not None:
-                records = self.history.records
-                previous_bytes = records[-1].total_bytes if records else 0
-                for name, attrs, rt in self.health.observe_round(
-                    rollup_attrs,
-                    rollup_rt,
-                    test_metric=record.test_metric,
-                    test_loss=record.test_loss,
-                    mean_train_loss=record.mean_train_loss,
-                    ledger_round_bytes=record.total_bytes - previous_bytes,
-                ):
-                    self.tracer.event(name, attrs=attrs, rt=rt)
+            self.tracer.event("round_rollup", attrs=rollup.attrs(), rt=rollup.rt())
         self.history.append(record)
         return record
 

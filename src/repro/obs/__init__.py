@@ -9,13 +9,13 @@ persist the event stream (in-memory, JSON-lines).
 Built to stay constant-memory at population scale: per-client spans are
 head-sampled (:class:`SpanSampler`, rate ``FLConfig.trace_sample``)
 with the unsampled remainder folded into exact per-round
-``round_rollup`` events (:class:`RoundRollup`); a
-:class:`HealthMonitor` consumes the rollups online and flags stalls,
-dead cohorts, comm-ledger drift and stragglers.  The trace has one
+``round_rollup`` events (:class:`RoundRollup`).  The trace has one
 channel for numbers: the run's totals (``comm.*``, ``async.*``,
 ``store.*``, ``ckpt.*``) are a fold over its spans and rollups
 (:func:`metrics_from_trace`), exported as OpenMetrics text or JSONL
-snapshots (:mod:`repro.obs.export`).
+snapshots (:mod:`repro.obs.export`), and so are its health findings
+— stalls, dead cohorts, non-finite evaluations, stragglers
+(:func:`health_events`).
 
 The central invariant is the *determinism contract*: event ordering and
 payloads are a pure function of the run, identical across the serial
@@ -37,12 +37,7 @@ from repro.obs.export import (
     to_jsonl_snapshot,
     to_openmetrics,
 )
-from repro.obs.health import (
-    HealthMonitor,
-    health_events,
-    health_summary,
-    render_dashboard,
-)
+from repro.obs.health import health_events, health_summary
 from repro.obs.rollup import RoundRollup, SpanSampler, summarize
 from repro.obs.sinks import (
     JsonlSink,
@@ -64,6 +59,7 @@ from repro.obs.report import (
     format_report,
     load_trace,
     phase_summary,
+    render_dashboard,
     rollup_rows,
     round_rows,
     trace_digest,
@@ -72,7 +68,6 @@ from repro.obs.report import (
 
 __all__ = [
     "EXPORT_SCHEMA",
-    "HealthMonitor",
     "RUNTIME_PREFIX",
     "RoundRollup",
     "SpanSampler",

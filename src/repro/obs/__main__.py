@@ -28,11 +28,11 @@ from repro.obs.export import (
     to_jsonl_snapshot,
     to_openmetrics,
 )
-from repro.obs.health import render_dashboard
 from repro.obs.report import (
     diff_traces,
     format_report,
     load_trace,
+    render_dashboard,
     trace_digest,
     validate_trace,
 )

@@ -2,7 +2,8 @@
 
 The functions here are the measurement side of the observability layer:
 ``python -m repro.obs`` renders a per-phase time/bytes breakdown from
-a trace, and the deterministic view (+ digest) is how the cross-backend
+a trace (and, under ``watch``, the :func:`render_dashboard` screen),
+and the deterministic view (+ digest) is how the cross-backend
 equivalence contract is checked — two traces of the same run under
 different execution backends must be identical after
 :func:`deterministic_view`.
@@ -12,11 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.obs.export import metrics_from_trace
-from repro.obs.health import health_summary
+from repro.obs.health import RUNTIME_HEALTH_PREFIX, health_events, health_summary
 from repro.obs.tracer import RUNTIME_PREFIX, TRACE_SCHEMA
 from repro.utils.tables import format_table
 
@@ -26,8 +28,10 @@ __all__ = [
     "format_report",
     "load_trace",
     "phase_summary",
+    "render_dashboard",
     "rollup_rows",
     "round_rows",
+    "sparkline",
     "trace_digest",
     "validate_trace",
 ]
@@ -326,7 +330,7 @@ def format_report(
     if findings:
         parts.append(
             format_table(
-                ["finding", "events"],
+                ["finding", "rounds"],
                 [[name, count] for name, count in findings.items()],
                 title="health findings",
             )
@@ -346,4 +350,84 @@ def format_report(
                 title="client failures",
             )
         )
+    return "\n\n".join(parts)
+
+
+#: ASCII intensity ramp for :func:`sparkline` (space = lowest).
+_SPARK_CHARS = " .:-=+*#@"
+
+
+def sparkline(values: Sequence[Optional[float]], width: int = 40) -> str:
+    """A pure-ASCII sparkline; ``None`` gaps render as ``?``."""
+    points = list(values)[-width:]
+    finite = [v for v in points if v is not None and math.isfinite(v)]
+    if not finite:
+        return "?" * len(points)
+    lo, hi = min(finite), max(finite)
+    span = hi - lo
+    out = []
+    for v in points:
+        if v is None or not math.isfinite(v):
+            out.append("?")
+            continue
+        frac = 0.5 if span == 0 else (v - lo) / span
+        out.append(_SPARK_CHARS[round(frac * (len(_SPARK_CHARS) - 1))])
+    return "".join(out)
+
+
+def render_dashboard(events: Sequence[Dict[str, Any]]) -> str:
+    """The ``python -m repro.obs watch`` screen, as one ASCII string.
+
+    Three sections built from a (possibly still-growing) trace: the
+    last rollup rows (:func:`rollup_rows`), trend sparklines, and the
+    health findings folded from the rollups.
+    """
+    rows = rollup_rows(events)
+    parts: List[str] = []
+    if rows:
+        keys = list(rows[0])
+        shown = rows[-12:]
+        parts.append(
+            format_table(
+                keys,
+                [[row[k] for k in keys] for row in shown],
+                title=f"round rollups (last {len(shown)} of {len(rows)})",
+            )
+        )
+        losses = [row["train_loss_p50"] for row in rows]
+        uploads = [
+            row["n_uploaded"] / max(1, row["n_participants"]) for row in rows
+        ]
+        parts.append(
+            "trend  loss_p50  [{}]\n"
+            "trend  upload%   [{}]".format(
+                sparkline(losses), sparkline(uploads)
+            )
+        )
+    else:
+        parts.append("no round_rollup events yet")
+
+    findings = health_events(events)
+    if findings:
+        finding_rows = []
+        for finding in findings[-10:]:
+            attrs = dict(finding["attrs"])
+            iteration = attrs.pop("iteration", None)
+            detail = ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+            if finding["name"].startswith(RUNTIME_HEALTH_PREFIX):
+                rt = finding["rt"]
+                detail = ", ".join(
+                    f"{k}={rt[k]}" for k in ("factor", "max_s") if k in rt
+                )
+            finding_rows.append([finding["name"], iteration, detail])
+        parts.append(
+            format_table(
+                ["finding", "round", "detail"],
+                finding_rows,
+                title=f"health findings ({len(findings)} total)",
+            )
+        )
+    else:
+        parts.append("health: no findings")
+
     return "\n\n".join(parts)

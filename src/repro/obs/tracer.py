@@ -13,7 +13,6 @@ hierarchy::
         aggregate
         evaluate                     (rounds that evaluate)
         round_rollup                 (one summary event per round)
-        health.*                     (run health findings, if any)
 
 At scale the per-client spans (``client_compute``, ``relevance_check``)
 are *head-sampled*: a :class:`~repro.obs.rollup.SpanSampler` keeps a

@@ -85,7 +85,7 @@ def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD, special=0):
         cls = client_cls if i == special else FLClient
         clients.append(cls(i, Dataset(x, y), rng=np.random.default_rng(90 + i)))
     executor = make_executor(backend)
-    executor.bind(workspace, clients)
+    executor.bind(workspace)
     plan = RoundPlan(iteration=1, lr=0.3, local_epochs=2, batch_size=8,
                      global_params=workspace.get_flat())
     try:
@@ -115,7 +115,7 @@ class TestBatchedBackend:
         mixed.run(1)
         mixed.executor.close()
         mixed.executor = SerialExecutor()
-        mixed.executor.bind(mixed.workspace, mixed.clients)
+        mixed.executor.bind(mixed.workspace)
         mixed.run(1)
 
         pure, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),
@@ -161,7 +161,7 @@ class TestBatchedBackend:
             plan = RoundPlan(iteration=1, lr=0.3, local_epochs=1, batch_size=2,
                              global_params=workspace.get_flat())
             with make_executor(backend) as executor:
-                executor.bind(workspace, clients)
+                executor.bind(workspace)
                 return [u.train_loss for u in executor.run_round(plan, clients)]
 
         assert losses("batched") == losses("serial")
@@ -222,7 +222,7 @@ class TestBatchedBackend:
         plan = RoundPlan(iteration=4, lr=0.3, local_epochs=2, batch_size=4,
                          global_params=workspace.get_flat())
         with make_executor("batched") as executor:
-            executor.bind(workspace, clients)
+            executor.bind(workspace)
             return executor.run_round(plan, clients)
 
     def test_shared_gather_failure_names_first_client_and_rows(self):
@@ -283,7 +283,7 @@ class TestBatchedBackend:
         executor, _ = _hetero_round("batched")
         assert executor._engines
         workspace = linear_workspace(np.random.default_rng(0))
-        executor.bind(workspace, [])
+        executor.bind(workspace)
         assert executor._engines == {}
 
 
@@ -313,7 +313,7 @@ def _ragged_round(backend, kind, sizes, epochs, batch_size):
                      batch_size=batch_size,
                      global_params=workspace.get_flat())
     with make_executor(backend) as executor:
-        executor.bind(workspace, clients)
+        executor.bind(workspace)
         updates = executor.run_round(plan, clients)
         return executor, updates, [c.rng_state() for c in clients]
 
@@ -387,7 +387,7 @@ class TestStackTiming:
         plan = RoundPlan(iteration=1, lr=0.2, local_epochs=2, batch_size=8,
                          global_params=workspace.get_flat())
         with make_executor("batched") as executor:
-            executor.bind(workspace, clients, tracer=Tracer(sinks=[sink]))
+            executor.bind(workspace, tracer=Tracer(sinks=[sink]))
             executor.run_round(plan, clients)
         spans = [e for e in sink.events if e.get("name") == "client_compute"]
         assert [e["attrs"]["client_id"] for e in spans] == [0, 1, 2, 3, 4]
@@ -474,7 +474,7 @@ class TestCrashHandling:
                 trainer.clients[2] = FLClient(
                     2, trainer.clients[2].train_data, rng=123
                 )
-                trainer.executor.bind(trainer.workspace, trainer.clients)
+                trainer.executor.bind(trainer.workspace)
                 trainer.run(1)
                 assert len(trainer.history) == 2, backend
 

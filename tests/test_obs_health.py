@@ -1,34 +1,60 @@
-"""The run health monitor: finding logic, injection end-to-end, and
-the ASCII dashboard."""
+"""Run health as a fold over the trace: the finding logic on crafted
+event lists, the findings of real traced runs (none of which writes a
+``health.*`` event), and the ASCII dashboard."""
 
 import time
 
 import pytest
 
+from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
+from repro.ckpt.__main__ import main as ckpt_cli
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
-from repro.fl.accounting import CommunicationLedger
 from repro.fl.client import FLClient
+from repro.fl.trainer import FederatedTrainer
 from repro.obs import (
-    HealthMonitor,
     deterministic_view,
     health_events,
     health_summary,
+    load_trace,
     render_dashboard,
 )
-from repro.obs.health import sparkline
-from tests.strategies import federation
+from repro.obs.health import STALL_MIN_DELTA, STALL_PATIENCE
+from repro.obs.report import sparkline
+from tests.strategies import FederationSpec, federation
 
 
-def _round_attrs(iteration=1, participants=4, uploaded=2, forced=0):
-    return {
-        "iteration": iteration,
-        "n_participants": participants,
-        "n_uploaded": uploaded,
-        "n_forced": forced,
-        "uploaded_bytes": 40 * uploaded,
-        "status_bytes": 8 * (participants - uploaded),
+def _rollup(iteration=1, participants=4, uploaded=2, forced=0, rt=None):
+    event = {
+        "kind": "point",
+        "name": "round_rollup",
+        "attrs": {
+            "iteration": iteration,
+            "n_participants": participants,
+            "n_uploaded": uploaded,
+            "n_forced": forced,
+            "uploaded_bytes": 40 * uploaded,
+            "status_bytes": 8 * (participants - uploaded),
+        },
     }
+    if rt is not None:
+        event["rt"] = rt
+    return event
+
+
+def _evaluate(iteration, metric, loss=0.1):
+    return {
+        "kind": "span",
+        "name": "evaluate",
+        "attrs": {"iteration": iteration, "test_loss": loss, "test_metric": metric},
+    }
+
+
+def _round(iteration, metric=None, loss=0.1, **rollup):
+    """One round's events in trace order: its evaluate span (when it
+    evaluates), then its rollup."""
+    evaluate = [] if metric is None else [_evaluate(iteration, metric, loss)]
+    return evaluate + [_rollup(iteration, **rollup)]
 
 
 def _straggler_rt(count=10, p50=0.01, worst=0.2):
@@ -38,127 +64,103 @@ def _straggler_rt(count=10, p50=0.01, worst=0.2):
     }
 
 
-def _monitor(**thresholds):
-    """A monitor with some of its class-level thresholds replaced."""
-    monitor = HealthMonitor()
-    for name, value in thresholds.items():
-        assert hasattr(HealthMonitor, name), name
-        setattr(monitor, name, value)
-    return monitor
+def _names(events):
+    return [finding["name"] for finding in health_events(events)]
 
 
-class TestHealthMonitor:
+def _flat_rounds(first, n, metric=0.5):
+    """``n`` evaluating rounds from ``first`` that never improve."""
+    return [e for t in range(first, first + n) for e in _round(t, metric)]
+
+
+class TestHealthFold:
     def test_healthy_round_yields_nothing(self):
-        monitor = HealthMonitor()
-        assert monitor.observe_round(
-            _round_attrs(),
-            test_metric=0.8,
-            ledger_round_bytes=40 * 2 + 8 * 2,
-        ) == []
+        assert health_events(_round(1, 0.8)) == []
+        # Findings an older trace recorded are not read back: the fold
+        # answers from the rollups alone.
+        recorded = {"kind": "point", "name": "health.stall",
+                    "attrs": {"iteration": 1}}
+        assert health_events([recorded] + _round(1, 0.8)) == []
 
     def test_dead_cohort_counts_only_organic_uploads(self):
-        monitor = HealthMonitor()
-        findings = monitor.observe_round(
-            _round_attrs(uploaded=1, forced=1)
-        )
-        assert [name for name, _, _ in findings] == ["health.dead_cohort"]
-        name, attrs, rt = findings[0]
-        assert attrs["n_forced"] == 1 and rt is None
+        (finding,) = health_events(_round(1, uploaded=1, forced=1))
+        assert finding["name"] == "health.dead_cohort"
+        assert finding["attrs"] == {
+            "iteration": 1, "n_participants": 4, "n_forced": 1,
+        }
+        assert finding["rt"] == {}
         # One organic upload keeps the cohort alive.
-        assert monitor.observe_round(_round_attrs(uploaded=2, forced=1)) == []
+        assert health_events(_round(1, uploaded=2, forced=1)) == []
         # An empty round (no participants) is not a dead cohort.
-        assert monitor.observe_round(
-            _round_attrs(participants=0, uploaded=0)
-        ) == []
+        assert health_events(_round(1, participants=0, uploaded=0)) == []
 
     def test_non_finite_fields_are_named(self):
-        findings = HealthMonitor().observe_round(
-            _round_attrs(),
-            test_loss=float("nan"),
-            mean_train_loss=float("inf"),
-            test_metric=0.5,
+        (finding,) = health_events(
+            _round(1, metric=float("inf"), loss=float("nan"))
         )
-        assert [name for name, _, _ in findings] == ["health.non_finite"]
-        fields = findings[0][1]["fields"]
-        assert set(fields) == {"test_loss", "mean_train_loss"}
+        assert finding["name"] == "health.non_finite"
+        assert finding["attrs"]["fields"] == {
+            "test_loss": "nan", "test_metric": "inf",
+        }
+        # An evaluation belongs to its own round only.
+        stray = [_evaluate(1, 0.5, float("nan")), _rollup(2)]
+        assert health_events(stray) == []
 
     def test_stall_fires_after_patience_and_resets_on_improvement(self):
-        monitor = _monitor(STALL_PATIENCE=2, STALL_MIN_DELTA=0.01)
-        assert monitor.observe_round(_round_attrs(1), test_metric=0.5) == []
-        assert monitor.observe_round(_round_attrs(2), test_metric=0.5) == []
-        findings = monitor.observe_round(_round_attrs(3), test_metric=0.505)
-        assert [name for name, _, _ in findings] == ["health.stall"]
-        assert findings[0][1]["rounds_since_improvement"] == 2
-        # A real improvement resets the cursor.
-        assert monitor.observe_round(_round_attrs(4), test_metric=0.6) == []
-        assert monitor.rounds_since_improvement == 0
-        # Rounds without an eval leave the cursor untouched.
-        assert monitor.observe_round(_round_attrs(5)) == []
-        assert monitor.evals_seen == 4
-
-    def test_comm_drift_requires_both_totals(self):
-        monitor = HealthMonitor()
-        findings = monitor.observe_round(
-            _round_attrs(), ledger_round_bytes=97
-        )
-        assert [name for name, _, _ in findings] == ["health.comm_drift"]
-        assert findings[0][1] == {
-            "iteration": 1, "ledger_bytes": 97, "rollup_bytes": 96,
+        assert STALL_PATIENCE == 5 and STALL_MIN_DELTA == 1e-4
+        # A gain below the minimum delta is no improvement.
+        events = _round(1, 0.5) + _round(2, 0.5 + STALL_MIN_DELTA / 2)
+        events += _flat_rounds(3, STALL_PATIENCE - 2)
+        assert health_events(events) == []
+        events += _round(STALL_PATIENCE + 1, 0.5)
+        (stall,) = health_events(events)
+        assert stall == {
+            "name": "health.stall",
+            "attrs": {
+                "iteration": STALL_PATIENCE + 1,
+                "rounds_since_improvement": STALL_PATIENCE,
+                "best_metric": 0.5,
+            },
+            "rt": {},
         }
-        assert monitor.observe_round(
-            _round_attrs(), ledger_round_bytes=None
-        ) == []
+        # A real improvement resets the cursor; rounds without an eval
+        # leave it untouched.
+        t = STALL_PATIENCE + 2
+        events += _round(t, 0.6) + _round(t + 1) + _round(t + 2)
+        events += _flat_rounds(t + 3, STALL_PATIENCE - 1, metric=0.6)
+        assert _names(events) == ["health.stall"]
+        events += _round(t + 2 + STALL_PATIENCE, 0.6)
+        last = health_events(events)[-1]["attrs"]
+        assert last["iteration"] == t + 2 + STALL_PATIENCE
+        assert last["best_metric"] == 0.6
 
     def test_straggler_is_a_runtime_finding(self):
-        monitor = HealthMonitor()
-        findings = monitor.observe_round(_round_attrs(), _straggler_rt())
-        assert [name for name, _, _ in findings] == [
-            "runtime.health.straggler"
-        ]
-        name, attrs, rt = findings[0]
+        events = _round(1, rt=_straggler_rt())
+        (finding,) = health_events(events)
+        assert finding["name"] == "runtime.health.straggler"
         # The wall-clock payload lives in rt; attrs only anchor a round.
-        assert set(attrs) == {"iteration"}
-        assert rt["factor"] == pytest.approx(20.0)
-        assert rt["slowest"] == [[3, 0.2]]
-        # Small cohorts are never straggler-flagged (too noisy).
-        assert monitor.observe_round(
-            _round_attrs(), _straggler_rt(count=4)
-        ) == []
-        assert monitor.observe_round(
-            _round_attrs(), _straggler_rt(worst=0.03)
-        ) == []
+        assert finding["attrs"] == {"iteration": 1}
+        assert finding["rt"]["factor"] == pytest.approx(20.0)
+        assert finding["rt"]["slowest"] == [[3, 0.2]]
+        # The deterministic view strips rt, so it never yields one.
+        assert health_events(deterministic_view(events)) == []
+        # Small cohorts are never straggler-flagged (too noisy), and a
+        # slowest task under 4x the median is no straggler.
+        assert health_events(_round(1, rt=_straggler_rt(count=7))) == []
+        assert health_events(_round(1, rt=_straggler_rt(worst=0.039))) == []
 
     def test_findings_come_in_fixed_order(self):
-        monitor = _monitor(STALL_PATIENCE=1, STRAGGLER_MIN_CLIENTS=1)
-        monitor.observe_round(_round_attrs(1), test_metric=0.5)
-        findings = monitor.observe_round(
-            _round_attrs(2, uploaded=0),
-            _straggler_rt(count=9),
-            test_metric=0.5,
-            test_loss=float("nan"),
-            ledger_round_bytes=1,
+        events = _flat_rounds(1, STALL_PATIENCE)
+        events += _round(
+            STALL_PATIENCE + 1, 0.5, loss=float("nan"), participants=9,
+            uploaded=0, rt=_straggler_rt(count=9),
         )
-        assert [name for name, _, _ in findings] == [
+        assert _names(events) == [
             "health.dead_cohort",
             "health.non_finite",
             "health.stall",
-            "health.comm_drift",
             "runtime.health.straggler",
         ]
-
-    def test_stall_cursor_roundtrips_through_state(self):
-        monitor = _monitor(STALL_PATIENCE=3)
-        monitor.observe_round(_round_attrs(1), test_metric=0.7)
-        monitor.observe_round(_round_attrs(2), test_metric=0.7)
-        resumed = _monitor(STALL_PATIENCE=3)
-        resumed.load_state_dict(monitor.state_dict())
-        assert resumed.best_metric == 0.7
-        assert resumed.rounds_since_improvement == 1
-        # Two more flat evals trip the same verdict the uninterrupted
-        # monitor would reach.
-        assert resumed.observe_round(_round_attrs(3), test_metric=0.7) == []
-        findings = resumed.observe_round(_round_attrs(4), test_metric=0.7)
-        assert [name for name, _, _ in findings] == ["health.stall"]
 
 
 class _SleepyClient(FLClient):
@@ -170,66 +172,145 @@ class _SleepyClient(FLClient):
         return super().compute_update(*args, **kwargs)
 
 
-class _LeakyLedger(CommunicationLedger):
-    """Books one phantom status byte in its second round only."""
+def _flat_eval(workspace):
+    """An evaluation that never improves: every run stalls in round
+    ``STALL_PATIENCE + 1``."""
+    del workspace
+    return 0.25, 0.5
 
-    def record_round(self, uploaded_ids, skipped_ids, staleness=0):
-        super().record_round(uploaded_ids, skipped_ids, staleness)
-        if len(self.rounds_per_iteration) == 2:
-            self.status_bytes += 1
+
+def _traced_run(rounds=3, flat=False, **kwargs):
+    trainer, _ = federation(
+        CMFLPolicy(InverseSqrtThreshold(0.8)), rounds=rounds, trace=True,
+        **kwargs,
+    )
+    if flat:
+        trainer.eval_fn = _flat_eval
+    with trainer:
+        trainer.run()
+    return trainer, list(trainer.tracer.memory_events())
+
+
+def _written_findings(events):
+    return [e["name"] for e in events if "health." in e["name"]]
 
 
 class TestInjectedFaults:
-    def _traced_run(self, monitor, client_cls=FLClient, rounds=3, ledger=None):
-        trainer, _ = federation(
-            CMFLPolicy(InverseSqrtThreshold(0.8)),
-            rounds=rounds,
-            trace=True,
-            client_cls=client_cls,
-        )
-        trainer.health = monitor
-        if ledger is not None:
-            trainer.ledger = ledger(n_params=trainer.server.n_params)
-        with trainer:
-            trainer.run()
-        trainer.tracer.close()
-        return trainer, list(trainer.tracer.memory_events())
-
     def test_injected_straggler_fires_and_stays_runtime(self):
-        monitor = _monitor(
-            STRAGGLER_FACTOR=2.0, STRAGGLER_MIN_CLIENTS=4
+        _, events = _traced_run(
+            rounds=2, n_clients=8, client_cls=_SleepyClient
         )
-        _, events = self._traced_run(monitor, client_cls=_SleepyClient)
+        assert _written_findings(events) == []
         stragglers = [
-            e for e in events if e["name"] == "runtime.health.straggler"
+            f for f in health_events(events)
+            if f["name"] == "runtime.health.straggler"
         ]
         assert stragglers
-        slowest = stragglers[0]["rt"]["slowest"]
-        assert slowest[0][0] == 0  # client 0 is the injected straggler
+        # Client 0 is the injected straggler.
+        assert {f["rt"]["slowest"][0][0] for f in stragglers} == {0}
         # Wall-clock findings are masked from the deterministic view.
         assert health_events(deterministic_view(events)) == []
 
-    def test_injected_ledger_drift_fires_in_its_round_only(self):
-        _, clean = self._traced_run(HealthMonitor())
-        assert "health.comm_drift" not in health_summary(clean)
-        _, events = self._traced_run(HealthMonitor(), ledger=_LeakyLedger)
-        drifts = [e for e in events if e["name"] == "health.comm_drift"]
-        # The check compares per-round deltas, so one bad round is
-        # flagged once, not in every round after it.
-        assert [e["attrs"]["iteration"] for e in drifts] == [2]
-        attrs = drifts[0]["attrs"]
-        assert attrs["ledger_bytes"] == attrs["rollup_bytes"] + 1
-
     def test_injected_stall_fires_deterministically(self):
-        # min_delta so large no improvement ever counts: the second
-        # eval starts the stall and it fires every round after.
-        monitor = _monitor(STALL_PATIENCE=1, STALL_MIN_DELTA=100.0)
-        _, events = self._traced_run(monitor, rounds=4)
-        stalls = [e for e in events if e["name"] == "health.stall"]
-        assert len(stalls) == 3
-        # Deterministic findings survive the deterministic view.
-        assert health_events(deterministic_view(events))
-        assert health_summary(events)["health.stall"] == 3
+        _, events = _traced_run(rounds=STALL_PATIENCE + 2, flat=True)
+        assert _written_findings(events) == []
+        stalls = [
+            f["attrs"]["iteration"] for f in health_events(events)
+            if f["name"] == "health.stall"
+        ]
+        assert stalls == [STALL_PATIENCE + 1, STALL_PATIENCE + 2]
+        # Deterministic findings are read off the deterministic view.
+        assert health_events(deterministic_view(events)) == [
+            f for f in health_events(events)
+            if not f["name"].startswith("runtime.")
+        ]
+        assert health_summary(events)["health.stall"] == 2
+
+    def test_dead_cohort_is_folded_not_written(self):
+        # Round 1 uploads everything; under a threshold clipped to 1 no
+        # client of this federation uploads after it, so only
+        # force_best keeps rounds 2 and 3 alive.
+        spec = FederationSpec(sizes=(6,) * 4, threshold=5.0, trace_sample=1.0)
+        trainer = FederatedTrainer(**spec.parts("serial"))
+        with trainer:
+            trainer.run()
+        events = list(trainer.tracer.memory_events())
+        assert _written_findings(events) == []
+        assert [r.n_uploaded for r in trainer.history] == [4, 1, 1]
+        assert health_events(events) == [
+            {
+                "name": "health.dead_cohort",
+                "attrs": {"iteration": t, "n_participants": 4, "n_forced": 1},
+                "rt": {},
+            }
+            for t in (2, 3)
+        ]
+
+
+#: A journaled federation whose flat evaluation stalls in round 6.
+RESUMED = FederationSpec(
+    sizes=(6,) * 4, rounds=STALL_PATIENCE + 3, trace_sample=1.0
+)
+
+
+class _Kill(RuntimeError):
+    """A crash raised from inside the decide phase."""
+
+
+def _journaled(directory, kill_round=None):
+    """The ``RESUMED`` run journaled under ``directory``; with
+    ``kill_round``, crashed in that round's decide phase and resumed
+    from the latest checkpoint."""
+    parts = RESUMED.parts("serial", directory=directory)
+    parts["eval_fn"] = _flat_eval
+    trainer = FederatedTrainer(**parts)
+    if kill_round is not None:
+        def crash(result, decision):
+            del result, decision
+            if len(trainer.history) + 1 == kill_round:
+                raise _Kill("simulated crash")
+
+        trainer.on_decision = crash
+        with pytest.raises(_Kill), trainer:
+            trainer.run()
+        parts = RESUMED.parts("serial", directory=directory)
+        parts["eval_fn"] = _flat_eval
+        path = latest_checkpoint(directory / "ckpt")
+        trainer = FederatedTrainer.restore(path, **parts)
+        assert len(trainer.history) == kill_round - 1
+    with trainer:
+        trainer.run(RESUMED.rounds - len(trainer.history))
+    return load_trace(directory / "trace.jsonl")
+
+
+class TestFindingsAcrossCheckpoints:
+    def test_manifest_has_no_health_cursor(self, tmp_path):
+        trainer, _ = federation(
+            CMFLPolicy(InverseSqrtThreshold(0.8)), rounds=2, trace=True,
+            checkpoint_dir=str(tmp_path), checkpoint_every=1,
+        )
+        with trainer:
+            trainer.run()
+        paths = [str(p) for p in checkpoint_paths(tmp_path)]
+        assert len(paths) == 2
+        for path in paths:
+            assert "health" not in read_checkpoint(path).manifest
+        assert ckpt_cli(["verify", *paths]) == 0
+
+    def test_resumed_run_folds_the_uninterrupted_findings(self, tmp_path):
+        kill_round = STALL_PATIENCE - 1
+        whole = _journaled(tmp_path / "whole")
+        resumed = _journaled(tmp_path / "killed", kill_round=kill_round)
+        assert _written_findings(resumed) == []
+        findings = health_events(deterministic_view(whole))
+        stalls = [f["attrs"]["iteration"] for f in findings
+                  if f["name"] == "health.stall"]
+        # Every stall comes after the kill, so the stall cursor had to
+        # cross the checkpoint.
+        assert stalls == list(range(STALL_PATIENCE + 1, RESUMED.rounds + 1))
+        assert min(stalls) > kill_round
+        assert health_events(deterministic_view(resumed)) == findings
+        assert health_summary(resumed) == health_summary(whole)
 
 
 class TestDashboard:
@@ -241,17 +322,11 @@ class TestDashboard:
         assert line[0] == " " and line[-1] == "@"
 
     def test_dashboard_renders_rollups_and_findings(self):
-        monitor = _monitor(STALL_PATIENCE=1, STALL_MIN_DELTA=100.0)
-        trainer, _ = federation(
-            CMFLPolicy(InverseSqrtThreshold(0.8)), rounds=3, trace=True
-        )
-        trainer.health = monitor
-        with trainer:
-            trainer.run()
-        trainer.tracer.close()
-        screen = render_dashboard(trainer.tracer.memory_events())
-        assert "round rollups" in screen
-        assert "health findings" in screen
+        _, events = _traced_run(rounds=STALL_PATIENCE + 1, flat=True)
+        screen = render_dashboard(events)
+        assert "round rollups (last 6 of 6)" in screen
+        assert "train_loss_p50" in screen
+        assert "health findings (1 total)" in screen
         assert "health.stall" in screen
         assert "trend  loss_p50" in screen
 

@@ -789,7 +789,7 @@ class TestCohortGatherBits:
         plan = RoundPlan(iteration=1, lr=0.3, local_epochs=epochs,
                          batch_size=batch, global_params=workspace.get_flat())
         with make_executor("batched") as executor:
-            executor.bind(workspace, clients)
+            executor.bind(workspace)
             executor.run_round(plan, clients)
         assert [c.rng_state() for c in clients] == [t.rng_state() for t in twins]
         assert len(got) == len(want) > 0

@@ -213,7 +213,7 @@ class TestStoreCore:
                          global_params=workspace.get_flat())
         views = store.checkout([3, 4, 5])
         with make_executor(backend) as executor:
-            executor.bind(workspace, views)
+            executor.bind(workspace)
             executor.run_round(plan, views)
             store.writeback(views)
             captured = _columns(store)["rng"]
@@ -223,8 +223,8 @@ class TestStoreCore:
         assert np.array_equal(_columns(store)["rng"], captured)
 
     def test_async_dispatch_retires_the_views_it_wrote_back(self):
-        """S > 0 writes views back at dispatch; the in-flight round
-        still holds them, and they must be inert from then on."""
+        """S > 0 writes views back at dispatch, while their round is
+        still in flight; they must be inert from then on."""
         from repro.fl.events import AsyncConfig, AsyncFederatedTrainer
 
         store = self._store(population=40)
@@ -238,10 +238,18 @@ class TestStoreCore:
 
         def spying_begin(t, span):
             state = begin(t, span)
-            held.extend(state.views)
+            assert not store._outstanding
             return state
 
+        checkout = store.checkout
+
+        def spying_checkout(indices):
+            views = checkout(indices)
+            held.extend(views)
+            return views
+
         trainer._begin_round = spying_begin
+        store.checkout = spying_checkout
         engine.run(3)
         assert len(held) >= 18 and not store._outstanding
         for view in held:
