@@ -1,192 +1,324 @@
 """Checkpoint/kill/resume smoke run — repro.ckpt end to end.
 
-Runs a small deterministic CMFL federation with checkpointing (and
-optionally tracing) on, through the synchronous trainer or, with
-``--staleness-bound S``, the async event engine, and can SIGKILL
-itself mid-round to simulate a crashed run::
+Runs one small deterministic federation, described by a
+:class:`FederationSpec`, with every round checkpointed under ``DIR/ckpt``
+and, when the spec traces, the trace streamed to ``DIR/trace.jsonl``.
+``--kill`` SIGKILLs the process at the first decision of the spec's
+``kill_round``; ``--resume`` restores the latest checkpoint and finishes
+the run::
 
-    python -m repro.experiments.ckpt_smoke --rounds 6 \
-        --ckpt-dir /tmp/run --trace /tmp/run/trace.jsonl --kill-at 4
-    python -m repro.experiments.ckpt_smoke --rounds 6 \
-        --ckpt-dir /tmp/run --trace /tmp/run/trace.jsonl --resume
+    python -m repro.experiments.ckpt_smoke --dir /tmp/run --kill
+    python -m repro.experiments.ckpt_smoke --dir /tmp/run --resume
 
-The resume invocation restores the latest checkpoint and finishes the
-remaining rounds; ``tests/test_ckpt_resume.py`` drives this pair in
-subprocesses, in both modes, and asserts the final history, parameters
-and trace digest are bitwise an uninterrupted run's.  The federation
-is built by :func:`federation_parts` from a fixed seed, so two
-processes construct identical starting states — the property
-``FederatedTrainer.restore`` relies on.
+``--spec`` takes a JSON object of :class:`FederationSpec` fields that
+replace :data:`SMOKE`'s, e.g. the store-backed async path::
+
+    python -m repro.experiments.ckpt_smoke --dir /tmp/run --kill \\
+        --spec '{"stored": true, "async_config": {"staleness_bound": 2}}'
+
+Give the same ``--spec`` to both legs.  :meth:`FederationSpec.parts`
+builds the same federation seed for seed on every call, which is what
+``FederatedTrainer.restore`` needs of two processes.
+``tests/test_ckpt_resume.py`` drives the pair in subprocesses and
+asserts the resumed run is bitwise an uninterrupted one's.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import signal
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.baselines import VanillaPolicy
 from repro.ckpt import latest_checkpoint
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.data.dataset import Dataset
-from repro.data.partition import iid_partition
 from repro.fl.client import FLClient
-from repro.fl.config import EXECUTOR_BACKENDS, FLConfig
+from repro.fl.config import FLConfig
 from repro.fl.events import AsyncConfig, AsyncFederatedTrainer
+from repro.fl.sampling import UniformSampler
+from repro.fl.store import ClientStateStore, CyclicPartition
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
+from repro.models.digits_cnn import make_digits_cnn
 from repro.models.linear import make_logistic_regression
-from repro.nn.losses import SigmoidBinaryCrossEntropy
-from repro.nn.metrics import binary_accuracy
-from repro.nn.optimizers import Momentum
+from repro.models.nwp_lstm import make_nwp_lstm
+from repro.nn.losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
+from repro.nn.metrics import accuracy, binary_accuracy
+from repro.nn.optimizers import SGD, Momentum
 from repro.nn.schedules import ConstantLR
-from repro.utils.rng import child_rngs
+from repro.utils.rng import child_rngs, stream_seed
 
-__all__ = ["async_config", "federation_parts", "main"]
+__all__ = [
+    "SMOKE",
+    "FederationSpec",
+    "die_in_round",
+    "main",
+    "model_family",
+    "parse_spec",
+]
 
-_SEED = 7
-_FEATURES = 12
-_CLIENTS = 4
-_SAMPLES_PER_CLIENT = 24
+
+def model_family(kind, rng):
+    """``(model, loss, metric, draw_x, draw_y)`` of a tiny linear,
+    digit-CNN or 2-layer-LSTM model; ``draw_x(rng, n)`` /
+    ``draw_y(rng, n)`` draw ``n`` rows of its input and labels."""
+    if kind == "linear":
+        model = make_logistic_regression(5, rng=rng)
+        return (
+            model, SigmoidBinaryCrossEntropy(), binary_accuracy,
+            lambda g, n: g.normal(size=(n, 5)),
+            lambda g, n: g.integers(0, 2, size=n),
+        )
+    if kind == "cnn":
+        model = make_digits_cnn(
+            image_size=16, n_classes=4, channels=(2, 3), hidden=6, rng=rng
+        )
+        return (
+            model, SoftmaxCrossEntropy(), accuracy,
+            lambda g, n: g.normal(size=(n, 1, 16, 16)),
+            lambda g, n: g.integers(0, 4, size=n),
+        )
+    if kind == "lstm":
+        model = make_nwp_lstm(11, embedding_dim=4, hidden=5, rng=rng)
+        return (
+            model, SoftmaxCrossEntropy(), accuracy,
+            lambda g, n: g.integers(0, 11, size=(n, 4)),
+            lambda g, n: g.integers(0, 11, size=n),
+        )
+    raise ValueError(f"unknown model family {kind!r}")
 
 
-def federation_parts(
-    rounds: int = 6,
-    backend: str = "serial",
-    ckpt_dir: Optional[str] = None,
-    trace_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Deterministic constructor kwargs for the smoke federation.
+@dataclass(frozen=True)
+class FederationSpec:
+    """One small federation and how a run of it is driven.
 
-    Returns the keyword arguments shared by ``FederatedTrainer(...)``
-    and ``FederatedTrainer.restore(path, ...)`` — building them twice
-    (in two different processes) yields identical objects, seed-for-
-    seed, which is the contract a checkpoint restore needs.  Every
-    round is checkpointed and every checkpoint kept.
+    ``cohort`` None is full participation, otherwise a uniform cohort
+    of that many clients.  ``stored`` runs the clients through
+    ``ClientStateStore.from_clients`` at ``shard_size`` instead of as
+    an eager list.  ``seeded`` is the population form the scale runs
+    use instead of ragged shards: ``len(sizes)`` clients of
+    ``min(sizes)`` rows, ``CyclicPartition`` windows (wrap-around
+    copies included) of one dataset of ``max(sizes)`` rows, client
+    ``i`` on the stream the store derives from ``(seed, i)``; stored,
+    it is ``ClientStateStore(n, partition, seed=seed)``, whose rows
+    start untouched.  ``trace_sample`` None is tracing off, and
+    ``async_config`` None the synchronous loop.  A killed run runs on
+    ``kill_backend`` and dies at the first decision of round
+    ``kill_round`` (:func:`die_in_round`); its resume runs on
+    ``resume_backend``.
     """
-    rngs = child_rngs(_SEED, _CLIENTS + 4)
-    w_true = rngs[0].normal(size=_FEATURES)
-    n = _CLIENTS * _SAMPLES_PER_CLIENT
-    x = rngs[1].normal(size=(n, _FEATURES))
-    y = (x @ w_true > 0).astype(np.int64)
-    data = Dataset(x, y)
-    x_test = rngs[2].normal(size=(64, _FEATURES))
-    y_test = (x_test @ w_true > 0).astype(np.int64)
 
-    model = make_logistic_regression(_FEATURES, rng=rngs[3])
-    workspace = ModelWorkspace(
-        model,
-        SigmoidBinaryCrossEntropy(),
-        Momentum(model.parameters(), 0.2, momentum=0.9),
-        metric=binary_accuracy,
-    )
-    parts = iid_partition(len(data), _CLIENTS, rng=_SEED)
-    clients = [
-        FLClient(i, data.subset(p), rng=rngs[4 + i])
-        for i, p in enumerate(parts)
-    ]
-    config = FLConfig(
-        rounds=rounds,
-        local_epochs=2,
-        batch_size=6,
-        lr=ConstantLR(0.2),
-        eval_every=1,
-        executor=backend,
-        trace_path=trace_path,
-        checkpoint_dir=ckpt_dir,
-        checkpoint_every=1,
-        checkpoint_keep=0,
-    )
-    return {
-        "workspace": workspace,
-        "clients": clients,
-        "policy": CMFLPolicy(InverseSqrtThreshold(0.7)),
-        "config": config,
-        "eval_fn": lambda ws: ws.evaluate(x_test, y_test),
-    }
+    model: str = "linear"
+    sizes: Tuple[int, ...] = (6, 6)
+    optimizer: str = "sgd"
+    policy: str = "cmfl"
+    threshold: float = 0.8
+    cohort: Optional[int] = None
+    stored: bool = False
+    seeded: bool = False
+    shard_size: int = 4
+    trace_sample: Optional[float] = None
+    async_config: Optional[AsyncConfig] = None
+    rounds: int = 3
+    local_epochs: int = 1
+    batch_size: int = 4
+    lr: float = 0.1
+    checkpoint_every: int = 1
+    kill_round: int = 2
+    kill_backend: str = "serial"
+    resume_backend: str = "serial"
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.kill_round <= self.rounds:
+            raise ValueError(
+                f"kill_round must be in 1..rounds={self.rounds}, "
+                f"got {self.kill_round}"
+            )
+
+    def parts(
+        self, backend: str, directory: Optional[Path] = None, **config: Any
+    ) -> Dict[str, Any]:
+        """``FederatedTrainer`` constructor kwargs, identical on every
+        call.  A ``directory`` holds the run's checkpoints and, when
+        traced, its ``trace.jsonl``; ``config`` overrides any other
+        :class:`FLConfig` field."""
+        rngs = child_rngs(self.seed, 4 + len(self.sizes))
+        model, loss, metric, draw_x, draw_y = model_family(self.model, rngs[0])
+        if self.optimizer == "momentum":
+            optimizer = Momentum(model.parameters(), self.lr, momentum=0.9)
+        else:
+            optimizer = SGD(model.parameters(), self.lr)
+        if self.seeded:
+            rows = max(self.sizes)
+            partition = CyclicPartition(
+                Dataset(draw_x(rngs[1], rows), draw_y(rngs[1], rows)),
+                len(self.sizes), min(self.sizes),
+            )
+            clients = ClientStateStore(
+                len(self.sizes), partition, seed=self.seed,
+                shard_size=self.shard_size,
+            ) if self.stored else [
+                FLClient(i, partition.materialize(i), rng=np.random.Generator(
+                    np.random.PCG64(stream_seed(self.seed, i))
+                ))
+                for i in range(len(self.sizes))
+            ]
+        else:
+            clients = [
+                FLClient(i, Dataset(draw_x(rngs[1], n), draw_y(rngs[1], n)),
+                         rng=rngs[4 + i])
+                for i, n in enumerate(self.sizes)
+            ]
+            if self.stored:
+                clients = ClientStateStore.from_clients(clients, self.shard_size)
+        x_test, y_test = draw_x(rngs[2], 8), draw_y(rngs[2], 8)
+        traced = self.trace_sample is not None
+        settings = dict(
+            rounds=self.rounds, local_epochs=self.local_epochs,
+            batch_size=self.batch_size, lr=ConstantLR(self.lr),
+            seed=self.seed, executor=backend, trace=traced,
+            trace_sample=self.trace_sample if traced else 1.0,
+        )
+        if directory is not None:
+            settings.update(
+                checkpoint_dir=str(Path(directory) / "ckpt"),
+                checkpoint_every=self.checkpoint_every, checkpoint_keep=0,
+            )
+            if traced:
+                settings["trace_path"] = str(Path(directory) / "trace.jsonl")
+        settings.update(config)
+        return dict(
+            workspace=ModelWorkspace(model, loss, optimizer, metric=metric),
+            clients=clients,
+            policy=(
+                CMFLPolicy(InverseSqrtThreshold(self.threshold))
+                if self.policy == "cmfl" else VanillaPolicy()
+            ),
+            config=FLConfig(**settings),
+            eval_fn=lambda ws: ws.evaluate(x_test, y_test),
+            sampler=(
+                None if self.cohort is None
+                else UniformSampler(count=self.cohort, rng=rngs[3])
+            ),
+        )
+
+    def start(self, parts: Dict[str, Any]):
+        """A fresh run of ``parts``: the trainer, or the async engine
+        wrapping it when the spec has one."""
+        trainer = FederatedTrainer(**parts)
+        if self.async_config is None:
+            return trainer
+        return AsyncFederatedTrainer(trainer, async_config=self.async_config)
+
+    def restore(self, path: Path, parts: Dict[str, Any]):
+        """The run of ``parts`` continued from checkpoint ``path``."""
+        if self.async_config is None:
+            return FederatedTrainer.restore(path, **parts)
+        return AsyncFederatedTrainer.restore(
+            path, async_config=self.async_config, **parts
+        )
 
 
-def async_config(staleness_bound: int = 2) -> AsyncConfig:
-    """The async smoke run's engine knobs (shared by kill and resume legs).
-
-    The dispatch interval spaces rounds out on the virtual timeline so
-    closes do not cluster into one arrival event — checkpoints then
-    genuinely carry in-flight rounds, which is the machinery this smoke
-    run exists to exercise.
-    """
-    return AsyncConfig(
-        staleness_bound=staleness_bound,
-        dispatch_interval_s=0.4,
-        speed_sigma=1.0,
-        drop_rate=0.1,
-    )
+#: The CLI's federation: four shards of 24 rows under CMFL(0.7), E=2,
+#: B=6, six rounds, traced, killed in round 5.
+SMOKE = FederationSpec(
+    sizes=(24,) * 4, threshold=0.7, rounds=6, local_epochs=2, batch_size=6,
+    lr=0.2, kill_round=5, trace_sample=1.0,
+)
 
 
-def _install_kill(trainer: FederatedTrainer, kill_round: int) -> None:
-    """SIGKILL this process at the second decision of ``kill_round``:
-    after an earlier round's checkpoint, with spans open and the trace
-    mid-stream, the worst realistic spot."""
-    seen = []
+def parse_spec(text: str) -> FederationSpec:
+    """:data:`SMOKE` with the fields of the JSON object ``text``
+    replaced; ``async_config`` is null or an object of
+    :class:`AsyncConfig` fields.  Raises ``ValueError`` naming the
+    cause."""
+    try:
+        fields = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"--spec is not JSON: {err}") from None
+    if not isinstance(fields, dict):
+        raise ValueError(f"--spec must be a JSON object, got {text!r}")
+    known = {f.name for f in dataclasses.fields(FederationSpec)}
+    unknown = sorted(set(fields) - known)
+    if unknown:
+        raise ValueError(f"unknown FederationSpec field(s): {', '.join(unknown)}")
+    if "sizes" in fields:
+        fields["sizes"] = tuple(fields["sizes"])
+    knobs = fields.get("async_config")
+    if knobs is not None:
+        if not isinstance(knobs, dict):
+            raise ValueError(
+                "async_config must be null or an object of AsyncConfig "
+                f"fields, got {knobs!r}"
+            )
+        try:
+            fields["async_config"] = AsyncConfig(**knobs)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed async_config {knobs!r}: {err}") from None
+    return dataclasses.replace(SMOKE, **fields)
+
+
+def die_in_round(run, kill_round: int, die: Callable[[], None]) -> None:
+    """Call ``die()`` at the first decision of round ``kill_round`` of
+    ``run`` (a trainer or an async engine): after an earlier round's
+    checkpoint, with spans open and the trace mid-stream, the worst
+    realistic spot.  The CLI's ``die`` SIGKILLs the process; an
+    in-process test's raises."""
+    trainer = getattr(run, "trainer", run)
 
     def hook(result, decision):
+        del result, decision
         if len(trainer.history) + 1 == kill_round:
-            seen.append(decision)
-            if len(seen) == 2:
-                os.kill(os.getpid(), signal.SIGKILL)
+            die()
 
     trainer.on_decision = hook
 
 
+def _sigkill() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=6)
-    parser.add_argument("--backend", default="serial",
-                        choices=EXECUTOR_BACKENDS)
-    parser.add_argument("--staleness-bound", type=int, default=None,
-                        metavar="S",
-                        help="run through the async engine with bound S")
-    parser.add_argument("--ckpt-dir", required=True)
-    parser.add_argument("--trace", default=None,
-                        help="stream the trace to this .jsonl file")
-    parser.add_argument("--kill-at", type=int, default=None,
-                        help="SIGKILL this process during round N")
-    parser.add_argument("--resume", action="store_true",
-                        help="restore the latest checkpoint and finish")
+    parser.add_argument("--spec", default=None, metavar="JSON",
+                        help="FederationSpec fields replacing SMOKE's")
+    parser.add_argument("--dir", required=True,
+                        help="holds ckpt/ and, when traced, trace.jsonl")
+    leg = parser.add_mutually_exclusive_group()
+    leg.add_argument("--kill", action="store_true",
+                     help="SIGKILL this process in the spec's kill_round")
+    leg.add_argument("--resume", action="store_true",
+                     help="restore the latest checkpoint and finish")
     args = parser.parse_args(argv)
+    try:
+        spec = SMOKE if args.spec is None else parse_spec(args.spec)
+    except ValueError as err:
+        parser.error(str(err))
 
-    parts = federation_parts(
-        rounds=args.rounds,
-        backend=args.backend,
-        ckpt_dir=args.ckpt_dir,
-        trace_path=args.trace,
-    )
-    engine = (
-        None if args.staleness_bound is None
-        else async_config(args.staleness_bound)
-    )
     if args.resume:
-        path = latest_checkpoint(args.ckpt_dir)
+        parts = spec.parts(spec.resume_backend, directory=args.dir)
+        path = latest_checkpoint(Path(args.dir) / "ckpt")
         if path is None:
-            print(f"error: no checkpoint found in {args.ckpt_dir}")
+            print(f"error: no checkpoint found in {Path(args.dir) / 'ckpt'}")
             return 2
-        if engine is None:
-            run = FederatedTrainer.restore(path, **parts)
-        else:
-            run = AsyncFederatedTrainer.restore(
-                path, async_config=engine, **parts
-            )
-        remaining = args.rounds - len(run.history)
+        run = spec.restore(path, parts)
+        remaining = spec.rounds - len(run.history)
         print(f"resuming from {path} ({remaining} rounds remaining)")
     else:
-        run = trainer = FederatedTrainer(**parts)
-        if args.kill_at is not None:
-            _install_kill(trainer, args.kill_at)
-        if engine is not None:
-            run = AsyncFederatedTrainer(trainer, async_config=engine)
-        remaining = args.rounds
+        run = spec.start(spec.parts(spec.kill_backend, directory=args.dir))
+        if args.kill:
+            die_in_round(run, spec.kill_round, _sigkill)
+        remaining = spec.rounds
     with run:
         if remaining > 0:
             run.run(remaining)

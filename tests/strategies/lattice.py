@@ -15,14 +15,25 @@ on every edge of the lattice:
     exactly the checkpoints its schedule owes before round k — each
     multiple of ``checkpoint_every``; for the async engine, those the
     uninterrupted run wrote, one per event that closes a due round —
-    and the resume starts from the last of them;
+    and the resume starts from the last of them.  The run dies at
+    :func:`~repro.experiments.ckpt_smoke.die_in_round`'s hook: by a
+    raise inside this process, or with ``sigkill`` by SIGKILL in a
+    ``python -m repro.experiments.ckpt_smoke --kill`` child, resumed by
+    a ``--resume`` one;
 (e) async with S=0 and no drops ≡ sync: every record field but
     ``virtual_time``, and the parameters.
 
-``tests/test_lattice.py`` draws the specs; the named federations below
-are the hand-picked ones the older contract tests pin.
+``tests/test_lattice.py`` draws the specs; the named federations below,
+and the CLI's ``SMOKE``, are the hand-picked ones the older contract
+tests pin.
 """
 
+import dataclasses
+import json
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -30,8 +41,9 @@ from typing import Optional
 
 import pytest
 
-from repro.ckpt import checkpoint_paths, latest_checkpoint
+from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
 from repro.ckpt.__main__ import main as ckpt_cli
+from repro.experiments.ckpt_smoke import SMOKE, die_in_round
 from repro.fl.events import AsyncConfig
 from repro.fl.history import history_digest
 from repro.obs import diff_traces, load_trace, trace_digest, validate_trace
@@ -39,12 +51,8 @@ from tests.strategies.federations import FederationSpec
 
 __all__ = ["FIXED", "SMOKE", "STORE", "SYNC_EQUIV", "assert_lattice"]
 
-#: The shape of ``ckpt_smoke``'s federation: four shards of 24 rows
-#: under CMFL(0.7), E=2, B=6, six rounds, killed in round 5.
-SMOKE = FederationSpec(
-    sizes=(24,) * 4, threshold=0.7, rounds=6, local_epochs=2, batch_size=6,
-    lr=0.2, kill_round=5, trace_sample=1.0,
-)
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 #: Six clients of 20 rows, E=1, B=8, four rounds, traced, through the
 #: async engine at S=0.
 SYNC_EQUIV = FederationSpec(
@@ -110,41 +118,68 @@ def _owed(spec, directory):
     return saved
 
 
-def _killed_then_resumed(spec, directory, saved):
-    """Raise from ``on_decision`` in round ``kill_round``, then resume
-    from the latest checkpoint: the last of the ``saved`` rounds before
-    the kill, or a fresh start when there is none.  Returns the resumed
-    run and the round it resumed from."""
-    run = spec.start(spec.parts(spec.kill_backend, directory=directory))
-    trainer = _trainer(run)
+def _crash():
+    raise _Kill("simulated crash")
 
-    def crash(result, decision):
-        del result, decision
-        if len(trainer.history) + 1 == spec.kill_round:
-            raise _Kill("simulated crash")
 
-    trainer.on_decision = crash
-    with pytest.raises(_Kill):
-        _finish(run, spec.rounds)
+def _ckpt_smoke(*args):
+    """``python -m repro.experiments.ckpt_smoke *args`` in a child
+    process, its output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments.ckpt_smoke", *args],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        cwd=REPO_ROOT, capture_output=True, text=True,
+    )
+
+
+def _killed_then_resumed(spec, directory, saved, sigkill):
+    """Kill a run in round ``kill_round``, then resume it from the
+    latest checkpoint: the last of the ``saved`` rounds before the
+    kill, or a fresh start when there is none.  Returns the resumed
+    run's history JSONL and parameter bytes, the round it resumed from,
+    and the run itself when it ran in this process.  A SIGKILLed run
+    is read off its last checkpoint, so its spec checkpoints a round
+    before the kill and the last round."""
+    cli = ("--spec", json.dumps(dataclasses.asdict(spec)), "--dir", str(directory))
+    if sigkill:
+        killed = _ckpt_smoke(*cli, "--kill")
+        assert killed.returncode == -signal.SIGKILL, killed.stdout
+    else:
+        run = spec.start(spec.parts(spec.kill_backend, directory=directory))
+        die_in_round(run, spec.kill_round, _crash)
+        with pytest.raises(_Kill):
+            _finish(run, spec.rounds)
     owed = [r for r in saved if r < spec.kill_round]
     assert _rounds(directory / "ckpt") == owed
-    parts = spec.parts(spec.resume_backend, directory=directory)
+    start = owed[-1] if owed else 0
     path = latest_checkpoint(directory / "ckpt")
+    if sigkill:
+        resumed = _ckpt_smoke(*cli, "--resume")
+        assert resumed.returncode == 0, resumed.stdout + resumed.stderr
+        assert f"resuming from {path} " in resumed.stdout
+        assert _rounds(directory / "ckpt")[-1] == spec.rounds
+        final = read_checkpoint(latest_checkpoint(directory / "ckpt"))
+        history = final.texts["history.jsonl"]
+        return history, final.arrays["global_params"].tobytes(), start, None
+    parts = spec.parts(spec.resume_backend, directory=directory)
     resumed = spec.start(parts) if path is None else spec.restore(path, parts)
-    start = len(resumed.history)
-    assert start == (owed[-1] if owed else 0)
-    return _finish(resumed, spec.rounds - start), start
+    assert len(resumed.history) == start
+    _finish(resumed, spec.rounds - start)
+    return resumed.history.to_jsonl(), _params(resumed), start, resumed
 
 
 def _without_virtual_time(history):
     return [dict(vars(r), virtual_time=None) for r in history]
 
 
-def assert_lattice(spec: FederationSpec, edges: str = "abcde") -> Optional[int]:
+def assert_lattice(
+    spec: FederationSpec, edges: str = "abcde", sigkill: bool = False
+) -> Optional[int]:
     """Run ``spec`` on ``edges`` (default all of (a)–(e)); fail on the
     first that differs.  Returns the round edge (d) resumed from (0: no
     checkpoint preceded the kill, so it started over), None without it.
-    A named test passes the edges its contract is about."""
+    A named test passes the edges its contract is about; ``sigkill``
+    kills and resumes edge (d)'s run in child processes."""
     resumed_from = None
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -191,21 +226,22 @@ def assert_lattice(spec: FederationSpec, edges: str = "abcde") -> Optional[int]:
             assert _params(toggled) == _params(reference)
 
         if "d" in edges:  # killed and resumed ≡ uninterrupted
-            resumed, resumed_from = _killed_then_resumed(
-                spec, root / "killed", _owed(spec, root / "serial")
+            resumed_history, params, resumed_from, resumed = _killed_then_resumed(
+                spec, root / "killed", _owed(spec, root / "serial"), sigkill
             )
-            assert _trainer(resumed).tracer.enabled == traced
-            assert resumed.history.to_jsonl() == history
-            assert _params(resumed) == _params(reference)
+            assert resumed_history == history
+            assert params == _params(reference)
             if traced:
                 assert trace_digest(_trace(root / "killed")) == trace_digest(
                     _trace(root / "serial")
                 )
-            if spec.stored:
-                assert (
-                    _trainer(resumed).store.materialized_shards
-                    == _trainer(reference).store.materialized_shards
-                )
+            if resumed is not None:  # resumed in this process
+                assert _trainer(resumed).tracer.enabled == traced
+                if spec.stored:
+                    assert (
+                        _trainer(resumed).store.materialized_shards
+                        == _trainer(reference).store.materialized_shards
+                    )
             written = [
                 str(p) for d in ("serial", "killed")
                 for p in checkpoint_paths(root / d / "ckpt")

@@ -1,56 +1,30 @@
 """The headline checkpoint guarantee across processes: a run SIGKILLed
-mid-round and resumed from its last checkpoint by
-``python -m repro.experiments.ckpt_smoke`` is bitwise-identical to an
-uninterrupted run — history, parameters and trace digest — through the
-synchronous trainer and through the async engine.  The in-process
-kill/resume edge over drawn federations is ``tests/test_lattice.py``.
+mid-round by ``python -m repro.experiments.ckpt_smoke --kill`` and
+resumed from its last checkpoint by ``--resume`` is bitwise-identical
+to an uninterrupted run — history, parameters and trace digest — on
+named specs through the synchronous trainer, the async engine and the
+client store; the CLI refuses a bad ``--spec`` by name.  The
+in-process kill/resume edge over drawn federations is
+``tests/test_lattice.py``.
 """
 
-import os
-import signal
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
+from repro.ckpt import checkpoint_paths, latest_checkpoint
 from repro.ckpt.__main__ import main as ckpt_cli
-from repro.experiments.ckpt_smoke import async_config, federation_parts
-from repro.fl.events import AsyncFederatedTrainer
+from repro.experiments.ckpt_smoke import main as ckpt_smoke_main
+from repro.fl.events import AsyncConfig
 from repro.fl.trainer import FederatedTrainer
 from repro.nn.schedules import ConstantLR, LRSchedule
-from repro.obs import load_trace, trace_digest
 from tests.strategies import SMOKE, FederationSpec, assert_lattice
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-ROUNDS = 6
-
-MATRIX = [
+@pytest.mark.parametrize("backend,optimizer", [
     ("serial", "momentum"),
     ("serial", "sgd"),
     ("batched", "sgd"),
-]
-
-
-def _kwargs(tmp_path, tag):
-    return dict(
-        rounds=ROUNDS,
-        ckpt_dir=str(tmp_path / f"{tag}-ckpt"),
-        trace_path=str(tmp_path / f"{tag}-trace.jsonl"),
-    )
-
-
-def _assert_verify_ok(*directories):
-    paths = [str(p) for d in directories for p in checkpoint_paths(d)]
-    assert paths
-    assert ckpt_cli(["verify", *paths]) == 0
-
-
-@pytest.mark.parametrize("backend,optimizer", MATRIX)
+])
 def test_crash_resume_is_bitwise_identical(backend, optimizer):
     """The smoke federation killed in round 5 and resumed on
     ``backend`` from round 4's checkpoint: lattice edge (d)."""
@@ -67,55 +41,70 @@ def test_resume_without_trace():
     ), "d") == 3
 
 
-@pytest.mark.parametrize("mode", ["sync", "async"])
-def test_sigkill_resume_matches_uninterrupted(tmp_path, mode):
-    """A process killed with SIGKILL mid-round resumes to the same run."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    kill_kw = _kwargs(tmp_path, "kill")
-    cmd = [
-        sys.executable, "-m", "repro.experiments.ckpt_smoke",
-        "--rounds", str(ROUNDS),
-        "--ckpt-dir", kill_kw["ckpt_dir"],
-        "--trace", kill_kw["trace_path"],
-    ]
-    if mode == "async":
-        cmd += ["--staleness-bound", "2"]
-    killed = subprocess.run(
-        cmd + ["--kill-at", "4"], env=env, cwd=REPO_ROOT, capture_output=True
-    )
-    assert killed.returncode == -signal.SIGKILL
-    latest = latest_checkpoint(kill_kw["ckpt_dir"])
-    if mode == "sync":
-        assert latest.name == "ckpt-00000003.ckpt"
-    else:
-        # Several rounds can close inside one arrival event, and the
-        # checkpoint fires after the event: it may trail round 3.
-        assert latest is not None and latest.name < "ckpt-00000004.ckpt"
+#: The federations the CLI is SIGKILLed on: the smoke run; the store
+#: through the async engine, killed on the batched executor; a seeded
+#: stored population, half its rounds traced, under a cohort of 3 and,
+#: through the async engine, of 1 (one decision in the kill round).
+SIGKILLED = {
+    "smoke": SMOKE,
+    "async-stored-batched": replace(
+        SMOKE, stored=True, kill_backend="batched",
+        async_config=AsyncConfig(
+            staleness_bound=2, dispatch_interval_s=0.4, drop_rate=0.1,
+            speed_sigma=1.0,
+        ),
+    ),
+    "seeded-sampled": replace(
+        SMOKE, stored=True, seeded=True, cohort=3, trace_sample=0.5
+    ),
+    "seeded-sampled-async-cohort-1": replace(
+        SMOKE, stored=True, seeded=True, cohort=1, trace_sample=0.5,
+        async_config=AsyncConfig(staleness_bound=1, dispatch_interval_s=0.4),
+    ),
+}
 
-    resumed = subprocess.run(
-        cmd + ["--resume"], env=env, cwd=REPO_ROOT,
-        capture_output=True, text=True,
-    )
-    assert resumed.returncode == 0, resumed.stderr
-    assert "resuming from" in resumed.stdout
 
-    full_kw = _kwargs(tmp_path, "full")
-    full = FederatedTrainer(**federation_parts(**full_kw))
-    if mode == "async":
-        full = AsyncFederatedTrainer(full, async_config=async_config(2))
-    with full:
-        full.run(ROUNDS)
+@pytest.mark.parametrize("name", list(SIGKILLED))
+def test_sigkill_resume_matches_uninterrupted(name):
+    """A ``ckpt_smoke`` process killed with SIGKILL in round 5 resumes,
+    in a second process, to the uninterrupted run: lattice edge (d)
+    across a real process death."""
+    assert 0 < assert_lattice(SIGKILLED[name], "d", sigkill=True) < 5
 
-    final = read_checkpoint(
-        Path(kill_kw["ckpt_dir"]) / f"ckpt-{ROUNDS:08d}.ckpt"
-    )
-    assert final.texts["history.jsonl"] == full.history.to_jsonl()
-    params = getattr(full, "trainer", full).server.global_params
-    np.testing.assert_array_equal(final.arrays["global_params"], params)
-    assert trace_digest(load_trace(kill_kw["trace_path"])) == trace_digest(
-        load_trace(full_kw["trace_path"])
-    )
-    _assert_verify_ok(kill_kw["ckpt_dir"], full_kw["ckpt_dir"])
+
+#: One bad ``--spec`` per cause, and the message that names it.
+BAD_SPECS = {
+    "not-json": ("{rounds: 6}", "--spec is not JSON"),
+    "not-an-object": ("[6]", "--spec must be a JSON object"),
+    "unknown-field": (
+        '{"rounds": 6, "kil_round": 3}', "unknown FederationSpec field(s): kil_round"
+    ),
+    "async-not-an-object": ('{"async_config": 2}', "async_config must be null or an object"),
+    "async-unknown-knob": (
+        '{"async_config": {"staleness": 2}}', "unexpected keyword argument 'staleness'"
+    ),
+    "async-bad-value": (
+        '{"async_config": {"drop_rate": 1.5}}', "drop_rate must be in [0, 1), got 1.5"
+    ),
+    "kill-after-last-round": ('{"kill_round": 7}', "kill_round must be in 1..rounds=6, got 7"),
+    "kill-round-zero": ('{"kill_round": 0}', "kill_round must be in 1..rounds=6, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SPECS))
+def test_cli_refuses_a_bad_spec_by_name(tmp_path, capsys, case):
+    """Each refusal exits 2 before a round runs or a file is written."""
+    spec, cause = BAD_SPECS[case]
+    with pytest.raises(SystemExit) as refused:
+        ckpt_smoke_main(["--spec", spec, "--dir", str(tmp_path), "--kill"])
+    assert refused.value.code == 2
+    assert cause in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_resume_without_a_checkpoint_names_the_directory(tmp_path, capsys):
+    assert ckpt_smoke_main(["--dir", str(tmp_path), "--resume"]) == 2
+    assert f"no checkpoint found in {tmp_path / 'ckpt'}" in capsys.readouterr().out
 
 
 def test_restore_rejects_mismatched_federation(tmp_path):
@@ -131,14 +120,14 @@ def test_restore_rejects_mismatched_federation(tmp_path):
 
 
 def test_checkpoint_every_and_retention_in_run(tmp_path):
-    parts = FederationSpec(rounds=ROUNDS).parts(
+    parts = FederationSpec(rounds=6).parts(
         "serial", directory=tmp_path, checkpoint_every=2, checkpoint_keep=2
     )
     with FederatedTrainer(**parts) as trainer:
-        trainer.run(ROUNDS)
+        trainer.run(6)
     names = [p.name for p in checkpoint_paths(tmp_path / "ckpt")]
     assert names == ["ckpt-00000004.ckpt", "ckpt-00000006.ckpt"]
-    _assert_verify_ok(tmp_path / "ckpt")
+    assert ckpt_cli(["verify", *map(str, checkpoint_paths(tmp_path / "ckpt"))]) == 0
 
 
 #: One changed value per run setting a checkpoint records (the spec runs

@@ -1,11 +1,11 @@
 """Checkpoint/resume of the async engine: what a mid-timeline
 checkpoint carries (in-flight rounds, queued events, the virtual
 clock), what a restore refuses, and how a closed engine is freed.
-That a killed async run resumes bitwise is the lattice's kill/resume
-edge, pinned here on the smoke federation, and the SIGKILL test of
-``tests/test_ckpt_resume.py``."""
+All of it on one spec, ``ASYNC``: the smoke federation through the
+engine at S=2.  That a killed async run resumes bitwise is the
+lattice's kill/resume edge, pinned here on ``ASYNC``, and the SIGKILL
+test of ``tests/test_ckpt_resume.py`` on the store-backed path."""
 
-import dataclasses
 import gc
 import weakref
 from dataclasses import replace
@@ -13,51 +13,41 @@ from dataclasses import replace
 import pytest
 
 from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
-from repro.experiments.ckpt_smoke import async_config, federation_parts
-from repro.fl.events import AsyncFederatedTrainer
-from repro.fl.trainer import FederatedTrainer
+from repro.fl.events import AsyncConfig
 from tests.strategies import SMOKE, assert_lattice
 
-ROUNDS = 6
+#: The smoke federation with momentum through the async engine at S=2.
+#: The dispatch interval spaces rounds out on the virtual timeline so
+#: closes do not cluster into one arrival event: checkpoints then carry
+#: in-flight rounds.
+ASYNC = replace(SMOKE, optimizer="momentum", async_config=AsyncConfig(
+    staleness_bound=2, dispatch_interval_s=0.4, drop_rate=0.1, speed_sigma=1.0,
+))
 
 
-def _kwargs(tmp_path, tag):
-    return dict(
-        rounds=ROUNDS,
-        ckpt_dir=str(tmp_path / f"{tag}-ckpt"),
-        trace_path=str(tmp_path / f"{tag}-trace.jsonl"),
-    )
+def _build_engine(directory=None):
+    return ASYNC.start(ASYNC.parts("serial", directory=directory))
 
 
-def _build_engine(kwargs):
-    return AsyncFederatedTrainer(
-        FederatedTrainer(**federation_parts(**kwargs)),
-        async_config=async_config(),
-    )
-
-
-def _run_uninterrupted(kwargs):
-    engine = _build_engine(kwargs)
+def _run_uninterrupted(directory):
+    engine = _build_engine(directory)
     with engine:
-        engine.run(ROUNDS)
+        engine.run(ASYNC.rounds)
     return engine
 
 
 def test_crash_resume_is_bitwise_identical():
     """The smoke federation through the async engine (S=2), killed in
     round 5 and resumed from a checkpoint before it: lattice edge (d)."""
-    assert 0 < assert_lattice(replace(
-        SMOKE, optimizer="momentum", async_config=async_config(2)
-    ), "d") < 5
+    assert 0 < assert_lattice(ASYNC, "d") < 5
 
 
 def test_checkpoint_captures_inflight_rounds(tmp_path):
     """A mid-timeline checkpoint carries the clock, queue and the
     in-flight rounds' computed results."""
-    kw = _kwargs(tmp_path, "cap")
-    _run_uninterrupted(kw)
+    _run_uninterrupted(tmp_path)
     seen_inflight = 0
-    for path in checkpoint_paths(kw["ckpt_dir"]):
+    for path in checkpoint_paths(tmp_path / "ckpt"):
         ckpt = read_checkpoint(path)
         async_state = ckpt.manifest["async"]
         assert async_state["clock"]["now"] > 0.0
@@ -71,21 +61,21 @@ def test_checkpoint_captures_inflight_rounds(tmp_path):
             assert f"async/{t}/feedback" in ckpt.arrays
             for cid in entry["participants"]:
                 assert f"async/{t}/update/{cid}" in ckpt.arrays
-    # The smoke config spaces dispatches so rounds overlap checkpoint
+    # The spec spaces dispatches so rounds overlap checkpoint
     # boundaries: at least one snapshot must carry an in-flight round.
     assert seen_inflight > 0
 
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
-    """One uninterrupted smoke run's kwargs, shared by the refusals."""
-    kw = _kwargs(tmp_path_factory.mktemp("finished"), "mis")
-    _run_uninterrupted(kw)
-    return kw
+    """The directory of one uninterrupted ``ASYNC`` run, shared by the
+    refusals."""
+    directory = tmp_path_factory.mktemp("finished")
+    _run_uninterrupted(directory)
+    return directory
 
 
-#: One changed value per AsyncConfig field (the smoke run uses S=2,
-#: dispatch 0.4 s, drop 0.1, sigma 1.0).
+#: One changed value per AsyncConfig field.
 MISMATCHES = {
     "staleness_bound": 7,
     "dispatch_interval_s": 0.5,
@@ -96,59 +86,50 @@ MISMATCHES = {
 
 @pytest.mark.parametrize("name", sorted(MISMATCHES))
 def test_restore_rejects_async_config_mismatch(finished_run, name):
-    path = latest_checkpoint(finished_run["ckpt_dir"])
+    path = latest_checkpoint(finished_run / "ckpt")
     ours = MISMATCHES[name]
-    theirs = getattr(async_config(), name)
+    theirs = getattr(ASYNC.async_config, name)
+    changed = replace(ASYNC.async_config, **{name: ours})
     with pytest.raises(ValueError, match=rf"{name}={theirs}.*{name}={ours}"):
-        AsyncFederatedTrainer.restore(
-            path,
-            async_config=dataclasses.replace(async_config(), **{name: ours}),
-            **federation_parts(**finished_run),
-        )
+        replace(ASYNC, async_config=changed).restore(path, ASYNC.parts("serial"))
 
 
 def test_restore_rejects_a_snapshot_missing_a_knob(finished_run):
     """A checkpoint that does not record a knob cannot prove it matches."""
-    ckpt = read_checkpoint(latest_checkpoint(finished_run["ckpt_dir"]))
+    ckpt = read_checkpoint(latest_checkpoint(finished_run / "ckpt"))
     state = dict(ckpt.manifest["async"])
     del state["drop_rate"]
-    engine = _build_engine(dict(finished_run, ckpt_dir=None, trace_path=None))
+    engine = _build_engine()
     with pytest.raises(ValueError, match="drop_rate=<missing>"):
         engine.restore_state(state, ckpt.arrays)
 
 
 def test_sync_checkpoint_refused_by_async_restore(tmp_path):
-    kw = dict(rounds=2, ckpt_dir=str(tmp_path / "ckpt"))
-    trainer = FederatedTrainer(**federation_parts(**kw))
-    with trainer:
+    sync = replace(ASYNC, async_config=None)
+    with sync.start(sync.parts("serial", directory=tmp_path)) as trainer:
         trainer.run(2)
-    path = latest_checkpoint(kw["ckpt_dir"])
+    path = latest_checkpoint(tmp_path / "ckpt")
     with pytest.raises(ValueError, match="no async-engine state"):
-        AsyncFederatedTrainer.restore(
-            path, async_config=async_config(), **federation_parts(**kw)
-        )
+        ASYNC.restore(path, ASYNC.parts("serial"))
 
 
 @pytest.mark.parametrize("restored", [False, True])
 def test_a_closed_engine_is_freed_without_the_cyclic_gc(tmp_path, restored):
     """``close()`` clears ``trainer.async_engine``: once the caller
     drops a closed engine, reference counting frees its trainer."""
-    kw = _kwargs(tmp_path, "gc")
     if restored:
-        _run_uninterrupted(kw)
-        first = checkpoint_paths(kw["ckpt_dir"])[0]
+        _run_uninterrupted(tmp_path)
+        first = checkpoint_paths(tmp_path / "ckpt")[0]
 
     def build():
         if restored:
-            return AsyncFederatedTrainer.restore(
-                first, async_config=async_config(), **federation_parts(**kw)
-            )
-        return _build_engine(kw)
+            return ASYNC.restore(first, ASYNC.parts("serial", directory=tmp_path))
+        return _build_engine(tmp_path)
 
     gc.disable()
     try:
         engine = build()
-        engine.run(ROUNDS - len(engine.history))
+        engine.run(ASYNC.rounds - len(engine.history))
         trainer = weakref.ref(engine.trainer)
         engine.close()
         del engine
@@ -157,7 +138,7 @@ def test_a_closed_engine_is_freed_without_the_cyclic_gc(tmp_path, restored):
         # Twin: closing only the trainer leaves the back-reference, and
         # the pair waits for the cyclic GC.
         twin = build()
-        twin.run(ROUNDS - len(twin.history))
+        twin.run(ASYNC.rounds - len(twin.history))
         kept = weakref.ref(twin.trainer)
         twin.trainer.close()
         del twin
@@ -168,7 +149,7 @@ def test_a_closed_engine_is_freed_without_the_cyclic_gc(tmp_path, restored):
 
 
 def test_a_closed_engine_refuses_to_run(tmp_path):
-    engine = _build_engine(_kwargs(tmp_path, "closed"))
+    engine = _build_engine(tmp_path)
     with engine:
         engine.run(2)
     with pytest.raises(RuntimeError, match="closed"):

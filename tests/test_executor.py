@@ -38,10 +38,10 @@ from tests.strategies import (
     FIXED,
     MODEL_FAMILIES,
     STANDARD_SETTINGS,
+    FederationSpec,
     assert_lattice,
     federation,
     linear_workspace,
-    model_family,
 )
 
 
@@ -291,24 +291,11 @@ class TestBatchedBackend:
 NWP_BENCH_SIZES = [158, 156, 155, 150, 156, 154, 154, 150, 152, 152]
 
 
-def _ragged_federation(kind, sizes, seed=3):
-    """A fresh ``(workspace, clients)`` of the given shard sizes for a
-    linear, digit-CNN or 2-layer-LSTM model (identical on every call)."""
-    rngs = child_rngs(seed, 2 + len(sizes))
-    model, loss, metric, draw_x, draw_y = model_family(kind, rngs[0])
-    workspace = ModelWorkspace(
-        model, loss, SGD(model.parameters(), 0.2), metric=metric
-    )
-    clients = [
-        FLClient(i, Dataset(draw_x(rngs[1], n), draw_y(rngs[1], n)),
-                 rng=rngs[2 + i])
-        for i, n in enumerate(sizes)
-    ]
-    return workspace, clients
-
-
 def _ragged_round(backend, kind, sizes, epochs, batch_size):
-    workspace, clients = _ragged_federation(kind, sizes)
+    parts = FederationSpec(model=kind, sizes=tuple(sizes), lr=0.2, seed=3).parts(
+        "serial"
+    )
+    workspace, clients = parts["workspace"], parts["clients"]
     plan = RoundPlan(iteration=1, lr=0.2, local_epochs=epochs,
                      batch_size=batch_size,
                      global_params=workspace.get_flat())
@@ -382,7 +369,8 @@ class TestStackTiming:
         """``client_compute`` durations of one stack are proportional
         to the clients' shard sizes, under one worker label."""
         sizes = [20, 20, 13, 13, 7]
-        workspace, clients = _ragged_federation("linear", sizes)
+        parts = FederationSpec(sizes=tuple(sizes), lr=0.2, seed=3).parts("serial")
+        workspace, clients = parts["workspace"], parts["clients"]
         sink = MemorySink()
         plan = RoundPlan(iteration=1, lr=0.2, local_epochs=2, batch_size=8,
                          global_params=workspace.get_flat())

@@ -10,6 +10,7 @@ from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
 from repro.ckpt.__main__ import main as ckpt_cli
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
+from repro.experiments.ckpt_smoke import die_in_round
 from repro.fl.client import FLClient
 from repro.fl.trainer import FederatedTrainer
 from repro.obs import (
@@ -257,6 +258,10 @@ class _Kill(RuntimeError):
     """A crash raised from inside the decide phase."""
 
 
+def _crash():
+    raise _Kill("simulated crash")
+
+
 def _journaled(directory, kill_round=None):
     """The ``RESUMED`` run journaled under ``directory``; with
     ``kill_round``, crashed in that round's decide phase and resumed
@@ -265,12 +270,7 @@ def _journaled(directory, kill_round=None):
     parts["eval_fn"] = _flat_eval
     trainer = FederatedTrainer(**parts)
     if kill_round is not None:
-        def crash(result, decision):
-            del result, decision
-            if len(trainer.history) + 1 == kill_round:
-                raise _Kill("simulated crash")
-
-        trainer.on_decision = crash
+        die_in_round(trainer, kill_round, _crash)
         with pytest.raises(_Kill), trainer:
             trainer.run()
         parts = RESUMED.parts("serial", directory=directory)

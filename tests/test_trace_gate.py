@@ -10,6 +10,7 @@ from repro.ckpt import latest_checkpoint
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import ConstantThreshold, InverseSqrtThreshold
 from repro.data.dataset import Dataset
+from repro.experiments.ckpt_smoke import die_in_round
 from repro.experiments.workloads import DigitsWorkload
 from repro.fl.config import FLConfig
 from repro.fl.events import AsyncConfig, AsyncFederatedTrainer
@@ -153,16 +154,13 @@ class _Abort(RuntimeError):
     """Simulated crash raised from inside the decide phase."""
 
 
+def _abort():
+    raise _Abort("simulated crash")
+
+
 def _run_killed_then_resumed(tmp_path):
     engine = _soak_engine(_soak_parts(tmp_path, "killed"))
-    trainer = engine.trainer
-
-    def crash(result, decision):
-        del result, decision
-        if len(trainer.history) + 1 == CRASH_ROUND:
-            raise _Abort("simulated crash")
-
-    trainer.on_decision = crash
+    die_in_round(engine, CRASH_ROUND, _abort)
     with pytest.raises(_Abort):
         with engine:
             engine.run(ROUNDS)
