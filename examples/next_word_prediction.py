@@ -40,8 +40,8 @@ def main():
         model, SoftmaxCrossEntropy(), SGD(model.parameters(), 2.0),
         metric=accuracy,
     )
-    clients = [FLClient(i, full.subset(p), rng=rngs[2 + i])
-               for i, p in enumerate(parts)]
+    clients = [FLClient(i, shard, rng=rngs[2 + i])
+               for i, shard in enumerate(full.split(parts))]
     config = FLConfig(rounds=ROUNDS, local_epochs=3, batch_size=8,
                       lr=InverseSqrtLR(2.0), eval_every=3)
     trainer = FederatedTrainer(

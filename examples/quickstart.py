@@ -41,8 +41,8 @@ def build_trainer(policy, seed=7):
         metric=accuracy,
     )
     clients = [
-        FLClient(i, train.subset(part), rng=rngs[4 + i])
-        for i, part in enumerate(partition)
+        FLClient(i, shard, rng=rngs[4 + i])
+        for i, shard in enumerate(train.split(partition))
     ]
     config = FLConfig(
         rounds=ROUNDS, local_epochs=2, batch_size=5,

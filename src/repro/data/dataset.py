@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +51,19 @@ class Dataset:
         window._source, window.start = self, start
         return window
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        """New dataset restricted to ``indices`` (copies the slices)."""
-        idx = np.asarray(indices, dtype=int)
-        if idx.size == 0:
-            raise ValueError("cannot build an empty subset")
-        return Dataset(self.x[idx].copy(), self.y[idx].copy())
+    def split(self, parts: Sequence[Sequence[int]]) -> List["Dataset"]:
+        """One dataset per part of row indices, each a :meth:`window` of
+        one new source that holds the parts' rows gathered once, in part
+        order."""
+        idx = [np.asarray(part, dtype=np.intp) for part in parts]
+        if not idx or min(part.size for part in idx) == 0:
+            raise ValueError("cannot split into an empty part")
+        order = np.concatenate(idx)
+        source = Dataset(self.x[order], self.y[order])
+        stops = np.cumsum([part.size for part in idx]).tolist()
+        return [
+            source.window(stop - part.size, stop) for part, stop in zip(idx, stops)
+        ]
 
     def batches(
         self, batch_size: int, rng: RngLike = None, shuffle: bool = True
@@ -81,7 +88,8 @@ class Dataset:
 def train_test_split(
     dataset: Dataset, test_fraction: float = 0.2, rng: RngLike = None
 ) -> Tuple[Dataset, Dataset]:
-    """Random split into (train, test); both parts are non-empty."""
+    """Random split into (train, test), windows of one shuffled copy;
+    both parts are non-empty."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(dataset)
@@ -90,4 +98,5 @@ def train_test_split(
         raise ValueError("dataset too small to split")
     order = np.arange(n)
     ensure_rng(rng).shuffle(order)
-    return dataset.subset(order[n_test:]), dataset.subset(order[:n_test])
+    train, test = dataset.split([order[n_test:], order[:n_test]])
+    return train, test

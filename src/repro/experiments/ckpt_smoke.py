@@ -67,32 +67,35 @@ __all__ = [
 ]
 
 
+#: The linear family's labels: which side of this hyperplane a row is on.
+_SEPARATOR = np.array([1.0, -1.0, 0.5, -0.5, 2.0])
+
+
 def model_family(kind, rng):
-    """``(model, loss, metric, draw_x, draw_y)`` of a tiny linear,
-    digit-CNN or 2-layer-LSTM model; ``draw_x(rng, n)`` /
-    ``draw_y(rng, n)`` draw ``n`` rows of its input and labels."""
+    """``(model, loss, metric, draw)`` of a tiny linear, digit-CNN or
+    2-layer-LSTM model; ``draw(rng, n)`` draws ``n`` rows ``(x, y)`` of
+    its input and labels (linearly separable for the linear model)."""
     if kind == "linear":
         model = make_logistic_regression(5, rng=rng)
-        return (
-            model, SigmoidBinaryCrossEntropy(), binary_accuracy,
-            lambda g, n: g.normal(size=(n, 5)),
-            lambda g, n: g.integers(0, 2, size=n),
-        )
+
+        def separable(g, n):
+            x = g.normal(size=(n, 5))
+            return x, (x @ _SEPARATOR > 0).astype(np.int64)
+
+        return model, SigmoidBinaryCrossEntropy(), binary_accuracy, separable
     if kind == "cnn":
         model = make_digits_cnn(
             image_size=16, n_classes=4, channels=(2, 3), hidden=6, rng=rng
         )
         return (
             model, SoftmaxCrossEntropy(), accuracy,
-            lambda g, n: g.normal(size=(n, 1, 16, 16)),
-            lambda g, n: g.integers(0, 4, size=n),
+            lambda g, n: (g.normal(size=(n, 1, 16, 16)), g.integers(0, 4, size=n)),
         )
     if kind == "lstm":
         model = make_nwp_lstm(11, embedding_dim=4, hidden=5, rng=rng)
         return (
             model, SoftmaxCrossEntropy(), accuracy,
-            lambda g, n: g.integers(0, 11, size=(n, 4)),
-            lambda g, n: g.integers(0, 11, size=n),
+            lambda g, n: (g.integers(0, 11, size=(n, 4)), g.integers(0, 11, size=n)),
         )
     raise ValueError(f"unknown model family {kind!r}")
 
@@ -153,7 +156,7 @@ class FederationSpec:
         traced, its ``trace.jsonl``; ``config`` overrides any other
         :class:`FLConfig` field."""
         rngs = child_rngs(self.seed, 4 + len(self.sizes))
-        model, loss, metric, draw_x, draw_y = model_family(self.model, rngs[0])
+        model, loss, metric, draw = model_family(self.model, rngs[0])
         if self.optimizer == "momentum":
             optimizer = Momentum(model.parameters(), self.lr, momentum=0.9)
         else:
@@ -161,7 +164,7 @@ class FederationSpec:
         if self.seeded:
             rows = max(self.sizes)
             partition = CyclicPartition(
-                Dataset(draw_x(rngs[1], rows), draw_y(rngs[1], rows)),
+                Dataset(*draw(rngs[1], rows)),
                 len(self.sizes), min(self.sizes),
             )
             clients = ClientStateStore(
@@ -175,13 +178,12 @@ class FederationSpec:
             ]
         else:
             clients = [
-                FLClient(i, Dataset(draw_x(rngs[1], n), draw_y(rngs[1], n)),
-                         rng=rngs[4 + i])
+                FLClient(i, Dataset(*draw(rngs[1], n)), rng=rngs[4 + i])
                 for i, n in enumerate(self.sizes)
             ]
             if self.stored:
                 clients = ClientStateStore.from_clients(clients, self.shard_size)
-        x_test, y_test = draw_x(rngs[2], 8), draw_y(rngs[2], 8)
+        x_test, y_test = draw(rngs[2], 8)
         traced = self.trace_sample is not None
         settings = dict(
             rounds=self.rounds, local_epochs=self.local_epochs,

@@ -111,7 +111,7 @@ def run(scale: Optional[str] = None, seed: int = 5) -> ConvergenceResult:
     )
     parts = iid_partition(len(data), n_clients, rng=rngs[0])
     clients = [
-        FLClient(i, data.subset(p), rng=rngs[i + 1]) for i, p in enumerate(parts)
+        FLClient(i, shard, rng=rngs[i + 1]) for i, shard in enumerate(data.split(parts))
     ]
     config = FLConfig(
         rounds=rounds,

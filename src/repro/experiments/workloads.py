@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar, Optional
 
 from repro.core.policy import UploadPolicy
-from repro.data.dataset import Dataset, train_test_split
+from repro.data.dataset import train_test_split
 from repro.data.partition import group_partition, label_shard_partition
 from repro.data.shakespeare import make_dialogue_corpus
 from repro.data.synthetic_digits import make_digit_dataset
@@ -109,56 +110,28 @@ class DigitsWorkload:
         shards_per_client, n_test = _DIGIT_SPLITS[self.scale]
         rngs = child_rngs(self.seed, 4)
         n_train = self.params.n_clients * self.params.samples_per_client
-        self.train = make_digit_dataset(
+        generated = make_digit_dataset(
             n_train, rng=rngs[0], image_size=self.image_size
         )
         self.test = make_digit_dataset(
             n_test, rng=rngs[1], image_size=self.image_size
         )
         self.partition = label_shard_partition(
-            self.train.y,
+            generated.y,
             self.params.n_clients,
             shards_per_client=shards_per_client,
             rng=rngs[2],
         )
+        # One copy of the training set, in client order: every client's
+        # rows are a window of it (``train``), shared by every trainer.
+        self.shards = generated.split(self.partition)
+        self.train = self.shards[0].source
 
     def make_trainer(self, policy: UploadPolicy, **config_overrides) -> FederatedTrainer:
         """A fresh trainer (fresh model, same data/seeds) for ``policy``."""
-        p = self.params
-        rngs = child_rngs(self.seed + 1, p.n_clients + 1)
-        model = make_digits_cnn(
-            image_size=self.image_size,
-            channels=self.channels,
-            hidden=self.hidden,
-            rng=rngs[0],
-        )
-        workspace = ModelWorkspace(
-            model,
-            SoftmaxCrossEntropy(),
-            SGD(model.parameters(), lr=self.lr0),
-            metric=accuracy,
-        )
-        clients = [
-            FLClient(i, self.train.subset(part), rng=rngs[i + 1])
-            for i, part in enumerate(self.partition)
-        ]
-        settings = dict(
-            rounds=p.rounds,
-            local_epochs=p.local_epochs,
-            batch_size=p.batch_size,
-            lr=InverseSqrtLR(self.lr0),
-            eval_every=p.eval_every,
-            seed=self.seed,
-        )
-        settings.update(config_overrides)
-        config = FLConfig(**settings)
-        return FederatedTrainer(
-            workspace,
-            clients,
-            policy,
-            config,
-            eval_fn=lambda w: w.evaluate(self.test.x, self.test.y),
-        )
+        model = partial(make_digits_cnn, image_size=self.image_size,
+                        channels=self.channels, hidden=self.hidden)
+        return _make_trainer(self, model, policy, config_overrides)
 
 
 @dataclass
@@ -187,8 +160,10 @@ class NWPWorkload:
             rng=rngs[0],
         )
         full = self.corpus.as_dataset()
-        # Hold out a global test slice, stratification-free (roles mix).
         self.train_indices_by_role = group_partition(self.corpus.roles)
+        self.shards = full.split(self.train_indices_by_role)
+        # A random 15 % of all rows to evaluate on.  Not held out: the
+        # clients train on every row, these included.
         _, self.test = train_test_split(full, test_fraction=0.15, rng=rngs[1])
 
     @property
@@ -200,39 +175,35 @@ class NWPWorkload:
         return len(self.corpus.vocab)
 
     def make_trainer(self, policy: UploadPolicy, **config_overrides) -> FederatedTrainer:
-        p = self.params
-        rngs = child_rngs(self.seed + 1, p.n_clients + 1)
-        model = make_nwp_lstm(
-            self.vocab_size,
-            embedding_dim=self.embedding_dim,
-            hidden=self.hidden,
-            rng=rngs[0],
-        )
-        workspace = ModelWorkspace(
-            model,
-            SoftmaxCrossEntropy(),
-            SGD(model.parameters(), lr=self.lr0),
-            metric=accuracy,
-        )
-        full = self.corpus.as_dataset()
-        clients = [
-            FLClient(i, full.subset(part), rng=rngs[i + 1])
-            for i, part in enumerate(self.train_indices_by_role)
-        ]
-        settings = dict(
-            rounds=p.rounds,
-            local_epochs=p.local_epochs,
-            batch_size=p.batch_size,
-            lr=InverseSqrtLR(self.lr0),
-            eval_every=p.eval_every,
-            seed=self.seed,
-        )
-        settings.update(config_overrides)
-        config = FLConfig(**settings)
-        return FederatedTrainer(
-            workspace,
-            clients,
-            policy,
-            config,
-            eval_fn=lambda w: w.evaluate(self.test.x, self.test.y),
-        )
+        """A fresh trainer (fresh model, same data/seeds) for ``policy``."""
+        model = partial(make_nwp_lstm, self.vocab_size,
+                        embedding_dim=self.embedding_dim, hidden=self.hidden)
+        return _make_trainer(self, model, policy, config_overrides)
+
+
+def _make_trainer(workload, make_model, policy, config_overrides) -> FederatedTrainer:
+    """``workload``'s federation under ``policy``: a model from
+    ``make_model(rng=...)``, one client per shard, plain SGD on the
+    η0/√t schedule, evaluated on ``workload.test``."""
+    p = workload.params
+    rngs = child_rngs(workload.seed + 1, p.n_clients + 1)
+    model = make_model(rng=rngs[0])
+    optimizer = SGD(model.parameters(), lr=workload.lr0)
+    workspace = ModelWorkspace(model, SoftmaxCrossEntropy(), optimizer, metric=accuracy)
+    clients = [
+        FLClient(i, shard, rng=rngs[i + 1]) for i, shard in enumerate(workload.shards)
+    ]
+    settings = dict(
+        rounds=p.rounds,
+        local_epochs=p.local_epochs,
+        batch_size=p.batch_size,
+        lr=InverseSqrtLR(workload.lr0),
+        eval_every=p.eval_every,
+        seed=workload.seed,
+    )
+    settings.update(config_overrides)
+    test = workload.test
+    return FederatedTrainer(
+        workspace, clients, policy, FLConfig(**settings),
+        eval_fn=lambda w: w.evaluate(test.x, test.y),
+    )

@@ -17,7 +17,8 @@ by shard size, are stacked into one leading client axis and run in
 lockstep as a handful of large numpy kernels through one
 :class:`~repro.fl.batched.BatchedWorkspace` (the largest stack any
 preset builds is 39 MB, DESIGN 6b), with the per-client loop left only
-for models that have no batched path.
+for models that have no batched path.  A step gathers only its own
+rows, from the clients' sources into one reused step-sized buffer.
 """
 
 from __future__ import annotations
@@ -308,24 +309,12 @@ class BatchedExecutor(ClientExecutor):
             for ci, blamed in enumerate(cohort):
                 for epoch in range(epochs):
                     orders[epoch, ci, : sizes[ci]] = blamed.epoch_order()
-            # One gather buffer per cohort call, refilled in place every
-            # epoch: per-step minibatches are plain slices whose
-            # per-client slabs are contiguous — the same memory layout
-            # Dataset.batches hands the serial path.  Rows are as long
-            # as the largest shard; a shorter client's tail is never read.
-            first = cohort[0].train_data
-            x_epoch = np.empty(
-                (n_rows, sizes[-1]) + first.x.shape[1:], dtype=first.x.dtype
-            )
-            y_epoch = np.empty(
-                (n_rows, sizes[-1]) + first.y.shape[1:], dtype=first.y.dtype
-            )
             losses = np.empty((n_rows, epochs, steps[-1]), dtype=np.float64)
-            # Adjacent equally long windows of one source dataset gather
-            # together: row k of epoch e is source row start_k + order_k
-            # (an eager client is its own source, from row 0).
+            # Row k of an epoch is source row start_k + order_k (an
+            # eager client is its own source, from row 0).  The orders
+            # are checked once, per run of equally long windows of one
+            # source, then shifted to source rows in place.
             sources = [client.train_data.source for client in cohort]
-            gathers = []
             for a, b in _equal_runs(list(zip(sizes, map(id, sources)))):
                 blamed, run = cohort[a], ("gather", a, b)
                 n = sizes[a]
@@ -333,29 +322,49 @@ class BatchedExecutor(ClientExecutor):
                 if not 0 <= rows.min() <= rows.max() < n:
                     raise IndexError(f"epoch order outside the {n} rows of its shard")
                 starts = [client.train_data.start for client in cohort[a:b]]
-                rows = rows + np.array(starts, dtype=np.int64)[:, None]
-                gathers.append((a, b, n, sources[a], rows))
+                rows += np.array(starts, dtype=np.int64)[:, None]
             # The lock-step schedule of a fixed cohort shape (equal
             # shards, or full participation) is built once, not per round.
             key = (tuple(sizes), batch)
             if self._schedules.get(n_rows, (None,))[0] != key:
                 self._schedules[n_rows] = (key, _lockstep_schedule(sizes, batch))
             schedule = self._schedules[n_rows][1]
+            # Each step gathers only its own rows into a C-contiguous
+            # prefix of one step-sized buffer per array (per-client slabs
+            # contiguous: the layout Dataset.batches hands the serial
+            # path), one ``take`` per array for each run of clients that
+            # share a source.
+            shared = _equal_runs(list(map(id, sources)))
+            first = cohort[0].train_data
+            buffers = [
+                np.empty((n_rows * batch,) + data.shape[1:], dtype=data.dtype)
+                for data in (first.x, first.y)
+            ]
             for epoch in range(epochs):
-                for a, b, n, source, rows in gathers:
-                    blamed, run = cohort[a], (f"gather of epoch {epoch}", a, b)
-                    # mode="wrap" is the windows' own wrap-around, and
-                    # writes a contiguous ``out`` in place where the
-                    # default mode buffers it to survive its bounds
-                    # check — made above, once.
-                    index = rows[epoch]
-                    for data, out in ((source.x, x_epoch), (source.y, y_epoch)):
-                        np.take(data, index, axis=0, out=out[a:b, :n], mode="wrap")
                 for step, a, b, cut in schedule:
+                    shape = (b - a, cut.stop - cut.start)
+                    x, y = (
+                        buf[: shape[0] * shape[1]].reshape(shape + buf.shape[1:])
+                        for buf in buffers
+                    )
+                    for lo, hi in shared:
+                        lo, hi = max(lo, a), min(hi, b)
+                        if lo >= hi:
+                            continue
+                        blamed = cohort[lo]
+                        run = (f"gather of step {step} of epoch {epoch}", lo, hi)
+                        # mode="wrap" is the windows' own wrap-around, and
+                        # writes a contiguous ``out`` in place where the
+                        # default mode buffers it to survive its bounds
+                        # check — made above, once.
+                        index = orders[epoch, lo:hi, cut]
+                        for data, out in ((sources[lo].x, x), (sources[lo].y, y)):
+                            np.take(data, index, axis=0, out=out[lo - a : hi - a],
+                                    mode="wrap")
                     blamed = cohort[a]
                     run = (f"stacked step {step} of epoch {epoch}", a, b)
                     losses[a:b, epoch, step] = engine.train_step_all(
-                        x_epoch[a:b, cut], y_epoch[a:b, cut], plan.lr, rows=(a, b)
+                        x, y, plan.lr, rows=(a, b)
                     )
                 run = None
         except Exception as exc:

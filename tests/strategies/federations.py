@@ -64,8 +64,8 @@ def federation(policy, backend="serial", n_clients=4, rounds=5, seed=0,
     data = Dataset(x, y)
     workspace = linear_workspace(rngs[2])
     parts = iid_partition(len(data), n_clients, rng=seed)
-    clients = [client_cls(i, data.subset(p), rng=rngs[3 + i])
-               for i, p in enumerate(parts)]
+    clients = [client_cls(i, shard, rng=rngs[3 + i])
+               for i, shard in enumerate(data.split(parts))]
     config = FLConfig(rounds=rounds, local_epochs=1, batch_size=10,
                       lr=ConstantLR(0.5), eval_every=1,
                       executor=backend, **cfg_kw)

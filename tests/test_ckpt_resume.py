@@ -107,6 +107,15 @@ def test_cli_resume_without_a_checkpoint_names_the_directory(tmp_path, capsys):
     assert f"no checkpoint found in {tmp_path / 'ckpt'}" in capsys.readouterr().out
 
 
+def test_cli_default_run_learns(tmp_path, capsys):
+    """``SMOKE``'s linear federation trains on separable labels, so the
+    default run ends well above chance on its 8 test rows."""
+    assert ckpt_smoke_main(["--dir", str(tmp_path)]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("done: 6 rounds")
+    assert float(last.rsplit("test_metric=", 1)[1]) >= 0.75
+
+
 def test_restore_rejects_mismatched_federation(tmp_path):
     from repro.ckpt import CheckpointError
 

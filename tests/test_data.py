@@ -43,10 +43,21 @@ class TestDataset:
         b = [y.tolist() for _, y in ds.batches(4, rng=5)]
         assert a == b
 
-    def test_subset(self):
-        ds = Dataset(np.arange(10)[:, None], np.arange(10))
-        sub = ds.subset([2, 5])
-        assert sub.y.tolist() == [2, 5]
+    def test_split(self):
+        """The parts' rows, gathered once in part order into one new
+        source; each part a zero-copy window of it."""
+        ds = Dataset(np.arange(10)[:, None] * 10, np.arange(10))
+        parts = ds.split([[7, 2], [5], [0, 9, 1]])
+        source = parts[0].source
+        assert source.y.tolist() == [7, 2, 5, 0, 9, 1]
+        assert source.x[:, 0].tolist() == [70, 20, 50, 0, 90, 10]
+        assert not np.shares_memory(source.x, ds.x)
+        assert [(p.source, p.start, p.y.tolist()) for p in parts] == [
+            (source, 0, [7, 2]), (source, 2, [5]), (source, 3, [0, 9, 1]),
+        ]
+        assert all(np.shares_memory(p.x, source.x) for p in parts)
+        with pytest.raises(ValueError):
+            ds.split([[1], []])
 
     def test_train_test_split_disjoint(self):
         ds = Dataset(np.arange(20)[:, None], np.arange(20))

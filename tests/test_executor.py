@@ -3,6 +3,7 @@ and the round-level hot-path fast paths.  That a whole run is the same
 on every backend is the lattice's edge (a) in ``tests/test_lattice.py``."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.baselines.vanilla import VanillaPolicy
 from repro.core.policy import CMFLPolicy, PolicyContext
 from repro.core.relevance import relevance, sign_agreement_counts
 from repro.core.thresholds import ConstantThreshold
 from repro.data.dataset import Dataset
-from repro.experiments.workloads import NWPWorkload
+from repro.experiments.workloads import DigitsWorkload, NWPWorkload
 from repro.fl import executor as executor_module
 from repro.fl.batched import BatchedWorkspace
 from repro.fl.client import FLClient
@@ -250,18 +252,51 @@ class TestBatchedBackend:
     def test_gather_itself_failing_is_attributed_like_its_bounds_check(
         self, monkeypatch
     ):
-        real = np.take
+        """Each stacked step takes its own rows; a take that fails is
+        blamed like the bounds check, on the first client of the rows it
+        ran for, and named by its step."""
+        real, label_takes = np.take, []
 
         def exploding(a, indices, **kwargs):
             if kwargs.get("out") is not None and kwargs["out"].ndim == 2:
-                raise MemoryError("gather exploded")  # the labels' gather
+                label_takes.append(indices.shape)
+                if len(label_takes) == 2:  # the labels' take of step 1
+                    raise MemoryError("gather exploded")
             return real(a, indices, **kwargs)
 
         monkeypatch.setattr(executor_module.np, "take", exploding)
         with pytest.raises(ClientExecutionError, match="client 0") as exc:
             self._shared_source_round(FLClient, special=0)
         assert exc.value.cause_type == "MemoryError"
-        assert "(gather of epoch 0, rows 0:5 of 5, " in str(exc.value)
+        assert label_takes == [(5, 4), (5, 4)]  # one take per step, 4 rows each
+        assert "(gather of step 1 of epoch 0, rows 0:5 of 5, " in str(exc.value)
+
+    def test_a_round_holds_less_than_one_copy_of_its_cohort_rows(
+        self, monkeypatch
+    ):
+        """What a batched bench-digits round has allocated when each
+        stacked step starts: the step's rows, never the cohort's."""
+        trainer = DigitsWorkload("bench").make_trainer(
+            VanillaPolicy(), executor="batched"
+        )
+        rows = sum(c.train_data.x.nbytes + c.train_data.y.nbytes
+                   for c in trainer.clients)
+        trainer.run_round(1)  # the engine and its stacks, built once
+        real, held = BatchedWorkspace.train_step_all, []
+
+        def step(self, x, y, lr, rows=None):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real(self, x, y, lr, rows=rows)
+
+        monkeypatch.setattr(BatchedWorkspace, "train_step_all", step)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trainer.run_round(2)
+        finally:
+            tracemalloc.stop()
+        assert rows == 3_849_600 and len(held) == 16
+        assert max(held) - before < rows
 
     def test_fallback_failure_names_client(self):
         trainer, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),

@@ -228,10 +228,13 @@ class TestInjectedFaults:
         assert health_summary(events)["health.stall"] == 2
 
     def test_dead_cohort_is_folded_not_written(self):
-        # Round 1 uploads everything; under a threshold clipped to 1 no
-        # client of this federation uploads after it, so only
+        # Round 1 uploads everything; under a threshold clipped to 1 an
+        # update uploads only if every one of its 257 signs agrees, which
+        # no client of this CNN federation's does after it, so only
         # force_best keeps rounds 2 and 3 alive.
-        spec = FederationSpec(sizes=(6,) * 4, threshold=5.0, trace_sample=1.0)
+        spec = FederationSpec(
+            model="cnn", sizes=(6,) * 4, threshold=5.0, trace_sample=1.0
+        )
         trainer = FederatedTrainer(**spec.parts("serial"))
         with trainer:
             trainer.run()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.vanilla import VanillaPolicy
+from repro.data.synthetic_digits import make_digit_dataset
 from repro.experiments.workloads import (
     _DIGIT_SCALES,
     _DIGIT_SPLITS,
@@ -13,6 +14,7 @@ from repro.experiments.workloads import (
     resolve_scale,
 )
 from repro.nn.serialization import flatten_parameters
+from repro.utils.rng import child_rngs
 
 
 class TestScaleResolution:
@@ -26,9 +28,31 @@ class TestScaleResolution:
 
 class TestDigitsWorkload:
     def test_partition_covers_everything(self):
+        """Every generated row is in exactly one client's shard, and the
+        shards tile ``train`` in client order."""
         workload = DigitsWorkload(scale="test")
         allidx = np.concatenate(workload.partition)
         assert sorted(allidx.tolist()) == list(range(len(workload.train)))
+        stops = np.cumsum([len(part) for part in workload.partition]).tolist()
+        assert [(s.source, s.start, s.start + len(s)) for s in workload.shards] == [
+            (workload.train, stop - len(part), stop)
+            for part, stop in zip(workload.partition, stops)
+        ]
+
+    def test_every_client_is_a_window_of_the_one_training_copy(self):
+        """Two trainers' clients all read one source: the generated rows,
+        gathered once in partition order."""
+        workload = DigitsWorkload(scale="test")
+        generated = make_digit_dataset(
+            len(workload.train), rng=child_rngs(workload.seed, 4)[0],
+            image_size=workload.image_size,
+        )
+        order = np.concatenate(workload.partition)
+        assert workload.train.x.tobytes() == generated.x[order].tobytes()
+        assert workload.train.y.tobytes() == generated.y[order].tobytes()
+        for trainer in (workload.make_trainer(VanillaPolicy()),
+                        workload.make_trainer(VanillaPolicy())):
+            assert all(c.train_data.source is workload.train for c in trainer.clients)
 
     def test_trainers_share_data_and_init(self):
         """Different policies must start from identical conditions."""
@@ -60,6 +84,21 @@ class TestNWPWorkload:
     def test_one_client_per_role(self):
         workload = NWPWorkload(scale="test")
         assert len(workload.train_indices_by_role) == workload.params.n_clients
+
+    def test_every_client_is_a_window_of_the_one_training_copy(self):
+        workload = NWPWorkload(scale="test")
+        full = workload.corpus.as_dataset()
+        order = np.concatenate(workload.train_indices_by_role)
+        sources = {
+            id(c.train_data.source)
+            for trainer in (workload.make_trainer(VanillaPolicy()),
+                            workload.make_trainer(VanillaPolicy()))
+            for c in trainer.clients
+        }
+        source = workload.shards[0].source
+        assert sources == {id(source)}
+        assert source.x.tobytes() == full.x[order].tobytes()
+        assert source.y.tobytes() == full.y[order].tobytes()
 
     def test_vocab_consistent_with_model(self):
         workload = NWPWorkload(scale="test")
