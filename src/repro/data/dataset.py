@@ -59,11 +59,14 @@ class Dataset:
         if not idx or min(part.size for part in idx) == 0:
             raise ValueError("cannot split into an empty part")
         order = np.concatenate(idx)
-        source = Dataset(self.x[order], self.y[order])
-        stops = np.cumsum([part.size for part in idx]).tolist()
-        return [
-            source.window(stop - part.size, stop) for part, stop in zip(idx, stops)
-        ]
+        return Dataset(self.x[order], self.y[order]).windows(
+            [part.size for part in idx]
+        )
+
+    def windows(self, sizes: Sequence[int]) -> List["Dataset"]:
+        """Consecutive windows (:meth:`window`) of ``sizes`` rows each, from row 0."""
+        stops = np.cumsum(sizes).tolist()
+        return [self.window(stop - size, stop) for size, stop in zip(sizes, stops)]
 
     def batches(
         self, batch_size: int, rng: RngLike = None, shuffle: bool = True

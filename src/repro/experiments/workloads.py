@@ -20,11 +20,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar, Optional
 
+import numpy as np
+
 from repro.core.policy import UploadPolicy
-from repro.data.dataset import train_test_split
+from repro.data.dataset import Dataset, train_test_split
 from repro.data.partition import group_partition, label_shard_partition
 from repro.data.shakespeare import make_dialogue_corpus
-from repro.data.synthetic_digits import make_digit_dataset
+from repro.data.synthetic_digits import (
+    draw_digit_labels,
+    make_digit_dataset,
+    render_digits,
+)
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
 from repro.fl.trainer import FederatedTrainer
@@ -110,22 +116,26 @@ class DigitsWorkload:
         shards_per_client, n_test = _DIGIT_SPLITS[self.scale]
         rngs = child_rngs(self.seed, 4)
         n_train = self.params.n_clients * self.params.samples_per_client
-        generated = make_digit_dataset(
-            n_train, rng=rngs[0], image_size=self.image_size
-        )
-        self.test = make_digit_dataset(
-            n_test, rng=rngs[1], image_size=self.image_size
-        )
+        size = self.image_size
+        labels = draw_digit_labels(n_train, rngs[0])
+        self.test = make_digit_dataset(n_test, rng=rngs[1], image_size=size)
         self.partition = label_shard_partition(
-            generated.y,
+            labels,
             self.params.n_clients,
             shards_per_client=shards_per_client,
             rng=rngs[2],
         )
         # One copy of the training set, in client order: every client's
         # rows are a window of it (``train``), shared by every trainer.
-        self.shards = generated.split(self.partition)
-        self.train = self.shards[0].source
+        # Images render in generation order (the order of the draws) and
+        # each lands at its client-ordered row, so the set is never held
+        # twice.  ``partition`` indexes the generation order.
+        order = np.concatenate(self.partition)
+        rows = np.empty_like(order)
+        rows[order] = np.arange(n_train)
+        x = render_digits(labels, n_train, rngs[0], image_size=size, rows=rows)
+        self.train = Dataset(x[:, None], labels[order].astype(np.int64))
+        self.shards = self.train.windows([part.size for part in self.partition])
 
     def make_trainer(self, policy: UploadPolicy, **config_overrides) -> FederatedTrainer:
         """A fresh trainer (fresh model, same data/seeds) for ``policy``."""

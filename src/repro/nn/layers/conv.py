@@ -39,9 +39,21 @@ __all__ = [
     "im2col",
 ]
 
+#: Images per unfold on an inference forward.  A training forward keeps
+#: its whole batch's columns for backward; an evaluation batch of 250
+#: 20-px images would unfold into 12.2 MiB of conv1 columns at once.
+INFER_BLOCK = 32
+
 
 def _out_size(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
+
+
+def _out_shape(h: int, w: int, kh: int, kw: int, stride: int) -> Tuple[int, int]:
+    out_h, out_w = _out_size(h, kh, stride), _out_size(w, kw, stride)
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"kernel ({kh}x{kw}) larger than input ({h}x{w})")
+    return out_h, out_w
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> Tuple[np.ndarray, int, int]:
@@ -52,9 +64,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> Tuple[np.ndarray, in
     ``(..., channels * kh * kw, out_h * out_w)``.
     """
     *lead, c, h, w = x.shape
-    out_h, out_w = _out_size(h, kh, stride), _out_size(w, kw, stride)
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"kernel ({kh}x{kw}) larger than input ({h}x{w})")
+    out_h, out_w = _out_shape(h, w, kh, kw, stride)
     *lead_strides, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -203,21 +213,33 @@ class BatchedConv2D(BatchedModule):
                 f"expected input (clients, batch, {self.in_channels}, H, W), "
                 f"got {x.shape}"
             )
-        k = self.kernel_size
-        if self.padding:
-            pad = (self.padding, self.padding)
-            x = np.pad(x, ((0, 0), (0, 0), (0, 0), pad, pad))
-        cols, out_h, out_w = im2col(x, k, k, self.stride)
-        # One BLAS GEMM per image (broadcast matmul) rather than a
-        # c_einsum contraction: dgemm is SIMD-blocked where einsum runs
-        # naive loops.  matmul loops BLAS over 2-D slices, and each
-        # per-client slice has the same operand shapes and strides
-        # whatever the client count (binder rows are contiguous per
-        # client), so every client slice is bitwise the one-row result.
-        out = np.matmul(self._w_rows[:, None], cols)
+        k, pad = self.kernel_size, self.padding
+        c, n, _, h, w = x.shape
+        out_h, out_w = _out_shape(h + 2 * pad, w + 2 * pad, k, k, self.stride)
+        out = np.empty((c, n, self.out_channels, out_h * out_w), dtype=np.float64)
+        # Training unfolds the whole batch as one block (backward reads
+        # its columns and padded shape); inference unfolds INFER_BLOCK
+        # images at a time, so its columns are bounded by the block,
+        # not the batch.  An empty batch still unfolds once.
+        step = n if training else INFER_BLOCK
+        for start in range(0, n, step) if n else (0,):
+            cols = None  # the last block's columns go before the next unfold
+            block = x[:, start : start + step]
+            if pad:
+                block = np.pad(block, ((0, 0),) * 3 + ((pad, pad),) * 2)
+            cols = im2col(block, k, k, self.stride)[0]
+            # One BLAS GEMM per image (broadcast matmul) rather than a
+            # c_einsum contraction: dgemm is SIMD-blocked where einsum
+            # runs naive loops.  matmul loops BLAS over 2-D slices, and
+            # each per-client slice has the same operand shapes and
+            # strides whatever the client or block count (binder rows
+            # are contiguous per client, every image's output slab is
+            # contiguous), so every slice is bitwise the one-row,
+            # whole-batch result.
+            np.matmul(self._w_rows[:, None], cols, out=out[:, start : start + step])
         out += self._b[:, None, :, None]
-        out = out.reshape(out.shape[:3] + (out_h, out_w))
-        keep_cache(self, training, out.shape, (cols, x.shape))
+        out = out.reshape(c, n, self.out_channels, out_h, out_w)
+        keep_cache(self, training, out.shape, (cols, block.shape))
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -285,6 +307,16 @@ class MaxPool2D(Module):
         p = self.pool_size
         if h % p or w % p:
             raise ValueError(f"input {h}x{w} not divisible by pool size {p}")
+        if not training:
+            # Nothing to route: fold the window positions in slab order
+            # (the order ``slabs.max`` reduces in) straight off strided
+            # views of the input, with no de-interleaved copy.
+            windows = x.reshape(*lead, h // p, p, w // p, p)
+            out = windows[..., 0, :, 0].copy()
+            for k in range(1, p * p):
+                np.maximum(out, windows[..., k // p, :, k % p], out=out)
+            keep_cache(self, training, out.shape, None)
+            return out
         # De-interleave once: slab k = i*p + j holds window position
         # (i, j) of every window, contiguously, so the maxima and
         # comparisons below are flat passes instead of stride-p ones.

@@ -9,7 +9,8 @@ conv layers around them), the serial ``Dense``, ``Embedding``,
 ``Flatten`` and cross-entropy bodies from before each became the
 one-row case of its stacked twin — and, at the end, the per-client code of the
 population-soak round (stream seeding, store checkout, epoch gather,
-event ordering, the CMFL decision) and the buffered checkpoint writer —
+event ordering, the CMFL decision), the digits workload's
+generated-order build and the buffered checkpoint writer —
 kept verbatim so "same bits as
 before" is something the tier-1 suite asserts rather than something
 only a digest file remembers.  They are deliberately slow and deliberately not shared
@@ -659,6 +660,35 @@ def make_semeion_tasks(n_clients=15, total_samples=1593, min_samples=10,
         tasks.append((x[:n], y_train, x[n:], labels[n:], bool(outlier_flags[client])))
     return tasks
 
+
+
+# -- the digits workload's data -------------------------------------------------
+#
+# What ``DigitsWorkload.__post_init__`` built before it rendered straight
+# into client order: the whole training set in generation order
+# (``make_digit_dataset``), then ``Dataset.split`` gathering it into
+# client order while the generated copy was still alive.  The pieces
+# are the shipped ones, each pinned on its own above and in
+# ``tests/test_data.py``; what this keeps is their composition.
+
+
+def digits_workload_data(seed, n_clients, samples_per_client, shards_per_client,
+                         n_test, image_size):
+    """``(shards, partition, test, rngs)``; ``rngs`` the four streams
+    the build drew from, in their end states."""
+    from repro.data.partition import label_shard_partition
+    from repro.data.synthetic_digits import make_digit_dataset
+    from repro.utils.rng import child_rngs
+
+    rngs = child_rngs(seed, 4)
+    generated = make_digit_dataset(
+        n_clients * samples_per_client, rng=rngs[0], image_size=image_size
+    )
+    test = make_digit_dataset(n_test, rng=rngs[1], image_size=image_size)
+    partition = label_shard_partition(
+        generated.y, n_clients, shards_per_client=shards_per_client, rng=rngs[2]
+    )
+    return generated.split(partition), partition, test, rngs
 
 # -- the checkpoint writer ------------------------------------------------------
 #

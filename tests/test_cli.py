@@ -84,3 +84,37 @@ def test_a_subprocess_reports_its_own_peak_rss():
         f"child read {int(proc.stdout) / 1024:.0f} MiB beside a "
         f"{ballast.nbytes / 2**20:.0f} MiB launcher"
     )
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="VmHWM is Linux's counter"
+)
+def test_memory_phases_prints_each_phase_of_the_named_federation():
+    """``tools/memory_phases.py``: a commit and host stamp, ``VmHWM`` /
+    ``VmRSS`` after each phase (the peak never falls), and the digest
+    of the one-round run it measured."""
+    from repro.baselines.vanilla import VanillaPolicy
+    from repro.experiments.workloads import DigitsWorkload
+    from repro.fl.history import history_digest
+
+    tool = Path(__file__).resolve().parent.parent / "tools" / "memory_phases.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--workload", "digits", "--scale", "test",
+         "--executor", "batched"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].startswith("# commit ") and lines[2].startswith("# host ")
+    rows = [line.rsplit(maxsplit=2) for line in lines[4:8]]
+    assert [row[0] for row in rows] == [
+        "import", "DigitsWorkload('test')", "make_trainer", "one round + evaluation"
+    ]
+    peaks = [float(row[1]) for row in rows]
+    assert peaks == sorted(peaks) and all(float(row[2]) > 0 for row in rows)
+    trainer = DigitsWorkload("test").make_trainer(
+        VanillaPolicy(), rounds=1, eval_every=1, executor="batched"
+    )
+    with trainer:
+        trainer.run()
+    assert lines[8] == f"history digest {history_digest(trainer)}"

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.nn.activations import ReLU, select_grad, sigmoid
-from repro.nn.layers.conv import Conv2D, MaxPool2D, _fold_index, col2im, im2col
+from repro.nn.layers.conv import (
+    INFER_BLOCK,
+    Conv2D,
+    MaxPool2D,
+    _fold_index,
+    col2im,
+    im2col,
+)
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.recurrent import LSTM
@@ -277,7 +284,8 @@ class TestSelectGrad:
 
 def _check_pool(x, p, grad):
     """``MaxPool2D(p)`` on ``x`` — folded to 4-D, and with its leading
-    axes as they are — against the index-routed kernel."""
+    axes as they are, training and inference — against the index-routed
+    kernel."""
     folded = x.reshape((-1,) + x.shape[-3:])
     want_out, idx = ref.maxpool_forward(folded, p)
     want_dx = ref.maxpool_backward(idx, folded.shape, p, grad.reshape(want_out.shape))
@@ -288,6 +296,8 @@ def _check_pool(x, p, grad):
         assert out.shape == g.shape and dx.shape == view.shape
         assert out.tobytes() == want_out.tobytes()
         assert dx.tobytes() == want_dx.tobytes()
+        inferred = MaxPool2D(p).forward(view, training=False)
+        assert inferred.tobytes() == want_out.tobytes()
     return want_dx
 
 
@@ -332,6 +342,14 @@ class TestMaxPoolBits:
         grad = _hostile_grad(rng, (5, 5, 4, 4, 8))[..., ::2]
         assert not x.flags["C_CONTIGUOUS"] and not grad.flags["C_CONTIGUOUS"]
         _check_pool(x, 2, grad)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_inference_selects_what_training_does_on_hostile_values(self, p):
+        """±0, ±Inf and both NaNs: the inference fold over strided views
+        picks the operand the training forward's slab reduction picks."""
+        x = np.random.default_rng(13 + p).choice(HOSTILE, size=(3, 4, 2, 4 * p, 4 * p))
+        want = MaxPool2D(p).forward(x, training=True)
+        assert MaxPool2D(p).forward(x, training=False).tobytes() == want.tobytes()
 
 
 class TestUnfoldFoldBits:
@@ -489,6 +507,86 @@ class TestConvLayerBits:
             assert twin.head_backward(grad_out) is None
             assert binder.grad.tobytes() == want_flat.tobytes()
         assert not full.grad[0].any() and not full.grad[-1].any()
+
+
+#: Images in an inference forward: one, either side of a block, and the
+#: benchmark's 250-image evaluation batch.
+INFER_ROWS = [1, INFER_BLOCK - 1, INFER_BLOCK, INFER_BLOCK + 1, 250]
+#: (images, in, out, size, kernel, stride, padding): both bench stages
+#: (the paper preset's too), the paper's own two stages, a strided and a
+#: padded layer, at every ``INFER_ROWS``.
+INFER_CONVS = [(n,) + conv[2:] for conv in CONVS[:6] for n in INFER_ROWS]
+#: Past this many bytes of columns a reference conv runs on
+#: ``REF_SLICE`` images at a time: the paper's 32-to-64-channel stage
+#: would unfold 250 images into 100 MiB at once.
+REF_COLS_LIMIT = 16 * 2**20
+REF_SLICE = 10
+
+
+def _cols_nbytes(images, ch, size, k, stride, pad):
+    out = (size + 2 * pad - k) // stride + 1
+    return images * ch * k * k * out * out * 8
+
+
+def _assert_reference_conv(got, forward, x, weight, bias, stride, pad, axis):
+    """``got`` is byte-equal to ``forward`` (a reference conv) over the
+    images of ``x`` on ``axis``: run whole, or, when its columns would
+    pass :data:`REF_COLS_LIMIT`, on consecutive ``REF_SLICE``-image
+    slices.  The reference multiplies image by image (one broadcast
+    matmul), so a slice holds the bytes the whole batch would;
+    ``REF_SLICE`` does not divide ``INFER_BLOCK``, so the slices straddle
+    the layer's blocks."""
+    *lead, ch, size, _ = x.shape
+    k = weight.shape[-1]
+    n = x.shape[axis]
+    step = n
+    if _cols_nbytes(np.prod(lead), ch, size, k, stride, pad) > REF_COLS_LIMIT:
+        step = REF_SLICE
+    for start in range(0, n, step):
+        images = (slice(None),) * axis + (slice(start, start + step),)
+        want = forward(x[images], weight, bias, stride, pad)[0]
+        assert got[images].shape == want.shape
+        assert got[images].tobytes() == want.tobytes()
+    assert got.shape[axis] == n
+
+
+@pytest.mark.parametrize("n,ch,f,size,k,stride,pad", INFER_CONVS)
+class TestBlockedInferenceBits:
+    """An inference forward unfolds ``INFER_BLOCK`` images at a time;
+    its output is byte-equal to the whole-batch reference conv."""
+
+    def test_serial_layer(self, n, ch, f, size, k, stride, pad):
+        x, weight, bias = (
+            a[0] for a in _conv_case(1, n, ch, f, size, k, stride, pad)[:3]
+        )
+        layer = Conv2D(ch, f, kernel_size=k, stride=stride, padding=pad, rng=0)
+        layer.weight.data[...] = weight
+        layer.bias.data[...] = bias
+        out = layer.forward(x, training=False)
+        _assert_reference_conv(out, ref.conv_forward, x, weight, bias, stride, pad, 0)
+        if _cols_nbytes(n, ch, size, k, stride, pad) <= REF_COLS_LIMIT:
+            # A training forward unfolds the whole batch at once.
+            assert layer.forward(x, training=True).tobytes() == out.tobytes()
+
+    def test_stacked_layer(self, n, ch, f, size, k, stride, pad):
+        """Three clients on a row window of a wider stack, fed a strided
+        window of a longer batch."""
+        c = 3
+        x, weight, bias = _conv_case(c, n, ch, f, size, k, stride, pad)[:3]
+        longer = np.zeros((c, n + 2) + x.shape[2:])
+        longer[:, 1 : n + 1] = x
+        x = longer[:, 1 : n + 1]
+        layer = Conv2D(ch, f, kernel_size=k, stride=stride, padding=pad, rng=0)
+        binder = BatchedParamBinder(c + 2, parameter_count(layer)).window(1, c + 1)
+        twin = layer.batched(binder)
+        binder.finish()
+        binder.data[...] = np.concatenate(
+            [p.reshape(c, -1) for p in (weight, bias)], axis=1
+        )
+        out = twin.forward(x, training=False)
+        _assert_reference_conv(
+            out, ref.stacked_conv_forward, x, weight, bias, stride, pad, 1
+        )
 
 
 # -- serial Dense, Embedding, Flatten and losses: the one-row case ------------
@@ -886,6 +984,8 @@ from repro.data.synthetic_digits import (  # noqa: E402
     make_digit_dataset,
     render_digit,
 )
+from repro.experiments import workloads  # noqa: E402
+from repro.utils.rng import child_rngs  # noqa: E402
 
 
 def _same_state(a, b):
@@ -949,6 +1049,40 @@ class TestDigitRendererBits:
                 assert task.test.y.tobytes() == y_test.tobytes()
                 assert task.is_outlier == outlier
             assert _same_state(gen, ref_gen)
+
+
+@pytest.mark.parametrize("scale", ["test", "bench"])
+def test_digits_workload_renders_the_generated_set_in_client_order(scale, monkeypatch):
+    """``DigitsWorkload`` renders its training set straight into client
+    order: the bytes and streams of rendering it in generation order
+    and gathering that into client order with ``split``."""
+    streams = []
+
+    def recording(*args):
+        streams.append(child_rngs(*args))
+        return streams[-1]
+
+    monkeypatch.setattr(workloads, "child_rngs", recording)
+    workload = workloads.DigitsWorkload(scale)
+    p = workload.params
+    shards, partition, test, rngs = ref.digits_workload_data(
+        workload.seed, p.n_clients, p.samples_per_client,
+        workloads._DIGIT_SPLITS[scale][0], len(workload.test), workload.image_size,
+    )
+    assert len(workload.shards) == len(shards)
+    for got, want in zip(workload.shards, shards):
+        assert (got.start, len(got)) == (want.start, len(want))
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+    train = shards[0].source
+    assert workload.train.x.shape == train.x.shape
+    assert workload.train.x.tobytes() == train.x.tobytes()
+    assert workload.train.y.tobytes() == train.y.tobytes()
+    assert [a.tobytes() for a in workload.partition] == [a.tobytes() for a in partition]
+    assert workload.test.x.tobytes() == test.x.tobytes()
+    assert workload.test.y.tobytes() == test.y.tobytes()
+    assert len(streams) == 1
+    assert all(_same_state(a, b) for a, b in zip(streams[0], rngs))
 
 
 class TestDegreeTrig:

@@ -1,5 +1,7 @@
 """The shared experiment workload builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,40 @@ class TestDigitsWorkload:
         a = DigitsWorkload(scale="test", seed=1)
         b = DigitsWorkload(scale="test", seed=2)
         assert not np.array_equal(a.train.x, b.train.x)
+
+
+
+class TestDigitsMemory:
+    """The digits transients are bounded by a render chunk or an unfold
+    block, not by the data set: tracemalloc's peak over what is kept."""
+
+    def test_the_build_holds_the_training_set_once(self):
+        DigitsWorkload("bench")  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            workload = DigitsWorkload("bench")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= workload.train.x.nbytes + workload.test.x.nbytes
+        assert peak - kept < 2 * 2**20
+
+    def test_evaluation_unfolds_in_blocks(self):
+        """The 250 test images in one evaluation batch: conv1's columns
+        alone would be 12.2 MiB."""
+        workload = DigitsWorkload("bench")
+        workspace = workload.make_trainer(VanillaPolicy()).workspace
+        test = workload.test
+        assert len(test) == 250
+        workspace.evaluate(test.x, test.y)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            workspace.evaluate(test.x, test.y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4 * 2**20
 
 
 class TestNWPWorkload:
