@@ -1,9 +1,10 @@
 """``repro.ckpt`` — deterministic run-state persistence.
 
 Checkpoints capture *everything* a federated run's next round depends
-on — global model, optimizer slots, CMFL feedback state, client and
-sampler RNG streams, communication ledger, run history and the trace
-continuation — in a single verifiable ``repro-ckpt/v2`` container.
+on — global model, CMFL feedback state, client and sampler RNG
+streams, communication ledger, run history and the trace continuation
+— in a single verifiable ``repro-ckpt/v3`` container.  SGD, the one
+optimizer, carries no state beyond the global model.
 
 The headline guarantee (the kill/resume edge of
 ``tests/test_lattice.py``, and a real SIGKILL in

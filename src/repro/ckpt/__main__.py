@@ -35,7 +35,7 @@ __all__ = ["build_parser", "main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ckpt",
-        description="inspect repro-ckpt/v2 checkpoint containers",
+        description="inspect repro-ckpt/v3 checkpoint containers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -64,7 +64,6 @@ def _inspect_lines(ckpt: Checkpoint) -> List[str]:
         f"iteration       {ckpt.iteration}",
         f"policy          {manifest['policy']['name']}",
         f"n_params        {manifest['n_params']}",
-        f"optimizer       {manifest['optimizer']['type']}",
         f"executor        {manifest['executor']['backend']}",
         f"traced          {manifest.get('trace') is not None}",
         "",

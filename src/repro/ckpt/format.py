@@ -1,4 +1,4 @@
-"""The ``repro-ckpt/v2`` checkpoint container format.
+"""The ``repro-ckpt/v3`` checkpoint container format.
 
 A checkpoint is a single zip file (suffix ``.ckpt``) holding:
 
@@ -7,8 +7,8 @@ A checkpoint is a single zip file (suffix ``.ckpt``) holding:
   members, and a ``members`` table with the SHA-256 digest and byte
   length of every other member;
 * ``arrays/<key>.npy`` — one ``.npy`` payload per numpy array
-  (global parameters, feedback history, optimizer slots, the ledger's
-  per-client tables, store columns);
+  (global parameters, feedback history, the ledger's per-client
+  tables, store columns);
 * text members such as ``history.jsonl`` (the serialised RunHistory).
 
 The bytes are deterministic: members are written in sorted order with
@@ -63,8 +63,10 @@ __all__ = [
 
 #: Schema tag stored in every manifest; bump on incompatible changes.
 #: v2 moved the ledger's per-client tables out of the manifest into
-#: array members; v1 files are refused by the schema check.
-CKPT_SCHEMA = "repro-ckpt/v2"
+#: array members; v3 dropped the optimizer slot state (a v2 file may
+#: carry momentum velocity no reader restores).  Older files are
+#: refused by the schema check.
+CKPT_SCHEMA = "repro-ckpt/v3"
 
 #: File suffix of checkpoint containers.
 CKPT_SUFFIX = ".ckpt"
@@ -165,7 +167,7 @@ def write_checkpoint(
     arrays: Dict[str, ArrayMember],
     texts: Optional[Dict[str, str]] = None,
 ) -> int:
-    """Write a ``repro-ckpt/v2`` container; returns its size in bytes.
+    """Write a ``repro-ckpt/v3`` container; returns its size in bytes.
 
     ``manifest`` is extended in place with the ``schema`` tag, the
     ``arrays`` index and the per-member digest table before being

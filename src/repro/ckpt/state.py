@@ -6,7 +6,7 @@ container format persists; :func:`apply_run_state` pushes a read
 checkpoint back into a freshly constructed trainer.  Between them they
 cover everything round ``t+1`` depends on:
 
-* the global model parameters and the optimizer's slot state;
+* the global model parameters (SGD carries no other model state);
 * the CMFL feedback state (the estimator's retained update history,
   which determines u_bar and the threshold context) and any mutable
   policy state;
@@ -58,11 +58,10 @@ def capture_run_state(
 
     Must be called at a round boundary (between ``run_round`` calls):
     that is the only point where the scattered state — server params,
-    optimizer slots, RNG streams, ledger — is mutually consistent.
+    RNG streams, ledger — is mutually consistent.
     """
     server = trainer.server
     estimator = server.estimator
-    opt_state = trainer.workspace.optimizer.state_dict()
 
     arrays: Dict[str, ArrayMember] = {"global_params": server.global_params}
     feedback_state = estimator.state_dict()
@@ -71,9 +70,6 @@ def capture_run_state(
     arrays["feedback_deltas"] = np.asarray(
         feedback_state["delta_updates"], dtype=float
     )
-    for slot, slot_arrays in opt_state["slots"].items():
-        for i, value in enumerate(slot_arrays):
-            arrays[f"optimizer/{slot}/{i}"] = value
     ledger_entry = _split_ledger(trainer.ledger.state_dict(), arrays)
 
     manifest: Dict[str, Any] = {
@@ -86,14 +82,6 @@ def capture_run_state(
         "server": {
             "feedback_staleness": estimator.staleness,
             "n_feedback": len(feedback_state["history"]),
-        },
-        "optimizer": {
-            "type": opt_state["type"],
-            "scalars": opt_state["scalars"],
-            "slots": {
-                slot: len(slot_arrays)
-                for slot, slot_arrays in opt_state["slots"].items()
-            },
         },
         "rng": {
             "clients": {
@@ -176,7 +164,7 @@ def apply_run_state(trainer: Any, ckpt: Checkpoint) -> None:
     """Restore a checkpoint into a freshly constructed ``trainer``.
 
     The trainer must have been built over the same federation shape —
-    same model architecture, optimizer type, policy, clients, sampler
+    same model architecture, policy, clients, sampler
     and feedback staleness — as the run that produced the checkpoint.
     """
     manifest = ckpt.manifest
@@ -244,18 +232,6 @@ def _apply(trainer: Any, ckpt: Checkpoint, manifest: Dict[str, Any]) -> None:
                 for i in range(int(manifest["server"]["n_feedback"]))
             ],
             "delta_updates": ckpt.arrays["feedback_deltas"].tolist(),
-        }
-    )
-    trainer.workspace.optimizer.load_state_dict(
-        {
-            "type": manifest["optimizer"]["type"],
-            "scalars": manifest["optimizer"]["scalars"],
-            "slots": {
-                slot: [
-                    ckpt.arrays[f"optimizer/{slot}/{i}"] for i in range(count)
-                ]
-                for slot, count in manifest["optimizer"]["slots"].items()
-            },
         }
     )
     trainer.policy.load_state_dict(manifest["policy"]["state"])

@@ -53,7 +53,7 @@ from repro.models.linear import make_logistic_regression
 from repro.models.nwp_lstm import make_nwp_lstm
 from repro.nn.losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy, binary_accuracy
-from repro.nn.optimizers import SGD, Momentum
+from repro.nn.optimizers import SGD
 from repro.nn.schedules import ConstantLR
 from repro.utils.rng import child_rngs, stream_seed
 
@@ -122,7 +122,6 @@ class FederationSpec:
 
     model: str = "linear"
     sizes: Tuple[int, ...] = (6, 6)
-    optimizer: str = "sgd"
     policy: str = "cmfl"
     threshold: float = 0.8
     cohort: Optional[int] = None
@@ -157,10 +156,7 @@ class FederationSpec:
         :class:`FLConfig` field."""
         rngs = child_rngs(self.seed, 4 + len(self.sizes))
         model, loss, metric, draw = model_family(self.model, rngs[0])
-        if self.optimizer == "momentum":
-            optimizer = Momentum(model.parameters(), self.lr, momentum=0.9)
-        else:
-            optimizer = SGD(model.parameters(), self.lr)
+        optimizer = SGD(model.parameters(), self.lr)
         if self.seeded:
             rows = max(self.sizes)
             partition = CyclicPartition(

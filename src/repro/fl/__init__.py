@@ -24,11 +24,7 @@ from repro.fl.server import FLServer
 from repro.fl.aggregation import mean_aggregate
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.history import RoundRecord, RunHistory
-from repro.fl.sampling import (
-    AvailabilitySampler,
-    FullParticipation,
-    UniformSampler,
-)
+from repro.fl.sampling import FullParticipation, UniformSampler
 from repro.fl.store import (
     ClientStateStore,
     CyclicPartition,
@@ -55,7 +51,6 @@ __all__ = [
     "CommunicationLedger",
     "RoundRecord",
     "RunHistory",
-    "AvailabilitySampler",
     "FullParticipation",
     "UniformSampler",
     "ClientStateStore",

@@ -28,10 +28,10 @@ the serial backend):
   (:meth:`repro.fl.client.FLClient.epoch_order`), drawn exactly as
   ``Dataset.batches`` would draw it serially.
 
-Anything without a batched path — an exotic layer, a custom loss, a
-stateful optimizer — raises
-:class:`~repro.nn.module.BatchedUnsupported` at construction, which the
-executor treats as "use the per-client fallback".
+Every shipped layer and loss has a stacked twin.  A custom layer or
+loss without one raises ``NotImplementedError`` at construction,
+naming its class: the serial executor runs it, and nothing falls back
+silently.
 
 Observability caveat: clients on one stack run in lockstep, so the
 executor can only split the stack's wall over them — in proportion to
@@ -49,8 +49,7 @@ import numpy as np
 
 from repro.fl.workspace import ModelWorkspace
 from repro.nn.losses import BatchedLoss
-from repro.nn.module import BatchedModule, BatchedParamBinder, BatchedUnsupported
-from repro.nn.optimizers import SGD
+from repro.nn.module import BatchedModule, BatchedParamBinder
 
 __all__ = ["BatchedWorkspace"]
 
@@ -62,11 +61,7 @@ class BatchedWorkspace:
     counterpart reads and writes strided views into one
     ``(C, n_params)`` parameter/gradient pair, the loss returns a
     ``(C,)`` per-client vector, and the optimizer step is the fused
-    elementwise SGD update applied to the whole stack at once.  Only
-    plain :class:`~repro.nn.optimizers.SGD` has that fused form;
-    stateful optimizers (Momentum) raise
-    :class:`~repro.nn.module.BatchedUnsupported` so cohorts fall back
-    to the per-client path.
+    elementwise SGD update applied to the whole stack at once.
 
     A step can also run on a *window*, a second twin model bound to
     **views** of rows ``a:b`` of the same pair (no copy of anybody's
@@ -77,16 +72,9 @@ class BatchedWorkspace:
     def __init__(self, workspace: ModelWorkspace, n_clients: int) -> None:
         if n_clients < 1:
             raise ValueError("n_clients must be positive")
-        optimizer = workspace.optimizer
-        if type(optimizer) is not SGD:
-            raise BatchedUnsupported(
-                f"{type(optimizer).__name__} has no fused stacked step; "
-                "only plain SGD runs batched"
-            )
         self.n_clients = n_clients
         self.n_params = workspace.n_params
         self._workspace = workspace
-        self._weight_decay = optimizer.weight_decay
         self._binder = BatchedParamBinder(n_clients, workspace.n_params)
         #: ``(binder, twin model, twin loss)`` by row window; ``None``
         #: is the whole stack.
@@ -148,10 +136,8 @@ class BatchedWorkspace:
         loss_values = loss.forward(out, y, training=True)
         model.head_backward(loss.backward())
         # In place on the gradient rows (the next step zeroes them):
-        # no stack-sized temporary, same ``lr * (grad + wd * param)``.
+        # no stack-sized temporary, same ``lr * grad``.
         grads = binder.grad
-        if self._weight_decay:
-            grads += self._weight_decay * binder.data
         grads *= lr
         binder.data -= grads
         return loss_values

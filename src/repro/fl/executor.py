@@ -16,8 +16,7 @@ to.  The batched backend vectorizes: the round's participants, sorted
 by shard size, are stacked into one leading client axis and run in
 lockstep as a handful of large numpy kernels through one
 :class:`~repro.fl.batched.BatchedWorkspace` (the largest stack any
-preset builds is 39 MB, DESIGN 6b), with the per-client loop left only
-for models that have no batched path.  A step gathers only its own
+preset builds is 39 MB, DESIGN 6b).  A step gathers only its own
 rows, from the clients' sources into one reused step-sized buffer.
 """
 
@@ -33,7 +32,6 @@ from repro.fl.batched import BatchedWorkspace
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.config import EXECUTOR_BACKENDS
 from repro.fl.workspace import ModelWorkspace
-from repro.nn.module import BatchedUnsupported
 from repro.obs import NULL_TRACER, RoundRollup
 
 __all__ = [
@@ -109,8 +107,7 @@ class ClientExecutor:
 
     The base runs the participants back to back on the trainer's one
     workspace: the serial reference every equivalence contract is tied
-    to, and the fallback of any backend that cannot run a model its
-    own way.
+    to.
     """
 
     name = "base"
@@ -194,10 +191,9 @@ class BatchedExecutor(ClientExecutor):
     such *run* is one ``train_step_all`` — the whole stack for the steps
     every client has in full, row *windows* (views of rows ``a:b``) for
     the ragged tail.  Nothing is padded or masked, so every client's
-    slice of every kernel is bitwise the serial one (DESIGN 6b).  Only
-    a model without a batched path
-    (:class:`~repro.nn.module.BatchedUnsupported`) runs the serial
-    per-client loop — the whole round, in participant order.
+    slice of every kernel is bitwise the serial one (DESIGN 6b).  A
+    model or loss without a stacked twin raises
+    ``NotImplementedError`` naming it; the serial backend runs it.
 
     Per-client minibatch order comes from each client's own RNG stream
     via :meth:`~repro.fl.client.FLClient.epoch_order`: the client
@@ -220,42 +216,25 @@ class BatchedExecutor(ClientExecutor):
         #: Per stack height, the ``(sizes, batch)`` it last ran and the
         #: lock-step schedule for them.
         self._schedules: Dict[int, Tuple[tuple, list]] = {}
-        self._unsupported: Optional[str] = None
 
     def bind(self, workspace, tracer=None) -> None:
         super().bind(workspace, tracer)
         self._engines = {}  # stale stacks would read the old model's shapes
         self._schedules = {}
-        self._unsupported = None
 
-    def _engine_for(self, size: int) -> Optional[BatchedWorkspace]:
-        """The ``size``-row engine, or None when this model must fall back."""
-        if self._unsupported is not None:
-            return None
+    def _engine_for(self, size: int) -> BatchedWorkspace:
+        """The ``size``-row engine, built on first use."""
         engine = self._engines.get(size)
         if engine is None:
-            try:
-                engine = BatchedWorkspace(self._bound(), size)
-            except BatchedUnsupported as exc:
-                # Remember why so every later round skips the retry.
-                self._unsupported = str(exc)
-                self.tracer.event(
-                    "runtime.executor.batched_fallback",
-                    rt={"reason": self._unsupported},
-                )
-                return None
-            self._engines[size] = engine
+            engine = self._engines[size] = BatchedWorkspace(self._bound(), size)
         return engine
 
     def run_round(self, plan, participants):
         count = len(participants)
-        engine = self._engine_for(count) if count else None
-        if engine is None:
-            # No batched path for this model (or nobody to run): the
-            # serial reference, in **participant order** — with a
-            # stateful optimizer the shared slot state makes client
-            # order observable.
+        if not count:
+            # Nobody to run: the base loop's broadcast span, no stack.
             return super().run_round(plan, participants)
+        engine = self._engine_for(count)
         # Stable sort by shard size; the indices keep participant order
         # inside equal sizes and align the results at the end.
         order = sorted(range(count), key=lambda i: participants[i].n_samples)

@@ -27,34 +27,10 @@ from repro.fl.client import FLClient
 from repro.utils.rng import RngLike, ensure_rng, restore_generator
 
 __all__ = [
-    "AvailabilitySampler",
     "ClientSampler",
     "FullParticipation",
     "UniformSampler",
-    "diurnal_trace",
 ]
-
-
-def diurnal_trace(
-    period: int = 24, low: float = 0.2, high: float = 0.9
-) -> List[float]:
-    """A sinusoidal availability trace for :class:`AvailabilitySampler`.
-
-    One cycle of ``period`` rounds oscillating between ``low`` (the
-    overnight trough) and ``high`` (the evening peak) — the diurnal
-    shape cross-device availability studies report (Ribero & Vikalo
-    2020).  Deterministic, so two runs built from the same arguments
-    sample identical cohorts.
-    """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    if not 0.0 < low <= high <= 1.0:
-        raise ValueError(
-            f"need 0 < low <= high <= 1, got low={low}, high={high}"
-        )
-    mid, amp = (high + low) / 2.0, (high - low) / 2.0
-    phase = 2.0 * np.pi * np.arange(period) / period
-    return [float(f) for f in mid - amp * np.cos(phase)]
 
 
 class ClientSampler:
@@ -125,65 +101,6 @@ class UniformSampler(ClientSampler):
             )
         idx = self._rng.choice(n_population, size=self.count, replace=False)
         return np.sort(idx).astype(np.int64)
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"rng": self._rng.bit_generator.state}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._rng = restore_generator(state["rng"])
-
-
-class AvailabilitySampler(ClientSampler):
-    """Cohorts drawn from a time-varying available slice of the pool.
-
-    Cross-device populations are never all online: availability follows
-    a diurnal cycle (Ribero & Vikalo 2020; Chen et al. 2020 assume the
-    same regime).  ``trace`` gives the available *fraction* of the
-    population per round, cycled; each round the available set is a
-    contiguous wrap-around window of the index space whose start is a
-    pure function of the iteration (deterministic, so resume cannot
-    shift it), and the cohort is a uniform draw from that window.
-    O(cohort) per round, like :class:`UniformSampler`.
-    """
-
-    def __init__(
-        self,
-        count: int,
-        trace: Sequence[float],
-        rng: RngLike = None,
-    ) -> None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        if len(trace) == 0:
-            raise ValueError("availability trace must be non-empty")
-        for f in trace:
-            if not 0.0 < f <= 1.0:
-                raise ValueError(
-                    f"trace fractions must be in (0, 1], got {f}"
-                )
-        self.count = count  # ckpt: transient — constructor constant
-        self.trace = [float(f) for f in trace]  # ckpt: transient — constructor constant
-        self._rng = ensure_rng(rng)
-
-    def available(self, iteration: int, n_population: int) -> int:
-        """Size of round ``iteration``'s available window (>= count)."""
-        fraction = self.trace[(iteration - 1) % len(self.trace)]
-        return min(n_population, max(self.count, int(fraction * n_population)))
-
-    def select_indices(self, iteration: int, n_population: int) -> np.ndarray:
-        if self.count > n_population:
-            raise ValueError(
-                f"cohort count {self.count} exceeds population "
-                f"{n_population}"
-            )
-        avail = self.available(iteration, n_population)
-        # The window walks the index space one window per round, so
-        # every client is periodically available; purely a function of
-        # the iteration, never of RNG state.
-        start = ((iteration - 1) * avail) % n_population
-        picks = self._rng.choice(avail, size=self.count, replace=False)
-        indices = (start + np.sort(picks).astype(np.int64)) % n_population
-        return np.sort(indices)
 
     def state_dict(self) -> Dict[str, Any]:
         return {"rng": self._rng.bit_generator.state}

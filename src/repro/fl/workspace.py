@@ -1,4 +1,4 @@
-"""A reusable model + loss + optimizer workspace.
+"""A reusable model + loss + SGD workspace.
 
 Simulating hundreds of clients does not require hundreds of model
 copies: clients only differ in their data and the flat parameter vector
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.losses import Loss
 from repro.nn.module import Module
-from repro.nn.optimizers import Optimizer, SGD
+from repro.nn.optimizers import SGD
 from repro.nn.serialization import (
     assign_flat_parameters,
     flatten_parameters,
@@ -33,7 +33,7 @@ class ModelWorkspace:
         self,
         model: Module,
         loss: Loss,
-        optimizer: Optional[Optimizer] = None,
+        optimizer: Optional[SGD] = None,
         metric: Optional[MetricFn] = None,
     ) -> None:
         self.model = model

@@ -4,7 +4,7 @@ The paper trains its models in TensorFlow; CMFL itself only ever sees
 flattened update vectors, so any correct SGD learner reproduces the
 algorithm's behaviour.  This package provides exactly that: a small,
 fully backpropagated layer library (dense, convolution, pooling, LSTM,
-embedding), losses, optimizers and the flat-vector parameter
+embedding), losses, SGD and the flat-vector parameter
 (de)serialisation the federated engine is built on.
 
 Every layer follows the same contract:
@@ -23,7 +23,7 @@ views of the layer's own parameters (:class:`~repro.nn.module.TwinView`,
 per plane, are their own twin's body.
 
 All gradients are verified against finite differences in the test suite
-(see :mod:`repro.nn.gradcheck`).
+(``tests/gradcheck.py``).
 """
 
 from repro.nn.parameter import Parameter
@@ -31,7 +31,6 @@ from repro.nn.module import (
     BatchedModule,
     BatchedParamBinder,
     BatchedSequential,
-    BatchedUnsupported,
     Module,
     Sequential,
 )
@@ -47,7 +46,7 @@ from repro.nn.losses import (
     SigmoidBinaryCrossEntropy,
     SoftmaxCrossEntropy,
 )
-from repro.nn.optimizers import SGD, Momentum, Optimizer
+from repro.nn.optimizers import SGD
 from repro.nn.schedules import ConstantLR, InverseSqrtLR
 from repro.nn.serialization import (
     assign_flat_parameters,
@@ -64,7 +63,6 @@ __all__ = [
     "BatchedModule",
     "BatchedParamBinder",
     "BatchedSequential",
-    "BatchedUnsupported",
     "BatchedLoss",
     "ReLU",
     "Dense",
@@ -76,9 +74,7 @@ __all__ = [
     "Loss",
     "SoftmaxCrossEntropy",
     "SigmoidBinaryCrossEntropy",
-    "Optimizer",
     "SGD",
-    "Momentum",
     "ConstantLR",
     "InverseSqrtLR",
     "flatten_parameters",

@@ -55,7 +55,8 @@ class ReLU(Module):
     """max(0, x)."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        keep_cache(self, training, x.shape, x > 0)
+        # Only a training forward's backward reads the mask.
+        keep_cache(self, training, x.shape, x > 0 if training else None)
         # maximum(x, 0.0) selects exactly what where(mask, x, 0.0)
         # would (+0.0 for every non-positive input) in one pass.
         return np.maximum(x, 0.0)

@@ -17,12 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.activations import sigmoid, softmax
-from repro.nn.module import (
-    BatchedUnsupported,
-    TwinHolder,
-    claim_cache,
-    keep_cache,
-)
+from repro.nn.module import TwinHolder, claim_cache, keep_cache
 
 __all__ = [
     "BatchedLoss",
@@ -65,12 +60,12 @@ class Loss(TwinHolder):
     def batched(self) -> "BatchedLoss":
         """Build this loss's batched-leading-axis counterpart.
 
-        Losses without one raise
-        :class:`~repro.nn.module.BatchedUnsupported`, which the batched
-        executor treats as "fall back to the per-client path".
+        A loss without one cannot run on the batched executor; the
+        serial executor runs it.
         """
-        raise BatchedUnsupported(
-            f"{type(self).__name__} has no batched counterpart"
+        raise NotImplementedError(
+            f"{type(self).__name__} has no batched twin; "
+            "the serial executor runs it"
         )
 
     def __call__(

@@ -44,7 +44,6 @@ __all__ = [
     "BatchedParamBinder",
     "BatchedSequential",
     "BatchedStateless",
-    "BatchedUnsupported",
     "Module",
     "Sequential",
     "TwinHolder",
@@ -81,14 +80,6 @@ def claim_cache(owner: Any, grad_shape: Optional[tuple] = None) -> Any:
         )
     owner._cache = None
     return payload
-
-
-class BatchedUnsupported(NotImplementedError):
-    """A module (or loss/optimizer) has no batched-leading-axis path.
-
-    The batched executor catches this at bind time and falls back to
-    the per-client compute path, so raising it is always safe.
-    """
 
 
 class BatchedParamBinder:
@@ -251,55 +242,16 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Copies of every parameter array, keyed ``"<position>:<name>"``.
-
-        Position-keyed because parameter *names* repeat across layers
-        (every Linear has a ``weight``); :meth:`parameters` guarantees a
-        stable order, so the position disambiguates while the name keeps
-        the dict readable and guards against restoring into a different
-        architecture.
-        """
-        return {
-            f"{i}:{p.name}": p.data.copy()
-            for i, p in enumerate(self.parameters())
-        }
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore parameter values from :meth:`state_dict` output.
-
-        The state must cover exactly this module's parameters (same
-        positions, names and shapes); values are copied into the
-        existing arrays so optimizer slot bindings stay intact.
-        """
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ValueError(
-                f"state has {len(state)} entries, module has "
-                f"{len(params)} parameters"
-            )
-        for i, p in enumerate(params):
-            key = f"{i}:{p.name}"
-            if key not in state:
-                raise ValueError(f"state is missing parameter {key!r}")
-            value = np.asarray(state[key])
-            if value.shape != p.data.shape:
-                raise ValueError(
-                    f"parameter {key!r}: state shape {value.shape} does "
-                    f"not match {p.data.shape}"
-                )
-            p.data[...] = value
-
     def batched(self, binder: BatchedParamBinder) -> BatchedModule:
         """Build this module's batched-leading-axis counterpart.
 
         Must call ``binder.bind`` once per parameter, in
-        :meth:`parameters` order.  Modules without a batched path raise
-        :class:`BatchedUnsupported`; the batched executor treats that
-        as "fall back to the per-client path".
+        :meth:`parameters` order.  A module without one cannot run on
+        the batched executor; the serial executor runs it.
         """
-        raise BatchedUnsupported(
-            f"{type(self).__name__} has no batched counterpart"
+        raise NotImplementedError(
+            f"{type(self).__name__} has no batched twin; "
+            "the serial executor runs it"
         )
 
     def head_backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
@@ -329,8 +281,8 @@ class TwinHolder:
     (:meth:`_build_twin`) over views of the owner's own arrays.
 
     The views are safe to keep because parameter arrays are only ever
-    written in place, never rebound (``assign_flat_parameters``,
-    ``load_state_dict``, the optimizers, ``zero_grad``), so the twin
+    written in place, never rebound (``assign_flat_parameters``, SGD,
+    ``zero_grad``), so the twin
     always computes on the current values.  A copy must not share
     them: copies and pickles drop the twin, and the forward cache that
     belongs with it, and the copy builds its own over its own arrays.

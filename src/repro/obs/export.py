@@ -62,9 +62,8 @@ def metrics_from_trace(
     * ``store.*`` — on store-backed runs (rollups carry a ``store``
       block), the participants of every ``round``/``dispatch`` span and
       the last rollup's ``shards_materialized``;
-    * ``ckpt.saves`` — the ``ckpt`` spans; ``runtime.ckpt.*`` and
-      ``runtime.executor.batched_fallbacks`` — the runtime point events
-      of those names.
+    * ``ckpt.saves`` — the ``ckpt`` spans; ``runtime.ckpt.*`` — the
+      runtime point events of that name.
 
     A trace cut after round k (a killed or still-running run) yields the
     same names as the complete trace, with their values as of round k.
@@ -116,8 +115,6 @@ def metrics_from_trace(
             rt = event.get("rt", {})
             samples.setdefault("runtime.ckpt.save_s", []).append(rt["save_s"])
             gauges["runtime.ckpt.bytes"] = rt["bytes"]
-        elif name == "runtime.executor.batched_fallback":
-            add("runtime.executor.batched_fallbacks")
     if "store.shards_materialized" in counts:  # a store-backed run
         counts["store.checkouts"] = counts["store.rows_written"] = participants
     metrics: Dict[str, Dict[str, Any]] = {}

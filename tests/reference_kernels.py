@@ -705,7 +705,7 @@ import zipfile  # noqa: E402
 
 from repro.utils.atomic_io import atomic_write  # noqa: E402
 
-_CKPT_SCHEMA = "repro-ckpt/v2"
+_CKPT_SCHEMA = "repro-ckpt/v3"
 _MANIFEST_MEMBER = "manifest.json"
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 _DEFLATE_LEVEL = 1

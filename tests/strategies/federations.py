@@ -3,7 +3,7 @@
 :func:`federation` is the one fixed federation most trainer-level tests
 share.  :func:`federation_specs` draws the knobs the bitwise contracts
 must hold across — model family, ragged shards or a seeded cyclic
-population, optimizer, upload rule, sampler, client store, tracing,
+population, upload rule, sampler, client store, tracing,
 async engine and the round a run is killed in — as a
 :class:`~repro.experiments.ckpt_smoke.FederationSpec`, the federation
 builder the kill/resume CLI runs, re-exported here with
@@ -78,8 +78,7 @@ def federation(policy, backend="serial", n_clients=4, rounds=5, seed=0,
 @st.composite
 def federation_specs(draw) -> FederationSpec:
     """A small federation: one of the three model families over two to
-    four ragged shards or a seeded cyclic population, SGD or momentum,
-    vanilla or CMFL, full or uniform participation, eager or
+    four ragged shards or a seeded cyclic population, vanilla or CMFL, full or uniform participation, eager or
     store-backed, traced or not, synchronous or through the async
     engine, killed in some round."""
     model = draw(st.sampled_from(MODEL_FAMILIES))
@@ -98,7 +97,6 @@ def federation_specs(draw) -> FederationSpec:
     return FederationSpec(
         model=model,
         sizes=sizes,
-        optimizer=draw(st.sampled_from(("sgd", "momentum"))),
         policy=draw(st.sampled_from(("cmfl", "vanilla"))),
         threshold=draw(st.sampled_from((0.8, 0.5, 0.95))),
         cohort=draw(st.none() | st.integers(1, len(sizes))),

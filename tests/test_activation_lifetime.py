@@ -12,6 +12,7 @@ broadcast silently (across the client axis, on a stacked layer).
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ from repro.nn import (
     SigmoidBinaryCrossEntropy,
     SoftmaxCrossEntropy,
 )
+from repro.nn import activations
+from repro.nn.module import keep_cache
 from repro.nn.serialization import parameter_count
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -121,6 +124,30 @@ def test_backward_consumes_the_cache_and_inference_keeps_none(name, stacked, rou
     assert _holder(layer)._cache is None
     with pytest.raises(RuntimeError, match="backward called before forward"):
         getattr(layer, route)(np.ones(out.shape))
+
+
+def test_relu_inference_forward_allocates_only_its_output(monkeypatch):
+    """No mask on ``training=False``: by the time ReLU hands its cache
+    over nothing is allocated, and the forward's peak is its output."""
+    x = np.random.default_rng(0).normal(size=(256, 512))
+    relu = ReLU()
+    relu.forward(x)  # first-use allocations
+    held = []
+
+    def probe(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        keep_cache(*args)
+
+    monkeypatch.setattr(activations, "keep_cache", probe)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = relu.forward(x, training=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held[0] - before < 4096  # a mask would be x.size bytes
+    assert peak - before < out.nbytes + 4096
 
 
 LOSSES = {

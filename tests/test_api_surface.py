@@ -116,10 +116,8 @@ def test_dataset_repr():
 
 
 #: Modules no experiment, benchmark or tool reaches, each with the fact
-#: that keeps it anyway.
-UNREACHED_ON_PURPOSE = {
-    "repro.nn.gradcheck": "numerical reference for tests/test_nn_gradients.py",
-}
+#: that keeps it anyway.  Test-only helpers live under ``tests/``.
+UNREACHED_ON_PURPOSE = {}
 
 #: Every ``__main__`` module, with what runs it.  A CLI is a root only
 #: when a report, experiment, benchmark, tool or the verify skill runs it.

@@ -18,7 +18,6 @@ from repro.models.digits_cnn import make_digits_cnn
 from repro.models.nwp_lstm import make_nwp_lstm
 from repro.nn import (
     BatchedParamBinder,
-    BatchedUnsupported,
     Conv2D,
     Dense,
     Embedding,
@@ -26,7 +25,6 @@ from repro.nn import (
     LSTM,
     MaxPool2D,
     Module,
-    Momentum,
     ReLU,
     SGD,
     Sequential,
@@ -210,6 +208,9 @@ class TestBatchedLosses:
 
 
 class TestBinderAndFallback:
+    """The parameter binder, and what has no stacked twin: refused by
+    name, with no per-client fallback."""
+
     def test_binder_views_alias_the_stack(self):
         model = Dense(3, 2, rng=np.random.default_rng(0))
         binder = BatchedParamBinder(C, parameter_count(model))
@@ -232,7 +233,7 @@ class TestBinderAndFallback:
         with pytest.raises(ValueError, match="binder overflow"):
             model.batched(binder)
 
-    def test_unbatchable_module_signals_fallback(self):
+    def test_unbatchable_module_raises_naming_it(self):
         class Exotic(Module):
             def forward(self, x, training=False):
                 return x
@@ -240,19 +241,11 @@ class TestBinderAndFallback:
             def backward(self, grad_output):
                 return grad_output
 
-        with pytest.raises(BatchedUnsupported, match="Exotic"):
+        with pytest.raises(
+            NotImplementedError,
+            match="Exotic has no batched twin; the serial executor runs it",
+        ):
             Exotic().batched(BatchedParamBinder(C, 0))
-
-    def test_stateful_optimizer_signals_fallback(self):
-        from repro.fl.batched import BatchedWorkspace
-        from repro.fl.workspace import ModelWorkspace
-
-        model = Dense(3, 2, rng=np.random.default_rng(0))
-        workspace = ModelWorkspace(
-            model, SoftmaxCrossEntropy(), Momentum(model.parameters(), 0.1)
-        )
-        with pytest.raises(BatchedUnsupported, match="Momentum"):
-            BatchedWorkspace(workspace, C)
 
     def test_workspace_roundtrip_extracts_updates(self):
         from repro.fl.batched import BatchedWorkspace

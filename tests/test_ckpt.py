@@ -31,8 +31,6 @@ from repro.fl.config import FLConfig
 from repro.fl.history import RunHistory, RoundRecord
 from repro.fl.sampling import FullParticipation, UniformSampler
 from repro.fl.store import ClientStateStore, CyclicPartition
-from repro.models.linear import make_logistic_regression
-from repro.nn.optimizers import SGD, Momentum
 from repro.obs import MemorySink, Tracer, truncate_trace
 from repro.obs.sinks import encode_event
 from repro.utils.atomic_io import atomic_write, atomic_write_text
@@ -88,7 +86,7 @@ def _write_sample(path):
     manifest = {"iteration": 3, "note": "sample"}
     arrays = {
         "global_params": np.arange(5, dtype=float),
-        "optimizer/velocity/0": np.ones((2, 2)),
+        "feedback/0": np.ones((2, 2)),
     }
     texts = {"history.jsonl": '{"schema": "x"}\n'}
     write_checkpoint(path, manifest, arrays, texts)
@@ -172,6 +170,22 @@ class TestContainerFormat:
         with zipfile.ZipFile(path, "w") as zf:
             zf.writestr("manifest.json", json.dumps({"schema": "repro-ckpt/v1"}))
         with pytest.raises(CheckpointError, match="repro-ckpt/v1"):
+            read_checkpoint(path)
+
+    def test_v2_container_rejected(self, tmp_path):
+        # v3 dropped the optimizer slot members: a v2 file, which may
+        # carry momentum velocity, is refused rather than read without it.
+        path = tmp_path / "a.ckpt"
+        write_checkpoint(path, {"iteration": 1}, {"optimizer/velocity/0": np.ones(2)})
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        manifest = json.loads(members["manifest.json"])
+        manifest["schema"] = "repro-ckpt/v2"
+        members["manifest.json"] = json.dumps(manifest).encode()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        with pytest.raises(CheckpointError, match="schema 'repro-ckpt/v2'"):
             read_checkpoint(path)
 
     def test_not_a_zip_rejected(self, tmp_path):
@@ -307,88 +321,6 @@ class TestStreamingMemory:
 
 
 # -- state_dict round-trips -------------------------------------------------
-
-
-def _optimizer_pair(make):
-    rng = np.random.default_rng(3)
-    model_a = make_logistic_regression(4, rng=np.random.default_rng(5))
-    model_b = make_logistic_regression(4, rng=np.random.default_rng(5))
-    opt_a, opt_b = make(model_a.parameters()), make(model_b.parameters())
-    for p in model_a.parameters():
-        p.grad[...] = rng.normal(size=p.data.shape)
-    opt_a.step()
-    opt_a.step()
-    return model_a, opt_a, model_b, opt_b
-
-
-class TestOptimizerState:
-    def test_momentum_roundtrip(self):
-        model_a, opt_a, model_b, opt_b = _optimizer_pair(
-            lambda ps: Momentum(ps, 0.1, momentum=0.9)
-        )
-        opt_b.load_state_dict(opt_a.state_dict())
-        model_b.load_state_dict(model_a.state_dict())
-        for p in model_b.parameters():
-            p.grad[...] = 0.5
-        for p in model_a.parameters():
-            p.grad[...] = 0.5
-        opt_a.step()
-        opt_b.step()
-        for pa, pb in zip(model_a.parameters(), model_b.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
-
-    def test_momentum_roundtrip_restores_velocity_slots(self):
-        _, opt_a, _, opt_b = _optimizer_pair(
-            lambda ps: Momentum(ps, 0.1, momentum=0.9)
-        )
-        state = opt_a.state_dict()
-        assert len(state["slots"]["velocity"]) == len(opt_a.parameters)
-        opt_b.load_state_dict(state)
-        for pa, pb in zip(opt_a.parameters, opt_b.parameters):
-            assert (opt_b._velocity[id(pb)].tobytes()
-                    == opt_a._velocity[id(pa)].tobytes())
-
-    def test_sgd_is_stateless(self):
-        _, opt_a, _, opt_b = _optimizer_pair(lambda ps: SGD(ps, 0.1))
-        state = opt_a.state_dict()
-        assert state == {"type": "SGD", "scalars": {}, "slots": {}}
-        opt_b.load_state_dict(state)
-
-    def test_type_mismatch_rejected(self):
-        _, opt_a, _, _ = _optimizer_pair(lambda ps: SGD(ps, 0.1))
-        with pytest.raises(ValueError, match="Momentum"):
-            opt_a.load_state_dict({"type": "Momentum", "scalars": {}, "slots": {}})
-
-    def test_slot_shape_mismatch_rejected(self):
-        _, opt_a, _, _ = _optimizer_pair(
-            lambda ps: Momentum(ps, 0.1, momentum=0.9)
-        )
-        state = opt_a.state_dict()
-        state["slots"]["velocity"][0] = np.zeros(99)
-        with pytest.raises(ValueError, match="shape"):
-            opt_a.load_state_dict(state)
-
-
-class TestModuleState:
-    def test_roundtrip_preserves_buffer_identity(self):
-        model = make_logistic_regression(4, rng=np.random.default_rng(0))
-        other = make_logistic_regression(4, rng=np.random.default_rng(1))
-        buffers = [p.data for p in other.parameters()]
-        other.load_state_dict(model.state_dict())
-        for p, buf in zip(other.parameters(), buffers):
-            assert p.data is buf  # optimizer slot bindings stay valid
-        for pa, pb in zip(model.parameters(), other.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
-
-    def test_missing_and_mismatched_entries_rejected(self):
-        model = make_logistic_regression(4, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="entries"):
-            model.load_state_dict({})
-        state = model.state_dict()
-        key = next(iter(state))
-        state[key] = np.zeros((9, 9))
-        with pytest.raises(ValueError, match="shape"):
-            model.load_state_dict(state)
 
 
 class TestFeedbackAndLedgerState:
@@ -650,7 +582,6 @@ class TestCkptCli:
             "iteration": 2,
             "policy": {"name": "cmfl", "state": {}},
             "n_params": 5,
-            "optimizer": {"type": "SGD", "scalars": {}, "slots": {}},
             "executor": {"backend": "serial"},
             "trace": None,
         }
@@ -679,7 +610,7 @@ class TestCkptCli:
         manifest = {"iteration": 3, "note": "sample"}
         arrays = {
             "global_params": np.arange(5, dtype=float) + 0.5,
-            "optimizer/velocity/0": np.ones((2, 2)),
+            "feedback/0": np.ones((2, 2)),
         }
         write_checkpoint(b, manifest, arrays, {"history.jsonl": '{"schema": "x"}\n'})
         assert ckpt_cli(["diff", str(a), str(a)]) == 0

@@ -14,30 +14,25 @@ import pytest
 
 from repro.ckpt import checkpoint_paths, latest_checkpoint
 from repro.ckpt.__main__ import main as ckpt_cli
-from repro.experiments.ckpt_smoke import main as ckpt_smoke_main
+from repro.experiments.ckpt_smoke import main as ckpt_smoke_main, parse_spec
 from repro.fl.events import AsyncConfig
 from repro.fl.trainer import FederatedTrainer
 from repro.nn.schedules import ConstantLR, LRSchedule
 from tests.strategies import SMOKE, FederationSpec, assert_lattice
 
-@pytest.mark.parametrize("backend,optimizer", [
-    ("serial", "momentum"),
-    ("serial", "sgd"),
-    ("batched", "sgd"),
-])
-def test_crash_resume_is_bitwise_identical(backend, optimizer):
+@pytest.mark.parametrize("backend", ["serial", "batched"])
+def test_crash_resume_is_bitwise_identical(backend):
     """The smoke federation killed in round 5 and resumed on
     ``backend`` from round 4's checkpoint: lattice edge (d)."""
     assert assert_lattice(replace(
-        SMOKE, optimizer=optimizer, kill_backend=backend,
-        resume_backend=backend,
+        SMOKE, kill_backend=backend, resume_backend=backend,
     ), "d") == 4
 
 
 def test_resume_without_trace():
     """Checkpointing works with tracing off; restore matches the full run."""
     assert assert_lattice(replace(
-        SMOKE, optimizer="momentum", trace_sample=None, kill_round=4
+        SMOKE, trace_sample=None, kill_round=4
     ), "d") == 3
 
 
@@ -102,6 +97,12 @@ def test_cli_refuses_a_bad_spec_by_name(tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_parse_spec_refuses_the_removed_optimizer_field():
+    """SGD is the one optimizer: a spec that still names one is refused."""
+    with pytest.raises(ValueError, match=r"unknown FederationSpec field\(s\): optimizer"):
+        parse_spec('{"optimizer": "sgd"}')
+
+
 def test_cli_resume_without_a_checkpoint_names_the_directory(tmp_path, capsys):
     assert ckpt_smoke_main(["--dir", str(tmp_path), "--resume"]) == 2
     assert f"no checkpoint found in {tmp_path / 'ckpt'}" in capsys.readouterr().out
@@ -119,12 +120,12 @@ def test_cli_default_run_learns(tmp_path, capsys):
 def test_restore_rejects_mismatched_federation(tmp_path):
     from repro.ckpt import CheckpointError
 
-    spec = FederationSpec(optimizer="momentum", rounds=2)
+    spec = FederationSpec(policy="vanilla", rounds=2)
     with FederatedTrainer(**spec.parts("serial", directory=tmp_path)) as trainer:
         trainer.run(2)
     path = latest_checkpoint(tmp_path / "ckpt")
-    wrong = FederationSpec(optimizer="sgd", rounds=2).parts("serial")
-    with pytest.raises(CheckpointError, match="does not match"):
+    wrong = FederationSpec(policy="cmfl", rounds=2).parts("serial")
+    with pytest.raises(CheckpointError, match="does not match .* policy 'vanilla'"):
         FederatedTrainer.restore(path, **wrong)
 
 

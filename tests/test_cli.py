@@ -1,5 +1,7 @@
-"""The ``python -m repro`` and ``repro.experiments.scale`` entry points."""
+"""The ``python -m repro`` and ``repro.experiments.scale`` entry points,
+and the tools under ``tools/``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -118,3 +120,35 @@ def test_memory_phases_prints_each_phase_of_the_named_federation():
     with trainer:
         trainer.run()
     assert lines[8] == f"history digest {history_digest(trainer)}"
+
+
+def test_reach_tells_called_from_uncalled_bodies(tmp_path):
+    """``tools/reach.py`` on a fixture package: a body the command
+    calls, one only a subprocess of it calls, and one nobody calls."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "def called():\n    return 1\n\n\n"
+        "def called_by_child():\n    return 2\n\n\n"
+        "def uncalled():\n    x = 3\n    return x\n"
+    )
+    (tmp_path / "main.py").write_text(
+        "import subprocess, sys\n"
+        "from pkg.mod import called\n"
+        "called()\n"
+        "subprocess.run([sys.executable, '-c', "
+        "'from pkg.mod import called_by_child; called_by_child()'], check=True)\n"
+    )
+    path = Path(__file__).resolve().parent.parent / "tools" / "reach.py"
+    spec = importlib.util.spec_from_file_location("reach", path)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    work = tmp_path / "work"
+    work.mkdir()
+    called = reach.record([[sys.executable, "main.py"]], package, tmp_path, work)
+    assert reach.report(package, called) == [
+        "pkg/mod.py: 3 lines",
+        "  9-11  uncalled",
+        "uncalled: 3 of 7 lines, 1 of 3 function bodies",
+    ]

@@ -16,11 +16,11 @@ from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
 from repro.fl.events import AsyncConfig
 from tests.strategies import SMOKE, assert_lattice
 
-#: The smoke federation with momentum through the async engine at S=2.
+#: The smoke federation through the async engine at S=2.
 #: The dispatch interval spaces rounds out on the virtual timeline so
 #: closes do not cluster into one arrival event: checkpoints then carry
 #: in-flight rounds.
-ASYNC = replace(SMOKE, optimizer="momentum", async_config=AsyncConfig(
+ASYNC = replace(SMOKE, async_config=AsyncConfig(
     staleness_bound=2, dispatch_interval_s=0.4, drop_rate=0.1, speed_sigma=1.0,
 ))
 

@@ -32,7 +32,8 @@ from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
 from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.metrics import binary_accuracy
-from repro.nn.optimizers import SGD, Momentum
+from repro.nn.module import Module, Sequential
+from repro.nn.optimizers import SGD
 from repro.nn.serialization import flatten_gradients, flatten_parameters
 from repro.obs import MemorySink, Tracer
 from repro.utils.rng import child_rngs
@@ -68,16 +69,18 @@ class _StrayOrderClient(FLClient):
         return super().epoch_order() + 1
 
 
-def _hetero_round(backend, client_cls=FLClient, optimizer_cls=SGD, special=0):
+def _hetero_round(backend, client_cls=FLClient, special=0, head=None):
     """One round over shards of mixed sizes (one five-row stack with a
     ragged tail on the batched backend); client ``special`` is built
-    from ``client_cls``."""
+    from ``client_cls``, and a ``head`` layer goes before the model."""
     rngs = child_rngs(11, 8)
     model = make_logistic_regression(5, rng=rngs[0])
+    if head is not None:
+        model = Sequential([head, model])
     workspace = ModelWorkspace(
         model,
         SigmoidBinaryCrossEntropy(),
-        optimizer_cls(model.parameters(), 0.3),
+        SGD(model.parameters(), 0.3),
         metric=binary_accuracy,
     )
     clients = []
@@ -106,7 +109,8 @@ class TestBackendEquivalence:
 
 class TestBatchedBackend:
     """Batched-specific contracts: cohort formation, RNG stream
-    semantics, fallback paths and failure attribution."""
+    semantics, refusal of what has no stacked twin and failure
+    attribution."""
 
     def test_mixed_batched_then_serial_matches_pure_serial(self):
         """epoch_order leaves client streams exactly where serial
@@ -168,16 +172,23 @@ class TestBatchedBackend:
 
         assert losses("batched") == losses("serial")
 
-    def test_stateful_optimizer_falls_back_per_client(self):
-        """No batched path for Momentum: every client runs the serial
-        reference, results still bitwise-identical."""
-        _, serial = _hetero_round("serial", optimizer_cls=Momentum)
-        executor, batched = _hetero_round("batched", optimizer_cls=Momentum)
-        for a, b in zip(serial, batched):
-            assert a.train_loss == b.train_loss
-            np.testing.assert_array_equal(a.update, b.update, strict=True)
-        assert executor._engines == {}
-        assert "Momentum" in executor._unsupported
+    def test_twinless_module_raises_naming_it(self):
+        """No per-client fallback: a layer without a stacked twin is
+        refused by name, and the serial backend runs it."""
+
+        class Exotic(Module):
+            def forward(self, x, training=False):
+                return x
+
+            def backward(self, grad_output):
+                return grad_output
+
+        _hetero_round("serial", head=Exotic())
+        with pytest.raises(
+            NotImplementedError,
+            match="Exotic has no batched twin; the serial executor runs it",
+        ):
+            _hetero_round("batched", head=Exotic())
 
     def test_cohort_failure_names_client(self):
         with pytest.raises(ClientExecutionError, match="client 0") as exc:
@@ -297,22 +308,6 @@ class TestBatchedBackend:
             tracemalloc.stop()
         assert rows == 3_849_600 and len(held) == 16
         assert max(held) - before < rows
-
-    def test_fallback_failure_names_client(self):
-        trainer, _ = federation(CMFLPolicy(ConstantThreshold(0.0)),
-                                backend="batched")
-        with trainer:
-            # A stateful optimizer has no stacked step, so the whole
-            # round runs through compute_update — and client 2's
-            # explodes there.
-            workspace = trainer.workspace
-            workspace.optimizer = Momentum(workspace.model.parameters(), 0.5)
-            trainer.clients[2] = _ExplodingClient(
-                2, trainer.clients[2].train_data
-            )
-            with pytest.raises(ClientExecutionError, match="client 2"):
-                trainer.run(1)
-            assert "Momentum" in trainer.executor._unsupported
 
     def test_rebind_drops_stale_engines(self):
         executor, _ = _hetero_round("batched")

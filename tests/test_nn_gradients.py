@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.activations import ReLU
-from repro.nn.gradcheck import check_input_gradient, check_module_gradients
+from tests.gradcheck import check_input_gradient, check_module_gradients
 from repro.nn.layers.conv import Conv2D, MaxPool2D
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.embedding import Embedding
@@ -142,7 +142,7 @@ def test_embedding_gradients(rng):
     emb.backward(tail.backward(loss.backward()))
     analytic = emb.weight.grad.copy()
 
-    from repro.nn.gradcheck import max_relative_error, numerical_gradient
+    from tests.gradcheck import max_relative_error, numerical_gradient
 
     def f():
         return loss.forward(tail.forward(emb.forward(ids)), y)

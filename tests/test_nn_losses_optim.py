@@ -7,7 +7,7 @@ from repro.nn.losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
 from repro.nn.layers.dense import Dense
 from repro.nn.metrics import accuracy, binary_accuracy
 from repro.nn.module import Sequential
-from repro.nn.optimizers import SGD, Momentum
+from repro.nn.optimizers import SGD
 from repro.nn.parameter import Parameter
 from repro.nn.schedules import ConstantLR, InverseSqrtLR
 from repro.nn.serialization import (
@@ -75,21 +75,6 @@ class TestOptimizers:
         p = self._param()
         SGD([p], lr=0.1).step(lr=1.0)
         assert p.data[0] == pytest.approx(0.5)
-
-    def test_sgd_weight_decay(self):
-        p = self._param(value=2.0, grad=0.0)
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
-
-    def test_momentum_accelerates(self):
-        p1, p2 = self._param(), self._param()
-        plain = SGD([p1], lr=0.1)
-        heavy = Momentum([p2], lr=0.1, momentum=0.9)
-        for _ in range(3):
-            plain.step()
-            heavy.step()
-        # with a constant gradient, momentum moves strictly further
-        assert p2.data[0] < p1.data[0]
 
     def test_zero_grad(self):
         p = self._param()

@@ -176,9 +176,9 @@ class TestDeterminismContract:
         )
         with trainer:
             trainer.run()
-            # What a fallback to the per-client loop emits.
+            # What a checkpoint save emits.
             trainer.tracer.event(
-                "runtime.executor.batched_fallback", rt={"reason": "test"}
+                "runtime.ckpt", rt={"save_s": 0.01, "bytes": 1024}
             )
         events = list(trainer.tracer.memory_events())
         view = deterministic_view(events)

@@ -2,6 +2,7 @@
 and the CLI's behavior on damaged traces."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,8 @@ from repro.obs import (
     to_openmetrics,
 )
 from repro.obs.__main__ import build_parser, main as obs_main
-from tests.strategies import federation
+from repro.fl.events import AsyncConfig
+from tests.strategies import SMOKE, federation
 
 
 _SAVE_S = (0.01, 0.02, 0.03, 0.04)
@@ -199,6 +201,64 @@ class TestExportCli:
     def test_export_missing_file_exits_2(self, tmp_path, capsys):
         assert obs_main(["export", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestAsyncExport:
+    """A traced async run's ``async.*`` totals, end to end: trace file
+    to ``python -m repro.obs export``, whole and cut."""
+
+    ROUNDS = 6
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        spec = replace(SMOKE, async_config=AsyncConfig(staleness_bound=2))
+        path = tmp_path_factory.mktemp("async") / "trace.jsonl"
+        with spec.start(spec.parts("serial", trace_path=str(path))) as run:
+            run.run(self.ROUNDS)
+        return path
+
+    def test_async_metrics_export(self, trace, tmp_path, capsys):
+        assert obs_main(["export", str(trace)]) == 0
+        text = capsys.readouterr().out
+        assert "# TYPE async_dispatches counter" in text
+        assert f"async_closes_total {self.ROUNDS}" in text
+        assert "async_staleness" in text
+        out = tmp_path / "snap.jsonl"
+        assert obs_main(
+            ["export", str(trace), "--format", "jsonl", "--out", str(out)]
+        ) == 0
+        names = {
+            json.loads(line).get("name")
+            for line in out.read_text().splitlines()
+        }
+        assert {"async.dispatches", "async.closes", "async.staleness"} <= names
+
+    def test_export_of_a_cut_trace_keeps_the_staleness_summary(
+        self, trace, tmp_path, capsys
+    ):
+        """A run killed after round k exports the names of the complete
+        run, with their values as of round k — summaries included."""
+        lines = trace.read_text().splitlines(keepends=True)
+        closes = [
+            i for i, line in enumerate(lines)
+            if json.loads(line)["name"] == "round_close"
+        ]
+        k = 2
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[: closes[k - 1] + 1]))
+
+        def exported(path):
+            assert obs_main(["export", str(path)]) == 0
+            _, samples = _parse_openmetrics(capsys.readouterr().out)
+            return samples
+
+        whole, partial = exported(trace), exported(cut)
+        assert {n.split("{")[0] for n in partial} == {
+            n.split("{")[0] for n in whole
+        }
+        assert partial["async_staleness_count"] == k
+        assert partial["async_closes_total"] == k
+        assert whole["async_staleness_count"] == self.ROUNDS
 
 
 class TestDamagedTraces:

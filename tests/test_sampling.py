@@ -7,7 +7,7 @@ from repro.baselines.vanilla import VanillaPolicy
 from repro.data.dataset import Dataset
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
-from repro.fl.sampling import AvailabilitySampler, FullParticipation, UniformSampler
+from repro.fl.sampling import FullParticipation, UniformSampler
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
@@ -96,51 +96,6 @@ class TestIndexSpace:
         assert a.select_indices(2, 100).tolist() == (
             b.select_indices(2, 100).tolist()
         )
-
-
-class TestAvailabilitySampler:
-    def test_cohort_size_and_bounds(self):
-        sampler = AvailabilitySampler(10, [0.1, 0.5, 1.0], rng=0)
-        for t in range(1, 8):
-            idx = sampler.select_indices(t, 1_000)
-            assert len(idx) == 10
-            assert len(set(idx.tolist())) == 10
-            assert all(0 <= i < 1_000 for i in idx)
-
-    def test_window_is_pure_function_of_iteration(self):
-        # Same round, fresh RNG with the same seed: same window, same
-        # cohort.  The trace position depends on t alone, never on how
-        # many rounds ran before.
-        a = AvailabilitySampler(5, [0.2], rng=3)
-        b = AvailabilitySampler(5, [0.2], rng=3)
-        a.select_indices(1, 500)  # advance a's RNG one round
-        state = a.state_dict()
-        b.load_state_dict(state)
-        assert a.select_indices(2, 500).tolist() == (
-            b.select_indices(2, 500).tolist()
-        )
-
-    def test_trace_cycles(self):
-        sampler = AvailabilitySampler(2, [0.01, 1.0], rng=1)
-        assert sampler.available(1, 1_000) == 10
-        assert sampler.available(2, 1_000) == 1_000
-        assert sampler.available(3, 1_000) == 10
-
-    def test_availability_floor_is_cohort(self):
-        sampler = AvailabilitySampler(50, [0.001], rng=1)
-        assert sampler.available(1, 1_000) == 50
-        idx = sampler.select_indices(1, 1_000)
-        assert len(idx) == 50
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            AvailabilitySampler(0, [0.5])
-        with pytest.raises(ValueError):
-            AvailabilitySampler(5, [])
-        with pytest.raises(ValueError):
-            AvailabilitySampler(5, [0.0])
-        with pytest.raises(ValueError):
-            AvailabilitySampler(5, [0.5]).select_indices(1, 3)
 
 
 class TestTrainerIntegration:
