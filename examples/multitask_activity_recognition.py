@@ -18,7 +18,7 @@ from repro.mtl import MochaTrainer, MTLConfig
 
 def run(policy, tasks):
     config = MTLConfig(rounds=30, local_epochs=1, batch_size=5, lr=0.002,
-                       personal_retention=0.5, eval_every=5, seed=1)
+                       eval_every=5, seed=1)
     trainer = MochaTrainer(tasks, policy, config)
     history = trainer.run()
     return trainer, history

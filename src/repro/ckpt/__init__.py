@@ -3,7 +3,7 @@
 Checkpoints capture *everything* a federated run's next round depends
 on — global model, CMFL feedback state, client and sampler RNG
 streams, communication ledger, run history and the trace continuation
-— in a single verifiable ``repro-ckpt/v3`` container.  SGD, the one
+— in a single verifiable ``repro-ckpt/v4`` container.  SGD, the one
 optimizer, carries no state beyond the global model.
 
 The headline guarantee (the kill/resume edge of

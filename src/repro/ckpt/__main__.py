@@ -35,7 +35,7 @@ __all__ = ["build_parser", "main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ckpt",
-        description="inspect repro-ckpt/v3 checkpoint containers",
+        description="inspect repro-ckpt/v4 checkpoint containers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,4 +1,4 @@
-"""The ``repro-ckpt/v3`` checkpoint container format.
+"""The ``repro-ckpt/v4`` checkpoint container format.
 
 A checkpoint is a single zip file (suffix ``.ckpt``) holding:
 
@@ -64,9 +64,12 @@ __all__ = [
 #: Schema tag stored in every manifest; bump on incompatible changes.
 #: v2 moved the ledger's per-client tables out of the manifest into
 #: array members; v3 dropped the optimizer slot state (a v2 file may
-#: carry momentum velocity no reader restores).  Older files are
-#: refused by the schema check.
-CKPT_SCHEMA = "repro-ckpt/v3"
+#: carry momentum velocity no reader restores); v4 made the async
+#: engine's dispatch spacing and straggler spread constants (a v3 file
+#: may have been written on a timeline this engine cannot draw, which
+#: a comparison of the surviving knobs would not notice).  Older files
+#: are refused by the schema check.
+CKPT_SCHEMA = "repro-ckpt/v4"
 
 #: File suffix of checkpoint containers.
 CKPT_SUFFIX = ".ckpt"
@@ -167,7 +170,7 @@ def write_checkpoint(
     arrays: Dict[str, ArrayMember],
     texts: Optional[Dict[str, str]] = None,
 ) -> int:
-    """Write a ``repro-ckpt/v3`` container; returns its size in bytes.
+    """Write a ``repro-ckpt/v4`` container; returns its size in bytes.
 
     ``manifest`` is extended in place with the ``schema`` tag, the
     ``arrays`` index and the per-member digest table before being

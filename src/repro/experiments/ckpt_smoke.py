@@ -14,7 +14,7 @@ the run::
 replace :data:`SMOKE`'s, e.g. the store-backed async path::
 
     python -m repro.experiments.ckpt_smoke --dir /tmp/run --kill \\
-        --spec '{"stored": true, "async_config": {"staleness_bound": 2}}'
+        --spec '{"stored": true, "seeded": true, "async_config": {"staleness_bound": 2}}'
 
 Give the same ``--spec`` to both legs.  :meth:`FederationSpec.parts`
 builds the same federation seed for seed on every call, which is what
@@ -105,15 +105,15 @@ class FederationSpec:
     """One small federation and how a run of it is driven.
 
     ``cohort`` None is full participation, otherwise a uniform cohort
-    of that many clients.  ``stored`` runs the clients through
-    ``ClientStateStore.from_clients`` at ``shard_size`` instead of as
-    an eager list.  ``seeded`` is the population form the scale runs
-    use instead of ragged shards: ``len(sizes)`` clients of
+    of that many clients.  ``seeded`` is the population form the scale
+    runs use instead of ragged shards: ``len(sizes)`` clients of
     ``min(sizes)`` rows, ``CyclicPartition`` windows (wrap-around
     copies included) of one dataset of ``max(sizes)`` rows, client
-    ``i`` on the stream the store derives from ``(seed, i)``; stored,
-    it is ``ClientStateStore(n, partition, seed=seed)``, whose rows
-    start untouched.  ``trace_sample`` None is tracing off, and
+    ``i`` on the stream the store derives from ``(seed, i)``.
+    ``stored`` runs a seeded population as ``ClientStateStore(n,
+    partition, seed=seed, shard_size=shard_size)``, whose rows start
+    untouched, instead of as an eager list; it needs ``seeded``.
+    ``trace_sample`` None is tracing off, and
     ``async_config`` None the synchronous loop.  A killed run runs on
     ``kill_backend`` and dies at the first decision of round
     ``kill_round`` (:func:`die_in_round`); its resume runs on
@@ -141,6 +141,11 @@ class FederationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.stored and not self.seeded:
+            raise ValueError(
+                "stored=True needs seeded=True: the store holds seeded "
+                "CyclicPartition populations only"
+            )
         if not 1 <= self.kill_round <= self.rounds:
             raise ValueError(
                 f"kill_round must be in 1..rounds={self.rounds}, "
@@ -177,8 +182,6 @@ class FederationSpec:
                 FLClient(i, Dataset(*draw(rngs[1], n)), rng=rngs[4 + i])
                 for i, n in enumerate(self.sizes)
             ]
-            if self.stored:
-                clients = ClientStateStore.from_clients(clients, self.shard_size)
         x_test, y_test = draw(rngs[2], 8)
         traced = self.trace_sample is not None
         settings = dict(

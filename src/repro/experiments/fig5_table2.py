@@ -69,7 +69,6 @@ def har_config(scale: str, seed: int = 1) -> MTLConfig:
         local_epochs=1,
         batch_size=5,
         lr=0.002,
-        personal_retention=0.5,
         eval_every=2,
         seed=seed,
     )
@@ -81,7 +80,6 @@ def shd_config(scale: str, seed: int = 3) -> MTLConfig:
         local_epochs=2,
         batch_size=5,
         lr=0.05,
-        personal_retention=0.5,
         eval_every=2,
         seed=seed,
     )

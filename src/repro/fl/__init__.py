@@ -28,7 +28,6 @@ from repro.fl.sampling import FullParticipation, UniformSampler
 from repro.fl.store import (
     ClientStateStore,
     CyclicPartition,
-    ExplicitPartition,
     StoreClient,
 )
 from repro.fl.trainer import FederatedTrainer
@@ -56,6 +55,5 @@ __all__ = [
     "ClientStateStore",
     "StoreClient",
     "CyclicPartition",
-    "ExplicitPartition",
     "FederatedTrainer",
 ]

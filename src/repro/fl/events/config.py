@@ -20,34 +20,22 @@ class AsyncConfig:
 
     A round aggregated ``s`` rounds stale merges with weight ``w(s) =
     1 / (1 + s)``; ``w(0)`` is exactly 1.0, which takes the server's
-    unscaled code path.  ``dispatch_interval_s`` spaces dispatches on
-    the virtual timeline (0 = dispatch as soon as the bound allows);
-    ``drop_rate``/``speed_sigma`` feed the
+    unscaled code path.  A round dispatches as soon as the bound
+    allows.  ``drop_rate`` feeds the
     :class:`~repro.fl.events.latency.LatencyModel`.
     """
 
     staleness_bound: int = 0
-    dispatch_interval_s: float = 0.0
     drop_rate: float = 0.0
-    speed_sigma: float = 0.5
 
     def __post_init__(self) -> None:
         if self.staleness_bound < 0:
             raise ValueError(
                 f"staleness_bound must be >= 0, got {self.staleness_bound}"
             )
-        if self.dispatch_interval_s < 0.0:
-            raise ValueError(
-                f"dispatch_interval_s must be >= 0, "
-                f"got {self.dispatch_interval_s}"
-            )
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(
                 f"drop_rate must be in [0, 1), got {self.drop_rate}"
-            )
-        if self.speed_sigma < 0.0:
-            raise ValueError(
-                f"speed_sigma must be >= 0, got {self.speed_sigma}"
             )
 
     def merge_weight(self, staleness: int) -> float:

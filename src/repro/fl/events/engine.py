@@ -90,12 +90,10 @@ class AsyncFederatedTrainer:
         self.latency = LatencyModel(  # ckpt: transient — pure streams, no state
             seed=trainer.config.seed,
             n_params=trainer.server.n_params,
-            speed_sigma=self.async_config.speed_sigma,
             drop_rate=self.async_config.drop_rate,
         )
         self.closes_done = len(trainer.history)
         self.next_dispatch = self.closes_done + 1
-        self.last_dispatch_time: Optional[float] = None
         self.target_rounds = 0  # ckpt: transient — set by each closed_rounds() call
         self._inflight: Dict[int, _InflightRound] = {}
         self._dispatch_pending = False  # ckpt: transient — derived from the queue on restore
@@ -167,13 +165,7 @@ class AsyncFederatedTrainer:
             return False
         if not self._dispatch_allowed(iteration):
             return True
-        time = self.clock.now
-        if self.last_dispatch_time is not None:
-            time = max(
-                time,
-                self.last_dispatch_time + self.async_config.dispatch_interval_s,
-            )
-        self.queue.push(Event(time, DISPATCH, iteration))
+        self.queue.push(Event(self.clock.now, DISPATCH, iteration))
         self._dispatch_pending = True
         return False
 
@@ -213,7 +205,6 @@ class AsyncFederatedTrainer:
                 inflight.pending.add(cid)
                 self.queue.push(Event(now + tm.latency_s, ARRIVAL, t, cid))
         self._inflight[t] = inflight
-        self.last_dispatch_time = self.clock.now
         self.next_dispatch += 1
         next_deferred = self._maybe_schedule_dispatch()
         if self.tracer.enabled:
@@ -306,7 +297,6 @@ class AsyncFederatedTrainer:
             "queue": self.queue.state_dict(),
             "closes_done": self.closes_done,
             "next_dispatch": self.next_dispatch,
-            "last_dispatch_time": self.last_dispatch_time,
             "inflight": [],
         }
         arrays: Dict[str, np.ndarray] = {}
@@ -351,8 +341,6 @@ class AsyncFederatedTrainer:
         self.queue.load_state_dict(state["queue"])
         self.closes_done = int(state["closes_done"])
         self.next_dispatch = int(state["next_dispatch"])
-        last = state["last_dispatch_time"]
-        self.last_dispatch_time = None if last is None else float(last)
         self._inflight = {}
         for entry in state["inflight"]:
             t = int(entry["iteration"])

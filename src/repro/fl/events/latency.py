@@ -9,11 +9,12 @@ simulated round-trip is therefore a pure function of (seed, config):
 the event schedule it induces is bitwise-reproducible on any backend
 and across resumes, with *no RNG object to checkpoint*.
 
-The cost model is this module's link and compute constants: download
-the global model over :data:`MOBILE_LINK`, train
-(:class:`NodeComputeModel` seconds scaled by a lognormal per-draw speed
-factor — the straggler knob), upload the update.  This is the tree's
-one model of time; its one model of bytes is
+The cost model is this module's constants: download the global model
+over a phone-grade link (:data:`LINK_LATENCY_S` plus the bytes at
+:data:`LINK_BANDWIDTH_BPS`), train (:data:`TRAIN_SECONDS_PER_SAMPLE`
+per sample and epoch, scaled by a lognormal speed factor of sigma
+:data:`SPEED_SIGMA` — the stragglers), upload the update over the same
+link.  This is the tree's one model of time; its one model of bytes is
 :class:`~repro.fl.accounting.CommunicationLedger`.  Churn is a
 Bernoulli drop per (round, client): a dropped client still computes
 (the device worked; its upload never landed) but its result is
@@ -22,7 +23,6 @@ discarded and its arrival never scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +31,13 @@ from repro.nn.serialization import update_nbytes
 from repro.utils.rng import stream_seed
 
 __all__ = [
-    "MOBILE_LINK",
     "ClientTiming",
+    "LINK_BANDWIDTH_BPS",
+    "LINK_LATENCY_S",
     "LatencyModel",
-    "LinkModel",
-    "NodeComputeModel",
+    "SPEED_SIGMA",
     "STREAM_TAG",
+    "TRAIN_SECONDS_PER_SAMPLE",
 ]
 
 #: Entropy-domain tag separating latency streams from every other
@@ -44,47 +45,16 @@ __all__ = [
 #: ``(seed, index)``).
 STREAM_TAG = 0x1A7E9C
 
+#: The link every client downloads and uploads over (LTE-uplink-ish):
+#: a fixed latency per crossing plus the bytes at this bandwidth.
+LINK_LATENCY_S = 0.05
+LINK_BANDWIDTH_BPS = 5e6
 
-@dataclass(frozen=True)
-class LinkModel:
-    """A point-to-point link: fixed latency plus bandwidth-limited transfer."""
+#: One forward/backward pass of one sample in one local epoch.
+TRAIN_SECONDS_PER_SAMPLE = 2e-3
 
-    bandwidth_bps: float
-    latency_s: float
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency must be >= 0")
-
-    def transfer_time(self, n_bytes: int) -> float:
-        """Seconds to move ``n_bytes`` across the link."""
-        if n_bytes < 0:
-            raise ValueError("n_bytes must be >= 0")
-        return self.latency_s + 8.0 * n_bytes / self.bandwidth_bps
-
-
-#: A phone-grade link (LTE uplink-ish): what every client of the async
-#: engine downloads and uploads over.
-MOBILE_LINK = LinkModel(bandwidth_bps=5e6, latency_s=0.05)
-
-
-@dataclass(frozen=True)
-class NodeComputeModel:
-    """Per-client computation cost: ``train_seconds_per_sample`` covers
-    one forward/backward pass of one sample in one local epoch."""
-
-    train_seconds_per_sample: float = 2e-3
-
-    def __post_init__(self) -> None:
-        if self.train_seconds_per_sample <= 0:
-            raise ValueError("train_seconds_per_sample must be positive")
-
-    def local_training_time(self, n_samples: int, local_epochs: int) -> float:
-        if n_samples < 0 or local_epochs < 0:
-            raise ValueError("counts must be >= 0")
-        return self.train_seconds_per_sample * n_samples * local_epochs
+#: Sigma of the lognormal per-draw speed factor on training time.
+SPEED_SIGMA = 0.5
 
 
 class ClientTiming(NamedTuple):
@@ -96,29 +66,21 @@ class ClientTiming(NamedTuple):
 
 class LatencyModel:
     """Draws :class:`ClientTiming` from pure per-(round, client) streams,
-    over :data:`MOBILE_LINK` and the default :class:`NodeComputeModel`."""
+    under this module's link and compute constants."""
 
-    def __init__(
-        self,
-        seed: int,
-        n_params: int,
-        speed_sigma: float = 0.5,
-        drop_rate: float = 0.0,
-    ) -> None:
+    def __init__(self, seed: int, n_params: int, drop_rate: float = 0.0) -> None:
         if n_params < 1:
             raise ValueError("n_params must be >= 1")
-        if speed_sigma < 0.0:
-            raise ValueError(f"speed_sigma must be >= 0, got {speed_sigma}")
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
         self.seed = int(seed)
         self.n_params = int(n_params)
-        self.compute = NodeComputeModel()
-        self.speed_sigma = float(speed_sigma)
         self.drop_rate = float(drop_rate)
         # The model crosses the link once down and once up at the same
         # cost for every client of every round.
-        self._transfer_s = MOBILE_LINK.transfer_time(update_nbytes(self.n_params))
+        self._transfer_s = (
+            LINK_LATENCY_S + 8.0 * update_nbytes(self.n_params) / LINK_BANDWIDTH_BPS
+        )
 
     def timing(
         self,
@@ -140,14 +102,13 @@ class LatencyModel:
             stream_seed(self.seed, STREAM_TAG, int(iteration), int(client_id))
         )
         dropped = bool(rng.random() < self.drop_rate)
-        train = self.compute.local_training_time(n_samples, local_epochs)
-        if self.speed_sigma > 0.0:
-            train *= float(np.exp(self.speed_sigma * rng.standard_normal()))
+        train = TRAIN_SECONDS_PER_SAMPLE * n_samples * local_epochs
+        train *= float(np.exp(SPEED_SIGMA * rng.standard_normal()))
         # down + train + up, in that order.
         return ClientTiming(dropped, self._transfer_s + train + self._transfer_s)
 
     def __repr__(self) -> str:
         return (
             f"LatencyModel(seed={self.seed}, n_params={self.n_params}, "
-            f"speed_sigma={self.speed_sigma}, drop_rate={self.drop_rate})"
+            f"drop_rate={self.drop_rate})"
         )

@@ -37,11 +37,12 @@ round boundaries, the same place checkpoints are legal.  Shard arrays
 are **coordinator-owned** state — only ``checkout`` / ``writeback`` /
 ``record_round`` write them, at round boundaries (see DESIGN.md §6f).
 
-Data stays shared: a :class:`DataPartition` maps a client index to its
-shard of a common dataset.  :class:`CyclicPartition` is O(1) state per
-population (contiguous wrap-around slices — views, not copies);
-:class:`ExplicitPartition` adopts prebuilt datasets (the
-:meth:`ClientStateStore.from_clients` parity path).
+Data stays shared: a :class:`CyclicPartition` maps a client index to
+its window of a common dataset, O(1) state per population (contiguous
+wrap-around slices — views, not copies).  The store's eager twin is
+the client list that builds client ``i`` on ``partition.materialize(i)``
+with a PCG64 stream seeded by ``stream_seed(seed, i)``, the stream a
+never-touched row starts from.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ from repro.utils.rng import stream_seed
 __all__ = [
     "ClientStateStore",
     "CyclicPartition",
-    "DataPartition",
     "DEFAULT_SHARD_SIZE",
-    "ExplicitPartition",
     "StoreClient",
 ]
 
@@ -98,54 +97,7 @@ def _decode_pcg64(row: np.ndarray) -> Dict[str, Any]:
     }
 
 
-class DataPartition:
-    """Maps a client index to its training shard of a shared dataset."""
-
-    #: Manifest tag checked on checkpoint restore.
-    kind = "base"
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def n_samples(self, index: int) -> int:
-        """Shard size of client ``index`` without materializing data."""
-        raise NotImplementedError
-
-    def materialize(self, index: int) -> Dataset:
-        """The client's dataset, built lazily (views where possible)."""
-        raise NotImplementedError
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-safe shape summary for the checkpoint manifest."""
-        return {"kind": self.kind, "n_clients": len(self)}
-
-
-class ExplicitPartition(DataPartition):
-    """Prebuilt per-client datasets (the ``from_clients`` parity path).
-
-    Holds object references, so it is O(population) like the eager
-    client list it came from — use :class:`CyclicPartition` for large
-    populations.
-    """
-
-    kind = "explicit"
-
-    def __init__(self, datasets: Sequence[Dataset]) -> None:
-        if not datasets:
-            raise ValueError("need at least one dataset")
-        self._datasets = list(datasets)
-
-    def __len__(self) -> int:
-        return len(self._datasets)
-
-    def n_samples(self, index: int) -> int:
-        return len(self._datasets[index])
-
-    def materialize(self, index: int) -> Dataset:
-        return self._datasets[index]
-
-
-class CyclicPartition(DataPartition):
+class CyclicPartition:
     """O(1)-state partition: wrap-around slices of a shared dataset.
 
     Client ``i`` owns the ``samples_per_client`` rows starting at
@@ -155,8 +107,6 @@ class CyclicPartition(DataPartition):
     <repro.data.dataset.Dataset.window>` of the base: a zero-copy view,
     or for the few wrap-around clients a gathered copy.
     """
-
-    kind = "cyclic"
 
     def __init__(
         self,
@@ -178,17 +128,15 @@ class CyclicPartition(DataPartition):
     def __len__(self) -> int:
         return self.n_clients
 
-    def n_samples(self, index: int) -> int:
-        del index
-        return self.samples_per_client
-
     def materialize(self, index: int) -> Dataset:
+        """Client ``index``'s rows: a window of the shared dataset."""
         start = (index * self.samples_per_client) % len(self.dataset)
         return self.dataset.window(start, start + self.samples_per_client)
 
     def describe(self) -> Dict[str, Any]:
+        """JSON-safe shape summary for the checkpoint manifest."""
         return {
-            "kind": self.kind,
+            "kind": "cyclic",
             "n_clients": self.n_clients,
             "samples_per_client": self.samples_per_client,
             # Consecutive clients' windows abut; the key keeps the
@@ -256,7 +204,7 @@ class ClientStateStore:
     def __init__(
         self,
         population: int,
-        partition: DataPartition,
+        partition: CyclicPartition,
         seed: int = 0,
         shard_size: int = DEFAULT_SHARD_SIZE,
     ) -> None:
@@ -278,40 +226,6 @@ class ClientStateStore:
         # Generators of retired views: a live row restores into one
         # (1.4 us) instead of into a PCG64 seeded from the OS first (15 us).
         self._idle_rngs: List[np.random.Generator] = []  # ckpt: transient — stateless spares
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def from_clients(
-        cls,
-        clients: Sequence[FLClient],
-        shard_size: int = DEFAULT_SHARD_SIZE,
-    ) -> "ClientStateStore":
-        """Adopt an eager client list: same ids, same streams, same data.
-
-        The resulting store is bitwise-interchangeable with the list it
-        came from — every view checked out later resumes the exact RNG
-        stream the eager object held, so run histories digest-match.
-        Client ids must be the dense range ``0..len-1`` (the store's
-        row index *is* the client id).
-        """
-        for position, client in enumerate(clients):
-            if client.client_id != position:
-                raise ValueError(
-                    "store rows are indexed by client id; expected client "
-                    f"{position} at position {position}, got "
-                    f"{client.client_id}"
-                )
-        store = cls(
-            len(clients),
-            ExplicitPartition([c.train_data for c in clients]),
-            shard_size=shard_size,
-        )
-        for client in clients:
-            shard, offset = store._locate(client.client_id)
-            _encode_pcg64(client.rng_state(), shard.rng[offset])
-            shard.live[offset] = True
-        return store
 
     # -- internals -----------------------------------------------------
 

@@ -499,7 +499,14 @@ class FederatedTrainer:
         Idempotent — except that a tracer built from the config knobs
         is closed too (final metrics snapshot + sink flush), so a
         traced trainer should not run further rounds after ``close``.
+        A trainer :meth:`restore` built from a finished run's last
+        checkpoint runs no round, so ``close`` ends the adopted ``run``
+        span the restore cut from the trace.
         """
+        if self._resume_span is not None:
+            self._resume_span.set_rt("backend", self.executor.name)
+            self._resume_span.__exit__(None, None, None)
+            self._resume_span = None
         self.executor.close()
         if self._owns_tracer:
             self.tracer.close()

@@ -19,9 +19,10 @@ never communicated.  One synchronous round:
 Outlier clients (anti-aligned tasks) produce drifts that point against
 the federation: uploading them pollutes the shared base for everyone,
 which is exactly why filtering them both saves communication *and*
-improves mean accuracy (the paper's Fig. 5/6 finding).  The task
-relationship matrix of :mod:`repro.mtl.relationship` is maintained for
-analysis (task-similarity reporting and the relationship feedback mode).
+improves mean accuracy (the paper's Fig. 5/6 finding).  MOCHA's task
+relationship matrix has no counterpart: the offsets are what keep the
+tasks apart, and every client judges its drift against the one shared
+tendency.
 
 Accuracy is the average per-task test accuracy of ``b + v_k``,
 matching the paper's Fig. 5 y-axis.
@@ -38,32 +39,26 @@ from repro.core.policy import PolicyContext, UploadPolicy
 from repro.data.har import TaskData
 from repro.fl.accounting import CommunicationLedger
 from repro.fl.history import RoundRecord, RunHistory
-from repro.mtl.relationship import relationship_matrix
 from repro.nn.activations import sigmoid
 from repro.utils.rng import RngLike, child_rngs
 
-__all__ = ["MTLConfig", "MochaTrainer"]
+__all__ = ["MTLConfig", "MochaTrainer", "PERSONAL_RETENTION"]
 
-FEEDBACK_MODES = ("mean", "relationship")
+#: The fraction of a task's residual from the shared base kept as its
+#: private offset each round (0 would make every task use the base
+#: alone; 1 would keep the full residual).
+PERSONAL_RETENTION = 0.5
 
 
 @dataclass
 class MTLConfig:
-    """Hyper-parameters of a federated MTL run (paper Sec. V-B setup).
-
-    ``personal_retention`` is the fraction of a task's residual from the
-    shared base that is kept as its private offset each round (0 makes
-    every task use the base alone; 1 keeps the full residual).
-    """
+    """Hyper-parameters of a federated MTL run (paper Sec. V-B setup)."""
 
     rounds: int = 100
     local_epochs: int = 10
     batch_size: int = 3
     lr: float = 1e-4
-    personal_retention: float = 0.5
-    omega_refresh_every: int = 5
     eval_every: int = 1
-    feedback_mode: str = "mean"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -71,15 +66,8 @@ class MTLConfig:
             raise ValueError("rounds, local_epochs and batch_size must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0.0 <= self.personal_retention <= 1.0:
-            raise ValueError("personal_retention must be in [0, 1]")
-        if self.omega_refresh_every < 1 or self.eval_every < 1:
-            raise ValueError("refresh/eval cadences must be >= 1")
-        if self.feedback_mode not in FEEDBACK_MODES:
-            raise ValueError(
-                f"feedback_mode must be one of {FEEDBACK_MODES}, "
-                f"got {self.feedback_mode!r}"
-            )
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
 
 def _logistic_gradient(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,17 +101,14 @@ class MochaTrainer:
         for t in self.tasks:
             if t.train.x.shape[1] != n_features:
                 raise ValueError("all tasks must share the feature dimension")
-        self.n_features = n_features
         self.n_tasks = len(self.tasks)
         dim = n_features + 1  # +1 bias
         self.base = np.zeros(dim)
         self.offsets = np.zeros((dim, self.n_tasks))
         self._last_local = np.zeros((dim, self.n_tasks))
         self._have_locals = False
+        # The CMFL feedback: the previous round's aggregate base update.
         self._prev_base_update = np.zeros(dim)
-        self._prev_column_updates = np.zeros((dim, self.n_tasks))
-        self._has_feedback = False
-        self.omega = np.eye(self.n_tasks) / self.n_tasks
         self._rngs = child_rngs(config.seed if rng is None else rng, self.n_tasks)
         self.ledger = CommunicationLedger(n_params=dim)
         self.history = RunHistory(policy_name=policy.name)
@@ -140,7 +125,7 @@ class MochaTrainer:
         if not self._have_locals:
             return
         residual = self._last_local[:, task_idx] - self.base
-        self.offsets[:, task_idx] = self.config.personal_retention * residual
+        self.offsets[:, task_idx] = PERSONAL_RETENTION * residual
 
     def _local_update(self, task_idx: int) -> np.ndarray:
         """E epochs of minibatch SGD from ``b + v_k``; returns the drift."""
@@ -153,21 +138,6 @@ class MochaTrainer:
                 w -= cfg.lr * _logistic_gradient(w, xb, yb.astype(float))
         self._last_local[:, task_idx] = w
         return w - start
-
-    def _feedback_for(self, task_idx: int) -> np.ndarray:
-        """The global tendency this client compares its drift against."""
-        if not self._has_feedback:
-            return np.zeros(self.n_features + 1)
-        if self.config.feedback_mode == "mean":
-            return self._prev_base_update
-        # Relationship mode: weight the previous per-task drifts by this
-        # task's (non-negative) learned similarity to each other task.
-        weights = np.maximum(self.omega[task_idx].copy(), 0.0)
-        weights[task_idx] = 0.0
-        if weights.sum() == 0:
-            return self._prev_base_update
-        weights = weights / weights.sum()
-        return self._prev_column_updates @ weights
 
     # ------------------------------------------------------------------
     # evaluation
@@ -190,15 +160,13 @@ class MochaTrainer:
         scores: List[float] = []
         threshold = 0.0
         pending: List[tuple] = []
-        column_updates = np.zeros_like(self.offsets)
         for k in range(self.n_tasks):
             self._refresh_offset(k)
             update = self._local_update(k)
-            column_updates[:, k] = update
             ctx = PolicyContext(
                 iteration=t,
                 global_params=self.task_weights(k),
-                global_update_estimate=self._feedback_for(k),
+                global_update_estimate=self._prev_base_update,
                 client_id=k,
             )
             decision = self.policy.decide(update, ctx)
@@ -215,11 +183,6 @@ class MochaTrainer:
             base_update = np.mean([u for _, u in pending], axis=0)
             self.base += base_update
             self._prev_base_update = base_update
-            self._prev_column_updates = column_updates
-            self._has_feedback = True
-        if t % self.config.omega_refresh_every == 0:
-            stacked = self.base[:, None] + self.offsets
-            self.omega = relationship_matrix(stacked)
 
         self.ledger.record_round(uploads, skipped)
         record = RoundRecord(

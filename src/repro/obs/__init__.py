@@ -12,8 +12,8 @@ with the unsampled remainder folded into exact per-round
 ``round_rollup`` events (:class:`RoundRollup`).  The trace has one
 channel for numbers: the run's totals (``comm.*``, ``async.*``,
 ``store.*``, ``ckpt.*``) are a fold over its spans and rollups
-(:func:`metrics_from_trace`), exported as OpenMetrics text or JSONL
-snapshots (:mod:`repro.obs.export`), and so are its health findings
+(:func:`metrics_from_trace`), exported as OpenMetrics text
+(:mod:`repro.obs.export`), and so are its health findings
 — stalls, dead cohorts, non-finite evaluations, stragglers
 (:func:`health_events`).
 
@@ -31,10 +31,8 @@ Render, diff, export or live-watch a trace file with
 """
 
 from repro.obs.export import (
-    EXPORT_SCHEMA,
     metrics_from_trace,
     openmetrics_name,
-    to_jsonl_snapshot,
     to_openmetrics,
 )
 from repro.obs.health import health_events, health_summary
@@ -67,7 +65,6 @@ from repro.obs.report import (
 )
 
 __all__ = [
-    "EXPORT_SCHEMA",
     "RUNTIME_PREFIX",
     "RoundRollup",
     "SpanSampler",
@@ -92,7 +89,6 @@ __all__ = [
     "rollup_rows",
     "round_rows",
     "summarize",
-    "to_jsonl_snapshot",
     "to_openmetrics",
     "trace_digest",
     "truncate_trace",

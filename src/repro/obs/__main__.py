@@ -4,14 +4,14 @@
     python -m repro.obs validate trace.jsonl
     python -m repro.obs digest trace.jsonl
     python -m repro.obs diff a.jsonl b.jsonl
-    python -m repro.obs export trace.jsonl [--format openmetrics|jsonl]
+    python -m repro.obs export trace.jsonl [--out metrics.txt]
     python -m repro.obs watch trace.jsonl [--follow] [--interval 2.0]
 
 ``report`` prints the per-phase time/bytes breakdown; ``diff`` compares
 two traces under the deterministic view (timestamps and other runtime
 data masked) and exits non-zero when the runs diverged.  ``export``
 folds the trace into the run's totals and writes them as OpenMetrics
-text (or a JSONL snapshot); ``watch`` renders the live health
+text; ``watch`` renders the live health
 dashboard, re-reading the growing trace file under ``--follow``.
 """
 
@@ -23,11 +23,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.obs.export import (
-    metrics_from_trace,
-    to_jsonl_snapshot,
-    to_openmetrics,
-)
+from repro.obs.export import metrics_from_trace, to_openmetrics
 from repro.obs.report import (
     diff_traces,
     format_report,
@@ -72,15 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("b", type=Path)
 
     export = sub.add_parser(
-        "export", help="the trace's totals as OpenMetrics text or JSONL"
+        "export", help="the trace's totals as OpenMetrics text"
     )
     export.add_argument("trace", type=Path)
-    export.add_argument(
-        "--format",
-        choices=("openmetrics", "jsonl"),
-        default="openmetrics",
-        help="output format (default: openmetrics)",
-    )
     export.add_argument(
         "--out",
         type=Path,
@@ -107,11 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_export(args: argparse.Namespace) -> int:
-    metrics = metrics_from_trace(load_trace(args.trace))
-    render = to_openmetrics if args.format == "openmetrics" else (
-        to_jsonl_snapshot
-    )
-    text = render(metrics)
+    text = to_openmetrics(metrics_from_trace(load_trace(args.trace)))
     if args.out is None:
         sys.stdout.write(text)
     else:

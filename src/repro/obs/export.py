@@ -1,37 +1,29 @@
-"""Export a trace's totals in standard forms: OpenMetrics text and JSONL.
+"""Export a trace's totals as OpenMetrics text.
 
 :func:`metrics_from_trace` folds a ``repro-trace/v2`` event list into
 the run's ``comm.*``/``async.*``/``store.*``/``ckpt.*``/``runtime.*``
-totals; this module writes them out so they can leave the process in a
-form other tooling understands:
-
-* :func:`to_openmetrics` — the OpenMetrics text exposition format
-  (Prometheus-compatible): counters as ``<name>_total``, gauges as
-  bare samples, histogram summaries as ``quantile``-labelled samples
-  plus ``_count``/``_sum``, terminated by ``# EOF``.
-* :func:`to_jsonl_snapshot` — one JSON object per metric after a
-  schema header line (``repro-metrics/v1``), for machine diffing.
+totals; :func:`to_openmetrics` writes them out so they can leave the
+process in a form other tooling understands: the OpenMetrics text
+exposition format (Prometheus-compatible), with counters as
+``<name>_total``, gauges as bare samples, histogram summaries as
+``quantile``-labelled samples plus ``_count``/``_sum``, terminated by
+``# EOF``.
 
 ``python -m repro.obs export trace.jsonl`` is the CLI entry point.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Any, Dict, Iterable, List
 
 from repro.obs.rollup import summarize
 from repro.obs.tracer import TRACE_SCHEMA
 __all__ = [
-    "EXPORT_SCHEMA",
     "metrics_from_trace",
     "openmetrics_name",
-    "to_jsonl_snapshot",
     "to_openmetrics",
 ]
-
-EXPORT_SCHEMA = "repro-metrics/v1"
 
 #: OpenMetrics metric names: letters, digits, underscores and colons.
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -177,13 +169,3 @@ def to_openmetrics(metrics: Dict[str, Dict[str, Any]]) -> str:
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 
-
-def to_jsonl_snapshot(metrics: Dict[str, Dict[str, Any]]) -> str:
-    """One JSON object per metric, after a schema header line."""
-    lines = [json.dumps({"schema": EXPORT_SCHEMA}, sort_keys=True)]
-    for name in sorted(metrics):
-        entry = {"name": name, **metrics[name]}
-        lines.append(
-            json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        )
-    return "\n".join(lines) + "\n"

@@ -259,15 +259,15 @@ from repro.fl.store import ClientStateStore, CyclicPartition
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
-from repro.mtl import relationship_matrix
+from repro.mtl import MochaTrainer, MTLConfig
 from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.schedules import ConstantLR
 import numpy as np
 
 NWPWorkload("test").make_trainer(VanillaPolicy()).run(1)
 DigitsWorkload("test").make_trainer(VanillaPolicy()).run(1)
-make_semeion_tasks(n_clients=3, total_samples=60, rng=0)
-relationship_matrix(np.eye(3))
+tasks = make_semeion_tasks(n_clients=3, total_samples=60, rng=0)
+MochaTrainer(tasks, VanillaPolicy(), MTLConfig(rounds=1, local_epochs=1)).run()
 g = np.random.default_rng(0)
 x = g.normal(size=(60, 4))
 data = Dataset(x, (x[:, 0] > 0).astype(np.int64))

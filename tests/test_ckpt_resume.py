@@ -18,6 +18,7 @@ from repro.experiments.ckpt_smoke import main as ckpt_smoke_main, parse_spec
 from repro.fl.events import AsyncConfig
 from repro.fl.trainer import FederatedTrainer
 from repro.nn.schedules import ConstantLR, LRSchedule
+from repro.obs import load_trace, trace_digest, validate_trace
 from tests.strategies import SMOKE, FederationSpec, assert_lattice
 
 @pytest.mark.parametrize("backend", ["serial", "batched"])
@@ -37,24 +38,23 @@ def test_resume_without_trace():
 
 
 #: The federations the CLI is SIGKILLed on: the smoke run; the store
-#: through the async engine, killed on the batched executor; a seeded
-#: stored population, half its rounds traced, under a cohort of 3 and,
-#: through the async engine, of 1 (one decision in the kill round).
+#: through the async engine (four clients of 24 rows, each its own
+#: window of 96), killed on the batched executor; a seeded stored
+#: population, half its rounds traced, under a cohort of 3 and, through
+#: the async engine, of 1 (one decision in the kill round).
 SIGKILLED = {
     "smoke": SMOKE,
     "async-stored-batched": replace(
-        SMOKE, stored=True, kill_backend="batched",
-        async_config=AsyncConfig(
-            staleness_bound=2, dispatch_interval_s=0.4, drop_rate=0.1,
-            speed_sigma=1.0,
-        ),
+        SMOKE, sizes=(96,) + (24,) * 3, stored=True, seeded=True,
+        kill_backend="batched",
+        async_config=AsyncConfig(staleness_bound=2, drop_rate=0.1),
     ),
     "seeded-sampled": replace(
         SMOKE, stored=True, seeded=True, cohort=3, trace_sample=0.5
     ),
     "seeded-sampled-async-cohort-1": replace(
         SMOKE, stored=True, seeded=True, cohort=1, trace_sample=0.5,
-        async_config=AsyncConfig(staleness_bound=1, dispatch_interval_s=0.4),
+        async_config=AsyncConfig(staleness_bound=1),
     ),
 }
 
@@ -83,6 +83,7 @@ BAD_SPECS = {
     ),
     "kill-after-last-round": ('{"kill_round": 7}', "kill_round must be in 1..rounds=6, got 7"),
     "kill-round-zero": ('{"kill_round": 0}', "kill_round must be in 1..rounds=6, got 0"),
+    "stored-unseeded": ('{"stored": true}', "stored=True needs seeded=True"),
 }
 
 
@@ -101,6 +102,18 @@ def test_parse_spec_refuses_the_removed_optimizer_field():
     """SGD is the one optimizer: a spec that still names one is refused."""
     with pytest.raises(ValueError, match=r"unknown FederationSpec field\(s\): optimizer"):
         parse_spec('{"optimizer": "sgd"}')
+
+
+def test_cli_resume_of_a_finished_run_keeps_the_trace(tmp_path):
+    """``--resume`` after a whole run cuts the trace back to the last
+    checkpoint and runs no round; closing the run writes the ``run``
+    span again, so the trace is the uninterrupted one."""
+    assert ckpt_smoke_main(["--dir", str(tmp_path)]) == 0
+    whole = trace_digest(load_trace(tmp_path / "trace.jsonl"))
+    assert ckpt_smoke_main(["--dir", str(tmp_path), "--resume"]) == 0
+    events = load_trace(tmp_path / "trace.jsonl")
+    assert validate_trace(events) == []
+    assert trace_digest(events) == whole
 
 
 def test_cli_resume_without_a_checkpoint_names_the_directory(tmp_path, capsys):

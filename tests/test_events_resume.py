@@ -7,22 +7,28 @@ lattice's kill/resume edge, pinned here on ``ASYNC``, and the SIGKILL
 test of ``tests/test_ckpt_resume.py`` on the store-backed path."""
 
 import gc
+import json
 import weakref
+import zipfile
 from dataclasses import replace
 
 import pytest
 
-from repro.ckpt import checkpoint_paths, latest_checkpoint, read_checkpoint
+from repro.ckpt import (
+    CheckpointError,
+    checkpoint_paths,
+    latest_checkpoint,
+    read_checkpoint,
+)
 from repro.fl.events import AsyncConfig
 from tests.strategies import SMOKE, assert_lattice
 
-#: The smoke federation through the async engine at S=2.
-#: The dispatch interval spaces rounds out on the virtual timeline so
-#: closes do not cluster into one arrival event: checkpoints then carry
-#: in-flight rounds.
-ASYNC = replace(SMOKE, async_config=AsyncConfig(
-    staleness_bound=2, dispatch_interval_s=0.4, drop_rate=0.1, speed_sigma=1.0,
-))
+#: The smoke federation through the async engine at S=2, with churn.
+#: Seed 2 draws a timeline whose checkpoints carry in-flight rounds
+#: (four of five do); at seed 0 every close empties the engine.
+ASYNC = replace(
+    SMOKE, seed=2, async_config=AsyncConfig(staleness_bound=2, drop_rate=0.1)
+)
 
 
 def _build_engine(directory=None):
@@ -61,8 +67,8 @@ def test_checkpoint_captures_inflight_rounds(tmp_path):
             assert f"async/{t}/feedback" in ckpt.arrays
             for cid in entry["participants"]:
                 assert f"async/{t}/update/{cid}" in ckpt.arrays
-    # The spec spaces dispatches so rounds overlap checkpoint
-    # boundaries: at least one snapshot must carry an in-flight round.
+    # The spec's rounds overlap checkpoint boundaries: at least one
+    # snapshot must carry an in-flight round.
     assert seen_inflight > 0
 
 
@@ -78,9 +84,7 @@ def finished_run(tmp_path_factory):
 #: One changed value per AsyncConfig field.
 MISMATCHES = {
     "staleness_bound": 7,
-    "dispatch_interval_s": 0.5,
     "drop_rate": 0.0,
-    "speed_sigma": 0.5,
 }
 
 
@@ -102,6 +106,26 @@ def test_restore_rejects_a_snapshot_missing_a_knob(finished_run):
     engine = _build_engine()
     with pytest.raises(ValueError, match="drop_rate=<missing>"):
         engine.restore_state(state, ckpt.arrays)
+
+
+def test_a_v3_checkpoint_is_refused_by_its_schema(finished_run, tmp_path):
+    """A ``repro-ckpt/v3`` file may hold a timeline drawn with a
+    dispatch interval or another speed spread, which a comparison of
+    the surviving knobs cannot see: it is refused by its schema."""
+    with zipfile.ZipFile(latest_checkpoint(finished_run / "ckpt")) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    manifest = json.loads(members["manifest.json"])
+    manifest["schema"] = "repro-ckpt/v3"
+    manifest["async"].update(
+        dispatch_interval_s=0.4, speed_sigma=1.0, last_dispatch_time=None
+    )
+    members["manifest.json"] = json.dumps(manifest).encode()
+    path = tmp_path / "v3.ckpt"
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    with pytest.raises(CheckpointError, match="schema 'repro-ckpt/v3'"):
+        ASYNC.restore(path, ASYNC.parts("serial"))
 
 
 def test_sync_checkpoint_refused_by_async_restore(tmp_path):

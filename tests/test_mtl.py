@@ -8,7 +8,6 @@ from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import ConstantThreshold
 from repro.data.har import make_har_tasks
 from repro.mtl.mocha import MochaTrainer, MTLConfig
-from repro.mtl.relationship import relationship_matrix
 
 
 @pytest.fixture
@@ -20,20 +19,7 @@ def tasks():
 @pytest.fixture
 def config():
     return MTLConfig(rounds=5, local_epochs=1, batch_size=5, lr=0.01,
-                     personal_retention=0.5, eval_every=1, seed=1)
-
-
-class TestRelationship:
-    def test_symmetric_unit_trace(self, rng):
-        w = rng.normal(size=(8, 4))
-        omega = relationship_matrix(w, ridge=0.0)
-        np.testing.assert_allclose(omega, omega.T, atol=1e-10)
-        assert np.trace(omega) == pytest.approx(1.0)
-
-    def test_positive_definite(self, rng):
-        w = rng.normal(size=(8, 4))
-        omega = relationship_matrix(w)
-        assert np.all(np.linalg.eigvalsh(omega) > 0)
+                     eval_every=1, seed=1)
 
 
 class TestMTLConfig:
@@ -43,9 +29,7 @@ class TestMTLConfig:
         with pytest.raises(ValueError):
             MTLConfig(lr=0.0)
         with pytest.raises(ValueError):
-            MTLConfig(personal_retention=1.5)
-        with pytest.raises(ValueError):
-            MTLConfig(feedback_mode="bogus")
+            MTLConfig(eval_every=0)
 
 
 class TestMochaTrainer:
@@ -61,7 +45,7 @@ class TestMochaTrainer:
                                    min_samples=10, max_samples=30,
                                    noise_std=1.0, rng=0)
         config = MTLConfig(rounds=8, local_epochs=2, batch_size=5, lr=0.05,
-                           personal_retention=0.5, eval_every=1, seed=1)
+                           eval_every=1, seed=1)
         trainer = MochaTrainer(low_noise, VanillaPolicy(), config)
         history = trainer.run()
         # zero weights predict class 1 everywhere -> ~0.5 accuracy
@@ -90,7 +74,7 @@ class TestMochaTrainer:
         tasks = make_har_tasks(n_clients=20, n_features=60, min_samples=15,
                                max_samples=40, noise_std=0.8, rng=4)
         config = MTLConfig(rounds=10, local_epochs=1, batch_size=5, lr=0.005,
-                           personal_retention=0.5, eval_every=5, seed=2)
+                           eval_every=5, seed=2)
         trainer = MochaTrainer(tasks, CMFLPolicy(ConstantThreshold(0.53)),
                                config)
         trainer.run()
@@ -98,12 +82,25 @@ class TestMochaTrainer:
         outliers = np.asarray([t.is_outlier for t in tasks])
         assert skips[outliers].mean() > skips[~outliers].mean()
 
-    def test_feedback_modes_run(self, tasks):
-        for mode in ("mean", "relationship"):
-            config = MTLConfig(rounds=3, local_epochs=1, batch_size=5,
-                               lr=0.01, feedback_mode=mode, seed=1)
-            history = MochaTrainer(tasks, VanillaPolicy(), config).run()
-            assert len(history) == 3
+    def test_every_client_judges_against_the_previous_base_update(
+        self, tasks, config
+    ):
+        seen = {}
+
+        class Recording(VanillaPolicy):
+            def decide(self, update, ctx):
+                seen.setdefault(ctx.iteration, []).append(
+                    ctx.global_update_estimate.copy()
+                )
+                return super().decide(update, ctx)
+
+        trainer = MochaTrainer(tasks, Recording(), config)
+        trainer.run(1)
+        assert all(not f.any() for f in seen[1])
+        moved = trainer.base.copy()  # round 1 moved the base from zero
+        trainer.run(1)
+        for feedback in seen[2]:
+            np.testing.assert_array_equal(feedback, moved)
 
     def test_reproducible(self, config):
         results = []

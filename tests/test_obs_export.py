@@ -1,4 +1,4 @@
-"""The totals folded from a trace, their export (OpenMetrics/JSONL),
+"""The totals folded from a trace, their OpenMetrics export,
 and the CLI's behavior on damaged traces."""
 
 import json
@@ -9,7 +9,6 @@ import pytest
 from repro.core.policy import CMFLPolicy
 from repro.core.thresholds import InverseSqrtThreshold
 from repro.obs import (
-    EXPORT_SCHEMA,
     MemorySink,
     TRACE_SCHEMA,
     Tracer,
@@ -18,7 +17,6 @@ from repro.obs import (
     metrics_from_trace,
     openmetrics_name,
     summarize,
-    to_jsonl_snapshot,
     to_openmetrics,
 )
 from repro.obs.__main__ import build_parser, main as obs_main
@@ -104,18 +102,6 @@ class TestOpenMetrics:
         assert family_lines == sorted(family_lines)
 
 
-class TestJsonlSnapshot:
-    def test_schema_header_and_one_object_per_metric(self):
-        metrics = metrics_from_trace(_traced_metrics())
-        lines = to_jsonl_snapshot(metrics).splitlines()
-        assert json.loads(lines[0]) == {"schema": EXPORT_SCHEMA}
-        parsed = [json.loads(line) for line in lines[1:]]
-        assert [p["name"] for p in parsed] == sorted(metrics)
-        by_name = {p["name"]: p for p in parsed}
-        assert by_name["comm.uploads"]["value"] == 7
-        assert by_name["comm.uploads"]["type"] == "counter"
-
-
 class TestMetricsFromTrace:
     def test_folds_rollups_spans_and_runtime_events(self):
         metrics = metrics_from_trace(_traced_metrics())
@@ -181,14 +167,13 @@ class TestExportCli:
         assert types["comm_uploads"] == "counter"
         assert "comm_uploaded_bytes_total" in samples
 
-    def test_export_jsonl_to_file(self, tmp_path):
+    def test_export_openmetrics_to_file(self, tmp_path, capsys):
         trace = _write_trace(tmp_path)
-        out = tmp_path / "metrics.jsonl"
-        assert obs_main(
-            ["export", str(trace), "--format", "jsonl", "--out", str(out)]
-        ) == 0
-        lines = out.read_text().splitlines()
-        assert json.loads(lines[0]) == {"schema": EXPORT_SCHEMA}
+        out = tmp_path / "metrics.txt"
+        assert obs_main(["export", str(trace), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert obs_main(["export", str(trace)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_validate_names_the_trace_schema(self, tmp_path, capsys):
         trace = _write_trace(tmp_path)
@@ -217,21 +202,14 @@ class TestAsyncExport:
             run.run(self.ROUNDS)
         return path
 
-    def test_async_metrics_export(self, trace, tmp_path, capsys):
+    def test_async_metrics_export(self, trace, capsys):
         assert obs_main(["export", str(trace)]) == 0
         text = capsys.readouterr().out
         assert "# TYPE async_dispatches counter" in text
         assert f"async_closes_total {self.ROUNDS}" in text
         assert "async_staleness" in text
-        out = tmp_path / "snap.jsonl"
-        assert obs_main(
-            ["export", str(trace), "--format", "jsonl", "--out", str(out)]
-        ) == 0
-        names = {
-            json.loads(line).get("name")
-            for line in out.read_text().splitlines()
-        }
-        assert {"async.dispatches", "async.closes", "async.staleness"} <= names
+        types, _ = _parse_openmetrics(text)
+        assert {"async_dispatches", "async_closes", "async_staleness"} <= set(types)
 
     def test_export_of_a_cut_trace_keeps_the_staleness_summary(
         self, trace, tmp_path, capsys

@@ -260,8 +260,8 @@ def test_every_third_party_import_is_a_declared_dependency():
 def test_dependency_scan_flags_an_undeclared_scipy():
     tree = _tree()
     assert undeclared_imports(tree, ["numpy>=1.21"]) == []
-    tree["mtl/relationship.py"] = "from scipy import linalg\n" + tree["mtl/relationship.py"]
-    assert undeclared_imports(tree, ["numpy>=1.21"]) == ["mtl/relationship.py:1: scipy"]
+    tree["mtl/mocha.py"] = "from scipy import linalg\n" + tree["mtl/mocha.py"]
+    assert undeclared_imports(tree, ["numpy>=1.21"]) == ["mtl/mocha.py:1: scipy"]
 
 
 # -- the async engine drives the trainer through two halves only --------------

@@ -11,19 +11,14 @@ from repro.data.dataset import Dataset
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig
 from repro.fl.sampling import UniformSampler
-from repro.fl.store import (
-    ClientStateStore,
-    CyclicPartition,
-    ExplicitPartition,
-    StoreClient,
-)
+from repro.fl.store import ClientStateStore, CyclicPartition, StoreClient
 from repro.fl.trainer import FederatedTrainer
 from repro.fl.workspace import ModelWorkspace
 from repro.models.linear import make_logistic_regression
 from repro.nn.losses import SigmoidBinaryCrossEntropy
 from repro.nn.optimizers import SGD
 from repro.nn.schedules import ConstantLR
-from repro.utils.rng import child_rngs
+from repro.utils.rng import child_rngs, stream_seed
 from tests.strategies import STORE, assert_lattice
 
 
@@ -35,15 +30,30 @@ def _dataset(rows=60, features=4, seed=0):
     return Dataset(x, y)
 
 
-def _clients(n=8, per=12, seed=0):
-    rngs = child_rngs(seed, n + 2)
-    w = rngs[0].normal(size=4)
-    out = []
-    for i in range(n):
-        x = rngs[1].normal(size=(per, 4))
-        y = (x @ w > 0).astype(np.int64)
-        out.append(FLClient(i, Dataset(x, y), rng=rngs[2 + i]))
-    return out
+#: The seeded population the trainer-level tests share: eight clients
+#: of 12 rows, each its own window of one 96-row dataset, in store
+#: shards of 4.
+_N, _PER, _SEED = 8, 12, 0
+
+
+def _partition():
+    return CyclicPartition(_dataset(rows=_N * _PER), _N, _PER)
+
+
+def _clients():
+    """The eager twin of :func:`_store`: client ``i`` on its window and
+    on the stream the store derives for row ``i``."""
+    part = _partition()
+    return [
+        FLClient(i, part.materialize(i), rng=np.random.Generator(
+            np.random.PCG64(stream_seed(_SEED, i))
+        ))
+        for i in range(_N)
+    ]
+
+
+def _store():
+    return ClientStateStore(_N, _partition(), seed=_SEED, shard_size=4)
 
 
 def _workspace(seed=3, lr=0.5):
@@ -98,7 +108,7 @@ class TestPartitions:
         assert np.array_equal(
             d.x, np.concatenate([data.x[45:], data.x[:10]])
         )
-        assert part15.n_samples(3) == 15
+        assert len(d) == 15
 
     def test_cyclic_validates(self):
         data = _dataset(rows=50)
@@ -115,13 +125,6 @@ class TestPartitions:
             "kind": "cyclic", "n_clients": 1000, "samples_per_client": 10,
             "stride": 10,
         }
-
-    def test_explicit_serves_given_datasets(self):
-        ds = [_dataset(rows=5, seed=s) for s in range(3)]
-        ep = ExplicitPartition(ds)
-        assert len(ep) == 3
-        assert ep.materialize(1) is ds[1]
-        assert ep.n_samples(2) == 5
 
 
 class TestStoreCore:
@@ -329,14 +332,6 @@ class TestStoreCore:
         with pytest.raises(ValueError):
             smaller.load_state(manifest, arrays)
 
-    def test_from_clients_requires_dense_ids(self):
-        clients = _clients(3)
-        clients[2] = FLClient(
-            9, clients[2].train_data, rng=np.random.default_rng(0)
-        )
-        with pytest.raises(ValueError):
-            ClientStateStore.from_clients(clients)
-
     def test_record_round_stats(self):
         store = ClientStateStore(
             100, CyclicPartition(_dataset(rows=60), 100, 10)
@@ -375,7 +370,7 @@ class TestTrainerParity:
     def test_store_counters_account_cohorts(self):
         from repro.obs import MemorySink, Tracer, metrics_from_trace
 
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
+        store = _store()
         trainer = FederatedTrainer(
             _workspace(),
             store,
@@ -387,7 +382,7 @@ class TestTrainerParity:
         totals = metrics_from_trace(trainer.tracer.memory_events())
         assert totals["store.checkouts"]["value"] == 8 * 3
         assert totals["store.rows_written"]["value"] == 8 * 3
-        # from_clients materialized both shards; the rollups report the
+        # The full cohort touched both shards; the rollups report the
         # store's own count.
         assert totals["store.shards_materialized"]["value"] == 2
         assert store.materialized_shards == 2
@@ -396,7 +391,7 @@ class TestTrainerParity:
     def test_stats_reflect_cmfl_decisions(self):
         trainer = FederatedTrainer(
             _workspace(),
-            ClientStateStore.from_clients(_clients(), shard_size=4),
+            _store(),
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             _config(),
         )
@@ -418,10 +413,9 @@ class TestStoreCheckpoint:
     older eras it still resumes bitwise."""
 
     def _build(self):
-        store = ClientStateStore.from_clients(_clients(), shard_size=4)
         return FederatedTrainer(
             _workspace(),
-            store,
+            _store(),
             CMFLPolicy(InverseSqrtThreshold(0.8)),
             _config(rounds=8),
             sampler=UniformSampler(count=4, rng=5),
@@ -483,7 +477,7 @@ class TestStoreCheckpoint:
             return FederatedTrainer.restore(
                 path,
                 _workspace(),
-                ClientStateStore.from_clients(_clients(), shard_size=4),
+                _store(),
                 CMFLPolicy(InverseSqrtThreshold(0.8)),
                 _config(rounds=8),
                 sampler=UniformSampler(count=4, rng=5),
@@ -508,9 +502,7 @@ class TestStoreCheckpoint:
         from repro.ckpt.state import capture_run_state
 
         def build(restore_from=None):
-            clients = _clients()
-            if store_backed:
-                clients = ClientStateStore.from_clients(clients, shard_size=4)
+            clients = _store() if store_backed else _clients()
             parts = (
                 _workspace(), clients, CMFLPolicy(InverseSqrtThreshold(0.8)),
                 _config(rounds=8),
@@ -544,10 +536,7 @@ class TestStoreCheckpoint:
         back the same int-keyed dicts and list, eager or store-backed."""
 
         def clients():
-            eager = _clients()
-            if store_backed:
-                return ClientStateStore.from_clients(eager, shard_size=4)
-            return eager
+            return _store() if store_backed else _clients()
 
         def build():
             return FederatedTrainer(
@@ -626,7 +615,7 @@ class TestStoreCheckpoint:
             FederatedTrainer.restore(
                 path,
                 _workspace(),
-                ClientStateStore.from_clients(_clients(), shard_size=4),
+                _store(),
                 CMFLPolicy(InverseSqrtThreshold(0.8)),
                 _config(rounds=8),
                 sampler=UniformSampler(count=4, rng=5),

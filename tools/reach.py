@@ -77,7 +77,10 @@ def shipped_entry_points(work: Path) -> Iterator[List[str]]:
     py = sys.executable
     yield [py, "-m", "repro.experiments.run_all", "test"]
     yield [py, "benchmarks/perf/run.py", "--smoke"]
-    specs = {"sync": None, "async": '{"stored": true, "async_config": {"staleness_bound": 2}}'}
+    specs = {
+        "sync": None,
+        "async": '{"stored": true, "seeded": true, "async_config": {"staleness_bound": 2}}',
+    }
     for name, spec in specs.items():
         smoke = [py, "-m", "repro.experiments.ckpt_smoke"]
         smoke += [] if spec is None else ["--spec", spec]
